@@ -103,7 +103,8 @@ class RationalMatrix:
                 lead = m[r][c]
                 for j in range(cols):
                     q, rem = divmod(m[i][j] * lead - head * m[r][j], prev)
-                    assert rem == 0, "fraction-free step left a remainder"
+                    if rem:
+                        raise ArithmeticError("fraction-free step left a remainder")
                     m[i][j] = q
             prev = m[r][c]
             pivots.append(c)

@@ -24,6 +24,9 @@ NEG_INF = float("-inf")
 
 RationalLike = int | Fraction
 
+#: rows per block in Polynomial.eval_float
+EVAL_BLOCK = 1 << 16
+
 
 def _as_fraction(value: RationalLike | str) -> Fraction:
     if isinstance(value, Fraction):
@@ -229,19 +232,34 @@ class Polynomial:
         return total
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, dim) float array; returns length-N array."""
+        """Evaluate at an (N, dim) float array; returns length-N array.
+
+        Powers come from repeated multiplication, shared by all terms, over
+        row blocks of EVAL_BLOCK so temporaries stay bounded for large N.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(1, -1)
         if points.shape[1] != self.dim:
             raise ValueError("point array has wrong width")
+        terms = [(exponent, float(coeff)) for exponent, coeff in self.terms.items()]
+        top = [max((e[axis] for e, _ in terms), default=0) for axis in range(self.dim)]
         out = np.zeros(points.shape[0])
-        for exponent, coeff in self.terms.items():
-            term = np.full(points.shape[0], float(coeff))
-            for axis, e in enumerate(exponent):
-                if e:
-                    term *= points[:, axis] ** e
-            out += term
+        for start in range(0, points.shape[0], EVAL_BLOCK):
+            block = points[start : start + EVAL_BLOCK]
+            powers = []
+            for axis in range(self.dim):
+                table = [None, block[:, axis]]
+                for _ in range(2, top[axis] + 1):
+                    table.append(table[-1] * table[1])
+                powers.append(table)
+            acc = out[start : start + EVAL_BLOCK]
+            for exponent, coeff in terms:
+                term = np.full(block.shape[0], coeff)
+                for axis, e in enumerate(exponent):
+                    if e:
+                        term *= powers[axis][e]
+                acc += term
         return out
 
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
@@ -356,6 +374,7 @@ class MonomialBasis:
             self._enumerate(dim, max_degree), key=grlex_key
         )
         self.index = {e: i for i, e in enumerate(self.exponents)}
+        self.exponent_array = np.array(self.exponents, dtype=np.intp)
         self.degree_slices: list[slice] = []
         start = 0
         for degree in range(max_degree + 1):
@@ -394,26 +413,28 @@ class MonomialBasis:
         return coords
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:
-        """Vandermonde-style (N, len(basis)) float array of monomial values."""
+        """Vandermonde-style (N, len(basis)) float array of monomial values.
+
+        Each axis contributes one power table x_i^0 .. x_i^max_degree, built
+        by repeated multiplication; the rows of all axes' tables are gathered
+        by exponent and multiplied together.  The result is the transpose of
+        that (len(basis), N) product, so its columns are contiguous.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(-1, self.dim)
-        n = points.shape[0]
-        max_per_axis = [max((e[i] for e in self.exponents), default=0) for i in range(self.dim)]
-        axis_powers = []
-        for i in range(self.dim):
-            pw = np.ones((n, max_per_axis[i] + 1))
-            for k in range(1, max_per_axis[i] + 1):
-                pw[:, k] = pw[:, k - 1] * points[:, i]
-            axis_powers.append(pw)
-        out = np.ones((n, len(self)))
-        for j, exponent in enumerate(self.exponents):
-            col = out[:, j]
-            for i, e in enumerate(exponent):
-                if e:
-                    col *= axis_powers[i][:, e]
-            out[:, j] = col
-        return out
+        out = None
+        for axis in range(self.dim):
+            table = np.empty((self.max_degree + 1, points.shape[0]))
+            table[0] = 1.0
+            for k in range(1, self.max_degree + 1):
+                np.multiply(table[k - 1], points[:, axis], out=table[k])
+            rows = table[self.exponent_array[:, axis]]
+            if out is None:
+                out = rows
+            else:
+                out *= rows
+        return out.T
 
 
 # ----------------------------------------------------------------------
@@ -421,10 +442,6 @@ class MonomialBasis:
 # The parser accepts a superset: parentheses, '-' groups, '/' by a rational
 # constant, and caller-supplied extra symbol names (used for catalog
 # parameters and closed-form index variables).
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def format_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:

@@ -23,6 +23,8 @@ from .poly import MonomialBasis, Polynomial
 from .rng import DEFAULT_SEED, uniform_block
 
 MC_CHUNK = 1 << 16
+#: rows per block when a pass over sample points accumulates sums
+POINT_CHUNK = 16384
 
 GAUSS_KINDS = ("tensor-gauss-square", "polar-gauss-disk", "duffy-gauss-triangle")
 
@@ -78,10 +80,6 @@ def _jacobi_rule_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.n
     return u, w
 
 
-def _match_factor(factor: Polynomial, target: Polynomial) -> bool:
-    return factor == target
-
-
 def _axis_exponents_square(model, axis: int) -> tuple[float, float]:
     """Exponents on (1 - x_axis) and (1 + x_axis) in the model measure."""
     d = model.dim
@@ -89,9 +87,9 @@ def _axis_exponents_square(model, axis: int) -> tuple[float, float]:
     var = Polynomial.variable(d, axis)
     alpha = beta = Fraction(0)
     for factor, exponent in model.measure.factor_exponents:
-        if _match_factor(factor, one - var):
+        if factor == one - var:
             alpha = exponent
-        elif _match_factor(factor, one + var):
+        elif factor == one + var:
             beta = exponent
     return float(alpha), float(beta)
 
@@ -124,7 +122,7 @@ def _disk_rule(model, n: int) -> WeightedPoints:
     rsq = Polynomial.variable(2, 0) ** 2 + Polynomial.variable(2, 1) ** 2
     p = Fraction(0)
     for factor, exponent in model.measure.factor_exponents:
-        if _match_factor(factor, one - rsq):
+        if factor == one - rsq:
             p = exponent
         elif exponent != 0:
             raise SamplerConfigError("disk rule only absorbs the radial factor")
@@ -152,11 +150,11 @@ def _triangle_rule(model, n: int) -> WeightedPoints:
     one = Polynomial.constant(2, 1)
     p = q = r = Fraction(0)
     for factor, exponent in model.measure.factor_exponents:
-        if _match_factor(factor, x):
+        if factor == x:
             p = exponent
-        elif _match_factor(factor, y):
+        elif factor == y:
             q = exponent
-        elif _match_factor(factor, one - x - y):
+        elif factor == one - x - y:
             r = exponent
         elif exponent != 0:
             raise SamplerConfigError("triangle rule only absorbs the simplex factors")
@@ -429,6 +427,12 @@ def _effective_weights(model, sample: WeightedPoints) -> np.ndarray:
     return sample.weights * model.measure.density_float(sample.points)
 
 
+def point_chunks(count: int):
+    """Row slices of at most POINT_CHUNK rows covering range(count)."""
+    for start in range(0, count, POINT_CHUNK):
+        yield slice(start, min(start + POINT_CHUNK, count))
+
+
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
     if isinstance(f, Polynomial):
         return f.eval_float(points)
@@ -477,23 +481,29 @@ class Moments:
         self.basis = MonomialBasis(model.dim, max_degree)
         sample = sample_domain(model, sampler)
         weights = _effective_weights(model, sample)
-        values = np.zeros(len(self.basis))
-        chunk = 16384
-        for start in range(0, sample.accepted, chunk):
-            block = slice(start, min(start + chunk, sample.accepted))
-            values += weights[block] @ self.basis.eval_float(sample.points[block])
+        # moments of every x^a with a_i <= max_degree, as one contraction of
+        # per-axis power tables: the weighted axis-0 table against the
+        # row-wise product of the other axes' tables
+        axis_basis = MonomialBasis(1, max_degree)
+        dim = model.dim
+        table = np.zeros((max_degree + 1) ** dim)
+        for block in point_chunks(sample.accepted):
+            powers = [axis_basis.eval_float(sample.points[block, [i]]) for i in range(dim)]
+            if dim == 1:
+                table += weights[block] @ powers[0]
+            else:
+                rest = powers[1]
+                for axis_table in powers[2:]:
+                    rest = (rest[:, :, None] * axis_table[:, None, :]).reshape(rest.shape[0], -1)
+                table += ((powers[0] * weights[block, None]).T @ rest).ravel()
+        table = table.reshape((max_degree + 1,) * dim)
+        values = table[tuple(self.basis.exponent_array.T)]
         self.values = values
         self.by_exponent = {e: values[i] for i, e in enumerate(self.basis.exponents)}
         # retained so downstream code can integrate non-polynomial quantities
         # (e.g. products of normalized eigenfunctions) against the same rule
         self.points = sample.points
         self.weights = weights
-
-    def pointwise_form(self, value_matrix: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
-        """Gram-style form sum_i w_i f(x_i) v_a(x_i) v_b(x_i) for the columns
-        of value_matrix (pointwise route: no coefficient-space cancellation)."""
-        w = self.weights if factor is None else self.weights * factor
-        return value_matrix.T @ (w[:, None] * value_matrix)
 
     def monomial(self, exponent) -> float:
         return self.by_exponent[tuple(exponent)]

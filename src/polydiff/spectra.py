@@ -21,7 +21,14 @@ from .catalog import Model
 from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
-from .quadrature import GAUSS_KINDS, DomainSampler, Moments, gamma_form_matrix, gram_matrix
+from .quadrature import (
+    GAUSS_KINDS,
+    DomainSampler,
+    Moments,
+    gamma_form_matrix,
+    gram_matrix,
+    point_chunks,
+)
 
 CLUSTER_TAU = 1e-7
 PENCIL_NEGATIVE_TOL = 1e-8
@@ -174,12 +181,16 @@ def block_eigenvalues(block: list[list[Fraction]]) -> list[EigenvalueEntry]:
     return entries
 
 
-def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult:
-    matrix = GradedOperatorMatrix(op, max_degree)
+def graded_spectrum(matrix: GradedOperatorMatrix) -> SpectrumResult:
+    """Block spectra of an already built graded matrix."""
     per_degree = [
-        block_eigenvalues(matrix.diagonal_block(n)) for n in range(max_degree + 1)
+        block_eigenvalues(matrix.diagonal_block(n)) for n in range(matrix.max_degree + 1)
     ]
-    return SpectrumResult(max_degree, per_degree)
+    return SpectrumResult(matrix.max_degree, per_degree)
+
+
+def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult:
+    return graded_spectrum(GradedOperatorMatrix(op, max_degree))
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +238,7 @@ class EigenBasis:
     def gram_deviation(self) -> float:
         return float(np.abs(self.gram - np.eye(self.gram.shape[0])).max())
 
-    def residuals(self, graded: GradedOperatorMatrix | None = None) -> list[float]:
+    def residuals(self) -> list[float]:
         return [f.residual for f in self.all_functions()]
 
 
@@ -348,7 +359,7 @@ def eigenbasis(
         )
     graded = GradedOperatorMatrix(model.operator, max_degree)
     m = graded.to_float()
-    spectrum = graded_eigenvalues(model.operator, max_degree)
+    spectrum = graded_spectrum(graded)
 
     # eigenvalues recur across degrees (covering-space models especially), so
     # clusters are global: collect (degree, entry) pairs per eigenvalue first;
@@ -400,29 +411,30 @@ def eigenbasis(
                     )
         raw.append({"value": cluster["value"], "members": members})
 
-    # pointwise Gram and first-coordinate moment form of the raw vectors
+    # pointwise Gram and first-coordinate moment form of the raw vectors,
+    # within each cluster only: no other block is ever read
     coeffs = np.column_stack([mem["float"] for c in raw for mem in c["members"]])
     n_funcs = coeffs.shape[1]
-    g_raw = np.zeros((n_funcs, n_funcs))
-    x_raw = np.zeros((n_funcs, n_funcs))
-    chunk = 16384
+    spans = []
+    for cluster in raw:
+        start = spans[-1].stop if spans else 0
+        spans.append(slice(start, start + len(cluster["members"])))
+    g_blocks = [np.zeros((span.stop - span.start,) * 2) for span in spans]
+    x_blocks = [np.zeros_like(g_c) for g_c in g_blocks]
     points, weights = moments.points, moments.weights
-    for start in range(0, points.shape[0], chunk):
-        blk = slice(start, min(start + chunk, points.shape[0]))
-        values = basis.eval_float(points[blk]) @ coeffs
-        w = weights[blk]
-        g_raw += values.T @ (w[:, None] * values)
-        x_raw += values.T @ ((w * points[blk, 0])[:, None] * values)
+    for blk in point_chunks(points.shape[0]):
+        # one row per raw function, one column per point
+        values = coeffs.T @ basis.eval_float(points[blk]).T
+        weighted = values * weights[blk]
+        x_weighted = weighted * points[blk, 0]
+        for span, g_c, x_c in zip(spans, g_blocks, x_blocks):
+            g_c += values[span] @ weighted[span].T
+            x_c += values[span] @ x_weighted[span].T
 
     per_degree: list[list[EigenFunction]] = [[] for _ in range(max_degree + 1)]
-    offset = 0
-    for cluster in raw:
+    for cluster, span, g_c, x_c in zip(raw, spans, g_blocks, x_blocks):
         members = cluster["members"]
         k = len(members)
-        idx = list(range(offset, offset + k))
-        offset += k
-        g_c = g_raw[np.ix_(idx, idx)]
-        x_c = x_raw[np.ix_(idx, idx)]
         # hierarchical orthonormalization: degree batches in ascending order,
         # projected against the already-accepted cluster members so top-degree
         # structure is preserved, then Loewdin + canonical rotation per batch
@@ -450,7 +462,7 @@ def eigenbasis(
             batch_starts.append((degree, local))
             transform = np.column_stack([transform, batch])
         # signs: largest-magnitude coefficient of each function positive
-        final_float = coeffs[:, idx] @ transform
+        final_float = coeffs[:, span] @ transform
         for j in range(k):
             lead = int(np.argmax(np.abs(final_float[:, j])))
             if final_float[lead, j] < 0:
@@ -485,37 +497,35 @@ def eigenbasis(
                 )
                 col += 1
 
-    # residuals: exact vectors are exact kernel elements (verified), float
-    # fallbacks get a pointwise Gram-norm residual
-    for level in per_degree:
-        for f in level:
-            if f.exact_coefficients is not None:
-                image = graded.entries.matvec(f.exact_coefficients)
-                lam = f.eigenvalue
-                assert all(a_i == lam * v_i for a_i, v_i in zip(image, f.exact_coefficients)), \
-                    "exact eigenvector failed verification"
-                f.residual = 0.0
-            else:
-                r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
-                # pointwise norms against the sample measure
-                num = den = 0.0
-                for start in range(0, points.shape[0], chunk):
-                    blk = slice(start, min(start + chunk, points.shape[0]))
-                    vb = basis.eval_float(points[blk])
-                    w = weights[blk]
-                    num += float(np.dot(w, (vb @ r) ** 2))
-                    den += float(np.dot(w, (vb @ f.coefficients) ** 2))
-                f.residual = float(np.sqrt(max(num, 0.0) / max(den, 1e-300)))
-
-    # final pointwise Gram of the returned functions
+    # residuals: exact vectors are exact kernel elements (verified); float
+    # fallbacks get a pointwise Gram-norm residual, from the same pass over
+    # the points as the final Gram of the returned functions
     funcs = [f for level in per_degree for f in level]
-    final_coeffs = np.column_stack([f.coefficients for f in funcs])
-    g_final = np.zeros((len(funcs), len(funcs)))
-    for start in range(0, points.shape[0], chunk):
-        blk = slice(start, min(start + chunk, points.shape[0]))
+    fallbacks = []
+    for j, f in enumerate(funcs):
+        if f.exact_coefficients is not None:
+            image = graded.entries.matvec(f.exact_coefficients)
+            lam = f.eigenvalue
+            if any(a_i != lam * v_i for a_i, v_i in zip(image, f.exact_coefficients)):
+                raise RuntimeError("exact eigenvector failed verification")
+            f.residual = 0.0
+        else:
+            fallbacks.append(j)
+    residual_coeffs = [
+        m @ funcs[j].coefficients - float(funcs[j].eigenvalue) * funcs[j].coefficients
+        for j in fallbacks
+    ]
+    final_coeffs = np.column_stack([f.coefficients for f in funcs] + residual_coeffs)
+    g_final = np.zeros((n_funcs, n_funcs))
+    residual_sq = np.zeros(len(fallbacks))
+    for blk in point_chunks(points.shape[0]):
         values = basis.eval_float(points[blk]) @ final_coeffs
         w = weights[blk]
-        g_final += values.T @ (w[:, None] * values)
+        funcs_values = values[:, :n_funcs]
+        g_final += funcs_values.T @ (w[:, None] * funcs_values)
+        residual_sq += w @ values[:, n_funcs:] ** 2
+    for j, num in zip(fallbacks, residual_sq):
+        funcs[j].residual = float(np.sqrt(max(num, 0.0) / max(g_final[j, j], 1e-300)))
 
     return EigenBasis(
         model_name=model.name,

@@ -118,3 +118,11 @@ def test_cluster_rule():
     values = [0.0, 1.0, 1.0 + 5e-8, 2.0]
     clusters = cluster_eigenvalues(values)
     assert [len(c) for c in clusters] == [1, 2, 1]
+
+
+def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
+    # Bareiss division is exact on integer rows; a non-integral row breaks
+    # that premise and must raise even under python -O
+    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [[1, 0], [1, Fraction(1, 2)]])
+    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+        RationalMatrix([[1, 0], [0, 1]]).rref()

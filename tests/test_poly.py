@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polydiff.poly import (
+    EVAL_BLOCK,
     MonomialBasis,
     NEG_INF,
     Polynomial,
@@ -180,3 +182,40 @@ def test_parse_many_variables():
     p = parse_poly("x1*x4 - 2*x2^3", 4)
     assert p.dim == 4
     assert p((1, 1, 1, 1)) == -1
+
+
+# ----------------------------------------------------------------------
+# float evaluation against a naive per-monomial reference
+
+
+def _naive_monomials(exponents, points):
+    """Column j = prod_i x_i ** e_ji, one monomial at a time."""
+    out = np.ones((points.shape[0], len(exponents)))
+    for j, exponent in enumerate(exponents):
+        for axis, e in enumerate(exponent):
+            out[:, j] *= points[:, axis] ** e
+    return out
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 13), (2, 13), (3, 8)])
+def test_monomial_basis_eval_float_matches_naive(dim, degree):
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(-1.5, 1.5, size=(1000, dim))
+    basis = MonomialBasis(dim, degree)
+    got = basis.eval_float(points)
+    expected = _naive_monomials(basis.exponents, points)
+    assert got.shape == (1000, len(basis))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("count", [0, 1, EVAL_BLOCK + 123])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_polynomial_eval_float_matches_naive(dim, count):
+    p = _random_poly(random.Random(dim), dim, 7)
+    points = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(count, dim))
+    terms = np.array([float(c) * np.prod(points ** np.array(e), axis=1) for e, c in p.terms.items()])
+    expected = terms.sum(axis=0)
+    scale = np.abs(terms).sum(axis=0)
+    got = p.eval_float(points)
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)

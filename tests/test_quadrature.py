@@ -9,6 +9,7 @@ from polydiff.catalog import get_model
 from polydiff.poly import Polynomial, parse_poly
 from polydiff.quadrature import (
     DomainSampler,
+    Moments,
     SamplerConfigError,
     check_box_encloses,
     gram_matrix,
@@ -207,3 +208,46 @@ def test_csv_exports_roundtrip(tmp_path):
     with open(matrix_path) as handle:
         parsed = [[float(v) for v in row] for row in csv_mod.reader(handle)]
     assert parsed[0][0] == matrix[0, 0]
+
+
+def _naive_moments(moments: Moments) -> tuple[np.ndarray, np.ndarray]:
+    """Plain weighted sums of x**a per exponent, and the sums of |terms|."""
+    values, scales = [], []
+    for exponent in moments.basis.exponents:
+        terms = moments.weights * np.prod(moments.points ** np.array(exponent), axis=1)
+        values.append(terms.sum())
+        scales.append(np.abs(terms).sum())
+    return np.array(values), np.array(scales)
+
+
+@pytest.mark.parametrize(
+    "name,sampler",
+    [
+        ("jacobi1d", None),
+        ("square", None),
+        ("triangle", None),
+        ("disk", DomainSampler("mc-rejection", sample_count=40_000, seed=5)),
+        ("deltoid", DomainSampler("cover-mc", sample_count=40_000, seed=5)),
+        ("triangle_cover_3d", DomainSampler("mc-rejection", sample_count=60_000, seed=5)),
+    ],
+)
+def test_moments_match_naive_weighted_sums(name, sampler):
+    model = get_model(name)
+    moments = Moments(model, 8, sampler or model.sampler())
+    expected, scale = _naive_moments(moments)
+    assert moments.values.shape == (len(moments.basis),)
+    assert np.all(np.abs(moments.values - expected) <= 1e-12 * scale)
+    assert moments.monomial((0,) * model.dim) == moments.values[0]
+
+
+def test_moments_of_empty_sample_are_zero():
+    model = get_model("disk", {"p": "0"})
+    for seed in range(100):
+        sampler = DomainSampler("mc-rejection", sample_count=2, seed=seed)
+        if sample_domain(model, sampler).accepted == 0:
+            break
+    else:
+        pytest.fail("no seed rejects both proposals")
+    moments = Moments(model, 6, sampler)
+    assert moments.points.shape == (0, 2)
+    assert np.array_equal(moments.values, np.zeros(len(moments.basis)))

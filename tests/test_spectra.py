@@ -3,13 +3,16 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from polydiff import spectra
 from polydiff.catalog import get_model
-from polydiff.operator import product_operator
+from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
     graded_eigenvalues,
+    graded_spectrum,
     pencil_cross_check,
 )
 
@@ -142,3 +145,51 @@ def test_spectrum_json_export_shape():
     assert [d["n"] for d in payload["degrees"]] == [0, 1, 2, 3]
     assert payload["degrees"][2]["eigenvalues"] == ["-6"]
     assert payload["degrees"][2]["multiplicities"] == [3]
+
+
+def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
+    original = spectra._exact_eigenvectors
+
+    def corrupted(graded, degree, lam):
+        vectors = original(graded, degree, lam)
+        if degree:
+            vectors[0][0] += 1  # add a constant: no longer an eigenvector
+        return vectors
+
+    monkeypatch.setattr(spectra, "_exact_eigenvectors", corrupted)
+    model = get_model("square")
+    with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
+        eigenbasis(model, 2, model.sampler())
+
+
+def test_graded_spectrum_reuses_built_matrix():
+    model = get_model("deltoid")
+    matrix = GradedOperatorMatrix(model.operator, 5)
+    assert graded_spectrum(matrix).to_jsonable() == graded_eigenvalues(model.operator, 5).to_jsonable()
+
+
+def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypatch):
+    # every block reported as a numeric fallback, with eigenvalues moved off
+    # by 1e-4 so the residuals are well above roundoff
+    original = spectra.block_eigenvalues
+
+    def numeric(block):
+        return [
+            spectra.EigenvalueEntry(float(e.value) * (1 + 1e-4), e.multiplicity, "numeric-block")
+            for e in original(block)
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
+    model = get_model("triangle")
+    eb = eigenbasis(model, 4, model.sampler())
+    funcs = eb.all_functions()
+    assert all(f.exact_coefficients is None for f in funcs)
+    moments = spectra.Moments(model, 9, model.sampler())
+    values = eb.basis.eval_float(moments.points)
+    m = GradedOperatorMatrix(model.operator, 4).to_float()
+    for f in funcs:
+        r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
+        num = np.dot(moments.weights, (values @ r) ** 2)
+        den = np.dot(moments.weights, (values @ f.coefficients) ** 2)
+        assert abs(f.residual - np.sqrt(num / den)) <= 1e-9 * np.sqrt(num / den) + 1e-15
+    assert max(eb.residuals()) > 1e-6
