@@ -2,7 +2,7 @@
 
 Submodules:
   poly        exact sparse multivariate polynomials and the text format
-  linalg      exact rational elimination + floating symmetric eigensolvers
+  linalg      exact rational elimination + the generalized symmetric eigensolver
   boundary    the admissibility linear system for factored boundaries
   operator    cometrics, measures, drifts, graded operator matrices
   catalog     the model registry (JSON descriptors)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, poly_matrix_det
 from .operator import CoMetric, DegenerateMetricError
 from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide
 
@@ -226,24 +226,10 @@ def check_ellipticity(g: CoMetric, samples: Sequence[Sequence[Rational]]) -> Ell
     for point in samples:
         values = g.value_at(point)
         for k in range(1, g.dim + 1):
-            minor = _det_fraction([row[:k] for row in values[:k]])
+            minor = poly_matrix_det([row[:k] for row in values[:k]])
             if minor <= 0:
                 return EllipticityReport(False, tuple(Fraction(v) for v in point), len(samples))
     return EllipticityReport(True, None, len(samples))
-
-
-def _det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = mat[0][j] * _det_fraction(minor)
-        total += -term if j % 2 else term
-    return total
 
 
 @dataclass

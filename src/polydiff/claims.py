@@ -32,6 +32,7 @@ from .operator import (
     InadmissibleMeasureError,
     MeasureSpec,
     boundary_first_order,
+    cometric_gradient,
     drift_from_measure,
     gamma,
     product_operator,
@@ -139,11 +140,7 @@ def _boundary_residual(name: str):
             s = boundary_first_order(g, factor)
             if s is None:
                 return False, {"factor": str(factor), "error": "no affine multiplier"}
-            grad = factor.gradient()
-            for i in range(g.dim):
-                lhs = Polynomial.zero(g.dim)
-                for j in range(g.dim):
-                    lhs = lhs + g[i, j] * grad[j]
+            for i, lhs in enumerate(cometric_gradient(g, factor)):
                 if lhs - s[i] * factor != Polynomial.zero(g.dim):
                     return False, {"factor": str(factor), "axis": i, "error": "nonzero residual"}
             detail["first_order"].append([str(p) for p in s])
@@ -418,13 +415,9 @@ def _sum_identity(ctx: RunContext):
             s = boundary_first_order(g, factor)
             for i in range(model.dim):
                 total[i] = total[i] + s[i]
-        grad = product.gradient()
-        good = True
-        for i in range(model.dim):
-            lhs = Polynomial.zero(model.dim)
-            for j in range(model.dim):
-                lhs = lhs + g[i, j] * grad[j]
-            good = good and lhs == total[i] * product
+        good = all(
+            lhs == total[i] * product for i, lhs in enumerate(cometric_gradient(g, product))
+        )
         detail[name] = good
         ok = ok and good
     return ok, detail

@@ -15,22 +15,16 @@ import sys
 
 
 def _configure_threads() -> None:
-    # DOP_THREADS caps internal parallelism; kernels are pinned to one thread
-    # so results cannot depend on its value
-    value = os.environ.get("DOP_THREADS")
-    cap = "1"
-    if value:
-        try:
-            cap = str(max(1, min(int(value), 1)))
-        except ValueError:
-            cap = "1"
+    # DOP_THREADS is accepted and capped: kernels are pinned to one thread so
+    # results cannot depend on its value
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, cap)
+        os.environ.setdefault(name, "1")
 
 
 _configure_threads()
 
-DEFAULT_SEED = 0xD0F5EEDD
+# numpy reads the thread variables when it is first imported
+from .rng import DEFAULT_SEED  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -412,6 +406,8 @@ def _common_output(parser, default_format: str = "pretty") -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .catalog import CatalogError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -419,8 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliDataError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except Exception as exc:
-        # catalog/parameter/parse/measure problems all surface as data errors
+    except (CatalogError, ValueError, OSError) as exc:
+        # every domain error of the package subclasses one of these (catalog
+        # lookups are KeyErrors, --out paths raise OSError); anything else is
+        # an internal fault and keeps its traceback
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_DATA
 

@@ -115,10 +115,6 @@ class CurvatureEvaluator:
         return self.k_num.eval_float(points) / den**self.k_pow
 
 
-def scalar_curvature_at(cometric: CoMetric, point: Sequence[float]) -> float:
-    return float(CurvatureEvaluator(cometric).scalar_curvature(np.array([point], dtype=float))[0])
-
-
 @dataclass
 class CurvatureReport:
     points: np.ndarray

@@ -1,4 +1,4 @@
-"""Exact rational dense linear algebra and floating symmetric eigensolvers.
+"""Exact rational dense linear algebra and the generalized symmetric eigensolver.
 
 The ratio of work here is deliberate: nullspaces/ranks/solves that feed the
 boundary admissibility system are exact (fraction-free Bareiss elimination on
@@ -220,18 +220,6 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> SymmetricEigenResult:
     residual = 0.0
     for i in range(len(values)):
         r = a @ vectors[:, i] - values[i] * (b @ vectors[:, i])
-        residual = max(residual, float(np.linalg.norm(r)) / scale)
-    return SymmetricEigenResult(values, vectors, residual)
-
-
-def sym_eig(a: np.ndarray) -> SymmetricEigenResult:
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a, "A")
-    values, vectors = scipy.linalg.eigh(a)
-    scale = max(np.abs(a).max(), 1.0)
-    residual = 0.0
-    for i in range(len(values)):
-        r = a @ vectors[:, i] - values[i] * vectors[:, i]
         residual = max(residual, float(np.linalg.norm(r)) / scale)
     return SymmetricEigenResult(values, vectors, residual)
 

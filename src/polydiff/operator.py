@@ -67,33 +67,11 @@ class CoMetric:
     def __eq__(self, other) -> bool:
         return isinstance(other, CoMetric) and self.entries == other.entries
 
-    @classmethod
-    def from_upper(cls, dim: int, upper: Sequence[Polynomial]) -> CoMetric:
-        """Build from the i <= j entries listed row by row."""
-        grid = [[None] * dim for _ in range(dim)]
-        it = iter(upper)
-        for i in range(dim):
-            for j in range(i, dim):
-                p = next(it)
-                grid[i][j] = p
-                grid[j][i] = p
-        return cls(grid)
-
     def det(self) -> Polynomial:
         return poly_matrix_det(self.entries)
 
     def value_at(self, point: Sequence[Rational]) -> list[list[Fraction]]:
         return [[p(point) for p in row] for row in self.entries]
-
-    def scale(self, c: Rational) -> CoMetric:
-        return CoMetric([[p * c for p in row] for row in self.entries])
-
-    def add(self, other: CoMetric) -> CoMetric:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return CoMetric(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
 
 
 @dataclass(frozen=True)
@@ -171,6 +149,18 @@ def gamma(g: CoMetric, f: Polynomial, h: Polynomial) -> Polynomial:
     return result
 
 
+def cometric_gradient(g: CoMetric, f: Polynomial) -> list[Polynomial]:
+    """The rows sum_j g^ij d_j f of the cometric applied to the gradient."""
+    grad = f.gradient()
+    rows = []
+    for i in range(g.dim):
+        row = Polynomial.zero(g.dim)
+        for j in range(g.dim):
+            row = row + g[i, j] * grad[j]
+        rows.append(row)
+    return rows
+
+
 def boundary_first_order(g: CoMetric, factor: Polynomial) -> list[Polynomial] | None:
     """The affine S^i with sum_j g^ij d_j(factor) = S^i * factor, or None.
 
@@ -181,12 +171,8 @@ def boundary_first_order(g: CoMetric, factor: Polynomial) -> list[Polynomial] | 
         raise ValueError("dimension mismatch")
     if factor.is_zero:
         raise ValueError("zero boundary factor")
-    grad = factor.gradient()
     out: list[Polynomial] = []
-    for i in range(g.dim):
-        numerator = Polynomial.zero(g.dim)
-        for j in range(g.dim):
-            numerator = numerator + g[i, j] * grad[j]
+    for numerator in cometric_gradient(g, factor):
         quotient = exact_divide(numerator, factor)
         if quotient is None:
             return None
@@ -228,11 +214,7 @@ def drift_from_measure(g: CoMetric, measure: MeasureSpec) -> tuple[Polynomial, .
         for i in range(d):
             drift[i] = drift[i] + s[i] * exponent
     if measure.exp_poly is not None:
-        grad_q = measure.exp_poly.gradient()
-        for i in range(d):
-            extra = Polynomial.zero(d)
-            for j in range(d):
-                extra = extra + g[i, j] * grad_q[j]
+        for i, extra in enumerate(cometric_gradient(g, measure.exp_poly)):
             if extra.total_degree not in (NEG_INF,) and extra.total_degree > 1:
                 raise InadmissibleMeasureError(
                     f"exponential measure part gives drift of degree "
@@ -337,6 +319,3 @@ class GradedOperatorMatrix:
 
     def to_float(self) -> np.ndarray:
         return self.entries.to_float()
-
-    def apply_coordinates(self, coords: Sequence[Fraction]) -> list[Fraction]:
-        return self.entries.matvec(list(coords))

@@ -11,7 +11,6 @@ coordinates from fixed counter positions, so the accepted set depends only on
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -46,8 +45,10 @@ class DomainSampler:
     sample_count: int = 100_000
     seed: int = DEFAULT_SEED
 
-    def with_seed(self, seed: int) -> DomainSampler:
-        return replace(self, seed=seed)
+    def __post_init__(self):
+        for name in ("node_count", "sample_count"):
+            if getattr(self, name) < 1:
+                raise SamplerConfigError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -602,21 +603,3 @@ def symmetry_defect(
     norms = np.sqrt(np.diag(b))
     m = m / np.outer(norms, norms)
     return float(np.abs(m - m.T).max() / max(np.abs(m).max(), 1.0))
-
-
-def export_samples_csv(path, sample: WeightedPoints, density: np.ndarray | None = None) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        dim = sample.points.shape[1] if sample.accepted else 0
-        header = [f"x{i + 1}" for i in range(dim)] + ["weight", "density"]
-        writer.writerow(header)
-        dens = density if density is not None else np.ones(sample.accepted)
-        for row, w, rho in zip(sample.points, sample.weights, dens):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(w)), repr(float(rho))])
-
-
-def export_matrix_csv(path, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in np.asarray(matrix):
-            writer.writerow([repr(float(v)) for v in row])

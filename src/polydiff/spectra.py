@@ -201,25 +201,21 @@ def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult
 class EigenFunction:
     """One basis element over the monomial basis.
 
-    Coefficients are kept exactly whenever the eigenvalue is exact (the
-    vector is then an exact kernel element of the graded matrix, so its
-    operator residual is identically zero); the float array is the working
-    copy for evaluation.
+    `exact` says the eigenvalue is exact: the function is then a float
+    combination of exact eigenvectors of the graded matrix, each verified
+    exactly, so its operator residual is zero.  Numeric-block fallbacks carry
+    a pointwise residual instead.
     """
 
     degree: int
     eigenvalue: Fraction | float
     coefficients: np.ndarray
     basis: MonomialBasis
-    exact_coefficients: list[Fraction] | None = None
+    exact: bool
     residual: float = 0.0
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:
         return self.basis.eval_float(points) @ self.coefficients
-
-    def leading_coefficients(self) -> np.ndarray:
-        block = self.basis.degree_slices[self.degree]
-        return self.coefficients[block.start : block.stop]
 
 
 @dataclass
@@ -333,11 +329,14 @@ def eigenbasis(
     """Mu-orthonormal polynomial eigenbasis up to the given degree.
 
     Eigenvectors come exactly from the graded matrix (rational kernel
-    computation) whenever the block spectrum is exact, so operator residuals
-    are zero by construction.  Orthonormalization happens against the
-    pointwise sample Gram: inner products of the (often huge-coefficient)
-    eigenfunctions are evaluated value-wise at the quadrature points, which
-    avoids the catastrophic coefficient-space cancellation on thin domains.
+    computation) whenever the block spectrum is exact, and each is verified
+    exactly once, so operator residuals are zero by construction; the
+    orthonormalizing transform within a cluster is applied in float, which
+    keeps every function in its eigenspace.  Orthonormalization happens
+    against the pointwise sample Gram: inner products of the (often
+    huge-coefficient) eigenfunctions are evaluated value-wise at the
+    quadrature points, which avoids the catastrophic coefficient-space
+    cancellation on thin domains.
     The generalized pencil with the energy form is solved independently and
     kept for cross-validation.
     """
@@ -388,15 +387,19 @@ def eigenbasis(
                     }
                 )
 
-    # raw eigenvectors, exact where the spectrum is exact
+    # raw eigenvectors, exact where the spectrum is exact; each exact one is
+    # checked once against the exact graded matrix
     raw: list[dict] = []
     for cluster in sorted(clusters, key=lambda c: c["value"]):
         members = []
         for degree, entry in cluster["parts"]:
             if entry.is_exact:
                 for vec in _exact_eigenvectors(graded, degree, entry.value):
+                    image = graded.entries.matvec(vec)
+                    if any(a_i != entry.value * v_i for a_i, v_i in zip(image, vec)):
+                        raise RuntimeError("exact eigenvector failed verification")
                     members.append(
-                        {"degree": degree, "value": entry.value, "exact": vec,
+                        {"degree": degree, "value": entry.value, "exact": True,
                          "float": np.array([float(v) for v in vec])}
                     )
             else:
@@ -407,7 +410,7 @@ def eigenbasis(
                     m, basis, degree, float(entry.value), entry.multiplicity, block
                 ):
                     members.append(
-                        {"degree": degree, "value": entry.value, "exact": None, "float": vec}
+                        {"degree": degree, "value": entry.value, "exact": False, "float": vec}
                     )
         raw.append({"value": cluster["value"], "members": members})
 
@@ -466,51 +469,28 @@ def eigenbasis(
         for j in range(k):
             lead = int(np.argmax(np.abs(final_float[:, j])))
             if final_float[lead, j] < 0:
-                transform[:, j] = -transform[:, j]
                 final_float[:, j] = -final_float[:, j]
-        # apply the transform exactly where the cluster is exact
-        all_exact = all(mem["exact"] is not None for mem in members)
         col = 0
         for degree, local in batch_starts:
-            batch_value = members[local[0]]["value"]
+            first = members[local[0]]
             for _ in local:
-                weights_col = transform[:, col]
-                if all_exact:
-                    exact = [Fraction(0)] * len(basis)
-                    for i, w_i in enumerate(weights_col):
-                        if w_i:
-                            frac = Fraction(w_i)
-                            member = members[i]["exact"]
-                            exact = [acc + frac * v for acc, v in zip(exact, member)]
-                    fl = np.array([float(v) for v in exact])
-                else:
-                    exact = None
-                    fl = final_float[:, col]
                 per_degree[degree].append(
                     EigenFunction(
                         degree=degree,
-                        eigenvalue=batch_value,
-                        coefficients=fl,
+                        eigenvalue=first["value"],
+                        coefficients=final_float[:, col],
                         basis=basis,
-                        exact_coefficients=exact,
+                        exact=first["exact"],
                     )
                 )
                 col += 1
 
-    # residuals: exact vectors are exact kernel elements (verified); float
-    # fallbacks get a pointwise Gram-norm residual, from the same pass over
-    # the points as the final Gram of the returned functions
+    # residuals: exact functions combine verified exact eigenvectors of one
+    # eigenvalue, so theirs is zero; float fallbacks get a pointwise
+    # Gram-norm residual, from the same pass over the points as the final
+    # Gram of the returned functions
     funcs = [f for level in per_degree for f in level]
-    fallbacks = []
-    for j, f in enumerate(funcs):
-        if f.exact_coefficients is not None:
-            image = graded.entries.matvec(f.exact_coefficients)
-            lam = f.eigenvalue
-            if any(a_i != lam * v_i for a_i, v_i in zip(image, f.exact_coefficients)):
-                raise RuntimeError("exact eigenvector failed verification")
-            f.residual = 0.0
-        else:
-            fallbacks.append(j)
+    fallbacks = [j for j, f in enumerate(funcs) if not f.exact]
     residual_coeffs = [
         m @ funcs[j].coefficients - float(funcs[j].eigenvalue) * funcs[j].coefficients
         for j in fallbacks

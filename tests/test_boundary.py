@@ -204,3 +204,55 @@ def test_interior_grid_clipped():
     assert 0 < len(grid) < 100
     for point in grid:
         assert spec.factors[0](point) > 0
+
+
+def test_ellipticity_verdicts_match_sympy_leading_minors():
+    sympy = pytest.importorskip("sympy")
+    import random
+
+    from polydiff.operator import CoMetric
+    from polydiff.poly import MonomialBasis
+
+    def sympy_elliptic(g, point):
+        values = g.value_at(point)
+        matrix = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in values]
+        )
+        return all(matrix[:k, :k].det() > 0 for k in range(1, g.dim + 1))
+
+    rng = random.Random(17)
+    quadratics = [Polynomial.monomial(2, e) for e in MonomialBasis(2, 2).exponents]
+
+    def perturbation():
+        return sum(
+            (m * Fraction(rng.randint(-6, 6), 4) for m in quadratics), Polynomial.zero(2)
+        )
+
+    verdicts = set()
+    for name in ("disk", "deltoid"):
+        model = get_model(name)
+        grid = model.interior_points(per_axis=6)
+        assert grid
+        base = model.cometric
+        cometrics = [base, CoMetric([[-p for p in row] for row in base.entries])]
+        for _ in range(6):
+            off = perturbation()
+            cometrics.append(
+                CoMetric(
+                    [
+                        [base[0, 0] + perturbation(), base[0, 1] + off],
+                        [base[1, 0] + off, base[1, 1] + perturbation()],
+                    ]
+                )
+            )
+        for g in cometrics:
+            expected = [sympy_elliptic(g, point) for point in grid]
+            for point, verdict in zip(grid, expected):
+                assert check_ellipticity(g, [point]).elliptic == verdict
+            report = check_ellipticity(g, grid)
+            assert report.elliptic == all(expected)
+            if not report.elliptic:
+                assert report.first_failure == tuple(grid[expected.index(False)])
+            verdicts.update(expected)
+    # the perturbed cometrics make both verdicts occur
+    assert verdicts == {True, False}

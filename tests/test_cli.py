@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydiff import cli
 from polydiff.cli import EXIT_DATA, EXIT_OK, EXIT_VERIFY, build_parser, main
 
 
@@ -163,3 +164,20 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out_path.read_text())
     assert payload["model"] == "disk"
+
+
+def test_internal_error_is_not_a_data_error(monkeypatch):
+    def broken(args):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "cmd_models_list", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["models", "list"])
+
+
+def test_unwritable_out_path_is_data_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "models", "list", "--out", str(tmp_path / "missing" / "list.txt")
+    )
+    assert code == EXIT_DATA
+    assert "FileNotFoundError" in err

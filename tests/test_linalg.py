@@ -12,7 +12,7 @@ from polydiff.linalg import (
     RationalMatrix,
     cluster_eigenvalues,
     generalized_sym_eig,
-    sym_eig,
+    poly_matrix_det,
 )
 from polydiff.quadrature import gamma_form_matrix, gram_matrix
 
@@ -105,15 +105,6 @@ def test_congruence_invariance():
     assert np.abs(base - transformed).max() < 1e-9 * (1 + np.abs(base).max())
 
 
-def test_sym_eig_reconstruction():
-    rng = np.random.default_rng(31)
-    r = rng.normal(size=(8, 8))
-    a = (r + r.T) / 2
-    result = sym_eig(a)
-    rebuilt = result.eigenvectors @ np.diag(result.eigenvalues) @ result.eigenvectors.T
-    assert np.abs(rebuilt - a).max() < 1e-9 * max(1.0, np.abs(a).max())
-
-
 def test_cluster_rule():
     values = [0.0, 1.0, 1.0 + 5e-8, 2.0]
     clusters = cluster_eigenvalues(values)
@@ -126,3 +117,18 @@ def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
     monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [[1, 0], [1, Fraction(1, 2)]])
     with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
+
+
+def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for n in range(1, 5):
+        for _ in range(25):
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            expected = sympy.Matrix(
+                [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+            ).det()
+            assert poly_matrix_det(rows) == Fraction(int(expected.p), int(expected.q))

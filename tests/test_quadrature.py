@@ -185,29 +185,22 @@ def test_noncompact_models_refuse_quadrature():
         model.sampler()
 
 
-def test_csv_exports_roundtrip(tmp_path):
-    import csv as csv_mod
-
-    from polydiff.quadrature import export_matrix_csv, export_samples_csv
-
-    model = get_model("disk", {"p": "0"})
-    sample = sample_domain(model, DomainSampler("mc-rejection", sample_count=2000, seed=4))
-    density = model.measure.density_float(sample.points)
-    sample_path = tmp_path / "samples.csv"
-    export_samples_csv(sample_path, sample, density)
-    with open(sample_path) as handle:
-        rows = list(csv_mod.DictReader(handle))
-    assert len(rows) == sample.accepted
-    # repr round trip: floats reparse to the same value
-    assert float(rows[0]["x1"]) == sample.points[0, 0]
-    assert float(rows[0]["weight"]) == sample.weights[0]
-
-    matrix = gram_matrix(model, 1, model.sampler())
-    matrix_path = tmp_path / "gram.csv"
-    export_matrix_csv(matrix_path, matrix)
-    with open(matrix_path) as handle:
-        parsed = [[float(v) for v in row] for row in csv_mod.reader(handle)]
-    assert parsed[0][0] == matrix[0, 0]
+@pytest.mark.parametrize(
+    "name, kind, field",
+    [
+        ("disk", "mc-rejection", "sample_count"),
+        ("deltoid", "cover-mc", "sample_count"),
+        ("square", "tensor-gauss-square", "node_count"),
+    ],
+)
+def test_sampler_rejects_counts_below_one(name, kind, field):
+    for count in (0, -1):
+        with pytest.raises(SamplerConfigError, match=f"{field} must be at least 1"):
+            DomainSampler(kind, **{field: count})
+        with pytest.raises(SamplerConfigError, match=f"{field} must be at least 1"):
+            get_model(name).sampler(**{field: count})
+    # the smallest valid count still samples
+    assert sample_domain(get_model(name), DomainSampler(kind, **{field: 1})).accepted in (0, 1)
 
 
 def _naive_moments(moments: Moments) -> tuple[np.ndarray, np.ndarray]:

@@ -100,6 +100,13 @@ def test_eigenbasis_square_is_tensor_basis():
         assert sorted(f.eigenvalue for f in level) == expected
     assert eb.gram_deviation() < 1e-6
     assert max(eb.residuals()) < 1e-7
+    # the float orthonormalizing transform keeps each function in its
+    # exact eigenspace
+    m = GradedOperatorMatrix(model.operator, 4).to_float()
+    for f in eb.all_functions():
+        assert f.exact and f.residual == 0.0
+        r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
+        assert np.abs(r).max() <= 1e-12 * np.abs(m).max() * np.abs(f.coefficients).max()
 
 
 def test_eigenbasis_disk_degree_one():
@@ -183,7 +190,7 @@ def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypat
     model = get_model("triangle")
     eb = eigenbasis(model, 4, model.sampler())
     funcs = eb.all_functions()
-    assert all(f.exact_coefficients is None for f in funcs)
+    assert all(not f.exact for f in funcs)
     moments = spectra.Moments(model, 9, model.sampler())
     values = eb.basis.eval_float(moments.points)
     m = GradedOperatorMatrix(model.operator, 4).to_float()
