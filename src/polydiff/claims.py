@@ -14,8 +14,10 @@ claim and the comparison outcome is informational.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -51,6 +53,7 @@ RESIDUAL_TOL = 1e-7
 CURVATURE_TOL = 1e-6
 PULLBACK_TOL = 1e-6
 TRIANGULARITY_DEGREE = 12
+_PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 @dataclass
@@ -90,11 +93,21 @@ class Claim:
         except Exception as exc:  # a crash is a failed claim, not a crashed run
             return ClaimResult(
                 self.id, self.model, self.kind, "fail",
-                {"error": f"{type(exc).__name__}: {exc}"}, self.note,
+                {"error": f"{type(exc).__name__}: {exc}", "frame": _crash_frame(exc)},
+                self.note,
             )
         return ClaimResult(
             self.id, self.model, self.kind, "pass" if ok else "fail", detail, self.note
         )
+
+
+def _crash_frame(exc: BaseException) -> str:
+    """The innermost traceback frame inside the package, as
+    "polydiff/<module>.py:<line> in <function>", independent of the checkout."""
+    frames = [(Path(f.filename).resolve(), f) for f in traceback.extract_tb(exc.__traceback__)]
+    # Claim.execute itself is always one
+    path, frame = [(p, f) for p, f in frames if p.is_relative_to(_PACKAGE_DIR)][-1]
+    return f"{path.relative_to(_PACKAGE_DIR.parent).as_posix()}:{frame.lineno} in {frame.name}"
 
 
 class RunContext:

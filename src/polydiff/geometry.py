@@ -2,9 +2,9 @@
 
 Curvature works on the metric g_ij = (g^ij)^-1 held as exact rational
 functions (adjugate over determinant); all partial derivatives are taken
-symbolically on those, and only the final Brioschi combination is evaluated
-in floating point at each sample point.  In dimension 2 the scalar curvature
-is twice the Gaussian curvature, which is what gets reported.
+symbolically on those, and the collapsed Brioschi quotient is evaluated
+exactly at rational sample points.  In dimension 2 the scalar curvature is
+twice the Gaussian curvature, which is what gets reported.
 
 Pullback checks evaluate an ambient Laplace operator (sphere or flat plane)
 on explicit component functions and compare against the target model's
@@ -104,15 +104,6 @@ class CurvatureEvaluator:
         if den <= 0:
             raise ValueError("curvature sample outside the elliptic region")
         return self.k_num(point) / den**self.k_pow
-
-    def scalar_curvature(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        den = self.det.eval_float(points)
-        if np.any(den <= 0):
-            raise ValueError("curvature sample outside the elliptic region")
-        return self.k_num.eval_float(points) / den**self.k_pow
 
 
 @dataclass

@@ -28,7 +28,7 @@ class RationalMatrix:
     """Dense matrix of Fractions, row-major."""
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        data = [[Fraction(v) for v in row] for row in rows]
+        data = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])

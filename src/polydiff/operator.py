@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -271,11 +272,26 @@ def product_operator(op1: DiffusionOperator, op2: DiffusionOperator) -> Diffusio
     return DiffusionOperator(CoMetric(entries), drift, measure)
 
 
+def _lowered(exponent: tuple[int, ...], *axes: int) -> tuple[int, ...]:
+    out = list(exponent)
+    for axis in axes:
+        out[axis] -= 1
+    return tuple(out)
+
+
 class GradedOperatorMatrix:
     """Exact matrix of L on a graded monomial basis.
 
-    Column k holds the coordinates of L(m_k); the matrix is verified
-    block-upper-triangular in the degree grading at construction.
+    Column k holds the coordinates of L(m_k).  With g^ij = sum_c g^ij_c x^c
+    and b^i = sum_c b^i_c x^c, each column comes from exponent arithmetic:
+
+        L(x^a) = sum_{ij,c} g^ij_c a_i (a_j - delta_ij) x^(a + c - e_i - e_j)
+               + sum_{i,c}  b^i_c a_i x^(a + c - e_i)
+
+    summed in integers over the common denominator of all coefficients.  A
+    nonzero image coefficient of degree above |a| raises
+    DegreeViolationError, so the matrix is block-upper-triangular in the
+    degree grading by construction.
     """
 
     def __init__(self, op: DiffusionOperator, max_degree: int):
@@ -283,19 +299,40 @@ class GradedOperatorMatrix:
             raise ValueError("max_degree must be >= 0")
         self.operator = op
         self.basis = MonomialBasis(op.dim, max_degree)
+        # (i, j or None for a drift term, c - e_i [- e_j], coefficient)
+        terms = []
+        for i in range(op.dim):
+            for j in range(op.dim):
+                for c, coeff in op.cometric[i, j].terms.items():
+                    terms.append((i, j, _lowered(c, i, j), coeff))
+            for c, coeff in op.drift[i].terms.items():
+                terms.append((i, None, _lowered(c, i), coeff))
+        scale = lcm(*(coeff.denominator for *_, coeff in terms))
+        terms = [
+            (i, j, shift, coeff.numerator * (scale // coeff.denominator))
+            for i, j, shift, coeff in terms
+        ]
         size = len(self.basis)
-        columns: list[list[Fraction]] = []
-        for exponent in self.basis.exponents:
-            image = op.apply(Polynomial.monomial(op.dim, exponent))
-            if image.total_degree not in (NEG_INF,) and image.total_degree > sum(exponent):
-                raise DegreeViolationError(
-                    f"L raised the degree of monomial {exponent}: operator "
-                    f"was built outside the admissible framework"
-                )
-            columns.append(self.basis.coordinates(image))
-        self.entries = RationalMatrix(
-            [[columns[k][r] for k in range(size)] for r in range(size)]
-        )
+        zero = Fraction(0)
+        rows = [[zero] * size for _ in range(size)]
+        for k, a in enumerate(self.basis.exponents):
+            image: dict[tuple[int, ...], int] = {}
+            for i, j, shift, coeff in terms:
+                factor = a[i] if j is None else a[i] * (a[j] - (i == j))
+                if factor:
+                    target = tuple(x + s for x, s in zip(a, shift))
+                    image[target] = image.get(target, 0) + factor * coeff
+            degree = sum(a)
+            for target, value in image.items():
+                if not value:
+                    continue
+                if sum(target) > degree:
+                    raise DegreeViolationError(
+                        f"L raised the degree of monomial {a}: operator "
+                        f"was built outside the admissible framework"
+                    )
+                rows[self.basis.index[target]][k] = Fraction(value, scale)
+        self.entries = RationalMatrix(rows)
 
     @property
     def max_degree(self) -> int:
@@ -309,12 +346,14 @@ class GradedOperatorMatrix:
 
     def strictly_lower_block_entries(self) -> list[tuple[int, int, Fraction]]:
         """Entries below the degree-diagonal blocks; empty iff graded."""
+        data = self.entries.data
+        size = len(self.basis)
         out = []
-        for c, col_exp in enumerate(self.basis.exponents):
-            col_degree = sum(col_exp)
-            for r, row_exp in enumerate(self.basis.exponents):
-                if sum(row_exp) > col_degree and self.entries[r, c]:
-                    out.append((r, c, self.entries[r, c]))
+        for block in self.basis.degree_slices:
+            for c in range(block.start, block.stop):
+                for r in range(block.stop, size):
+                    if data[r][c]:
+                        out.append((r, c, data[r][c]))
         return out
 
     def to_float(self) -> np.ndarray:

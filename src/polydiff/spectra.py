@@ -2,19 +2,26 @@
 
 Eigenvalues come from the diagonal degree blocks of the exact graded matrix:
 triangular blocks read off exactly, otherwise the block's characteristic
-polynomial (computed exactly) is split over the rationals when possible,
-with a numeric fallback flagged in the result.  Orthonormal eigenbases pair
-that exact skeleton with quadrature Gram matrices: the generalized pencil
-A v = lambda B v (A the energy form, B the Gram matrix) is solved first and
-cross-checked, then eigenvectors are rebuilt from the exact graded matrix so
-their operator residuals are roundoff-level even under Monte Carlo Gram
-error, and are B-orthonormalized within eigenvalue clusters.
+polynomial is split over the rationals when possible, with a numeric
+fallback flagged in the result.  That polynomial is exact and computed
+without division: Berkowitz's recurrence runs in Python ints on the block
+scaled by the lcm of its denominators, and the scale is divided out of the
+coefficients at the end.
+
+Orthonormal eigenbases pair that exact skeleton with quadrature Gram
+matrices: the generalized pencil A v = lambda B v (A the energy form, B the
+Gram matrix) is solved first and cross-checked, then eigenvectors are
+rebuilt from the exact graded matrix so their operator residuals are
+roundoff-level even under Monte Carlo Gram error, and are B-orthonormalized
+within eigenvalue clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
 import numpy as np
 
 from .catalog import Model
@@ -91,25 +98,34 @@ def _is_triangular(block: list[list[Fraction]]) -> bool:
 
 
 def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(tI - A), coefficients low-to-high,
-    by the Faddeev-LeVerrier recurrence in exact arithmetic."""
+    """Characteristic polynomial det(tI - A), coefficients low-to-high.
+
+    The block is scaled by the lcm D of its denominators to the integer
+    matrix B = D*A, whose characteristic polynomial comes from Berkowitz's
+    division-free recurrence (S. J. Berkowitz, IPL 18, 1984) in Python ints:
+    bordering the leading k x k submatrix M by a column C, a row R and a
+    corner a multiplies the coefficient vector (high-to-low) by the lower
+    triangular Toeplitz matrix with first column 1, -a, -RC, -RMC, -RM^2C, ...
+    Since det(tI - B) = D^n det((t/D)I - A), the t^k coefficient of A's
+    polynomial is that of B divided by D^(n-k).
+    """
     n = len(block)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [
-            [sum((block[i][r] * m[r][j] for r in range(n)), Fraction(0)) for j in range(n)]
-            for i in range(n)
+    scale = lcm(*(v.denominator for row in block for v in row))
+    b = [[v.numerator * (scale // v.denominator) for v in row] for row in block]
+    coeffs = [1]  # high-to-low, of the leading k x k submatrix
+    for k in range(n):
+        leading = [b[i][:k] for i in range(k)]
+        row = b[k][:k]
+        column = [b[i][k] for i in range(k)]
+        toeplitz = [1, -b[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
+            column = [sum(m * c for m, c in zip(line, column)) for line in leading]
+        coeffs = [
+            sum(toeplitz[r - j] * coeffs[j] for j in range(min(r, k) + 1))
+            for r in range(k + 2)
         ]
-        trace = sum((am[i][i] for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs[n - k] = c
-        m = [
-            [am[i][j] + (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
+    return [Fraction(c, scale ** (n - k)) for k, c in enumerate(reversed(coeffs))]
 
 
 def _synthetic_divide(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 from polydiff.catalog import model_names
 from polydiff.claims import RunContext, build_claims, claim_ids, run_claims
@@ -65,3 +66,21 @@ def test_crashing_claim_reports_failure():
     result = claim.execute(RunContext())
     assert result.status == "fail"
     assert "intentional" in result.detail["error"]
+    # the runner lives outside the package, so the innermost package frame
+    # is the call in Claim.execute
+    assert re.fullmatch(r"polydiff/claims\.py:\d+ in execute", result.detail["frame"])
+
+
+def test_crashing_claim_names_innermost_package_frame():
+    from polydiff.catalog import CatalogError, get_descriptor
+    from polydiff.claims import Claim
+
+    def unknown_model(_ctx):
+        return get_descriptor("no-such-model")
+
+    claim = Claim("x.unknown", "global", "numeric-tolerance", "catalog:test", unknown_model)
+    result = claim.execute(RunContext())
+    assert result.status == "fail"
+    assert result.detail["error"].startswith(CatalogError.__name__)
+    frame = result.detail["frame"]
+    assert re.fullmatch(r"polydiff/catalog\.py:\d+ in get_descriptor", frame), frame

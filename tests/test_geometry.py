@@ -18,9 +18,9 @@ from polydiff.rng import sphere_points
 
 def test_disk_catalog_metric_is_round_sphere():
     model = get_model("disk", {"a": "0", "b": "0", "c": "1", "p": "0"})
-    values = CurvatureEvaluator(model.cometric).scalar_curvature(np.array([[0.1, 0.2]]))
-    assert values.shape == (1,)
-    assert abs(values[0] - 2.0) < 1e-10
+    evaluator = CurvatureEvaluator(model.cometric)
+    for point in ((0, 0), (Fraction(1, 10), Fraction(1, 5)), (Fraction(-3, 5), Fraction(1, 2))):
+        assert evaluator.curvature_exact(point) == 2
 
 
 def test_coaxial_curvature_family():

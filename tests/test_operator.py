@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from polydiff.boundary import det_divisibility_check
-from polydiff.catalog import get_model
+from polydiff.catalog import ParameterError, get_descriptor, get_model, model_names
 from polydiff.operator import (
     CoMetric,
+    DegreeViolationError,
     DiffusionOperator,
     GradedOperatorMatrix,
     InadmissibleMeasureError,
@@ -148,6 +149,80 @@ def test_block_triangular_at_degree_12():
         op = get_model(name).operator
         graded = GradedOperatorMatrix(op, 12)
         assert graded.strictly_lower_block_entries() == []
+
+
+def _reference_graded_entries(op, max_degree):
+    """Column k holds the basis coordinates of op.apply(m_k)."""
+    basis = MonomialBasis(op.dim, max_degree)
+    columns = [
+        basis.coordinates(op.apply(Polynomial.monomial(op.dim, exponent)))
+        for exponent in basis.exponents
+    ]
+    return [[column[r] for column in columns] for r in range(len(basis))]
+
+
+def _generic_params(rng, descriptor):
+    """A rational point strictly inside each parameter's range, never zero
+    when unbounded, redrawn until the catalog accepts it."""
+    offsets = [Fraction(v) for v in ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2", "2", "5/2", "3")]
+    for _ in range(100):
+        params = {}
+        for spec in descriptor.param_specs:
+            lower = spec.gt if spec.gt is not None else spec.ge
+            upper = spec.lt if spec.lt is not None else spec.le
+            if lower is not None and upper is not None:
+                value = lower + (upper - lower) * Fraction(rng.randint(1, 7), 8)
+            elif lower is not None:
+                value = lower + rng.choice(offsets)
+            elif upper is not None:
+                value = upper - rng.choice(offsets)
+            else:
+                value = rng.choice(offsets) * rng.choice((1, -1))
+            params[spec.name] = str(value)
+        try:
+            descriptor.instantiate(params)
+        except ParameterError:
+            continue
+        return params
+    raise RuntimeError(f"no parameter point for {descriptor.name}")
+
+
+def _catalog_operator_cases():
+    rng = random.Random(4)
+    for name in model_names():
+        yield name, None
+        descriptor = get_descriptor(name)
+        if descriptor.param_specs:
+            yield name, _generic_params(rng, descriptor)
+
+
+@pytest.mark.parametrize("name,params", list(_catalog_operator_cases()))
+def test_graded_matrix_matches_apply_reference(name, params):
+    op = get_model(name, params).operator
+    degree = 4 if op.dim == 3 else 6
+    graded = GradedOperatorMatrix(op, degree)
+    assert graded.entries.data == _reference_graded_entries(op, degree)
+    assert graded.strictly_lower_block_entries() == []
+
+
+def test_graded_matrix_raises_on_degree_violation():
+    # the constructors reject a quadratic drift, so force one in afterwards:
+    # L(x) = x^2 still fits the degree-3 basis and must not be stored
+    x = Polynomial.variable(1, 0)
+    op = DiffusionOperator(CoMetric([[Polynomial.constant(1, 1)]]), (x,))
+    object.__setattr__(op, "drift", (x * x,))
+    with pytest.raises(DegreeViolationError):
+        GradedOperatorMatrix(op, 3)
+
+
+def test_strictly_lower_block_entries_lists_entries_below_the_blocks():
+    graded = GradedOperatorMatrix(get_model("disk").operator, 3)
+    # plant entries below the blocks: row of degree 2 in a degree-1 column,
+    # row of degree 3 in the degree-0 column; a block-diagonal entry is not listed
+    graded.entries.data[3][1] = Fraction(5)
+    graded.entries.data[9][0] = Fraction(-1, 2)
+    graded.entries.data[2][1] = Fraction(7)
+    assert graded.strictly_lower_block_entries() == [(9, 0, Fraction(-1, 2)), (3, 1, Fraction(5))]
 
 
 def test_product_operator_block_structure():

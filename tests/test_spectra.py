@@ -1,5 +1,6 @@
 """Spectra: exact graded eigenvalues, eigenbases, closed-form comparison."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -200,3 +201,50 @@ def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypat
         den = np.dot(moments.weights, (values @ f.coefficients) ** 2)
         assert abs(f.residual - np.sqrt(num / den)) <= 1e-9 * np.sqrt(num / den) + 1e-15
     assert max(eb.residuals()) > 1e-6
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def _random_rational_matrices(sympy, rng, n):
+    """Generic, singular, repeated-eigenvalue and large-denominator n x n cases."""
+
+    def rational(bound, den):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+    generic = [[rational(9, 9) for _ in range(n)] for _ in range(n)]
+    singular = [row[:] for row in generic]
+    if n == 1:
+        singular = [[Fraction(0)]]
+    else:
+        a, b = rational(5, 7), rational(5, 7)
+        singular[-1] = [a * u + b * v for u, v in zip(singular[0], singular[1])]
+    # a triangular matrix with repeated diagonal values and Jordan-type
+    # superdiagonal entries, hidden by a rational similarity
+    values = (Fraction(1, 2), Fraction(-3), Fraction(2, 3))
+    triangular = [
+        [rng.choice(values) if i == j else Fraction(rng.randint(0, 1)) if j > i else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    similarity = _to_sympy(sympy, [[rational(3, 4) for _ in range(n)] for _ in range(n)])
+    while similarity.det() == 0:
+        similarity = _to_sympy(sympy, [[rational(3, 4) for _ in range(n)] for _ in range(n)])
+    repeated = similarity * _to_sympy(sympy, triangular) * similarity.inv()
+    repeated = [[Fraction(int(v.p), int(v.q)) for v in repeated.row(i)] for i in range(n)]
+    large = [[rational(10**15, 10**15) for _ in range(n)] for _ in range(n)]
+    return {"generic": generic, "singular": singular, "repeated": repeated, "large": large}
+
+
+def test_char_poly_matches_sympy_charpoly():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1984)
+    t = sympy.Symbol("t")
+    for n in range(1, 13):
+        for kind, rows in _random_rational_matrices(sympy, rng, n).items():
+            expected = _to_sympy(sympy, rows).charpoly(t).all_coeffs()[::-1]
+            expected = [Fraction(int(c.p), int(c.q)) for c in expected]
+            assert spectra._char_poly(rows) == expected, (kind, n)
+            if kind == "singular":
+                assert expected[0] == 0
