@@ -164,7 +164,9 @@ def _reference_graded_entries(op, max_degree):
 def _generic_params(rng, descriptor):
     """A rational point strictly inside each parameter's range, never zero
     when unbounded, redrawn until the catalog accepts it."""
-    offsets = [Fraction(v) for v in ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2", "2", "5/2", "3")]
+    offsets = [
+        Fraction(v) for v in ("1/4", "1/3", "1/2", "2/3", "3/4", "1", "5/4", "3/2", "2", "5/2", "3")
+    ]
     for _ in range(100):
         params = {}
         for spec in descriptor.param_specs:
