@@ -58,12 +58,6 @@ class RationalMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.data]
 
-    def matvec(self, vector: Sequence[Rational]) -> list[Fraction]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [Fraction(v) for v in vector]
-        return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.data]
-
     def to_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.data])
 

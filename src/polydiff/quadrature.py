@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .operator import _lowered
 from .poly import MonomialBasis, Polynomial
 from .rng import DEFAULT_SEED, uniform_block
 
@@ -509,9 +511,6 @@ class Moments:
     def monomial(self, exponent) -> float:
         return self.by_exponent[tuple(exponent)]
 
-    def integral(self, p: Polynomial) -> float:
-        return sum(float(c) * self.by_exponent[e] for e, c in p.terms.items())
-
 
 def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | None = None) -> np.ndarray:
     """B[k, l] ~ integral of m_k m_l against the measure, exactly symmetric."""
@@ -529,27 +528,19 @@ def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | N
 
 
 def operator_moment_matrix(
-    model, degree: int, sampler: DomainSampler, operator=None, moments: Moments | None = None
+    model, degree: int, images: list[Polynomial], moments: Moments
 ) -> np.ndarray:
     """M[k, l] ~ integral of m_k L(m_l) against the measure.
 
-    `operator` defaults to the model operator but anything with an
-    ``apply(Polynomial) -> Polynomial`` method is accepted, so deliberately
-    broken operators can be probed by the negative controls.
+    `images[l]` is L(m_l) for the l-th monomial of the degree-`degree` basis.
     """
-    op = operator if operator is not None else model.operator
     basis = MonomialBasis(model.dim, degree)
-    images = [op.apply(Polynomial.monomial(model.dim, e)) for e in basis.exponents]
-    image_degree = max(
-        [degree] + [int(p.total_degree) for p in images if not p.is_zero]
-    )
-    mom = moments if moments is not None else Moments(model, degree + image_degree, sampler)
     size = len(basis)
     m = np.zeros((size, size))
     for l, image in enumerate(images):
         for exponent, value in image.terms.items():
             for k, ek in enumerate(basis.exponents):
-                m[k, l] += float(value) * mom.monomial(
+                m[k, l] += float(value) * moments.monomial(
                     tuple(a + b_ for a, b_ in zip(exponent, ek))
                 )
     return m
@@ -558,18 +549,47 @@ def operator_moment_matrix(
 def gamma_form_matrix(
     model, degree: int, sampler: DomainSampler, moments: Moments | None = None
 ) -> np.ndarray:
-    """A[k, l] ~ integral of Gamma(m_k, m_l) against the measure (symmetric)."""
-    from .operator import gamma  # local to avoid cycles at import time
+    """A[k, l] ~ integral of Gamma(m_k, m_l) against the measure (symmetric).
 
+    With g^ij = sum_c g^ij_c x^c, each entry comes from exponent arithmetic,
+
+        Gamma(x^a, x^b) = sum_{ij,c} g^ij_c a_i b_j x^(a + b + c - e_i - e_j),
+
+    summed exactly per target exponent, in integers over the common
+    denominator of the cometric's coefficients, before the float moments
+    are looked up.
+    """
     basis = MonomialBasis(model.dim, degree)
     mom = moments if moments is not None else Moments(model, 2 * degree, sampler)
+    g = model.cometric
+    # (i, j, c - e_i - e_j, coefficient)
+    terms = [
+        (i, j, _lowered(c, i, j), coeff)
+        for i in range(g.dim)
+        for j in range(g.dim)
+        for c, coeff in g[i, j].terms.items()
+    ]
+    scale = lcm(*(coeff.denominator for *_, coeff in terms))
+    terms = [
+        (i, j, shift, coeff.numerator * (scale // coeff.denominator))
+        for i, j, shift, coeff in terms
+    ]
     size = len(basis)
     a = np.empty((size, size))
-    for k in range(size):
-        mk = Polynomial.monomial(model.dim, basis.exponents[k])
+    for k, ek in enumerate(basis.exponents):
         for l in range(k, size):
-            ml = Polynomial.monomial(model.dim, basis.exponents[l])
-            value = mom.integral(gamma(model.cometric, mk, ml))
+            el = basis.exponents[l]
+            image: dict[tuple[int, ...], int] = {}
+            for i, j, shift, coeff in terms:
+                factor = ek[i] * el[j]
+                if factor:
+                    target = tuple(x + y + s for x, y, s in zip(ek, el, shift))
+                    total = image.get(target, 0) + factor * coeff
+                    if total:
+                        image[target] = total
+                    else:
+                        del image[target]
+            value = sum(v / scale * mom.monomial(target) for target, v in image.items())
             a[k, l] = value
             a[l, k] = value
     return a
@@ -585,20 +605,21 @@ def symmetry_defect(
     max(largest |<P, L Q>|, 1), so the defect is a scale-free relative
     asymmetry.  A small value certifies numerical self-adjointness of the
     operator on polynomials up to the given degree.
+
+    `operator` defaults to the model operator but anything with an
+    ``apply(Polynomial) -> Polynomial`` method is accepted, so deliberately
+    broken operators can be probed by the negative controls; it is applied
+    once per basis monomial.
     """
+    op = operator if operator is not None else model.operator
+    basis = MonomialBasis(model.dim, degree)
+    images = [op.apply(Polynomial.monomial(model.dim, e)) for e in basis.exponents]
     if moments is None:
-        basis = MonomialBasis(model.dim, degree)
-        images = [
-            (operator if operator is not None else model.operator).apply(
-                Polynomial.monomial(model.dim, e)
-            )
-            for e in basis.exponents
-        ]
         image_degree = max(
             [degree] + [int(p.total_degree) for p in images if not p.is_zero]
         )
         moments = Moments(model, max(2 * degree, degree + image_degree), sampler)
-    m = operator_moment_matrix(model, degree, sampler, operator=operator, moments=moments)
+    m = operator_moment_matrix(model, degree, images, moments)
     b = gram_matrix(model, degree, sampler, moments=moments)
     norms = np.sqrt(np.diag(b))
     m = m / np.outer(norms, norms)

@@ -240,7 +240,7 @@ class EigenBasis:
     max_degree: int
     basis: MonomialBasis
     per_degree: list[list[EigenFunction]]
-    gram: np.ndarray            # pointwise Gram of the returned functions
+    gram: np.ndarray            # of the returned functions, via the raw pointwise Gram
     pencil_eigenvalues: np.ndarray
     graded_values: list[float]
 
@@ -339,20 +339,188 @@ def _float_eigenvectors(m: np.ndarray, basis: MonomialBasis, degree: int, lam: f
     return out
 
 
+def _integer_matrix(graded: GradedOperatorMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(S, rows of S*M): S is the lcm of the graded matrix's denominators and
+    each row lists its nonzero integer entries as (column, value)."""
+    data = graded.entries.data
+    scale = lcm(*(v.denominator for row in data for v in row))
+    rows = [
+        [(j, v.numerator * (scale // v.denominator)) for j, v in enumerate(row) if v]
+        for row in data
+    ]
+    return scale, rows
+
+
+def _verify_exact_eigenvector(
+    scaled: tuple[int, list[list[tuple[int, int]]]], vector: list[Fraction], lam: Fraction
+) -> None:
+    """Check M v == lam v exactly, in Python ints.
+
+    `scaled` is (S, S*M) from _integer_matrix.  With q the lcm of v's
+    denominators, V = q v is an integer vector; with S lam = p/r the check
+    reads r (S M) V == p V, row by row.
+    """
+    scale, rows = scaled
+    q = lcm(*(v.denominator for v in vector))
+    big = [v.numerator * (q // v.denominator) for v in vector]
+    target = lam * scale
+    p, r = target.numerator, target.denominator
+    for row, value in zip(rows, big):
+        if r * sum(entry * big[j] for j, entry in row) != p * value:
+            raise RuntimeError("exact eigenvector failed verification")
+
+
+def _eigenvalue_clusters(spectrum: SpectrumResult) -> tuple[list[dict], list[float]]:
+    """Global eigenvalue clusters in ascending order, and all graded values.
+
+    Eigenvalues recur across degrees (covering-space models especially), so
+    clusters are global: each collects its (degree, entry) parts; exact
+    values cluster by exact equality, numeric ones by the tau rule.
+    """
+    clusters: list[dict] = []
+    graded_values: list[float] = []
+    for degree in range(spectrum.max_degree + 1):
+        for entry in spectrum.degree(degree):
+            lam = float(entry.value)
+            graded_values.extend([lam] * entry.multiplicity)
+            for cluster in clusters:
+                if entry.is_exact and cluster["exact"] is not None:
+                    if cluster["exact"] == entry.value:
+                        cluster["parts"].append((degree, entry))
+                        break
+                elif not entry.is_exact and cluster["exact"] is None:
+                    if abs(lam - cluster["value"]) <= CLUSTER_TAU * (1.0 + abs(lam)):
+                        cluster["parts"].append((degree, entry))
+                        break
+            else:
+                clusters.append(
+                    {
+                        "value": lam,
+                        "exact": entry.value if entry.is_exact else None,
+                        "parts": [(degree, entry)],
+                    }
+                )
+    return sorted(clusters, key=lambda c: c["value"]), graded_values
+
+
+def _raw_eigenvectors(graded: GradedOperatorMatrix, m: np.ndarray, clusters: list[dict]) -> list[list[dict]]:
+    """Stage 1: the raw eigenvectors of each cluster, in float.
+
+    They are exact where the spectrum is exact, and each exact one is checked
+    once against the exact graded matrix, in ints; numeric-block entries get
+    float eigenvectors of the float matrix `m`.
+    """
+    scaled = _integer_matrix(graded)
+    out = []
+    for cluster in clusters:
+        members = []
+        for degree, entry in cluster["parts"]:
+            if entry.is_exact:
+                for vec in _exact_eigenvectors(graded, degree, entry.value):
+                    _verify_exact_eigenvector(scaled, vec, entry.value)
+                    members.append(
+                        {"degree": degree, "value": entry.value, "exact": True,
+                         "float": np.array([float(v) for v in vec])}
+                    )
+            else:
+                block = np.array(
+                    [[float(v) for v in row] for row in graded.diagonal_block(degree)]
+                )
+                for vec in _float_eigenvectors(
+                    m, graded.basis, degree, float(entry.value), entry.multiplicity, block
+                ):
+                    members.append(
+                        {"degree": degree, "value": entry.value, "exact": False, "float": vec}
+                    )
+        out.append(members)
+    return out
+
+
+def _pointwise_forms(
+    columns: np.ndarray, n_raw: int, spans: list[slice], basis: MonomialBasis, moments: Moments
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Stage 2: one pass over the points.
+
+    `columns` holds coefficient vectors over the basis: the n_raw raw
+    functions first, then any others.  Returns the full pointwise Gram of all
+    columns and, for each cluster span of the raw functions, its
+    first-coordinate form sum_p w_p x_p f_k(p) f_l(p); no other block of
+    that form is ever read.
+    """
+    points, weights = moments.points, moments.weights
+    gram = np.zeros((columns.shape[1],) * 2)
+    x_blocks = [np.zeros((span.stop - span.start,) * 2) for span in spans]
+    for blk in point_chunks(points.shape[0]):
+        # one row per function, one column per point
+        values = columns.T @ basis.eval_float(points[blk]).T
+        weighted = values * weights[blk]
+        gram += values @ weighted.T
+        x_weighted = weighted[:n_raw] * points[blk, 0]
+        for span, x_c in zip(spans, x_blocks):
+            x_c += values[span] @ x_weighted[span].T
+    return gram, x_blocks
+
+
+def _orthonormalize(
+    degrees: list[int], g_c: np.ndarray, x_c: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, list[int]]]]:
+    """Stage 3: hierarchical orthonormalization of one cluster.
+
+    Degree batches in ascending order are projected against the
+    already-accepted cluster members, so top-degree structure is preserved,
+    then Loewdin-orthonormalized and rotated to diagonalize the
+    first-coordinate form.  Returns the transform (one column per function,
+    in batch order) and the (degree, member indices) of each batch.
+    """
+    k = len(degrees)
+    transform = np.zeros((k, 0))
+    batches: list[tuple[int, list[int]]] = []
+    for degree in sorted(set(degrees)):
+        local = [i for i, d in enumerate(degrees) if d == degree]
+        batch = np.zeros((k, len(local)))
+        for col, i in enumerate(local):
+            batch[i, col] = 1.0
+        if transform.shape[1]:
+            overlap = transform.T @ g_c @ batch
+            batch = batch - transform @ overlap
+        small = batch.T @ g_c @ batch
+        small = (small + small.T) / 2.0
+        values, rot = np.linalg.eigh(small)
+        if values.min() <= 0:
+            raise ValueError("cluster Gram is not positive definite")
+        batch = batch @ (rot @ np.diag(values**-0.5) @ rot.T)
+        if len(local) > 1:
+            form = batch.T @ x_c @ batch
+            _, rot2 = np.linalg.eigh((form + form.T) / 2.0)
+            batch = batch @ rot2
+        batches.append((degree, local))
+        transform = np.column_stack([transform, batch])
+    return transform, batches
+
+
 def eigenbasis(
     model: Model, max_degree: int, sampler: DomainSampler, moments: Moments | None = None
 ) -> EigenBasis:
     """Mu-orthonormal polynomial eigenbasis up to the given degree.
 
-    Eigenvectors come exactly from the graded matrix (rational kernel
-    computation) whenever the block spectrum is exact, and each is verified
-    exactly once, so operator residuals are zero by construction; the
-    orthonormalizing transform within a cluster is applied in float, which
-    keeps every function in its eigenspace.  Orthonormalization happens
-    against the pointwise sample Gram: inner products of the (often
-    huge-coefficient) eigenfunctions are evaluated value-wise at the
-    quadrature points, which avoids the catastrophic coefficient-space
-    cancellation on thin domains.
+    Four stages:
+
+    1. Raw eigenvectors, exact from the graded matrix (rational kernel
+       computation) whenever the block spectrum is exact, each verified
+       exactly once, so operator residuals are zero by construction.
+    2. One pass over the quadrature points: the pointwise Gram of the raw
+       functions and of the float fallbacks' residual directions
+       (M - lam I) c, plus the within-cluster first-coordinate forms.
+       Inner products of the (often huge-coefficient) eigenfunctions are
+       evaluated value-wise, which avoids the catastrophic coefficient-space
+       cancellation on thin domains.
+    3. Hierarchical orthonormalization within each eigenvalue cluster; the
+       transform is applied in float, which keeps every function in its
+       eigenspace.
+    4. With T the block-diagonal transform (sign flips folded in), the final
+       Gram is T^t G T and each fallback residual comes from the Gram of
+       the residual directions: no second pass over the points.
+
     The generalized pencil with the energy form is solved independently and
     kept for cross-validation.
     """
@@ -374,121 +542,40 @@ def eigenbasis(
         )
     graded = GradedOperatorMatrix(model.operator, max_degree)
     m = graded.to_float()
-    spectrum = graded_spectrum(graded)
+    clusters, graded_values = _eigenvalue_clusters(graded_spectrum(graded))
 
-    # eigenvalues recur across degrees (covering-space models especially), so
-    # clusters are global: collect (degree, entry) pairs per eigenvalue first;
-    # exact values cluster by exact equality, numeric ones by the tau rule
-    clusters: list[dict] = []
-    graded_values: list[float] = []
-    for degree in range(max_degree + 1):
-        for entry in spectrum.degree(degree):
-            lam = float(entry.value)
-            graded_values.extend([lam] * entry.multiplicity)
-            for cluster in clusters:
-                if entry.is_exact and cluster["exact"] is not None:
-                    if cluster["exact"] == entry.value:
-                        cluster["parts"].append((degree, entry))
-                        break
-                elif not entry.is_exact and cluster["exact"] is None:
-                    if abs(lam - cluster["value"]) <= CLUSTER_TAU * (1.0 + abs(lam)):
-                        cluster["parts"].append((degree, entry))
-                        break
-            else:
-                clusters.append(
-                    {
-                        "value": lam,
-                        "exact": entry.value if entry.is_exact else None,
-                        "parts": [(degree, entry)],
-                    }
-                )
-
-    # raw eigenvectors, exact where the spectrum is exact; each exact one is
-    # checked once against the exact graded matrix
-    raw: list[dict] = []
-    for cluster in sorted(clusters, key=lambda c: c["value"]):
-        members = []
-        for degree, entry in cluster["parts"]:
-            if entry.is_exact:
-                for vec in _exact_eigenvectors(graded, degree, entry.value):
-                    image = graded.entries.matvec(vec)
-                    if any(a_i != entry.value * v_i for a_i, v_i in zip(image, vec)):
-                        raise RuntimeError("exact eigenvector failed verification")
-                    members.append(
-                        {"degree": degree, "value": entry.value, "exact": True,
-                         "float": np.array([float(v) for v in vec])}
-                    )
-            else:
-                block = np.array(
-                    [[float(v) for v in row] for row in graded.diagonal_block(degree)]
-                )
-                for vec in _float_eigenvectors(
-                    m, basis, degree, float(entry.value), entry.multiplicity, block
-                ):
-                    members.append(
-                        {"degree": degree, "value": entry.value, "exact": False, "float": vec}
-                    )
-        raw.append({"value": cluster["value"], "members": members})
-
-    # pointwise Gram and first-coordinate moment form of the raw vectors,
-    # within each cluster only: no other block is ever read
-    coeffs = np.column_stack([mem["float"] for c in raw for mem in c["members"]])
-    n_funcs = coeffs.shape[1]
+    raw = _raw_eigenvectors(graded, m, clusters)
+    members = [mem for cluster in raw for mem in cluster]
     spans = []
     for cluster in raw:
         start = spans[-1].stop if spans else 0
-        spans.append(slice(start, start + len(cluster["members"])))
-    g_blocks = [np.zeros((span.stop - span.start,) * 2) for span in spans]
-    x_blocks = [np.zeros_like(g_c) for g_c in g_blocks]
-    points, weights = moments.points, moments.weights
-    for blk in point_chunks(points.shape[0]):
-        # one row per raw function, one column per point
-        values = coeffs.T @ basis.eval_float(points[blk]).T
-        weighted = values * weights[blk]
-        x_weighted = weighted * points[blk, 0]
-        for span, g_c, x_c in zip(spans, g_blocks, x_blocks):
-            g_c += values[span] @ weighted[span].T
-            x_c += values[span] @ x_weighted[span].T
+        spans.append(slice(start, start + len(cluster)))
+    coeffs = np.column_stack([mem["float"] for mem in members])
+    n_raw = coeffs.shape[1]
+    raw_values = np.array([float(mem["value"]) for mem in members])
+    fallback = [i for i, mem in enumerate(members) if not mem["exact"]]
+    directions = m @ coeffs[:, fallback] - coeffs[:, fallback] * raw_values[fallback]
+    gram, x_blocks = _pointwise_forms(
+        np.column_stack([coeffs, directions]), n_raw, spans, basis, moments
+    )
 
     per_degree: list[list[EigenFunction]] = [[] for _ in range(max_degree + 1)]
-    for cluster, span, g_c, x_c in zip(raw, spans, g_blocks, x_blocks):
-        members = cluster["members"]
-        k = len(members)
-        # hierarchical orthonormalization: degree batches in ascending order,
-        # projected against the already-accepted cluster members so top-degree
-        # structure is preserved, then Loewdin + canonical rotation per batch
-        transform = np.zeros((k, 0))
-        degrees = [mem["degree"] for mem in members]
-        batch_starts: list[tuple[int, list[int]]] = []
-        for degree in sorted(set(degrees)):
-            local = [i for i, d in enumerate(degrees) if d == degree]
-            batch = np.zeros((k, len(local)))
-            for col, i in enumerate(local):
-                batch[i, col] = 1.0
-            if transform.shape[1]:
-                overlap = transform.T @ g_c @ batch
-                batch = batch - transform @ overlap
-            small = batch.T @ g_c @ batch
-            small = (small + small.T) / 2.0
-            values, rot = np.linalg.eigh(small)
-            if values.min() <= 0:
-                raise ValueError("cluster Gram is not positive definite")
-            batch = batch @ (rot @ np.diag(values**-0.5) @ rot.T)
-            if len(local) > 1:
-                form = batch.T @ x_c @ batch
-                _, rot2 = np.linalg.eigh((form + form.T) / 2.0)
-                batch = batch @ rot2
-            batch_starts.append((degree, local))
-            transform = np.column_stack([transform, batch])
-        # signs: largest-magnitude coefficient of each function positive
+    # column j of the block-diagonal transform, laid out like per_degree
+    transform_columns: list[list[np.ndarray]] = [[] for _ in range(max_degree + 1)]
+    for cluster, span, x_c in zip(raw, spans, x_blocks):
+        transform, batches = _orthonormalize(
+            [mem["degree"] for mem in cluster], gram[span, span], x_c
+        )
         final_float = coeffs[:, span] @ transform
-        for j in range(k):
+        # signs: largest-magnitude coefficient of each function positive
+        for j in range(final_float.shape[1]):
             lead = int(np.argmax(np.abs(final_float[:, j])))
             if final_float[lead, j] < 0:
                 final_float[:, j] = -final_float[:, j]
+                transform[:, j] = -transform[:, j]
         col = 0
-        for degree, local in batch_starts:
-            first = members[local[0]]
+        for degree, local in batches:
+            first = cluster[local[0]]
             for _ in local:
                 per_degree[degree].append(
                     EigenFunction(
@@ -499,28 +586,26 @@ def eigenbasis(
                         exact=first["exact"],
                     )
                 )
+                column = np.zeros(n_raw)
+                column[span] = transform[:, col]
+                transform_columns[degree].append(column)
                 col += 1
 
-    # residuals: exact functions combine verified exact eigenvectors of one
-    # eigenvalue, so theirs is zero; float fallbacks get a pointwise
-    # Gram-norm residual, from the same pass over the points as the final
-    # Gram of the returned functions
     funcs = [f for level in per_degree for f in level]
-    fallbacks = [j for j, f in enumerate(funcs) if not f.exact]
-    residual_coeffs = [
-        m @ funcs[j].coefficients - float(funcs[j].eigenvalue) * funcs[j].coefficients
-        for j in fallbacks
-    ]
-    final_coeffs = np.column_stack([f.coefficients for f in funcs] + residual_coeffs)
-    g_final = np.zeros((n_funcs, n_funcs))
-    residual_sq = np.zeros(len(fallbacks))
-    for blk in point_chunks(points.shape[0]):
-        values = basis.eval_float(points[blk]) @ final_coeffs
-        w = weights[blk]
-        funcs_values = values[:, :n_funcs]
-        g_final += funcs_values.T @ (w[:, None] * funcs_values)
-        residual_sq += w @ values[:, n_funcs:] ** 2
-    for j, num in zip(fallbacks, residual_sq):
+    t = np.column_stack([c for level in transform_columns for c in level])
+    g_final = t.T @ gram[:n_raw, :n_raw] @ t
+    # residuals: exact functions combine verified exact eigenvectors of one
+    # eigenvalue, so theirs is zero.  A fallback f_j = sum_i t_ij c_i of
+    # eigenvalue lam_j has (M - lam_j I) f_j = sum_i t_ij r_i
+    # + sum_i t_ij (lam_i - lam_j) c_i, with r_i = (M - lam_i I) c_i the
+    # residual directions of the pass, so its squared norm is u^t G u
+    fallback_funcs = [j for j, f in enumerate(funcs) if not f.exact]
+    lam = np.array([float(funcs[j].eigenvalue) for j in fallback_funcs])
+    u = np.vstack(
+        [t[:, fallback_funcs] * (raw_values[:, None] - lam), t[fallback][:, fallback_funcs]]
+    )
+    residual_sq = np.sum(u * (gram @ u), axis=0)
+    for j, num in zip(fallback_funcs, residual_sq):
         funcs[j].residual = float(np.sqrt(max(num, 0.0) / max(g_final[j, j], 1e-300)))
 
     return EigenBasis(

@@ -1,5 +1,6 @@
 """Admissibility system assembly, kernels, ellipticity, divisibility."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from polydiff.boundary import (
     interior_grid,
     solve_admissibility,
 )
-from polydiff.catalog import get_model
+from polydiff.catalog import get_model, model_names
 from polydiff.operator import DegenerateMetricError
 from polydiff.poly import Polynomial, parse_poly
 
@@ -256,3 +257,41 @@ def test_ellipticity_verdicts_match_sympy_leading_minors():
             verdicts.update(expected)
     # the perturbed cometrics make both verdicts occur
     assert verdicts == {True, False}
+
+
+def _fraction_grid(spec, box, per_axis):
+    """Reference: every node's factors evaluated in Fraction arithmetic."""
+    axes = []
+    for lo, hi in box:
+        lo, hi = Fraction(lo), Fraction(hi)
+        axes.append([lo + (hi - lo) * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
+    return [
+        tuple(node)
+        for node in itertools.product(*axes)
+        if all(f(node) > 0 for f in spec.factors)
+    ]
+
+
+@pytest.mark.parametrize("per_axis", [8, 10])
+def test_interior_grid_matches_fraction_reference(per_axis):
+    checked = 0
+    for name in model_names():
+        model = get_model(name)
+        if not model.boundary.factors:
+            continue
+        grid = interior_grid(model.boundary, model.box, per_axis)
+        assert grid == _fraction_grid(model.boundary, model.box, per_axis), name
+        assert all(type(v) is Fraction for node in grid for v in node)
+        checked += 1
+    assert checked == 22  # every catalog model but the two on the whole space
+
+
+def test_interior_grid_sign_test_sees_nodes_on_the_boundary():
+    # on this box the 10 diagonal nodes of the 10-grid satisfy 3x = 2y: they
+    # lie on the factor's zero set and must be dropped, not rounded to
+    # either side; the other nodes are kept iff they sit below the diagonal
+    spec = spec2("x/2-y/3", witness=("1", "-1"))
+    box = [(-2, 2), (-3, 3)]
+    grid = interior_grid(spec, box, per_axis=10)
+    assert len(grid) == 45
+    assert grid == _fraction_grid(spec, box, 10)

@@ -42,7 +42,7 @@ def test_nullspace_exact_kernel_random():
         kernel = m.nullspace()
         assert len(kernel) == cols - m.rank()
         for v in kernel:
-            assert all(value == 0 for value in m.matvec(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from polydiff.catalog import get_model
-from polydiff.poly import Polynomial, parse_poly
+from polydiff.catalog import get_model, model_names
+from polydiff.operator import gamma
+from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 from polydiff.quadrature import (
     DomainSampler,
     Moments,
     SamplerConfigError,
     check_box_encloses,
+    gamma_form_matrix,
     gram_matrix,
     integrate,
     sample_domain,
@@ -157,6 +159,21 @@ def test_symmetry_defect_detects_broken_drift():
     assert defect > 0.1
 
 
+def test_symmetry_defect_applies_the_operator_once_per_monomial():
+    disk = get_model("disk")
+
+    class Counting:
+        calls = 0
+
+        def apply(self, f):
+            Counting.calls += 1
+            return disk.operator.apply(f)
+
+    defect = symmetry_defect(disk, 3, disk.sampler(), operator=Counting())
+    assert Counting.calls == 10  # the degree-3 basis in 2D has 10 monomials
+    assert defect == symmetry_defect(disk, 3, disk.sampler())
+
+
 def test_box_edge_detection():
     model = get_model("disk", {"p": "0"})
     with pytest.raises(SamplerConfigError):
@@ -244,3 +261,33 @@ def test_moments_of_empty_sample_are_zero():
     moments = Moments(model, 6, sampler)
     assert moments.points.shape == (0, 2)
     assert np.array_equal(moments.values, np.zeros(len(moments.basis)))
+
+
+def _symbolic_gamma_form(model, degree, moments):
+    """Reference: operator.gamma per basis pair, summed against the moments
+    term by term; also the sums of |terms|."""
+    basis = MonomialBasis(model.dim, degree)
+    size = len(basis)
+    values, scales = np.empty((size, size)), np.empty((size, size))
+    for k, ek in enumerate(basis.exponents):
+        for l, el in enumerate(basis.exponents):
+            p = gamma(
+                model.cometric,
+                Polynomial.monomial(model.dim, ek),
+                Polynomial.monomial(model.dim, el),
+            )
+            terms = [float(c) * moments.monomial(e) for e, c in p.terms.items()]
+            values[k, l] = sum(terms)
+            scales[k, l] = sum(abs(t) for t in terms)
+    return values, scales
+
+
+@pytest.mark.parametrize("name", [n for n in model_names() if get_model(n).has_sampler])
+def test_gamma_form_matrix_matches_symbolic_reference(name):
+    model = get_model(name)
+    sampler = model.sampler(seed=3, sample_count=20_000)
+    moments = Moments(model, 12, sampler)
+    a = gamma_form_matrix(model, 6, sampler, moments=moments)
+    expected, scale = _symbolic_gamma_form(model, 6, moments)
+    assert np.all(np.abs(a - expected) <= 1e-12 * scale)
+    assert np.array_equal(a, a.T)

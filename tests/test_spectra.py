@@ -203,6 +203,98 @@ def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypat
     assert max(eb.residuals()) > 1e-6
 
 
+def _forced_fallback(monkeypatch, per_row=0.0):
+    """Report every block as a numeric fallback, its eigenvalues off by 1e-4
+    relative and by `per_row` more per row of the block."""
+    original = spectra.block_eigenvalues
+
+    def numeric(block):
+        shift = (1 + 1e-4) * (1 + per_row * len(block))
+        return [
+            spectra.EigenvalueEntry(float(e.value) * shift, e.multiplicity, "numeric-block")
+            for e in original(block)
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
+
+
+def test_eigenbasis_fallback_residuals_in_clusters_spanning_degrees(monkeypatch):
+    # -6 is an eigenvalue of degrees 1 and 2 on coaxial_parabolas; 1e-9 more
+    # per block row keeps both degrees in one cluster with distinct
+    # eigenvalues, so a degree-2 function mixes raw vectors of another
+    # eigenvalue
+    _forced_fallback(monkeypatch, per_row=1e-9)
+    model = get_model("coaxial_parabolas")
+    sampler = model.sampler(seed=5, sample_count=50_000)
+    moments = spectra.Moments(model, 9, sampler)
+    eb = eigenbasis(model, 4, sampler, moments=moments)
+    mixed = {
+        (f.degree, f.eigenvalue)
+        for f in eb.all_functions()
+        if abs(f.eigenvalue + 6) < 1e-3
+    }
+    assert {d for d, _ in mixed} == {1, 2} and len({v for _, v in mixed}) == 2
+    values = eb.basis.eval_float(moments.points)
+    m = GradedOperatorMatrix(model.operator, 4).to_float()
+    for f in eb.all_functions():
+        r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
+        num = np.dot(moments.weights, (values @ r) ** 2)
+        den = np.dot(moments.weights, (values @ f.coefficients) ** 2)
+        assert abs(f.residual - np.sqrt(num / den)) <= 1e-9 * np.sqrt(num / den) + 1e-15
+
+
+def _pointwise_gram(eb, moments):
+    values = eb.basis.eval_float(moments.points) @ np.column_stack(
+        [f.coefficients for f in eb.all_functions()]
+    )
+    return values.T @ (moments.weights[:, None] * values)
+
+
+@pytest.mark.parametrize(
+    "name,degree,sample_count,fallback",
+    [("square", 6, None, False), ("deltoid", 6, 50_000, False), ("triangle", 4, None, True)],
+)
+def test_eigenbasis_gram_matches_pointwise_reevaluation(
+    monkeypatch, name, degree, sample_count, fallback
+):
+    # the returned Gram comes from the raw functions' Gram and the transform;
+    # it must equal the Gram of the returned coefficients evaluated afresh
+    if fallback:
+        _forced_fallback(monkeypatch)
+    model = get_model(name)
+    overrides = {"sample_count": sample_count} if sample_count else {}
+    sampler = model.sampler(seed=5, **overrides)
+    moments = spectra.Moments(model, 2 * degree + 1, sampler)
+    eb = eigenbasis(model, degree, sampler, moments=moments)
+    assert all(f.exact != fallback for f in eb.all_functions())
+    assert np.abs(eb.gram - _pointwise_gram(eb, moments)).max() <= 1e-12
+
+
+def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
+    # M has denominators (S = 30), lam = -146/15 and v has denominators
+    model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
+    graded = GradedOperatorMatrix(model.operator, 3)
+    scaled = spectra._integer_matrix(graded)
+    lam = graded_spectrum(graded).degree(3)[-1].value
+    vec = spectra._exact_eigenvectors(graded, 3, lam)[0]
+    assert scaled[0] > 1 and lam.denominator > 1 and any(v.denominator > 1 for v in vec)
+    spectra._verify_exact_eigenvector(scaled, vec, lam)
+    with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
+        spectra._verify_exact_eigenvector(scaled, vec, lam / 3)  # S lam / 3 = -292/3
+    for j in range(len(vec)):
+        off = list(vec)
+        off[j] += Fraction(1, 10**30)
+        if vec[j]:
+            assert float(off[j]) == float(vec[j])  # invisible in float
+        # no longer an eigenvector unless column j of M - lam I vanishes
+        column = [graded.entries[i, j] - (lam if i == j else 0) for i in range(len(vec))]
+        if any(column):
+            with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
+                spectra._verify_exact_eigenvector(scaled, off, lam)
+        else:
+            spectra._verify_exact_eigenvector(scaled, off, lam)
+
+
 def _to_sympy(sympy, rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
 
