@@ -117,7 +117,6 @@ class RunContext:
         self.seed = seed
         self._models: dict = {}
         self._moments: dict = {}
-        self._graded: dict = {}
 
     def model(self, name: str, params: dict | None = None) -> Model:
         key = (name, tuple(sorted((params or {}).items())))
@@ -132,12 +131,6 @@ class RunContext:
             cached = Moments(model, degree, model.sampler(seed=self.seed))
             self._moments[key] = cached
         return cached
-
-    def graded(self, model: Model, degree: int) -> GradedOperatorMatrix:
-        key = (model.name, tuple(sorted(model.params.items())), degree)
-        if key not in self._graded:
-            self._graded[key] = GradedOperatorMatrix(model.operator, degree)
-        return self._graded[key]
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +233,7 @@ def _spectrum_claim(name: str):
 def _graded_triangularity(name: str):
     def run(ctx: RunContext):
         model = ctx.model(name)
-        graded = ctx.graded(model, TRIANGULARITY_DEGREE)
+        graded = GradedOperatorMatrix(model.operator, TRIANGULARITY_DEGREE)
         bad = graded.strictly_lower_block_entries()
         return not bad, {"max_degree": TRIANGULARITY_DEGREE, "violations": len(bad)}
 

@@ -1,9 +1,10 @@
 """Exact rational dense linear algebra and the generalized symmetric eigensolver.
 
 The ratio of work here is deliberate: nullspaces/ranks/solves that feed the
-boundary admissibility system are exact (fraction-free Bareiss elimination on
-integers, then reduced row echelon form), while spectral work on Gram and
-energy-form matrices is floating point via LAPACK.
+boundary admissibility system and the exact eigenvectors are exact (one
+fraction-free Gauss-Jordan pass in Python ints gives the reduced row echelon
+form), while spectral work on Gram and energy-form matrices is floating point
+via LAPACK.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class RationalMatrix:
         self.cols = width
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> RationalMatrix:
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> RationalMatrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
@@ -52,12 +49,6 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.data == other.data
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.data[i])
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.data]
-
     def to_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.data])
 
@@ -65,15 +56,19 @@ class RationalMatrix:
         out = []
         for row in self.data:
             scale = lcm(*(v.denominator for v in row)) if row else 1
-            out.append([int(v * scale) for v in row])
+            out.append([v.numerator * (scale // v.denominator) for v in row])
         return out
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot columns, deterministic.
 
         Pivot columns are chosen left to right; within a column the first
-        not-yet-used row with a nonzero entry wins.  Forward elimination is
-        fraction-free (Bareiss) on an integer-scaled copy to bound swell.
+        not-yet-used row with a nonzero entry wins.  One fraction-free
+        Gauss-Jordan pass (Nakos, Turner and Williams, SIGSAM Bull. 31(3),
+        1997) runs on the integer-scaled rows: each pivot step clears its
+        column above and below and divides exactly by the previous pivot, so
+        every entry stays an integer minor and every pivot entry ends equal
+        to the last pivot d.  The RREF is then the integer rows over d.
         """
         m = self._integer_rows()
         rows, cols = self.rows, self.cols
@@ -90,32 +85,23 @@ class RationalMatrix:
                 continue
             if pivot_row != r:
                 m[r], m[pivot_row] = m[pivot_row], m[r]
-            for i in range(r + 1, rows):
-                if all(v == 0 for v in m[i]):
+            lead_row = m[r]
+            lead = lead_row[c]
+            for i, row in enumerate(m):
+                if i == r or not any(row):
                     continue
-                head = m[i][c]
-                lead = m[r][c]
+                head = row[c]
                 for j in range(cols):
-                    q, rem = divmod(m[i][j] * lead - head * m[r][j], prev)
+                    q, rem = divmod(row[j] * lead - head * lead_row[j], prev)
                     if rem:
                         raise ArithmeticError("fraction-free step left a remainder")
-                    m[i][j] = q
-            prev = m[r][c]
+                    row[j] = q
+            prev = lead
             pivots.append(c)
             r += 1
             if r == rows:
                 break
-        # back-substitution with exact rationals to reach RREF
-        reduced = [[Fraction(v) for v in row] for row in m]
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            lead = reduced[k][c]
-            reduced[k] = [v / lead for v in reduced[k]]
-            for i in range(k):
-                factor = reduced[i][c]
-                if factor:
-                    reduced[i] = [a - factor * b for a, b in zip(reduced[i], reduced[k])]
-        return reduced, pivots
+        return [[Fraction(v, prev) for v in row] for row in m], pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -66,9 +66,6 @@ class SpectrumResult:
             out.extend([entry.value] * entry.multiplicity)
         return sorted(out, key=float)
 
-    def all_exact(self) -> bool:
-        return all(e.is_exact for level in self.per_degree for e in level)
-
     def to_jsonable(self) -> dict:
         degrees = []
         for n, entries in enumerate(self.per_degree):
@@ -139,8 +136,7 @@ def _synthetic_divide(coeffs: list[Fraction], root: Fraction) -> tuple[list[Frac
     return quotient, remainder
 
 
-def _rational_candidates(block_float: np.ndarray) -> list[Fraction]:
-    values = np.linalg.eigvals(block_float)
+def _rational_candidates(values: np.ndarray) -> list[Fraction]:
     out = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         if abs(v.imag) > 1e-6 * (1.0 + abs(v.real)):
@@ -171,11 +167,10 @@ def block_eigenvalues(block: list[list[Fraction]]) -> list[EigenvalueEntry]:
             else:
                 entries.append(EigenvalueEntry(v, 1, "exact-graded"))
         return entries
-    block_float = np.array([[float(v) for v in row] for row in block])
-    coeffs = _char_poly(block)
-    remaining = coeffs
+    values = np.linalg.eigvals(np.array([[float(v) for v in row] for row in block]))
+    remaining = _char_poly(block)
     found: dict[Fraction, int] = {}
-    for cand in _rational_candidates(block_float):
+    for cand in _rational_candidates(values):
         while len(remaining) > 1:
             quotient, rem = _synthetic_divide(remaining, cand)
             if rem != 0:
@@ -188,7 +183,6 @@ def block_eigenvalues(block: list[list[Fraction]]) -> list[EigenvalueEntry]:
             for v, mult in sorted(found.items(), key=lambda item: float(item[0]))
         ]
     # numeric fallback on the exact block
-    values = np.linalg.eigvals(block_float)
     real = np.sort(values.real)
     entries = []
     for cluster in cluster_eigenvalues(list(real), CLUSTER_TAU):
@@ -279,40 +273,23 @@ def _stable_pencil_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _exact_eigenvectors(graded: GradedOperatorMatrix, degree: int, lam: Fraction) -> list[list[Fraction]]:
     """Exact eigenvectors of the graded matrix with top degree `degree`.
 
-    The top parts span the kernel of the degree block minus lam; each is
-    extended downward by an exact solve, so the result is an exact kernel
-    basis of (M - lam I) restricted to this top degree.
+    The graded matrix is block upper triangular, so these are the kernel of
+    the leading block (M - lam I)[:stop, :stop] that is nonzero in the top
+    degree: in the RREF free-column basis, the vectors whose free column is
+    a top column.  They are padded with zeros to the full basis length.
     """
-    basis = graded.basis
-    block = basis.degree_slices[degree]
-    width = block.stop - block.start
-    rows = graded.diagonal_block(degree)
+    block = graded.basis.degree_slices[degree]
+    m = graded.entries.data
     shifted = [
-        [rows[i][j] - (lam if i == j else 0) for j in range(width)] for i in range(width)
+        [v - lam if i == j else v for j, v in enumerate(row[: block.stop])]
+        for i, row in enumerate(m[: block.stop])
     ]
-    tops = RationalMatrix(shifted).nullspace()
-    out = []
-    m = graded.entries
-    for top in tops:
-        full = [Fraction(0)] * len(basis)
-        for t, value in enumerate(top):
-            full[block.start + t] = value
-        if block.start:
-            lower = [
-                [m[i, j] - (lam if i == j else 0) for j in range(block.start)]
-                for i in range(block.start)
-            ]
-            rhs = [
-                -sum((m[i, block.start + t] * top[t] for t in range(width)), Fraction(0))
-                for i in range(block.start)
-            ]
-            solution = RationalMatrix(lower).solve(rhs)
-            if solution is None:
-                raise RuntimeError("eigenvector extension is inconsistent")
-            for i, value in enumerate(solution):
-                full[i] = value
-        out.append(full)
-    return out
+    padding = [Fraction(0)] * (len(graded.basis) - block.stop)
+    return [
+        vector + padding
+        for vector in RationalMatrix(shifted).nullspace()
+        if any(vector[block.start :])
+    ]
 
 
 def _float_eigenvectors(m: np.ndarray, basis: MonomialBasis, degree: int, lam: float, multiplicity: int, block: np.ndarray) -> list[np.ndarray]:
@@ -406,9 +383,10 @@ def _eigenvalue_clusters(spectrum: SpectrumResult) -> tuple[list[dict], list[flo
 def _raw_eigenvectors(graded: GradedOperatorMatrix, m: np.ndarray, clusters: list[dict]) -> list[list[dict]]:
     """Stage 1: the raw eigenvectors of each cluster, in float.
 
-    They are exact where the spectrum is exact, and each exact one is checked
-    once against the exact graded matrix, in ints; numeric-block entries get
-    float eigenvectors of the float matrix `m`.
+    They are exact where the spectrum is exact: their count must equal the
+    eigenvalue's multiplicity, and each is checked once against the exact
+    graded matrix, in ints.  Numeric-block entries get float eigenvectors of
+    the float matrix `m`.
     """
     scaled = _integer_matrix(graded)
     out = []
@@ -416,7 +394,13 @@ def _raw_eigenvectors(graded: GradedOperatorMatrix, m: np.ndarray, clusters: lis
         members = []
         for degree, entry in cluster["parts"]:
             if entry.is_exact:
-                for vec in _exact_eigenvectors(graded, degree, entry.value):
+                vectors = _exact_eigenvectors(graded, degree, entry.value)
+                if len(vectors) != entry.multiplicity:
+                    raise RuntimeError(
+                        f"{len(vectors)} exact eigenvectors of {entry.value} at degree "
+                        f"{degree}, expected multiplicity {entry.multiplicity}"
+                    )
+                for vec in vectors:
                     _verify_exact_eigenvector(scaled, vec, entry.value)
                     members.append(
                         {"degree": degree, "value": entry.value, "exact": True,

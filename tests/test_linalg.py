@@ -112,8 +112,9 @@ def test_cluster_rule():
 
 
 def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
-    # Bareiss division is exact on integer rows; a non-integral row breaks
-    # that premise and must raise even under python -O
+    # the fraction-free Gauss-Jordan division by the previous pivot is exact
+    # on integer rows; a non-integral row breaks that premise and must raise
+    # even under python -O
     monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [[1, 0], [1, Fraction(1, 2)]])
     with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
@@ -132,3 +133,81 @@ def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
                 [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
             ).det()
             assert poly_matrix_det(rows) == Fraction(int(expected.p), int(expected.q))
+
+
+def _random_rational_systems(rng):
+    """Seeded (kind, rows, rhs) cases: wide, tall, square, rank-deficient,
+    with a zero row, with an inconsistent right-hand side, and with
+    denominators up to 10^15."""
+
+    def rational(bound=9, den=9):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+    def matrix(r, c, **kw):
+        return [[rational(**kw) for _ in range(c)] for _ in range(r)]
+
+    for _ in range(6):
+        r, c = rng.randint(1, 4), rng.randint(5, 8)
+        yield "wide", matrix(r, c), [rational() for _ in range(r)]
+        yield "tall", matrix(c, r), [rational() for _ in range(c)]
+        n = rng.randint(1, 7)
+        yield "square", matrix(n, n), [rational() for _ in range(n)]
+        # rank-deficient: every row a combination of `rank` random rows
+        rows, cols, rank = rng.randint(3, 7), rng.randint(3, 7), rng.randint(1, 2)
+        base = matrix(rank, cols)
+        weights = matrix(rows, rank, bound=3, den=4)
+        deficient = [
+            [sum((w * b[j] for w, b in zip(ws, base)), Fraction(0)) for j in range(cols)]
+            for ws in weights
+        ]
+        # consistent: rhs = A x for a random x
+        x = [rational() for _ in range(cols)]
+        consistent = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in deficient]
+        yield "rank-deficient", deficient, consistent
+        # inconsistent: move one entry of a consistent rhs off the column space
+        inconsistent = list(consistent)
+        inconsistent[-1] += 1
+        yield "inconsistent", deficient, inconsistent
+        zero_row = matrix(n + 1, n + 2)
+        zero_row[rng.randrange(n + 1)] = [Fraction(0)] * (n + 2)
+        yield "zero-row", zero_row, [rational() for _ in range(n + 1)]
+        yield "large", matrix(n, n + 1, bound=10**15, den=10**15), [
+            rational(bound=10**15, den=10**15) for _ in range(n)
+        ]
+    yield "all-zero", [[Fraction(0)] * 3 for _ in range(2)], [Fraction(0), Fraction(1)]
+
+
+def test_elimination_matches_sympy_on_random_rational_matrices():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+        )
+
+    def from_sympy(values):
+        return [Fraction(int(v.p), int(v.q)) for v in values]
+
+    kinds, outcomes = set(), set()
+    for kind, rows, rhs in _random_rational_systems(random.Random(1997)):
+        kinds.add(kind)
+        m, expected = RationalMatrix(rows), to_sympy(rows)
+        reduced, pivots = m.rref()
+        expected_rref, expected_pivots = expected.rref()
+        assert pivots == list(expected_pivots), kind
+        assert reduced == [from_sympy(expected_rref.row(i)) for i in range(len(rows))], kind
+        assert m.rank() == expected.rank(), kind
+        assert m.nullspace() == [from_sympy(v) for v in expected.nullspace()], kind
+        solution = m.solve(rhs)
+        try:
+            exact, params = expected.gauss_jordan_solve(to_sympy([[v] for v in rhs]))
+        except ValueError:  # sympy: the system has no solution
+            assert solution is None, kind
+            outcomes.add(("no solution", kind))
+            continue
+        # solve sets every free column to zero
+        particular = exact.subs({t: 0 for t in params})
+        assert solution == from_sympy(particular), kind
+        outcomes.add(("solved", kind))
+    assert {"wide", "tall", "rank-deficient", "zero-row", "large"} <= kinds
+    assert {("no solution", "inconsistent"), ("solved", "rank-deficient")} <= outcomes

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polydiff import spectra
-from polydiff.catalog import get_model
+from polydiff.catalog import get_descriptor, get_model, model_names
+from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.spectra import (
     compare_closed_form,
@@ -167,6 +168,74 @@ def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
     monkeypatch.setattr(spectra, "_exact_eigenvectors", corrupted)
     model = get_model("square")
     with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
+        eigenbasis(model, 2, model.sampler())
+
+
+def _reference_exact_eigenvectors(graded, degree, lam):
+    """Eigenvectors by the two-step route: a kernel basis of the shifted
+    degree block, each top extended downward by its own exact solve."""
+    block = graded.basis.degree_slices[degree]
+    width = block.stop - block.start
+    m = graded.entries
+    rows = graded.diagonal_block(degree)
+    shifted = [
+        [rows[i][j] - (lam if i == j else 0) for j in range(width)] for i in range(width)
+    ]
+    out = []
+    for top in RationalMatrix(shifted).nullspace():
+        full = [Fraction(0)] * len(graded.basis)
+        full[block] = top
+        if block.start:
+            lower = [
+                [m[i, j] - (lam if i == j else 0) for j in range(block.start)]
+                for i in range(block.start)
+            ]
+            rhs = [
+                -sum((m[i, block.start + t] * top[t] for t in range(width)), Fraction(0))
+                for i in range(block.start)
+            ]
+            solution = RationalMatrix(lower).solve(rhs)
+            assert solution is not None
+            full[: block.start] = solution
+        out.append(full)
+    return out
+
+
+def _sampled_model_cases():
+    """The sampled catalog models at their defaults and at one generic point."""
+    from test_operator import _generic_params
+
+    rng = random.Random(6)
+    for name in model_names():
+        if get_model(name).has_sampler:
+            yield name, None
+            yield name, _generic_params(rng, get_descriptor(name))
+
+
+@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
+def test_exact_eigenvectors_match_two_step_reference(name, params):
+    graded = GradedOperatorMatrix(get_model(name, params).operator, 6)
+    spectrum = graded_spectrum(graded)
+    for degree in range(7):
+        for entry in spectrum.degree(degree):
+            if entry.is_exact:
+                vectors = spectra._exact_eigenvectors(graded, degree, entry.value)
+                assert vectors == _reference_exact_eigenvectors(graded, degree, entry.value)
+                assert len(vectors) == entry.multiplicity
+
+
+def test_eigenbasis_raises_when_eigenvectors_miss_the_multiplicity(monkeypatch):
+    original = spectra.block_eigenvalues
+
+    def inflated(block):
+        return [
+            spectra.EigenvalueEntry(e.value, e.multiplicity + 1, e.source)
+            for e in original(block)
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", inflated)
+    model = get_model("disk")
+    with pytest.raises(RuntimeError, match="expected multiplicity"):
         eigenbasis(model, 2, model.sampler())
 
 
