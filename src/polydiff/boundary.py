@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm, prod
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
@@ -262,10 +261,9 @@ def interior_grid(
     """Rational grid over the box, clipped to {all factors > 0}.
 
     Grid nodes sit strictly inside the box at fractions (2k+1)/(2n) of each
-    side, so boundary-of-box artifacts never enter.  The sign test runs in
-    integers: with every node coordinate written as X/D over one common
-    denominator D, a factor of degree d scaled to integer coefficients c_e
-    has the sign of sum_e c_e D^(d - |e|) X^e at the node.
+    side, so boundary-of-box artifacts never enter.  The sign test is exact:
+    each factor's values on the grid are integer numerators over one
+    positive denominator (`Polynomial.grid_values`).
     """
     if len(box) != spec.dim:
         raise ValueError("box must give one interval per axis")
@@ -274,29 +272,9 @@ def interior_grid(
         lo, hi = Fraction(lo), Fraction(hi)
         width = hi - lo
         axes.append([lo + width * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
-    denominator = lcm(*(v.denominator for axis in axes for v in axis))
-    tests = []
-    for f in spec.factors:
-        degree = int(f.total_degree)
-        scale = lcm(*(c.denominator for c in f.terms.values()))
-        tests.append(
-            [
-                (e, c.numerator * (scale // c.denominator) * denominator ** (degree - sum(e)))
-                for e, c in f.terms.items()
-            ]
-        )
-    top = max((sum(e) for terms in tests for e, _ in terms), default=0)
-    # powers[i][k][p] = X^p for the k-th node on axis i
-    powers = [
-        [[(v.numerator * (denominator // v.denominator)) ** p for p in range(top + 1)] for v in axis]
-        for axis in axes
+    values = [f.grid_values(axes)[0] for f in spec.factors]
+    return [
+        node
+        for node, *signs in zip(iter_product(*axes), *values)
+        if all(s > 0 for s in signs)
     ]
-    points = []
-    for index in iter_product(*(range(per_axis) for _ in axes)):
-        node = [powers[i][k] for i, k in enumerate(index)]
-        if all(
-            sum(c * prod(table[p] for table, p in zip(node, e)) for e, c in terms) > 0
-            for terms in tests
-        ):
-            points.append(tuple(axis[k] for axis, k in zip(axes, index)))
-    return points

@@ -192,17 +192,19 @@ class Model:
     def interior_points(
         self, per_axis: int = 10, margin: Fraction = Fraction(0)
     ) -> list[tuple[Fraction, ...]]:
-        """Rational interior grid; margin > 0 keeps factors above
-        margin * (their witness value), staying away from the boundary."""
-        points = interior_grid(self.boundary, self.box, per_axis)
+        """Rational interior grid; 0 < margin < 1 keeps factors above
+        margin * (their witness value), staying away from the boundary.
+
+        The margin test is the grid's own sign test, run on the shifted
+        factors f - margin * f(witness), which stay positive at the witness.
+        """
+        spec = self.boundary
         if margin:
-            thresholds = [f(self.boundary.witness) * margin for f in self.boundary.factors]
-            points = [
-                pt
-                for pt in points
-                if all(f(pt) > t for f, t in zip(self.boundary.factors, thresholds))
-            ]
-        return points
+            if not 0 < margin < 1:
+                raise ValueError(f"margin {margin} is not in [0, 1)")
+            shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
+            spec = BoundarySpec(spec.dim, shifted, spec.witness)
+        return interior_grid(spec, self.box, per_axis)
 
     # ------------------------------------------------------------------
     # tabulated claims
@@ -238,7 +240,6 @@ class Model:
     def claimed_drift(self) -> tuple[Polynomial, ...]:
         claim = self._claim("drift")
         self._require(claim, "drift")
-        names = variable_names(self.dim) + self.descriptor.param_names
         polys = []
         for text in claim["formulas"]:
             template = Template(text, self.dim, self.descriptor.param_names)

@@ -40,11 +40,10 @@ from .operator import (
     product_operator,
 )
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
-from .quadrature import Moments, symmetry_defect
+from .quadrature import GAUSS_KINDS, Moments, symmetry_defect
 from .rng import DEFAULT_SEED, stream_uniform
-from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_cross_check
+from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
 
-GAUSS_MODELS = {"jacobi1d", "square", "disk", "triangle"}
 MC_DEFECT_TOL = 1e-2
 GAUSS_DEFECT_TOL = 1e-8
 MC_GRAM_TOL = 5e-2
@@ -282,11 +281,12 @@ def _pullback_claim(name: str):
 def _symmetry_defect_claim(name: str):
     def run(ctx: RunContext):
         model = ctx.model(name)
-        gauss = name in GAUSS_MODELS
+        sampler = model.sampler(seed=ctx.seed)
+        gauss = sampler.kind in GAUSS_KINDS
         degree = 6 if gauss else 3
         tol = GAUSS_DEFECT_TOL if gauss else MC_DEFECT_TOL
         moments = ctx.moments(model, 2 * 6 + 1)
-        defect = symmetry_defect(model, degree, model.sampler(seed=ctx.seed), moments=moments)
+        defect = symmetry_defect(model, degree, sampler, moments=moments)
         return defect < tol, {"degree": degree, "defect": defect, "tolerance": tol}
 
     return run
@@ -295,20 +295,18 @@ def _symmetry_defect_claim(name: str):
 def _eigenbasis_claim(name: str):
     def run(ctx: RunContext):
         model = ctx.model(name)
-        gauss = name in GAUSS_MODELS
+        sampler = model.sampler(seed=ctx.seed)
+        gauss = sampler.kind in GAUSS_KINDS
         moments = ctx.moments(model, 2 * 6 + 1)
-        eb = eigenbasis(model, 6, model.sampler(seed=ctx.seed), moments=moments)
+        eb = eigenbasis(model, 6, sampler, moments=moments)
         gram_dev = eb.gram_deviation()
         residual = max(eb.residuals())
         gram_tol = GAUSS_GRAM_TOL if gauss else MC_GRAM_TOL
-        cross = pencil_cross_check(eb)
+        gaps = pencil_gaps(eb)
+        cross = float(gaps.max())
         cross_tol = 1e-6 if gauss else 2e-2
-        prefix = len(eb.pencil_eigenvalues) if gauss else (3 * len(eb.pencil_eigenvalues)) // 4
-        pencil_sorted = np.sort(-eb.pencil_eigenvalues)[::-1][:prefix]
-        graded_sorted = np.sort(np.array(eb.graded_values))[::-1][:prefix]
-        prefix_gap = float(
-            (np.abs(pencil_sorted - graded_sorted) / (1.0 + np.abs(graded_sorted))).max()
-        )
+        prefix = len(gaps) if gauss else (3 * len(gaps)) // 4
+        prefix_gap = float(gaps[:prefix].max())
         ok = gram_dev < gram_tol and residual < RESIDUAL_TOL and prefix_gap < cross_tol
         return ok, {
             "gram_deviation": gram_dev,

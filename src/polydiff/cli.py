@@ -15,8 +15,8 @@ import sys
 
 
 def _configure_threads() -> None:
-    # DOP_THREADS is accepted and capped: kernels are pinned to one thread so
-    # results cannot depend on its value
+    # BLAS and OpenMP kernels default to one thread; a value the user set
+    # wins, since setdefault leaves it in place
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
 

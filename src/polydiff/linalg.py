@@ -19,6 +19,8 @@ import scipy.linalg
 
 Rational = int | Fraction
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class GramMatrixError(ValueError):
     """B is not positive definite: ill-formed Gram matrix (quadrature too
@@ -59,16 +61,17 @@ class RationalMatrix:
             out.append([v.numerator * (scale // v.denominator) for v in row])
         return out
 
-    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
-        """Reduced row echelon form and pivot columns, deterministic.
+    def rref(self) -> tuple[list[list[int]], list[int], int]:
+        """Reduced row echelon form as (integer rows, pivot columns, d).
 
-        Pivot columns are chosen left to right; within a column the first
+        The RREF is the integer rows over the nonzero integer d.  Pivot
+        columns are chosen left to right; within a column the first
         not-yet-used row with a nonzero entry wins.  One fraction-free
         Gauss-Jordan pass (Nakos, Turner and Williams, SIGSAM Bull. 31(3),
         1997) runs on the integer-scaled rows: each pivot step clears its
         column above and below and divides exactly by the previous pivot, so
         every entry stays an integer minor and every pivot entry ends equal
-        to the last pivot d.  The RREF is then the integer rows over d.
+        to the last pivot, which is d (1 when there is no pivot).
         """
         m = self._integer_rows()
         rows, cols = self.rows, self.cols
@@ -101,7 +104,7 @@ class RationalMatrix:
             r += 1
             if r == rows:
                 break
-        return [[Fraction(v, prev) for v in row] for row in m], pivots
+        return m, pivots, prev
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -113,15 +116,17 @@ class RationalMatrix:
         free column and the solved pivot values elsewhere, emitted in order
         of increasing free column index.
         """
-        reduced, pivots = self.rref()
+        reduced, pivots, d = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
-        for f in free:
-            vector = [Fraction(0)] * self.cols
-            vector[f] = Fraction(1)
-            for k, c in enumerate(pivots):
-                vector[c] = -reduced[k][f]
+        for f in range(self.cols):
+            if f in pivot_set:
+                continue
+            vector = [_ZERO] * self.cols
+            vector[f] = _ONE
+            for row, c in zip(reduced, pivots):
+                if row[f]:
+                    vector[c] = Fraction(-row[f], d)
             basis.append(vector)
         return basis
 
@@ -129,15 +134,14 @@ class RationalMatrix:
         """One exact solution of A x = rhs, or None if inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        augmented = RationalMatrix(
-            [row + [Fraction(v)] for row, v in zip(self.data, rhs)]
-        )
-        reduced, pivots = augmented.rref()
+        augmented = RationalMatrix([row + [v] for row, v in zip(self.data, rhs)])
+        reduced, pivots, d = augmented.rref()
         if self.cols in pivots:
             return None
-        solution = [Fraction(0)] * self.cols
-        for k, c in enumerate(pivots):
-            solution[c] = reduced[k][self.cols]
+        solution = [_ZERO] * self.cols
+        for row, c in zip(reduced, pivots):
+            if row[self.cols]:
+                solution[c] = Fraction(row[self.cols], d)
         return solution
 
 
@@ -169,7 +173,6 @@ def poly_matrix_det(entries: Sequence[Sequence]):
 class SymmetricEigenResult:
     eigenvalues: np.ndarray          # ascending
     eigenvectors: np.ndarray         # columns, B-orthonormal
-    residual_norm: float             # max_i ||A v_i - lambda_i B v_i|| / ||A||
 
 
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
@@ -196,12 +199,7 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> SymmetricEigenResult:
             "or measure not integrable"
         ) from exc
     values, vectors = scipy.linalg.eigh(a, b)
-    scale = max(np.abs(a).max(), 1.0)
-    residual = 0.0
-    for i in range(len(values)):
-        r = a @ vectors[:, i] - values[i] * (b @ vectors[:, i])
-        residual = max(residual, float(np.linalg.norm(r)) / scale)
-    return SymmetricEigenResult(values, vectors, residual)
+    return SymmetricEigenResult(values, vectors)
 
 
 def cluster_eigenvalues(values: Sequence[float], tau: float = 1e-7) -> list[list[int]]:

@@ -12,7 +12,7 @@ lower total degree first, ties broken by tuple comparison of the exponents.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -105,9 +105,6 @@ class Polynomial:
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.terms.get(tuple(exponent), Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:
@@ -221,15 +218,51 @@ class Polynomial:
     def __call__(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dimension {self.dim}")
-        values = [_as_fraction(v) for v in point]
-        total = Fraction(0)
-        for exponent, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exponent):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        numerators, denominator = self.grid_values([[v] for v in point])
+        return Fraction(numerators[0], denominator)
+
+    def grid_values(self, axes: Sequence[Sequence[RationalLike]]) -> tuple[list[int], int]:
+        """Exact values on the tensor grid axes[0] x ... x axes[dim-1].
+
+        Returns integer numerators, one per node in ``itertools.product``
+        order, over one positive denominator.  With every node coordinate
+        written as X/D over one common denominator D and the coefficients as
+        c_e/s over theirs, a polynomial of total degree n takes the value
+        sum_e c_e X^e D^(n-|e|) / (s D^n), summed in integers.  Each axis
+        node's powers are computed once, and the sum is contracted one axis
+        at a time, so terms that agree on the remaining axes share their
+        partial sums.
+        """
+        if len(axes) != self.dim:
+            raise ValueError(f"{len(axes)} grid axes != dimension {self.dim}")
+        # ints carry numerator and denominator already; other input is checked
+        axes = [
+            [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in axis] for axis in axes
+        ]
+        if not self.terms:
+            return [0] * prod(len(axis) for axis in axes), 1
+        degree = max(sum(e) for e in self.terms)
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        common = lcm(*(v.denominator for axis in axes for v in axis))
+        # partial[rest]: over the nodes of the axes done so far, the sums of
+        # the terms whose exponents on the remaining axes are `rest`
+        partial = {
+            e: [c.numerator * (scale // c.denominator) * common ** (degree - sum(e))]
+            for e, c in self.terms.items()
+        }
+        for axis in axes:
+            nodes = [v.numerator * (common // v.denominator) for v in axis]
+            powers = [[x**p for x in nodes] for p in range(max(e[0] for e in partial) + 1)]
+            reduced: dict[Exponent, list[int]] = {}
+            for e, sums in partial.items():
+                values = [s * x for s in sums for x in powers[e[0]]]
+                rest = e[1:]
+                if rest in reduced:
+                    reduced[rest] = [a + b for a, b in zip(reduced[rest], values)]
+                else:
+                    reduced[rest] = values
+            partial = reduced
+        return partial[()], scale * common**degree
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, dim) float array; returns length-N array.

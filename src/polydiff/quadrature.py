@@ -11,7 +11,7 @@ coordinates from fixed counter positions, so the accepted set depends only on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -67,12 +67,6 @@ class WeightedPoints:
     @property
     def accepted(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class IntegralEstimate:
-    value: float
-    error_estimate: float
 
 
 def _jacobi_rule_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -434,39 +428,6 @@ def point_chunks(count: int):
     """Row slices of at most POINT_CHUNK rows covering range(count)."""
     for start in range(0, count, POINT_CHUNK):
         yield slice(start, min(start + POINT_CHUNK, count))
-
-
-def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    if isinstance(f, Polynomial):
-        return f.eval_float(points)
-    return np.asarray(f(points), dtype=float)
-
-
-def integrate(
-    f: Polynomial | Callable[[np.ndarray], np.ndarray],
-    model,
-    sampler: DomainSampler,
-) -> IntegralEstimate:
-    """Estimate of integral of f against the model measure."""
-    model.require_finite_mass()
-    sample = sample_domain(model, sampler)
-    weights = _effective_weights(model, sample)
-    values = _evaluate(f, sample.points) if sample.accepted else np.empty(0)
-    total = float(np.dot(weights, values)) if sample.accepted else 0.0
-    if sampler.kind == "mc-rejection":
-        n = sample.proposals or 1
-        # per-proposal contributions, rejected proposals contributing zero
-        contributions = weights * values * n
-        mean = total
-        second = float(np.dot(contributions, contributions)) / n
-        variance = max(second - mean * mean, 0.0)
-        error = float(np.sqrt(variance / n))
-        return IntegralEstimate(total, error)
-    coarse = replace(sampler, node_count=max(2, sampler.node_count // 2))
-    coarse_sample = sample_domain(model, coarse)
-    coarse_weights = _effective_weights(model, coarse_sample)
-    coarse_total = float(np.dot(coarse_weights, _evaluate(f, coarse_sample.points)))
-    return IntegralEstimate(total, abs(total - coarse_total))
 
 
 class Moments:

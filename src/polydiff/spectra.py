@@ -603,17 +603,17 @@ def eigenbasis(
     )
 
 
-def pencil_cross_check(eb: EigenBasis) -> float:
-    """Max relative gap between pencil eigenvalues and graded eigenvalues.
+def pencil_gaps(eb: EigenBasis) -> np.ndarray:
+    """Relative gaps |pencil - graded| / (1 + |graded|), pairing both sorted
+    descending, one per pencil eigenvalue (Gram truncation may have dropped
+    noise pairs, so there can be fewer than graded values).
 
     The pencil values carry the quadrature error of both A and B, so this is
     a quadrature-level consistency check, not an exactness statement.
     """
-    pencil_sorted = np.sort(-eb.pencil_eigenvalues)[::-1]  # L-eigenvalues, descending |.|-wise
-    graded_sorted = np.sort(np.array(eb.graded_values))[::-1]
-    count = len(pencil_sorted)  # Gram truncation may have dropped noise pairs
-    gaps = np.abs(pencil_sorted - graded_sorted[:count]) / (1.0 + np.abs(graded_sorted[:count]))
-    return float(gaps.max())
+    pencil_sorted = np.sort(-eb.pencil_eigenvalues)[::-1]  # L-eigenvalues
+    graded_sorted = np.sort(np.array(eb.graded_values))[::-1][: len(pencil_sorted)]
+    return np.abs(pencil_sorted - graded_sorted) / (1.0 + np.abs(graded_sorted))
 
 
 # ----------------------------------------------------------------------

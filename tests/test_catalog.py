@@ -1,15 +1,17 @@
 """Catalog registry: instantiation, parameter ranges, tabulated claims."""
 
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from polydiff.boundary import check_ellipticity, det_divisibility_check
+from polydiff.boundary import check_ellipticity, det_divisibility_check, interior_grid
 from polydiff.catalog import (
     ClaimNotApplicableError,
     ParameterError,
+    get_descriptor,
     get_model,
     list_models,
     model_names,
@@ -136,3 +138,40 @@ def test_laguerre_hermite_product_drift():
     model = get_model("laguerre_hermite_product", {"a": "2"})
     assert model.operator.drift[0] == parse_poly("2 - x", 2)
     assert model.operator.drift[1] == parse_poly("-y", 2)
+
+
+def _catalog_cases():
+    """Every catalog model at its defaults and at one generic parameter point."""
+    from test_operator import _generic_params
+
+    rng = random.Random(12)
+    for name in model_names():
+        yield name, None
+        yield name, _generic_params(rng, get_descriptor(name))
+
+
+def _two_pass_interior_points(model, per_axis, margin):
+    """Reference: the clipped grid, then each factor against its threshold."""
+    factors = model.boundary.factors
+    thresholds = [f(model.boundary.witness) * margin for f in factors]
+    return [
+        point
+        for point in interior_grid(model.boundary, model.box, per_axis)
+        if all(f(point) > t for f, t in zip(factors, thresholds))
+    ]
+
+
+@pytest.mark.parametrize("name,params", list(_catalog_cases()))
+def test_interior_points_margin_matches_two_pass_filter(name, params):
+    model = get_model(name, params)
+    per_axis = 16 if model.dim <= 2 else 6
+    for margin in (Fraction(1, 1000), Fraction(1, 10), Fraction(9, 10)):
+        expected = _two_pass_interior_points(model, per_axis, margin)
+        assert model.interior_points(per_axis=per_axis, margin=margin) == expected, margin
+    if model.compact:
+        # on a bounded domain a margin near 1 keeps only points deep inside,
+        # so the comparison is not vacuous
+        assert len(expected) < len(model.interior_points(per_axis=per_axis))
+    for margin in (Fraction(-1, 10), Fraction(1)):
+        with pytest.raises(ValueError, match="margin"):
+            model.interior_points(per_axis=per_axis, margin=margin)

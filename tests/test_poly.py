@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: worked examples first, then random laws."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -219,3 +220,87 @@ def test_polynomial_eval_float_matches_naive(dim, count):
     got = p.eval_float(points)
     assert got.shape == (count,)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+def _sympy_expr(sympy, p, symbols):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+def _from_sympy(sympy, expr, symbols):
+    terms = sympy.Poly(expr, *symbols, domain="QQ").terms()
+    return Polynomial(len(symbols), {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+
+def _random_coordinate(rng):
+    if rng.random() < 0.2:
+        return rng.randint(-4, 4)  # plain ints take the same path
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 7, 10**6 + 3)))
+
+
+def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1858)
+    kinds = set()
+    for trial in range(120):
+        dim = rng.randint(1, 3)
+        symbols = sympy.symbols(f"x0:{dim}")
+        if trial % 10 == 0:
+            p, kind = Polynomial.zero(dim), "zero"
+        elif trial % 10 == 1:
+            p, kind = Polynomial.constant(dim, Fraction(rng.randint(-9, 9), rng.randint(1, 9))), "constant"
+        else:
+            p, kind = _random_poly(rng, dim, rng.randint(1, 5)), "random"
+        kinds.add(kind)
+        oracle = sympy.Poly(_sympy_expr(sympy, p, symbols), *symbols, domain="QQ")
+
+        def expected(node):
+            value = oracle.eval(dict(zip(symbols, (sympy.Rational(v) for v in node))))
+            return Fraction(int(value.p), int(value.q))
+
+        point = tuple(_random_coordinate(rng) for _ in range(dim))
+        value = p(point)
+        assert type(value) is Fraction
+        assert value == expected(point), (p, point)
+        axes = [[_random_coordinate(rng) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
+        numerators, denominator = p.grid_values(axes)
+        nodes = list(itertools.product(*axes))
+        assert type(denominator) is int and denominator > 0
+        assert len(numerators) == len(nodes)
+        assert all(type(n) is int for n in numerators)
+        for n, node in zip(numerators, nodes):
+            assert Fraction(n, denominator) == expected(node), (p, node)
+    assert kinds == {"zero", "constant", "random"}
+
+
+def test_poly_divmod_matches_sympy_single_divisor_reduction():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1965)
+    divisible = set()
+    for trial in range(80):
+        dim = rng.randint(1, 3)
+        symbols = sympy.symbols(f"x0:{dim}")
+        divisor = _random_poly(rng, dim, rng.randint(0, 3))
+        if divisor.is_zero:
+            divisor = Polynomial.constant(dim, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        p = _random_poly(rng, dim, rng.randint(0, 5))
+        if trial % 3 == 0:
+            p = p * divisor
+        quotient, remainder = poly_divmod(p, divisor)
+        quotients, expected_r = sympy.reduced(
+            _sympy_expr(sympy, p, symbols),
+            [_sympy_expr(sympy, divisor, symbols)],
+            *symbols,
+            order="grlex",
+        )
+        expected_q = quotients[0] if quotients else 0  # sympy returns no quotient for p = 0
+        assert quotient == _from_sympy(sympy, expected_q, symbols), (p, divisor)
+        assert remainder == _from_sympy(sympy, expected_r, symbols), (p, divisor)
+        assert quotient * divisor + remainder == p
+        divisible.add(remainder.is_zero)
+    assert divisible == {True, False}
