@@ -25,7 +25,7 @@ import numpy as np
 from . import boundary as boundary_mod
 from .boundary import BoundarySpec, check_ellipticity, det_divisibility_check, solve_admissibility
 from .catalog import Model, get_model, model_names
-from .geometry import PULLBACKS, curvature_constancy, verify_pullback
+from .geometry import PULLBACKS, CurvatureReport, curvature_constancy, verify_pullback
 from .linalg import RationalMatrix
 from .operator import (
     CoMetric,
@@ -50,6 +50,7 @@ MC_GRAM_TOL = 5e-2
 GAUSS_GRAM_TOL = 1e-6
 RESIDUAL_TOL = 1e-7
 CURVATURE_TOL = 1e-6
+NONCONSTANT_CURVATURE_SPREAD = 1e-3
 PULLBACK_TOL = 1e-6
 TRIANGULARITY_DEGREE = 12
 _PACKAGE_DIR = Path(__file__).resolve().parent
@@ -239,9 +240,17 @@ def _graded_triangularity(name: str):
     return run
 
 
-def _curvature_claim(name: str, params: dict | None = None, claim_id_params: str = ""):
+def _curvature_verdict(report: CurvatureReport, expected: float | None) -> bool:
+    """Constant at `expected` within CURVATURE_TOL, or, for None, clearly non-constant."""
+    if expected is None:
+        return (not report.constant) and report.spread > NONCONSTANT_CURVATURE_SPREAD
+    tolerance = CURVATURE_TOL * (1.0 + abs(expected))
+    return report.constant and abs(report.mean - expected) <= tolerance
+
+
+def _curvature_claim(name: str):
     def run(ctx: RunContext):
-        model = ctx.model(name, params)
+        model = ctx.model(name)
         kind, value = model.claimed_curvature()
         report = curvature_constancy(model)
         detail = {
@@ -253,11 +262,8 @@ def _curvature_claim(name: str, params: dict | None = None, claim_id_params: str
         }
         if kind == "constant":
             detail["tabulated"] = str(value)
-            ok = report.constant and abs(report.mean - float(value)) <= CURVATURE_TOL * (
-                1.0 + abs(float(value))
-            )
-            return ok, detail
-        return (not report.constant) and report.spread > 1e-3, detail
+            return _curvature_verdict(report, float(value)), detail
+        return _curvature_verdict(report, None), detail
 
     return run
 
@@ -614,17 +620,15 @@ def _coaxial_curvature_family(ctx: RunContext):
     for a in ["0", "3"]:
         model = ctx.model("coaxial_parabolas", {"a": a})
         report = curvature_constancy(model)
-        expected = 1.0 + float(parse_rational(a))
-        good = report.constant and abs(report.mean - expected) <= CURVATURE_TOL * (1 + expected)
         detail[f"a={a}"] = {"mean": report.mean, "constant": report.constant}
-        ok = ok and good
+        ok = ok and _curvature_verdict(report, 1.0 + float(parse_rational(a)))
     return ok, detail
 
 
 def _disk_curvature_nonconstant(ctx: RunContext):
     model = ctx.model("disk", {"a": "1", "b": "1"})
     report = curvature_constancy(model)
-    return (not report.constant) and report.spread > 1e-3, {
+    return _curvature_verdict(report, None), {
         "spread": report.spread,
         "constant": report.constant,
     }

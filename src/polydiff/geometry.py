@@ -1,15 +1,16 @@
 """Scalar curvature of the 2D metrics and pullback identity checks.
 
-Curvature works on the metric g_ij = (g^ij)^-1 held as exact rational
-functions (adjugate over determinant); all partial derivatives are taken
-symbolically on those, and the collapsed Brioschi quotient is evaluated
-exactly at rational sample points.  In dimension 2 the scalar curvature is
+Curvature treats the metric (g^ij)^-1 = adj(g^ij) / det as a conformal change
+of the polynomial metric adj(g^ij) and collapses it, with the operator
+layer's carre du champ and cometric rows, into one exact rational function
+evaluated at rational sample points.  In dimension 2 the scalar curvature is
 twice the Gaussian curvature, which is what gets reported.
 
-Pullback checks evaluate an ambient Laplace operator (sphere or flat plane)
-on explicit component functions and compare against the target model's
-cometric and drift at the mapped points, after fitting a single positive
-scale: image identities are only ever tabulated up to normalization.
+Pullback checks evaluate an ambient Laplace operator (the unit sphere's as a
+DiffusionOperator, or the flat plane's) on explicit component functions and
+compare against the target model's cometric and drift at the mapped points,
+after fitting a single positive scale: image identities are only ever
+tabulated up to normalization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Model, get_model
-from .operator import CoMetric
+from .operator import CoMetric, DiffusionOperator, cometric_gradient, gamma
 from .poly import Polynomial, exact_divide, parse_poly
 from .rng import sphere_points, uniform_block
 
@@ -30,14 +31,20 @@ CONSTANCY_TOL = 1e-6
 
 
 class CurvatureEvaluator:
-    """Brioschi scalar curvature for a 2D cometric.
+    """Scalar curvature of the metric h^-1 for a 2D cometric h.
 
-    The metric is the inverse cometric, so every entry and every derivative
-    in the Brioschi determinants is (polynomial) / det^k for the exact
-    cometric determinant.  The whole combination is collapsed symbolically
-    into a single quotient N / det^k once per metric; the massive near-
-    boundary cancellations therefore happen in exact arithmetic, and points
-    only ever see a small numerator and a power of the determinant.
+    With delta = det h, the metric h^-1 = adj(h) / delta is the conformal
+    change by 1/delta of the polynomial metric adj(h), whose entries are
+    E = h^11, F = -h^01, G = h^00 with EG - F^2 = delta.  The conformal
+    change formula K(e^(2 phi) g) = e^(-2 phi) (K(g) - Lap_g phi) then gives
+
+        K = [delta (det1 - det2 + div(h grad delta) / 2)
+             - 3/4 Gamma_h(delta, delta)] / delta^2
+
+    with det1, det2 the Brioschi determinants of the polynomials E, F, G.
+    The quotient is collapsed into one N / delta^k once per metric, so the
+    near-boundary cancellations happen in exact arithmetic and points only
+    ever see a small numerator and a power of the determinant.
     """
 
     def __init__(self, cometric: CoMetric):
@@ -47,48 +54,25 @@ class CurvatureEvaluator:
         delta = cometric.det()
         self.det = delta
 
-        # values are pairs (P, k) meaning P / delta^k
-        def deriv(term, axis):
-            p, k = term
-            return (p.derivative(axis) * delta - p * delta.derivative(axis) * k, k + 1)
-
-        def mul(t1, t2):
-            return (t1[0] * t2[0], t1[1] + t2[1])
-
-        def scale(term, c):
-            return (term[0] * c, term[1])
-
-        def add(*terms):
-            k_max = max(k for _, k in terms)
-            total = Polynomial.zero(2)
-            for p, k in terms:
-                total = total + p * delta ** (k_max - k)
-            return (total, k_max)
-
         half = Fraction(1, 2)
-        e = (cometric[1, 1], 1)
-        f = (-cometric[0, 1], 1)
-        g = (cometric[0, 0], 1)
-        e_u, e_v = deriv(e, 0), deriv(e, 1)
-        f_u, f_v = deriv(f, 0), deriv(f, 1)
-        g_u, g_v = deriv(g, 0), deriv(g, 1)
-        corner = add(scale(deriv(e_v, 1), -half), deriv(f_u, 1), scale(deriv(g_u, 0), -half))
-        m11 = add(mul(e, g), scale(mul(f, f), -1))  # = delta / delta^2
-        det1 = add(
-            mul(corner, m11),
-            scale(mul(e_u, add(mul(f_v, g), scale(mul(g_u, g), -half), scale(mul(f, g_v), -half))), -half),
-            mul(
-                add(f_u, scale(e_v, -half)),
-                add(mul(f_v, f), scale(mul(g_u, f), -half), scale(mul(e, g_v), -half)),
-            ),
+        e, f, g = cometric[1, 1], -cometric[0, 1], cometric[0, 0]
+        e_u, e_v = e.gradient()
+        f_u, f_v = f.gradient()
+        g_u, g_v = g.gradient()
+        corner = f_u.derivative(1) - (e_v.derivative(1) + g_u.derivative(0)) * half
+        det1 = (
+            corner * delta
+            - e_u * (f_v * g - (g_u * g + f * g_v) * half) * half
+            + (f_u - e_v * half) * (f_v * f - (g_u * f + e * g_v) * half)
         )
-        det2 = add(
-            scale(mul(e_v, add(scale(mul(e_v, g), half), scale(mul(f, g_u), -half))), -half),
-            scale(mul(g_u, add(scale(mul(e_v, f), half), scale(mul(e, g_u), -half))), half),
+        det2 = (e_v * f * g_u * 2 - e_v * e_v * g - e * g_u * g_u) * Fraction(1, 4)
+        rows = cometric_gradient(cometric, delta)
+        divergence = rows[0].derivative(0) + rows[1].derivative(1)
+        numerator = (
+            delta * (det1 - det2 + divergence * half)
+            - gamma(cometric, delta, delta) * Fraction(3, 4)
         )
-        numerator, k = add(det1, scale(det2, -1))
-        # divide by (EG - F^2)^2 = delta^2 / delta^4, i.e. multiply by delta^2
-        numerator = numerator * delta * delta
+        k = 2
         while k > 0:
             reduced = exact_divide(numerator, delta)
             if reduced is None:
@@ -217,36 +201,16 @@ class PullbackReport:
         return max(self.max_gamma_residual, self.max_l_residual)
 
 
-def _sphere_fields(maps: Sequence[Polynomial], sphere_dim: int):
-    """Exact ambient polynomials needed for the restricted Laplace/Gamma."""
-    ambient = maps[0].dim
-    grads = [f.gradient() for f in maps]
-    radial = []
-    for f, grad in zip(maps, grads):
-        r = Polynomial.zero(ambient)
-        for i in range(ambient):
-            r = r + Polynomial.variable(ambient, i) * grad[i]
-        radial.append(r)
-    radial2 = []
-    for r in radial:
-        rr = Polynomial.zero(ambient)
-        for i in range(ambient):
-            rr = rr + Polynomial.variable(ambient, i) * r.derivative(i)
-        radial2.append(rr)
-    lap = []
-    for f in maps:
-        l = Polynomial.zero(ambient)
-        for i in range(ambient):
-            l = l + f.derivative(i).derivative(i)
-        lap.append(l)
-    gamma_e = {}
-    for a in range(2):
-        for b in range(a, 2):
-            g = Polynomial.zero(ambient)
-            for i in range(ambient):
-                g = g + grads[a][i] * grads[b][i]
-            gamma_e[(a, b)] = g
-    return radial, radial2, lap, gamma_e
+def sphere_operator(sphere_dim: int) -> DiffusionOperator:
+    """Laplacian of the unit sphere S^d in ambient coordinates x of R^(d+1).
+
+    Its cometric is delta_ij - x_i x_j and its drift is -d x, so restricted
+    to the sphere it is the Laplace-Beltrami operator of the round metric.
+    """
+    n = sphere_dim + 1
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    cometric = CoMetric([[int(i == j) - x[i] * x[j] for j in range(n)] for i in range(n)])
+    return DiffusionOperator(cometric, tuple(xi * -sphere_dim for xi in x))
 
 
 def verify_pullback(spec: PullbackSpec, sample_count: int = 1000, seed: int = 0) -> PullbackReport:
@@ -257,21 +221,16 @@ def verify_pullback(spec: PullbackSpec, sample_count: int = 1000, seed: int = 0)
     """
     model = get_model(spec.target_model, spec.target_params)
     if spec.ambient == "sphere":
-        ambient_dim = spec.sphere_maps[0].dim
-        pts = sphere_points(seed, sample_count, ambient_dim)
-        radial, radial2, lap, gamma_e = _sphere_fields(spec.sphere_maps, spec.sphere_dim)
-        d = spec.sphere_dim
-        xy = np.column_stack([f.eval_float(pts) for f in spec.sphere_maps])
-        amb_gamma = {}
-        rvals = [r.eval_float(pts) for r in radial]
-        for (a, b), g in gamma_e.items():
-            amb_gamma[(a, b)] = g.eval_float(pts) - rvals[a] * rvals[b]
-        amb_l = [
-            lap[a].eval_float(pts)
-            - radial2[a].eval_float(pts)
-            - (d - 1) * rvals[a]
+        sphere = sphere_operator(spec.sphere_dim)
+        maps = spec.sphere_maps
+        pts = sphere_points(seed, sample_count, sphere.dim)
+        xy = np.column_stack([f.eval_float(pts) for f in maps])
+        amb_gamma = {
+            (a, b): gamma(sphere.cometric, maps[a], maps[b]).eval_float(pts)
             for a in range(2)
-        ]
+            for b in range(a, 2)
+        }
+        amb_l = [sphere.apply(f).eval_float(pts) for f in maps]
     elif spec.ambient == "plane":
         u = uniform_block(seed, 0, 2 * sample_count).reshape(sample_count, 2)
         pts = (2.0 * u - 1.0) * np.pi

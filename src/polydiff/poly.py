@@ -54,13 +54,16 @@ class Polynomial:
     def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike] | Iterable[tuple[Exponent, RationalLike]] = ()):
         if dim < 0:
             raise ValueError("dimension must be non-negative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # a Mapping's keys cannot repeat; only other iterables need summing
+        unique = isinstance(terms, Mapping)
         clean: dict[Exponent, Fraction] = {}
-        for exponent, coeff in items:
+        for exponent, coeff in terms.items() if unique else terms:
             exponent = tuple(int(e) for e in exponent)
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dimension {dim}")
-            value = clean.get(exponent, Fraction(0)) + _as_fraction(coeff)
+            value = _as_fraction(coeff)
+            if not unique and exponent in clean:
+                value += clean[exponent]
             if value:
                 clean[exponent] = value
             else:

@@ -1,19 +1,45 @@
 """Curvature values and pullback identity checks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polydiff.catalog import get_model
+from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.geometry import (
+    INTERIOR_MARGIN,
     PULLBACKS,
     CurvatureEvaluator,
     curvature_constancy,
+    sphere_operator,
     verify_pullback,
 )
-from polydiff.operator import CoMetric
+from polydiff.operator import CoMetric, gamma
+from polydiff.poly import Polynomial, exact_divide
 from polydiff.rng import sphere_points
+
+PLANE_MODELS = [name for name in model_names() if get_model(name).dim == 2]
+
+
+def _curvature_cases():
+    """Every 2D catalog model at its defaults and at three generic points."""
+    from test_operator import _generic_params
+
+    rng = random.Random(8)
+    for name in PLANE_MODELS:
+        yield name, None
+        descriptor = get_descriptor(name)
+        if descriptor.param_specs:
+            for _ in range(3):
+                yield name, _generic_params(rng, descriptor)
+
+
+def _interior_sample(model, count):
+    """Up to `count` rational interior points spread over a curvature grid."""
+    points = model.interior_points(per_axis=8, margin=INTERIOR_MARGIN)
+    step = max(1, len(points) // count)
+    return points[::step][:count]
 
 
 def test_disk_catalog_metric_is_round_sphere():
@@ -65,40 +91,54 @@ def test_curvature_outside_elliptic_region_rejected():
 
 
 def test_curvature_affine_invariance():
-    # express the coaxial a=1 metric in new coordinates u = phi(y) with
-    # phi(y) = (y1/2, y2 - y1); curvature must agree at corresponding points
-    from polydiff.poly import Polynomial
-
-    g = get_model("coaxial_parabolas", {"a": "1"}).cometric
-    u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    inverse = [u * 2, v + u * 2]  # phi^{-1}(u, v)
-    jac = [[Fraction(1, 2), Fraction(0)], [Fraction(-1), Fraction(1)]]
-    entries = [[Polynomial.zero(2) for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            total = Polynomial.zero(2)
-            for a_ in range(2):
-                for b_ in range(2):
-                    total = total + g[a_, b_].compose(inverse) * (jac[i][a_] * jac[j][b_])
-            entries[i][j] = total
-    transformed = CoMetric(entries)
-    y0 = (Fraction(1, 5), Fraction(1, 7))
-    u0 = (y0[0] / 2, y0[1] - y0[0])
-    k_old = CurvatureEvaluator(g).curvature_exact(y0)
-    k_new = CurvatureEvaluator(transformed).curvature_exact(u0)
-    assert abs(float(k_old) - float(k_new)) < 1e-8
+    # map every 2D model through y = A x + b: the cometric becomes
+    # A g A^T composed with the inverse map, and the scalar curvature at
+    # A p + b must equal the curvature at p exactly
+    rng = random.Random(11)
+    pool = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    checks = 0
+    for name in PLANE_MODELS:
+        model = get_model(name)
+        g = model.cometric
+        det = 0
+        while not det:
+            a = [[rng.choice(pool) for _ in range(2)] for _ in range(2)]
+            det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        b = [rng.choice(pool) for _ in range(2)]
+        a_inv = [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+        shifted = [Polynomial.variable(2, i) - b[i] for i in range(2)]
+        inverse = [shifted[0] * a_inv[i][0] + shifted[1] * a_inv[i][1] for i in range(2)]
+        pulled = [[g[k, l].compose(inverse) for l in range(2)] for k in range(2)]
+        transformed = CoMetric(
+            [
+                [
+                    sum(pulled[k][l] * (a[i][k] * a[j][l]) for k in range(2) for l in range(2))
+                    for j in range(2)
+                ]
+                for i in range(2)
+            ]
+        )
+        old, new = CurvatureEvaluator(g), CurvatureEvaluator(transformed)
+        for p in _interior_sample(model, 6):
+            q = tuple(a[i][0] * p[0] + a[i][1] * p[1] + b[i] for i in range(2))
+            assert new.curvature_exact(q) == old.curvature_exact(p), (name, p)
+            checks += 1
+    assert checks >= 100
 
 
 def test_sphere_samples_unit_norm_and_gamma_identity():
     pts = sphere_points(3, 500, 3)
     norms = np.linalg.norm(pts, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-14
-    # restricted carre du champ of the coordinates: delta_ij - x_i x_j
-    for i in range(3):
-        for j in range(3):
-            gamma_value = (1.0 if i == j else 0.0) - pts[:, i] * pts[:, j]
-            direct = (np.eye(3)[i] * np.eye(3)[j]).sum() - pts[:, i] * pts[:, j]
-            assert np.abs(gamma_value - direct).max() < 1e-14
+    # the sphere Laplacian on the coordinates, exactly:
+    # Gamma(x_i, x_j) = delta_ij - x_i x_j and L(x_i) = -d x_i
+    for sphere_dim in (1, 2, 3):
+        op = sphere_operator(sphere_dim)
+        x = [Polynomial.variable(op.dim, i) for i in range(op.dim)]
+        for i in range(op.dim):
+            assert op.apply(x[i]) == x[i] * -sphere_dim
+            for j in range(op.dim):
+                assert gamma(op.cometric, x[i], x[j]) == int(i == j) - x[i] * x[j]
 
 
 def test_pullback_residuals_tiny():
@@ -115,3 +155,164 @@ def test_pullback_determinism():
     r2 = verify_pullback(spec, sample_count=500, seed=9)
     assert r1.max_gamma_residual == r2.max_gamma_residual
     assert r1.scale == r2.scale
+
+
+# ----------------------------------------------------------------------
+# independent derivations of the same curvature and sphere data
+
+
+def _brioschi_on_inverse(cometric):
+    """Brioschi's formula on the rational entries of h^-1, each held as a
+    pair (P, k) meaning P / det^k; returns the collapsed (numerator, power)."""
+    delta = cometric.det()
+
+    def deriv(term, axis):
+        p, k = term
+        return (p.derivative(axis) * delta - p * delta.derivative(axis) * k, k + 1)
+
+    def mul(t1, t2):
+        return (t1[0] * t2[0], t1[1] + t2[1])
+
+    def scale(term, c):
+        return (term[0] * c, term[1])
+
+    def add(*terms):
+        k_max = max(k for _, k in terms)
+        total = Polynomial.zero(2)
+        for p, k in terms:
+            total = total + p * delta ** (k_max - k)
+        return (total, k_max)
+
+    half = Fraction(1, 2)
+    e = (cometric[1, 1], 1)
+    f = (-cometric[0, 1], 1)
+    g = (cometric[0, 0], 1)
+    e_u, e_v = deriv(e, 0), deriv(e, 1)
+    f_u, f_v = deriv(f, 0), deriv(f, 1)
+    g_u, g_v = deriv(g, 0), deriv(g, 1)
+    corner = add(scale(deriv(e_v, 1), -half), deriv(f_u, 1), scale(deriv(g_u, 0), -half))
+    m11 = add(mul(e, g), scale(mul(f, f), -1))
+    det1 = add(
+        mul(corner, m11),
+        scale(mul(e_u, add(mul(f_v, g), scale(mul(g_u, g), -half), scale(mul(f, g_v), -half))), -half),
+        mul(
+            add(f_u, scale(e_v, -half)),
+            add(mul(f_v, f), scale(mul(g_u, f), -half), scale(mul(e, g_v), -half)),
+        ),
+    )
+    det2 = add(
+        scale(mul(e_v, add(scale(mul(e_v, g), half), scale(mul(f, g_u), -half))), -half),
+        scale(mul(g_u, add(scale(mul(e_v, f), half), scale(mul(e, g_u), -half))), half),
+    )
+    numerator, k = add(det1, scale(det2, -1))
+    # divide by (EG - F^2)^2 = delta^2 / delta^4, i.e. multiply by delta^2
+    numerator = numerator * delta * delta
+    while k > 0:
+        reduced = exact_divide(numerator, delta)
+        if reduced is None:
+            break
+        numerator = reduced
+        k -= 1
+    return numerator * 2, k
+
+
+@pytest.mark.parametrize("name,params", list(_curvature_cases()))
+def test_conformal_curvature_matches_brioschi_on_inverse(name, params):
+    cometric = get_model(name, params).cometric
+    evaluator = CurvatureEvaluator(cometric)
+    assert (evaluator.k_num, evaluator.k_pow) == _brioschi_on_inverse(cometric)
+
+
+def _radial_sphere_fields(maps, sphere_dim):
+    """Sphere Gamma and L of the maps from ambient radial derivatives r = x . grad:
+    Gamma(f, h) = grad f . grad h - r(f) r(h) and L f = Lap f - r(r(f)) - (d - 1) r(f)."""
+    ambient = maps[0].dim
+    x = [Polynomial.variable(ambient, i) for i in range(ambient)]
+
+    def radial(f):
+        return sum(x[i] * f.derivative(i) for i in range(ambient))
+
+    gammas = {
+        (a, b): sum(maps[a].derivative(i) * maps[b].derivative(i) for i in range(ambient))
+        - radial(maps[a]) * radial(maps[b])
+        for a in range(len(maps))
+        for b in range(a, len(maps))
+    }
+    laplacians = [
+        sum(f.derivative(i).derivative(i) for i in range(ambient))
+        - radial(radial(f))
+        - radial(f) * (sphere_dim - 1)
+        for f in maps
+    ]
+    return gammas, laplacians
+
+
+@pytest.mark.parametrize("name", [n for n, s in PULLBACKS.items() if s.ambient == "sphere"])
+def test_sphere_operator_matches_radial_fields(name):
+    spec = PULLBACKS[name]
+    op = sphere_operator(spec.sphere_dim)
+    gammas, laplacians = _radial_sphere_fields(spec.sphere_maps, spec.sphere_dim)
+    for (a, b), expected in gammas.items():
+        assert gamma(op.cometric, spec.sphere_maps[a], spec.sphere_maps[b]) == expected
+    assert [op.apply(f) for f in spec.sphere_maps] == laplacians
+
+
+def _sympy_scalar_curvature(cometric):
+    """Scalar curvature of the metric h^-1 from its Christoffel symbols, as an
+    exact function of a rational point; Ricci is the contraction R^r_srn."""
+    sympy = pytest.importorskip("sympy")
+    coords = sympy.symbols("u v")
+
+    def entry(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator) * coords[0] ** e[0] * coords[1] ** e[1]
+                for e, c in p.terms.items()
+            )
+        )
+
+    h = sympy.Matrix(2, 2, lambda i, j: entry(cometric[i, j]))
+    g = h.adjugate() / h.det()
+    dg = [[[sympy.diff(g[i, j], c) for c in coords] for j in range(2)] for i in range(2)]
+    # christoffel[r][i][j] = Gamma^r_ij
+    christoffel = [
+        [
+            [
+                sum(h[r, l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l]) for l in range(2)) / 2
+                for j in range(2)
+            ]
+            for i in range(2)
+        ]
+        for r in range(2)
+    ]
+    scalar = 0
+    for s in range(2):
+        for n in range(2):
+            ricci = sum(
+                sympy.diff(christoffel[r][n][s], coords[r])
+                - sympy.diff(christoffel[r][r][s], coords[n])
+                + sum(
+                    christoffel[r][r][l] * christoffel[l][n][s]
+                    - christoffel[r][n][l] * christoffel[l][r][s]
+                    for l in range(2)
+                )
+                for r in range(2)
+            )
+            scalar += h[s, n] * ricci
+
+    def at(point):
+        value = scalar.xreplace(
+            {c: sympy.Rational(p.numerator, p.denominator) for c, p in zip(coords, point)}
+        )
+        return Fraction(int(value.p), int(value.q))
+
+    return at
+
+
+@pytest.mark.parametrize("name", PLANE_MODELS)
+def test_curvature_exact_matches_sympy_christoffel_curvature(name):
+    model = get_model(name)
+    oracle = _sympy_scalar_curvature(model.cometric)
+    evaluator = CurvatureEvaluator(model.cometric)
+    for point in _interior_sample(model, 2):
+        assert evaluator.curvature_exact(point) == oracle(point), point

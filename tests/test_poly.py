@@ -29,6 +29,14 @@ def test_mul_difference_of_squares():
     assert (X2 + Y2) * (X2 - Y2) == X2**2 - Y2**2
 
 
+def test_constructor_sums_repeated_pairs_and_drops_zeros():
+    pairs = [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((0, 1), Fraction(1, 2))]
+    assert Polynomial(2, pairs).terms == {(0, 1): Fraction(5, 2)}
+    assert Polynomial(2, {(1, 0): 0, (0, 1): "1/3"}).terms == {(0, 1): Fraction(1, 3)}
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1})
+
+
 def test_add_zero_is_identity():
     p = parse_poly("3*x^2*y - 7/2*y + 1", 2)
     assert p + Polynomial.zero(2) == p
