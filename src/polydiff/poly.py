@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, prod
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +59,12 @@ class Polynomial:
         unique = isinstance(terms, Mapping)
         clean: dict[Exponent, Fraction] = {}
         for exponent, coeff in terms.items() if unique else terms:
-            exponent = tuple(int(e) for e in exponent)
+            try:
+                # index() takes Python and numpy integers and refuses 1.5,
+                # which int() would truncate
+                exponent = tuple(map(index, exponent))
+            except TypeError:
+                raise ValueError(f"non-integer exponent {exponent}") from None
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dimension {dim}")
             value = _as_fraction(coeff)

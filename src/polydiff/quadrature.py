@@ -3,10 +3,19 @@
 Mapped Gauss rules cover the square (tensor Gauss-Jacobi, also used for 1D
 intervals), the disk (angular equispaced x radial Gauss-Jacobi in r^2) and
 the triangle (Duffy map with both classical weights absorbed), so polynomial
-integrands of bounded degree are exact to roundoff.  Everything else uses
-seeded Monte Carlo rejection in a bounding box; candidate j draws its
-coordinates from fixed counter positions, so the accepted set depends only on
-(seed, sample_count, boundary).
+integrands of bounded degree are exact to roundoff.
+
+The eight exotic bounded models are, at their Laplace-type parameter points,
+images of a sphere or a flat torus (`COVER_SAMPLERS`).  Each cover has a
+seeded Monte Carlo draw (sampler kind cover-mc) and a deterministic product
+rule, both pushed to the plane by one realization map.  `cover_rule` builds
+the rule for a moment degree, exact to roundoff like the Gauss rules, and
+`cover_cross_check` measures the Monte Carlo moments against it in units of
+their standard error.
+
+Everything else uses seeded Monte Carlo rejection in a bounding box;
+candidate j draws its coordinates from fixed counter positions, so the
+accepted set depends only on (seed, sample_count, boundary).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from scipy.special import roots_jacobi
 
 from .operator import _lowered
 from .poly import MonomialBasis, Polynomial
-from .rng import DEFAULT_SEED, uniform_block
+from .rng import DEFAULT_SEED, normal_block, sphere_points, uniform_block
 
 MC_CHUNK = 1 << 16
 #: rows per block when a pass over sample points accumulates sums
@@ -92,23 +101,18 @@ def _axis_exponents_square(model, axis: int) -> tuple[float, float]:
 
 
 def _square_rule(model, n: int) -> WeightedPoints:
-    d = model.dim
-    axes = []
-    for axis in range(d):
-        alpha, beta = _axis_exponents_square(model, axis)
-        nodes, weights = roots_jacobi(n, alpha, beta)
-        axes.append((nodes, weights))
-    if d == 1:
-        pts = axes[0][0].reshape(-1, 1)
-        w = axes[0][1]
-    else:
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        w = np.ones(pts.shape[0])
-        for g in wgrids:
-            w = w * g.ravel()
-    return WeightedPoints(pts, w, density_applied=True)
+    axes = [roots_jacobi(n, *_axis_exponents_square(model, axis)) for axis in range(model.dim)]
+    nodes, weights = _product(*axes)
+    return WeightedPoints(np.column_stack(nodes), weights, density_applied=True)
+
+
+def _product(*axes: tuple[np.ndarray, np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Tensor product of 1D rules: flattened node coordinates and weights."""
+    nodes = np.meshgrid(*(a[0] for a in axes), indexing="ij")
+    weights = np.ones(nodes[0].shape)
+    for grid in np.meshgrid(*(a[1] for a in axes), indexing="ij"):
+        weights = weights * grid
+    return [n.ravel() for n in nodes], weights.ravel()
 
 
 def _disk_rule(model, n: int) -> WeightedPoints:
@@ -234,70 +238,151 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
 
 
 # ----------------------------------------------------------------------
-# covering-space Monte Carlo
+# covering spaces
 #
 # At the Laplace-type default parameters, each exotic bounded model is the
-# image of a sphere or flat-plane Laplace operator through explicit
+# image of a sphere or flat-torus Laplace operator through explicit
 # functions, and the model measure is exactly the pushforward of the uniform
-# measure on the cover.  Sampling the cover and mapping down therefore draws
-# from the singular measure itself with bounded integrands, which is what
-# makes 1/sqrt(N) error budgets attainable; plain uniform rejection has
-# infinite variance against the boundary-singular densities.
+# measure on the cover.  Each cover therefore carries two rules, both pushed
+# down by one realization map:
 #
-# Cover weights target the probability-normalized measure (each point has
-# weight 1/N), unlike the Gauss/rejection kinds which integrate the
-# unnormalized density.
+# - Monte Carlo: seeded uniform points on the cover draw from the singular
+#   measure itself with bounded integrands, which is what makes 1/sqrt(N)
+#   error budgets attainable; plain uniform rejection has infinite variance
+#   against the boundary-singular densities.
+# - A deterministic product rule on the cover (Gauss-Legendre and
+#   equispaced angles on spheres, Gauss-Chebyshev, the trapezoidal rule on
+#   the torus; A. H. Stroud, "Approximate Calculation of Multiple
+#   Integrals", 1971; Trefethen and Weideman, SIAM Review 56, 2014).  A
+#   realization map of degree k sends a plane monomial of degree d to a
+#   cover function of degree at most d * k, so the rule built for that
+#   exactness integrates every plane moment up to degree d exactly.
+#
+# Cover weights target the probability-normalized measure (Monte Carlo
+# points have weight 1/N), unlike the Gauss/rejection kinds which integrate
+# the unnormalized density.
 
 
 @dataclass(frozen=True)
 class CoverSampler:
+    """One model's covering space.
+
+    `nodes(e)` is a product rule on the cover with probability weights,
+    exact for every cover function of degree <= e, and `realize` maps cover
+    points to the plane with the given degree (polynomial on spheres and in
+    cosines, trigonometric on the torus).  `generate(seed, count)` draws
+    Monte Carlo points in the plane through the same `realize`.
+    """
+
     model: str
     required_params: tuple[tuple[str, str], ...]
     generate: Callable[[int, int], np.ndarray]  # (seed, count) -> (count, 2)
+    nodes: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    realize: Callable[[np.ndarray], np.ndarray]
+    degree: int
+
+    def rule(self, moment_degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Plane nodes and probability weights, exact for every moment of
+        total degree <= moment_degree: a plane monomial of degree d is a
+        cover function of degree <= d * self.degree."""
+        points, weights = self.nodes(moment_degree * self.degree)
+        return self.realize(points), weights
 
 
-def _sphere_map_cover(name, params, ambient_dim, fx, fy):
-    from .rng import sphere_points
+def _cover(name, params, draw, nodes, realize, degree: int) -> CoverSampler:
+    """A cover whose Monte Carlo points are `realize(draw(seed, count))`."""
 
     def generate(seed: int, count: int) -> np.ndarray:
-        pts = sphere_points(seed, count, ambient_dim)
-        return np.column_stack([fx(pts), fy(pts)])
+        return realize(draw(seed, count))
 
-    return CoverSampler(name, params, generate)
+    return CoverSampler(name, params, generate, nodes, realize, degree)
+
+
+def _equispaced(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m equispaced angles with weight 1/m: exact for every trigonometric
+    polynomial of degree < m."""
+    return 2.0 * np.pi * np.arange(m) / m, np.full(m, 1.0 / m)
+
+
+def _sphere2_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre in z times equispaced phi on S^2.
+
+    For fixed z a polynomial of degree e is a trigonometric polynomial of
+    degree e in phi, which e + 1 equispaced angles average exactly; what
+    survives the average is a polynomial of degree <= e in z.
+    """
+    (z, phi), weights = _product(
+        _jacobi_rule_01(exactness // 2 + 1, 0.0, 0.0), _equispaced(exactness + 1)
+    )
+    z = 2.0 * z - 1.0
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z]), weights
+
+
+def _sphere3_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hopf coordinates on S^3: x = (sqrt(t) e^{i a}, sqrt(1 - t) e^{i b})
+    with t = cos^2 eta uniform on [0, 1].  After the two angle averages a
+    monomial of degree e leaves a polynomial of degree <= e // 2 in t."""
+    angles = _equispaced(exactness + 1)
+    (t, a, b), weights = _product(_jacobi_rule_01(exactness // 4 + 1, 0.0, 0.0), angles, angles)
+    r, s = np.sqrt(t), np.sqrt(1.0 - t)
+    return np.column_stack([r * np.cos(a), r * np.sin(a), s * np.cos(b), s * np.sin(b)]), weights
+
+
+_SPHERE_NODES = {3: _sphere2_nodes, 4: _sphere3_nodes}
+
+
+def _sphere_cover(name, params, ambient_dim, fx, fy, degree) -> CoverSampler:
+    return _cover(
+        name,
+        params,
+        lambda seed, count: sphere_points(seed, count, ambient_dim),
+        _SPHERE_NODES[ambient_dim],
+        lambda x: np.column_stack([fx(x), fy(x)]),
+        degree,
+    )
+
+
+# an orthonormal frame of the hyperplane x_0 + x_1 + x_2 + x_3 = 0 in R^4
+_SUM_ZERO_FRAME = 0.5 * np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]], dtype=float)
 
 
 def _build_covers() -> dict[str, CoverSampler]:
     covers = [
-        _sphere_map_cover(
+        _sphere_cover(
             "coaxial_parabolas",
             (("a", "1"), ("p", "0"), ("q", "0")),
             3,
             lambda x: x[:, 2],
             lambda x: 2.0 * x[:, 0] * x[:, 1],
+            2,
         ),
-        _sphere_map_cover(
+        _sphere_cover(
             "parabola_tangent_secant",
             (("p", "-1/2"), ("q", "-1/2"), ("r", "-1/2")),
             3,
             lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
             lambda x: 4.0 * x[:, 0] ** 2 * x[:, 1] ** 2,
+            4,
         ),
-        _sphere_map_cover(
+        _sphere_cover(
             "nodal_cubic",
             (("p", "-1/2"),),
             4,
             lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
             lambda x: (x[:, 0] ** 2 - x[:, 1] ** 2) * x[:, 2]
             + 2.0 * x[:, 0] * x[:, 1] * x[:, 3],
+            3,
         ),
-        _sphere_map_cover(
+        _sphere_cover(
             "cuspidal_cubic_secant",
             (("p1", "-1/2"), ("p2", "-1/2")),
             3,
             lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
             lambda x: x[:, 0] ** 3 - 3.0 * x[:, 0] * x[:, 1] ** 2,
+            3,
         ),
-        _sphere_map_cover(
+        _sphere_cover(
             "cuspidal_cubic_tangent",
             (("p", "-1/2"), ("q", "-1/2")),
             3,
@@ -306,19 +391,24 @@ def _build_covers() -> dict[str, CoverSampler]:
             * (3.0 * x[:, 0] ** 2 - 1.0)
             * (3.0 * x[:, 1] ** 2 - 1.0)
             * (3.0 * x[:, 2] ** 2 - 1.0),
+            6,
         ),
     ]
 
-    def swallowtail_generate(seed: int, count: int) -> np.ndarray:
-        from .rng import normal_block
-
+    def swallowtail_draw(seed: int, count: int) -> np.ndarray:
         gauss = np.empty((count, 4))
         for axis in range(4):
             gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), 0, count)
         gauss -= gauss.mean(axis=1, keepdims=True)  # project onto sum = 0
         norms = np.linalg.norm(gauss, axis=1)
         norms[norms == 0] = 1.0
-        x = gauss / norms[:, None]
+        return gauss / norms[:, None]
+
+    def swallowtail_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+        points, weights = _sphere2_nodes(exactness)
+        return points @ _SUM_ZERO_FRAME.T, weights
+
+    def swallowtail_realize(x: np.ndarray) -> np.ndarray:
         big_x = (
             2.0
             * np.sqrt(2.0)
@@ -329,41 +419,71 @@ def _build_covers() -> dict[str, CoverSampler]:
         big_y = -4.0 * x[:, 0] * x[:, 1] * x[:, 2] * (x[:, 0] + x[:, 1] + x[:, 2])
         return np.column_stack([big_x, big_y])
 
-    covers.append(CoverSampler("swallowtail", (("p", "-1/2"),), swallowtail_generate))
+    covers.append(
+        _cover(
+            "swallowtail",
+            (("p", "-1/2"),),
+            swallowtail_draw,
+            swallowtail_nodes,
+            swallowtail_realize,
+            4,
+        )
+    )
 
-    def two_tangents_generate(seed: int, count: int) -> np.ndarray:
-        u = uniform_block(seed, 0, 2 * count).reshape(count, 2) * np.pi
+    # (u, v) uniform on [0, pi]^2, so cos u and cos v are arcsine-distributed;
+    # the midpoint rule in u is Gauss-Chebyshev in cos u, exact for cosine
+    # polynomials of degree <= 2n - 1
+    def two_tangents_draw(seed: int, count: int) -> np.ndarray:
+        return uniform_block(seed, 0, 2 * count).reshape(count, 2) * np.pi
+
+    def two_tangents_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+        n = exactness // 2 + 1
+        axis = (np.pi * (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n))
+        (u, v), weights = _product(axis, axis)
+        return np.column_stack([u, v]), weights
+
+    def two_tangents_realize(u: np.ndarray) -> np.ndarray:
         cu, cv = np.cos(u[:, 0]), np.cos(u[:, 1])
         return np.column_stack([(cu + cv) / 2.0, cu * cv])
 
     covers.append(
-        CoverSampler(
+        _cover(
             "parabola_two_tangents",
             (("p1", "-1/2"), ("p2", "-1/2"), ("p3", "-1/2")),
-            two_tangents_generate,
+            two_tangents_draw,
+            two_tangents_nodes,
+            two_tangents_realize,
+            2,
         )
     )
 
-    def deltoid_generate(seed: int, count: int) -> np.ndarray:
-        # fundamental triangle of the reflection lattice: (0,0), (2pi/3, 0),
-        # (pi/3, pi/sqrt(3)); the trig map is injective on it
+    # phases (s, t) on the period torus map to e^{is} + e^{it} + e^{-i(s+t)};
+    # the fundamental triangle of the reflection lattice, (0,0), (2pi/3, 0),
+    # (pi/3, pi/sqrt(3)) in the plane z with s = 2 z_0, t = -z_0 + sqrt(3) z_1,
+    # is 1/6 of the torus, and the trig map is injective on it
+    def deltoid_draw(seed: int, count: int) -> np.ndarray:
         u = uniform_block(seed, 0, 2 * count).reshape(count, 2)
         flip = u.sum(axis=1) > 1.0
         u[flip] = 1.0 - u[flip]
         va = np.array([2.0 * np.pi / 3.0, 0.0])
         vb = np.array([np.pi / 3.0, np.pi / np.sqrt(3.0)])
         z = u[:, [0]] * va + u[:, [1]] * vb
-        s3 = np.sqrt(3.0)
-        phases = [
-            2.0 * z[:, 0],
-            -z[:, 0] + s3 * z[:, 1],
-            -z[:, 0] - s3 * z[:, 1],
-        ]
-        big_x = sum(np.cos(p) for p in phases)
-        big_y = sum(np.sin(p) for p in phases)
+        return np.column_stack([2.0 * z[:, 0], -z[:, 0] + np.sqrt(3.0) * z[:, 1]])
+
+    def deltoid_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
+        axis = _equispaced(exactness + 1)
+        (s, t), weights = _product(axis, axis)
+        return np.column_stack([s, t]), weights
+
+    def deltoid_realize(phases: np.ndarray) -> np.ndarray:
+        s, t = phases[:, 0], phases[:, 1]
+        big_x = np.cos(s) + np.cos(t) + np.cos(s + t)
+        big_y = np.sin(s) + np.sin(t) - np.sin(s + t)
         return np.column_stack([big_x, big_y])
 
-    covers.append(CoverSampler("deltoid", (("p", "-1/2"),), deltoid_generate))
+    covers.append(
+        _cover("deltoid", (("p", "-1/2"),), deltoid_draw, deltoid_nodes, deltoid_realize, 1)
+    )
     return {c.model: c for c in covers}
 
 
@@ -379,17 +499,20 @@ def cover_applies(model) -> bool:
     return all(model.params[k] == parse_rational(v) for k, v in cover.required_params)
 
 
-def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
-    cover = COVER_SAMPLERS.get(model.name)
-    if cover is None or not cover_applies(model):
+def _applicable_cover(model) -> CoverSampler:
+    if not cover_applies(model):
         raise SamplerConfigError(
             f"no covering sampler for {model.name} at these parameters; "
             f"use mc-rejection"
         )
+    return COVER_SAMPLERS[model.name]
+
+
+def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
     n = sampler.sample_count
     # the underlying streams are counter-based, so point i is a pure function
     # of (seed, i): one-shot generation equals any chunked evaluation
-    points = cover.generate(sampler.seed, n)
+    points = _applicable_cover(model).generate(sampler.seed, n)
     # cover images land in the closed domain; drop the roundoff-level
     # boundary grazers so every emitted point has all factors > 0
     mask = np.ones(points.shape[0], dtype=bool)
@@ -398,6 +521,17 @@ def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
     points = points[mask]
     weights = np.full(points.shape[0], 1.0 / n)
     return WeightedPoints(points, weights, density_applied=True, proposals=n)
+
+
+def cover_rule(model, degree: int) -> WeightedPoints:
+    """The cover's product rule pushed to the plane, with probability
+    weights: exact for every moment of total degree <= `degree`.
+
+    Nodes that land on the boundary are kept; each carries weight the
+    exactness needs.
+    """
+    points, weights = _applicable_cover(model).rule(degree)
+    return WeightedPoints(points, weights, density_applied=True)
 
 
 def sample_domain(model, sampler: DomainSampler) -> WeightedPoints:
@@ -438,12 +572,17 @@ class Moments:
     consistent with each other (and exactly symmetric where they should be).
     """
 
-    def __init__(self, model, max_degree: int, sampler: DomainSampler):
+    def __init__(
+        self, model, max_degree: int, sampler: DomainSampler, sample: WeightedPoints | None = None
+    ):
+        """`sample`, when given, is integrated instead of a fresh
+        `sample_domain(model, sampler)` draw (a cover rule, for example)."""
         model.require_finite_mass()
         self.model = model
         self.sampler = sampler
         self.basis = MonomialBasis(model.dim, max_degree)
-        sample = sample_domain(model, sampler)
+        if sample is None:
+            sample = sample_domain(model, sampler)
         weights = _effective_weights(model, sample)
         # moments of every x^a with a_i <= max_degree, as one contraction of
         # per-axis power tables: the weighted axis-0 table against the
@@ -471,6 +610,46 @@ class Moments:
 
     def monomial(self, exponent) -> float:
         return self.by_exponent[tuple(exponent)]
+
+
+@dataclass(frozen=True)
+class CoverCrossCheck:
+    """Cover Monte Carlo moments against the exact cover rule."""
+
+    proposals: int
+    accepted: int
+    max_z: float
+
+
+def moment_z_scores(mc: Moments, exact: Moments, proposals: int) -> np.ndarray:
+    """z_a = (mc_a - E[x^a]) / (sigma_a / sqrt(N)) for the nonconstant
+    monomials of `mc`, in basis order, with N = `proposals`.
+
+    `exact` must hold the exact moments to twice `mc`'s degree: sigma_a^2 =
+    E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
+    """
+    exponents = mc.basis.exponents[1:]  # the constant has no variance
+    mean = np.array([exact.monomial(e) for e in exponents])
+    second = np.array([exact.monomial(tuple(2 * a for a in e)) for e in exponents])
+    variance = second - mean * mean
+    if not (variance > 0).all():
+        raise ArithmeticError("a nonconstant monomial has no positive variance under the rule")
+    return (mc.values[1:] - mean) / np.sqrt(variance / proposals)
+
+
+def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossCheck:
+    """One pass of the cover Monte Carlo sampler: the largest |z| of its
+    moments up to `degree` against the exact cover rule (`moment_z_scores`).
+
+    Only the summary is returned, so the sample is freed with this frame.
+    """
+    if sampler.kind != "cover-mc":
+        raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")
+    sample = sample_domain(model, sampler)
+    mc = Moments(model, degree, sampler, sample=sample)
+    exact = Moments(model, 2 * degree, sampler, sample=cover_rule(model, 2 * degree))
+    z = moment_z_scores(mc, exact, sample.proposals)
+    return CoverCrossCheck(sample.proposals, sample.accepted, float(np.abs(z).max()))
 
 
 def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | None = None) -> np.ndarray:

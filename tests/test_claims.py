@@ -84,3 +84,31 @@ def test_crashing_claim_names_innermost_package_frame():
     assert result.detail["error"].startswith(CatalogError.__name__)
     frame = result.detail["frame"]
     assert re.fullmatch(r"polydiff/catalog\.py:\d+ in get_descriptor", frame), frame
+
+
+def test_cover_symmetry_defect_gates_on_the_monte_carlo_cross_check(monkeypatch):
+    from polydiff import claims
+
+    claim = {c.id: c for c in build_claims()}["deltoid.symmetry-defect"]
+    ctx = RunContext(seed=7)
+    result = claim.execute(ctx)
+    detail = result.detail
+    assert result.status == "pass", detail
+    assert detail["mc_proposals"] == 1_000_000
+    assert 0 < detail["mc_accepted"] <= detail["mc_proposals"]
+    assert detail["mc_max_z"] < detail["mc_z_gate"] == claims.MC_Z_GATE
+    # the claim itself rests on the exact rule, and the Monte Carlo sample
+    # is not kept for the rest of the run
+    cached = ctx.moments(ctx.model("deltoid"), 13)
+    assert cached.points.shape[0] < 10_000
+    monkeypatch.setattr(claims, "MC_Z_GATE", 0.0)
+    failed = claim.execute(RunContext(seed=7))
+    assert failed.status == "fail"
+    assert failed.detail["defect"] == detail["defect"]
+
+
+def test_gauss_symmetry_defect_has_no_cross_check():
+    claim = {c.id: c for c in build_claims()}["disk.symmetry-defect"]
+    result = claim.execute(RunContext(seed=7))
+    assert result.status == "pass"
+    assert not any(key.startswith("mc_") for key in result.detail)

@@ -37,6 +37,22 @@ def test_constructor_sums_repeated_pairs_and_drops_zeros():
         Polynomial(2, {(1,): 1})
 
 
+@pytest.mark.parametrize("exponent", [(1.5,), (1.0,), (np.float64(2.0),), ("2",), (Fraction(2),)])
+def test_constructor_rejects_non_integer_exponents(exponent):
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        Polynomial(1, {exponent: 1})
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        Polynomial(1, [(exponent, 1)])
+
+
+def test_constructor_takes_python_and_numpy_integer_exponents():
+    for exponent in [(2,), (np.int64(2),), (np.intp(2),), (np.int32(2),)]:
+        p = Polynomial(1, {exponent: 3})
+        assert p.terms == {(2,): Fraction(3)}
+        assert type(next(iter(p.terms))[0]) is int
+        assert Polynomial(1, [(exponent, 3)]) == p
+
+
 def test_add_zero_is_identity():
     p = parse_poly("3*x^2*y - 7/2*y + 1", 2)
     assert p + Polynomial.zero(2) == p

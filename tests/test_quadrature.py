@@ -1,6 +1,7 @@
 """Quadrature: deterministic RNG, Gauss exactness, Monte Carlo behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,19 @@ import pytest
 from polydiff.catalog import get_model, model_names
 from polydiff.operator import gamma
 from polydiff.poly import MonomialBasis, Polynomial, parse_poly
+from polydiff.claims import MC_Z_GATE
 from polydiff.quadrature import (
+    COVER_SAMPLERS,
     DomainSampler,
     Moments,
     SamplerConfigError,
+    WeightedPoints,
     check_box_encloses,
+    cover_cross_check,
+    cover_rule,
     gamma_form_matrix,
     gram_matrix,
+    moment_z_scores,
     sample_domain,
     symmetry_defect,
 )
@@ -286,3 +293,146 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
     expected, scale = _symbolic_gamma_form(model, 6, moments)
     assert np.all(np.abs(a - expected) <= 1e-12 * scale)
     assert np.array_equal(a, a.T)
+
+
+# ----------------------------------------------------------------------
+# exact cover rules and the Monte Carlo cross-check
+
+SPHERE_COVERS = {
+    "coaxial_parabolas": 3,
+    "parabola_tangent_secant": 3,
+    "cuspidal_cubic_secant": 3,
+    "cuspidal_cubic_tangent": 3,
+    "nodal_cubic": 4,
+}
+
+
+def _sphere_moment(n: int, a) -> Fraction:
+    """E[x^a] for x uniform on the unit sphere of R^n:
+    prod (a_i - 1)!! / (n (n + 2) ... (n + |a| - 2)) when every a_i is even,
+    else 0 (G. B. Folland, Amer. Math. Monthly 108, 2001)."""
+    if any(k % 2 for k in a):
+        return Fraction(0)
+    numerator = math.prod(math.prod(range(k - 1, 0, -2)) for k in a)
+    return Fraction(numerator, math.prod(n + 2 * i for i in range(sum(a) // 2)))
+
+
+def _sum_zero_sphere_moment(a) -> Fraction:
+    """E[x^a] for x uniform on the unit sphere of {x in R^4: sum x = 0}:
+    through the rational orthonormal frame (1,-1,1,-1)/2, (1,1,-1,-1)/2,
+    (1,-1,-1,1)/2, a polynomial on S^2 integrated monomial by monomial."""
+    frame = [[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]]
+    u = [Polynomial.variable(3, j) for j in range(3)]
+    rows = [sum((u[j] * Fraction(c, 2) for j, c in enumerate(r)), Polynomial.zero(3)) for r in frame]
+    p = Polynomial.constant(3, 1)
+    for row, k in zip(rows, a):
+        p = p * row**k
+    return sum((c * _sphere_moment(3, e) for e, c in p.terms.items()), Fraction(0))
+
+
+def _arcsine_moment(j: int) -> Fraction:
+    """E[cos^j u] for u uniform on [0, pi]."""
+    return Fraction(math.comb(j, j // 2), 2**j) if j % 2 == 0 else Fraction(0)
+
+
+def _ambient_rule_errors(name: str, exactness: int) -> list[float]:
+    """|rule - exact| for every cover function of degree <= exactness."""
+    points, weights = COVER_SAMPLERS[name].nodes(exactness)
+    assert points.shape[0] == weights.shape[0]
+    if name == "deltoid":
+        # the trapezoidal rule on the period torus: e^{i k.(s, t)} has mean [k = 0]
+        errors = []
+        for k1 in range(-exactness, exactness + 1):
+            for k2 in range(-exactness, exactness + 1):
+                phase = k1 * points[:, 0] + k2 * points[:, 1]
+                errors.append(abs(weights @ np.cos(phase) - (k1 == k2 == 0)))
+                errors.append(abs(weights @ np.sin(phase)))
+        return errors
+    if name == "parabola_two_tangents":
+        points, dim = np.cos(points), 2
+        exact = lambda a: _arcsine_moment(a[0]) * _arcsine_moment(a[1])
+    elif name == "swallowtail":
+        dim, exact = 4, _sum_zero_sphere_moment
+    else:
+        dim = SPHERE_COVERS[name]
+        exact = lambda a: _sphere_moment(dim, a)
+    return [
+        abs(weights @ np.prod(points ** np.array(a), axis=1) - float(exact(a)))
+        for a in MonomialBasis(dim, exactness).exponents
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_cover_rule_ambient_moments_are_exact(name):
+    degree = COVER_SAMPLERS[name].degree
+    for moment_degree in (1, 2):
+        assert max(_ambient_rule_errors(name, moment_degree * degree)) < 1e-14
+
+
+def test_sphere_moment_oracle_on_known_values():
+    assert _sphere_moment(3, (2, 0, 0)) == Fraction(1, 3)
+    assert _sphere_moment(3, (2, 2, 0)) == Fraction(1, 15)
+    assert _sphere_moment(4, (4, 0, 0, 0)) == Fraction(1, 8)
+    assert _sum_zero_sphere_moment((2, 0, 0, 0)) == Fraction(1, 4)  # trace 3 over 4 axes
+    assert _sum_zero_sphere_moment((1, 1, 0, 0)) == Fraction(-1, 12)
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_cover_rule_is_exact_at_its_plane_degree(name):
+    # the rule for degree 13 keeps every node, and its plane moments equal
+    # those of the rule for twice the degree
+    model = get_model(name)
+    sampler = model.sampler()
+    rule = cover_rule(model, 13)
+    assert rule.points.shape == (rule.weights.shape[0], 2)
+    assert abs(rule.weights.sum() - 1.0) < 1e-14
+    moments = Moments(model, 13, sampler, sample=rule)
+    finer = Moments(model, 13, sampler, sample=cover_rule(model, 26))
+    _, scale = _naive_moments(finer)
+    assert np.all(np.abs(moments.values - finer.values) <= 1e-12 * scale)
+
+
+def test_cover_rule_refuses_models_off_the_cover_point():
+    with pytest.raises(SamplerConfigError):
+        cover_rule(get_model("deltoid", {"p": "0"}), 3)
+    with pytest.raises(SamplerConfigError):
+        cover_cross_check(get_model("disk"), 3, DomainSampler("mc-rejection", sample_count=10))
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_cover_mc_moments_within_gate_and_bias_trips_it(name):
+    model = get_model(name)
+    sampler = model.sampler(seed=7)
+    sample = sample_domain(model, sampler)
+    exact = Moments(model, 26, sampler, sample=cover_rule(model, 26))
+    mc = Moments(model, 13, sampler, sample=sample)
+    assert np.abs(moment_z_scores(mc, exact, sample.proposals)).max() < MC_Z_GATE
+    biased = WeightedPoints(sample.points, sample.weights * 1.01, True, sample.proposals)
+    mc_biased = Moments(model, 13, sampler, sample=biased)
+    assert np.abs(moment_z_scores(mc_biased, exact, sample.proposals)).max() > MC_Z_GATE
+
+
+@pytest.mark.parametrize("name", ["deltoid", "nodal_cubic"])
+def test_moment_z_scores_match_naive_reference(name):
+    # z_a = (MC mean - exact mean) / sqrt(exact variance / proposals), from
+    # plain weighted sums over the points of both rules
+    model = get_model(name)
+    sampler = model.sampler(seed=5, sample_count=50_000)
+    sample = sample_domain(model, sampler)
+    rule = cover_rule(model, 12)
+    z = moment_z_scores(
+        Moments(model, 6, sampler, sample=sample),
+        Moments(model, 12, sampler, sample=rule),
+        sample.proposals,
+    )
+    expected = []
+    for a in MonomialBasis(2, 6).exponents[1:]:
+        a = np.array(a)
+        mc = sample.weights @ np.prod(sample.points**a, axis=1)
+        mean = rule.weights @ np.prod(rule.points**a, axis=1)
+        second = rule.weights @ np.prod(rule.points ** (2 * a), axis=1)
+        expected.append((mc - mean) / math.sqrt((second - mean**2) / sample.proposals))
+    assert np.allclose(z, expected, rtol=1e-8, atol=1e-8)
+    check = cover_cross_check(model, 6, sampler)
+    assert (check.proposals, check.accepted) == (50_000, sample.accepted)
+    assert check.max_z == np.abs(z).max()
