@@ -6,11 +6,12 @@ layer's carre du champ and cometric rows, into one exact rational function
 evaluated at rational sample points.  In dimension 2 the scalar curvature is
 twice the Gaussian curvature, which is what gets reported.
 
-Pullback checks evaluate an ambient Laplace operator (the unit sphere's as a
-DiffusionOperator, or the flat plane's) on explicit component functions and
-compare against the target model's cometric and drift at the mapped points,
-after fitting a single positive scale: image identities are only ever
-tabulated up to normalization.
+Pullback checks take a model's cover from `quadrature.COVER_SAMPLERS` (its
+polynomial operator, ideal and maps) and decide the realization exactly:
+the cover's carre du champ and Laplacian of the maps must equal one
+rational multiple of the model's cometric and drift at the maps, modulo the
+cover's ideal.  The multiple is reported, because image identities are only
+ever tabulated up to normalization.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Model, get_model
-from .operator import CoMetric, DiffusionOperator, cometric_gradient, gamma
-from .poly import Polynomial, exact_divide, parse_poly
-from .rng import sphere_points, uniform_block
+from .catalog import Model
+from .operator import CoMetric, cometric_gradient, gamma
+from .poly import Polynomial, exact_divide, poly_divmod
+from .quadrature import _applicable_cover
 
 INTERIOR_MARGIN = Fraction(1, 1000)
 CONSTANCY_TOL = 1e-6
@@ -145,177 +146,67 @@ def export_curvature_csv(path, report: CurvatureReport) -> None:
 # ----------------------------------------------------------------------
 # pullback verification
 
-
-@dataclass
-class TrigComponent:
-    """Finite sum of c * cos(f . z) / c * sin(f . z) terms on the plane."""
-
-    terms: list[tuple[float, str, float, float]]  # (coef, kind, fx, fy)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros(points.shape[0])
-        for coef, kind, fx, fy in self.terms:
-            phase = fx * points[:, 0] + fy * points[:, 1]
-            out += coef * (np.cos(phase) if kind == "cos" else np.sin(phase))
-        return out
-
-    def derivative(self, axis: int) -> TrigComponent:
-        new = []
-        for coef, kind, fx, fy in self.terms:
-            f = fx if axis == 0 else fy
-            if kind == "cos":
-                new.append((-coef * f, "sin", fx, fy))
-            else:
-                new.append((coef * f, "cos", fx, fy))
-        return TrigComponent(new)
-
-    def laplacian(self) -> TrigComponent:
-        return TrigComponent(
-            [(-coef * (fx * fx + fy * fy), kind, fx, fy) for coef, kind, fx, fy in self.terms]
-        )
-
-
-@dataclass
-class PullbackSpec:
-    """An ambient Laplace operator and a two-component map onto a model."""
-
-    name: str
-    ambient: str                     # "sphere" | "plane"
-    target_model: str
-    target_params: dict[str, str]
-    sphere_dim: int | None = None
-    sphere_maps: tuple[Polynomial, Polynomial] | None = None
-    plane_maps: tuple[TrigComponent, TrigComponent] | None = None
+#: plane degree of the cover rule whose nodes the domain check maps
+DOMAIN_CHECK_DEGREE = 13
 
 
 @dataclass
 class PullbackReport:
     name: str
-    scale: float
-    max_gamma_residual: float
-    max_l_residual: float
-    samples: int
+    scale: Fraction
+    gamma_residual_terms: int
+    l_residual_terms: int
+    in_domain: bool
 
     @property
-    def max_residual(self) -> float:
-        return max(self.max_gamma_residual, self.max_l_residual)
+    def exact(self) -> bool:
+        return not (self.gamma_residual_terms or self.l_residual_terms)
 
 
-def sphere_operator(sphere_dim: int) -> DiffusionOperator:
-    """Laplacian of the unit sphere S^d in ambient coordinates x of R^(d+1).
+def _normal_form(p: Polynomial, ideal: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of p modulo the cover ideal.
 
-    Its cometric is delta_ij - x_i x_j and its drift is -d x, so restricted
-    to the sphere it is the Laplace-Beltrami operator of the round metric.
+    Every cover ideal is generated by polynomials with pairwise coprime
+    leading monomials (one sphere equation, or one circle equation per torus
+    factor), so they form a Groebner basis and dividing by one after the
+    other leaves the unique normal form: zero iff p is in the ideal.
     """
-    n = sphere_dim + 1
-    x = [Polynomial.variable(n, i) for i in range(n)]
-    cometric = CoMetric([[int(i == j) - x[i] * x[j] for j in range(n)] for i in range(n)])
-    return DiffusionOperator(cometric, tuple(xi * -sphere_dim for xi in x))
+    for generator in ideal:
+        p = poly_divmod(p, generator)[1]
+    return p
 
 
-def verify_pullback(spec: PullbackSpec, sample_count: int = 1000, seed: int = 0) -> PullbackReport:
-    """Compare ambient Gamma/Laplace values with the target model's data.
+def verify_pullback(model: Model) -> PullbackReport:
+    """The model's cover realization as an exact polynomial identity.
 
-    One positive scalar s (applied to the whole target operator) is fitted by
-    least squares on the Gamma entries before residuals are reported.
+    With f the cover's maps, Gamma_cover(f_a, f_b) - s g^ab(f) and
+    L_cover f_a - s b^a(f) must vanish modulo the cover's ideal for one
+    rational scale s, which is read off the leading term of the reduced
+    g^00(f); the report counts the terms of the reduced differences.  It
+    also says whether the maps land in the closed target domain at the
+    nodes of the cover rule.
     """
-    model = get_model(spec.target_model, spec.target_params)
-    if spec.ambient == "sphere":
-        sphere = sphere_operator(spec.sphere_dim)
-        maps = spec.sphere_maps
-        pts = sphere_points(seed, sample_count, sphere.dim)
-        xy = np.column_stack([f.eval_float(pts) for f in maps])
-        amb_gamma = {
-            (a, b): gamma(sphere.cometric, maps[a], maps[b]).eval_float(pts)
-            for a in range(2)
-            for b in range(a, 2)
-        }
-        amb_l = [sphere.apply(f).eval_float(pts) for f in maps]
-    elif spec.ambient == "plane":
-        u = uniform_block(seed, 0, 2 * sample_count).reshape(sample_count, 2)
-        pts = (2.0 * u - 1.0) * np.pi
-        comps = spec.plane_maps
-        xy = np.column_stack([c.eval(pts) for c in comps])
-        grads = [[c.derivative(0), c.derivative(1)] for c in comps]
-        amb_gamma = {}
-        for a in range(2):
-            for b in range(a, 2):
-                amb_gamma[(a, b)] = (
-                    grads[a][0].eval(pts) * grads[b][0].eval(pts)
-                    + grads[a][1].eval(pts) * grads[b][1].eval(pts)
-                )
-        amb_l = [c.laplacian().eval(pts) for c in comps]
-    else:
-        raise ValueError(f"unknown ambient {spec.ambient!r}")
+    cover = _applicable_cover(model)
+    maps, op = cover.maps, cover.operator
+    pairs = [(a, b) for a in range(2) for b in range(a, 2)]
+    ambient = [gamma(op.cometric, maps[a], maps[b]) for a, b in pairs]
+    ambient += [op.apply(f) for f in maps]
+    target = [model.cometric[a, b].compose(maps) for a, b in pairs]
+    target += [b.compose(maps) for b in model.operator.drift]
+    ambient = [_normal_form(p, cover.ideal) for p in ambient]
+    target = [_normal_form(p, cover.ideal) for p in target]
+    exponent, coeff = target[0].leading_term()
+    scale = ambient[0].terms.get(exponent, Fraction(0)) / coeff
+    residuals = [len((p - q * scale).terms) for p, q in zip(ambient, target)]
 
-    # the map must land in the closed target domain
-    for factor in model.boundary.factors:
-        values = factor.eval_float(xy)
-        witness_scale = float(factor(model.boundary.witness))
-        if values.min() < -1e-12 * max(witness_scale, 1.0):
-            raise ValueError(
-                f"pullback map leaves the target domain (factor minimum {values.min()})"
-            )
-
-    target_gamma = {
-        (a, b): model.cometric[a, b].eval_float(xy) for a in range(2) for b in range(a, 2)
-    }
-    numer = sum(float(np.dot(amb_gamma[k], target_gamma[k])) for k in amb_gamma)
-    denom = sum(float(np.dot(target_gamma[k], target_gamma[k])) for k in target_gamma)
-    scale = numer / denom if denom else 1.0
-    max_gamma = max(
-        float(np.abs(amb_gamma[k] - scale * target_gamma[k]).max()) for k in amb_gamma
+    # every boundary factor stays >= 0, up to roundoff, at the mapped nodes
+    points, _ = cover.rule(DOMAIN_CHECK_DEGREE)
+    in_domain = all(
+        factor.eval_float(points).min()
+        >= -1e-12 * max(float(factor(model.boundary.witness)), 1.0)
+        for factor in model.boundary.factors
     )
-    drift = model.operator.drift
-    max_l = max(
-        float(np.abs(amb_l[a] - scale * drift[a].eval_float(xy)).max()) for a in range(2)
+    split = len(pairs)
+    return PullbackReport(
+        model.name, scale, sum(residuals[:split]), sum(residuals[split:]), in_domain
     )
-    return PullbackReport(spec.name, scale, max_gamma, max_l, sample_count)
-
-
-def _pullback_registry() -> dict[str, PullbackSpec]:
-    sqrt3 = float(np.sqrt(3.0))
-    specs = [
-        PullbackSpec(
-            name="sphere_coaxial",
-            ambient="sphere",
-            target_model="coaxial_parabolas",
-            target_params={"a": "1", "p": "0", "q": "0"},
-            sphere_dim=2,
-            sphere_maps=(parse_poly("z", 3), parse_poly("2*x*y", 3)),
-        ),
-        PullbackSpec(
-            name="sphere_cuspidal_secant",
-            ambient="sphere",
-            target_model="cuspidal_cubic_secant",
-            target_params={"p1": "-1/2", "p2": "-1/2"},
-            sphere_dim=2,
-            sphere_maps=(parse_poly("x^2+y^2", 3), parse_poly("x^3-3*x*y^2", 3)),
-        ),
-        PullbackSpec(
-            name="plane_deltoid",
-            ambient="plane",
-            target_model="deltoid",
-            target_params={"p": "-1/2"},
-            plane_maps=(
-                TrigComponent(
-                    [
-                        (1.0, "cos", 2.0, 0.0),
-                        (1.0, "cos", -1.0, sqrt3),
-                        (1.0, "cos", -1.0, -sqrt3),
-                    ]
-                ),
-                TrigComponent(
-                    [
-                        (1.0, "sin", 2.0, 0.0),
-                        (1.0, "sin", -1.0, sqrt3),
-                        (1.0, "sin", -1.0, -sqrt3),
-                    ]
-                ),
-            ),
-        ),
-    ]
-    return {s.name: s for s in specs}
-
-
-PULLBACKS = _pullback_registry()

@@ -272,6 +272,18 @@ def product_operator(op1: DiffusionOperator, op2: DiffusionOperator) -> Diffusio
     return DiffusionOperator(CoMetric(entries), drift, measure)
 
 
+def sphere_operator(sphere_dim: int) -> DiffusionOperator:
+    """Laplacian of the unit sphere S^d in ambient coordinates x of R^(d+1).
+
+    Its cometric is delta_ij - x_i x_j and its drift is -d x, so restricted
+    to the sphere it is the Laplace-Beltrami operator of the round metric.
+    """
+    n = sphere_dim + 1
+    x = [Polynomial.variable(n, i) for i in range(n)]
+    cometric = CoMetric([[int(i == j) - x[i] * x[j] for j in range(n)] for i in range(n)])
+    return DiffusionOperator(cometric, tuple(xi * -sphere_dim for xi in x))
+
+
 def _lowered(exponent: tuple[int, ...], *axes: int) -> tuple[int, ...]:
     out = list(exponent)
     for axis in axes:

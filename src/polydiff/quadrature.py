@@ -6,12 +6,15 @@ the triangle (Duffy map with both classical weights absorbed), so polynomial
 integrands of bounded degree are exact to roundoff.
 
 The eight exotic bounded models are, at their Laplace-type parameter points,
-images of a sphere or a flat torus (`COVER_SAMPLERS`).  Each cover has a
-seeded Monte Carlo draw (sampler kind cover-mc) and a deterministic product
-rule, both pushed to the plane by one realization map.  `cover_rule` builds
-the rule for a moment degree, exact to roundoff like the Gauss rules, and
-`cover_cross_check` measures the Monte Carlo moments against it in units of
-their standard error.
+images of a sphere, the Chebyshev square or a flat torus under a polynomial
+map.  `COVER_SAMPLERS` is the one registry of these covers: each holds its
+polynomial diffusion operator, the equations that cut it out and its two
+map polynomials, from which `geometry.verify_pullback` decides the
+realization exactly.  Each cover has a seeded Monte Carlo draw (sampler kind
+cover-mc) and a deterministic product rule, both pushed to the plane by
+evaluating the maps.  `cover_rule` builds the rule for a moment degree,
+exact to roundoff like the Gauss rules, and `cover_cross_check` measures the
+Monte Carlo moments against it in units of their standard error.
 
 Everything else uses seeded Monte Carlo rejection in a bounding box;
 candidate j draws its coordinates from fixed counter positions, so the
@@ -28,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .operator import _lowered
-from .poly import MonomialBasis, Polynomial
-from .rng import DEFAULT_SEED, normal_block, sphere_points, uniform_block
+from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
+from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
+from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit_rows
 
 MC_CHUNK = 1 << 16
 #: rows per block when a pass over sample points accumulates sums
@@ -241,10 +244,13 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
 # covering spaces
 #
 # At the Laplace-type default parameters, each exotic bounded model is the
-# image of a sphere or flat-torus Laplace operator through explicit
-# functions, and the model measure is exactly the pushforward of the uniform
-# measure on the cover.  Each cover therefore carries two rules, both pushed
-# down by one realization map:
+# image of a sphere, Chebyshev-square or flat-torus Laplace operator under a
+# polynomial map, and the model measure is exactly the pushforward of the
+# cover's probability measure.  Every cover is written once, as polynomials
+# in its ambient coordinates: the operator, the equations that cut the cover
+# out, and the two map components.  The realization is then an exact
+# identity modulo those equations (`geometry.verify_pullback`), and each
+# cover carries two rules, both pushed down by evaluating the maps:
 #
 # - Monte Carlo: seeded uniform points on the cover draw from the singular
 #   measure itself with bounded integrands, which is what makes 1/sqrt(N)
@@ -253,9 +259,10 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
 # - A deterministic product rule on the cover (Gauss-Legendre and
 #   equispaced angles on spheres, Gauss-Chebyshev, the trapezoidal rule on
 #   the torus; A. H. Stroud, "Approximate Calculation of Multiple
-#   Integrals", 1971; Trefethen and Weideman, SIAM Review 56, 2014).  A
-#   realization map of degree k sends a plane monomial of degree d to a
-#   cover function of degree at most d * k, so the rule built for that
+#   Integrals", 1971; Trefethen and Weideman, SIAM Review 56, 2014).  The
+#   cover is a product of factors, and a map of degree k in each factor's
+#   coordinates sends a plane monomial of degree d to a cover polynomial of
+#   degree at most d * k in each factor, so the rule built for that
 #   exactness integrates every plane moment up to degree d exactly.
 #
 # Cover weights target the probability-normalized measure (Monte Carlo
@@ -265,37 +272,59 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
 
 @dataclass(frozen=True)
 class CoverSampler:
-    """One model's covering space.
+    """One model's covering space, written once as polynomials.
 
-    `nodes(e)` is a product rule on the cover with probability weights,
-    exact for every cover function of degree <= e, and `realize` maps cover
-    points to the plane with the given degree (polynomial on spheres and in
-    cosines, trigonometric on the torus).  `generate(seed, count)` draws
-    Monte Carlo points in the plane through the same `realize`.
+    The cover is the zero set of `ideal` in its ambient coordinates (the
+    whole box for the Chebyshev square) and carries the diffusion operator
+    `operator`; `maps` send it onto the model.  It is a product of factors
+    with `factor_dims` coordinates each.  `nodes(e)` is a product rule on the
+    cover with probability weights, exact for every cover polynomial of
+    degree <= e in each factor's coordinates, and `generate(seed, count)`
+    draws Monte Carlo points on the cover and maps them to the plane.
     """
 
     model: str
     required_params: tuple[tuple[str, str], ...]
-    generate: Callable[[int, int], np.ndarray]  # (seed, count) -> (count, 2)
+    operator: DiffusionOperator
+    ideal: tuple[Polynomial, ...]
+    maps: tuple[Polynomial, Polynomial]
+    factor_dims: tuple[int, ...]
     nodes: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    realize: Callable[[np.ndarray], np.ndarray]
-    degree: int
+    generate: Callable[[int, int], np.ndarray]  # (seed, count) -> (count, 2)
+
+    @property
+    def degree(self) -> int:
+        """The largest degree of a map in one factor's coordinates."""
+        bounds = np.cumsum((0,) + self.factor_dims)
+        return max(
+            sum(exponent[lo:hi])
+            for f in self.maps
+            for exponent in f.terms
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
 
     def rule(self, moment_degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Plane nodes and probability weights, exact for every moment of
         total degree <= moment_degree: a plane monomial of degree d is a
-        cover function of degree <= d * self.degree."""
+        cover polynomial of degree <= d * self.degree in each factor."""
         points, weights = self.nodes(moment_degree * self.degree)
-        return self.realize(points), weights
+        return _realize(self.maps, points), weights
 
 
-def _cover(name, params, draw, nodes, realize, degree: int) -> CoverSampler:
-    """A cover whose Monte Carlo points are `realize(draw(seed, count))`."""
+def _realize(maps: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
+    out = np.empty((points.shape[0], len(maps)))
+    for column, f in enumerate(maps):
+        out[:, column] = f.eval_float(points)
+    return out
+
+
+def _cover(name, params, operator, ideal, maps, factor_dims, draw, nodes) -> CoverSampler:
+    """A cover whose Monte Carlo points are the maps at `draw(seed, count)`."""
 
     def generate(seed: int, count: int) -> np.ndarray:
-        return realize(draw(seed, count))
+        return _realize(maps, draw(seed, count))
 
-    return CoverSampler(name, params, generate, nodes, realize, degree)
+    return CoverSampler(name, params, operator, ideal, maps, factor_dims, nodes, generate)
 
 
 def _equispaced(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,159 +361,174 @@ def _sphere3_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
 _SPHERE_NODES = {3: _sphere2_nodes, 4: _sphere3_nodes}
 
 
-def _sphere_cover(name, params, ambient_dim, fx, fy, degree) -> CoverSampler:
+def _sphere_cover(name, params, ambient_dim, maps) -> CoverSampler:
+    x = [Polynomial.variable(ambient_dim, i) for i in range(ambient_dim)]
     return _cover(
         name,
         params,
+        sphere_operator(ambient_dim - 1),
+        (sum(xi * xi for xi in x) - 1,),
+        tuple(parse_poly(text, ambient_dim) for text in maps),
+        (ambient_dim,),
         lambda seed, count: sphere_points(seed, count, ambient_dim),
         _SPHERE_NODES[ambient_dim],
-        lambda x: np.column_stack([fx(x), fy(x)]),
-        degree,
     )
 
 
-# an orthonormal frame of the hyperplane x_0 + x_1 + x_2 + x_3 = 0 in R^4
-_SUM_ZERO_FRAME = 0.5 * np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]], dtype=float)
+# an orthogonal frame of the hyperplane y_0 + y_1 + y_2 + y_3 = 0 in R^4:
+# y = FRAME u / 2 is an isometry from R^3 onto it
+_SUM_ZERO_FRAME = ((1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1))
 
 
 def _build_covers() -> dict[str, CoverSampler]:
     covers = [
-        _sphere_cover(
-            "coaxial_parabolas",
-            (("a", "1"), ("p", "0"), ("q", "0")),
-            3,
-            lambda x: x[:, 2],
-            lambda x: 2.0 * x[:, 0] * x[:, 1],
-            2,
-        ),
+        _sphere_cover("coaxial_parabolas", (("a", "1"), ("p", "0"), ("q", "0")), 3, ("z", "2*x*y")),
         _sphere_cover(
             "parabola_tangent_secant",
             (("p", "-1/2"), ("q", "-1/2"), ("r", "-1/2")),
             3,
-            lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
-            lambda x: 4.0 * x[:, 0] ** 2 * x[:, 1] ** 2,
-            4,
+            ("x^2 + y^2", "4*x^2*y^2"),
         ),
         _sphere_cover(
-            "nodal_cubic",
-            (("p", "-1/2"),),
-            4,
-            lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
-            lambda x: (x[:, 0] ** 2 - x[:, 1] ** 2) * x[:, 2]
-            + 2.0 * x[:, 0] * x[:, 1] * x[:, 3],
-            3,
+            "nodal_cubic", (("p", "-1/2"),), 4, ("x1^2 + x2^2", "(x1^2 - x2^2)*x3 + 2*x1*x2*x4")
         ),
         _sphere_cover(
             "cuspidal_cubic_secant",
             (("p1", "-1/2"), ("p2", "-1/2")),
             3,
-            lambda x: x[:, 0] ** 2 + x[:, 1] ** 2,
-            lambda x: x[:, 0] ** 3 - 3.0 * x[:, 0] * x[:, 1] ** 2,
-            3,
+            ("x^2 + y^2", "x^3 - 3*x*y^2"),
         ),
         _sphere_cover(
             "cuspidal_cubic_tangent",
             (("p", "-1/2"), ("q", "-1/2")),
             3,
-            lambda x: 1.5 * (x**4).sum(axis=1) - 0.5,
-            lambda x: 0.5
-            * (3.0 * x[:, 0] ** 2 - 1.0)
-            * (3.0 * x[:, 1] ** 2 - 1.0)
-            * (3.0 * x[:, 2] ** 2 - 1.0),
-            6,
+            ("3/2*(x^4 + y^4 + z^4) - 1/2", "(3*x^2 - 1)*(3*y^2 - 1)*(3*z^2 - 1)/2"),
         ),
     ]
 
+    # the sphere |y|^2 = 2 in the sum-zero hyperplane of R^4, in frame
+    # coordinates u with |u|^2 = 2: the unit-sphere Laplacian after the
+    # scaling u = sqrt(2) v has cometric 2 delta - u u^t and drift -2 u
+    u = [Polynomial.variable(3, i) for i in range(3)]
+    y = [sum(u[j] * Fraction(c, 2) for j, c in enumerate(row)) for row in _SUM_ZERO_FRAME]
+    frame = 0.5 * np.array(_SUM_ZERO_FRAME, dtype=float)
+
     def swallowtail_draw(seed: int, count: int) -> np.ndarray:
-        gauss = np.empty((count, 4))
-        for axis in range(4):
-            gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), 0, count)
-        gauss -= gauss.mean(axis=1, keepdims=True)  # project onto sum = 0
-        norms = np.linalg.norm(gauss, axis=1)
-        norms[norms == 0] = 1.0
-        return gauss / norms[:, None]
+        # 4 normals projected onto the hyperplane are 3 normals in the frame
+        return np.sqrt(2.0) * unit_rows(normal_points(seed, count, 4) @ frame)
 
     def swallowtail_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         points, weights = _sphere2_nodes(exactness)
-        return points @ _SUM_ZERO_FRAME.T, weights
-
-    def swallowtail_realize(x: np.ndarray) -> np.ndarray:
-        big_x = (
-            2.0
-            * np.sqrt(2.0)
-            * (x[:, 0] + x[:, 1])
-            * (x[:, 1] + x[:, 2])
-            * (x[:, 2] + x[:, 0])
-        )
-        big_y = -4.0 * x[:, 0] * x[:, 1] * x[:, 2] * (x[:, 0] + x[:, 1] + x[:, 2])
-        return np.column_stack([big_x, big_y])
+        return np.sqrt(2.0) * points, weights
 
     covers.append(
         _cover(
             "swallowtail",
             (("p", "-1/2"),),
+            DiffusionOperator(
+                CoMetric([[2 * int(i == j) - u[i] * u[j] for j in range(3)] for i in range(3)]),
+                tuple(ui * -2 for ui in u),
+            ),
+            (sum(ui * ui for ui in u) - 2,),
+            (
+                (y[0] + y[1]) * (y[1] + y[2]) * (y[2] + y[0]),
+                -y[0] * y[1] * y[2] * (y[0] + y[1] + y[2]),
+            ),
+            (3,),
             swallowtail_draw,
             swallowtail_nodes,
-            swallowtail_realize,
-            4,
         )
     )
 
-    # (u, v) uniform on [0, pi]^2, so cos u and cos v are arcsine-distributed;
-    # the midpoint rule in u is Gauss-Chebyshev in cos u, exact for cosine
-    # polynomials of degree <= 2n - 1
+    # (cos u, cos v) with (u, v) uniform on [0, pi]^2: the arcsine square,
+    # whose operator is the product of two Chebyshev operators; the midpoint
+    # rule in u is Gauss-Chebyshev in cos u, exact for degree <= 2n - 1
     def two_tangents_draw(seed: int, count: int) -> np.ndarray:
-        return uniform_block(seed, 0, 2 * count).reshape(count, 2) * np.pi
+        return np.cos(uniform_block(seed, 0, 2 * count).reshape(count, 2) * np.pi)
 
     def two_tangents_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         n = exactness // 2 + 1
-        axis = (np.pi * (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n))
-        (u, v), weights = _product(axis, axis)
-        return np.column_stack([u, v]), weights
+        axis = (np.cos(np.pi * (np.arange(n) + 0.5) / n), np.full(n, 1.0 / n))
+        nodes, weights = _product(axis, axis)
+        return np.column_stack(nodes), weights
 
-    def two_tangents_realize(u: np.ndarray) -> np.ndarray:
-        cu, cv = np.cos(u[:, 0]), np.cos(u[:, 1])
-        return np.column_stack([(cu + cv) / 2.0, cu * cv])
-
+    x = Polynomial.variable(1, 0)
+    chebyshev = DiffusionOperator(CoMetric([[1 - x * x]]), (-x,))
     covers.append(
         _cover(
             "parabola_two_tangents",
             (("p1", "-1/2"), ("p2", "-1/2"), ("p3", "-1/2")),
+            product_operator(chebyshev, chebyshev),
+            (),
+            (parse_poly("(x + y)/2", 2), parse_poly("x*y", 2)),
+            (1, 1),
             two_tangents_draw,
             two_tangents_nodes,
-            two_tangents_realize,
-            2,
         )
     )
 
-    # phases (s, t) on the period torus map to e^{is} + e^{it} + e^{-i(s+t)};
-    # the fundamental triangle of the reflection lattice, (0,0), (2pi/3, 0),
-    # (pi/3, pi/sqrt(3)) in the plane z with s = 2 z_0, t = -z_0 + sqrt(3) z_1,
-    # is 1/6 of the torus, and the trig map is injective on it
+    # phases (s, t) on the period torus in circle coordinates (a, b, c, d) =
+    # (cos s, sin s, cos t, sin t) map to e^{is} + e^{it} + e^{-i(s+t)}.  The
+    # phases are s = 2 z_0, t = -z_0 + sqrt(3) z_1 of the flat plane z, so the
+    # Laplacian has the phase cometric C = [[4, -2], [-2, 4]]: in circle
+    # coordinates sum_ij C_ij V_i V_j^t with the rotation fields V_s =
+    # (-b, a, 0, 0), V_t = (0, 0, -d, c), and drift -4 (a, b, c, d).  The
+    # fundamental triangle of the reflection lattice, (0,0), (2pi/3, 0),
+    # (pi/3, pi/sqrt(3)) in z, is 1/6 of the torus, and the map is injective
+    # on it.
     def deltoid_draw(seed: int, count: int) -> np.ndarray:
-        u = uniform_block(seed, 0, 2 * count).reshape(count, 2)
-        flip = u.sum(axis=1) > 1.0
-        u[flip] = 1.0 - u[flip]
-        va = np.array([2.0 * np.pi / 3.0, 0.0])
-        vb = np.array([np.pi / 3.0, np.pi / np.sqrt(3.0)])
-        z = u[:, [0]] * va + u[:, [1]] * vb
-        return np.column_stack([2.0 * z[:, 0], -z[:, 0] + np.sqrt(3.0) * z[:, 1]])
+        w = uniform_block(seed, 0, 2 * count).reshape(count, 2)
+        flip = w.sum(axis=1) > 1.0
+        w[flip] = 1.0 - w[flip]
+        # z = w_0 (2pi/3, 0) + w_1 (pi/3, pi/sqrt(3))
+        z0 = w[:, 0] * (2.0 * np.pi / 3.0) + w[:, 1] * (np.pi / 3.0)
+        t = np.sqrt(3.0) * (w[:, 1] * (np.pi / np.sqrt(3.0))) - z0
+        s = 2.0 * z0
+        del w, z0  # bounds the peak memory of 1M draws
+        return _circles(s, t)
 
     def deltoid_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         axis = _equispaced(exactness + 1)
         (s, t), weights = _product(axis, axis)
-        return np.column_stack([s, t]), weights
+        return _circles(s, t), weights
 
-    def deltoid_realize(phases: np.ndarray) -> np.ndarray:
-        s, t = phases[:, 0], phases[:, 1]
-        big_x = np.cos(s) + np.cos(t) + np.cos(s + t)
-        big_y = np.sin(s) + np.sin(t) - np.sin(s + t)
-        return np.column_stack([big_x, big_y])
-
+    a, b, c, d = (Polynomial.variable(4, i) for i in range(4))
+    zero = Polynomial.zero(4)
+    v_s, v_t = (-b, a, zero, zero), (zero, zero, -d, c)
     covers.append(
-        _cover("deltoid", (("p", "-1/2"),), deltoid_draw, deltoid_nodes, deltoid_realize, 1)
+        _cover(
+            "deltoid",
+            (("p", "-1/2"),),
+            DiffusionOperator(
+                CoMetric(
+                    [
+                        [
+                            (v_s[i] * v_s[j] + v_t[i] * v_t[j]) * 4
+                            - (v_s[i] * v_t[j] + v_t[i] * v_s[j]) * 2
+                            for j in range(4)
+                        ]
+                        for i in range(4)
+                    ]
+                ),
+                (a * -4, b * -4, c * -4, d * -4),
+            ),
+            (a * a + b * b - 1, c * c + d * d - 1),
+            (a + c + a * c - b * d, b + d - b * c - a * d),
+            (2, 2),
+            deltoid_draw,
+            deltoid_nodes,
+        )
     )
-    return {c.model: c for c in covers}
+    return {cover.model: cover for cover in covers}
+
+
+def _circles(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Circle coordinates (cos s, sin s, cos t, sin t) of torus phases,
+    filled one column at a time to bound the temporaries of 1M draws."""
+    out = np.empty((s.shape[0], 4))
+    for column, (f, phase) in enumerate(((np.cos, s), (np.sin, s), (np.cos, t), (np.sin, t))):
+        out[:, column] = f(phase)
+    return out
 
 
 COVER_SAMPLERS = _build_covers()
@@ -494,8 +538,6 @@ def cover_applies(model) -> bool:
     cover = COVER_SAMPLERS.get(model.name)
     if cover is None:
         return False
-    from .poly import parse_rational
-
     return all(model.params[k] == parse_rational(v) for k, v in cover.required_params)
 
 
@@ -607,6 +649,8 @@ class Moments:
         # (e.g. products of normalized eigenfunctions) against the same rule
         self.points = sample.points
         self.weights = weights
+        # None for a deterministic rule, whose moments are exact to roundoff
+        self.proposals = sample.proposals
 
     def monomial(self, exponent) -> float:
         return self.by_exponent[tuple(exponent)]

@@ -54,11 +54,21 @@ def normal_block(seed: int, start_pair: int, count: int) -> np.ndarray:
     return radius * np.cos(2.0 * np.pi * u[:, 1])
 
 
+def normal_points(seed: int, count: int, dim: int) -> np.ndarray:
+    """Standard normal points in R^dim; axis k reads its own counter stream."""
+    gauss = np.empty((count, dim))
+    for axis in range(dim):
+        gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), 0, count)
+    return gauss
+
+
+def unit_rows(points: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(points, axis=1)
+    norms[norms == 0] = 1.0
+    return points / norms[:, None]
+
+
 def sphere_points(seed: int, count: int, ambient_dim: int) -> np.ndarray:
     """Deterministic uniform points on the unit sphere in R^ambient_dim."""
-    gauss = np.empty((count, ambient_dim))
-    for axis in range(ambient_dim):
-        gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), 0, count)
-    norms = np.linalg.norm(gauss, axis=1)
-    norms[norms == 0] = 1.0
-    return gauss / norms[:, None]
+    return unit_rows(normal_points(seed, count, ambient_dim))

@@ -29,7 +29,6 @@ from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
 from .quadrature import (
-    GAUSS_KINDS,
     DomainSampler,
     Moments,
     gamma_form_matrix,
@@ -516,9 +515,9 @@ def eigenbasis(
     pencil_values = _stable_pencil_eigenvalues(a, b)
     scale = max(np.abs(pencil_values).max(), 1.0)
     # the energy form is positive semidefinite exactly; the tolerance for the
-    # estimated pencil depends on the quadrature class (Monte Carlo noise is
-    # O(1/sqrt(N)) relative, Gauss rules are roundoff-exact)
-    negative_tol = PENCIL_NEGATIVE_TOL if sampler.kind in GAUSS_KINDS else 1e-2
+    # estimated pencil depends on the rule that was integrated (Monte Carlo
+    # noise is O(1/sqrt(N)) relative, deterministic rules are roundoff-exact)
+    negative_tol = PENCIL_NEGATIVE_TOL if moments.proposals is None else 1e-2
     if pencil_values.min() < -negative_tol * scale:
         raise ValueError(
             "energy-form pencil has a significantly negative eigenvalue; "

@@ -165,14 +165,14 @@ def test_a8_pullbacks(battery):
     ids = ["coaxial_parabolas.pullback", "cuspidal_cubic_secant.pullback", "deltoid.pullback"]
     ok = all(_status(battery, i) for i in ids)
     scales = {i.split(".")[0]: battery[i].detail["scale"] for i in ids}
-    residuals = max(
-        max(battery[i].detail["max_gamma_residual"], battery[i].detail["max_L_residual"])
+    residual_terms = sum(
+        battery[i].detail["gamma_residual_terms"] + battery[i].detail["L_residual_terms"]
         for i in ids
     )
     verdict(
         "A8",
-        ok and residuals < 1e-6,
-        f"three ambient maps verified, max residual {residuals:.1e}, fitted scales {scales}",
+        ok and residual_terms == 0 and set(scales.values()) == {"1"},
+        f"three cover maps verified exactly, {residual_terms} residual terms, scales {scales}",
     )
 
 

@@ -4,7 +4,9 @@ import json
 import pathlib
 import re
 
-from polydiff.catalog import model_names
+import pytest
+
+from polydiff.catalog import get_model, model_names
 from polydiff.claims import RunContext, build_claims, claim_ids, run_claims
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
@@ -13,6 +15,15 @@ MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
 def test_registry_matches_checked_in_manifest():
     recorded = MANIFEST.read_text().split()
     assert claim_ids() == recorded
+
+
+def test_claim_moments_refuse_monte_carlo():
+    # off the cover point deltoid falls back to rejection sampling, whose
+    # moments the deterministic-rule tolerances do not fit
+    ctx = RunContext(seed=7)
+    with pytest.raises(ValueError, match="no deterministic rule"):
+        ctx.moments(get_model("deltoid", {"p": "0"}), 3)
+    assert ctx.moments(get_model("deltoid"), 3).proposals is None
 
 
 def test_every_model_contributes_a_claim():

@@ -1,22 +1,17 @@
 """Curvature values and pullback identity checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polydiff.catalog import get_descriptor, get_model, model_names
-from polydiff.geometry import (
-    INTERIOR_MARGIN,
-    PULLBACKS,
-    CurvatureEvaluator,
-    curvature_constancy,
-    sphere_operator,
-    verify_pullback,
-)
-from polydiff.operator import CoMetric, gamma
+from polydiff.geometry import INTERIOR_MARGIN, CurvatureEvaluator, curvature_constancy, verify_pullback
+from polydiff.operator import CoMetric, gamma, sphere_operator
 from polydiff.poly import Polynomial, exact_divide
+from polydiff.quadrature import COVER_SAMPLERS
 from polydiff.rng import sphere_points
 
 PLANE_MODELS = [name for name in model_names() if get_model(name).dim == 2]
@@ -141,20 +136,34 @@ def test_sphere_samples_unit_norm_and_gamma_identity():
                 assert gamma(op.cometric, x[i], x[j]) == int(i == j) - x[i] * x[j]
 
 
-def test_pullback_residuals_tiny():
-    for name, spec in PULLBACKS.items():
-        report = verify_pullback(spec, sample_count=1000, seed=0)
-        assert report.max_gamma_residual < 1e-10, name
-        assert report.max_l_residual < 1e-10, name
-        assert abs(report.scale - 1.0) < 1e-12, name
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_cover_realization_is_an_exact_identity(name):
+    report = verify_pullback(get_model(name))
+    assert (report.gamma_residual_terms, report.l_residual_terms) == (0, 0)
+    assert report.exact and report.in_domain
+    assert report.scale == (Fraction(1, 2) if name == "parabola_two_tangents" else 1)
 
 
-def test_pullback_determinism():
-    spec = PULLBACKS["plane_deltoid"]
-    r1 = verify_pullback(spec, sample_count=500, seed=9)
-    r2 = verify_pullback(spec, sample_count=500, seed=9)
-    assert r1.max_gamma_residual == r2.max_gamma_residual
-    assert r1.scale == r2.scale
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_mutated_cover_map_breaks_the_identity(name, monkeypatch):
+    # on coaxial_parabolas this is 3*x*y in place of 2*x*y
+    cover = COVER_SAMPLERS[name]
+    first, second = cover.maps
+    exponent, coeff = second.leading_term()
+    bumped = second + Polynomial.monomial(second.dim, exponent, coeff / 2)
+    monkeypatch.setitem(COVER_SAMPLERS, name, replace(cover, maps=(first, bumped)))
+    report = verify_pullback(get_model(name))
+    assert not report.exact
+    assert not report.in_domain
+
+
+def test_domain_check_is_independent_of_the_identity(monkeypatch):
+    # y = x*y lands inside the coaxial domain but is not a realization
+    cover = COVER_SAMPLERS["coaxial_parabolas"]
+    halved = (cover.maps[0], cover.maps[1] * Fraction(1, 2))
+    monkeypatch.setitem(COVER_SAMPLERS, "coaxial_parabolas", replace(cover, maps=halved))
+    report = verify_pullback(get_model("coaxial_parabolas"))
+    assert report.in_domain and not report.exact
 
 
 # ----------------------------------------------------------------------
@@ -223,9 +232,11 @@ def test_conformal_curvature_matches_brioschi_on_inverse(name, params):
     assert (evaluator.k_num, evaluator.k_pow) == _brioschi_on_inverse(cometric)
 
 
-def _radial_sphere_fields(maps, sphere_dim):
-    """Sphere Gamma and L of the maps from ambient radial derivatives r = x . grad:
-    Gamma(f, h) = grad f . grad h - r(f) r(h) and L f = Lap f - r(r(f)) - (d - 1) r(f)."""
+def _radial_sphere_fields(maps, sphere_dim, radius_sq):
+    """Gamma and L of the maps on the sphere |x|^2 = radius_sq, in the
+    unit-sphere normalization, from ambient radial derivatives r = x . grad:
+    Gamma(f, h) = radius_sq grad f . grad h - r(f) r(h) and
+    L f = radius_sq Lap f - r(r(f)) - (d - 1) r(f)."""
     ambient = maps[0].dim
     x = [Polynomial.variable(ambient, i) for i in range(ambient)]
 
@@ -234,12 +245,13 @@ def _radial_sphere_fields(maps, sphere_dim):
 
     gammas = {
         (a, b): sum(maps[a].derivative(i) * maps[b].derivative(i) for i in range(ambient))
+        * radius_sq
         - radial(maps[a]) * radial(maps[b])
         for a in range(len(maps))
         for b in range(a, len(maps))
     }
     laplacians = [
-        sum(f.derivative(i).derivative(i) for i in range(ambient))
+        sum(f.derivative(i).derivative(i) for i in range(ambient)) * radius_sq
         - radial(radial(f))
         - radial(f) * (sphere_dim - 1)
         for f in maps
@@ -247,14 +259,29 @@ def _radial_sphere_fields(maps, sphere_dim):
     return gammas, laplacians
 
 
-@pytest.mark.parametrize("name", [n for n, s in PULLBACKS.items() if s.ambient == "sphere"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "coaxial_parabolas",
+        "parabola_tangent_secant",
+        "nodal_cubic",
+        "cuspidal_cubic_secant",
+        "cuspidal_cubic_tangent",
+        "swallowtail",
+    ],
+)
 def test_sphere_operator_matches_radial_fields(name):
-    spec = PULLBACKS[name]
-    op = sphere_operator(spec.sphere_dim)
-    gammas, laplacians = _radial_sphere_fields(spec.sphere_maps, spec.sphere_dim)
+    cover = COVER_SAMPLERS[name]
+    (sphere,) = cover.ideal
+    ambient = sphere.dim
+    x = [Polynomial.variable(ambient, i) for i in range(ambient)]
+    radius_sq = -sphere.constant_term
+    assert sphere == sum(xi * xi for xi in x) - radius_sq
+    gammas, laplacians = _radial_sphere_fields(cover.maps, ambient - 1, radius_sq)
+    op = cover.operator
     for (a, b), expected in gammas.items():
-        assert gamma(op.cometric, spec.sphere_maps[a], spec.sphere_maps[b]) == expected
-    assert [op.apply(f) for f in spec.sphere_maps] == laplacians
+        assert gamma(op.cometric, cover.maps[a], cover.maps[b]) == expected
+    assert [op.apply(f) for f in cover.maps] == laplacians
 
 
 def _sympy_scalar_curvature(cometric):

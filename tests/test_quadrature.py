@@ -1,5 +1,6 @@
 """Quadrature: deterministic RNG, Gauss exactness, Monte Carlo behavior."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -298,15 +299,6 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
 # ----------------------------------------------------------------------
 # exact cover rules and the Monte Carlo cross-check
 
-SPHERE_COVERS = {
-    "coaxial_parabolas": 3,
-    "parabola_tangent_secant": 3,
-    "cuspidal_cubic_secant": 3,
-    "cuspidal_cubic_tangent": 3,
-    "nodal_cubic": 4,
-}
-
-
 def _sphere_moment(n: int, a) -> Fraction:
     """E[x^a] for x uniform on the unit sphere of R^n:
     prod (a_i - 1)!! / (n (n + 2) ... (n + |a| - 2)) when every a_i is even,
@@ -317,49 +309,34 @@ def _sphere_moment(n: int, a) -> Fraction:
     return Fraction(numerator, math.prod(n + 2 * i for i in range(sum(a) // 2)))
 
 
-def _sum_zero_sphere_moment(a) -> Fraction:
-    """E[x^a] for x uniform on the unit sphere of {x in R^4: sum x = 0}:
-    through the rational orthonormal frame (1,-1,1,-1)/2, (1,1,-1,-1)/2,
-    (1,-1,-1,1)/2, a polynomial on S^2 integrated monomial by monomial."""
-    frame = [[1, 1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, 1]]
-    u = [Polynomial.variable(3, j) for j in range(3)]
-    rows = [sum((u[j] * Fraction(c, 2) for j, c in enumerate(r)), Polynomial.zero(3)) for r in frame]
-    p = Polynomial.constant(3, 1)
-    for row, k in zip(rows, a):
-        p = p * row**k
-    return sum((c * _sphere_moment(3, e) for e, c in p.terms.items()), Fraction(0))
-
-
 def _arcsine_moment(j: int) -> Fraction:
     """E[cos^j u] for u uniform on [0, pi]."""
     return Fraction(math.comb(j, j // 2), 2**j) if j % 2 == 0 else Fraction(0)
 
 
-def _ambient_rule_errors(name: str, exactness: int) -> list[float]:
-    """|rule - exact| for every cover function of degree <= exactness."""
-    points, weights = COVER_SAMPLERS[name].nodes(exactness)
-    assert points.shape[0] == weights.shape[0]
-    if name == "deltoid":
-        # the trapezoidal rule on the period torus: e^{i k.(s, t)} has mean [k = 0]
-        errors = []
-        for k1 in range(-exactness, exactness + 1):
-            for k2 in range(-exactness, exactness + 1):
-                phase = k1 * points[:, 0] + k2 * points[:, 1]
-                errors.append(abs(weights @ np.cos(phase) - (k1 == k2 == 0)))
-                errors.append(abs(weights @ np.sin(phase)))
-        return errors
+def _factor_moment(name: str, a) -> Fraction:
+    """E[x^a] over one factor of the cover: an arcsine axis of the Chebyshev
+    square, the sphere |u|^2 = 2 of swallowtail, one circle of the deltoid
+    torus, or the unit sphere."""
     if name == "parabola_two_tangents":
-        points, dim = np.cos(points), 2
-        exact = lambda a: _arcsine_moment(a[0]) * _arcsine_moment(a[1])
-    elif name == "swallowtail":
-        dim, exact = 4, _sum_zero_sphere_moment
-    else:
-        dim = SPHERE_COVERS[name]
-        exact = lambda a: _sphere_moment(dim, a)
-    return [
-        abs(weights @ np.prod(points ** np.array(a), axis=1) - float(exact(a)))
-        for a in MonomialBasis(dim, exactness).exponents
-    ]
+        return _arcsine_moment(*a)
+    if name == "swallowtail":
+        return 2 ** Fraction(sum(a), 2) * _sphere_moment(3, a)
+    return _sphere_moment(len(a), a)
+
+
+def _ambient_rule_errors(name: str, exactness: int) -> list[float]:
+    """|rule - exact| for every cover monomial of degree <= exactness in each
+    factor's coordinates."""
+    cover = COVER_SAMPLERS[name]
+    points, weights = cover.nodes(exactness)
+    assert points.shape == (weights.shape[0], sum(cover.factor_dims))
+    errors = []
+    for parts in itertools.product(*(MonomialBasis(d, exactness) for d in cover.factor_dims)):
+        exact = math.prod(_factor_moment(name, part) for part in parts)
+        a = np.array(sum(parts, ()))
+        errors.append(abs(weights @ np.prod(points**a, axis=1) - float(exact)))
+    return errors
 
 
 @pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
@@ -373,8 +350,31 @@ def test_sphere_moment_oracle_on_known_values():
     assert _sphere_moment(3, (2, 0, 0)) == Fraction(1, 3)
     assert _sphere_moment(3, (2, 2, 0)) == Fraction(1, 15)
     assert _sphere_moment(4, (4, 0, 0, 0)) == Fraction(1, 8)
-    assert _sum_zero_sphere_moment((2, 0, 0, 0)) == Fraction(1, 4)  # trace 3 over 4 axes
-    assert _sum_zero_sphere_moment((1, 1, 0, 0)) == Fraction(-1, 12)
+    assert _sphere_moment(2, (2, 0)) == Fraction(1, 2)  # E[cos^2 s]
+    assert _factor_moment("swallowtail", (2, 0, 0)) == Fraction(2, 3)  # |u|^2 = 2 over 3 axes
+    assert _factor_moment("parabola_two_tangents", (4,)) == Fraction(3, 8)
+
+
+# plane nodes of the cover rules at the moment degrees the claims integrate
+# (13) and the cross-check's reference (26)
+COVER_NODE_COUNTS = {
+    "coaxial_parabolas": (378, 1431),
+    "parabola_tangent_secant": (1431, 5565),
+    "nodal_cubic": (16000, 124820),
+    "cuspidal_cubic_secant": (800, 3160),
+    "cuspidal_cubic_tangent": (3160, 12403),
+    "swallowtail": (1431, 5565),
+    "parabola_two_tangents": (49, 196),
+    "deltoid": (196, 729),
+}
+
+
+def test_cover_rule_node_counts():
+    counts = {
+        name: tuple(cover.rule(degree)[1].shape[0] for degree in (13, 26))
+        for name, cover in COVER_SAMPLERS.items()
+    }
+    assert counts == COVER_NODE_COUNTS
 
 
 @pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))

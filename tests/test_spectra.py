@@ -10,6 +10,7 @@ from polydiff import spectra
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
+from polydiff.quadrature import Moments, cover_rule
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
@@ -130,6 +131,26 @@ def test_eigenbasis_mc_domain_quality():
     assert eb.gram_deviation() < 5e-2
     assert max(eb.residuals()) < 1e-7
     assert pencil_gaps(eb).max() < 5e-2
+
+
+def test_negative_pencil_tolerance_follows_the_integrated_rule(monkeypatch):
+    # a pencil eigenvalue at -1e-4 of the scale is roundoff-impossible on an
+    # exact rule but within Monte Carlo noise
+    model = get_model("deltoid")
+    sampler = model.sampler()
+    moments = Moments(model, 5, sampler, sample=cover_rule(model, 5))
+    assert moments.proposals is None
+    stable = spectra._stable_pencil_eigenvalues
+
+    def shifted(a, b):
+        values = stable(a, b)
+        return np.append(values, -1e-4 * max(np.abs(values).max(), 1.0))
+
+    monkeypatch.setattr(spectra, "_stable_pencil_eigenvalues", shifted)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        eigenbasis(model, 2, sampler, moments=moments)
+    moments.proposals = 1_000_000  # the same moments, as if drawn by Monte Carlo
+    eigenbasis(model, 2, sampler, moments=moments)
 
 
 def test_eigenbasis_deterministic():
