@@ -117,7 +117,8 @@ class RunContext:
     `moments` come from the model's default rule, except that a cover-mc
     model is integrated by its exact cover rule (`quadrature.cover_rule`);
     its Monte Carlo sample is drawn only by the symmetry-defect claim's
-    cross-check and is not cached.  The claim tolerances are those of a
+    cross-check, which streams it block by block into a moment table, so
+    no point cloud is held or cached.  The claim tolerances are those of a
     deterministic rule, so Monte Carlo moments raise.
     """
 

@@ -14,11 +14,14 @@ realization exactly.  Each cover has a seeded Monte Carlo draw (sampler kind
 cover-mc) and a deterministic product rule, both pushed to the plane by
 evaluating the maps.  `cover_rule` builds the rule for a moment degree,
 exact to roundoff like the Gauss rules, and `cover_cross_check` measures the
-Monte Carlo moments against it in units of their standard error.
+Monte Carlo moments against it in units of their standard error.  The
+cross-check streams the draw in blocks of POINT_CHUNK proposals, adding each
+block's moments as it goes, so it never holds the whole point cloud.
 
-Everything else uses seeded Monte Carlo rejection in a bounding box;
-candidate j draws its coordinates from fixed counter positions, so the
-accepted set depends only on (seed, sample_count, boundary).
+Everything else uses seeded Monte Carlo rejection in a bounding box.  Both
+Monte Carlo kinds propose in counter blocks: proposal j draws from fixed
+counter positions, so the accepted set depends only on (seed, sample_count,
+boundary), never on the block size.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, s
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
 from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit_rows
 
-MC_CHUNK = 1 << 16
-#: rows per block when a pass over sample points accumulates sums
+#: rows per block: Monte Carlo proposals drawn at once, and sample points per
+#: step of a pass that accumulates sums
 POINT_CHUNK = 16384
 
 GAUSS_KINDS = ("tensor-gauss-square", "polar-gauss-disk", "duffy-gauss-triangle")
@@ -216,27 +219,30 @@ def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]], per_face
                 )
 
 
+def _accepted_blocks(model, count: int, propose: Callable[[int, int], np.ndarray]):
+    """Proposals 0 .. count-1 in blocks of POINT_CHUNK, each block drawn by
+    `propose(start, size)` and kept where every boundary factor is > 0."""
+    for block in point_chunks(count):
+        points = propose(block.start, block.stop - block.start)
+        mask = np.ones(points.shape[0], dtype=bool)
+        for f in model.boundary.factors:
+            mask &= f.eval_float(points) > 0.0
+        yield points[mask]
+
+
 def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
     box = model.box
     check_box_encloses(model, box)
     d = model.dim
     lo, hi = _box_floats(box)
     span = hi - lo
-    volume = float(np.prod(span))
-    factors = list(model.boundary.factors)
-    accepted = []
     n = sampler.sample_count
-    for start in range(0, n, MC_CHUNK):
-        count = min(MC_CHUNK, n - start)
-        u = uniform_block(sampler.seed, d * start, d * count).reshape(count, d)
-        pts = lo + span * u
-        mask = np.ones(count, dtype=bool)
-        for f in factors:
-            mask &= f.eval_float(pts) > 0.0
-        if mask.any():
-            accepted.append(pts[mask])
-    points = np.vstack(accepted) if accepted else np.empty((0, d))
-    weights = np.full(points.shape[0], volume / n)
+
+    def propose(start: int, count: int) -> np.ndarray:
+        return lo + span * uniform_block(sampler.seed, d * start, d * count).reshape(count, d)
+
+    points = np.vstack(list(_accepted_blocks(model, n, propose)))
+    weights = np.full(points.shape[0], float(np.prod(span)) / n)
     return WeightedPoints(points, weights, density_applied=False, proposals=n)
 
 
@@ -279,8 +285,10 @@ class CoverSampler:
     `operator`; `maps` send it onto the model.  It is a product of factors
     with `factor_dims` coordinates each.  `nodes(e)` is a product rule on the
     cover with probability weights, exact for every cover polynomial of
-    degree <= e in each factor's coordinates, and `generate(seed, count)`
-    draws Monte Carlo points on the cover and maps them to the plane.
+    degree <= e in each factor's coordinates, and `generate(seed, start,
+    count)` draws Monte Carlo points start .. start+count-1 on the cover and
+    maps them to the plane.  The draws are counter-based, so any split of a
+    range into blocks yields the same points bit for bit.
     """
 
     model: str
@@ -290,7 +298,7 @@ class CoverSampler:
     maps: tuple[Polynomial, Polynomial]
     factor_dims: tuple[int, ...]
     nodes: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    generate: Callable[[int, int], np.ndarray]  # (seed, count) -> (count, 2)
+    generate: Callable[[int, int, int], np.ndarray]  # (seed, start, count) -> (count, 2)
 
     @property
     def degree(self) -> int:
@@ -319,10 +327,10 @@ def _realize(maps: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
 
 
 def _cover(name, params, operator, ideal, maps, factor_dims, draw, nodes) -> CoverSampler:
-    """A cover whose Monte Carlo points are the maps at `draw(seed, count)`."""
+    """A cover whose Monte Carlo points are the maps at `draw(seed, start, count)`."""
 
-    def generate(seed: int, count: int) -> np.ndarray:
-        return _realize(maps, draw(seed, count))
+    def generate(seed: int, start: int, count: int) -> np.ndarray:
+        return _realize(maps, draw(seed, start, count))
 
     return CoverSampler(name, params, operator, ideal, maps, factor_dims, nodes, generate)
 
@@ -370,7 +378,7 @@ def _sphere_cover(name, params, ambient_dim, maps) -> CoverSampler:
         (sum(xi * xi for xi in x) - 1,),
         tuple(parse_poly(text, ambient_dim) for text in maps),
         (ambient_dim,),
-        lambda seed, count: sphere_points(seed, count, ambient_dim),
+        lambda seed, start, count: sphere_points(seed, count, ambient_dim, start),
         _SPHERE_NODES[ambient_dim],
     )
 
@@ -413,9 +421,9 @@ def _build_covers() -> dict[str, CoverSampler]:
     y = [sum(u[j] * Fraction(c, 2) for j, c in enumerate(row)) for row in _SUM_ZERO_FRAME]
     frame = 0.5 * np.array(_SUM_ZERO_FRAME, dtype=float)
 
-    def swallowtail_draw(seed: int, count: int) -> np.ndarray:
+    def swallowtail_draw(seed: int, start: int, count: int) -> np.ndarray:
         # 4 normals projected onto the hyperplane are 3 normals in the frame
-        return np.sqrt(2.0) * unit_rows(normal_points(seed, count, 4) @ frame)
+        return np.sqrt(2.0) * unit_rows(normal_points(seed, count, 4, start) @ frame)
 
     def swallowtail_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         points, weights = _sphere2_nodes(exactness)
@@ -443,8 +451,8 @@ def _build_covers() -> dict[str, CoverSampler]:
     # (cos u, cos v) with (u, v) uniform on [0, pi]^2: the arcsine square,
     # whose operator is the product of two Chebyshev operators; the midpoint
     # rule in u is Gauss-Chebyshev in cos u, exact for degree <= 2n - 1
-    def two_tangents_draw(seed: int, count: int) -> np.ndarray:
-        return np.cos(uniform_block(seed, 0, 2 * count).reshape(count, 2) * np.pi)
+    def two_tangents_draw(seed: int, start: int, count: int) -> np.ndarray:
+        return np.cos(uniform_block(seed, 2 * start, 2 * count).reshape(count, 2) * np.pi)
 
     def two_tangents_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         n = exactness // 2 + 1
@@ -476,16 +484,14 @@ def _build_covers() -> dict[str, CoverSampler]:
     # fundamental triangle of the reflection lattice, (0,0), (2pi/3, 0),
     # (pi/3, pi/sqrt(3)) in z, is 1/6 of the torus, and the map is injective
     # on it.
-    def deltoid_draw(seed: int, count: int) -> np.ndarray:
-        w = uniform_block(seed, 0, 2 * count).reshape(count, 2)
+    def deltoid_draw(seed: int, start: int, count: int) -> np.ndarray:
+        w = uniform_block(seed, 2 * start, 2 * count).reshape(count, 2)
         flip = w.sum(axis=1) > 1.0
         w[flip] = 1.0 - w[flip]
         # z = w_0 (2pi/3, 0) + w_1 (pi/3, pi/sqrt(3))
         z0 = w[:, 0] * (2.0 * np.pi / 3.0) + w[:, 1] * (np.pi / 3.0)
         t = np.sqrt(3.0) * (w[:, 1] * (np.pi / np.sqrt(3.0))) - z0
-        s = 2.0 * z0
-        del w, z0  # bounds the peak memory of 1M draws
-        return _circles(s, t)
+        return _circles(2.0 * z0, t)
 
     def deltoid_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         axis = _equispaced(exactness + 1)
@@ -523,12 +529,8 @@ def _build_covers() -> dict[str, CoverSampler]:
 
 
 def _circles(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Circle coordinates (cos s, sin s, cos t, sin t) of torus phases,
-    filled one column at a time to bound the temporaries of 1M draws."""
-    out = np.empty((s.shape[0], 4))
-    for column, (f, phase) in enumerate(((np.cos, s), (np.sin, s), (np.cos, t), (np.sin, t))):
-        out[:, column] = f(phase)
-    return out
+    """Circle coordinates (cos s, sin s, cos t, sin t) of torus phases."""
+    return np.column_stack([np.cos(s), np.sin(s), np.cos(t), np.sin(t)])
 
 
 COVER_SAMPLERS = _build_covers()
@@ -550,17 +552,23 @@ def _applicable_cover(model) -> CoverSampler:
     return COVER_SAMPLERS[model.name]
 
 
+def _cover_blocks(model, sampler: DomainSampler):
+    """The cover Monte Carlo sample, one block of proposals at a time.
+
+    Cover images land in the closed domain; the roundoff-level boundary
+    grazers are dropped so every emitted point has all factors > 0.
+    """
+    cover = _applicable_cover(model)
+    return _accepted_blocks(
+        model,
+        sampler.sample_count,
+        lambda start, count: cover.generate(sampler.seed, start, count),
+    )
+
+
 def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
     n = sampler.sample_count
-    # the underlying streams are counter-based, so point i is a pure function
-    # of (seed, i): one-shot generation equals any chunked evaluation
-    points = _applicable_cover(model).generate(sampler.seed, n)
-    # cover images land in the closed domain; drop the roundoff-level
-    # boundary grazers so every emitted point has all factors > 0
-    mask = np.ones(points.shape[0], dtype=bool)
-    for f in model.boundary.factors:
-        mask &= f.eval_float(points) > 0.0
-    points = points[mask]
+    points = np.vstack(list(_cover_blocks(model, sampler)))
     weights = np.full(points.shape[0], 1.0 / n)
     return WeightedPoints(points, weights, density_applied=True, proposals=n)
 
@@ -606,6 +614,21 @@ def point_chunks(count: int):
         yield slice(start, min(start + POINT_CHUNK, count))
 
 
+def _block_moments(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
+    """sum_k weights_k points_k^a for every a with a_i <= max_degree, as an
+    array indexed by a: one contraction of per-axis power tables, the
+    weighted axis-0 table against the row-wise product of the other axes'."""
+    axis_basis = MonomialBasis(1, max_degree)
+    dim = points.shape[1]
+    powers = [axis_basis.eval_float(points[:, [i]]) for i in range(dim)]
+    if dim == 1:
+        return weights @ powers[0]
+    rest = powers[1]
+    for axis_table in powers[2:]:
+        rest = (rest[:, :, None] * axis_table[:, None, :]).reshape(rest.shape[0], -1)
+    return ((powers[0] * weights[:, None]).T @ rest).reshape((max_degree + 1,) * dim)
+
+
 class Moments:
     """Measure moments of all monomials up to a degree, from one sample pass.
 
@@ -626,22 +649,9 @@ class Moments:
         if sample is None:
             sample = sample_domain(model, sampler)
         weights = _effective_weights(model, sample)
-        # moments of every x^a with a_i <= max_degree, as one contraction of
-        # per-axis power tables: the weighted axis-0 table against the
-        # row-wise product of the other axes' tables
-        axis_basis = MonomialBasis(1, max_degree)
-        dim = model.dim
-        table = np.zeros((max_degree + 1) ** dim)
+        table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
-            powers = [axis_basis.eval_float(sample.points[block, [i]]) for i in range(dim)]
-            if dim == 1:
-                table += weights[block] @ powers[0]
-            else:
-                rest = powers[1]
-                for axis_table in powers[2:]:
-                    rest = (rest[:, :, None] * axis_table[:, None, :]).reshape(rest.shape[0], -1)
-                table += ((powers[0] * weights[block, None]).T @ rest).ravel()
-        table = table.reshape((max_degree + 1,) * dim)
+            table += _block_moments(sample.points[block], weights[block], max_degree)
         values = table[tuple(self.basis.exponent_array.T)]
         self.values = values
         self.by_exponent = {e: values[i] for i, e in enumerate(self.basis.exponents)}
@@ -665,35 +675,48 @@ class CoverCrossCheck:
     max_z: float
 
 
-def moment_z_scores(mc: Moments, exact: Moments, proposals: int) -> np.ndarray:
+def moment_z_scores(
+    basis: MonomialBasis, values: np.ndarray, exact: Moments, proposals: int
+) -> np.ndarray:
     """z_a = (mc_a - E[x^a]) / (sigma_a / sqrt(N)) for the nonconstant
-    monomials of `mc`, in basis order, with N = `proposals`.
+    monomials of `basis`, in basis order, where `values` holds the Monte
+    Carlo moments mc_a of `basis` and N = `proposals`.
 
-    `exact` must hold the exact moments to twice `mc`'s degree: sigma_a^2 =
-    E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
+    `exact` must hold the exact moments to twice the basis degree: sigma_a^2
+    = E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
     """
-    exponents = mc.basis.exponents[1:]  # the constant has no variance
+    exponents = basis.exponents[1:]  # the constant has no variance
     mean = np.array([exact.monomial(e) for e in exponents])
     second = np.array([exact.monomial(tuple(2 * a for a in e)) for e in exponents])
     variance = second - mean * mean
     if not (variance > 0).all():
         raise ArithmeticError("a nonconstant monomial has no positive variance under the rule")
-    return (mc.values[1:] - mean) / np.sqrt(variance / proposals)
+    return (values[1:] - mean) / np.sqrt(variance / proposals)
 
 
 def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossCheck:
-    """One pass of the cover Monte Carlo sampler: the largest |z| of its
-    moments up to `degree` against the exact cover rule (`moment_z_scores`).
+    """One streaming pass of the cover Monte Carlo sampler: the largest |z|
+    of its moments up to `degree` against the exact cover rule
+    (`moment_z_scores`).
 
-    Only the summary is returned, so the sample is freed with this frame.
+    Each block of POINT_CHUNK proposals is drawn, stripped of its boundary
+    grazers and added to the moment table before the next is drawn, so the
+    point cloud is never held; the accepted points are those of
+    `sample_domain(model, sampler)`.
     """
     if sampler.kind != "cover-mc":
         raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")
-    sample = sample_domain(model, sampler)
-    mc = Moments(model, degree, sampler, sample=sample)
     exact = Moments(model, 2 * degree, sampler, sample=cover_rule(model, 2 * degree))
-    z = moment_z_scores(mc, exact, sample.proposals)
-    return CoverCrossCheck(sample.proposals, sample.accepted, float(np.abs(z).max()))
+    n = sampler.sample_count
+    table = np.zeros((degree + 1,) * model.dim)
+    accepted = 0
+    for points in _cover_blocks(model, sampler):
+        block = WeightedPoints(points, np.full(points.shape[0], 1.0 / n), density_applied=True)
+        table += _block_moments(points, _effective_weights(model, block), degree)
+        accepted += block.accepted
+    basis = MonomialBasis(model.dim, degree)
+    z = moment_z_scores(basis, table[tuple(basis.exponent_array.T)], exact, n)
+    return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
 
 
 def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | None = None) -> np.ndarray:

@@ -38,27 +38,51 @@ def stream_uniform(seed: int, index: int) -> float:
 
 
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized uniforms for stream indices start .. start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + (idx + np.uint64(1)) * np.uint64(GOLDEN)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """Vectorized uniforms for stream indices start .. start+count-1.
+
+    splitmix runs in place on one uint64 buffer, with one more for the
+    shifted copies, so the temporaries stay at twice the output size.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK64)
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, MIX1), (27, MIX2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    del shifted
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def normal_block(seed: int, start_pair: int, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller; pair j consumes stream slots 2j, 2j+1."""
+    """Standard normals via Box-Muller; pair j consumes stream slots 2j, 2j+1.
+
+    Each transform runs in place on one contiguous buffer.
+    """
     u = uniform_block(seed, 2 * start_pair, 2 * count).reshape(count, 2)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    return radius * np.cos(2.0 * np.pi * u[:, 1])
+    radius = np.negative(u[:, 0])
+    angle = np.multiply(u[:, 1], 2.0 * np.pi)
+    del u
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
-def normal_points(seed: int, count: int, dim: int) -> np.ndarray:
-    """Standard normal points in R^dim; axis k reads its own counter stream."""
+def normal_points(seed: int, count: int, dim: int, start: int = 0) -> np.ndarray:
+    """Standard normal points start .. start+count-1 in R^dim; axis k reads
+    its own counter stream."""
     gauss = np.empty((count, dim))
     for axis in range(dim):
-        gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), 0, count)
+        gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), start, count)
     return gauss
 
 
@@ -69,6 +93,7 @@ def unit_rows(points: np.ndarray) -> np.ndarray:
     return points / norms[:, None]
 
 
-def sphere_points(seed: int, count: int, ambient_dim: int) -> np.ndarray:
-    """Deterministic uniform points on the unit sphere in R^ambient_dim."""
-    return unit_rows(normal_points(seed, count, ambient_dim))
+def sphere_points(seed: int, count: int, ambient_dim: int, start: int = 0) -> np.ndarray:
+    """Deterministic uniform points start .. start+count-1 on the unit
+    sphere in R^ambient_dim."""
+    return unit_rows(normal_points(seed, count, ambient_dim, start))
