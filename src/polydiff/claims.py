@@ -40,7 +40,7 @@ from .operator import (
     product_operator,
 )
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
-from .quadrature import GAUSS_KINDS, Moments, cover_cross_check, cover_rule, symmetry_defect
+from .quadrature import Moments, cover_cross_check, cover_rule, symmetry_defect
 from .rng import DEFAULT_SEED, stream_uniform
 from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
 
@@ -50,6 +50,9 @@ DEFECT_TOL = 1e-8
 # reads 9 to 22 at 1M proposals
 MC_Z_GATE = 5.0
 GRAM_TOL = 1e-6
+# relative gap between the energy pencil and the graded spectrum, on every
+# sampled model
+CROSS_TOL = 1e-6
 RESIDUAL_TOL = 1e-7
 CURVATURE_TOL = 1e-6
 NONCONSTANT_CURVATURE_SPREAD = 1e-3
@@ -328,22 +331,13 @@ def _eigenbasis_claim(name: str):
         eb = eigenbasis(model, 6, sampler, moments=moments)
         gram_dev = eb.gram_deviation()
         residual = max(eb.residuals())
-        gaps = pencil_gaps(eb)
-        cross = float(gaps.max())
-        # the cover rules are exact too, but their monomial pencils are badly
-        # conditioned: prefix gaps reach 1e-3
-        gauss = sampler.kind in GAUSS_KINDS
-        cross_tol = 1e-6 if gauss else 2e-2
-        prefix = len(gaps) if gauss else (3 * len(gaps)) // 4
-        prefix_gap = float(gaps[:prefix].max())
-        ok = gram_dev < GRAM_TOL and residual < RESIDUAL_TOL and prefix_gap < cross_tol
+        cross = float(pencil_gaps(eb).max())
+        ok = gram_dev < GRAM_TOL and residual < RESIDUAL_TOL and cross < CROSS_TOL
         return ok, {
             "gram_deviation": gram_dev,
             "gram_tolerance": GRAM_TOL,
             "max_residual": residual,
             "pencil_cross_check": cross,
-            "pencil_prefix_gap": prefix_gap,
-            "pencil_prefix": prefix,
         }
 
     return run

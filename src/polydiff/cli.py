@@ -193,6 +193,11 @@ def cmd_verify(args) -> int:
 
     if args.measure is not None:
         return _verify_measure(args)
+    if args.param:
+        raise CliDataError(
+            "--param applies only with --measure; the claim battery runs each "
+            "model at its catalog parameters"
+        )
 
     report = run_claims(model_filter=args.model, seed=args.seed)
     payload = report.to_jsonable()
@@ -308,10 +313,11 @@ def cmd_boundary_points(args) -> int:
         raise CliDataError("boundary-points is available for 2D models")
     lo_x, hi_x = (float(v) for v in model.box[0])
     lo_y, hi_y = (float(v) for v in model.box[1])
+    if args.count < 2:
+        raise CliDataError(f"--count must be at least 2, got {args.count}")
     lines = ["x,y,factor"]
-    count = max(args.count, 2)
     for index, factor in enumerate(model.boundary.factors):
-        for x in np.linspace(lo_x, hi_x, count):
+        for x in np.linspace(lo_x, hi_x, args.count):
             # roots in y of the factor along this vertical line
             slice_poly = factor.partial_evaluate({0: _to_fraction(x)})
             coeffs = [0.0] * (int(slice_poly.total_degree) + 1 if not slice_poly.is_zero else 1)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,8 +40,6 @@ from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
 #: step of a pass that accumulates sums
 POINT_CHUNK = 16384
-
-GAUSS_KINDS = ("tensor-gauss-square", "polar-gauss-disk", "duffy-gauss-triangle")
 
 
 class SamplerConfigError(ValueError):
@@ -632,7 +629,7 @@ def _block_moments(points: np.ndarray, weights: np.ndarray, max_degree: int) -> 
 class Moments:
     """Measure moments of all monomials up to a degree, from one sample pass.
 
-    Every Gram / energy-form / operator-moment entry below is a finite sum of
+    Every monomial Gram / operator-moment entry below is a finite sum of
     these moments, so matrices built from the same Moments object are exactly
     consistent with each other (and exactly symmetric where they should be).
     """
@@ -655,8 +652,8 @@ class Moments:
         values = table[tuple(self.basis.exponent_array.T)]
         self.values = values
         self.by_exponent = {e: values[i] for i, e in enumerate(self.basis.exponents)}
-        # retained so downstream code can integrate non-polynomial quantities
-        # (e.g. products of normalized eigenfunctions) against the same rule
+        # retained so downstream code can integrate pointwise quantities
+        # (products and gradients of eigenfunctions) against the same rule
         self.points = sample.points
         self.weights = weights
         # None for a deterministic rule, whose moments are exact to roundoff
@@ -753,53 +750,35 @@ def operator_moment_matrix(
     return m
 
 
-def gamma_form_matrix(
-    model, degree: int, sampler: DomainSampler, moments: Moments | None = None
-) -> np.ndarray:
-    """A[k, l] ~ integral of Gamma(m_k, m_l) against the measure (symmetric).
+def gamma_form_matrix(basis: MonomialBasis, columns: np.ndarray, moments: Moments) -> np.ndarray:
+    """A[k, l] ~ integral of Gamma(f_k, f_l) against the measure, where
+    column k of `columns` holds f_k's coefficients over `basis`.
 
-    With g^ij = sum_c g^ij_c x^c, each entry comes from exponent arithmetic,
-
-        Gamma(x^a, x^b) = sum_{ij,c} g^ij_c a_i b_j x^(a + b + c - e_i - e_j),
-
-    summed exactly per target exponent, in integers over the common
-    denominator of the cometric's coefficients, before the float moments
-    are looked up.
+    Gamma(f, h) = sum_ij g^ij d_i f d_j h is evaluated at the points of
+    `moments` in blocks of POINT_CHUNK and summed with its weights, so each
+    diagonal entry is a positively weighted sum of grad f^t g grad f; the
+    result is exactly symmetric.
     """
-    basis = MonomialBasis(model.dim, degree)
-    mom = moments if moments is not None else Moments(model, 2 * degree, sampler)
-    g = model.cometric
-    # (i, j, c - e_i - e_j, coefficient)
-    terms = [
-        (i, j, _lowered(c, i, j), coeff)
-        for i in range(g.dim)
-        for j in range(g.dim)
-        for c, coeff in g[i, j].terms.items()
-    ]
-    scale = lcm(*(coeff.denominator for *_, coeff in terms))
-    terms = [
-        (i, j, shift, coeff.numerator * (scale // coeff.denominator))
-        for i, j, shift, coeff in terms
-    ]
-    size = len(basis)
-    a = np.empty((size, size))
-    for k, ek in enumerate(basis.exponents):
-        for l in range(k, size):
-            el = basis.exponents[l]
-            image: dict[tuple[int, ...], int] = {}
-            for i, j, shift, coeff in terms:
-                factor = ek[i] * el[j]
-                if factor:
-                    target = tuple(x + y + s for x, y, s in zip(ek, el, shift))
-                    total = image.get(target, 0) + factor * coeff
-                    if total:
-                        image[target] = total
-                    else:
-                        del image[target]
-            value = sum(v / scale * mom.monomial(target) for target, v in image.items())
-            a[k, l] = value
-            a[l, k] = value
-    return a
+    g = moments.model.cometric
+    # grads[i] holds the coefficients of d_i f_k over the same basis
+    grads = [np.zeros(columns.shape) for _ in range(basis.dim)]
+    for row, exponent in enumerate(basis.exponents):
+        for i, power in enumerate(exponent):
+            if power:
+                grads[i][basis.index[_lowered(exponent, i)]] += power * columns[row]
+    stacked = np.hstack(grads)
+    size = columns.shape[1]
+    a = np.zeros((size, size))
+    for blk in point_chunks(moments.points.shape[0]):
+        points = moments.points[blk]
+        # one (points, size) block of values per axis: values[:, i] is d_i f
+        values = (basis.eval_float(points) @ stacked).reshape(-1, basis.dim, size)
+        for i in range(basis.dim):
+            for j in range(basis.dim):
+                if not g[i, j].is_zero:
+                    weights = moments.weights[blk] * g[i, j].eval_float(points)
+                    a += (values[:, i] * weights[:, None]).T @ values[:, j]
+    return (a + a.T) / 2.0
 
 
 def symmetry_defect(

@@ -121,17 +121,19 @@ def test_a5_self_adjointness(battery):
 def test_a6_eigenbasis_quality(battery):
     bounded = [r.name for r in list_models() if r.compact and r.dim <= 2]
     ok = True
-    worst_gram = worst_residual = 0.0
+    worst_gram = worst_residual = worst_cross = 0.0
     for name in bounded:
         result = battery[f"{name}.eigenbasis-quality"]
         ok = ok and result.status == "pass"
         worst_gram = max(worst_gram, result.detail["gram_deviation"])
         worst_residual = max(worst_residual, result.detail["max_residual"])
+        worst_cross = max(worst_cross, result.detail["pencil_cross_check"])
     verdict(
         "A6",
-        ok,
+        ok and worst_cross < 1e-6,
         f"{len(bounded)} bounded models, worst Gram deviation {worst_gram:.1e}, "
-        f"worst operator residual {worst_residual:.1e}",
+        f"worst operator residual {worst_residual:.1e}, "
+        f"worst energy-pencil gap {worst_cross:.1e}",
     )
 
 

@@ -99,6 +99,15 @@ def test_verify_single_fast_model(capsys):
     assert payload["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("param", ["a=5", "bogus=5"])
+def test_verify_rejects_parameters_without_measure(capsys, param):
+    # the battery would run the catalog defaults and drop the assignment
+    code, out, err = run_cli(capsys, "verify", "--model", "jacobi1d", "--param", param)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "--param applies only with --measure" in err
+
+
 def test_verify_inadmissible_measure(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--model", "nodal_cubic", "--measure", "det^-1/2",
@@ -153,6 +162,14 @@ def test_boundary_points_csv(tmp_path, capsys):
     for row in rows[:32]:
         value = factor.eval_float([[float(row["x"]), float(row["y"])]])[0]
         assert abs(value) < 1e-6
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+def test_boundary_points_rejects_fewer_than_two(capsys, count):
+    code, out, err = run_cli(capsys, "boundary-points", "--model", "deltoid", "-n", count)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "--count must be at least 2" in err
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

@@ -14,7 +14,8 @@ from polydiff.linalg import (
     generalized_sym_eig,
     poly_matrix_det,
 )
-from polydiff.quadrature import gamma_form_matrix, gram_matrix
+from polydiff.poly import MonomialBasis
+from polydiff.quadrature import Moments, gamma_form_matrix, gram_matrix
 
 
 def test_nullspace_identity_is_trivial():
@@ -71,7 +72,7 @@ def test_generalized_eig_jacobi_energy_form():
     model = get_model("jacobi1d", {"a": "1", "b": "1"})
     sampler = model.sampler()
     b = gram_matrix(model, 2, sampler)
-    a = gamma_form_matrix(model, 2, sampler)
+    a = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), Moments(model, 4, sampler))
     result = generalized_sym_eig(a, b)
     assert np.allclose(result.eigenvalues, [0.0, 2.0, 6.0], atol=1e-10)
 

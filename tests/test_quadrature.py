@@ -313,8 +313,14 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
     model = get_model(name)
     sampler = model.sampler(seed=3, sample_count=20_000)
     moments = Moments(model, 12, sampler)
-    a = gamma_form_matrix(model, 6, sampler, moments=moments)
-    expected, scale = _symbolic_gamma_form(model, 6, moments)
+    basis = MonomialBasis(model.dim, 6)
+    a = gamma_form_matrix(basis, np.eye(len(basis)), moments)
+    expected, term_scale = _symbolic_gamma_form(model, 6, moments)
+    # the pointwise sum and the moment sum round differently; both are
+    # bounded by the terms' magnitudes and, by Cauchy-Schwarz, by the
+    # diagonal's
+    diagonal = np.sqrt(np.abs(np.diag(a)))
+    scale = np.maximum(term_scale, np.outer(diagonal, diagonal))
     assert np.all(np.abs(a - expected) <= 1e-12 * scale)
     assert np.array_equal(a, a.T)
 

@@ -1,6 +1,7 @@
 """Spectra: exact graded eigenvalues, eigenbases, closed-form comparison."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from polydiff import spectra
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
-from polydiff.quadrature import Moments, cover_rule
+from polydiff.poly import Polynomial
+from polydiff.quadrature import COVER_SAMPLERS, Moments, cover_rule
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
@@ -133,24 +135,26 @@ def test_eigenbasis_mc_domain_quality():
     assert pencil_gaps(eb).max() < 5e-2
 
 
-def test_negative_pencil_tolerance_follows_the_integrated_rule(monkeypatch):
-    # a pencil eigenvalue at -1e-4 of the scale is roundoff-impossible on an
-    # exact rule but within Monte Carlo noise
+@pytest.mark.parametrize("rule", ["exact", "monte-carlo"])
+def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
+    # the energy form is a positively weighted sum of grad f^t g grad f on
+    # any rule, so an eigenvalue at -1e-4 of the scale is never noise
     model = get_model("deltoid")
-    sampler = model.sampler()
-    moments = Moments(model, 5, sampler, sample=cover_rule(model, 5))
-    assert moments.proposals is None
-    stable = spectra._stable_pencil_eigenvalues
+    sampler = model.sampler(seed=5, sample_count=20_000)
+    sample = cover_rule(model, 5) if rule == "exact" else None
+    moments = Moments(model, 5, sampler, sample=sample)
+    assert (moments.proposals is None) == (rule == "exact")
+    solve = spectra.generalized_sym_eig
 
     def shifted(a, b):
-        values = stable(a, b)
-        return np.append(values, -1e-4 * max(np.abs(values).max(), 1.0))
+        result = solve(a, b)
+        values = result.eigenvalues
+        values[0] = -1e-4 * max(np.abs(values).max(), 1.0)
+        return result
 
-    monkeypatch.setattr(spectra, "_stable_pencil_eigenvalues", shifted)
+    monkeypatch.setattr(spectra, "generalized_sym_eig", shifted)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         eigenbasis(model, 2, sampler, moments=moments)
-    moments.proposals = 1_000_000  # the same moments, as if drawn by Monte Carlo
-    eigenbasis(model, 2, sampler, moments=moments)
 
 
 def test_eigenbasis_deterministic():
@@ -162,10 +166,30 @@ def test_eigenbasis_deterministic():
 
 
 def test_cross_validation_gauss_tight():
-    for name in ("jacobi1d", "square", "disk", "triangle"):
+    # the Gauss models on their own rules, the covers on their exact cover
+    # rules: the full pencil, one eigenvalue per eigenfunction, on every one
+    for name in ("jacobi1d", "square", "disk", "triangle", *sorted(COVER_SAMPLERS)):
         model = get_model(name)
-        eb = eigenbasis(model, 6, model.sampler())
-        assert pencil_gaps(eb).max() < 1e-6
+        sampler = model.sampler()
+        sample = cover_rule(model, 13) if name in COVER_SAMPLERS else None
+        eb = eigenbasis(model, 6, sampler, moments=Moments(model, 13, sampler, sample=sample))
+        assert len(eb.pencil_eigenvalues) == len(eb.graded_values)
+        assert pencil_gaps(eb).max() < 1e-6, name
+
+
+def test_pencil_catches_a_perturbed_drift():
+    # b^0 + x/100 keeps L degree-preserving, so the graded eigenfunctions
+    # exist, but L is no longer symmetric for the cover's measure
+    model = get_model("deltoid")
+    sampler = model.sampler()
+    moments = Moments(model, 13, sampler, sample=cover_rule(model, 13))
+    assert pencil_gaps(eigenbasis(model, 6, sampler, moments=moments)).max() < 1e-6
+    op = model.operator
+    drift = (op.drift[0] + Polynomial.monomial(2, (1, 0)) * Fraction(1, 100), op.drift[1])
+    perturbed = get_model("deltoid")
+    perturbed._operator = replace(op, drift=drift)
+    eb = eigenbasis(perturbed, 6, sampler, moments=moments)
+    assert pencil_gaps(eb).max() > 1e-6
 
 
 def test_spectrum_json_export_shape():
