@@ -40,7 +40,7 @@ from .operator import (
     product_operator,
 )
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
-from .quadrature import Moments, cover_cross_check, cover_rule, symmetry_defect
+from .quadrature import Moments, cover_cross_check, symmetry_defect
 from .rng import DEFAULT_SEED, stream_uniform
 from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
 
@@ -117,12 +117,12 @@ def _crash_frame(exc: BaseException) -> str:
 class RunContext:
     """Shared caches so one verify run integrates each model once.
 
-    `moments` come from the model's default rule, except that a cover-mc
-    model is integrated by its exact cover rule (`quadrature.cover_rule`);
-    its Monte Carlo sample is drawn only by the symmetry-defect claim's
-    cross-check, which streams it block by block into a moment table, so
-    no point cloud is held or cached.  The claim tolerances are those of a
-    deterministic rule, so Monte Carlo moments raise.
+    `moments` integrate the model's default rule, which for a cover-mc
+    model is its exact cover rule (`quadrature.Moments`); its Monte Carlo
+    sample is drawn only by the symmetry-defect claim's cross-check, which
+    streams it block by block into a moment table, so no point cloud is
+    held or cached.  The claim tolerances are those of a deterministic
+    rule, so Monte Carlo moments raise.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
@@ -140,9 +140,7 @@ class RunContext:
         key = (model.name, tuple(sorted(model.params.items())))
         cached = self._moments.get(key)
         if cached is None or cached.basis.max_degree < degree:
-            sampler = model.sampler(seed=self.seed)
-            sample = cover_rule(model, degree) if sampler.kind == "cover-mc" else None
-            cached = Moments(model, degree, sampler, sample=sample)
+            cached = Moments(model, degree, model.sampler(seed=self.seed))
             if cached.proposals is not None:
                 raise ValueError(f"{model.name} has no deterministic rule at these parameters")
             self._moments[key] = cached

@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="boundary factor polynomial (repeatable)")
     admissible.add_argument("--witness", required=True,
                             help="comma-separated rational interior point")
-    _common_output(admissible)
+    _common_output(admissible, formats=("json", "pretty"))
     admissible.set_defaults(handler=cmd_admissible)
 
     spectrum = sub.add_parser("spectrum", help="graded eigenvalues of a model")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--measure", default=None,
                         help="check a det^p measure for admissibility instead")
     verify.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    _common_output(verify, default_format="json")
+    _common_output(verify, default_format="json", formats=("json", "pretty"))
     verify.set_defaults(handler=cmd_verify)
 
     curvature = sub.add_parser("curvature", help="scalar curvature over an interior grid")
@@ -388,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     _model_options(orthogonality)
     orthogonality.add_argument("--degree", type=int, default=3)
     orthogonality.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    _common_output(orthogonality)
+    _common_output(orthogonality, formats=("json", "pretty"))
     orthogonality.set_defaults(handler=cmd_orthogonality)
 
     boundary_points = sub.add_parser("boundary-points", help="CSV points on the boundary curve")
     _model_options(boundary_points)
     boundary_points.add_argument("-n", "--count", type=int, default=256)
-    _common_output(boundary_points, default_format="csv")
+    _common_output(boundary_points, formats=())
     boundary_points.set_defaults(handler=cmd_boundary_points)
 
     return parser
@@ -406,8 +406,13 @@ def _model_options(parser) -> None:
                         help="model parameter assignment name=value (repeatable)")
 
 
-def _common_output(parser, default_format: str = "pretty") -> None:
-    parser.add_argument("--format", choices=["json", "csv", "pretty"], default=default_format)
+def _common_output(
+    parser, default_format: str = "pretty", formats: tuple[str, ...] = ("json", "csv", "pretty")
+) -> None:
+    """--out, and --format over the formats the subcommand writes (none for
+    a single-format subcommand)."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default=default_format)
     parser.add_argument("--out", default=None, help="write output to this path")
 
 

@@ -77,16 +77,11 @@ class CoMetric:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Density data: product of factor powers times exp of a polynomial.
-
-    arctan terms (numerator, denominator, coefficient) are evaluation-only;
-    they never take part in exact drift construction.
-    """
+    """Density data: product of factor powers times exp of a polynomial."""
 
     dim: int
     factor_exponents: tuple[tuple[Polynomial, Fraction], ...] = ()
     exp_poly: Polynomial | None = None
-    arctan_terms: tuple[tuple[Polynomial, Polynomial, float], ...] = ()
 
     def density_float(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -98,8 +93,6 @@ class MeasureSpec:
             out *= np.power(np.abs(values), float(exponent))
         if self.exp_poly is not None:
             out *= np.exp(self.exp_poly.eval_float(points))
-        for numer, denom, coeff in self.arctan_terms:
-            out *= np.exp(coeff * np.arctan2(numer.eval_float(points), denom.eval_float(points)))
         return out
 
 
@@ -107,7 +100,6 @@ class MeasureSpec:
 class DiffusionOperator:
     cometric: CoMetric
     drift: tuple[Polynomial, ...]
-    measure: MeasureSpec | None = None
 
     def __post_init__(self):
         d = self.cometric.dim
@@ -193,11 +185,6 @@ def drift_from_measure(g: CoMetric, measure: MeasureSpec) -> tuple[Polynomial, .
     """
     if measure.dim != g.dim:
         raise ValueError("dimension mismatch")
-    if measure.arctan_terms:
-        raise InadmissibleMeasureError(
-            "arctan measure parts are evaluation-only; their log-gradient is "
-            "rational, not polynomial"
-        )
     d = g.dim
     drift = [Polynomial.zero(d) for _ in range(d)]
     for i in range(d):
@@ -229,7 +216,7 @@ def drift_from_measure(g: CoMetric, measure: MeasureSpec) -> tuple[Polynomial, .
 
 
 def operator_from_measure(g: CoMetric, measure: MeasureSpec) -> DiffusionOperator:
-    return DiffusionOperator(g, drift_from_measure(g, measure), measure)
+    return DiffusionOperator(g, drift_from_measure(g, measure))
 
 
 def _embed(p: Polynomial, total: int, offset: int) -> Polynomial:
@@ -255,21 +242,7 @@ def product_operator(op1: DiffusionOperator, op2: DiffusionOperator) -> Diffusio
     drift = tuple(_embed(b, total, 0) for b in op1.drift) + tuple(
         _embed(b, total, d1) for b in op2.drift
     )
-    measure = None
-    if op1.measure is not None and op2.measure is not None:
-        factors = tuple(
-            (_embed(f, total, 0), a) for f, a in op1.measure.factor_exponents
-        ) + tuple((_embed(f, total, d1), a) for f, a in op2.measure.factor_exponents)
-        exp_parts = [
-            _embed(m.exp_poly, total, off)
-            for m, off in ((op1.measure, 0), (op2.measure, d1))
-            if m.exp_poly is not None
-        ]
-        exp_poly = None
-        for part in exp_parts:
-            exp_poly = part if exp_poly is None else exp_poly + part
-        measure = MeasureSpec(total, factors, exp_poly)
-    return DiffusionOperator(CoMetric(entries), drift, measure)
+    return DiffusionOperator(CoMetric(entries), drift)
 
 
 def sphere_operator(sphere_dim: int) -> DiffusionOperator:

@@ -13,10 +13,14 @@ map polynomials, from which `geometry.verify_pullback` decides the
 realization exactly.  Each cover has a seeded Monte Carlo draw (sampler kind
 cover-mc) and a deterministic product rule, both pushed to the plane by
 evaluating the maps.  `cover_rule` builds the rule for a moment degree,
-exact to roundoff like the Gauss rules, and `cover_cross_check` measures the
-Monte Carlo moments against it in units of their standard error.  The
-cross-check streams the draw in blocks of POINT_CHUNK proposals, adding each
-block's moments as it goes, so it never holds the whole point cloud.
+exact to roundoff like the Gauss rules; `Moments` integrates it for every
+cover-mc sampler, and `cover_cross_check` measures the Monte Carlo moments
+against it in units of their standard error.  The cross-check streams the
+draw in blocks of POINT_CHUNK proposals, adding each block's moments as it
+goes, so it never holds the whole point cloud.
+
+Every rule returns weights with the measure density folded in, so each
+integral is a weighted sum over its points.
 
 Everything else uses seeded Monte Carlo rejection in a bounding box.  Both
 Monte Carlo kinds propose in counter blocks: proposal j draws from fixed
@@ -67,13 +71,12 @@ class DomainSampler:
 
 @dataclass
 class WeightedPoints:
-    """Sample points with weights; density_applied says whether the measure
-    density is already absorbed into the weights (Gauss kinds) or must be
-    multiplied in at integration time (Monte Carlo)."""
+    """Sample points with the weights that integrate the model measure: every
+    rule folds the density into its weights, so an integral is a weighted
+    sum."""
 
     points: np.ndarray
     weights: np.ndarray
-    density_applied: bool
     proposals: int | None = None
 
     @property
@@ -89,24 +92,37 @@ def _jacobi_rule_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.n
     return u, w
 
 
-def _axis_exponents_square(model, axis: int) -> tuple[float, float]:
-    """Exponents on (1 - x_axis) and (1 + x_axis) in the model measure."""
-    d = model.dim
-    one = Polynomial.constant(d, 1)
-    var = Polynomial.variable(d, axis)
-    alpha = beta = Fraction(0)
+def _gauss_exponents(model, factors: list[Polynomial], rule: str) -> list[Fraction]:
+    """The measure exponent on each of `factors`, which cut out the rule's
+    domain and whose powers its weights absorb.
+
+    A model cut out by other factors, or with a density part the weights do
+    not absorb (another factor with a nonzero exponent, an exp part), raises:
+    the rule would integrate the wrong domain or drop that part.
+    """
+    boundary = list(model.boundary.factors)
+    if not (all(f in factors for f in boundary) and all(f in boundary for f in factors)):
+        raise SamplerConfigError(
+            f"{rule} rule needs the domain cut out by {', '.join(map(str, factors))}"
+        )
+    if model.measure.exp_poly is not None:
+        raise SamplerConfigError(f"{rule} rule cannot absorb an exp part of the density")
+    exponents = [Fraction(0)] * len(factors)
     for factor, exponent in model.measure.factor_exponents:
-        if factor == one - var:
-            alpha = exponent
-        elif factor == one + var:
-            beta = exponent
-    return float(alpha), float(beta)
+        if factor in factors:
+            exponents[factors.index(factor)] = exponent
+        elif exponent != 0:
+            raise SamplerConfigError(f"{rule} rule cannot absorb the density factor {factor}")
+    return exponents
 
 
 def _square_rule(model, n: int) -> WeightedPoints:
-    axes = [roots_jacobi(n, *_axis_exponents_square(model, axis)) for axis in range(model.dim)]
+    x = [Polynomial.variable(model.dim, i) for i in range(model.dim)]
+    # the exponents on 1 - x_i and 1 + x_i, axis by axis
+    a = _gauss_exponents(model, [f for xi in x for f in (1 - xi, 1 + xi)], "tensor Gauss")
+    axes = [roots_jacobi(n, float(a[2 * i]), float(a[2 * i + 1])) for i in range(model.dim)]
     nodes, weights = _product(*axes)
-    return WeightedPoints(np.column_stack(nodes), weights, density_applied=True)
+    return WeightedPoints(np.column_stack(nodes), weights)
 
 
 def _product(*axes: tuple[np.ndarray, np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -119,17 +135,8 @@ def _product(*axes: tuple[np.ndarray, np.ndarray]) -> tuple[list[np.ndarray], np
 
 
 def _disk_rule(model, n: int) -> WeightedPoints:
-    d = model.dim
-    if d != 2:
-        raise SamplerConfigError("polar rule needs a 2D model")
-    one = Polynomial.constant(2, 1)
     rsq = Polynomial.variable(2, 0) ** 2 + Polynomial.variable(2, 1) ** 2
-    p = Fraction(0)
-    for factor, exponent in model.measure.factor_exponents:
-        if factor == one - rsq:
-            p = exponent
-        elif exponent != 0:
-            raise SamplerConfigError("disk rule only absorbs the radial factor")
+    (p,) = _gauss_exponents(model, [1 - rsq], "polar Gauss")
     n_theta = 4 * n + 4
     u, wu = _jacobi_rule_01(n, float(p), 0.0)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
@@ -143,25 +150,12 @@ def _disk_rule(model, n: int) -> WeightedPoints:
         # dx dy = (1/2) du dtheta after u = r^2
         w[k : k + n_theta] = 0.5 * wu[j] * (2.0 * np.pi / n_theta)
         k += n_theta
-    return WeightedPoints(pts, w, density_applied=True)
+    return WeightedPoints(pts, w)
 
 
 def _triangle_rule(model, n: int) -> WeightedPoints:
-    d = model.dim
-    if d != 2:
-        raise SamplerConfigError("Duffy rule needs a 2D model")
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    one = Polynomial.constant(2, 1)
-    p = q = r = Fraction(0)
-    for factor, exponent in model.measure.factor_exponents:
-        if factor == x:
-            p = exponent
-        elif factor == y:
-            q = exponent
-        elif factor == one - x - y:
-            r = exponent
-        elif exponent != 0:
-            raise SamplerConfigError("triangle rule only absorbs the simplex factors")
+    p, q, r = _gauss_exponents(model, [x, y, 1 - x - y], "Duffy Gauss")
     # X = u, Y = v(1-u):  X^p Y^q (1-X-Y)^r dXdY
     #   = u^p (1-u)^(q+r+1) du * v^q (1-v)^r dv
     u, wu = _jacobi_rule_01(n, float(q + r + 1), float(p))
@@ -169,7 +163,7 @@ def _triangle_rule(model, n: int) -> WeightedPoints:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     ww = np.outer(wu, wv)
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
-    return WeightedPoints(pts, ww.ravel(), density_applied=True)
+    return WeightedPoints(pts, ww.ravel())
 
 
 def _box_floats(box: Sequence[tuple[Fraction, Fraction]]) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +233,8 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
         return lo + span * uniform_block(sampler.seed, d * start, d * count).reshape(count, d)
 
     points = np.vstack(list(_accepted_blocks(model, n, propose)))
-    weights = np.full(points.shape[0], float(np.prod(span)) / n)
-    return WeightedPoints(points, weights, density_applied=False, proposals=n)
+    weights = float(np.prod(span)) / n * model.measure.density_float(points)
+    return WeightedPoints(points, weights, proposals=n)
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +561,7 @@ def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
     n = sampler.sample_count
     points = np.vstack(list(_cover_blocks(model, sampler)))
     weights = np.full(points.shape[0], 1.0 / n)
-    return WeightedPoints(points, weights, density_applied=True, proposals=n)
+    return WeightedPoints(points, weights, proposals=n)
 
 
 def cover_rule(model, degree: int) -> WeightedPoints:
@@ -578,7 +572,7 @@ def cover_rule(model, degree: int) -> WeightedPoints:
     exactness needs.
     """
     points, weights = _applicable_cover(model).rule(degree)
-    return WeightedPoints(points, weights, density_applied=True)
+    return WeightedPoints(points, weights)
 
 
 def sample_domain(model, sampler: DomainSampler) -> WeightedPoints:
@@ -594,15 +588,6 @@ def sample_domain(model, sampler: DomainSampler) -> WeightedPoints:
     if sampler.kind == "cover-mc":
         return _cover_mc(model, sampler)
     raise SamplerConfigError(f"unknown sampler kind {sampler.kind!r}")
-
-
-def _effective_weights(model, sample: WeightedPoints) -> np.ndarray:
-    if sample.density_applied:
-        weights = sample.weights.copy()
-        if model.measure.exp_poly is not None:
-            weights *= np.exp(model.measure.exp_poly.eval_float(sample.points))
-        return weights
-    return sample.weights * model.measure.density_float(sample.points)
 
 
 def point_chunks(count: int):
@@ -629,38 +614,49 @@ def _block_moments(points: np.ndarray, weights: np.ndarray, max_degree: int) -> 
 class Moments:
     """Measure moments of all monomials up to a degree, from one sample pass.
 
-    Every monomial Gram / operator-moment entry below is a finite sum of
-    these moments, so matrices built from the same Moments object are exactly
-    consistent with each other (and exactly symmetric where they should be).
+    `table[a]` is the moment of x^a for every a with a_i <= max_degree; only
+    those of total degree <= max_degree are read (`monomial`), since a rule is
+    exact only to its degree.  Every monomial Gram / operator-moment entry
+    below is a finite sum of these moments, so matrices built from the same
+    Moments object are exactly consistent with each other (and exactly
+    symmetric where they should be).
     """
 
     def __init__(
         self, model, max_degree: int, sampler: DomainSampler, sample: WeightedPoints | None = None
     ):
-        """`sample`, when given, is integrated instead of a fresh
-        `sample_domain(model, sampler)` draw (a cover rule, for example)."""
+        """Without `sample`, a cover-mc sampler integrates the exact
+        `cover_rule(model, max_degree)`, whose Monte Carlo draw only
+        cross-checks it (`cover_cross_check`), and every other kind
+        `sample_domain(model, sampler)`.  `sample`, when given, is integrated
+        instead: a fixed point set, such as a cover's Monte Carlo draw."""
         model.require_finite_mass()
         self.model = model
-        self.sampler = sampler
         self.basis = MonomialBasis(model.dim, max_degree)
         if sample is None:
-            sample = sample_domain(model, sampler)
-        weights = _effective_weights(model, sample)
-        table = np.zeros((max_degree + 1,) * model.dim)
+            if sampler.kind == "cover-mc":
+                sample = cover_rule(model, max_degree)
+            else:
+                sample = sample_domain(model, sampler)
+        self.table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
-            table += _block_moments(sample.points[block], weights[block], max_degree)
-        values = table[tuple(self.basis.exponent_array.T)]
-        self.values = values
-        self.by_exponent = {e: values[i] for i, e in enumerate(self.basis.exponents)}
+            self.table += _block_moments(sample.points[block], sample.weights[block], max_degree)
+        self.values = self.monomial(self.basis.exponent_array)
         # retained so downstream code can integrate pointwise quantities
         # (products and gradients of eigenfunctions) against the same rule
         self.points = sample.points
-        self.weights = weights
+        self.weights = sample.weights
         # None for a deterministic rule, whose moments are exact to roundoff
         self.proposals = sample.proposals
 
-    def monomial(self, exponent) -> float:
-        return self.by_exponent[tuple(exponent)]
+    def monomial(self, exponents):
+        """The moment of x^a for one exponent tuple a, or an array of them
+        for the exponents along the last axis of `exponents`, in the shape
+        of the other axes."""
+        exponents = np.asarray(exponents)
+        if exponents.size and exponents.sum(axis=-1).max() > self.basis.max_degree:
+            raise IndexError(f"a moment above degree {self.basis.max_degree} was asked for")
+        return self.table[tuple(np.moveaxis(exponents, -1, 0))]
 
 
 @dataclass(frozen=True)
@@ -682,9 +678,9 @@ def moment_z_scores(
     `exact` must hold the exact moments to twice the basis degree: sigma_a^2
     = E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
     """
-    exponents = basis.exponents[1:]  # the constant has no variance
-    mean = np.array([exact.monomial(e) for e in exponents])
-    second = np.array([exact.monomial(tuple(2 * a for a in e)) for e in exponents])
+    exponents = basis.exponent_array[1:]  # the constant has no variance
+    mean = exact.monomial(exponents)
+    second = exact.monomial(2 * exponents)
     variance = second - mean * mean
     if not (variance > 0).all():
         raise ArithmeticError("a nonconstant monomial has no positive variance under the rule")
@@ -703,14 +699,13 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
     """
     if sampler.kind != "cover-mc":
         raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")
-    exact = Moments(model, 2 * degree, sampler, sample=cover_rule(model, 2 * degree))
+    exact = Moments(model, 2 * degree, sampler)
     n = sampler.sample_count
     table = np.zeros((degree + 1,) * model.dim)
     accepted = 0
     for points in _cover_blocks(model, sampler):
-        block = WeightedPoints(points, np.full(points.shape[0], 1.0 / n), density_applied=True)
-        table += _block_moments(points, _effective_weights(model, block), degree)
-        accepted += block.accepted
+        table += _block_moments(points, np.full(points.shape[0], 1.0 / n), degree)
+        accepted += points.shape[0]
     basis = MonomialBasis(model.dim, degree)
     z = moment_z_scores(basis, table[tuple(basis.exponent_array.T)], exact, n)
     return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
@@ -718,17 +713,9 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
 
 def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | None = None) -> np.ndarray:
     """B[k, l] ~ integral of m_k m_l against the measure, exactly symmetric."""
-    basis = MonomialBasis(model.dim, degree)
+    exponents = MonomialBasis(model.dim, degree).exponent_array
     mom = moments if moments is not None else Moments(model, 2 * degree, sampler)
-    size = len(basis)
-    b = np.empty((size, size))
-    for k, ek in enumerate(basis.exponents):
-        for l in range(k, size):
-            el = basis.exponents[l]
-            value = mom.monomial(tuple(a + b_ for a, b_ in zip(ek, el)))
-            b[k, l] = value
-            b[l, k] = value
-    return b
+    return mom.monomial(exponents[:, None, :] + exponents[None, :, :])
 
 
 def operator_moment_matrix(
@@ -736,17 +723,14 @@ def operator_moment_matrix(
 ) -> np.ndarray:
     """M[k, l] ~ integral of m_k L(m_l) against the measure.
 
-    `images[l]` is L(m_l) for the l-th monomial of the degree-`degree` basis.
+    `images[l]` is L(m_l) for the l-th monomial of the degree-`degree` basis;
+    column l sums its terms in their order.
     """
-    basis = MonomialBasis(model.dim, degree)
-    size = len(basis)
-    m = np.zeros((size, size))
+    exponents = MonomialBasis(model.dim, degree).exponent_array
+    m = np.zeros((len(exponents), len(images)))
     for l, image in enumerate(images):
         for exponent, value in image.terms.items():
-            for k, ek in enumerate(basis.exponents):
-                m[k, l] += float(value) * moments.monomial(
-                    tuple(a + b_ for a, b_ in zip(exponent, ek))
-                )
+            m[:, l] += float(value) * moments.monomial(exponents + exponent)
     return m
 
 

@@ -44,7 +44,7 @@ PENCIL_NEGATIVE_TOL = 1e-8
 class EigenvalueEntry:
     value: Fraction | float
     multiplicity: int
-    source: str  # "exact-graded" | "numeric-generalized" | "numeric-block"
+    source: str  # "exact-graded" | "numeric-block"
 
     @property
     def is_exact(self) -> bool:

@@ -146,6 +146,33 @@ def test_orthogonality_command(capsys):
     assert payload["symmetry_defect"] < 1e-10
 
 
+def test_orthogonality_integrates_the_cover_rule(capsys):
+    # a cover model is integrated by its exact cover rule, not by its
+    # Monte Carlo draw, whose defect was about 2e-3
+    code, out, _ = run_cli(capsys, "orthogonality", "--model", "deltoid", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["sampler"] == "cover-mc"
+    assert payload["symmetry_defect"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary-points", "--model", "deltoid", "-n", "3", "--format", "json"],
+        ["verify", "--model", "square", "--format", "csv"],
+        ["orthogonality", "--model", "square", "--format", "csv"],
+        ["admissible", "--factor", "1-x^2-y^2", "--witness", "0,0", "--format", "csv"],
+    ],
+)
+def test_unwritten_format_is_usage_error(capsys, argv):
+    # each subcommand accepts only the formats it writes
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_boundary_points_csv(tmp_path, capsys):
     out_path = tmp_path / "pts.csv"
     code, _, _ = run_cli(

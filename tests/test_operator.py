@@ -40,14 +40,6 @@ def test_nodal_inverse_sqrt_det_rejected():
         drift_from_measure(model.cometric, measure)
 
 
-def test_arctan_measure_parts_refused_in_drift():
-    model = get_model("disk", {"p": "0"})
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    measure = MeasureSpec(2, (), None, ((y, x, 0.5),))
-    with pytest.raises(InadmissibleMeasureError):
-        drift_from_measure(model.cometric, measure)
-
-
 def test_gaussian_plane_drift():
     model = get_model("gaussian_plane", {"A0": "2", "B0": "1/2", "C0": "1"})
     assert model.operator.drift[0] == parse_poly("-3*x - 1/2*y", 2)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -127,8 +128,9 @@ def test_integrate_mc_within_error_bars():
 def test_mc_deterministic_for_fixed_seed():
     model = get_model("deltoid")
     sampler = model.sampler(seed=99, sample_count=50_000)
-    first = Moments(model, 2, sampler)
-    second = Moments(model, 2, sampler)
+    first = Moments(model, 2, sampler, sample=sample_domain(model, sampler))
+    second = Moments(model, 2, sampler, sample=sample_domain(model, sampler))
+    assert first.proposals == 50_000
     assert np.array_equal(first.values, second.values)
 
 
@@ -166,8 +168,9 @@ def test_gauss_rules_exact_for_polynomials():
 def test_symmetry_defect_examples():
     square = get_model("square")
     assert symmetry_defect(square, 4, square.sampler()) < 1e-10
+    # a cover-mc sampler is integrated by the exact cover rule
     deltoid = get_model("deltoid")
-    assert symmetry_defect(deltoid, 3, deltoid.sampler(seed=7)) < 1e-2
+    assert symmetry_defect(deltoid, 3, deltoid.sampler(seed=7)) < 1e-12
 
 
 def test_symmetry_defect_detects_broken_drift():
@@ -198,6 +201,58 @@ def test_symmetry_defect_applies_the_operator_once_per_monomial():
     defect = symmetry_defect(disk, 3, disk.sampler(), operator=Counting())
     assert Counting.calls == 10  # the degree-3 basis in 2D has 10 monomials
     assert defect == symmetry_defect(disk, 3, disk.sampler())
+
+
+def _with_density(name, params=None, extra_factor=None, exp_poly=None):
+    """The catalog model with one more density factor (exponent 1) or an exp
+    part."""
+    model = get_model(name, params)
+    factors = model.measure.factor_exponents
+    if extra_factor is not None:
+        factors += ((parse_poly(extra_factor, model.dim), Fraction(1)),)
+    model.measure = replace(
+        model.measure,
+        factor_exponents=factors,
+        exp_poly=parse_poly(exp_poly, model.dim) if exp_poly else None,
+    )
+    return model
+
+
+@pytest.mark.parametrize(
+    "model, kind, match",
+    [
+        (get_model("disk"), "tensor-gauss-square", "domain"),
+        (get_model("disk", {"p": "0"}), "tensor-gauss-square", "domain"),
+        (get_model("square"), "polar-gauss-disk", "domain"),
+        (get_model("square"), "duffy-gauss-triangle", "domain"),
+        (get_model("triangle"), "tensor-gauss-square", "domain"),
+        (_with_density("jacobi1d", extra_factor="2 - x"), "tensor-gauss-square", "factor 2 - x"),
+        (_with_density("square", exp_poly="-x"), "tensor-gauss-square", "exp part"),
+        (_with_density("disk", extra_factor="2 + x"), "polar-gauss-disk", r"factor 2 \+ x"),
+        (_with_density("disk", exp_poly="x"), "polar-gauss-disk", "exp part"),
+        (_with_density("triangle", extra_factor="x + 1"), "duffy-gauss-triangle", r"factor 1 \+ x"),
+        (_with_density("triangle", exp_poly="-y"), "duffy-gauss-triangle", "exp part"),
+    ],
+    ids=[
+        "disk-on-square",
+        "uniform-disk-on-square",
+        "square-on-disk",
+        "square-on-triangle",
+        "triangle-on-square",
+        "jacobi1d-extra-factor",
+        "square-exp",
+        "disk-extra-factor",
+        "disk-exp",
+        "triangle-extra-factor",
+        "triangle-exp",
+    ],
+)
+def test_gauss_rules_refuse_what_they_cannot_absorb(model, kind, match):
+    # a Gauss rule integrates its own domain with its own weight factors; a
+    # model cut out by other factors, or with a density part the weights do
+    # not absorb, would be integrated wrongly without a word
+    with pytest.raises(SamplerConfigError, match=match):
+        sample_domain(model, DomainSampler(kind, node_count=8))
 
 
 def test_box_edge_detection():
@@ -269,11 +324,26 @@ def _naive_moments(moments: Moments) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_moments_match_naive_weighted_sums(name, sampler):
     model = get_model(name)
-    moments = Moments(model, 8, sampler or model.sampler())
+    sampler = sampler or model.sampler()
+    # the sampler's own points, which for deltoid are its Monte Carlo draw
+    moments = Moments(model, 8, sampler, sample=sample_domain(model, sampler))
     expected, scale = _naive_moments(moments)
     assert moments.values.shape == (len(moments.basis),)
     assert np.all(np.abs(moments.values - expected) <= 1e-12 * scale)
     assert moments.monomial((0,) * model.dim) == moments.values[0]
+
+
+def test_moments_refuse_a_degree_above_the_rule():
+    # the table holds x^a for every a_i <= 4, but the rule is exact only to
+    # total degree 4: a Gram of degree 3 would read x^6 terms
+    model = get_model("triangle")
+    moments = Moments(model, 4, model.sampler())
+    assert moments.table.shape == (5, 5)
+    assert gram_matrix(model, 2, None, moments=moments).shape == (6, 6)
+    with pytest.raises(IndexError, match="above degree 4"):
+        gram_matrix(model, 3, None, moments=moments)
+    with pytest.raises(IndexError, match="above degree 4"):
+        moments.monomial((3, 2))
 
 
 def test_moments_of_empty_sample_are_zero():
@@ -312,7 +382,8 @@ def _symbolic_gamma_form(model, degree, moments):
 def test_gamma_form_matrix_matches_symbolic_reference(name):
     model = get_model(name)
     sampler = model.sampler(seed=3, sample_count=20_000)
-    moments = Moments(model, 12, sampler)
+    # the sampler's own points: the Monte Carlo draw on the covers
+    moments = Moments(model, 12, sampler, sample=sample_domain(model, sampler))
     basis = MonomialBasis(model.dim, 6)
     a = gamma_form_matrix(basis, np.eye(len(basis)), moments)
     expected, term_scale = _symbolic_gamma_form(model, 6, moments)
@@ -429,6 +500,21 @@ def test_cover_rule_refuses_models_off_the_cover_point():
 
 
 @pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_cover_moments_integrate_the_exact_rule(name):
+    # given only a cover-mc sampler, Moments integrates the cover rule: the
+    # same moment table bit for bit as the rule passed in as the sample
+    model = get_model(name)
+    sampler = model.sampler()
+    assert sampler.kind == "cover-mc"
+    moments = Moments(model, 13, sampler)
+    rule = Moments(model, 13, sampler, sample=cover_rule(model, 13))
+    assert moments.proposals is None
+    assert moments.table.tobytes() == rule.table.tobytes()
+    assert moments.points.tobytes() == rule.points.tobytes()
+    assert moments.weights.tobytes() == rule.weights.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
 def test_cover_mc_moments_within_gate_and_bias_trips_it(name):
     model = get_model(name)
     sampler = model.sampler(seed=7)
@@ -436,7 +522,7 @@ def test_cover_mc_moments_within_gate_and_bias_trips_it(name):
     exact = Moments(model, 26, sampler, sample=cover_rule(model, 26))
     mc = Moments(model, 13, sampler, sample=sample)
     assert np.abs(moment_z_scores(mc.basis, mc.values, exact, sample.proposals)).max() < MC_Z_GATE
-    biased = WeightedPoints(sample.points, sample.weights * 1.01, True, sample.proposals)
+    biased = WeightedPoints(sample.points, sample.weights * 1.01, sample.proposals)
     mc_biased = Moments(model, 13, sampler, sample=biased)
     z_biased = moment_z_scores(mc.basis, mc_biased.values, exact, sample.proposals)
     assert np.abs(z_biased).max() > MC_Z_GATE

@@ -12,7 +12,7 @@ from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.poly import Polynomial
-from polydiff.quadrature import COVER_SAMPLERS, Moments, cover_rule
+from polydiff.quadrature import COVER_SAMPLERS, Moments, sample_domain
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
@@ -129,7 +129,11 @@ def test_eigenbasis_disk_degree_one():
 
 def test_eigenbasis_mc_domain_quality():
     model = get_model("nodal_cubic")
-    eb = eigenbasis(model, 4, model.sampler(seed=11, sample_count=200_000))
+    # the cover's Monte Carlo draw, not the exact rule Moments would pick
+    sampler = model.sampler(seed=11, sample_count=200_000)
+    moments = Moments(model, 9, sampler, sample=sample_domain(model, sampler))
+    assert moments.proposals == 200_000
+    eb = eigenbasis(model, 4, sampler, moments=moments)
     assert eb.gram_deviation() < 5e-2
     assert max(eb.residuals()) < 1e-7
     assert pencil_gaps(eb).max() < 5e-2
@@ -141,7 +145,7 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
     # any rule, so an eigenvalue at -1e-4 of the scale is never noise
     model = get_model("deltoid")
     sampler = model.sampler(seed=5, sample_count=20_000)
-    sample = cover_rule(model, 5) if rule == "exact" else None
+    sample = None if rule == "exact" else sample_domain(model, sampler)
     moments = Moments(model, 5, sampler, sample=sample)
     assert (moments.proposals is None) == (rule == "exact")
     solve = spectra.generalized_sym_eig
@@ -171,8 +175,7 @@ def test_cross_validation_gauss_tight():
     for name in ("jacobi1d", "square", "disk", "triangle", *sorted(COVER_SAMPLERS)):
         model = get_model(name)
         sampler = model.sampler()
-        sample = cover_rule(model, 13) if name in COVER_SAMPLERS else None
-        eb = eigenbasis(model, 6, sampler, moments=Moments(model, 13, sampler, sample=sample))
+        eb = eigenbasis(model, 6, sampler, moments=Moments(model, 13, sampler))
         assert len(eb.pencil_eigenvalues) == len(eb.graded_values)
         assert pencil_gaps(eb).max() < 1e-6, name
 
@@ -182,7 +185,7 @@ def test_pencil_catches_a_perturbed_drift():
     # exist, but L is no longer symmetric for the cover's measure
     model = get_model("deltoid")
     sampler = model.sampler()
-    moments = Moments(model, 13, sampler, sample=cover_rule(model, 13))
+    moments = Moments(model, 13, sampler)
     assert pencil_gaps(eigenbasis(model, 6, sampler, moments=moments)).max() < 1e-6
     op = model.operator
     drift = (op.drift[0] + Polynomial.monomial(2, (1, 0)) * Fraction(1, 100), op.drift[1])
@@ -340,7 +343,7 @@ def test_eigenbasis_fallback_residuals_in_clusters_spanning_degrees(monkeypatch)
     _forced_fallback(monkeypatch, per_row=1e-9)
     model = get_model("coaxial_parabolas")
     sampler = model.sampler(seed=5, sample_count=50_000)
-    moments = spectra.Moments(model, 9, sampler)
+    moments = spectra.Moments(model, 9, sampler, sample=sample_domain(model, sampler))
     eb = eigenbasis(model, 4, sampler, moments=moments)
     mixed = {
         (f.degree, f.eigenvalue)
@@ -378,7 +381,8 @@ def test_eigenbasis_gram_matches_pointwise_reevaluation(
     model = get_model(name)
     overrides = {"sample_count": sample_count} if sample_count else {}
     sampler = model.sampler(seed=5, **overrides)
-    moments = spectra.Moments(model, 2 * degree + 1, sampler)
+    # the sampler's own points: the Monte Carlo draw on deltoid
+    moments = spectra.Moments(model, 2 * degree + 1, sampler, sample=sample_domain(model, sampler))
     eb = eigenbasis(model, degree, sampler, moments=moments)
     assert all(f.exact != fallback for f in eb.all_functions())
     assert np.abs(eb.gram - _pointwise_gram(eb, moments)).max() <= 1e-12
