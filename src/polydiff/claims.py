@@ -335,6 +335,7 @@ def _eigenbasis_claim(name: str):
             "gram_deviation": gram_dev,
             "gram_tolerance": GRAM_TOL,
             "max_residual": residual,
+            "numeric_block_functions": sum(not f.exact for f in eb.all_functions()),
             "pencil_cross_check": cross,
         }
 

@@ -291,13 +291,13 @@ def cmd_orthogonality(args) -> int:
     model = _load_model(args)
     sampler = model.sampler(seed=args.seed)
     defect = symmetry_defect(model, args.degree, sampler)
-    payload = {
-        "model": model.name,
-        "degree": args.degree,
-        "sampler": sampler.kind,
-        "seed": args.seed,
-        "symmetry_defect": defect,
-    }
+    # a cover-mc sampler's moments come from its exact cover rule; only the
+    # rejection draw depends on the seed
+    rule = "cover-rule" if sampler.kind == "cover-mc" else sampler.kind
+    payload = {"model": model.name, "degree": args.degree, "rule": rule}
+    if rule == "mc-rejection":
+        payload["seed"] = args.seed
+    payload["symmetry_defect"] = defect
     if args.format == "pretty":
         _emit(f"{model.name}: symmetry defect {defect:.3e} at degree {args.degree}", args.out)
     else:

@@ -1,10 +1,10 @@
 """Exact rational dense linear algebra and the generalized symmetric eigensolver.
 
 The ratio of work here is deliberate: nullspaces/ranks/solves that feed the
-boundary admissibility system and the exact eigenvectors are exact (one
-fraction-free Gauss-Jordan pass in Python ints gives the reduced row echelon
-form), while spectral work on Gram and energy-form matrices is floating point
-via LAPACK.
+boundary admissibility system, the exact moments, orthogonal polynomials and
+eigenvectors are exact (one fraction-free Gauss-Jordan pass in Python ints
+gives the reduced row echelon form), while spectral work on Gram and
+energy-form matrices is floating point via LAPACK.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class RationalMatrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.data == other.data
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.data])
 
     def _integer_rows(self) -> list[list[int]]:
         out = []
@@ -130,12 +127,17 @@ class RationalMatrix:
             basis.append(vector)
         return basis
 
+    def _augmented_rref(self, columns: Sequence[Sequence[Rational]]):
+        """The RREF of [A | columns], the columns appended in order."""
+        if any(len(column) != self.rows for column in columns):
+            raise ValueError("rhs length mismatch")
+        return RationalMatrix(
+            [row + [column[i] for column in columns] for i, row in enumerate(self.data)]
+        ).rref()
+
     def solve(self, rhs: Sequence[Rational]) -> list[Fraction] | None:
         """One exact solution of A x = rhs, or None if inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length mismatch")
-        augmented = RationalMatrix([row + [v] for row, v in zip(self.data, rhs)])
-        reduced, pivots, d = augmented.rref()
+        reduced, pivots, d = self._augmented_rref([rhs])
         if self.cols in pivots:
             return None
         solution = [_ZERO] * self.cols
@@ -143,6 +145,18 @@ class RationalMatrix:
             if row[self.cols]:
                 solution[c] = Fraction(row[self.cols], d)
         return solution
+
+    def solve_unique(
+        self, columns: Sequence[Sequence[Rational]]
+    ) -> tuple[list[list[int]], int] | None:
+        """The solution x of A x = c for each right-hand side c in `columns`,
+        from one elimination, as (integer numerators per column, common
+        denominator d); None unless every solution exists and is unique.
+        For a square A that is None exactly when A is singular."""
+        reduced, pivots, d = self._augmented_rref(columns)
+        if pivots != list(range(self.cols)):
+            return None
+        return [[row[self.cols + k] for row in reduced[: self.cols]] for k in range(len(columns))], d
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):

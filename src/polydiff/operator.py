@@ -329,6 +329,35 @@ class GradedOperatorMatrix:
         idx = range(block.start, block.stop)
         return [[self.entries[r, c] for c in idx] for r in idx]
 
+    def moments(self) -> list[Fraction]:
+        """Exact moments of the measure L leaves invariant, normalized to mass
+        1: entry k is the mean of the k-th basis monomial.
+
+        The integral of L p vanishes for every polynomial p, and column a holds
+        L(x^a), so sum_r M[r, a] m_r = 0.  Degree by degree that reads
+        M_nn^t m_n = -M_<n,n^t m_<n with m_0 = 1 (Krall and Sheffer, Ann. Mat.
+        Pura Appl. 76, 1967): one exact solve per degree.  A singular M_nn
+        leaves the degree-n moments undetermined and raises, naming n.
+        """
+        data = self.entries.data
+        values = [Fraction(1)]
+        for n, block in enumerate(self.basis.degree_slices[1:], start=1):
+            columns = range(block.start, block.stop)
+            rhs = [
+                -sum((data[r][c] * values[r] for r in range(block.start) if data[r][c]), Fraction(0))
+                for c in columns
+            ]
+            transposed = RationalMatrix([[data[r][c] for r in columns] for c in columns])
+            solution = transposed.solve_unique([rhs])
+            if solution is None:
+                raise ValueError(
+                    f"the degree-{n} diagonal block is singular: L does not fix "
+                    f"the moments of degree {n}"
+                )
+            (numerators,), d = solution
+            values.extend(Fraction(x, d) for x in numerators)
+        return values
+
     def strictly_lower_block_entries(self) -> list[tuple[int, int, Fraction]]:
         """Entries below the degree-diagonal blocks; empty iff graded."""
         data = self.entries.data
@@ -340,6 +369,3 @@ class GradedOperatorMatrix:
                     if data[r][c]:
                         out.append((r, c, data[r][c]))
         return out
-
-    def to_float(self) -> np.ndarray:
-        return self.entries.to_float()

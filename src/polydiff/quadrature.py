@@ -734,14 +734,18 @@ def operator_moment_matrix(
     return m
 
 
-def gamma_form_matrix(basis: MonomialBasis, columns: np.ndarray, moments: Moments) -> np.ndarray:
-    """A[k, l] ~ integral of Gamma(f_k, f_l) against the measure, where
-    column k of `columns` holds f_k's coefficients over `basis`.
+def gamma_form_matrix(
+    basis: MonomialBasis, columns: np.ndarray, moments: Moments
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, G) with A[k, l] ~ integral of Gamma(f_k, f_l) and G[k, l] ~
+    integral of f_k f_l against the measure, where column k of `columns`
+    holds f_k's coefficients over `basis`.
 
-    Gamma(f, h) = sum_ij g^ij d_i f d_j h is evaluated at the points of
-    `moments` in blocks of POINT_CHUNK and summed with its weights, so each
-    diagonal entry is a positively weighted sum of grad f^t g grad f; the
-    result is exactly symmetric.
+    One pass over the points of `moments`, in blocks of POINT_CHUNK,
+    evaluates each f_k and its gradient there: Gamma(f, h) = sum_ij g^ij
+    d_i f d_j h and f h are summed with the rule's weights, so each diagonal
+    entry of A is a positively weighted sum of grad f^t g grad f.  Both
+    results are exactly symmetric.
     """
     g = moments.model.cometric
     # grads[i] holds the coefficients of d_i f_k over the same basis
@@ -753,16 +757,25 @@ def gamma_form_matrix(basis: MonomialBasis, columns: np.ndarray, moments: Moment
     stacked = np.hstack(grads)
     size = columns.shape[1]
     a = np.zeros((size, size))
+    gram = np.zeros((size, size))
     for blk in point_chunks(moments.points.shape[0]):
-        points = moments.points[blk]
+        points, weights = moments.points[blk], moments.weights[blk]
+        monomials = basis.eval_float(points)
+        values = monomials @ columns
+        gram += (values * weights[:, None]).T @ values
+        # the function values and then the monomials are freed before the
+        # gradients are summed, so the pass holds no more than the energy
+        # alone would
+        del values
         # one (points, size) block of values per axis: values[:, i] is d_i f
-        values = (basis.eval_float(points) @ stacked).reshape(-1, basis.dim, size)
+        values = (monomials @ stacked).reshape(-1, basis.dim, size)
+        del monomials
         for i in range(basis.dim):
             for j in range(basis.dim):
                 if not g[i, j].is_zero:
-                    weights = moments.weights[blk] * g[i, j].eval_float(points)
-                    a += (values[:, i] * weights[:, None]).T @ values[:, j]
-    return (a + a.T) / 2.0
+                    scaled = weights * g[i, j].eval_float(points)
+                    a += (values[:, i] * scaled[:, None]).T @ values[:, j]
+    return (a + a.T) / 2.0, (gram + gram.T) / 2.0
 
 
 def symmetry_defect(

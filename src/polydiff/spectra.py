@@ -8,21 +8,26 @@ without division: Berkowitz's recurrence runs in Python ints on the block
 scaled by the lcm of its denominators, and the scale is divided out of the
 coefficients at the end.
 
-Orthonormal eigenbases pair that exact skeleton with a quadrature rule:
-eigenvectors come from the exact graded matrix, so their operator residuals
-are zero even under Monte Carlo Gram error, and are orthonormalized under
-the rule's pointwise Gram within eigenvalue clusters.  The energy pencil
-A v = lambda B v, with A the integrated carre du champ and B the pointwise
-Gram of the returned functions, is then solved as an independent check:
-its eigenvalues are the negated graded eigenvalues when the cometric, the
-drift and the rule's measure agree.
+Orthonormal eigenbases follow the decomposition V_n = V_{n-1} + W_n of
+L^2(mu) into orthogonal polynomials, on which L is block diagonal.  The
+moments L fixes (`GradedOperatorMatrix.moments`) give the monic orthogonal
+polynomials P_b exactly; L P_a = sum_b (M_nn)_ba P_b, so each kernel vector
+of a shifted degree block lifts through the P_b to an exact eigenvector,
+orthogonal to every lower degree and orthogonalized within its eigenvalue
+by an exact Gram-Schmidt.  Only the final normalization is float, so the
+operator residuals are zero on any rule, Monte Carlo included.  The rule
+enters through its mass and one pass over its points: the returned
+functions' pointwise Gram B, a cross-estimator of the identity, and their
+integrated carre du champ A.  The energy pencil A v = lambda B v is an
+independent check: its eigenvalues are the negated graded eigenvalues when
+the cometric, the drift and the rule's measure agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, sqrt
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .catalog import Model
 from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
-from .quadrature import DomainSampler, Moments, gamma_form_matrix, point_chunks
+from .quadrature import DomainSampler, Moments, gamma_form_matrix
 
 # not called here: perfbench/test_perfbench.py asserts that the tracer
 # rebinds this name along with quadrature.gram_matrix
@@ -208,23 +213,20 @@ def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult
 
 @dataclass
 class EigenFunction:
-    """One basis element over the monomial basis.
+    """One basis element, by its coefficients over the eigenbasis's
+    monomial basis.
 
-    `exact` says the eigenvalue is exact: the function is then a float
-    combination of exact eigenvectors of the graded matrix, each verified
+    `exact` says the eigenvalue is exact: the coefficients are then the
+    float rounding of an exact eigenvector of the graded matrix, verified
     exactly, so its operator residual is zero.  Numeric-block fallbacks carry
-    a pointwise residual instead.
+    the residual of their float kernel vector instead.
     """
 
     degree: int
     eigenvalue: Fraction | float
     coefficients: np.ndarray
-    basis: MonomialBasis
     exact: bool
     residual: float = 0.0
-
-    def eval_float(self, points: np.ndarray) -> np.ndarray:
-        return self.basis.eval_float(points) @ self.coefficients
 
 
 @dataclass
@@ -233,7 +235,7 @@ class EigenBasis:
     max_degree: int
     basis: MonomialBasis
     per_degree: list[list[EigenFunction]]
-    gram: np.ndarray            # of the returned functions, via the raw pointwise Gram
+    gram: np.ndarray            # of the returned functions, on the rule's points
     pencil_eigenvalues: np.ndarray
     graded_values: list[float]
 
@@ -247,50 +249,146 @@ class EigenBasis:
         return [f.residual for f in self.all_functions()]
 
 
-def _exact_eigenvectors(graded: GradedOperatorMatrix, degree: int, lam: Fraction) -> list[list[Fraction]]:
-    """Exact eigenvectors of the graded matrix with top degree `degree`.
+@dataclass
+class OrthogonalDegree:
+    """The monic orthogonal polynomials P_b of one degree n, in integers.
 
-    The graded matrix is block upper triangular, so these are the kernel of
-    the leading block (M - lam I)[:stop, :stop] that is nonzero in the top
-    degree: in the RREF free-column basis, the vectors whose free column is
-    a top column.  They are padded with zeros to the full basis length.
+    For the k-th monomial x^b of degree n, scale * P_b = scale * x^b -
+    sum_c lower[k][c] x^c over the monomials x^c of lower degree, and P_b is
+    orthogonal to every polynomial of lower degree.  Under the measure of
+    mass 1, <scale P_b, scale P_b'> = gram[k][l] / denominator.
     """
-    block = graded.basis.degree_slices[degree]
-    m = graded.entries.data
-    shifted = [
-        [v - lam if i == j else v for j, v in enumerate(row[: block.stop])]
-        for i, row in enumerate(m[: block.stop])
-    ]
-    padding = [Fraction(0)] * (len(graded.basis) - block.stop)
-    return [
-        vector + padding
-        for vector in RationalMatrix(shifted).nullspace()
-        if any(vector[block.start :])
-    ]
+
+    scale: int
+    lower: list[list[int]]
+    gram: list[list[int]]
+    denominator: int
 
 
-def _float_eigenvectors(m: np.ndarray, basis: MonomialBasis, degree: int, lam: float, multiplicity: int, block: np.ndarray) -> list[np.ndarray]:
-    """Numeric fallback for blocks whose spectrum did not split rationally."""
-    shifted = block - lam * np.eye(block.shape[0])
-    _, _, vt = np.linalg.svd(shifted)
-    tops = vt[block.shape[0] - multiplicity :, :]
-    slc = basis.degree_slices[degree]
+def orthogonal_polynomials(op: DiffusionOperator, max_degree: int) -> list[OrthogonalDegree]:
+    """The monic orthogonal polynomials of every degree up to `max_degree`,
+    under the exact moments of the measure `op` leaves invariant
+    (`GradedOperatorMatrix.moments`, to twice that degree).
+
+    P_b = x^b - proj x^b onto the polynomials of degree < n is one exact
+    solve of their moment matrix with a right-hand side per x^b; since
+    P_a - x^a has lower degree, <P_a, P_b> = <x^a, P_b>.  The moments are
+    integers over one denominator, so everything after the solve is integer
+    arithmetic.
+    """
+    graded = GradedOperatorMatrix(op, 2 * max_degree)
+    moments = graded.moments()
+    denominator = lcm(*(m.denominator for m in moments))
+    mean = {
+        e: m.numerator * (denominator // m.denominator)
+        for e, m in zip(graded.basis.exponents, moments)
+    }
+    basis = MonomialBasis(op.dim, max_degree)
+
+    def moment(a, b):
+        return mean[tuple(x + y for x, y in zip(a, b))]
+
     out = []
-    for i in range(multiplicity):
-        full = np.zeros(len(basis))
-        full[slc.start : slc.stop] = tops[i]
-        if slc.start:
-            lower = m[: slc.start, : slc.start]
-            coupling = m[: slc.start, slc.start : slc.stop]
-            rhs = -coupling @ tops[i]
-            shifted_lower = lower - lam * np.eye(slc.start)
-            if np.min(np.abs(np.linalg.eigvals(lower) - lam)) <= CLUSTER_TAU * (1.0 + abs(lam)):
-                u, *_ = np.linalg.lstsq(shifted_lower, rhs, rcond=None)
-            else:
-                u = np.linalg.solve(shifted_lower, rhs)
-            full[: slc.start] = u
-        out.append(full)
+    for n, block in enumerate(basis.degree_slices):
+        lower, top = basis.exponents[: block.start], basis.exponents[block]
+        scale, projection = 1, [[] for _ in top]
+        if lower:
+            solved = RationalMatrix([[moment(c, e) for e in lower] for c in lower]).solve_unique(
+                [[moment(c, b) for c in lower] for b in top]
+            )
+            if solved is None:
+                raise ValueError(f"the moment matrix below degree {n} is singular")
+            projection, scale = solved
+        gram = [
+            [scale * (scale * moment(a, b) - sum(moment(a, c) * y for c, y in zip(lower, column)))
+             for b, column in zip(top, projection)]
+            for a in top
+        ]
+        out.append(OrthogonalDegree(scale, projection, gram, denominator))
     return out
+
+
+def _lift(poly: OrthogonalDegree, top: list[int], size: int) -> list[int]:
+    """Integer coefficients of sum_b top_b scale P_b over the first `size`
+    basis monomials."""
+    lower = [
+        -sum(t * column[i] for t, column in zip(top, poly.lower))
+        for i in range(len(poly.lower[0]))
+    ]
+    return lower + [poly.scale * t for t in top] + [0] * (size - len(lower) - len(top))
+
+
+def _lifted_eigenvectors(
+    graded: GradedOperatorMatrix, poly: OrthogonalDegree, degree: int, lam: Fraction
+) -> list[list[int]]:
+    """Exact eigenvectors of top degree `degree`, in integers: each kernel
+    vector k of M_nn - lam I, scaled to integers, lifted to sum_b k_b P_b.
+
+    L is symmetric under its invariant measure, so it maps the P_b of
+    degree n into their own span, and L P_a = sum_b (M_nn)_ba P_b: the lift
+    is an eigenvector orthogonal to every polynomial of lower degree.
+    """
+    shifted = [
+        [v - lam if i == j else v for j, v in enumerate(row)]
+        for i, row in enumerate(graded.diagonal_block(degree))
+    ]
+    out = []
+    for kernel in RationalMatrix(shifted).nullspace():
+        q = lcm(*(v.denominator for v in kernel))
+        out.append(_lift(poly, [v.numerator * (q // v.denominator) for v in kernel], len(graded.basis)))
+    return out
+
+
+def _form(u: list[int], gram: list[list[int]], v: list[int]) -> int:
+    """u^t gram v."""
+    return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(u, gram))
+
+
+def _orthogonalize(
+    vectors: list[list[int]], top: slice, gram: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Gram-Schmidt in integers under `gram` on the top-degree coordinates.
+
+    Each vector is scaled by the squared norm of each earlier one before that
+    one's projection is taken out, and divided by the gcd of its entries, so
+    it stays integral; with the squared norms this is the exact LDL^t of the
+    vectors' Gram matrix up to a scale per vector.  Returns the vectors and
+    their squared norms under `gram`.
+    """
+    out, norms = [], []
+    for v in vectors:
+        for p, norm in zip(out, norms):
+            c = _form(p[top], gram, v[top])
+            v = [norm * a - c * b for a, b in zip(v, p)]
+            g = gcd(*v)
+            v = [a // g for a in v]
+        out.append(v)
+        norms.append(_form(v[top], gram, v[top]))
+    return out, norms
+
+
+def _float_orthonormal(
+    poly: OrthogonalDegree, shifted: np.ndarray, multiplicity: int, size: int
+) -> tuple[list[np.ndarray], list[float]]:
+    """Numeric-block fallback: the float kernel K of the shifted block
+    M_nn - lam I, orthonormalized under the Gram H of the P_b by the Cholesky
+    factor of K^t H K and lifted through them.  Returns the coefficient
+    vectors, each of norm 1 under the measure of mass 1, and their
+    residuals: sum_b k_b P_b has (L - lam) residual sum_b r_b P_b with
+    r = (M_nn - lam I) k, of norm sqrt(r^t H r)."""
+    square = poly.scale * poly.scale * poly.denominator
+    h = np.array([[v / square for v in row] for row in poly.gram])
+    kernel = np.linalg.svd(shifted)[2][shifted.shape[0] - multiplicity :].T
+    factor = np.linalg.cholesky(kernel.T @ h @ kernel)
+    tops = np.linalg.solve(factor, kernel.T).T
+    projection = np.array([[v / poly.scale for v in column] for column in poly.lower])
+    vectors, residuals = [], []
+    for k in tops.T:
+        lower = -(k @ projection)
+        vectors.append(np.concatenate([lower, k, np.zeros(size - len(lower) - len(k))]))
+        r = shifted @ k
+        residuals.append(sqrt(max(float(r @ h @ r), 0.0)))
+    return vectors, residuals
 
 
 def _integer_matrix(graded: GradedOperatorMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -324,244 +422,79 @@ def _verify_exact_eigenvector(
             raise RuntimeError("exact eigenvector failed verification")
 
 
-def _eigenvalue_clusters(spectrum: SpectrumResult) -> tuple[list[dict], list[float]]:
-    """Global eigenvalue clusters in ascending order, and all graded values.
-
-    Eigenvalues recur across degrees (covering-space models especially), so
-    clusters are global: each collects its (degree, entry) parts; exact
-    values cluster by exact equality, numeric ones by the tau rule.
-    """
-    clusters: list[dict] = []
-    graded_values: list[float] = []
-    for degree in range(spectrum.max_degree + 1):
-        for entry in spectrum.degree(degree):
-            lam = float(entry.value)
-            graded_values.extend([lam] * entry.multiplicity)
-            for cluster in clusters:
-                if entry.is_exact and cluster["exact"] is not None:
-                    if cluster["exact"] == entry.value:
-                        cluster["parts"].append((degree, entry))
-                        break
-                elif not entry.is_exact and cluster["exact"] is None:
-                    if abs(lam - cluster["value"]) <= CLUSTER_TAU * (1.0 + abs(lam)):
-                        cluster["parts"].append((degree, entry))
-                        break
-            else:
-                clusters.append(
-                    {
-                        "value": lam,
-                        "exact": entry.value if entry.is_exact else None,
-                        "parts": [(degree, entry)],
-                    }
-                )
-    return sorted(clusters, key=lambda c: c["value"]), graded_values
-
-
-def _raw_eigenvectors(graded: GradedOperatorMatrix, m: np.ndarray, clusters: list[dict]) -> list[list[dict]]:
-    """Stage 1: the raw eigenvectors of each cluster, in float.
-
-    They are exact where the spectrum is exact: their count must equal the
-    eigenvalue's multiplicity, and each is checked once against the exact
-    graded matrix, in ints.  Numeric-block entries get float eigenvectors of
-    the float matrix `m`.
-    """
-    scaled = _integer_matrix(graded)
-    out = []
-    for cluster in clusters:
-        members = []
-        for degree, entry in cluster["parts"]:
-            if entry.is_exact:
-                vectors = _exact_eigenvectors(graded, degree, entry.value)
-                if len(vectors) != entry.multiplicity:
-                    raise RuntimeError(
-                        f"{len(vectors)} exact eigenvectors of {entry.value} at degree "
-                        f"{degree}, expected multiplicity {entry.multiplicity}"
-                    )
-                for vec in vectors:
-                    _verify_exact_eigenvector(scaled, vec, entry.value)
-                    members.append(
-                        {"degree": degree, "value": entry.value, "exact": True,
-                         "float": np.array([float(v) for v in vec])}
-                    )
-            else:
-                block = np.array(
-                    [[float(v) for v in row] for row in graded.diagonal_block(degree)]
-                )
-                for vec in _float_eigenvectors(
-                    m, graded.basis, degree, float(entry.value), entry.multiplicity, block
-                ):
-                    members.append(
-                        {"degree": degree, "value": entry.value, "exact": False, "float": vec}
-                    )
-        out.append(members)
-    return out
-
-
-def _pointwise_forms(
-    columns: np.ndarray, n_raw: int, spans: list[slice], basis: MonomialBasis, moments: Moments
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stage 2: one pass over the points.
-
-    `columns` holds coefficient vectors over the basis: the n_raw raw
-    functions first, then any others.  Returns the full pointwise Gram of all
-    columns and, for each cluster span of the raw functions, its
-    first-coordinate form sum_p w_p x_p f_k(p) f_l(p); no other block of
-    that form is ever read.
-    """
-    points, weights = moments.points, moments.weights
-    gram = np.zeros((columns.shape[1],) * 2)
-    x_blocks = [np.zeros((span.stop - span.start,) * 2) for span in spans]
-    for blk in point_chunks(points.shape[0]):
-        # one row per function, one column per point
-        values = columns.T @ basis.eval_float(points[blk]).T
-        weighted = values * weights[blk]
-        gram += values @ weighted.T
-        x_weighted = weighted[:n_raw] * points[blk, 0]
-        for span, x_c in zip(spans, x_blocks):
-            x_c += values[span] @ x_weighted[span].T
-    return gram, x_blocks
-
-
-def _orthonormalize(
-    degrees: list[int], g_c: np.ndarray, x_c: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, list[int]]]]:
-    """Stage 3: hierarchical orthonormalization of one cluster.
-
-    Degree batches in ascending order are projected against the
-    already-accepted cluster members, so top-degree structure is preserved,
-    then Loewdin-orthonormalized and rotated to diagonalize the
-    first-coordinate form.  Returns the transform (one column per function,
-    in batch order) and the (degree, member indices) of each batch.
-    """
-    k = len(degrees)
-    transform = np.zeros((k, 0))
-    batches: list[tuple[int, list[int]]] = []
-    for degree in sorted(set(degrees)):
-        local = [i for i, d in enumerate(degrees) if d == degree]
-        batch = np.zeros((k, len(local)))
-        for col, i in enumerate(local):
-            batch[i, col] = 1.0
-        if transform.shape[1]:
-            overlap = transform.T @ g_c @ batch
-            batch = batch - transform @ overlap
-        small = batch.T @ g_c @ batch
-        small = (small + small.T) / 2.0
-        values, rot = np.linalg.eigh(small)
-        if values.min() <= 0:
-            raise ValueError("cluster Gram is not positive definite")
-        batch = batch @ (rot @ np.diag(values**-0.5) @ rot.T)
-        if len(local) > 1:
-            form = batch.T @ x_c @ batch
-            _, rot2 = np.linalg.eigh((form + form.T) / 2.0)
-            batch = batch @ rot2
-        batches.append((degree, local))
-        transform = np.column_stack([transform, batch])
-    return transform, batches
-
-
 def eigenbasis(
     model: Model, max_degree: int, sampler: DomainSampler, moments: Moments | None = None
 ) -> EigenBasis:
     """Mu-orthonormal polynomial eigenbasis up to the given degree.
 
-    Four stages:
+    The eigenfunctions of degree n span W_n, the polynomials of degree n
+    orthogonal to all of lower degree, and come from the monic orthogonal
+    polynomials P_b of the exact moments (`orthogonal_polynomials`):
 
-    1. Raw eigenvectors, exact from the graded matrix (rational kernel
-       computation) whenever the block spectrum is exact, each verified
-       exactly once, so operator residuals are zero by construction.
-    2. One pass over the quadrature points: the pointwise Gram of the raw
-       functions and of the float fallbacks' residual directions
-       (M - lam I) c, plus the within-cluster first-coordinate forms.
-       Inner products of the (often huge-coefficient) eigenfunctions are
-       evaluated value-wise, which avoids the catastrophic coefficient-space
-       cancellation on thin domains.
-    3. Hierarchical orthonormalization within each eigenvalue cluster; the
-       transform is applied in float, which keeps every function in its
-       eigenspace.
-    4. With T the block-diagonal transform (sign flips folded in), the final
-       Gram is T^t G T and each fallback residual comes from the Gram of
-       the residual directions: no second pass over the points for them.
+    1. Exact eigenvalues: the kernel of M_nn - lam I, lifted through the P_b
+       (`_lifted_eigenvectors`), is orthonormalized by Gram-Schmidt under the
+       exact Gram of the P_b and each result is verified exactly, so its
+       operator residual is zero.  Only the final 1/sqrt(d) is float,
+       scaled by the rule's mass, since the Gauss rules integrate the
+       unnormalized density.
+    2. Numeric-block eigenvalues: the float kernel of M_nn - lam I, lifted
+       the same way and orthonormalized in float (`_float_orthonormal`),
+       with the residual of each function from r = (M_nn - lam I) k on the
+       Gram of the P_b.
 
-    The energy pencil is then solved on the returned functions: their
-    integrated carre du champ against their final Gram, one per function.
-    Both forms are sums over the same points, the energy a positively
-    weighted one, so a significantly negative pencil eigenvalue raises on
-    every rule.
+    One pass over the rule's points (`gamma_form_matrix`) then integrates
+    the returned functions' pointwise Gram, the cross-estimator behind
+    `gram_deviation`, and their carre du champ; the energy pencil on the two
+    is an independent check.  Both forms are sums over the same points, the
+    energy a positively weighted one, so a significantly negative pencil
+    eigenvalue raises on every rule.
     """
     basis = MonomialBasis(model.dim, max_degree)
-    if moments is None or moments.basis.max_degree < 2 * max_degree + 1:
-        moments = Moments(model, 2 * max_degree + 1, sampler)
+    if moments is None or moments.basis.max_degree < 2 * max_degree:
+        moments = Moments(model, 2 * max_degree, sampler)
     graded = GradedOperatorMatrix(model.operator, max_degree)
-    m = graded.to_float()
-    clusters, graded_values = _eigenvalue_clusters(graded_spectrum(graded))
+    spectrum = graded_spectrum(graded)
+    scaled = _integer_matrix(graded)
+    mass = float(moments.values[0])
 
-    raw = _raw_eigenvectors(graded, m, clusters)
-    members = [mem for cluster in raw for mem in cluster]
-    spans = []
-    for cluster in raw:
-        start = spans[-1].stop if spans else 0
-        spans.append(slice(start, start + len(cluster)))
-    coeffs = np.column_stack([mem["float"] for mem in members])
-    n_raw = coeffs.shape[1]
-    raw_values = np.array([float(mem["value"]) for mem in members])
-    fallback = [i for i, mem in enumerate(members) if not mem["exact"]]
-    directions = m @ coeffs[:, fallback] - coeffs[:, fallback] * raw_values[fallback]
-    gram, x_blocks = _pointwise_forms(
-        np.column_stack([coeffs, directions]), n_raw, spans, basis, moments
-    )
-
-    per_degree: list[list[EigenFunction]] = [[] for _ in range(max_degree + 1)]
-    # column j of the block-diagonal transform, laid out like per_degree
-    transform_columns: list[list[np.ndarray]] = [[] for _ in range(max_degree + 1)]
-    for cluster, span, x_c in zip(raw, spans, x_blocks):
-        transform, batches = _orthonormalize(
-            [mem["degree"] for mem in cluster], gram[span, span], x_c
-        )
-        final_float = coeffs[:, span] @ transform
-        # signs: largest-magnitude coefficient of each function positive
-        for j in range(final_float.shape[1]):
-            lead = int(np.argmax(np.abs(final_float[:, j])))
-            if final_float[lead, j] < 0:
-                final_float[:, j] = -final_float[:, j]
-                transform[:, j] = -transform[:, j]
-        col = 0
-        for degree, local in batches:
-            first = cluster[local[0]]
-            for _ in local:
-                per_degree[degree].append(
-                    EigenFunction(
-                        degree=degree,
-                        eigenvalue=first["value"],
-                        coefficients=final_float[:, col],
-                        basis=basis,
-                        exact=first["exact"],
+    per_degree: list[list[EigenFunction]] = []
+    for degree, poly in enumerate(orthogonal_polynomials(model.operator, max_degree)):
+        top = basis.degree_slices[degree]
+        level = []
+        for entry in spectrum.degree(degree):
+            if entry.is_exact:
+                vectors = _lifted_eigenvectors(graded, poly, degree, entry.value)
+                if len(vectors) != entry.multiplicity:
+                    raise RuntimeError(
+                        f"{len(vectors)} exact eigenvectors of {entry.value} at degree "
+                        f"{degree}, expected multiplicity {entry.multiplicity}"
                     )
-                )
-                column = np.zeros(n_raw)
-                column[span] = transform[:, col]
-                transform_columns[degree].append(column)
-                col += 1
+                functions = []
+                for vector, norm in zip(*_orthogonalize(vectors, top, poly.gram)):
+                    _verify_exact_eigenvector(scaled, vector, entry.value)
+                    # the vector over sqrt(mass <v, v>), with <v, v> =
+                    # norm / (scale^2 denominator); its largest entry g is
+                    # divided out first, so every float stays in range and
+                    # that entry comes out positive
+                    g = max(vector, key=abs)
+                    ratio = g * g * poly.scale**2 * poly.denominator / norm
+                    functions.append(
+                        (np.array([v / g for v in vector]) * sqrt(ratio / mass), 0.0)
+                    )
+            else:
+                block = np.array(graded.diagonal_block(degree), dtype=float)
+                shifted = block - float(entry.value) * np.eye(len(block))
+                vectors, residuals = _float_orthonormal(poly, shifted, entry.multiplicity, len(basis))
+                functions = [(v / sqrt(mass), r) for v, r in zip(vectors, residuals)]
+            level.extend(
+                EigenFunction(degree, entry.value, coefficients, entry.is_exact, residual)
+                for coefficients, residual in functions
+            )
+        per_degree.append(level)
 
     funcs = [f for level in per_degree for f in level]
-    t = np.column_stack([c for level in transform_columns for c in level])
-    g_final = t.T @ gram[:n_raw, :n_raw] @ t
-    # residuals: exact functions combine verified exact eigenvectors of one
-    # eigenvalue, so theirs is zero.  A fallback f_j = sum_i t_ij c_i of
-    # eigenvalue lam_j has (M - lam_j I) f_j = sum_i t_ij r_i
-    # + sum_i t_ij (lam_i - lam_j) c_i, with r_i = (M - lam_i I) c_i the
-    # residual directions of the pass, so its squared norm is u^t G u
-    fallback_funcs = [j for j, f in enumerate(funcs) if not f.exact]
-    lam = np.array([float(funcs[j].eigenvalue) for j in fallback_funcs])
-    u = np.vstack(
-        [t[:, fallback_funcs] * (raw_values[:, None] - lam), t[fallback][:, fallback_funcs]]
-    )
-    residual_sq = np.sum(u * (gram @ u), axis=0)
-    for j, num in zip(fallback_funcs, residual_sq):
-        funcs[j].residual = float(np.sqrt(max(num, 0.0) / max(g_final[j, j], 1e-300)))
-
-    energy = gamma_form_matrix(basis, np.column_stack([f.coefficients for f in funcs]), moments)
-    # g_final is symmetric only to the roundoff of the raw Gram's huge entries
-    pencil_values = generalized_sym_eig(energy, (g_final + g_final.T) / 2.0).eigenvalues
+    energy, gram = gamma_form_matrix(basis, np.column_stack([f.coefficients for f in funcs]), moments)
+    pencil_values = generalized_sym_eig(energy, gram).eigenvalues
     if pencil_values.min() < -PENCIL_NEGATIVE_TOL * max(np.abs(pencil_values).max(), 1.0):
         raise ValueError(
             "energy-form pencil has a significantly negative eigenvalue; "
@@ -573,9 +506,9 @@ def eigenbasis(
         max_degree=max_degree,
         basis=basis,
         per_degree=per_degree,
-        gram=g_final,
+        gram=gram,
         pencil_eigenvalues=pencil_values,
-        graded_values=sorted(graded_values),
+        graded_values=sorted(float(f.eigenvalue) for f in funcs),
     )
 
 

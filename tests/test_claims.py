@@ -123,3 +123,27 @@ def test_gauss_symmetry_defect_has_no_cross_check():
     result = claim.execute(RunContext(seed=7))
     assert result.status == "pass"
     assert not any(key.startswith("mc_") for key in result.detail)
+
+
+def test_eigenbasis_claim_counts_numeric_block_functions(monkeypatch):
+    from polydiff import spectra
+
+    claim = {c.id: c for c in build_claims()}["square.eigenbasis-quality"]
+    result = claim.execute(RunContext(seed=7))
+    assert result.status == "pass"
+    assert result.detail["numeric_block_functions"] == 0
+    # every block reported as a numeric fallback at its exact eigenvalues:
+    # the functions come from float kernels and each is counted
+    original = spectra.block_eigenvalues
+
+    def numeric(block):
+        return [
+            spectra.EigenvalueEntry(float(e.value), e.multiplicity, "numeric-block")
+            for e in original(block)
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
+    forced = claim.execute(RunContext(seed=7))
+    assert forced.status == "pass", forced.detail
+    assert forced.detail["numeric_block_functions"] == 28
+    assert forced.detail["max_residual"] < 1e-12

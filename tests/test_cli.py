@@ -152,8 +152,20 @@ def test_orthogonality_integrates_the_cover_rule(capsys):
     code, out, _ = run_cli(capsys, "orthogonality", "--model", "deltoid", "--format", "json")
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["sampler"] == "cover-mc"
+    assert payload["rule"] == "cover-rule" and "seed" not in payload
     assert payload["symmetry_defect"] < 1e-12
+
+
+def test_orthogonality_of_a_deterministic_rule_ignores_the_seed(capsys):
+    outputs = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, "orthogonality", "--model", "disk", "--seed", seed, "--format", "json"
+        )
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rule"] == "polar-gauss-disk"
 
 
 @pytest.mark.parametrize(

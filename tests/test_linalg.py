@@ -54,6 +54,17 @@ def test_solve_consistent_and_inconsistent():
     assert m2.solve([4, 1]) == [Fraction(2), Fraction(3)]
 
 
+def test_solve_unique_refuses_a_singular_matrix():
+    m = RationalMatrix([[1, 2], [2, 4]])
+    # consistent, so solve finds a solution, but not the only one
+    assert m.solve([1, 2]) is not None
+    assert m.solve_unique([[1, 2]]) is None
+    m2 = RationalMatrix([[2, 0], [0, Fraction(1, 3)]])
+    (first, second), d = m2.solve_unique([[4, 1], [0, 1]])
+    assert [Fraction(v, d) for v in first] == [2, 3]
+    assert [Fraction(v, d) for v in second] == [0, 3]
+
+
 def test_generalized_eig_diag():
     result = generalized_sym_eig(np.diag([1.0, 2.0]), np.eye(2))
     assert np.allclose(result.eigenvalues, [1.0, 2.0])
@@ -72,7 +83,7 @@ def test_generalized_eig_jacobi_energy_form():
     model = get_model("jacobi1d", {"a": "1", "b": "1"})
     sampler = model.sampler()
     b = gram_matrix(model, 2, sampler)
-    a = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), Moments(model, 4, sampler))
+    a, _ = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), Moments(model, 4, sampler))
     result = generalized_sym_eig(a, b)
     assert np.allclose(result.eigenvalues, [0.0, 2.0, 6.0], atol=1e-10)
 
@@ -206,15 +217,27 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         assert m.rank() == expected.rank(), kind
         assert m.nullspace() == [from_sympy(v) for v in expected.nullspace()], kind
         solution = m.solve(rhs)
+        # a second right-hand side in the same elimination
+        twice = [2 * v for v in rhs]
+        unique = m.solve_unique([rhs, twice])
         try:
             exact, params = expected.gauss_jordan_solve(to_sympy([[v] for v in rhs]))
         except ValueError:  # sympy: the system has no solution
-            assert solution is None, kind
+            assert solution is None and unique is None, kind
             outcomes.add(("no solution", kind))
             continue
         # solve sets every free column to zero
         particular = exact.subs({t: 0 for t in params})
         assert solution == from_sympy(particular), kind
-        outcomes.add(("solved", kind))
+        if params:
+            assert unique is None, kind
+            outcomes.add(("solved", kind))
+        else:
+            (first, second), d = unique
+            assert [Fraction(v, d) for v in first] == solution, kind
+            assert [Fraction(v, d) for v in second] == [2 * v for v in solution], kind
+            outcomes.add(("unique", kind))
     assert {"wide", "tall", "rank-deficient", "zero-row", "large"} <= kinds
-    assert {("no solution", "inconsistent"), ("solved", "rank-deficient")} <= outcomes
+    assert {
+        ("no solution", "inconsistent"), ("solved", "rank-deficient"), ("unique", "square"),
+    } <= outcomes

@@ -259,3 +259,80 @@ def test_drift_degree_bound_all_catalog_models():
             for j in range(model.dim):
                 entry = model.cometric[i, j]
                 assert entry.total_degree in (NEG_INF,) or entry.total_degree <= 2
+
+
+# ----------------------------------------------------------------------
+# exact moments of the invariant measure
+
+
+def _rising(x, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
+def _beta_interval_moments(alpha, beta, degree):
+    """E[x^k] for the density (1 - x)^alpha (1 + x)^beta on [-1, 1]: with
+    u = (1 + x) / 2 ~ Beta(beta + 1, alpha + 1), x = 2u - 1."""
+    from math import comb
+
+    u = [_rising(beta + 1, j) / _rising(alpha + beta + 2, j) for j in range(degree + 1)]
+    return [
+        sum(comb(k, j) * 2**j * u[j] * (-1) ** (k - j) for j in range(k + 1))
+        for k in range(degree + 1)
+    ]
+
+
+def _exact_moments(name, params, degree):
+    graded = GradedOperatorMatrix(get_model(name, params).operator, degree)
+    return dict(zip(graded.basis.exponents, graded.moments()))
+
+
+def test_moments_of_hermite1d_are_the_standard_normal_ones():
+    assert list(_exact_moments("hermite1d", None, 4).values()) == [1, 0, 1, 0, 3]
+
+
+def test_moments_of_laguerre1d_are_gamma_moments():
+    # density x^(a-1) e^-x: E[x^k] = a (a + 1) ... (a + k - 1)
+    a = Fraction(3, 2)
+    moments = _exact_moments("laguerre1d", {"a": "3/2"}, 8)
+    assert [moments[(k,)] for k in range(9)] == [_rising(a, k) for k in range(9)]
+
+
+def test_moments_of_jacobi1d_are_beta_moments():
+    # density (1 - x)^(a-1) (1 + x)^(b-1)
+    moments = _exact_moments("jacobi1d", {"a": "5/2", "b": "3"}, 10)
+    expected = _beta_interval_moments(Fraction(3, 2), Fraction(2), 10)
+    assert [moments[(k,)] for k in range(11)] == expected
+
+
+def test_moments_of_square_are_product_beta_moments():
+    a, b, c, d = Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(0)
+    moments = _exact_moments("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"}, 8)
+    x = _beta_interval_moments(a, b, 8)
+    y = _beta_interval_moments(c, d, 8)
+    assert moments == {(i, j): x[i] * y[j] for i, j in moments}
+
+
+def test_moments_of_triangle_are_dirichlet_moments():
+    # density x^p y^q (1 - x - y)^r: E[x^i y^j] = (p+1)_i (q+1)_j / (p+q+r+3)_(i+j),
+    # whatever the cometric's own parameters
+    p, q, r = Fraction(1, 2), Fraction(-1, 3), Fraction(2)
+    params = {"a": "1/2", "b": "1/3", "c": "2", "p": "1/2", "q": "-1/3", "r": "2"}
+    moments = _exact_moments("triangle", params, 8)
+    assert moments == {
+        (i, j): _rising(p + 1, i) * _rising(q + 1, j) / _rising(p + q + r + 3, i + j)
+        for i, j in moments
+    }
+
+
+def test_moments_raise_naming_a_singular_degree():
+    # L = (1 - x^2) d^2/dx^2 + 0 d/dx: L x = 0, so M_11 = 0 and nothing fixes
+    # the first moment, though the system M_11 m_1 = 0 is consistent
+    x = Polynomial.variable(1, 0)
+    op = DiffusionOperator(CoMetric([[1 - x * x]]), (Polynomial.zero(1),))
+    graded = GradedOperatorMatrix(op, 3)
+    assert graded.entries[1, 1] == 0
+    with pytest.raises(ValueError, match="degree-1 diagonal block is singular"):
+        graded.moments()

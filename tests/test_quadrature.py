@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polydiff.catalog import get_model, model_names
-from polydiff.operator import gamma
+from polydiff.operator import GradedOperatorMatrix, gamma
 from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 from polydiff import quadrature
 from polydiff.claims import MC_Z_GATE
@@ -379,13 +379,30 @@ def _symbolic_gamma_form(model, degree, moments):
 
 
 @pytest.mark.parametrize("name", [n for n in model_names() if get_model(n).has_sampler])
+def test_rule_moments_match_the_operators_exact_moments(name):
+    # every default rule, at the claims' degree 13, against the moments the
+    # operator fixes (GradedOperatorMatrix.moments): the rule integrates the
+    # measure L is symmetric for, to roundoff relative to E|x^a|
+    model = get_model(name)
+    moments = Moments(model, 13, model.sampler())
+    assert moments.proposals is None
+    graded = GradedOperatorMatrix(model.operator, 13)
+    exact = np.array([float(m) for m in graded.moments()])
+    basis = moments.basis
+    mass = moments.values[0]
+    absolute = basis.eval_float(np.abs(moments.points)).T @ moments.weights / mass
+    gap = np.abs(moments.values / mass - exact)
+    assert np.all(gap <= 1e-12 * absolute), float((gap / absolute).max())
+
+
+@pytest.mark.parametrize("name", [n for n in model_names() if get_model(n).has_sampler])
 def test_gamma_form_matrix_matches_symbolic_reference(name):
     model = get_model(name)
     sampler = model.sampler(seed=3, sample_count=20_000)
     # the sampler's own points: the Monte Carlo draw on the covers
     moments = Moments(model, 12, sampler, sample=sample_domain(model, sampler))
     basis = MonomialBasis(model.dim, 6)
-    a = gamma_form_matrix(basis, np.eye(len(basis)), moments)
+    a, gram = gamma_form_matrix(basis, np.eye(len(basis)), moments)
     expected, term_scale = _symbolic_gamma_form(model, 6, moments)
     # the pointwise sum and the moment sum round differently; both are
     # bounded by the terms' magnitudes and, by Cauchy-Schwarz, by the
@@ -394,6 +411,12 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
     scale = np.maximum(term_scale, np.outer(diagonal, diagonal))
     assert np.all(np.abs(a - expected) <= 1e-12 * scale)
     assert np.array_equal(a, a.T)
+    # the same pass integrates the Gram: the monomial moments, to the
+    # roundoff of the same sums
+    diagonal = np.sqrt(np.diag(gram))
+    expected = gram_matrix(model, 6, sampler, moments=moments)
+    assert np.all(np.abs(gram - expected) <= 1e-12 * np.outer(diagonal, diagonal))
+    assert np.array_equal(gram, gram.T)
 
 
 # ----------------------------------------------------------------------

@@ -105,9 +105,8 @@ def test_eigenbasis_square_is_tensor_basis():
         assert sorted(f.eigenvalue for f in level) == expected
     assert eb.gram_deviation() < 1e-6
     assert max(eb.residuals()) < 1e-7
-    # the float orthonormalizing transform keeps each function in its
-    # exact eigenspace
-    m = GradedOperatorMatrix(model.operator, 4).to_float()
+    # each function is the float rounding of an exact eigenvector
+    m = np.array(GradedOperatorMatrix(model.operator, 4).entries.data, dtype=float)
     for f in eb.all_functions():
         assert f.exact and f.residual == 0.0
         r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
@@ -205,15 +204,15 @@ def test_spectrum_json_export_shape():
 
 
 def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
-    original = spectra._exact_eigenvectors
+    original = spectra._lifted_eigenvectors
 
-    def corrupted(graded, degree, lam):
-        vectors = original(graded, degree, lam)
+    def corrupted(graded, poly, degree, lam):
+        vectors = original(graded, poly, degree, lam)
         if degree:
             vectors[0][0] += 1  # add a constant: no longer an eigenvector
         return vectors
 
-    monkeypatch.setattr(spectra, "_exact_eigenvectors", corrupted)
+    monkeypatch.setattr(spectra, "_lifted_eigenvectors", corrupted)
     model = get_model("square")
     with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
         eigenbasis(model, 2, model.sampler())
@@ -260,16 +259,71 @@ def _sampled_model_cases():
             yield name, _generic_params(rng, get_descriptor(name))
 
 
-@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
-def test_exact_eigenvectors_match_two_step_reference(name, params):
-    graded = GradedOperatorMatrix(get_model(name, params).operator, 6)
+def _exact_entries(graded):
+    """(degree, eigenvalue, multiplicity, lifted eigenvectors) of every exact
+    spectrum entry of the graded matrix."""
     spectrum = graded_spectrum(graded)
-    for degree in range(7):
+    polys = spectra.orthogonal_polynomials(graded.operator, graded.max_degree)
+    for degree in range(graded.max_degree + 1):
         for entry in spectrum.degree(degree):
             if entry.is_exact:
-                vectors = spectra._exact_eigenvectors(graded, degree, entry.value)
-                assert vectors == _reference_exact_eigenvectors(graded, degree, entry.value)
-                assert len(vectors) == entry.multiplicity
+                vectors = spectra._lifted_eigenvectors(graded, polys[degree], degree, entry.value)
+                yield degree, entry, polys[degree], vectors
+
+
+@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
+def test_exact_eigenvectors_match_two_step_reference(name, params):
+    # where lam is no eigenvalue of a lower degree, the eigenvector with a
+    # given top part is unique, so the lift equals the two-step route's
+    # vector up to the lift's integer scale
+    graded = GradedOperatorMatrix(get_model(name, params).operator, 6)
+    spectrum = graded_spectrum(graded)
+    compared = 0
+    for degree, entry, _, vectors in _exact_entries(graded):
+        assert len(vectors) == entry.multiplicity
+        if any(e.value == entry.value for n in range(degree) for e in spectrum.degree(n)):
+            continue
+        reference = _reference_exact_eigenvectors(graded, degree, entry.value)
+        for vector, expected in zip(vectors, reference):
+            i = next(i for i, v in enumerate(expected) if v)
+            scale = Fraction(vector[i]) / expected[i]
+            assert [v / scale for v in vector] == expected
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
+def test_exact_eigenvectors_are_orthogonal_under_the_exact_moments(name, params):
+    # each lifted eigenvector f of degree n has <f, x^c> = 0 for every
+    # |c| < n, and within each (n, lam) block the orthogonalized vectors are
+    # pairwise orthogonal, as rational identities under the operator's own
+    # moments
+    op = get_model(name, params).operator
+    graded = GradedOperatorMatrix(op, 6)
+    big = GradedOperatorMatrix(op, 12)
+    mean = dict(zip(big.basis.exponents, big.moments()))
+
+    def inner(u, v):
+        return sum(
+            (
+                Fraction(x) * y * mean[tuple(p + q for p, q in zip(a, b))]
+                for x, a in zip(u, graded.basis.exponents) if x
+                for y, b in zip(v, graded.basis.exponents) if y
+            ),
+            Fraction(0),
+        )
+
+    for degree, entry, poly, vectors in _exact_entries(graded):
+        top = graded.basis.degree_slices[degree]
+        for vector in vectors:
+            for c in range(top.start):
+                unit = [int(i == c) for i in range(len(vector))]
+                assert inner(vector, unit) == 0
+        orthogonal, norms = spectra._orthogonalize(vectors, top, poly.gram)
+        scale = poly.scale**2 * poly.denominator
+        for i, u in enumerate(orthogonal):
+            assert inner(u, u) == Fraction(norms[i], scale) > 0
+            assert all(inner(u, v) == 0 for v in orthogonal[:i])
 
 
 def test_eigenbasis_raises_when_eigenvectors_miss_the_multiplicity(monkeypatch):
@@ -293,9 +347,9 @@ def test_graded_spectrum_reuses_built_matrix():
     assert graded_spectrum(matrix).to_jsonable() == graded_eigenvalues(model.operator, 5).to_jsonable()
 
 
-def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypatch):
-    # every block reported as a numeric fallback, with eigenvalues moved off
-    # by 1e-4 so the residuals are well above roundoff
+def _forced_fallback(monkeypatch):
+    """Report every block as a numeric fallback, its eigenvalues off by 1e-4
+    relative, so the residuals are well above roundoff."""
     original = spectra.block_eigenvalues
 
     def numeric(block):
@@ -305,59 +359,23 @@ def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypat
         ]
 
     monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
+
+
+def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypatch):
+    _forced_fallback(monkeypatch)
     model = get_model("triangle")
     eb = eigenbasis(model, 4, model.sampler())
     funcs = eb.all_functions()
     assert all(not f.exact for f in funcs)
     moments = spectra.Moments(model, 9, model.sampler())
     values = eb.basis.eval_float(moments.points)
-    m = GradedOperatorMatrix(model.operator, 4).to_float()
+    m = np.array(GradedOperatorMatrix(model.operator, 4).entries.data, dtype=float)
     for f in funcs:
         r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
         num = np.dot(moments.weights, (values @ r) ** 2)
         den = np.dot(moments.weights, (values @ f.coefficients) ** 2)
         assert abs(f.residual - np.sqrt(num / den)) <= 1e-9 * np.sqrt(num / den) + 1e-15
     assert max(eb.residuals()) > 1e-6
-
-
-def _forced_fallback(monkeypatch, per_row=0.0):
-    """Report every block as a numeric fallback, its eigenvalues off by 1e-4
-    relative and by `per_row` more per row of the block."""
-    original = spectra.block_eigenvalues
-
-    def numeric(block):
-        shift = (1 + 1e-4) * (1 + per_row * len(block))
-        return [
-            spectra.EigenvalueEntry(float(e.value) * shift, e.multiplicity, "numeric-block")
-            for e in original(block)
-        ]
-
-    monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
-
-
-def test_eigenbasis_fallback_residuals_in_clusters_spanning_degrees(monkeypatch):
-    # -6 is an eigenvalue of degrees 1 and 2 on coaxial_parabolas; 1e-9 more
-    # per block row keeps both degrees in one cluster with distinct
-    # eigenvalues, so a degree-2 function mixes raw vectors of another
-    # eigenvalue
-    _forced_fallback(monkeypatch, per_row=1e-9)
-    model = get_model("coaxial_parabolas")
-    sampler = model.sampler(seed=5, sample_count=50_000)
-    moments = spectra.Moments(model, 9, sampler, sample=sample_domain(model, sampler))
-    eb = eigenbasis(model, 4, sampler, moments=moments)
-    mixed = {
-        (f.degree, f.eigenvalue)
-        for f in eb.all_functions()
-        if abs(f.eigenvalue + 6) < 1e-3
-    }
-    assert {d for d, _ in mixed} == {1, 2} and len({v for _, v in mixed}) == 2
-    values = eb.basis.eval_float(moments.points)
-    m = GradedOperatorMatrix(model.operator, 4).to_float()
-    for f in eb.all_functions():
-        r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
-        num = np.dot(moments.weights, (values @ r) ** 2)
-        den = np.dot(moments.weights, (values @ f.coefficients) ** 2)
-        assert abs(f.residual - np.sqrt(num / den)) <= 1e-9 * np.sqrt(num / den) + 1e-15
 
 
 def _pointwise_gram(eb, moments):
@@ -374,7 +392,7 @@ def _pointwise_gram(eb, moments):
 def test_eigenbasis_gram_matches_pointwise_reevaluation(
     monkeypatch, name, degree, sample_count, fallback
 ):
-    # the returned Gram comes from the raw functions' Gram and the transform;
+    # the returned Gram comes from the pass that also integrates the energy;
     # it must equal the Gram of the returned coefficients evaluated afresh
     if fallback:
         _forced_fallback(monkeypatch)
@@ -394,7 +412,12 @@ def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
     graded = GradedOperatorMatrix(model.operator, 3)
     scaled = spectra._integer_matrix(graded)
     lam = graded_spectrum(graded).degree(3)[-1].value
-    vec = spectra._exact_eigenvectors(graded, 3, lam)[0]
+    poly = spectra.orthogonal_polynomials(model.operator, 3)[3]
+    lifted = spectra._lifted_eigenvectors(graded, poly, 3, lam)[0]
+    # scaled to 1 in its last nonzero coordinate, so the entries are
+    # rationals of moderate size
+    lead = next(v for v in reversed(lifted) if v)
+    vec = [Fraction(v, lead) for v in lifted]
     assert scaled[0] > 1 and lam.denominator > 1 and any(v.denominator > 1 for v in vec)
     spectra._verify_exact_eigenvector(scaled, vec, lam)
     with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
