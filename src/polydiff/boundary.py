@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
 from .operator import CoMetric, DegenerateMetricError
-from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide
+from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide, tensor_grid
 
 Rational = int | Fraction
 
@@ -219,16 +220,33 @@ class EllipticityReport:
 
 
 def check_ellipticity(g: CoMetric, samples: Sequence[Sequence[Rational]]) -> EllipticityReport:
-    """Exact leading-principal-minor test at every sample point."""
+    """Exact leading-principal-minor test at every sample point.
+
+    Each entry of g is evaluated over a block of samples at once, in one
+    `grid_values` pass on the smallest tensor grid holding the block, and
+    brought to one positive denominator, so the minors, taken point by point
+    in sample order, are integer determinants with the signs of the rational
+    ones.  The first sample is its own block, since a cometric that is not
+    elliptic, such as most admissible-kernel basis elements, mostly fails
+    there already; the rest is one block.
+    """
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample point")
-    for point in samples:
-        values = g.value_at(point)
-        for k in range(1, g.dim + 1):
-            minor = poly_matrix_det([row[:k] for row in values[:k]])
-            if minor <= 0:
-                return EllipticityReport(False, tuple(Fraction(v) for v in point), len(samples))
+    d = g.dim
+    for block in (samples[:1], samples[1:]):
+        axes, nodes = tensor_grid(block, d)
+        values = {(i, j): g[i, j].grid_values(axes) for i in range(d) for j in range(i, d)}
+        common = lcm(*(den for _, den in values.values()))
+        scaled = {
+            key: [v * (common // den) for v in numerators]
+            for key, (numerators, den) in values.items()
+        }
+        for node, point in zip(nodes, block):
+            matrix = [[scaled[min(i, j), max(i, j)][node] for j in range(d)] for i in range(d)]
+            for k in range(1, d + 1):
+                if poly_matrix_det([row[:k] for row in matrix[:k]]) <= 0:
+                    return EllipticityReport(False, tuple(Fraction(v) for v in point), len(samples))
     return EllipticityReport(True, None, len(samples))
 
 

@@ -3,8 +3,9 @@
 The ratio of work here is deliberate: nullspaces/ranks/solves that feed the
 boundary admissibility system, the exact moments, orthogonal polynomials and
 eigenvectors are exact (one fraction-free Gauss-Jordan pass in Python ints
-gives the reduced row echelon form), while spectral work on Gram and
-energy-form matrices is floating point via LAPACK.
+gives the reduced row echelon form; it holds rows sparse and defers the
+rescaling of rows that a pivot step leaves unchanged), while spectral work on
+Gram and energy-form matrices is floating point via LAPACK.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ import scipy.linalg
 Rational = int | Fraction
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _exact_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("fraction-free step left a remainder")
+    return q
 
 
 class GramMatrixError(ValueError):
@@ -51,11 +59,14 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.data == other.data
 
-    def _integer_rows(self) -> list[list[int]]:
+    def _integer_rows(self) -> list[dict[int, int]]:
+        """Each row's nonzero entries, column -> integer, scaled by the lcm of
+        their denominators."""
         out = []
         for row in self.data:
-            scale = lcm(*(v.denominator for v in row)) if row else 1
-            out.append([v.numerator * (scale // v.denominator) for v in row])
+            nonzero = [(j, v) for j, v in enumerate(row) if v]
+            scale = lcm(*(v.denominator for _, v in nonzero))
+            out.append({j: v.numerator * (scale // v.denominator) for j, v in nonzero})
         return out
 
     def rref(self) -> tuple[list[list[int]], list[int], int]:
@@ -64,44 +75,68 @@ class RationalMatrix:
         The RREF is the integer rows over the nonzero integer d.  Pivot
         columns are chosen left to right; within a column the first
         not-yet-used row with a nonzero entry wins.  One fraction-free
-        Gauss-Jordan pass (Nakos, Turner and Williams, SIGSAM Bull. 31(3),
-        1997) runs on the integer-scaled rows: each pivot step clears its
-        column above and below and divides exactly by the previous pivot, so
-        every entry stays an integer minor and every pivot entry ends equal
-        to the last pivot, which is d (1 when there is no pivot).
+        Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
+        Williams, SIGSAM Bull. 31(3), 1997) runs on the integer-scaled rows:
+        each pivot step clears its column above and below and divides
+        exactly by the previous pivot, so every entry stays an integer minor
+        and every pivot entry ends equal to the last pivot, which is d (1
+        when there is no pivot).
+
+        Rows are held sparse, and a step touches only what it changes.  A
+        row with 0 in the pivot column would only be multiplied by
+        lead / prev; over several steps these factors compose to
+        p_now / p_then, so each row records the pivot its entries are
+        current at and takes the whole factor in one exact division the
+        next time it is used (as pivot row, to clear its entry in the pivot
+        column, or at the end).  Clearing combines a row with the pivot row
+        over the union of their nonzero columns only.
         """
         m = self._integer_rows()
-        rows, cols = self.rows, self.cols
+        at = [1] * len(m)  # the pivot each row's entries are current at
         pivots: list[int] = []
         prev = 1
+
+        def catch_up(i: int) -> dict[int, int]:
+            row = m[i]
+            if at[i] != prev:
+                row = m[i] = {j: _exact_quotient(v * prev, at[i]) for j, v in row.items()}
+                at[i] = prev
+            return row
+
         r = 0
-        for c in range(cols):
-            pivot_row = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
+        for c in range(self.cols):
+            pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
             if pivot_row is None:
                 continue
-            if pivot_row != r:
-                m[r], m[pivot_row] = m[pivot_row], m[r]
-            lead_row = m[r]
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            at[r], at[pivot_row] = at[pivot_row], at[r]
+            lead_row = catch_up(r)
             lead = lead_row[c]
             for i, row in enumerate(m):
-                if i == r or not any(row):
+                if i == r or c not in row:
                     continue
+                row = catch_up(i)
                 head = row[c]
-                for j in range(cols):
-                    q, rem = divmod(row[j] * lead - head * lead_row[j], prev)
-                    if rem:
-                        raise ArithmeticError("fraction-free step left a remainder")
-                    row[j] = q
+                combined = {j: v * lead for j, v in row.items()}
+                for j, v in lead_row.items():
+                    combined[j] = combined.get(j, 0) - head * v
+                new = {}
+                for j, v in combined.items():  # _exact_quotient, inlined in the hot loop
+                    if v:
+                        q, rem = divmod(v, prev)
+                        if rem:
+                            raise ArithmeticError("fraction-free step left a remainder")
+                        new[j] = q
+                m[i] = new
+                at[i] = lead
             prev = lead
+            at[r] = lead
             pivots.append(c)
             r += 1
-            if r == rows:
+            if r == len(m):
                 break
-        return m, pivots, prev
+        rows = [catch_up(i) for i in range(len(m))]
+        return [[row.get(j, 0) for j in range(self.cols)] for row in rows], pivots, prev
 
     def rank(self) -> int:
         return len(self.rref()[1])

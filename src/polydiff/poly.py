@@ -362,6 +362,30 @@ class Polynomial:
         return f"Polynomial({self.dim}, {format_poly(self)!r})"
 
 
+def tensor_grid(
+    points: Sequence[Sequence[int | Fraction]], dim: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """The smallest tensor grid holding the points, as axes for
+    `Polynomial.grid_values`, and each point's node index in its order.
+
+    Each axis holds the distinct coordinates on it, in order of first
+    appearance.  Points on a tensor grid (interior grids, clipped or not)
+    make a grid no larger than theirs; scattered points make the whole
+    product grid.  Coordinates are keyed by (numerator, denominator), since
+    hashing a Fraction costs a modular inverse.
+    """
+    if any(len(p) != dim for p in points):
+        raise ValueError(f"point length != dimension {dim}")
+    axes: list[list[Fraction]] = []
+    nodes = [0] * len(points)
+    for a in range(dim):
+        column = [(p[a].numerator, p[a].denominator) for p in points]
+        where = {key: i for i, key in enumerate(dict.fromkeys(column))}
+        axes.append([Fraction(*key) for key in where])
+        nodes = [node * len(where) + where[key] for node, key in zip(nodes, column)]
+    return axes, nodes
+
+
 def poly_divmod(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Single-divisor multivariate division under graded-lex order.
 

@@ -151,6 +151,26 @@ def test_ellipticity_fails_below_range():
     assert report.first_failure is not None
 
 
+def test_batch_ellipticity_first_failure_matches_pointwise_minors():
+    from polydiff.linalg import poly_matrix_det
+
+    # not elliptic on the 3D claim grid at these parameters
+    model = get_model("nodal_cubic_cover_3d", {"A": "2", "a": "-1/3"})
+    grid = model.interior_points(per_axis=5)
+    g = model.cometric
+
+    def elliptic_at(point):
+        values = g.value_at(point)
+        return all(poly_matrix_det([row[:k] for row in values[:k]]) > 0 for k in range(1, 4))
+
+    failures = [point for point in grid if not elliptic_at(point)]
+    # several samples fail, none of them first, so sample order decides
+    assert len(failures) > 1 and failures[0] != grid[0]
+    report = check_ellipticity(g, grid)
+    assert not report.elliptic and report.checked == len(grid)
+    assert report.first_failure == failures[0]
+
+
 def test_zero_cometric_fails_everywhere():
     from polydiff.operator import CoMetric
 

@@ -41,7 +41,7 @@ def test_disk_catalog_metric_is_round_sphere():
     model = get_model("disk", {"a": "0", "b": "0", "c": "1", "p": "0"})
     evaluator = CurvatureEvaluator(model.cometric)
     for point in ((0, 0), (Fraction(1, 10), Fraction(1, 5)), (Fraction(-3, 5), Fraction(1, 2))):
-        assert evaluator.curvature_exact(point) == 2
+        assert evaluator.curvature_exact([point]) == [2]
 
 
 def test_coaxial_curvature_family():
@@ -74,15 +74,45 @@ def test_non_constant_curvature_models():
 
 def test_curvature_exact_at_rational_points():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
-    assert evaluator.curvature_exact((Fraction(1, 3), Fraction(1, 7))) == 0
+    assert evaluator.curvature_exact([(Fraction(1, 3), Fraction(1, 7))]) == [0]
     evaluator = CurvatureEvaluator(get_model("swallowtail").cometric)
-    assert evaluator.curvature_exact((Fraction(0), Fraction(1, 8))) == 2
+    assert evaluator.curvature_exact([(Fraction(0), Fraction(1, 8))]) == [2]
 
 
 def test_curvature_outside_elliptic_region_rejected():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
     with pytest.raises(ValueError):
-        evaluator.curvature_exact((Fraction(10), Fraction(0)))
+        evaluator.curvature_exact([(Fraction(10), Fraction(0))])
+
+
+def _constancy_points(model):
+    """The interior grid curvature_constancy samples, as rational points."""
+    per_axis = 16
+    points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
+    while len(points) < 100 and per_axis < 128:
+        per_axis *= 2
+        points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
+    return points
+
+
+@pytest.mark.parametrize("name", PLANE_MODELS)
+def test_batch_curvature_matches_pointwise_quotient(name):
+    model = get_model(name)
+    evaluator = CurvatureEvaluator(model.cometric)
+    points = _constancy_points(model)
+    assert len(points) >= 100
+    expected = [evaluator.k_num(p) / evaluator.det(p) ** evaluator.k_pow for p in points]
+    assert evaluator.curvature_exact(points) == expected
+
+
+def test_batch_curvature_rejects_one_point_outside_the_elliptic_region():
+    model = get_model("deltoid")
+    evaluator = CurvatureEvaluator(model.cometric)
+    points = _constancy_points(model)
+    evaluator.curvature_exact(points)
+    points.insert(len(points) // 2, (Fraction(10), Fraction(0)))
+    with pytest.raises(ValueError, match="outside the elliptic region"):
+        evaluator.curvature_exact(points)
 
 
 def test_curvature_affine_invariance():
@@ -116,7 +146,7 @@ def test_curvature_affine_invariance():
         old, new = CurvatureEvaluator(g), CurvatureEvaluator(transformed)
         for p in _interior_sample(model, 6):
             q = tuple(a[i][0] * p[0] + a[i][1] * p[1] + b[i] for i in range(2))
-            assert new.curvature_exact(q) == old.curvature_exact(p), (name, p)
+            assert new.curvature_exact([q]) == old.curvature_exact([p]), (name, p)
             checks += 1
     assert checks >= 100
 
@@ -342,4 +372,4 @@ def test_curvature_exact_matches_sympy_christoffel_curvature(name):
     oracle = _sympy_scalar_curvature(model.cometric)
     evaluator = CurvatureEvaluator(model.cometric)
     for point in _interior_sample(model, 2):
-        assert evaluator.curvature_exact(point) == oracle(point), point
+        assert evaluator.curvature_exact([point]) == [oracle(point)], point

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from polydiff.catalog import get_model
+from polydiff.boundary import build_admissibility_system
+from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import (
     GramMatrixError,
     RationalMatrix,
@@ -130,9 +132,100 @@ def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
     # the fraction-free Gauss-Jordan division by the previous pivot is exact
     # on integer rows; a non-integral row breaks that premise and must raise
     # even under python -O
-    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [[1, 0], [1, Fraction(1, 2)]])
+    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 1}, {0: 1, 1: Fraction(1, 2)}])
     with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
+
+
+def test_rref_raises_when_a_deferred_rescale_is_inexact(monkeypatch):
+    # the second row has 0 under the first pivot, 2, so it is rescaled by
+    # 2 / 1 only when it becomes the next pivot row, which leaves 2/3
+    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 2}, {1: Fraction(1, 3)}])
+    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+        RationalMatrix([[1, 0], [0, 1]]).rref()
+
+
+def _dense_rref(rows):
+    """Reference: the dense fraction-free Gauss-Jordan loop, which updates
+    every cell of every nonzero row at every pivot."""
+    m = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
+    cols = len(m[0])
+    pivots, prev, r = [], 1, 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        lead_row = m[r]
+        lead = lead_row[c]
+        for i, row in enumerate(m):
+            if i == r or not any(row):
+                continue
+            head = row[c]
+            for j in range(cols):
+                q, rem = divmod(row[j] * lead - head * lead_row[j], prev)
+                assert rem == 0
+                row[j] = q
+        prev = lead
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, prev
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in model_names() if get_descriptor(name).factor_templates]
+)
+def test_rref_matches_dense_reference_on_admissibility_systems(name):
+    from test_operator import _generic_params
+
+    descriptor = get_descriptor(name)
+    points = [None]
+    if descriptor.param_specs:
+        points.append(_generic_params(random.Random(name), descriptor))
+    for params in points:
+        matrix, _ = build_admissibility_system(get_model(name, params).boundary)
+        assert matrix.rref() == _dense_rref(matrix.data), params
+
+
+def _sparse_rational_matrix(rng, rows, cols, density, zero_lead=0):
+    """Random rationals at the given density, 0 in the first zero_lead columns."""
+    return [
+        [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            if j >= zero_lead and rng.random() < density
+            else Fraction(0)
+            for j in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def test_rref_matches_dense_reference_on_sparse_random_matrices():
+    rng = random.Random(31)
+    seen = set()
+    for density in (0.03, 0.06, 0.1, 0.2, 0.3):
+        for _ in range(12):
+            rows, cols = rng.randint(3, 24), rng.randint(3, 24)
+            zero_lead = rng.randint(0, 2)
+            data = _sparse_rational_matrix(rng, rows, cols, density, zero_lead)
+            # rank deficiency: append sums of random pairs of rows
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.sample(data[:rows], 2)
+                data.append([x + 2 * y for x, y in zip(a, b)])
+            reduced, pivots, d = RationalMatrix(data).rref()
+            assert (reduced, pivots, d) == _dense_rref(data), (density, rows, cols)
+            if pivots and pivots[0] > 0:
+                seen.add("zero leading column")
+            if pivots and data[0][pivots[0]] == 0:
+                seen.add("row swap")
+            if len(pivots) < min(len(data), cols):
+                seen.add("rank deficient")
+    assert seen == {"zero leading column", "row swap", "rank deficient"}
 
 
 def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
@@ -152,8 +245,8 @@ def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
 
 def _random_rational_systems(rng):
     """Seeded (kind, rows, rhs) cases: wide, tall, square, rank-deficient,
-    with a zero row, with an inconsistent right-hand side, and with
-    denominators up to 10^15."""
+    with a zero row, with an inconsistent right-hand side, with
+    denominators up to 10^15, and sparse at densities 0.05 to 0.3."""
 
     def rational(bound=9, den=9):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
@@ -189,6 +282,13 @@ def _random_rational_systems(rng):
         yield "large", matrix(n, n + 1, bound=10**15, den=10**15), [
             rational(bound=10**15, den=10**15) for _ in range(n)
         ]
+    for density in (0.05, 0.1, 0.2, 0.3):
+        r, c = rng.randint(4, 12), rng.randint(4, 12)
+        rows = _sparse_rational_matrix(rng, r, c, density, zero_lead=rng.randint(0, 2))
+        yield "sparse", rows, [rational() for _ in range(r)]
+        # rank-deficient: the last row is a combination of two others
+        rows = rows + [[x - 3 * y for x, y in zip(rows[0], rows[-1])]]
+        yield "sparse", rows, [rational() for _ in range(r + 1)]
     yield "all-zero", [[Fraction(0)] * 3 for _ in range(2)], [Fraction(0), Fraction(1)]
 
 
@@ -237,7 +337,7 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             assert [Fraction(v, d) for v in first] == solution, kind
             assert [Fraction(v, d) for v in second] == [2 * v for v in solution], kind
             outcomes.add(("unique", kind))
-    assert {"wide", "tall", "rank-deficient", "zero-row", "large"} <= kinds
+    assert {"wide", "tall", "rank-deficient", "zero-row", "large", "sparse"} <= kinds
     assert {
         ("no solution", "inconsistent"), ("solved", "rank-deficient"), ("unique", "square"),
     } <= outcomes

@@ -17,6 +17,7 @@ from polydiff.poly import (
     format_poly,
     parse_poly,
     poly_divmod,
+    tensor_grid,
 )
 
 X2 = Polynomial.variable(2, 0)
@@ -299,6 +300,16 @@ def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
         assert all(type(n) is int for n in numerators)
         for n, node in zip(numerators, nodes):
             assert Fraction(n, denominator) == expected(node), (p, node)
+        # the grid nodes in reverse, one repeated, then a point off the grid
+        points = nodes[::-1] + [nodes[-1], point]
+        grid, indices = tensor_grid(points, dim)
+        # each axis holds every distinct coordinate on it once
+        assert [sorted(axis) for axis in grid] == [
+            sorted({q[a] for q in points}) for a in range(dim)
+        ]
+        numerators, denominator = p.grid_values(grid)
+        for index, node in zip(indices, points):
+            assert Fraction(numerators[index], denominator) == expected(node), (p, node)
     assert kinds == {"zero", "constant", "random"}
 
 
