@@ -20,12 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import boundary as boundary_mod
 from .boundary import BoundarySpec, check_ellipticity, det_divisibility_check, solve_admissibility
 from .catalog import Model, get_model, model_names
-from .geometry import CurvatureReport, curvature_constancy, verify_pullback
+from .geometry import curvature_constancy, verify_pullback
 from .linalg import RationalMatrix
 from .operator import (
     CoMetric,
@@ -54,8 +51,6 @@ GRAM_TOL = 1e-6
 # sampled model
 CROSS_TOL = 1e-6
 RESIDUAL_TOL = 1e-7
-CURVATURE_TOL = 1e-6
-NONCONSTANT_CURVATURE_SPREAD = 1e-3
 TRIANGULARITY_DEGREE = 12
 _PACKAGE_DIR = Path(__file__).resolve().parent
 
@@ -233,13 +228,8 @@ def _spectrum_claim(name: str):
     def run(ctx: RunContext):
         model = ctx.model(name)
         degree = 12 if model.dim == 1 else 8
-        comparisons = compare_closed_form(model, degree)
-        ok = all(c.match and c.exact for c in comparisons)
-        return ok, {
-            "max_degree": degree,
-            "all_exact": all(c.exact for c in comparisons),
-            "mismatched_degrees": [c.degree for c in comparisons if not c.match],
-        }
+        mismatched = compare_closed_form(model, degree)
+        return not mismatched, {"max_degree": degree, "mismatched_degrees": mismatched}
 
     return run
 
@@ -254,14 +244,6 @@ def _graded_triangularity(name: str):
     return run
 
 
-def _curvature_verdict(report: CurvatureReport, expected: float | None) -> bool:
-    """Constant at `expected` within CURVATURE_TOL, or, for None, clearly non-constant."""
-    if expected is None:
-        return (not report.constant) and report.spread > NONCONSTANT_CURVATURE_SPREAD
-    tolerance = CURVATURE_TOL * (1.0 + abs(expected))
-    return report.constant and abs(report.mean - expected) <= tolerance
-
-
 def _curvature_claim(name: str):
     def run(ctx: RunContext):
         model = ctx.model(name)
@@ -270,14 +252,14 @@ def _curvature_claim(name: str):
         detail = {
             "verdict": "constant" if report.constant else "non-constant",
             "mean": report.mean,
-            "max_deviation": report.max_deviation,
+            "value": None if report.value is None else str(report.value),
             "spread": report.spread,
             "points": int(len(report.values)),
         }
         if kind == "constant":
             detail["tabulated"] = str(value)
-            return _curvature_verdict(report, float(value)), detail
-        return _curvature_verdict(report, None), detail
+        # value is None for a non-constant tabulation
+        return report.value == value, detail
 
     return run
 
@@ -452,45 +434,8 @@ def _sum_identity(ctx: RunContext):
 def _quartic_boundary_negative(ctx: RunContext):
     spec = BoundarySpec(2, (parse_poly("1-x^4-y^4", 2),), (Fraction(0), Fraction(0)))
     solution = solve_admissibility(spec)
-    detail = {"dimension": solution.dimension}
-    if solution.dimension == 0:
-        detail["elliptic_direction_found"] = False
-        return True, detail
-    # exhaustive direction search over the basis sphere: float screen on a
-    # clipped grid, exact confirmation of any survivor
-    grid = boundary_mod.interior_grid(spec, [(-1, 1), (-1, 1)], per_axis=8)
-    float_points = np.array([[float(c) for c in p] for p in grid])
-    dim = solution.dimension
-    basis_vals = []
-    for g in solution.g_basis:
-        basis_vals.append(
-            [
-                [g[i, j].eval_float(float_points) for j in range(2)]
-                for i in range(2)
-            ]
-        )
-    found = False
-    for k in range(10_000):
-        direction = np.array(
-            [stream_uniform(ctx.seed, dim * k + t) * 2.0 - 1.0 for t in range(dim)]
-        )
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            continue
-        direction /= norm
-        g11 = sum(direction[b] * basis_vals[b][0][0] for b in range(dim))
-        g12 = sum(direction[b] * basis_vals[b][0][1] for b in range(dim))
-        g22 = sum(direction[b] * basis_vals[b][1][1] for b in range(dim))
-        if (g11 > 0).all() and (g11 * g22 - g12 * g12 > 0).all():
-            # float screen passed; confirm exactly before declaring ellipticity
-            weights = [Fraction(float(direction[b])) for b in range(dim)]
-            combo = solution.combination(weights)
-            if check_ellipticity(combo, grid).elliptic:
-                found = True
-                break
-    detail["elliptic_direction_found"] = found
-    detail["directions_checked"] = 10_000
-    return not found, detail
+    # no nonzero admissible cometric at all, so none is elliptic
+    return solution.dimension == 0, {"dimension": solution.dimension}
 
 
 def _nodal_inverse_sqrt_det(ctx: RunContext):
@@ -623,8 +568,7 @@ def _deltoid_spectrum_family(ctx: RunContext):
     ok = True
     for p in ["0", "1/2"]:
         model = ctx.model("deltoid", {"p": p})
-        comparisons = compare_closed_form(model, 8)
-        good = all(c.match and c.exact for c in comparisons)
+        good = not compare_closed_form(model, 8)
         detail[f"p={p}"] = good
         ok = ok and good
     return ok, detail
@@ -637,14 +581,14 @@ def _coaxial_curvature_family(ctx: RunContext):
         model = ctx.model("coaxial_parabolas", {"a": a})
         report = curvature_constancy(model)
         detail[f"a={a}"] = {"mean": report.mean, "constant": report.constant}
-        ok = ok and _curvature_verdict(report, 1.0 + float(parse_rational(a)))
+        ok = ok and report.value == 1 + parse_rational(a)
     return ok, detail
 
 
 def _disk_curvature_nonconstant(ctx: RunContext):
     model = ctx.model("disk", {"a": "1", "b": "1"})
     report = curvature_constancy(model)
-    return _curvature_verdict(report, None), {
+    return report.value is None, {
         "spread": report.spread,
         "constant": report.constant,
     }
@@ -722,7 +666,7 @@ def build_claims() -> list[Claim]:
         add(f"{name}.graded-triangularity", name, "exact-polynomial-identity",
             f"catalog:{name}/grading", _graded_triangularity(name))
         if model.has_claim("curvature") and model.claim_applies("curvature"):
-            add(f"{name}.curvature", name, "numeric-tolerance",
+            add(f"{name}.curvature", name, "exact-polynomial-identity",
                 f"catalog:{name}/curvature", _curvature_claim(name))
         if model.has_claim("pullback") and model.claim_applies("pullback"):
             add(f"{name}.pullback", name, "exact-polynomial-identity",
@@ -754,9 +698,10 @@ def build_claims() -> list[Claim]:
         _cover_family_residuals)
     add("deltoid.spectrum-family", "deltoid", "exact-eigenvalue",
         "catalog:deltoid/eigenvalue-family", _deltoid_spectrum_family)
-    add("coaxial_parabolas.curvature-family", "coaxial_parabolas", "numeric-tolerance",
+    add("coaxial_parabolas.curvature-family", "coaxial_parabolas",
+        "exact-polynomial-identity",
         "catalog:coaxial_parabolas/curvature-family", _coaxial_curvature_family)
-    add("disk.curvature-nonconstant", "disk", "numeric-tolerance",
+    add("disk.curvature-nonconstant", "disk", "exact-polynomial-identity",
         "catalog:disk/curvature-nonconstant", _disk_curvature_nonconstant)
     add("negative.quartic-boundary", "global", "negative-control",
         "catalog:negative/quartic-boundary", _quartic_boundary_negative)

@@ -269,12 +269,12 @@ def cmd_curvature(args) -> int:
         "params": {k: str(v) for k, v in model.params.items()},
         "constant": report.constant,
         "mean": report.mean,
-        "max_deviation": report.max_deviation,
+        "value": None if report.value is None else str(report.value),
         "spread": report.spread,
         "points": int(len(report.values)),
     }
     if args.format == "pretty":
-        verdict = "constant" if report.constant else "non-constant"
+        verdict = f"constant {report.value}" if report.constant else "non-constant"
         _emit(
             f"{model.name}: scalar curvature {verdict}; mean={report.mean:.12g} "
             f"spread={report.spread:.3e} over {len(report.values)} points",

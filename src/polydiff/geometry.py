@@ -28,7 +28,6 @@ from .poly import Polynomial, exact_divide, poly_divmod, tensor_grid
 from .quadrature import _applicable_cover
 
 INTERIOR_MARGIN = Fraction(1, 1000)
-CONSTANCY_TOL = 1e-6
 
 
 class CurvatureEvaluator:
@@ -46,6 +45,12 @@ class CurvatureEvaluator:
     The quotient is collapsed into one N / delta^k once per metric, so the
     near-boundary cancellations happen in exact arithmetic and points only
     ever see a small numerator and a power of the determinant.
+
+    `constant` is the exact constant curvature, or None.  The collapse
+    divides delta out of N for as long as the division is exact, so when
+    k > 0, delta does not divide N and N / delta^k is not a polynomial,
+    let alone a constant.  K is therefore constant exactly when k == 0 and
+    N has degree <= 0.
     """
 
     def __init__(self, cometric: CoMetric):
@@ -82,6 +87,8 @@ class CurvatureEvaluator:
             k -= 1
         self.k_num = numerator * 2  # scalar curvature is twice the Gaussian
         self.k_pow = k
+        is_constant = self.k_pow == 0 and self.k_num.total_degree <= 0
+        self.constant = self.k_num.constant_term if is_constant else None
 
     def curvature_exact(self, points: Sequence[Sequence[Fraction]]) -> list[Fraction]:
         """Exact scalar curvature at rational interior points, in order.
@@ -104,8 +111,11 @@ class CurvatureReport:
     points: np.ndarray
     values: np.ndarray
     mean: float
-    max_deviation: float
-    constant: bool
+    value: Fraction | None  # the exact constant curvature, None if not constant
+
+    @property
+    def constant(self) -> bool:
+        return self.value is not None
 
     @property
     def spread(self) -> float:
@@ -113,11 +123,12 @@ class CurvatureReport:
 
 
 def curvature_constancy(model: Model, min_points: int = 100, per_axis: int = 16) -> CurvatureReport:
-    """Verdict on curvature constancy over an interior grid.
+    """The exact constancy verdict, with curvature values over an interior grid.
 
-    Constant iff max deviation from the mean is below 1e-6 * (1 + |mean|).
-    Sample points keep every boundary factor above 1e-3 of its witness value
-    so the metric stays uniformly elliptic.
+    The verdict is `CurvatureEvaluator.constant`; the grid supplies the
+    reported values, their mean and spread.  Sample points keep every
+    boundary factor above 1e-3 of its witness value so the metric stays
+    uniformly elliptic.
     """
     points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
     while len(points) < min_points and per_axis < 128:
@@ -129,15 +140,7 @@ def curvature_constancy(model: Model, min_points: int = 100, per_axis: int = 16)
     evaluator = CurvatureEvaluator(model.cometric)
     # grid points are rational, so evaluate the collapsed quotient exactly
     values = np.array([float(v) for v in evaluator.curvature_exact(points)])
-    mean = float(values.mean())
-    deviation = float(np.abs(values - mean).max())
-    return CurvatureReport(
-        points=array,
-        values=values,
-        mean=mean,
-        max_deviation=deviation,
-        constant=deviation <= CONSTANCY_TOL * (1.0 + abs(mean)),
-    )
+    return CurvatureReport(array, values, float(values.mean()), evaluator.constant)
 
 
 def export_curvature_csv(path, report: CurvatureReport) -> None:

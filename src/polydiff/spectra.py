@@ -531,31 +531,18 @@ def pencil_gaps(eb: EigenBasis) -> np.ndarray:
 # closed-form comparison
 
 
-@dataclass
-class DegreeComparison:
-    degree: int
-    match: bool
-    exact: bool
-    max_discrepancy: float
+def compare_closed_form(model: Model, max_degree: int) -> list[int]:
+    """Degrees whose computed block is not exactly the tabulated multiset.
 
-
-def compare_closed_form(model: Model, max_degree: int) -> list[DegreeComparison]:
-    """Computed block spectra against the model's tabulated closed form."""
+    A numeric-block value never matches: a float can be close to a
+    tabulated eigenvalue, but only an exact one confirms it.
+    """
     claimed = model.claimed_spectrum()
     spectrum = graded_eigenvalues(model.operator, max_degree)
-    out = []
+    mismatched = []
     for n in range(max_degree + 1):
-        expected = claimed.eigenvalues_at_degree(n)
         computed = spectrum.multiset(n)
         exact = all(isinstance(v, Fraction) for v in computed)
-        if exact:
-            match = list(expected) == list(computed)
-            disc = 0.0 if match else max(
-                abs(float(e) - float(c)) for e, c in zip(expected, computed)
-            )
-        else:
-            diffs = [abs(float(e) - float(c)) for e, c in zip(expected, computed)]
-            disc = max(diffs) if diffs else 0.0
-            match = disc <= 1e-8
-        out.append(DegreeComparison(n, match, exact, disc))
-    return out
+        if not (exact and computed == claimed.eigenvalues_at_degree(n)):
+            mismatched.append(n)
+    return mismatched

@@ -151,15 +151,16 @@ def test_a7_curvature(battery):
     ok = True
     for claim_id, value in constants.items():
         result = battery[claim_id]
-        ok = ok and result.status == "pass" and abs(result.detail["mean"] - value) < 1e-6
+        ok = ok and result.status == "pass" and result.detail["value"] == str(value)
     ok = ok and _status(battery, "coaxial_parabolas.curvature-family")
-    ok = ok and _status(battery, "nodal_cubic.curvature")
+    nodal = battery["nodal_cubic.curvature"]
+    ok = ok and nodal.status == "pass" and nodal.detail["value"] is None
     ok = ok and _status(battery, "disk.curvature-nonconstant")
     verdict(
         "A7",
         ok,
-        "constant values match (incl. coaxial 1+a for a in {0,1,3}); nodal cubic "
-        "and disk(1,1) detected non-constant with spread > 1e-3",
+        "exact constant values match (incl. coaxial 1+a for a in {0,1,3}); nodal "
+        "cubic and disk(1,1) are exactly non-constant",
     )
 
 
@@ -203,9 +204,9 @@ def test_a11_negative_boundary(battery):
     result = battery["negative.quartic-boundary"]
     verdict(
         "A11",
-        result.status == "pass",
+        result.status == "pass" and result.detail["dimension"] == 0,
         f"quartic boundary: kernel dimension {result.detail['dimension']}, "
-        f"no elliptic combination",
+        f"so no elliptic combination",
     )
 
 

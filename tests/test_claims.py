@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,20 @@ MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
 def test_registry_matches_checked_in_manifest():
     recorded = MANIFEST.read_text().split()
     assert claim_ids() == recorded
+
+
+def test_claim_kind_tally():
+    # only the sampled models' quadrature claims decide by a float tolerance
+    claims = build_claims()
+    kinds = Counter(c.kind for c in claims)
+    assert kinds == {
+        "exact-polynomial-identity": 152,
+        "exact-eigenvalue": 9,
+        "numeric-tolerance": 24,
+        "negative-control": 4,
+    }
+    numeric = [c.id for c in claims if c.kind == "numeric-tolerance"]
+    assert all(i.endswith((".symmetry-defect", ".eigenbasis-quality")) for i in numeric), numeric
 
 
 def test_claim_moments_refuse_monte_carlo():

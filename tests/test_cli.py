@@ -133,7 +133,9 @@ def test_curvature_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["constant"] is True
+    assert payload["value"] == "2"
     assert abs(payload["mean"] - 2.0) < 1e-9
+    assert "max_deviation" not in payload
 
 
 def test_orthogonality_command(capsys):

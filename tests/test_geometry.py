@@ -48,27 +48,27 @@ def test_coaxial_curvature_family():
     for a in ("0", "1", "3"):
         model = get_model("coaxial_parabolas", {"a": a})
         report = curvature_constancy(model)
-        assert report.constant
+        assert report.value == 1 + Fraction(a)
         assert abs(report.mean - (1.0 + float(Fraction(a)))) < 1e-9
 
 
 def test_flat_models():
     for name in ("deltoid", "parabola_two_tangents"):
         report = curvature_constancy(get_model(name))
-        assert report.constant and abs(report.mean) < 1e-9
+        assert report.value == 0 and abs(report.mean) < 1e-9
 
 
 def test_unit_sphere_image_models():
     for name in ("parabola_tangent_secant", "cuspidal_cubic_secant",
                   "cuspidal_cubic_tangent", "swallowtail"):
         report = curvature_constancy(get_model(name))
-        assert report.constant and abs(report.mean - 2.0) < 1e-9, name
+        assert report.value == 2 and abs(report.mean - 2.0) < 1e-9, name
 
 
 def test_non_constant_curvature_models():
     for name, params in (("nodal_cubic", None), ("disk", {"a": "1", "b": "1"})):
         report = curvature_constancy(get_model(name, params))
-        assert not report.constant
+        assert report.value is None and not report.constant
         assert report.spread > 1e-3
 
 
@@ -93,6 +93,20 @@ def _constancy_points(model):
         per_axis *= 2
         points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
     return points
+
+
+@pytest.mark.parametrize("name,params", list(_curvature_cases()))
+def test_exact_constancy_agrees_with_grid_values(name, params):
+    # the collapse verdict against the values curvature_constancy samples:
+    # constant c exactly when every grid value is c
+    model = get_model(name, params)
+    evaluator = CurvatureEvaluator(model.cometric)
+    values = set(evaluator.curvature_exact(_constancy_points(model)))
+    if evaluator.constant is None:
+        assert len(values) >= 2
+    else:
+        assert values == {evaluator.constant}
+    assert curvature_constancy(model).value == evaluator.constant
 
 
 @pytest.mark.parametrize("name", PLANE_MODELS)

@@ -63,17 +63,37 @@ def test_all_eigenvalues_nonpositive():
 def test_compare_closed_form_deltoid_three_parameter_values():
     for p in ("-1/2", "0", "1/2"):
         model = get_model("deltoid", {"p": p})
-        comparisons = compare_closed_form(model, 8)
-        assert all(c.match and c.exact for c in comparisons)
+        assert compare_closed_form(model, 8) == []
 
 
-def test_compare_closed_form_detects_corruption():
+def test_compare_closed_form_detects_corruption(monkeypatch):
     model = get_model("deltoid")
     claimed = model.claimed_spectrum()
-    spectrum = graded_eigenvalues(model.operator, 6)
-    for n in range(1, 7):
-        corrupted = sorted(v + 1 for v in claimed.eigenvalues_at_degree(n))
-        assert corrupted != spectrum.multiset(n)
+    shifted = replace(claimed, formula=claimed.formula + 1)
+    monkeypatch.setattr(model, "claimed_spectrum", lambda: shifted)
+    # degree 0 too: the tabulated 0 becomes 1
+    assert compare_closed_form(model, 6) == list(range(7))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_compare_closed_form_never_matches_a_numeric_block(offset, monkeypatch):
+    # degree 3 reported as a numeric fallback at floats within 1e-8 of the
+    # exact, tabulated eigenvalues: close, or even equal as a float, is not
+    # a confirmation
+    model = get_model("deltoid")
+    original = spectra.block_eigenvalues
+
+    def numeric_degree_three(block):
+        entries = original(block)
+        if len(block) != 4:
+            return entries
+        return [
+            spectra.EigenvalueEntry(float(e.value) + offset, e.multiplicity, "numeric-block")
+            for e in entries
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", numeric_degree_three)
+    assert compare_closed_form(model, 6) == [3]
 
 
 def test_product_spectrum_is_sumset():
