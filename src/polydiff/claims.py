@@ -472,13 +472,9 @@ def _perturbed_drift_negative(ctx: RunContext):
 def _corrupted_spectrum_negative(ctx: RunContext):
     model = ctx.model("deltoid")
     claimed = model.claimed_spectrum()
-    spectrum = graded_eigenvalues(model.operator, 6)
-    mismatched = []
-    for n in range(1, 7):
-        expected = sorted(v + 1 for v in claimed.eigenvalues_at_degree(n))
-        computed = spectrum.multiset(n)
-        if expected != computed:
-            mismatched.append(n)
+    mismatched = graded_eigenvalues(model.operator, 6).mismatched_degrees(
+        lambda n: sorted(v + 1 for v in claimed.eigenvalues_at_degree(n)), range(1, 7)
+    )
     return mismatched == list(range(1, 7)), {"mismatched_degrees": mismatched}
 
 

@@ -36,10 +36,11 @@ class GramMatrixError(ValueError):
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major."""
+    """Dense matrix of exact rationals, row-major: ints and Fractions are
+    held as given, anything else is converted to a Fraction."""
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        data = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+        data = [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in rows]
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
@@ -48,13 +49,6 @@ class RationalMatrix:
         self.data = data
         self.rows = len(data)
         self.cols = width
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.data[key[0]][key[1]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.data == other.data
@@ -137,9 +131,6 @@ class RationalMatrix:
                 break
         rows = [catch_up(i) for i in range(len(m))]
         return [[row.get(j, 0) for j in range(self.cols)] for row in rows], pivots, prev
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Exact kernel basis; count = cols - rank.

@@ -265,16 +265,18 @@ def _lowered(exponent: tuple[int, ...], *axes: int) -> tuple[int, ...]:
 
 
 class GradedOperatorMatrix:
-    """Exact matrix of L on a graded monomial basis.
+    """Exact matrix M of L on a graded monomial basis, as integer columns.
 
-    Column k holds the coordinates of L(m_k).  With g^ij = sum_c g^ij_c x^c
-    and b^i = sum_c b^i_c x^c, each column comes from exponent arithmetic:
+    Column k holds the coordinates of L(m_k) times one common `scale`, the
+    lcm of the denominators of all coefficients of L: `columns[k]` maps each
+    row with a nonzero entry to that integer, so M[r, k] = columns[k][r] /
+    scale.  With g^ij = sum_c g^ij_c x^c and b^i = sum_c b^i_c x^c, each
+    column comes from exponent arithmetic:
 
         L(x^a) = sum_{ij,c} g^ij_c a_i (a_j - delta_ij) x^(a + c - e_i - e_j)
                + sum_{i,c}  b^i_c a_i x^(a + c - e_i)
 
-    summed in integers over the common denominator of all coefficients.  A
-    nonzero image coefficient of degree above |a| raises
+    A nonzero image coefficient of degree above |a| raises
     DegreeViolationError, so the matrix is block-upper-triangular in the
     degree grading by construction.
     """
@@ -292,15 +294,13 @@ class GradedOperatorMatrix:
                     terms.append((i, j, _lowered(c, i, j), coeff))
             for c, coeff in op.drift[i].terms.items():
                 terms.append((i, None, _lowered(c, i), coeff))
-        scale = lcm(*(coeff.denominator for *_, coeff in terms))
+        self.scale = lcm(*(coeff.denominator for *_, coeff in terms))
         terms = [
-            (i, j, shift, coeff.numerator * (scale // coeff.denominator))
+            (i, j, shift, coeff.numerator * (self.scale // coeff.denominator))
             for i, j, shift, coeff in terms
         ]
-        size = len(self.basis)
-        zero = Fraction(0)
-        rows = [[zero] * size for _ in range(size)]
-        for k, a in enumerate(self.basis.exponents):
+        self.columns: list[dict[int, int]] = []
+        for a in self.basis.exponents:
             image: dict[tuple[int, ...], int] = {}
             for i, j, shift, coeff in terms:
                 factor = a[i] if j is None else a[i] * (a[j] - (i == j))
@@ -308,6 +308,7 @@ class GradedOperatorMatrix:
                     target = tuple(x + s for x, s in zip(a, shift))
                     image[target] = image.get(target, 0) + factor * coeff
             degree = sum(a)
+            column = {}
             for target, value in image.items():
                 if not value:
                     continue
@@ -316,18 +317,21 @@ class GradedOperatorMatrix:
                         f"L raised the degree of monomial {a}: operator "
                         f"was built outside the admissible framework"
                     )
-                rows[self.basis.index[target]][k] = Fraction(value, scale)
-        self.entries = RationalMatrix(rows)
+                column[self.basis.index[target]] = value
+            self.columns.append(column)
 
     @property
     def max_degree(self) -> int:
         return self.basis.max_degree
 
     def diagonal_block(self, degree: int) -> list[list[Fraction]]:
-        """Action on degree-n monomials modulo lower degree."""
+        """Action on degree-n monomials modulo lower degree, as rows."""
         block = self.basis.degree_slices[degree]
-        idx = range(block.start, block.stop)
-        return [[self.entries[r, c] for c in idx] for r in idx]
+        columns = self.columns[block]
+        return [
+            [Fraction(column.get(r, 0), self.scale) for column in columns]
+            for r in range(block.start, block.stop)
+        ]
 
     def moments(self) -> list[Fraction]:
         """Exact moments of the measure L leaves invariant, normalized to mass
@@ -336,18 +340,20 @@ class GradedOperatorMatrix:
         The integral of L p vanishes for every polynomial p, and column a holds
         L(x^a), so sum_r M[r, a] m_r = 0.  Degree by degree that reads
         M_nn^t m_n = -M_<n,n^t m_<n with m_0 = 1 (Krall and Sheffer, Ann. Mat.
-        Pura Appl. 76, 1967): one exact solve per degree.  A singular M_nn
-        leaves the degree-n moments undetermined and raises, naming n.
+        Pura Appl. 76, 1967): one exact solve per degree, on the integer
+        columns, since the common scale cancels.  A singular M_nn leaves the
+        degree-n moments undetermined and raises, naming n.
         """
-        data = self.entries.data
         values = [Fraction(1)]
         for n, block in enumerate(self.basis.degree_slices[1:], start=1):
-            columns = range(block.start, block.stop)
+            columns = self.columns[block]
             rhs = [
-                -sum((data[r][c] * values[r] for r in range(block.start) if data[r][c]), Fraction(0))
-                for c in columns
+                -sum((v * values[r] for r, v in column.items() if r < block.start), Fraction(0))
+                for column in columns
             ]
-            transposed = RationalMatrix([[data[r][c] for r in columns] for c in columns])
+            transposed = RationalMatrix(
+                [[column.get(r, 0) for r in range(block.start, block.stop)] for column in columns]
+            )
             solution = transposed.solve_unique([rhs])
             if solution is None:
                 raise ValueError(
@@ -360,12 +366,12 @@ class GradedOperatorMatrix:
 
     def strictly_lower_block_entries(self) -> list[tuple[int, int, Fraction]]:
         """Entries below the degree-diagonal blocks; empty iff graded."""
-        data = self.entries.data
-        size = len(self.basis)
         out = []
         for block in self.basis.degree_slices:
             for c in range(block.start, block.stop):
-                for r in range(block.stop, size):
-                    if data[r][c]:
-                        out.append((r, c, data[r][c]))
+                out.extend(
+                    (r, c, Fraction(v, self.scale))
+                    for r, v in sorted(self.columns[c].items())
+                    if r >= block.stop
+                )
         return out

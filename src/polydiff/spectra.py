@@ -1,7 +1,10 @@
 """Spectra of diffusion operators on the graded polynomial filtration.
 
-Eigenvalues come from the diagonal degree blocks of the exact graded matrix:
-triangular blocks read off exactly, otherwise the block's characteristic
+The exact graded matrix of L is held as sparse integer columns over one
+scale (`GradedOperatorMatrix`): exact eigenvectors are verified against
+those columns in integers, and the diagonal degree blocks are read from them
+as Fractions.  Eigenvalues come from these blocks: triangular blocks read
+off exactly, otherwise the block's characteristic
 polynomial is split over the rationals when possible, with a numeric
 fallback flagged in the result.  That polynomial is exact and computed
 without division: Berkowitz's recurrence runs in Python ints on the block
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, sqrt
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -69,6 +73,20 @@ class SpectrumResult:
         for entry in self.per_degree[n]:
             out.extend([entry.value] * entry.multiplicity)
         return sorted(out, key=float)
+
+    def mismatched_degrees(
+        self, table: Callable[[int], list[Fraction]], degrees: Iterable[int]
+    ) -> list[int]:
+        """The degrees n among `degrees` whose block is not exactly table(n).
+
+        A numeric-block value never matches: a float can be close to a
+        tabulated eigenvalue, even equal to it, but only an exact one
+        confirms it.
+        """
+        return [
+            n for n in degrees
+            if not all(e.is_exact for e in self.per_degree[n]) or self.multiset(n) != table(n)
+        ]
 
     def to_jsonable(self) -> dict:
         degrees = []
@@ -391,35 +409,26 @@ def _float_orthonormal(
     return vectors, residuals
 
 
-def _integer_matrix(graded: GradedOperatorMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(S, rows of S*M): S is the lcm of the graded matrix's denominators and
-    each row lists its nonzero integer entries as (column, value)."""
-    data = graded.entries.data
-    scale = lcm(*(v.denominator for row in data for v in row))
-    rows = [
-        [(j, v.numerator * (scale // v.denominator)) for j, v in enumerate(row) if v]
-        for row in data
-    ]
-    return scale, rows
-
-
 def _verify_exact_eigenvector(
-    scaled: tuple[int, list[list[tuple[int, int]]]], vector: list[Fraction], lam: Fraction
+    graded: GradedOperatorMatrix, vector: list[Fraction], lam: Fraction
 ) -> None:
     """Check M v == lam v exactly, in Python ints.
 
-    `scaled` is (S, S*M) from _integer_matrix.  With q the lcm of v's
-    denominators, V = q v is an integer vector; with S lam = p/r the check
-    reads r (S M) V == p V, row by row.
+    The graded matrix is its integer columns S*M over its scale S.  With q
+    the lcm of v's denominators, V = q v is an integer vector; with S lam =
+    p/r the check reads r (S M) V == p V, summed column by column.
     """
-    scale, rows = scaled
     q = lcm(*(v.denominator for v in vector))
     big = [v.numerator * (q // v.denominator) for v in vector]
-    target = lam * scale
+    target = lam * graded.scale
     p, r = target.numerator, target.denominator
-    for row, value in zip(rows, big):
-        if r * sum(entry * big[j] for j, entry in row) != p * value:
-            raise RuntimeError("exact eigenvector failed verification")
+    image = [0] * len(big)
+    for column, value in zip(graded.columns, big):
+        if value:
+            for row, entry in column.items():
+                image[row] += entry * value
+    if any(r * x != p * value for x, value in zip(image, big)):
+        raise RuntimeError("exact eigenvector failed verification")
 
 
 def eigenbasis(
@@ -454,7 +463,6 @@ def eigenbasis(
         moments = Moments(model, 2 * max_degree, sampler)
     graded = GradedOperatorMatrix(model.operator, max_degree)
     spectrum = graded_spectrum(graded)
-    scaled = _integer_matrix(graded)
     mass = float(moments.values[0])
 
     per_degree: list[list[EigenFunction]] = []
@@ -471,7 +479,7 @@ def eigenbasis(
                     )
                 functions = []
                 for vector, norm in zip(*_orthogonalize(vectors, top, poly.gram)):
-                    _verify_exact_eigenvector(scaled, vector, entry.value)
+                    _verify_exact_eigenvector(graded, vector, entry.value)
                     # the vector over sqrt(mass <v, v>), with <v, v> =
                     # norm / (scale^2 denominator); its largest entry g is
                     # divided out first, so every float stays in range and
@@ -532,17 +540,7 @@ def pencil_gaps(eb: EigenBasis) -> np.ndarray:
 
 
 def compare_closed_form(model: Model, max_degree: int) -> list[int]:
-    """Degrees whose computed block is not exactly the tabulated multiset.
-
-    A numeric-block value never matches: a float can be close to a
-    tabulated eigenvalue, but only an exact one confirms it.
-    """
-    claimed = model.claimed_spectrum()
-    spectrum = graded_eigenvalues(model.operator, max_degree)
-    mismatched = []
-    for n in range(max_degree + 1):
-        computed = spectrum.multiset(n)
-        exact = all(isinstance(v, Fraction) for v in computed)
-        if not (exact and computed == claimed.eigenvalues_at_degree(n)):
-            mismatched.append(n)
-    return mismatched
+    """Degrees whose computed block is not exactly the tabulated multiset."""
+    return graded_eigenvalues(model.operator, max_degree).mismatched_degrees(
+        model.claimed_spectrum().eigenvalues_at_degree, range(max_degree + 1)
+    )

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from polydiff import spectra
 from polydiff.catalog import get_model, model_names
 from polydiff.claims import RunContext, build_claims, claim_ids, run_claims
 
@@ -64,6 +65,27 @@ def test_negative_controls_pass_as_expected_failures():
     ):
         result = by_id[claim_id].execute(ctx)
         assert result.status == "pass", result.detail
+
+
+def test_corrupted_spectrum_never_matches_a_numeric_block(monkeypatch):
+    # degree 3 reported as a numeric fallback at floats equal to the shifted
+    # table: equal as a float is not a match, so the control still lists it
+    original = spectra.block_eigenvalues
+
+    def numeric_shifted_degree_three(block):
+        entries = original(block)
+        if len(block) != 4:
+            return entries
+        return [
+            spectra.EigenvalueEntry(float(e.value) + 1, e.multiplicity, "numeric-block")
+            for e in entries
+        ]
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", numeric_shifted_degree_three)
+    claim = {c.id: c for c in build_claims()}["negative.corrupted-spectrum"]
+    result = claim.execute(RunContext(seed=3))
+    assert result.status == "pass", result.detail
+    assert result.detail["mismatched_degrees"] == [1, 2, 3, 4, 5, 6]
 
 
 def test_filter_skips_other_models():

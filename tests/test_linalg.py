@@ -21,7 +21,7 @@ from polydiff.quadrature import Moments, gamma_form_matrix, gram_matrix
 
 
 def test_nullspace_identity_is_trivial():
-    assert RationalMatrix.identity(3).nullspace() == []
+    assert RationalMatrix([[int(i == j) for j in range(3)] for i in range(3)]).nullspace() == []
 
 
 def test_nullspace_rank_one():
@@ -43,7 +43,7 @@ def test_nullspace_exact_kernel_random():
             ]
         )
         kernel = m.nullspace()
-        assert len(kernel) == cols - m.rank()
+        assert len(kernel) == cols - len(m.rref()[1])
         for v in kernel:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
 
@@ -246,7 +246,8 @@ def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
 def _random_rational_systems(rng):
     """Seeded (kind, rows, rhs) cases: wide, tall, square, rank-deficient,
     with a zero row, with an inconsistent right-hand side, with
-    denominators up to 10^15, and sparse at densities 0.05 to 0.3."""
+    denominators up to 10^15, sparse at densities 0.05 to 0.3, and with
+    int entries."""
 
     def rational(bound=9, den=9):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
@@ -290,6 +291,12 @@ def _random_rational_systems(rng):
         rows = rows + [[x - 3 * y for x, y in zip(rows[0], rows[-1])]]
         yield "sparse", rows, [rational() for _ in range(r + 1)]
     yield "all-zero", [[Fraction(0)] * 3 for _ in range(2)], [Fraction(0), Fraction(1)]
+    # int entries, held as ints, as the integer moment matrices reach rref
+    for _ in range(4):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        for shape in ((r, c), (r, r)):
+            rows = [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])]
+            yield "integer", rows, [rng.randint(-9, 9) for _ in range(shape[0])]
 
 
 def test_elimination_matches_sympy_on_random_rational_matrices():
@@ -307,6 +314,8 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
     for kind, rows, rhs in _random_rational_systems(random.Random(1997)):
         kinds.add(kind)
         m, expected = RationalMatrix(rows), to_sympy(rows)
+        # ints and Fractions are held as given
+        assert [list(map(type, row)) for row in m.data] == [list(map(type, row)) for row in rows], kind
         reduced, pivots, d = m.rref()
         expected_rref, expected_pivots = expected.rref()
         assert pivots == list(expected_pivots), kind
@@ -314,7 +323,7 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         assert [[Fraction(v, d) for v in row] for row in reduced] == [
             from_sympy(expected_rref.row(i)) for i in range(len(rows))
         ], kind
-        assert m.rank() == expected.rank(), kind
+        assert len(pivots) == expected.rank(), kind
         assert m.nullspace() == [from_sympy(v) for v in expected.nullspace()], kind
         solution = m.solve(rhs)
         # a second right-hand side in the same elimination
@@ -337,7 +346,8 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             assert [Fraction(v, d) for v in first] == solution, kind
             assert [Fraction(v, d) for v in second] == [2 * v for v in solution], kind
             outcomes.add(("unique", kind))
-    assert {"wide", "tall", "rank-deficient", "zero-row", "large", "sparse"} <= kinds
+    assert {"wide", "tall", "rank-deficient", "zero-row", "large", "sparse", "integer"} <= kinds
     assert {
         ("no solution", "inconsistent"), ("solved", "rank-deficient"), ("unique", "square"),
+        ("unique", "integer"),
     } <= outcomes

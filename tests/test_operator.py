@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -19,6 +20,7 @@ from polydiff.operator import (
     product_operator,
 )
 from polydiff.poly import MonomialBasis, Polynomial, parse_poly
+from polydiff.quadrature import COVER_SAMPLERS
 
 
 def test_jacobi_drift_formula():
@@ -106,10 +108,11 @@ def test_chain_rule_exact():
 def test_graded_matrix_ou():
     op = get_model("hermite1d").operator
     graded = GradedOperatorMatrix(op, 2)
-    entries = graded.entries
+    entries = dense_rows(graded)
     # basis {1, x, x^2}: L(x^2) = 2 - 2 x^2
-    assert [entries[i, i] for i in range(3)] == [0, -1, -2]
-    assert entries[0, 2] == 2
+    assert [entries[i][i] for i in range(3)] == [0, -1, -2]
+    assert entries[0][2] == 2
+    assert graded.scale == 1 and graded.columns == [{}, {1: -1}, {0: 2, 2: -2}]
     assert graded.strictly_lower_block_entries() == []
 
 
@@ -141,6 +144,14 @@ def test_block_triangular_at_degree_12():
         op = get_model(name).operator
         graded = GradedOperatorMatrix(op, 12)
         assert graded.strictly_lower_block_entries() == []
+
+
+def dense_rows(graded):
+    """The graded matrix as rows of Fractions, from its integer columns."""
+    return [
+        [Fraction(column.get(r, 0), graded.scale) for column in graded.columns]
+        for r in range(len(graded.basis))
+    ]
 
 
 def _reference_graded_entries(op, max_degree):
@@ -195,7 +206,8 @@ def test_graded_matrix_matches_apply_reference(name, params):
     op = get_model(name, params).operator
     degree = 4 if op.dim == 3 else 6
     graded = GradedOperatorMatrix(op, degree)
-    assert graded.entries.data == _reference_graded_entries(op, degree)
+    assert dense_rows(graded) == _reference_graded_entries(op, degree)
+    assert all(all(column.values()) for column in graded.columns)  # no stored zeros
     assert graded.strictly_lower_block_entries() == []
 
 
@@ -210,12 +222,14 @@ def test_graded_matrix_raises_on_degree_violation():
 
 
 def test_strictly_lower_block_entries_lists_entries_below_the_blocks():
-    graded = GradedOperatorMatrix(get_model("disk").operator, 3)
+    model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
+    graded = GradedOperatorMatrix(model.operator, 3)
+    assert graded.scale == 30
     # plant entries below the blocks: row of degree 2 in a degree-1 column,
     # row of degree 3 in the degree-0 column; a block-diagonal entry is not listed
-    graded.entries.data[3][1] = Fraction(5)
-    graded.entries.data[9][0] = Fraction(-1, 2)
-    graded.entries.data[2][1] = Fraction(7)
+    graded.columns[1][3] = 5 * 30
+    graded.columns[0][9] = -15
+    graded.columns[1][2] = 7 * 30
     assert graded.strictly_lower_block_entries() == [(9, 0, Fraction(-1, 2)), (3, 1, Fraction(5))]
 
 
@@ -327,12 +341,50 @@ def test_moments_of_triangle_are_dirichlet_moments():
     }
 
 
+def _sphere_moment(exponent):
+    """E[x^a] under the uniform probability on the unit sphere of R^n:
+    prod (a_i - 1)!! / (n (n + 2) ... (n + |a| - 2)) when every a_i is even,
+    else 0 (G. B. Folland, Amer. Math. Monthly 108, 2001)."""
+    if any(k % 2 for k in exponent):
+        return Fraction(0)
+    numerator = prod(prod(range(1, k, 2)) for k in exponent)
+    n = len(exponent)
+    return Fraction(numerator, prod(n + 2 * k for k in range(sum(exponent) // 2)))
+
+
+def _cover_moment(name, exponent):
+    """E[x^a] under the uniform probability of the cover of model `name`."""
+    if name == "parabola_two_tangents":
+        # cos u with u uniform on [0, pi]: E[x^k] = C(k, k/2) / 2^k for even k
+        return prod(Fraction(comb(k, k // 2), 2**k) if k % 2 == 0 else 0 for k in exponent)
+    if name == "deltoid":
+        # the torus in circle coordinates (cos s, sin s, cos t, sin t)
+        return _sphere_moment(exponent[:2]) * _sphere_moment(exponent[2:])
+    # swallowtail's sphere has radius sqrt(2)
+    radius_squared = 2 if name == "swallowtail" else 1
+    return radius_squared ** (sum(exponent) // 2) * _sphere_moment(exponent)
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_moments_equal_the_pushforward_of_the_cover_measure(name):
+    # at its cover point the model's measure is the pushforward of the
+    # cover's uniform probability under the two maps, so each plane moment
+    # is its monomial composed with the maps, integrated in closed form
+    cover = COVER_SAMPLERS[name]
+    graded = GradedOperatorMatrix(get_model(name, dict(cover.required_params)).operator, 6)
+    powers = [[f**k for k in range(7)] for f in cover.maps]
+    for (i, j), moment in zip(graded.basis.exponents, graded.moments()):
+        image = powers[0][i] * powers[1][j]
+        expected = sum((c * _cover_moment(name, e) for e, c in image.terms.items()), Fraction(0))
+        assert moment == expected, (i, j)
+
+
 def test_moments_raise_naming_a_singular_degree():
     # L = (1 - x^2) d^2/dx^2 + 0 d/dx: L x = 0, so M_11 = 0 and nothing fixes
     # the first moment, though the system M_11 m_1 = 0 is consistent
     x = Polynomial.variable(1, 0)
     op = DiffusionOperator(CoMetric([[1 - x * x]]), (Polynomial.zero(1),))
     graded = GradedOperatorMatrix(op, 3)
-    assert graded.entries[1, 1] == 0
+    assert 1 not in graded.columns[1]
     with pytest.raises(ValueError, match="degree-1 diagonal block is singular"):
         graded.moments()

@@ -20,6 +20,7 @@ from polydiff.spectra import (
     graded_spectrum,
     pencil_gaps,
 )
+from test_operator import dense_rows
 
 
 def test_degree_zero_block_is_zero():
@@ -126,7 +127,7 @@ def test_eigenbasis_square_is_tensor_basis():
     assert eb.gram_deviation() < 1e-6
     assert max(eb.residuals()) < 1e-7
     # each function is the float rounding of an exact eigenvector
-    m = np.array(GradedOperatorMatrix(model.operator, 4).entries.data, dtype=float)
+    m = np.array(dense_rows(GradedOperatorMatrix(model.operator, 4)), dtype=float)
     for f in eb.all_functions():
         assert f.exact and f.residual == 0.0
         r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
@@ -243,7 +244,7 @@ def _reference_exact_eigenvectors(graded, degree, lam):
     degree block, each top extended downward by its own exact solve."""
     block = graded.basis.degree_slices[degree]
     width = block.stop - block.start
-    m = graded.entries
+    m = dense_rows(graded)
     rows = graded.diagonal_block(degree)
     shifted = [
         [rows[i][j] - (lam if i == j else 0) for j in range(width)] for i in range(width)
@@ -254,11 +255,11 @@ def _reference_exact_eigenvectors(graded, degree, lam):
         full[block] = top
         if block.start:
             lower = [
-                [m[i, j] - (lam if i == j else 0) for j in range(block.start)]
+                [m[i][j] - (lam if i == j else 0) for j in range(block.start)]
                 for i in range(block.start)
             ]
             rhs = [
-                -sum((m[i, block.start + t] * top[t] for t in range(width)), Fraction(0))
+                -sum((m[i][block.start + t] * top[t] for t in range(width)), Fraction(0))
                 for i in range(block.start)
             ]
             solution = RationalMatrix(lower).solve(rhs)
@@ -389,7 +390,7 @@ def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypat
     assert all(not f.exact for f in funcs)
     moments = spectra.Moments(model, 9, model.sampler())
     values = eb.basis.eval_float(moments.points)
-    m = np.array(GradedOperatorMatrix(model.operator, 4).entries.data, dtype=float)
+    m = np.array(dense_rows(GradedOperatorMatrix(model.operator, 4)), dtype=float)
     for f in funcs:
         r = m @ f.coefficients - float(f.eigenvalue) * f.coefficients
         num = np.dot(moments.weights, (values @ r) ** 2)
@@ -430,7 +431,7 @@ def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
     # M has denominators (S = 30), lam = -146/15 and v has denominators
     model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
     graded = GradedOperatorMatrix(model.operator, 3)
-    scaled = spectra._integer_matrix(graded)
+    m = dense_rows(graded)
     lam = graded_spectrum(graded).degree(3)[-1].value
     poly = spectra.orthogonal_polynomials(model.operator, 3)[3]
     lifted = spectra._lifted_eigenvectors(graded, poly, 3, lam)[0]
@@ -438,22 +439,22 @@ def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
     # rationals of moderate size
     lead = next(v for v in reversed(lifted) if v)
     vec = [Fraction(v, lead) for v in lifted]
-    assert scaled[0] > 1 and lam.denominator > 1 and any(v.denominator > 1 for v in vec)
-    spectra._verify_exact_eigenvector(scaled, vec, lam)
+    assert graded.scale > 1 and lam.denominator > 1 and any(v.denominator > 1 for v in vec)
+    spectra._verify_exact_eigenvector(graded, vec, lam)
     with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
-        spectra._verify_exact_eigenvector(scaled, vec, lam / 3)  # S lam / 3 = -292/3
+        spectra._verify_exact_eigenvector(graded, vec, lam / 3)  # S lam / 3 = -292/3
     for j in range(len(vec)):
         off = list(vec)
         off[j] += Fraction(1, 10**30)
         if vec[j]:
             assert float(off[j]) == float(vec[j])  # invisible in float
         # no longer an eigenvector unless column j of M - lam I vanishes
-        column = [graded.entries[i, j] - (lam if i == j else 0) for i in range(len(vec))]
+        column = [m[i][j] - (lam if i == j else 0) for i in range(len(vec))]
         if any(column):
             with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
-                spectra._verify_exact_eigenvector(scaled, off, lam)
+                spectra._verify_exact_eigenvector(graded, off, lam)
         else:
-            spectra._verify_exact_eigenvector(scaled, off, lam)
+            spectra._verify_exact_eigenvector(graded, off, lam)
 
 
 def _to_sympy(sympy, rows):
