@@ -2,7 +2,8 @@
 
 Subcommands: models list, admissible, spectrum, verify, curvature,
 orthogonality, boundary-points.  Exit codes: 0 success, 1 data/parameter
-error, 2 usage error, 3 verification failure.  All randomized subcommands
+error, 2 usage error, 3 verification failure, 4 internal fault (the
+traceback goes to stderr).  All randomized subcommands
 take --seed (default 0xD0F5EEDD) and are bit-reproducible for fixed inputs.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 
 def _configure_threads() -> None:
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 class CliDataError(Exception):
@@ -428,10 +431,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except (CatalogError, ValueError, OSError) as exc:
         # every domain error of the package subclasses one of these (catalog
-        # lookups are KeyErrors, --out paths raise OSError); anything else is
-        # an internal fault and keeps its traceback
+        # lookups are KeyErrors, --out paths raise OSError)
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_DATA
+    except Exception:
+        # anything else is an internal fault, which keeps its traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

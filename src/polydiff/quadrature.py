@@ -1,9 +1,12 @@
 """Quadrature against model measures.
 
-Mapped Gauss rules cover the square (tensor Gauss-Jacobi, also used for 1D
+Every integral the program takes is a polynomial moment of known degree, so
+each deterministic rule is sized by the moment degree it must integrate
+(`sample_domain(model, sampler, degree)`), not by a node count.  Mapped
+Gauss rules cover the square (tensor Gauss-Jacobi, also used for 1D
 intervals), the disk (angular equispaced x radial Gauss-Jacobi in r^2) and
-the triangle (Duffy map with both classical weights absorbed), so polynomial
-integrands of bounded degree are exact to roundoff.
+the triangle (Duffy map with both classical weights absorbed), so every
+moment up to that degree is exact to roundoff.
 
 The eight exotic bounded models are, at their Laplace-type parameter points,
 images of a sphere, the Chebyshev square or a flat torus under a polynomial
@@ -12,9 +15,9 @@ polynomial diffusion operator, the equations that cut it out and its two
 map polynomials, from which `geometry.verify_pullback` decides the
 realization exactly.  Each cover has a seeded Monte Carlo draw (sampler kind
 cover-mc) and a deterministic product rule, both pushed to the plane by
-evaluating the maps.  `cover_rule` builds the rule for a moment degree,
-exact to roundoff like the Gauss rules; `Moments` integrates it for every
-cover-mc sampler, and `cover_cross_check` measures the Monte Carlo moments
+evaluating the maps.  The product rule, built for a moment degree, is exact
+to roundoff like the Gauss rules and is what `sample_domain` returns for a
+cover-mc sampler; `cover_cross_check` measures the Monte Carlo moments
 against it in units of their standard error.  The cross-check streams the
 draw in blocks of POINT_CHUNK proposals, adding each block's moments as it
 goes, so it never holds the whole point cloud.
@@ -54,19 +57,20 @@ class SamplerConfigError(ValueError):
 class DomainSampler:
     """Descriptor for one integration rule.
 
-    node_count is per axis for the Gauss kinds; sample_count is the number of
-    Monte Carlo proposals (accepted points are the subset inside the domain).
+    Every kind but mc-rejection is sized by the moment degree it integrates
+    (`sample_domain`).  sample_count is the number of Monte Carlo proposals
+    (accepted points are the subset inside the domain): the mc-rejection
+    sample, and for cover-mc the draw that only cross-checks its rule
+    (`cover_cross_check`).
     """
 
     kind: str
-    node_count: int = 32
     sample_count: int = 100_000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        for name in ("node_count", "sample_count"):
-            if getattr(self, name) < 1:
-                raise SamplerConfigError(f"{name} must be at least 1")
+        if self.sample_count < 1:
+            raise SamplerConfigError("sample_count must be at least 1")
 
 
 @dataclass
@@ -116,10 +120,12 @@ def _gauss_exponents(model, factors: list[Polynomial], rule: str) -> list[Fracti
     return exponents
 
 
-def _square_rule(model, n: int) -> WeightedPoints:
+def _square_rule(model, degree: int) -> WeightedPoints:
     x = [Polynomial.variable(model.dim, i) for i in range(model.dim)]
     # the exponents on 1 - x_i and 1 + x_i, axis by axis
     a = _gauss_exponents(model, [f for xi in x for f in (1 - xi, 1 + xi)], "tensor Gauss")
+    # n Gauss nodes per axis are exact to degree 2n - 1 >= degree
+    n = degree // 2 + 1
     axes = [roots_jacobi(n, float(a[2 * i]), float(a[2 * i + 1])) for i in range(model.dim)]
     nodes, weights = _product(*axes)
     return WeightedPoints(np.column_stack(nodes), weights)
@@ -134,30 +140,30 @@ def _product(*axes: tuple[np.ndarray, np.ndarray]) -> tuple[list[np.ndarray], np
     return [n.ravel() for n in nodes], weights.ravel()
 
 
-def _disk_rule(model, n: int) -> WeightedPoints:
+def _disk_rule(model, degree: int) -> WeightedPoints:
+    """Radial Gauss-Jacobi in u = r^2 times degree + 1 equispaced angles.
+
+    A monomial of degree k <= degree is a trigonometric polynomial of degree
+    k in the angle, which the angles average exactly; only even k survive,
+    leaving u^(k/2), which degree // 4 + 1 radial nodes integrate exactly.
+    """
     rsq = Polynomial.variable(2, 0) ** 2 + Polynomial.variable(2, 1) ** 2
     (p,) = _gauss_exponents(model, [1 - rsq], "polar Gauss")
-    n_theta = 4 * n + 4
-    u, wu = _jacobi_rule_01(n, float(p), 0.0)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    (u, theta), weights = _product(
+        _jacobi_rule_01(degree // 4 + 1, float(p), 0.0), _equispaced(degree + 1)
+    )
     r = np.sqrt(u)
-    pts = np.empty((n * n_theta, 2))
-    w = np.empty(n * n_theta)
-    k = 0
-    for j in range(n):
-        pts[k : k + n_theta, 0] = r[j] * np.cos(theta)
-        pts[k : k + n_theta, 1] = r[j] * np.sin(theta)
-        # dx dy = (1/2) du dtheta after u = r^2
-        w[k : k + n_theta] = 0.5 * wu[j] * (2.0 * np.pi / n_theta)
-        k += n_theta
-    return WeightedPoints(pts, w)
+    # dx dy = (1/2) du dtheta after u = r^2, and the angle weights sum to 1, not 2 pi
+    return WeightedPoints(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), np.pi * weights)
 
 
-def _triangle_rule(model, n: int) -> WeightedPoints:
+def _triangle_rule(model, degree: int) -> WeightedPoints:
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     p, q, r = _gauss_exponents(model, [x, y, 1 - x - y], "Duffy Gauss")
     # X = u, Y = v(1-u):  X^p Y^q (1-X-Y)^r dXdY
-    #   = u^p (1-u)^(q+r+1) du * v^q (1-v)^r dv
+    #   = u^p (1-u)^(q+r+1) du * v^q (1-v)^r dv, and X^a Y^b is of degree
+    # a + b in u and b in v
+    n = degree // 2 + 1
     u, wu = _jacobi_rule_01(n, float(q + r + 1), float(p))
     v, wv = _jacobi_rule_01(n, float(r), float(q))
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -557,36 +563,25 @@ def _cover_blocks(model, sampler: DomainSampler):
     )
 
 
-def _cover_mc(model, sampler: DomainSampler) -> WeightedPoints:
-    n = sampler.sample_count
-    points = np.vstack(list(_cover_blocks(model, sampler)))
-    weights = np.full(points.shape[0], 1.0 / n)
-    return WeightedPoints(points, weights, proposals=n)
+def sample_domain(model, sampler: DomainSampler, degree: int) -> WeightedPoints:
+    """Weighted point set for the model's domain under the given rule.
 
-
-def cover_rule(model, degree: int) -> WeightedPoints:
-    """The cover's product rule pushed to the plane, with probability
-    weights: exact for every moment of total degree <= `degree`.
-
-    Nodes that land on the boundary are kept; each carries weight the
-    exactness needs.
+    Every kind but mc-rejection returns its rule sized to integrate each
+    moment of total degree <= `degree` exactly; cover-mc's is its cover's
+    product rule pushed to the plane, with probability weights, keeping the
+    nodes that land on the boundary.  mc-rejection draws
+    `sampler.sample_count` proposals whatever the degree.
     """
-    points, weights = _applicable_cover(model).rule(degree)
-    return WeightedPoints(points, weights)
-
-
-def sample_domain(model, sampler: DomainSampler) -> WeightedPoints:
-    """Weighted point set for the model's domain under the given rule."""
     if sampler.kind == "tensor-gauss-square":
-        return _square_rule(model, sampler.node_count)
+        return _square_rule(model, degree)
     if sampler.kind == "polar-gauss-disk":
-        return _disk_rule(model, sampler.node_count)
+        return _disk_rule(model, degree)
     if sampler.kind == "duffy-gauss-triangle":
-        return _triangle_rule(model, sampler.node_count)
+        return _triangle_rule(model, degree)
     if sampler.kind == "mc-rejection":
         return _mc_rejection(model, sampler)
     if sampler.kind == "cover-mc":
-        return _cover_mc(model, sampler)
+        return WeightedPoints(*_applicable_cover(model).rule(degree))
     raise SamplerConfigError(f"unknown sampler kind {sampler.kind!r}")
 
 
@@ -625,19 +620,14 @@ class Moments:
     def __init__(
         self, model, max_degree: int, sampler: DomainSampler, sample: WeightedPoints | None = None
     ):
-        """Without `sample`, a cover-mc sampler integrates the exact
-        `cover_rule(model, max_degree)`, whose Monte Carlo draw only
-        cross-checks it (`cover_cross_check`), and every other kind
-        `sample_domain(model, sampler)`.  `sample`, when given, is integrated
-        instead: a fixed point set, such as a cover's Monte Carlo draw."""
+        """Without `sample`, the moments integrate `sample_domain(model,
+        sampler, max_degree)`.  `sample`, when given, is integrated instead:
+        a fixed point set, such as a cover's Monte Carlo draw."""
         model.require_finite_mass()
         self.model = model
         self.basis = MonomialBasis(model.dim, max_degree)
         if sample is None:
-            if sampler.kind == "cover-mc":
-                sample = cover_rule(model, max_degree)
-            else:
-                sample = sample_domain(model, sampler)
+            sample = sample_domain(model, sampler, max_degree)
         self.table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
             self.table += _block_moments(sample.points[block], sample.weights[block], max_degree)
@@ -694,8 +684,7 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
 
     Each block of POINT_CHUNK proposals is drawn, stripped of its boundary
     grazers and added to the moment table before the next is drawn, so the
-    point cloud is never held; the accepted points are those of
-    `sample_domain(model, sampler)`.
+    point cloud is never held.
     """
     if sampler.kind != "cover-mc":
         raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from polydiff import cli
-from polydiff.cli import EXIT_DATA, EXIT_OK, EXIT_VERIFY, build_parser, main
+from polydiff import cli, spectra
+from polydiff.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -224,13 +224,28 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert payload["model"] == "disk"
 
 
-def test_internal_error_is_not_a_data_error(monkeypatch):
+def test_internal_error_is_not_a_data_error(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("internal fault")
 
     monkeypatch.setattr(cli, "cmd_models_list", broken)
-    with pytest.raises(RuntimeError, match="internal fault"):
-        main(["models", "list"])
+    code, _, err = run_cli(capsys, "models", "list")
+    assert code == EXIT_INTERNAL
+    assert "Traceback" in err and "RuntimeError: internal fault" in err
+
+
+def test_internal_fault_in_a_layer_exits_apart_from_data_errors(monkeypatch, capsys):
+    def broken(operator, degree):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(spectra, "graded_eigenvalues", broken)
+    code, _, err = run_cli(capsys, "spectrum", "--model", "jacobi1d", "--degree", "2")
+    assert code == EXIT_INTERNAL
+    assert "RuntimeError: internal fault" in err
+    # the model lookup fails first: still a data error, with no traceback
+    code, _, err = run_cli(capsys, "spectrum", "--model", "nosuch", "--degree", "2")
+    assert code == EXIT_DATA
+    assert "unknown model" in err and "Traceback" not in err
 
 
 def test_unwritable_out_path_is_data_error(tmp_path, capsys):

@@ -23,7 +23,6 @@ from polydiff.quadrature import (
     WeightedPoints,
     check_box_encloses,
     cover_cross_check,
-    cover_rule,
     gamma_form_matrix,
     gram_matrix,
     moment_z_scores,
@@ -31,6 +30,17 @@ from polydiff.quadrature import (
     symmetry_defect,
 )
 from polydiff.rng import normal_block, stream_uniform, stream_value, uniform_block
+
+
+def sampler_points(model, sampler: DomainSampler, degree: int = 0) -> WeightedPoints:
+    """The sampler's own points: for cover-mc its Monte Carlo draw with
+    weights 1/N, the points `cover_cross_check` streams, held at once; for
+    every other kind the rule `sample_domain` returns for `degree`."""
+    if sampler.kind != "cover-mc":
+        return sample_domain(model, sampler, degree)
+    n = sampler.sample_count
+    points = np.vstack(list(quadrature._cover_blocks(model, sampler)))
+    return WeightedPoints(points, np.full(points.shape[0], 1.0 / n), proposals=n)
 
 
 def test_rng_scalar_matches_vectorized():
@@ -70,7 +80,7 @@ def test_rng_blocks_match_the_scalar_stream_across_a_block_boundary():
 def test_disk_mc_acceptance_fraction():
     model = get_model("disk", {"p": "0"})
     sampler = DomainSampler("mc-rejection", sample_count=100_000, seed=7)
-    sample = sample_domain(model, sampler)
+    sample = sample_domain(model, sampler, 0)
     fraction = sample.accepted / sample.proposals
     target = math.pi / 4
     sigma = math.sqrt(target * (1 - target) / sample.proposals)
@@ -78,12 +88,9 @@ def test_disk_mc_acceptance_fraction():
 
 
 def test_all_sampler_points_inside_domain():
-    for name, kind in [("deltoid", None), ("nodal_cubic", None), ("triangle", None)]:
+    for name in ("deltoid", "nodal_cubic", "triangle"):
         model = get_model(name)
-        sampler = model.sampler(seed=3)
-        if sampler.kind == "cover-mc":
-            pass
-        sample = sample_domain(model, sampler)
+        sample = sampler_points(model, model.sampler(seed=3), 13)
         pts = sample.points[:20000]
         for factor in model.boundary.factors:
             assert (factor.eval_float(pts) > 0).all()
@@ -116,7 +123,7 @@ def test_integrate_mc_within_error_bars():
     # count, so its standard deviation is volume * sqrt(p (1 - p) / n)
     model = get_model("disk", {"p": "0"})
     sampler = DomainSampler("mc-rejection", sample_count=200_000, seed=5)
-    sample = sample_domain(model, sampler)
+    sample = sample_domain(model, sampler, 0)
     n = sample.proposals
     volume = float(sample.weights[0]) * n
     p = sample.accepted / n
@@ -128,8 +135,8 @@ def test_integrate_mc_within_error_bars():
 def test_mc_deterministic_for_fixed_seed():
     model = get_model("deltoid")
     sampler = model.sampler(seed=99, sample_count=50_000)
-    first = Moments(model, 2, sampler, sample=sample_domain(model, sampler))
-    second = Moments(model, 2, sampler, sample=sample_domain(model, sampler))
+    first = Moments(model, 2, sampler, sample=sampler_points(model, sampler))
+    second = Moments(model, 2, sampler, sample=sampler_points(model, sampler))
     assert first.proposals == 50_000
     assert np.array_equal(first.values, second.values)
 
@@ -155,13 +162,14 @@ def test_gram_disk_mass_is_pi():
 
 
 def test_gauss_rules_exact_for_polynomials():
-    # a random-ish degree-10 polynomial integrates identically under node
-    # refinement on all three mapped rules
+    # a random-ish degree-10 polynomial integrates identically on the rule
+    # sized for degree 10 and on the finer one sized for degree 26, on all
+    # three mapped rules
     f = parse_poly("x^4*y^6 - 3*x^2*y + 1/2*y^3 + 2", 2)
     for name in ("square", "disk", "triangle"):
         model = get_model(name)
-        coarse = _integral(f, Moments(model, 10, model.sampler(node_count=12)))
-        fine = _integral(f, Moments(model, 10, model.sampler(node_count=40)))
+        coarse = _integral(f, Moments(model, 10, model.sampler()))
+        fine = _integral(f, Moments(model, 26, model.sampler()))
         assert abs(coarse - fine) < 1e-12 * max(1.0, abs(fine))
 
 
@@ -252,7 +260,7 @@ def test_gauss_rules_refuse_what_they_cannot_absorb(model, kind, match):
     # model cut out by other factors, or with a density part the weights do
     # not absorb, would be integrated wrongly without a word
     with pytest.raises(SamplerConfigError, match=match):
-        sample_domain(model, DomainSampler(kind, node_count=8))
+        sample_domain(model, DomainSampler(kind), 8)
 
 
 def test_box_edge_detection():
@@ -288,7 +296,6 @@ def test_noncompact_models_refuse_quadrature():
     [
         ("disk", "mc-rejection", "sample_count"),
         ("deltoid", "cover-mc", "sample_count"),
-        ("square", "tensor-gauss-square", "node_count"),
     ],
 )
 def test_sampler_rejects_counts_below_one(name, kind, field):
@@ -298,7 +305,7 @@ def test_sampler_rejects_counts_below_one(name, kind, field):
         with pytest.raises(SamplerConfigError, match=f"{field} must be at least 1"):
             get_model(name).sampler(**{field: count})
     # the smallest valid count still samples
-    assert sample_domain(get_model(name), DomainSampler(kind, **{field: 1})).accepted in (0, 1)
+    assert sampler_points(get_model(name), DomainSampler(kind, **{field: 1})).accepted in (0, 1)
 
 
 def _naive_moments(moments: Moments) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +333,7 @@ def test_moments_match_naive_weighted_sums(name, sampler):
     model = get_model(name)
     sampler = sampler or model.sampler()
     # the sampler's own points, which for deltoid are its Monte Carlo draw
-    moments = Moments(model, 8, sampler, sample=sample_domain(model, sampler))
+    moments = Moments(model, 8, sampler, sample=sampler_points(model, sampler, 8))
     expected, scale = _naive_moments(moments)
     assert moments.values.shape == (len(moments.basis),)
     assert np.all(np.abs(moments.values - expected) <= 1e-12 * scale)
@@ -350,7 +357,7 @@ def test_moments_of_empty_sample_are_zero():
     model = get_model("disk", {"p": "0"})
     for seed in range(100):
         sampler = DomainSampler("mc-rejection", sample_count=2, seed=seed)
-        if sample_domain(model, sampler).accepted == 0:
+        if sample_domain(model, sampler, 6).accepted == 0:
             break
     else:
         pytest.fail("no seed rejects both proposals")
@@ -378,21 +385,24 @@ def _symbolic_gamma_form(model, degree, moments):
     return values, scales
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 13, 26])
 @pytest.mark.parametrize("name", [n for n in model_names() if get_model(n).has_sampler])
-def test_rule_moments_match_the_operators_exact_moments(name):
-    # every default rule, at the claims' degree 13, against the moments the
-    # operator fixes (GradedOperatorMatrix.moments): the rule integrates the
-    # measure L is symmetric for, to roundoff relative to E|x^a|
+def test_rule_moments_match_the_operators_exact_moments(name, degree):
+    # every default rule, sized for the degree (13 is the claims'), against
+    # the moments the operator fixes (GradedOperatorMatrix.moments): the
+    # rule integrates the measure L is symmetric for, to roundoff relative
+    # to E|x^a|, floored at 1 for the odd moments that vanish exactly
     model = get_model(name)
-    moments = Moments(model, 13, model.sampler())
+    moments = Moments(model, degree, model.sampler())
     assert moments.proposals is None
-    graded = GradedOperatorMatrix(model.operator, 13)
+    graded = GradedOperatorMatrix(model.operator, degree)
     exact = np.array([float(m) for m in graded.moments()])
     basis = moments.basis
     mass = moments.values[0]
     absolute = basis.eval_float(np.abs(moments.points)).T @ moments.weights / mass
+    scale = np.maximum(absolute, 1.0)
     gap = np.abs(moments.values / mass - exact)
-    assert np.all(gap <= 1e-12 * absolute), float((gap / absolute).max())
+    assert np.all(gap <= 1e-12 * scale), float((gap / scale).max())
 
 
 @pytest.mark.parametrize("name", [n for n in model_names() if get_model(n).has_sampler])
@@ -400,7 +410,7 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
     model = get_model(name)
     sampler = model.sampler(seed=3, sample_count=20_000)
     # the sampler's own points: the Monte Carlo draw on the covers
-    moments = Moments(model, 12, sampler, sample=sample_domain(model, sampler))
+    moments = Moments(model, 12, sampler, sample=sampler_points(model, sampler, 12))
     basis = MonomialBasis(model.dim, 6)
     a, gram = gamma_form_matrix(basis, np.eye(len(basis)), moments)
     expected, term_scale = _symbolic_gamma_form(model, 6, moments)
@@ -478,9 +488,13 @@ def test_sphere_moment_oracle_on_known_values():
     assert _factor_moment("parabola_two_tangents", (4,)) == Fraction(3, 8)
 
 
-# plane nodes of the cover rules at the moment degrees the claims integrate
-# (13) and the cross-check's reference (26)
-COVER_NODE_COUNTS = {
+# plane nodes of the default deterministic rules at the moment degrees the
+# claims integrate (13) and the cross-check's reference (26)
+RULE_NODE_COUNTS = {
+    "jacobi1d": (7, 14),
+    "square": (49, 196),
+    "disk": (56, 189),
+    "triangle": (49, 196),
     "coaxial_parabolas": (378, 1431),
     "parabola_tangent_secant": (1431, 5565),
     "nodal_cubic": (16000, 124820),
@@ -492,12 +506,14 @@ COVER_NODE_COUNTS = {
 }
 
 
-def test_cover_rule_node_counts():
-    counts = {
-        name: tuple(cover.rule(degree)[1].shape[0] for degree in (13, 26))
-        for name, cover in COVER_SAMPLERS.items()
-    }
-    assert counts == COVER_NODE_COUNTS
+def test_rule_node_counts():
+    counts = {}
+    for name in RULE_NODE_COUNTS:
+        model = get_model(name)
+        counts[name] = tuple(
+            sample_domain(model, model.sampler(), degree).accepted for degree in (13, 26)
+        )
+    assert counts == RULE_NODE_COUNTS
 
 
 @pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
@@ -506,18 +522,18 @@ def test_cover_rule_is_exact_at_its_plane_degree(name):
     # those of the rule for twice the degree
     model = get_model(name)
     sampler = model.sampler()
-    rule = cover_rule(model, 13)
+    rule = sample_domain(model, sampler, 13)
     assert rule.points.shape == (rule.weights.shape[0], 2)
     assert abs(rule.weights.sum() - 1.0) < 1e-14
     moments = Moments(model, 13, sampler, sample=rule)
-    finer = Moments(model, 13, sampler, sample=cover_rule(model, 26))
+    finer = Moments(model, 13, sampler, sample=sample_domain(model, sampler, 26))
     _, scale = _naive_moments(finer)
     assert np.all(np.abs(moments.values - finer.values) <= 1e-12 * scale)
 
 
 def test_cover_rule_refuses_models_off_the_cover_point():
     with pytest.raises(SamplerConfigError):
-        cover_rule(get_model("deltoid", {"p": "0"}), 3)
+        sample_domain(get_model("deltoid", {"p": "0"}), DomainSampler("cover-mc"), 3)
     with pytest.raises(SamplerConfigError):
         cover_cross_check(get_model("disk"), 3, DomainSampler("mc-rejection", sample_count=10))
 
@@ -525,12 +541,13 @@ def test_cover_rule_refuses_models_off_the_cover_point():
 @pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
 def test_cover_moments_integrate_the_exact_rule(name):
     # given only a cover-mc sampler, Moments integrates the cover rule: the
-    # same moment table bit for bit as the rule passed in as the sample
+    # same moment table bit for bit as the cover's rule passed in as the
+    # sample
     model = get_model(name)
     sampler = model.sampler()
     assert sampler.kind == "cover-mc"
     moments = Moments(model, 13, sampler)
-    rule = Moments(model, 13, sampler, sample=cover_rule(model, 13))
+    rule = Moments(model, 13, sampler, sample=WeightedPoints(*COVER_SAMPLERS[name].rule(13)))
     assert moments.proposals is None
     assert moments.table.tobytes() == rule.table.tobytes()
     assert moments.points.tobytes() == rule.points.tobytes()
@@ -541,8 +558,8 @@ def test_cover_moments_integrate_the_exact_rule(name):
 def test_cover_mc_moments_within_gate_and_bias_trips_it(name):
     model = get_model(name)
     sampler = model.sampler(seed=7)
-    sample = sample_domain(model, sampler)
-    exact = Moments(model, 26, sampler, sample=cover_rule(model, 26))
+    sample = sampler_points(model, sampler)
+    exact = Moments(model, 26, sampler)
     mc = Moments(model, 13, sampler, sample=sample)
     assert np.abs(moment_z_scores(mc.basis, mc.values, exact, sample.proposals)).max() < MC_Z_GATE
     biased = WeightedPoints(sample.points, sample.weights * 1.01, sample.proposals)
@@ -557,8 +574,8 @@ def test_moment_z_scores_match_naive_reference(name):
     # plain weighted sums over the points of both rules
     model = get_model(name)
     sampler = model.sampler(seed=5, sample_count=50_000)
-    sample = sample_domain(model, sampler)
-    rule = cover_rule(model, 12)
+    sample = sampler_points(model, sampler)
+    rule = sample_domain(model, sampler, 12)
     mc = Moments(model, 6, sampler, sample=sample)
     z = moment_z_scores(mc.basis, mc.values, Moments(model, 12, sampler, sample=rule), sample.proposals)
     expected = []
@@ -587,12 +604,12 @@ def test_sample_is_invariant_under_the_block_size(name, params, monkeypatch):
     sampler = model.sampler(seed=7, sample_count=100_000)
     assert sampler.kind == ("mc-rejection" if params else "cover-mc")
     monkeypatch.setattr(quadrature, "POINT_CHUNK", sampler.sample_count)
-    one_shot = sample_domain(model, sampler)
+    one_shot = sampler_points(model, sampler)
     if name in GRAZED_AT_SEED_7 and not params:
         assert one_shot.accepted < one_shot.proposals
     for rows in (4096, 6151):
         monkeypatch.setattr(quadrature, "POINT_CHUNK", rows)
-        blocks = sample_domain(model, sampler)
+        blocks = sampler_points(model, sampler)
         assert blocks.points.tobytes() == one_shot.points.tobytes()
         assert blocks.weights.tobytes() == one_shot.weights.tobytes()
 
@@ -601,9 +618,9 @@ def test_sample_is_invariant_under_the_block_size(name, params, monkeypatch):
 def test_streamed_cross_check_matches_the_materialized_sample(name):
     model = get_model(name)
     sampler = model.sampler(seed=7, sample_count=100_000)
-    sample = sample_domain(model, sampler)
+    sample = sampler_points(model, sampler)
     mc = Moments(model, 6, sampler, sample=sample)
-    exact = Moments(model, 12, sampler, sample=cover_rule(model, 12))
+    exact = Moments(model, 12, sampler)
     max_z = np.abs(moment_z_scores(mc.basis, mc.values, exact, sample.proposals)).max()
     check = cover_cross_check(model, 6, sampler)
     assert (check.proposals, check.accepted) == (sample.proposals, sample.accepted)

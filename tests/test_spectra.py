@@ -12,7 +12,7 @@ from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.poly import Polynomial
-from polydiff.quadrature import COVER_SAMPLERS, Moments, sample_domain
+from polydiff.quadrature import COVER_SAMPLERS, Moments
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
@@ -21,6 +21,7 @@ from polydiff.spectra import (
     pencil_gaps,
 )
 from test_operator import dense_rows
+from test_quadrature import sampler_points
 
 
 def test_degree_zero_block_is_zero():
@@ -151,7 +152,7 @@ def test_eigenbasis_mc_domain_quality():
     model = get_model("nodal_cubic")
     # the cover's Monte Carlo draw, not the exact rule Moments would pick
     sampler = model.sampler(seed=11, sample_count=200_000)
-    moments = Moments(model, 9, sampler, sample=sample_domain(model, sampler))
+    moments = Moments(model, 9, sampler, sample=sampler_points(model, sampler))
     assert moments.proposals == 200_000
     eb = eigenbasis(model, 4, sampler, moments=moments)
     assert eb.gram_deviation() < 5e-2
@@ -165,7 +166,7 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
     # any rule, so an eigenvalue at -1e-4 of the scale is never noise
     model = get_model("deltoid")
     sampler = model.sampler(seed=5, sample_count=20_000)
-    sample = None if rule == "exact" else sample_domain(model, sampler)
+    sample = None if rule == "exact" else sampler_points(model, sampler)
     moments = Moments(model, 5, sampler, sample=sample)
     assert (moments.proposals is None) == (rule == "exact")
     solve = spectra.generalized_sym_eig
@@ -421,7 +422,9 @@ def test_eigenbasis_gram_matches_pointwise_reevaluation(
     overrides = {"sample_count": sample_count} if sample_count else {}
     sampler = model.sampler(seed=5, **overrides)
     # the sampler's own points: the Monte Carlo draw on deltoid
-    moments = spectra.Moments(model, 2 * degree + 1, sampler, sample=sample_domain(model, sampler))
+    moments = spectra.Moments(
+        model, 2 * degree + 1, sampler, sample=sampler_points(model, sampler, 2 * degree + 1)
+    )
     eb = eigenbasis(model, degree, sampler, moments=moments)
     assert all(f.exact != fallback for f in eb.all_functions())
     assert np.abs(eb.gram - _pointwise_gram(eb, moments)).max() <= 1e-12
