@@ -112,38 +112,43 @@ def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, Syst
     """Assemble the exact linear system whose kernel is the admissible set.
 
     One row per monomial coefficient of each residual polynomial
-    sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i.
+    sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i.  Each
+    factor is scaled to integer coefficients, which scales its rows and
+    leaves the kernel unchanged, and each row entry is a coefficient of the
+    factor or of its gradient, placed by shifting its exponent by the
+    unknown's monomial.
     """
     layout = _make_layout(spec)
     d = spec.dim
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for k, factor in enumerate(spec.factors):
-        grad = factor.gradient()
+        scale = lcm(*(c.denominator for c in factor.terms.values()))
+        terms = [(e, c.numerator * (scale // c.denominator)) for e, c in factor.terms.items()]
+        grad = [
+            [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
+            for j in range(d)
+        ]
         residual_basis = MonomialBasis(d, int(factor.total_degree) + 1)
         for i in range(d):
             # coefficient of each residual monomial as a linear form in unknowns
-            row_of: dict[tuple[int, ...], list[Fraction]] = {
-                e: [Fraction(0)] * layout.n_unknowns for e in residual_basis.exponents
-            }
+            row_of = {e: [0] * layout.n_unknowns for e in residual_basis.exponents}
             for entry, (a, b) in enumerate(layout.entry_index):
                 # g^{ab} contributes to axis i via d_j F with j = the other index
+                partials = []
+                if a == i:
+                    partials.append(grad[b])
+                if b == i and b != a:
+                    partials.append(grad[a])
                 for m_idx, m_exp in enumerate(layout.g_basis.exponents):
                     slot = layout.g_slot(entry, m_idx)
-                    contributions: list[Polynomial] = []
-                    if a == i:
-                        contributions.append(Polynomial.monomial(d, m_exp) * grad[b])
-                    if b == i and b != a:
-                        contributions.append(Polynomial.monomial(d, m_exp) * grad[a])
-                    for contrib in contributions:
-                        for e, c in contrib.terms.items():
-                            row_of[e][slot] += c
+                    for partial in partials:
+                        for e, c in partial:
+                            row_of[tuple(map(int.__add__, m_exp, e))][slot] += c
             for m_idx, m_exp in enumerate(layout.s_basis.exponents):
                 slot = layout.s_slot(k, i, m_idx)
-                contrib = Polynomial.monomial(d, m_exp) * factor
-                for e, c in contrib.terms.items():
-                    row_of[e][slot] -= c
-            for e in residual_basis.exponents:
-                rows.append(row_of[e])
+                for e, c in terms:
+                    row_of[tuple(map(int.__add__, m_exp, e))][slot] -= c
+            rows.extend(row_of[e] for e in residual_basis.exponents)
     return RationalMatrix(rows), layout
 
 

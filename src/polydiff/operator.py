@@ -279,6 +279,11 @@ class GradedOperatorMatrix:
     A nonzero image coefficient of degree above |a| raises
     DegreeViolationError, so the matrix is block-upper-triangular in the
     degree grading by construction.
+
+    Exponents are coded as integers in base max_degree + 3, so a term's
+    target is code(a) + code(shift).  A term with a nonzero factor has a
+    target with entries in [0, max_degree + 2], so distinct targets have
+    distinct codes, though a shift may have entries down to -2.
     """
 
     def __init__(self, op: DiffusionOperator, max_degree: int):
@@ -286,52 +291,59 @@ class GradedOperatorMatrix:
             raise ValueError("max_degree must be >= 0")
         self.operator = op
         self.basis = MonomialBasis(op.dim, max_degree)
-        # (i, j or None for a drift term, c - e_i [- e_j], coefficient)
-        terms = []
+        weights = [(max_degree + 3) ** k for k in range(op.dim)]
+
+        def code(exponent) -> int:
+            return sum(w * e for w, e in zip(weights, exponent))
+
+        # (i, j or None for a drift term) -> [(c - e_i [- e_j], coefficient)]
+        groups: dict[tuple[int, int | None], list] = {}
         for i in range(op.dim):
             for j in range(op.dim):
                 for c, coeff in op.cometric[i, j].terms.items():
-                    terms.append((i, j, _lowered(c, i, j), coeff))
+                    groups.setdefault((i, j), []).append((_lowered(c, i, j), coeff))
             for c, coeff in op.drift[i].terms.items():
-                terms.append((i, None, _lowered(c, i), coeff))
-        self.scale = lcm(*(coeff.denominator for *_, coeff in terms))
-        terms = [
-            (i, j, shift, coeff.numerator * (self.scale // coeff.denominator))
-            for i, j, shift, coeff in terms
+                groups.setdefault((i, None), []).append((_lowered(c, i), coeff))
+        self.scale = lcm(*(coeff.denominator for group in groups.values() for _, coeff in group))
+        # per group: (code of the shift, whether it raises the degree, integer coefficient)
+        coded = [
+            (i, j, [
+                (code(shift), sum(shift) > 0, coeff.numerator * (self.scale // coeff.denominator))
+                for shift, coeff in group
+            ])
+            for (i, j), group in groups.items()
         ]
+        codes = [code(e) for e in self.basis.exponents]
+        index = {c: k for k, c in enumerate(codes)}
         self.columns: list[dict[int, int]] = []
-        for a in self.basis.exponents:
-            image: dict[tuple[int, ...], int] = {}
-            for i, j, shift, coeff in terms:
+        for a, origin in zip(self.basis.exponents, codes):
+            image: dict[int, int] = {}
+            raised = []
+            for i, j, shifts in coded:
                 factor = a[i] if j is None else a[i] * (a[j] - (i == j))
                 if factor:
-                    target = tuple(x + s for x, s in zip(a, shift))
-                    image[target] = image.get(target, 0) + factor * coeff
-            degree = sum(a)
-            column = {}
-            for target, value in image.items():
-                if not value:
-                    continue
-                if sum(target) > degree:
-                    raise DegreeViolationError(
-                        f"L raised the degree of monomial {a}: operator "
-                        f"was built outside the admissible framework"
-                    )
-                column[self.basis.index[target]] = value
-            self.columns.append(column)
+                    for shift, raises, coeff in shifts:
+                        target = origin + shift
+                        image[target] = image.get(target, 0) + factor * coeff
+                        if raises:
+                            raised.append(target)
+            if any(image[target] for target in raised):
+                raise DegreeViolationError(
+                    f"L raised the degree of monomial {a}: operator "
+                    f"was built outside the admissible framework"
+                )
+            self.columns.append({index[target]: v for target, v in image.items() if v})
 
     @property
     def max_degree(self) -> int:
         return self.basis.max_degree
 
-    def diagonal_block(self, degree: int) -> list[list[Fraction]]:
-        """Action on degree-n monomials modulo lower degree, as rows."""
+    def diagonal_block(self, degree: int) -> list[list[int]]:
+        """Action on degree-n monomials modulo lower degree, as the integer
+        rows of scale * M_nn."""
         block = self.basis.degree_slices[degree]
         columns = self.columns[block]
-        return [
-            [Fraction(column.get(r, 0), self.scale) for column in columns]
-            for r in range(block.start, block.stop)
-        ]
+        return [[column.get(r, 0) for column in columns] for r in range(block.start, block.stop)]
 
     def moments(self) -> list[Fraction]:
         """Exact moments of the measure L leaves invariant, normalized to mass

@@ -77,6 +77,16 @@ class Polynomial:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _from_valid(cls, dim: int, terms: dict[Exponent, Fraction]) -> Polynomial:
+        """A polynomial on terms that are already valid: exponent tuples of
+        length dim and non-negative ints, mapped to nonzero Fractions.  For
+        the results of arithmetic, whose terms come from valid operands."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -156,17 +166,21 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exponent, coeff in other.terms.items():
-            value = terms.get(exponent, Fraction(0)) + coeff
+            value = terms.get(exponent)
+            if value is None:
+                terms[exponent] = coeff
+                continue
+            value += coeff
             if value:
                 terms[exponent] = value
             else:
-                terms.pop(exponent, None)
-        return Polynomial(self.dim, terms)
+                del terms[exponent]
+        return Polynomial._from_valid(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_valid(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         return self + (-self._coerce(other))
@@ -175,21 +189,31 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> Polynomial:
+        """Exact product.  Two polynomials are multiplied as integer
+        numerators over the product of their coefficients' lcm
+        denominators, with one Fraction per result term."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.dim)
-            return Polynomial(self.dim, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._from_valid(self.dim, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        product: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                value = product.get(key, Fraction(0)) + c1 * c2
-                if value:
-                    product[key] = value
-                else:
-                    product.pop(key, None)
-        return Polynomial(self.dim, product)
+        left, s1 = self._integer_terms()
+        right, s2 = other._integer_terms()
+        product: dict[Exponent, int] = {}
+        for e1, c1 in left:
+            for e2, c2 in right:
+                key = tuple(map(int.__add__, e1, e2))
+                product[key] = product.get(key, 0) + c1 * c2
+        denominator = s1 * s2
+        return Polynomial._from_valid(
+            self.dim, {e: Fraction(v, denominator) for e, v in product.items() if v}
+        )
+
+    def _integer_terms(self) -> tuple[list[tuple[Exponent, int]], int]:
+        """The terms times the lcm s of the coefficients' denominators, as
+        (exponent, integer) pairs, and s."""
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        return [(e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items()], scale
 
     __rmul__ = __mul__
 
@@ -213,10 +237,8 @@ class Polynomial:
             k = exponent[axis]
             if k == 0:
                 continue
-            reduced = list(exponent)
-            reduced[axis] = k - 1
-            terms[tuple(reduced)] = coeff * k
-        return Polynomial(self.dim, terms)
+            terms[exponent[:axis] + (k - 1,) + exponent[axis + 1 :]] = coeff * k
+        return Polynomial._from_valid(self.dim, terms)
 
     def gradient(self) -> list[Polynomial]:
         return [self.derivative(i) for i in range(self.dim)]

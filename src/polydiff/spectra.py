@@ -1,15 +1,15 @@
 """Spectra of diffusion operators on the graded polynomial filtration.
 
 The exact graded matrix of L is held as sparse integer columns over one
-scale (`GradedOperatorMatrix`): exact eigenvectors are verified against
-those columns in integers, and the diagonal degree blocks are read from them
-as Fractions.  Eigenvalues come from these blocks: triangular blocks read
-off exactly, otherwise the block's characteristic
-polynomial is split over the rationals when possible, with a numeric
-fallback flagged in the result.  That polynomial is exact and computed
-without division: Berkowitz's recurrence runs in Python ints on the block
-scaled by the lcm of its denominators, and the scale is divided out of the
-coefficients at the end.
+scale S (`GradedOperatorMatrix`): exact eigenvectors are verified against
+those columns in integers, and each diagonal degree block is read from them
+as the integer matrix B = S M_nn.  Eigenvalues come from these blocks:
+triangular blocks read off exactly, otherwise the characteristic polynomial
+of B, monic with integer coefficients and computed without division by
+Berkowitz's recurrence in Python ints, is split by its integer roots mu
+when possible, with a numeric fallback flagged in the result.  By the
+rational root theorem those are all of its rational roots, and each gives
+the eigenvalue mu / S of M_nn.
 
 Orthonormal eigenbases follow the decomposition V_n = V_{n-1} + W_n of
 L^2(mu) into orthogonal polynomials, on which L is block diagonal.  The
@@ -108,7 +108,7 @@ class SpectrumResult:
 # exact block spectra
 
 
-def _is_triangular(block: list[list[Fraction]]) -> bool:
+def _is_triangular(block: list[list[int]]) -> bool:
     n = len(block)
     upper = all(block[i][j] == 0 for i in range(n) for j in range(i))
     if upper:
@@ -116,107 +116,98 @@ def _is_triangular(block: list[list[Fraction]]) -> bool:
     return all(block[i][j] == 0 for i in range(n) for j in range(i + 1, n))
 
 
-def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(tI - A), coefficients low-to-high.
+def _char_poly(block: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(tI - B) of an integer matrix B,
+    coefficients low-to-high: monic, with integer coefficients.
 
-    The block is scaled by the lcm D of its denominators to the integer
-    matrix B = D*A, whose characteristic polynomial comes from Berkowitz's
-    division-free recurrence (S. J. Berkowitz, IPL 18, 1984) in Python ints:
-    bordering the leading k x k submatrix M by a column C, a row R and a
-    corner a multiplies the coefficient vector (high-to-low) by the lower
-    triangular Toeplitz matrix with first column 1, -a, -RC, -RMC, -RM^2C, ...
-    Since det(tI - B) = D^n det((t/D)I - A), the t^k coefficient of A's
-    polynomial is that of B divided by D^(n-k).
+    Berkowitz's division-free recurrence (S. J. Berkowitz, IPL 18, 1984) in
+    Python ints: bordering the leading k x k submatrix M by a column C, a row
+    R and a corner a multiplies the coefficient vector (high-to-low) by the
+    lower triangular Toeplitz matrix with first column 1, -a, -RC, -RMC,
+    -RM^2C, ...  M is never copied: C is held with zeros below row k, so the
+    products run over the nonzero entries of whole rows of B, which are few
+    in a graded block.
     """
     n = len(block)
-    scale = lcm(*(v.denominator for row in block for v in row))
-    b = [[v.numerator * (scale // v.denominator) for v in row] for row in block]
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in block]
     coeffs = [1]  # high-to-low, of the leading k x k submatrix
     for k in range(n):
-        leading = [b[i][:k] for i in range(k)]
-        row = b[k][:k]
-        column = [b[i][k] for i in range(k)]
-        toeplitz = [1, -b[k][k]]
-        for _ in range(k):
-            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
-            column = [sum(m * c for m, c in zip(line, column)) for line in leading]
+        column = [block[i][k] for i in range(k)] + [0] * (n - k)
+        toeplitz = [1, -block[k][k]]
+        for step in range(k):
+            toeplitz.append(-sum(v * column[j] for j, v in nonzero[k]))
+            if step < k - 1:
+                column = [sum(v * column[j] for j, v in line) for line in nonzero[:k]]
+                column += [0] * (n - k)
         coeffs = [
             sum(toeplitz[r - j] * coeffs[j] for j in range(min(r, k) + 1))
             for r in range(k + 2)
         ]
-    return [Fraction(c, scale ** (n - k)) for k, c in enumerate(reversed(coeffs))]
+    return coeffs[::-1]
 
 
-def _synthetic_divide(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Divide by (t - root); returns (quotient low-to-high, remainder)."""
-    acc = Fraction(0)
-    quotient = [Fraction(0)] * (len(coeffs) - 1)
+def _divide_root(coeffs: list[int], root: int) -> list[int] | None:
+    """The quotient of the polynomial (low-to-high) by t - root, or None
+    when root is not a root."""
+    acc = 0
+    quotient = [0] * (len(coeffs) - 1)
     for k in range(len(coeffs) - 1, 0, -1):
         acc = coeffs[k] + acc * root
         quotient[k - 1] = acc
-    remainder = coeffs[0] + acc * root
-    return quotient, remainder
+    return quotient if coeffs[0] + acc * root == 0 else None
 
 
-def _rational_candidates(values: np.ndarray) -> list[Fraction]:
-    out = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if abs(v.imag) > 1e-6 * (1.0 + abs(v.real)):
-            continue
-        for limit in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 10**6):
-            cand = Fraction(float(v.real)).limit_denominator(limit)
-            if abs(float(cand) - v.real) <= 1e-7 * (1.0 + abs(v.real)):
-                out.append(cand)
-                break
-    seen = []
-    for c in out:
-        if c not in seen:
-            seen.append(c)
-    return seen
+def _float_block(block: list[list[int]], scale: int) -> np.ndarray:
+    """The float matrix block / scale, each entry correctly rounded."""
+    return np.array([[v / scale for v in row] for row in block])
 
 
-def block_eigenvalues(block: list[list[Fraction]]) -> list[EigenvalueEntry]:
-    """Exact spectrum of one degree block when it splits rationally."""
+def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntry]:
+    """Exact spectrum of one degree block when it splits rationally.
+
+    `block` is the integer matrix B = scale * M_nn.  det(tI - B) is monic
+    with integer coefficients, so by the rational root theorem every
+    rational eigenvalue of B is an integer mu, and lam = mu / scale.  The
+    candidates are the float eigenvalues of M_nn times scale, rounded; each
+    is tested exactly by synthetic division.
+    """
     n = len(block)
     if n == 0:
         return []
+    found: dict[int, int] = {}
     if _is_triangular(block):
-        diag = sorted((block[i][i] for i in range(n)), key=float)
-        entries: list[EigenvalueEntry] = []
-        for v in diag:
-            if entries and entries[-1].value == v:
-                entries[-1] = EigenvalueEntry(v, entries[-1].multiplicity + 1, "exact-graded")
-            else:
-                entries.append(EigenvalueEntry(v, 1, "exact-graded"))
-        return entries
-    values = np.linalg.eigvals(np.array([[float(v) for v in row] for row in block]))
-    remaining = _char_poly(block)
-    found: dict[Fraction, int] = {}
-    for cand in _rational_candidates(values):
-        while len(remaining) > 1:
-            quotient, rem = _synthetic_divide(remaining, cand)
-            if rem != 0:
-                break
-            found[cand] = found.get(cand, 0) + 1
-            remaining = quotient
-    if sum(found.values()) == n:
-        return [
-            EigenvalueEntry(v, mult, "exact-graded")
-            for v, mult in sorted(found.items(), key=lambda item: float(item[0]))
-        ]
-    # numeric fallback on the exact block
-    real = np.sort(values.real)
-    entries = []
-    for cluster in cluster_eigenvalues(list(real), CLUSTER_TAU):
-        mean = float(np.mean([real[i] for i in cluster]))
-        entries.append(EigenvalueEntry(mean, len(cluster), "numeric-block"))
-    return entries
+        for i in range(n):
+            found[block[i][i]] = found.get(block[i][i], 0) + 1
+    else:
+        values = np.linalg.eigvals(_float_block(block, scale))
+        remaining = _char_poly(block)
+        for mu in sorted({round(Fraction(float(v.real)) * scale) for v in values}):
+            while len(remaining) > 1:
+                quotient = _divide_root(remaining, mu)
+                if quotient is None:
+                    break
+                found[mu] = found.get(mu, 0) + 1
+                remaining = quotient
+        if sum(found.values()) != n:
+            # numeric fallback on the exact block
+            real = np.sort(values.real)
+            return [
+                EigenvalueEntry(
+                    float(np.mean([real[i] for i in cluster])), len(cluster), "numeric-block"
+                )
+                for cluster in cluster_eigenvalues(list(real), CLUSTER_TAU)
+            ]
+    return [
+        EigenvalueEntry(Fraction(mu, scale), multiplicity, "exact-graded")
+        for mu, multiplicity in sorted(found.items())
+    ]
 
 
 def graded_spectrum(matrix: GradedOperatorMatrix) -> SpectrumResult:
     """Block spectra of an already built graded matrix."""
     per_degree = [
-        block_eigenvalues(matrix.diagonal_block(n)) for n in range(matrix.max_degree + 1)
+        block_eigenvalues(matrix.diagonal_block(n), matrix.scale)
+        for n in range(matrix.max_degree + 1)
     ]
     return SpectrumResult(matrix.max_degree, per_degree)
 
@@ -344,10 +335,18 @@ def _lifted_eigenvectors(
 
     L is symmetric under its invariant measure, so it maps the P_b of
     degree n into their own span, and L P_a = sum_b (M_nn)_ba P_b: the lift
-    is an eigenvector orthogonal to every polynomial of lower degree.
+    is an eigenvector orthogonal to every polynomial of lower degree.  The
+    kernel is that of the integer matrix S M_nn - mu I with mu = S lam,
+    an integer for every exact eigenvalue of the block (`block_eigenvalues`).
     """
+    mu = lam * graded.scale
+    if mu.denominator != 1:
+        raise RuntimeError(
+            f"{lam} times the graded scale {graded.scale} is not an integer, "
+            f"so it is no exact eigenvalue of the degree-{degree} block"
+        )
     shifted = [
-        [v - lam if i == j else v for j, v in enumerate(row)]
+        [v - mu.numerator if i == j else v for j, v in enumerate(row)]
         for i, row in enumerate(graded.diagonal_block(degree))
     ]
     out = []
@@ -490,7 +489,7 @@ def eigenbasis(
                         (np.array([v / g for v in vector]) * sqrt(ratio / mass), 0.0)
                     )
             else:
-                block = np.array(graded.diagonal_block(degree), dtype=float)
+                block = _float_block(graded.diagonal_block(degree), graded.scale)
                 shifted = block - float(entry.value) * np.eye(len(block))
                 vectors, residuals = _float_orthonormal(poly, shifted, entry.multiplicity, len(basis))
                 functions = [(v / sqrt(mass), r) for v, r in zip(vectors, residuals)]

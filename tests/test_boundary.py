@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,7 @@ from polydiff.boundary import (
 )
 from polydiff.catalog import get_model, model_names
 from polydiff.operator import DegenerateMetricError
-from polydiff.poly import Polynomial, parse_poly
+from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 
 
 def spec2(*factor_texts, witness=("0", "0")):
@@ -325,3 +326,83 @@ def test_interior_grid_sign_test_sees_nodes_on_the_boundary():
     grid = interior_grid(spec, box, per_axis=10)
     assert len(grid) == 45
     assert grid == _fraction_grid(spec, box, 10)
+
+
+def _fraction_admissibility_rows(spec):
+    """Reference: the admissibility rows in Fractions, each residual
+    coefficient read off a Polynomial product per unknown."""
+    from polydiff.boundary import _make_layout
+
+    layout = _make_layout(spec)
+    d = spec.dim
+    rows = []
+    for k, factor in enumerate(spec.factors):
+        grad = factor.gradient()
+        residual_basis = MonomialBasis(d, int(factor.total_degree) + 1)
+        for i in range(d):
+            row_of = {e: [Fraction(0)] * layout.n_unknowns for e in residual_basis.exponents}
+            for entry, (a, b) in enumerate(layout.entry_index):
+                for m_idx, m_exp in enumerate(layout.g_basis.exponents):
+                    slot = layout.g_slot(entry, m_idx)
+                    contributions = []
+                    if a == i:
+                        contributions.append(Polynomial.monomial(d, m_exp) * grad[b])
+                    if b == i and b != a:
+                        contributions.append(Polynomial.monomial(d, m_exp) * grad[a])
+                    for contrib in contributions:
+                        for e, c in contrib.terms.items():
+                            row_of[e][slot] += c
+            for m_idx, m_exp in enumerate(layout.s_basis.exponents):
+                slot = layout.s_slot(k, i, m_idx)
+                for e, c in (Polynomial.monomial(d, m_exp) * factor).terms.items():
+                    row_of[e][slot] -= c
+            rows.extend(row_of[e] for e in residual_basis.exponents)
+    return rows, layout
+
+
+def _catalog_boundaries():
+    import random
+
+    from polydiff.catalog import get_descriptor
+    from test_operator import _generic_params
+
+    rng = random.Random(8)
+    for name in model_names():
+        descriptor = get_descriptor(name)
+        if not descriptor.factor_templates:
+            continue
+        yield name, None
+        if descriptor.param_specs:
+            yield name, _generic_params(rng, descriptor)
+
+
+@pytest.mark.parametrize("name,params", list(_catalog_boundaries()))
+def test_admissibility_matches_fraction_row_reference(name, params):
+    # the integer rows are the Fraction rows scaled by their factor's lcm
+    # denominator, so the kernel, and the solution read from it, are equal
+    from polydiff.linalg import RationalMatrix
+
+    spec = get_model(name, params).boundary
+    reference, layout = _fraction_admissibility_rows(spec)
+    matrix, _ = build_admissibility_system(spec)
+    assert all(type(v) is int for row in matrix.data for v in row)
+    start = 0
+    for factor in spec.factors:
+        scale = lcm(*(c.denominator for c in factor.terms.values()))
+        count = spec.dim * len(MonomialBasis(spec.dim, int(factor.total_degree) + 1))
+        for row, expected in zip(matrix.data[start : start + count], reference[start:]):
+            assert row == [v * scale for v in expected]
+        start += count
+    assert start == len(reference) == matrix.rows
+    kernel = RationalMatrix(reference).nullspace()
+    assert matrix.nullspace() == kernel
+    solution = solve_admissibility(spec)
+    assert solution.dimension == len(kernel)
+    for g, s_for, vector in zip(solution.g_basis, solution.s_for, kernel):
+        for entry, (a, b) in enumerate(layout.entry_index):
+            for m_idx, m_exp in enumerate(layout.g_basis.exponents):
+                assert g[a, b].terms.get(m_exp, 0) == vector[layout.g_slot(entry, m_idx)]
+        for k in range(len(spec.factors)):
+            for i in range(spec.dim):
+                for m_idx, m_exp in enumerate(layout.s_basis.exponents):
+                    assert s_for[k][i].terms.get(m_exp, 0) == vector[layout.s_slot(k, i, m_idx)]

@@ -72,8 +72,8 @@ def test_corrupted_spectrum_never_matches_a_numeric_block(monkeypatch):
     # table: equal as a float is not a match, so the control still lists it
     original = spectra.block_eigenvalues
 
-    def numeric_shifted_degree_three(block):
-        entries = original(block)
+    def numeric_shifted_degree_three(block, scale):
+        entries = original(block, scale)
         if len(block) != 4:
             return entries
         return [
@@ -173,10 +173,10 @@ def test_eigenbasis_claim_counts_numeric_block_functions(monkeypatch):
     # the functions come from float kernels and each is counted
     original = spectra.block_eigenvalues
 
-    def numeric(block):
+    def numeric(block, scale):
         return [
             spectra.EigenvalueEntry(float(e.value), e.multiplicity, "numeric-block")
-            for e in original(block)
+            for e in original(block, scale)
         ]
 
     monkeypatch.setattr(spectra, "block_eigenvalues", numeric)

@@ -339,3 +339,43 @@ def test_poly_divmod_matches_sympy_single_divisor_reduction():
         assert quotient * divisor + remainder == p
         divisible.add(remainder.is_zero)
     assert divisible == {True, False}
+
+
+def _sympy_terms(sympy, expr, symbols):
+    """The expansion of expr as {exponent: Fraction}, zero terms left out."""
+    poly = sympy.Poly(sympy.expand(expr), *symbols, domain="QQ")
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms() if c}
+
+
+def test_arithmetic_matches_sympy_expansion():
+    # products run on integer numerators over one denominator and every
+    # result skips re-validation, so each stored coefficient must still be a
+    # nonzero Fraction; q is sometimes built to cancel terms of p
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2112)
+    cancelled = 0
+    for trial in range(100):
+        dim = rng.randint(1, 3)
+        symbols = sympy.symbols(f"x0:{dim}")
+        p = _random_poly(rng, dim, rng.randint(0, 4))
+        q = _random_poly(rng, dim, rng.randint(0, 3))
+        if trial % 3 == 0:
+            q = q - p * Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        c = rng.choice((0, 1, -3, Fraction(-2, 7), Fraction(5, 3)))
+        sp, sq = _sympy_expr(sympy, p, symbols), _sympy_expr(sympy, q, symbols)
+        sc = sympy.Rational(c.numerator, c.denominator)
+        cases = [
+            (p * q, sp * sq),
+            (p + q, sp + sq),
+            (p - q, sp - sq),
+            (-p, -sp),
+            (p * c, sp * sc),
+            (c - p, sc - sp),
+        ] + [(p.derivative(axis), sympy.diff(sp, s)) for axis, s in enumerate(symbols)]
+        for got, expected in cases:
+            assert got.dim == dim
+            assert got.terms == _sympy_terms(sympy, expected, symbols), (p, q, c)
+            assert all(type(v) is Fraction and v for v in got.terms.values())
+            assert all(type(e) is tuple and all(type(k) is int for k in e) for e in got.terms)
+        cancelled += len((p + q).terms) < len(set(p.terms) | set(q.terms))
+    assert cancelled

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -85,8 +86,8 @@ def test_compare_closed_form_never_matches_a_numeric_block(offset, monkeypatch):
     model = get_model("deltoid")
     original = spectra.block_eigenvalues
 
-    def numeric_degree_three(block):
-        entries = original(block)
+    def numeric_degree_three(block, scale):
+        entries = original(block, scale)
         if len(block) != 4:
             return entries
         return [
@@ -246,9 +247,9 @@ def _reference_exact_eigenvectors(graded, degree, lam):
     block = graded.basis.degree_slices[degree]
     width = block.stop - block.start
     m = dense_rows(graded)
-    rows = graded.diagonal_block(degree)
     shifted = [
-        [rows[i][j] - (lam if i == j else 0) for j in range(width)] for i in range(width)
+        [m[block.start + i][block.start + j] - (lam if i == j else 0) for j in range(width)]
+        for i in range(width)
     ]
     out = []
     for top in RationalMatrix(shifted).nullspace():
@@ -351,10 +352,10 @@ def test_exact_eigenvectors_are_orthogonal_under_the_exact_moments(name, params)
 def test_eigenbasis_raises_when_eigenvectors_miss_the_multiplicity(monkeypatch):
     original = spectra.block_eigenvalues
 
-    def inflated(block):
+    def inflated(block, scale):
         return [
             spectra.EigenvalueEntry(e.value, e.multiplicity + 1, e.source)
-            for e in original(block)
+            for e in original(block, scale)
         ]
 
     monkeypatch.setattr(spectra, "block_eigenvalues", inflated)
@@ -374,10 +375,10 @@ def _forced_fallback(monkeypatch):
     relative, so the residuals are well above roundoff."""
     original = spectra.block_eigenvalues
 
-    def numeric(block):
+    def numeric(block, scale):
         return [
             spectra.EigenvalueEntry(float(e.value) * (1 + 1e-4), e.multiplicity, "numeric-block")
-            for e in original(block)
+            for e in original(block, scale)
         ]
 
     monkeypatch.setattr(spectra, "block_eigenvalues", numeric)
@@ -460,6 +461,20 @@ def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
             spectra._verify_exact_eigenvector(graded, off, lam)
 
 
+def test_lifted_eigenvectors_raise_unless_scale_times_lam_is_an_integer():
+    # S = 30 and S lam = -292: lam / 7 and lam + 1/60 are no eigenvalues of
+    # the integer block and must not reach its nullspace
+    model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
+    graded = GradedOperatorMatrix(model.operator, 3)
+    lam = graded_spectrum(graded).degree(3)[-1].value
+    poly = spectra.orthogonal_polynomials(model.operator, 3)[3]
+    assert graded.scale == 30 and lam * 30 == -292
+    assert len(spectra._lifted_eigenvectors(graded, poly, 3, lam)) == 1
+    for wrong in (lam / 7, lam + Fraction(1, 60)):
+        with pytest.raises(RuntimeError, match="is not an integer"):
+            spectra._lifted_eigenvectors(graded, poly, 3, wrong)
+
+
 def _to_sympy(sympy, rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
 
@@ -494,14 +509,152 @@ def _random_rational_matrices(sympy, rng, n):
     return {"generic": generic, "singular": singular, "repeated": repeated, "large": large}
 
 
+def _integer_block(rows):
+    """A rational matrix as (integer rows, scale): scaled by the lcm of its
+    denominators, as `GradedOperatorMatrix.diagonal_block` hands out scale * M_nn."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+
+
 def test_char_poly_matches_sympy_charpoly():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1984)
     t = sympy.Symbol("t")
     for n in range(1, 13):
         for kind, rows in _random_rational_matrices(sympy, rng, n).items():
-            expected = _to_sympy(sympy, rows).charpoly(t).all_coeffs()[::-1]
-            expected = [Fraction(int(c.p), int(c.q)) for c in expected]
-            assert spectra._char_poly(rows) == expected, (kind, n)
+            block, _ = _integer_block(rows)
+            expected = sympy.Matrix(block).charpoly(t).all_coeffs()[::-1]
+            assert all(c.is_integer for c in expected) and expected[-1] == 1
+            assert spectra._char_poly(block) == [int(c) for c in expected], (kind, n)
             if kind == "singular":
                 assert expected[0] == 0
+
+
+def _sympy_rational_eigenvalues(sympy, block, scale):
+    """{eigenvalue: multiplicity} of the rational eigenvalues of block / scale,
+    and whether they are all of them, from sympy's factorization of the
+    characteristic polynomial over the rationals."""
+    t = sympy.Symbol("t")
+    factors = (sympy.Matrix(block) / scale).charpoly(t).factor_list()[1]
+    rational = {}
+    for factor, multiplicity in factors:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = -c0 / c1
+            rational[Fraction(int(root.p), int(root.q))] = multiplicity
+    return rational, all(factor.degree() == 1 for factor, _ in factors)
+
+
+def _conjugated_cases(sympy, rng):
+    """(kind, integer block, scale) with known rational structure: semisimple
+    spectra (distinct, repeated, with 0) under a rational similarity, a
+    3 x 3 Jordan block alone and beside other eigenvalues under a unimodular
+    one, and spectra with the irrational pair +-sqrt(2) beside rational
+    eigenvalues."""
+
+    def rational(bound, den):
+        return sympy.Rational(rng.randint(-bound, bound), rng.randint(1, den))
+
+    def similarity(n, unimodular):
+        if unimodular:  # unit triangular factors: integer, with integer inverse
+            def entry(i, j):
+                return 1 if i == j else rng.randint(-2, 2)
+
+            lower = sympy.Matrix(n, n, lambda i, j: entry(i, j) if i >= j else 0)
+            upper = sympy.Matrix(n, n, lambda i, j: entry(i, j) if i <= j else 0)
+            return lower * upper
+        while True:
+            s = sympy.Matrix(n, n, lambda i, j: rational(3, 4))
+            if s.det() != 0:
+                return s
+
+    def conjugated(core, unimodular=False):
+        s = similarity(core.rows, unimodular)
+        m = s * core * s.inv()
+        rows = [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
+        return _integer_block(rows)
+
+    for n in range(1, 7):
+        distinct = [sympy.Rational(k, 6) for k in rng.sample(range(-30, 31), n)]
+        yield "distinct", *conjugated(sympy.diag(*distinct))
+        yield "repeated", *conjugated(sympy.diag(*[rng.choice(distinct[:2]) for _ in range(n)]))
+        yield "singular", *conjugated(sympy.diag(0, *[rational(9, 6) for _ in range(n - 1)]))
+        pair = sympy.Matrix([[0, 2], [1, 0]])
+        yield "irrational", *conjugated(sympy.diag(pair, *[rational(9, 6) for _ in range(n - 1)]))
+    for others in range(3):
+        lam = rational(9, 6)
+        jordan = sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
+        core = sympy.diag(jordan, *[rational(9, 6) for _ in range(others)])
+        yield "jordan", *conjugated(core, unimodular=True)
+
+
+def test_block_eigenvalues_are_the_sympy_rational_eigenvalues():
+    # an integer block B = scale * M whose characteristic polynomial sympy
+    # factors into linear factors gives exactly those roots with their
+    # multiplicities, in increasing order; a block with an irrational pair
+    # is a numeric fallback throughout, though the rest of it is rational
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2021)
+    seen = set()
+    for kind, block, scale in _conjugated_cases(sympy, rng):
+        entries = spectra.block_eigenvalues(block, scale)
+        rational, splits = _sympy_rational_eigenvalues(sympy, block, scale)
+        assert splits == (kind != "irrational"), kind
+        assert sum(e.multiplicity for e in entries) == len(block)
+        if splits:
+            assert all(e.is_exact for e in entries), (kind, block, scale)
+            assert [(e.value, e.multiplicity) for e in entries] == sorted(rational.items())
+        else:
+            assert all(e.source == "numeric-block" for e in entries), (kind, block, scale)
+        if kind == "jordan":  # one eigenvector for the triple eigenvalue
+            mu = next(e.value for e in entries if e.multiplicity == 3) * scale
+            shifted = sympy.Matrix(block) - int(mu) * sympy.eye(len(block))
+            assert len(block) - shifted.rank() == 1
+        seen.add(kind)
+    assert seen == {"distinct", "repeated", "singular", "irrational", "jordan"}
+
+
+SWEEP_DEGREE = {1: 12, 2: 8, 3: 6}
+
+
+def _catalog_spectrum_cases():
+    """All catalog models at their defaults and at one generic point."""
+    from test_operator import _generic_params
+
+    rng = random.Random(21)
+    for name in model_names():
+        yield name, None
+        descriptor = get_descriptor(name)
+        if descriptor.param_specs:
+            yield name, _generic_params(rng, descriptor)
+
+
+@pytest.mark.parametrize("name,params", list(_catalog_spectrum_cases()))
+def test_catalog_block_spectra_are_integers_over_the_scale(name, params):
+    # at the sweep degrees, every exact eigenvalue times the graded scale is
+    # an integer, which _lifted_eigenvectors relies on; every non-triangular
+    # block's exact entries are sympy's eigenvalues of the Fraction block, and
+    # a numeric fallback only where sympy finds an irreducible factor of
+    # degree > 1
+    sympy = pytest.importorskip("sympy")
+    model = get_model(name, params)
+    graded = GradedOperatorMatrix(model.operator, SWEEP_DEGREE[model.dim])
+    dense = dense_rows(graded)
+    for n, block in enumerate(graded.basis.degree_slices):
+        rows = [row[block] for row in dense[block]]
+        entries = spectra.block_eigenvalues(graded.diagonal_block(n), graded.scale)
+        for e in entries:
+            if e.is_exact:
+                assert (e.value * graded.scale).denominator == 1, (n, e)
+        if spectra._is_triangular(rows):
+            assert all(e.is_exact for e in entries)
+            continue
+        matrix = _to_sympy(sympy, rows)
+        if all(e.is_exact for e in entries):
+            expected = {
+                Fraction(int(v.p), int(v.q)): m for v, m in matrix.eigenvals().items()
+            }
+            assert {e.value: e.multiplicity for e in entries} == expected, n
+        else:
+            factors = matrix.charpoly(sympy.Symbol("t")).factor_list()[1]
+            assert any(factor.degree() > 1 for factor, _ in factors), n
