@@ -1,6 +1,6 @@
 """Exact rational dense linear algebra and the generalized symmetric eigensolver.
 
-The ratio of work here is deliberate: nullspaces/ranks/solves that feed the
+The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments, orthogonal polynomials and
 eigenvectors are exact (one fraction-free Gauss-Jordan pass in Python ints
 gives the reduced row echelon form; it holds rows sparse and defers the
@@ -21,6 +21,7 @@ import scipy.linalg
 Rational = int | Fraction
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+CLUSTER_TAU = 1e-7
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -242,15 +243,15 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> SymmetricEigenResult:
     return SymmetricEigenResult(values, vectors)
 
 
-def cluster_eigenvalues(values: Sequence[float], tau: float = 1e-7) -> list[list[int]]:
+def cluster_eigenvalues(values: Sequence[float]) -> list[list[int]]:
     """Group indices of ascending eigenvalues into multiplicity clusters.
 
-    Two neighbours belong together when their gap is below tau*(1+|value|);
-    this is the declared multiplicity-detection rule used across the package.
+    Two neighbours belong together when their gap is at most CLUSTER_TAU
+    times 1 + |value|: the declared multiplicity-detection rule.
     """
     clusters: list[list[int]] = []
     for i, v in enumerate(values):
-        if clusters and abs(v - values[clusters[-1][-1]]) <= tau * (1.0 + abs(v)):
+        if clusters and abs(v - values[clusters[-1][-1]]) <= CLUSTER_TAU * (1.0 + abs(v)):
             clusters[-1].append(i)
         else:
             clusters.append([i])

@@ -12,18 +12,21 @@ rational root theorem those are all of its rational roots, and each gives
 the eigenvalue mu / S of M_nn.
 
 Orthonormal eigenbases follow the decomposition V_n = V_{n-1} + W_n of
-L^2(mu) into orthogonal polynomials, on which L is block diagonal.  The
-moments L fixes (`GradedOperatorMatrix.moments`) give the monic orthogonal
-polynomials P_b exactly; L P_a = sum_b (M_nn)_ba P_b, so each kernel vector
-of a shifted degree block lifts through the P_b to an exact eigenvector,
+L^2(mu) into orthogonal polynomials, on which L is block diagonal.  One
+graded matrix to degree 2n serves an eigenbasis to degree n: L keeps every
+V_k, so its first columns are the matrix to degree n, and its moments
+(`GradedOperatorMatrix.moments`) give the monic orthogonal polynomials P_b
+exactly.  L P_a = sum_b (M_nn)_ba P_b, so each kernel vector of a shifted
+degree block, read once, lifts through the P_b to an exact eigenvector,
 orthogonal to every lower degree and orthogonalized within its eigenvalue
-by an exact Gram-Schmidt.  Only the final normalization is float, so the
-operator residuals are zero on any rule, Monte Carlo included.  The rule
-enters through its mass and one pass over its points: the returned
-functions' pointwise Gram B, a cross-estimator of the identity, and their
-integrated carre du champ A.  The energy pencil A v = lambda B v is an
-independent check: its eigenvalues are the negated graded eigenvalues when
-the cometric, the drift and the rule's measure agree.
+by an exact Gram-Schmidt.  Only the final
+normalization is float, so the operator residuals are zero on any rule,
+Monte Carlo included.  The rule enters through its mass and one pass over
+its points: the returned functions' pointwise Gram B, a cross-estimator of
+the identity, and their integrated carre du champ A.  The energy pencil
+A v = lambda B v is an independent check: its eigenvalues are the negated
+graded eigenvalues when the cometric, the drift and the rule's measure
+agree.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .quadrature import DomainSampler, Moments, gamma_form_matrix
 # rebinds this name along with quadrature.gram_matrix
 from .quadrature import gram_matrix  # noqa: F401
 
-CLUSTER_TAU = 1e-7
 PENCIL_NEGATIVE_TOL = 1e-8
 
 
@@ -64,9 +66,6 @@ class EigenvalueEntry:
 class SpectrumResult:
     max_degree: int
     per_degree: list[list[EigenvalueEntry]]
-
-    def degree(self, n: int) -> list[EigenvalueEntry]:
-        return self.per_degree[n]
 
     def multiset(self, n: int) -> list[Fraction | float]:
         out: list[Fraction | float] = []
@@ -169,7 +168,10 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
     with integer coefficients, so by the rational root theorem every
     rational eigenvalue of B is an integer mu, and lam = mu / scale.  The
     candidates are the float eigenvalues of M_nn times scale, rounded; each
-    is tested exactly by synthetic division.
+    is tested exactly by synthetic division.  A defective eigenvalue of
+    multiplicity k spreads into k float values off by about (eps |M|)^(1/k),
+    but their mean is accurate to roundoff: the means of windows of
+    neighbouring sorted values that matched no root are candidates too.
     """
     n = len(block)
     if n == 0:
@@ -179,9 +181,19 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
         for i in range(n):
             found[block[i][i]] = found.get(block[i][i], 0) + 1
     else:
-        values = np.linalg.eigvals(_float_block(block, scale))
+        real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
         remaining = _char_poly(block)
-        for mu in sorted({round(Fraction(float(v.real)) * scale) for v in values}):
+
+        def candidates():  # each float taken exactly, times scale, rounded
+            rounded = [round(Fraction(float(v)) * scale) for v in real]
+            yield from sorted(set(rounded))
+            # reached once every single value is tried, so `found` is final
+            unmatched = [v for v, mu in zip(real, rounded) if mu not in found]
+            for width in range(2, len(unmatched) + 1):
+                for start in range(len(unmatched) - width + 1):
+                    yield round(Fraction(float(np.mean(unmatched[start : start + width]))) * scale)
+
+        for mu in candidates():
             while len(remaining) > 1:
                 quotient = _divide_root(remaining, mu)
                 if quotient is None:
@@ -190,12 +202,9 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
                 remaining = quotient
         if sum(found.values()) != n:
             # numeric fallback on the exact block
-            real = np.sort(values.real)
             return [
-                EigenvalueEntry(
-                    float(np.mean([real[i] for i in cluster])), len(cluster), "numeric-block"
-                )
-                for cluster in cluster_eigenvalues(list(real), CLUSTER_TAU)
+                EigenvalueEntry(float(np.mean(real[cluster])), len(cluster), "numeric-block")
+                for cluster in cluster_eigenvalues(real)
             ]
     return [
         EigenvalueEntry(Fraction(mu, scale), multiplicity, "exact-graded")
@@ -203,17 +212,14 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
     ]
 
 
-def graded_spectrum(matrix: GradedOperatorMatrix) -> SpectrumResult:
-    """Block spectra of an already built graded matrix."""
+def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult:
+    """Block spectra of the graded matrix of `op` up to `max_degree`."""
+    matrix = GradedOperatorMatrix(op, max_degree)
     per_degree = [
         block_eigenvalues(matrix.diagonal_block(n), matrix.scale)
-        for n in range(matrix.max_degree + 1)
+        for n in range(max_degree + 1)
     ]
-    return SpectrumResult(matrix.max_degree, per_degree)
-
-
-def graded_eigenvalues(op: DiffusionOperator, max_degree: int) -> SpectrumResult:
-    return graded_spectrum(GradedOperatorMatrix(op, max_degree))
+    return SpectrumResult(max_degree, per_degree)
 
 
 # ----------------------------------------------------------------------
@@ -225,17 +231,20 @@ class EigenFunction:
     """One basis element, by its coefficients over the eigenbasis's
     monomial basis.
 
-    `exact` says the eigenvalue is exact: the coefficients are then the
-    float rounding of an exact eigenvector of the graded matrix, verified
-    exactly, so its operator residual is zero.  Numeric-block fallbacks carry
-    the residual of their float kernel vector instead.
+    With an exact eigenvalue the coefficients are the float rounding of an
+    exact eigenvector of the graded matrix, verified exactly, so its
+    operator residual is zero.  Numeric-block fallbacks carry the residual
+    of their float kernel vector instead.
     """
 
     degree: int
     eigenvalue: Fraction | float
     coefficients: np.ndarray
-    exact: bool
     residual: float = 0.0
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.eigenvalue, Fraction)
 
 
 @dataclass
@@ -274,10 +283,10 @@ class OrthogonalDegree:
     denominator: int
 
 
-def orthogonal_polynomials(op: DiffusionOperator, max_degree: int) -> list[OrthogonalDegree]:
+def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> list[OrthogonalDegree]:
     """The monic orthogonal polynomials of every degree up to `max_degree`,
-    under the exact moments of the measure `op` leaves invariant
-    (`GradedOperatorMatrix.moments`, to twice that degree).
+    under the exact moments of the measure the operator leaves invariant
+    (`GradedOperatorMatrix.moments` of `graded`, to twice that degree).
 
     P_b = x^b - proj x^b onto the polynomials of degree < n is one exact
     solve of their moment matrix with a right-hand side per x^b; since
@@ -285,21 +294,21 @@ def orthogonal_polynomials(op: DiffusionOperator, max_degree: int) -> list[Ortho
     integers over one denominator, so everything after the solve is integer
     arithmetic.
     """
-    graded = GradedOperatorMatrix(op, 2 * max_degree)
+    if graded.max_degree < 2 * max_degree:
+        raise ValueError(
+            f"degree {max_degree} needs moments to degree {2 * max_degree}, not {graded.max_degree}"
+        )
+    exponents = graded.basis.exponents
     moments = graded.moments()
     denominator = lcm(*(m.denominator for m in moments))
-    mean = {
-        e: m.numerator * (denominator // m.denominator)
-        for e, m in zip(graded.basis.exponents, moments)
-    }
-    basis = MonomialBasis(op.dim, max_degree)
+    mean = {e: m.numerator * (denominator // m.denominator) for e, m in zip(exponents, moments)}
 
     def moment(a, b):
         return mean[tuple(x + y for x, y in zip(a, b))]
 
     out = []
-    for n, block in enumerate(basis.degree_slices):
-        lower, top = basis.exponents[: block.start], basis.exponents[block]
+    for n, block in enumerate(graded.basis.degree_slices[: max_degree + 1]):
+        lower, top = exponents[: block.start], exponents[block]
         scale, projection = 1, [[] for _ in top]
         if lower:
             solved = RationalMatrix([[moment(c, e) for e in lower] for c in lower]).solve_unique(
@@ -328,31 +337,21 @@ def _lift(poly: OrthogonalDegree, top: list[int], size: int) -> list[int]:
 
 
 def _lifted_eigenvectors(
-    graded: GradedOperatorMatrix, poly: OrthogonalDegree, degree: int, lam: Fraction
+    block: list[list[int]], mu: int, poly: OrthogonalDegree, size: int
 ) -> list[list[int]]:
-    """Exact eigenvectors of top degree `degree`, in integers: each kernel
-    vector k of M_nn - lam I, scaled to integers, lifted to sum_b k_b P_b.
+    """Exact eigenvectors over the first `size` basis monomials, in
+    integers: each kernel vector k of the integer degree block B - mu I
+    (B = S M_nn, mu = S lam), scaled to integers, lifted to sum_b k_b P_b.
 
     L is symmetric under its invariant measure, so it maps the P_b of
     degree n into their own span, and L P_a = sum_b (M_nn)_ba P_b: the lift
-    is an eigenvector orthogonal to every polynomial of lower degree.  The
-    kernel is that of the integer matrix S M_nn - mu I with mu = S lam,
-    an integer for every exact eigenvalue of the block (`block_eigenvalues`).
+    is an eigenvector orthogonal to every polynomial of lower degree.
     """
-    mu = lam * graded.scale
-    if mu.denominator != 1:
-        raise RuntimeError(
-            f"{lam} times the graded scale {graded.scale} is not an integer, "
-            f"so it is no exact eigenvalue of the degree-{degree} block"
-        )
-    shifted = [
-        [v - mu.numerator if i == j else v for j, v in enumerate(row)]
-        for i, row in enumerate(graded.diagonal_block(degree))
-    ]
+    shifted = [[v - mu if i == j else v for j, v in enumerate(row)] for i, row in enumerate(block)]
     out = []
     for kernel in RationalMatrix(shifted).nullspace():
         q = lcm(*(v.denominator for v in kernel))
-        out.append(_lift(poly, [v.numerator * (q // v.denominator) for v in kernel], len(graded.basis)))
+        out.append(_lift(poly, [v.numerator * (q // v.denominator) for v in kernel], size))
     return out
 
 
@@ -408,25 +407,19 @@ def _float_orthonormal(
     return vectors, residuals
 
 
-def _verify_exact_eigenvector(
-    graded: GradedOperatorMatrix, vector: list[Fraction], lam: Fraction
-) -> None:
-    """Check M v == lam v exactly, in Python ints.
-
-    The graded matrix is its integer columns S*M over its scale S.  With q
-    the lcm of v's denominators, V = q v is an integer vector; with S lam =
-    p/r the check reads r (S M) V == p V, summed column by column.
+def _verify_exact_eigenvector(graded: GradedOperatorMatrix, vector: list[int], mu: int) -> None:
+    """Check M v == lam v exactly for an integer vector v over the first
+    len(v) basis monomials and mu = S lam: the graded matrix is its integer
+    columns S M over its scale S, so the check reads (S M) v == mu v, summed
+    column by column.  L keeps every degree, so those columns reach no
+    further row.
     """
-    q = lcm(*(v.denominator for v in vector))
-    big = [v.numerator * (q // v.denominator) for v in vector]
-    target = lam * graded.scale
-    p, r = target.numerator, target.denominator
-    image = [0] * len(big)
-    for column, value in zip(graded.columns, big):
+    image = [0] * len(vector)
+    for column, value in zip(graded.columns, vector):
         if value:
             for row, entry in column.items():
                 image[row] += entry * value
-    if any(r * x != p * value for x, value in zip(image, big)):
+    if any(x != mu * value for x, value in zip(image, vector)):
         raise RuntimeError("exact eigenvector failed verification")
 
 
@@ -437,14 +430,16 @@ def eigenbasis(
 
     The eigenfunctions of degree n span W_n, the polynomials of degree n
     orthogonal to all of lower degree, and come from the monic orthogonal
-    polynomials P_b of the exact moments (`orthogonal_polynomials`):
+    polynomials P_b of the exact moments (`orthogonal_polynomials`) of one
+    graded matrix to twice the degree, whose degree blocks B = S M_nn give
+    the eigenvalues (`block_eigenvalues`):
 
-    1. Exact eigenvalues: the kernel of M_nn - lam I, lifted through the P_b
-       (`_lifted_eigenvectors`), is orthonormalized by Gram-Schmidt under the
-       exact Gram of the P_b and each result is verified exactly, so its
-       operator residual is zero.  Only the final 1/sqrt(d) is float,
-       scaled by the rule's mass, since the Gauss rules integrate the
-       unnormalized density.
+    1. Exact eigenvalues: the kernel of B - mu I, mu = S lam an integer,
+       lifted through the P_b (`_lifted_eigenvectors`), is orthonormalized
+       by Gram-Schmidt under the exact Gram of the P_b and each result is
+       verified exactly, so its operator residual is zero.  Only the final
+       1/sqrt(d) is float, scaled by the rule's mass, since the Gauss rules
+       integrate the unnormalized density.
     2. Numeric-block eigenvalues: the float kernel of M_nn - lam I, lifted
        the same way and orthonormalized in float (`_float_orthonormal`),
        with the residual of each function from r = (M_nn - lam I) k on the
@@ -460,43 +455,46 @@ def eigenbasis(
     basis = MonomialBasis(model.dim, max_degree)
     if moments is None or moments.basis.max_degree < 2 * max_degree:
         moments = Moments(model, 2 * max_degree, sampler)
-    graded = GradedOperatorMatrix(model.operator, max_degree)
-    spectrum = graded_spectrum(graded)
+    graded = GradedOperatorMatrix(model.operator, 2 * max_degree)
     mass = float(moments.values[0])
 
     per_degree: list[list[EigenFunction]] = []
-    for degree, poly in enumerate(orthogonal_polynomials(model.operator, max_degree)):
+    for degree, poly in enumerate(orthogonal_polynomials(graded, max_degree)):
         top = basis.degree_slices[degree]
+        block = graded.diagonal_block(degree)
         level = []
-        for entry in spectrum.degree(degree):
+        for entry in block_eigenvalues(block, graded.scale):
             if entry.is_exact:
-                vectors = _lifted_eigenvectors(graded, poly, degree, entry.value)
+                mu = entry.value * graded.scale
+                if mu.denominator != 1:
+                    raise RuntimeError(
+                        f"{entry.value} times the graded scale {graded.scale} is not an "
+                        f"integer, so it is no exact eigenvalue of the degree-{degree} block"
+                    )
+                vectors = _lifted_eigenvectors(block, mu.numerator, poly, len(basis))
                 if len(vectors) != entry.multiplicity:
                     raise RuntimeError(
                         f"{len(vectors)} exact eigenvectors of {entry.value} at degree "
                         f"{degree}, expected multiplicity {entry.multiplicity}"
                     )
-                functions = []
                 for vector, norm in zip(*_orthogonalize(vectors, top, poly.gram)):
-                    _verify_exact_eigenvector(graded, vector, entry.value)
+                    _verify_exact_eigenvector(graded, vector, mu.numerator)
                     # the vector over sqrt(mass <v, v>), with <v, v> =
                     # norm / (scale^2 denominator); its largest entry g is
                     # divided out first, so every float stays in range and
                     # that entry comes out positive
                     g = max(vector, key=abs)
                     ratio = g * g * poly.scale**2 * poly.denominator / norm
-                    functions.append(
-                        (np.array([v / g for v in vector]) * sqrt(ratio / mass), 0.0)
-                    )
+                    coefficients = np.array([v / g for v in vector]) * sqrt(ratio / mass)
+                    level.append(EigenFunction(degree, entry.value, coefficients))
             else:
-                block = _float_block(graded.diagonal_block(degree), graded.scale)
-                shifted = block - float(entry.value) * np.eye(len(block))
+                shifted = _float_block(block, graded.scale)
+                shifted -= float(entry.value) * np.eye(len(block))
                 vectors, residuals = _float_orthonormal(poly, shifted, entry.multiplicity, len(basis))
-                functions = [(v / sqrt(mass), r) for v, r in zip(vectors, residuals)]
-            level.extend(
-                EigenFunction(degree, entry.value, coefficients, entry.is_exact, residual)
-                for coefficients, residual in functions
-            )
+                level.extend(
+                    EigenFunction(degree, entry.value, v / sqrt(mass), r)
+                    for v, r in zip(vectors, residuals)
+                )
         per_degree.append(level)
 
     funcs = [f for level in per_degree for f in level]

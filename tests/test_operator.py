@@ -211,6 +211,20 @@ def test_graded_matrix_matches_apply_reference(name, params):
     assert graded.strictly_lower_block_entries() == []
 
 
+@pytest.mark.parametrize("name,params", list(_catalog_operator_cases()))
+def test_graded_matrix_to_twice_the_degree_extends_it(name, params):
+    # L keeps every V_n, so the matrix to degree 2n holds the matrix to
+    # degree n as its first columns, over the same scale: eigenbasis reads
+    # both from one matrix
+    op = get_model(name, params).operator
+    for degree in (3, 6):
+        small = GradedOperatorMatrix(op, degree)
+        big = GradedOperatorMatrix(op, 2 * degree)
+        assert big.scale == small.scale
+        assert big.columns[: len(small.basis)] == small.columns
+        assert big.basis.exponents[: len(small.basis)] == small.basis.exponents
+
+
 def test_graded_matrix_raises_on_degree_violation():
     # the constructors reject a quadratic drift, so force one in afterwards:
     # L(x) = x^2 still fits the degree-3 basis and must not be stored

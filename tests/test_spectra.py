@@ -18,7 +18,6 @@ from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
     graded_eigenvalues,
-    graded_spectrum,
     pencil_gaps,
 )
 from test_operator import dense_rows
@@ -229,9 +228,9 @@ def test_spectrum_json_export_shape():
 def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
     original = spectra._lifted_eigenvectors
 
-    def corrupted(graded, poly, degree, lam):
-        vectors = original(graded, poly, degree, lam)
-        if degree:
+    def corrupted(block, mu, poly, size):
+        vectors = original(block, mu, poly, size)
+        if poly.lower[0]:
             vectors[0][0] += 1  # add a constant: no longer an eigenvector
         return vectors
 
@@ -242,8 +241,9 @@ def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
 
 
 def _reference_exact_eigenvectors(graded, degree, lam):
-    """Eigenvectors by the two-step route: a kernel basis of the shifted
-    degree block, each top extended downward by its own exact solve."""
+    """Eigenvectors over the basis of `graded` by the two-step route: a
+    kernel basis of the shifted degree block, each top extended downward by
+    its own exact solve."""
     block = graded.basis.degree_slices[degree]
     width = block.stop - block.start
     m = dense_rows(graded)
@@ -282,16 +282,20 @@ def _sampled_model_cases():
             yield name, _generic_params(rng, get_descriptor(name))
 
 
-def _exact_entries(graded):
+def _exact_entries(op, max_degree):
     """(degree, eigenvalue, multiplicity, lifted eigenvectors) of every exact
-    spectrum entry of the graded matrix."""
-    spectrum = graded_spectrum(graded)
-    polys = spectra.orthogonal_polynomials(graded.operator, graded.max_degree)
-    for degree in range(graded.max_degree + 1):
-        for entry in spectrum.degree(degree):
+    spectrum entry of the graded matrix of `op` to `max_degree`, the way
+    `eigenbasis` reads them from one matrix to twice that degree."""
+    graded = GradedOperatorMatrix(op, 2 * max_degree)
+    polys = spectra.orthogonal_polynomials(graded, max_degree)
+    size = graded.basis.degree_slices[max_degree].stop
+    for degree, poly in enumerate(polys):
+        block = graded.diagonal_block(degree)
+        for entry in spectra.block_eigenvalues(block, graded.scale):
             if entry.is_exact:
-                vectors = spectra._lifted_eigenvectors(graded, polys[degree], degree, entry.value)
-                yield degree, entry, polys[degree], vectors
+                mu = int(entry.value * graded.scale)
+                vectors = spectra._lifted_eigenvectors(block, mu, poly, size)
+                yield degree, entry, poly, vectors
 
 
 @pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
@@ -299,12 +303,13 @@ def test_exact_eigenvectors_match_two_step_reference(name, params):
     # where lam is no eigenvalue of a lower degree, the eigenvector with a
     # given top part is unique, so the lift equals the two-step route's
     # vector up to the lift's integer scale
-    graded = GradedOperatorMatrix(get_model(name, params).operator, 6)
-    spectrum = graded_spectrum(graded)
+    op = get_model(name, params).operator
+    graded = GradedOperatorMatrix(op, 6)
+    spectrum = graded_eigenvalues(op, 6)
     compared = 0
-    for degree, entry, _, vectors in _exact_entries(graded):
+    for degree, entry, _, vectors in _exact_entries(op, 6):
         assert len(vectors) == entry.multiplicity
-        if any(e.value == entry.value for n in range(degree) for e in spectrum.degree(n)):
+        if any(e.value == entry.value for n in range(degree) for e in spectrum.per_degree[n]):
             continue
         reference = _reference_exact_eigenvectors(graded, degree, entry.value)
         for vector, expected in zip(vectors, reference):
@@ -322,7 +327,6 @@ def test_exact_eigenvectors_are_orthogonal_under_the_exact_moments(name, params)
     # pairwise orthogonal, as rational identities under the operator's own
     # moments
     op = get_model(name, params).operator
-    graded = GradedOperatorMatrix(op, 6)
     big = GradedOperatorMatrix(op, 12)
     mean = dict(zip(big.basis.exponents, big.moments()))
 
@@ -330,14 +334,14 @@ def test_exact_eigenvectors_are_orthogonal_under_the_exact_moments(name, params)
         return sum(
             (
                 Fraction(x) * y * mean[tuple(p + q for p, q in zip(a, b))]
-                for x, a in zip(u, graded.basis.exponents) if x
-                for y, b in zip(v, graded.basis.exponents) if y
+                for x, a in zip(u, big.basis.exponents) if x
+                for y, b in zip(v, big.basis.exponents) if y
             ),
             Fraction(0),
         )
 
-    for degree, entry, poly, vectors in _exact_entries(graded):
-        top = graded.basis.degree_slices[degree]
+    for degree, entry, poly, vectors in _exact_entries(op, 6):
+        top = big.basis.degree_slices[degree]
         for vector in vectors:
             for c in range(top.start):
                 unit = [int(i == c) for i in range(len(vector))]
@@ -362,12 +366,6 @@ def test_eigenbasis_raises_when_eigenvectors_miss_the_multiplicity(monkeypatch):
     model = get_model("disk")
     with pytest.raises(RuntimeError, match="expected multiplicity"):
         eigenbasis(model, 2, model.sampler())
-
-
-def test_graded_spectrum_reuses_built_matrix():
-    model = get_model("deltoid")
-    matrix = GradedOperatorMatrix(model.operator, 5)
-    assert graded_spectrum(matrix).to_jsonable() == graded_eigenvalues(model.operator, 5).to_jsonable()
 
 
 def _forced_fallback(monkeypatch):
@@ -432,47 +430,70 @@ def test_eigenbasis_gram_matches_pointwise_reevaluation(
 
 
 def test_exact_eigenvector_check_rejects_a_vector_off_by_1e_minus_30():
-    # M has denominators (S = 30), lam = -146/15 and v has denominators
+    # M has denominators (S = 30) and lam = -146/15, so mu = S lam = -292
     model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
-    graded = GradedOperatorMatrix(model.operator, 3)
+    graded = GradedOperatorMatrix(model.operator, 6)
+    size = graded.basis.degree_slices[3].stop
     m = dense_rows(graded)
-    lam = graded_spectrum(graded).degree(3)[-1].value
-    poly = spectra.orthogonal_polynomials(model.operator, 3)[3]
-    lifted = spectra._lifted_eigenvectors(graded, poly, 3, lam)[0]
-    # scaled to 1 in its last nonzero coordinate, so the entries are
-    # rationals of moderate size
-    lead = next(v for v in reversed(lifted) if v)
-    vec = [Fraction(v, lead) for v in lifted]
-    assert graded.scale > 1 and lam.denominator > 1 and any(v.denominator > 1 for v in vec)
-    spectra._verify_exact_eigenvector(graded, vec, lam)
-    with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
-        spectra._verify_exact_eigenvector(graded, vec, lam / 3)  # S lam / 3 = -292/3
-    for j in range(len(vec)):
-        off = list(vec)
-        off[j] += Fraction(1, 10**30)
+    block = graded.diagonal_block(3)
+    lam = spectra.block_eigenvalues(block, graded.scale)[-1].value
+    mu = int(lam * graded.scale)
+    poly = spectra.orthogonal_polynomials(graded, 3)[3]
+    vec = spectra._lifted_eigenvectors(block, mu, poly, size)[0]
+    assert graded.scale == 30 and mu == -292 and lam.denominator > 1
+    spectra._verify_exact_eigenvector(graded, vec, mu)
+    for wrong in (mu + 1, 3 * mu):
+        with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
+            spectra._verify_exact_eigenvector(graded, vec, wrong)
+    # 10^30 v + e_j is v off by 1e-30 in coordinate j
+    big = [10**30 * v for v in vec]
+    for j in range(size):
+        off = list(big)
+        off[j] += 1
         if vec[j]:
-            assert float(off[j]) == float(vec[j])  # invisible in float
+            assert off[j] / 10**30 == float(vec[j])  # invisible in float
         # no longer an eigenvector unless column j of M - lam I vanishes
-        column = [m[i][j] - (lam if i == j else 0) for i in range(len(vec))]
+        column = [m[i][j] - (lam if i == j else 0) for i in range(size)]
         if any(column):
             with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
-                spectra._verify_exact_eigenvector(graded, off, lam)
+                spectra._verify_exact_eigenvector(graded, off, mu)
         else:
-            spectra._verify_exact_eigenvector(graded, off, lam)
+            spectra._verify_exact_eigenvector(graded, off, mu)
 
 
-def test_lifted_eigenvectors_raise_unless_scale_times_lam_is_an_integer():
-    # S = 30 and S lam = -292: lam / 7 and lam + 1/60 are no eigenvalues of
-    # the integer block and must not reach its nullspace
+@pytest.mark.parametrize(
+    "wrong", [lambda lam: lam / 7, lambda lam: lam + Fraction(1, 60)], ids=["over-7", "plus-1/60"]
+)
+def test_eigenbasis_raises_unless_scale_times_lam_is_an_integer(monkeypatch, wrong):
+    # S = 30 and S lam = -292 for the last degree-3 eigenvalue: lam / 7 and
+    # lam + 1/60 are no eigenvalues of the integer block and must not reach
+    # its nullspace
     model = get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"})
-    graded = GradedOperatorMatrix(model.operator, 3)
-    lam = graded_spectrum(graded).degree(3)[-1].value
-    poly = spectra.orthogonal_polynomials(model.operator, 3)[3]
-    assert graded.scale == 30 and lam * 30 == -292
-    assert len(spectra._lifted_eigenvectors(graded, poly, 3, lam)) == 1
-    for wrong in (lam / 7, lam + Fraction(1, 60)):
-        with pytest.raises(RuntimeError, match="is not an integer"):
-            spectra._lifted_eigenvectors(graded, poly, 3, wrong)
+    original = spectra.block_eigenvalues
+
+    def shifted(block, scale):
+        entries = original(block, scale)
+        if len(block) == 4:
+            last = entries[-1]
+            assert scale == 30 and last.value * scale == -292
+            entries[-1] = spectra.EigenvalueEntry(wrong(last.value), last.multiplicity, last.source)
+        return entries
+
+    eigenbasis(model, 3, model.sampler())  # the unshifted blocks lift
+    monkeypatch.setattr(spectra, "block_eigenvalues", shifted)
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        eigenbasis(model, 3, model.sampler())
+
+
+def test_orthogonal_polynomials_need_moments_to_twice_the_degree():
+    op = get_model("deltoid").operator
+    polys = spectra.orthogonal_polynomials(GradedOperatorMatrix(op, 6), 3)
+    assert len(polys) == 4
+    # a longer matrix has the same moments, so the same P_b
+    wider = spectra.orthogonal_polynomials(GradedOperatorMatrix(op, 7), 3)
+    assert [(p.scale, p.lower) for p in wider] == [(p.scale, p.lower) for p in polys]
+    with pytest.raises(ValueError, match="needs moments to degree 6"):
+        spectra.orthogonal_polynomials(GradedOperatorMatrix(op, 5), 3)
 
 
 def _to_sympy(sympy, rows):
@@ -549,13 +570,13 @@ def _conjugated_cases(sympy, rng):
     """(kind, integer block, scale) with known rational structure: semisimple
     spectra (distinct, repeated, with 0) under a rational similarity, a
     3 x 3 Jordan block alone and beside other eigenvalues under a unimodular
-    one, and spectra with the irrational pair +-sqrt(2) beside rational
-    eigenvalues."""
+    one and alone under a rational one, and spectra with the irrational pair
+    +-sqrt(2) beside rational eigenvalues."""
 
     def rational(bound, den):
         return sympy.Rational(rng.randint(-bound, bound), rng.randint(1, den))
 
-    def similarity(n, unimodular):
+    def similarity(n, unimodular, den):
         if unimodular:  # unit triangular factors: integer, with integer inverse
             def entry(i, j):
                 return 1 if i == j else rng.randint(-2, 2)
@@ -564,12 +585,12 @@ def _conjugated_cases(sympy, rng):
             upper = sympy.Matrix(n, n, lambda i, j: entry(i, j) if i <= j else 0)
             return lower * upper
         while True:
-            s = sympy.Matrix(n, n, lambda i, j: rational(3, 4))
+            s = sympy.Matrix(n, n, lambda i, j: rational(3, den))
             if s.det() != 0:
                 return s
 
-    def conjugated(core, unimodular=False):
-        s = similarity(core.rows, unimodular)
+    def conjugated(core, unimodular=False, den=4):
+        s = similarity(core.rows, unimodular, den)
         m = s * core * s.inv()
         rows = [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
         return _integer_block(rows)
@@ -586,6 +607,13 @@ def _conjugated_cases(sympy, rng):
         jordan = sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
         core = sympy.diag(jordan, *[rational(9, 6) for _ in range(others)])
         yield "jordan", *conjugated(core, unimodular=True)
+    # denominators up to 16 in the similarity give block scales of 2^8 to
+    # 2^27, at which the float eigenvalues of a Jordan block, off by about
+    # (eps |M|)^(1/3), often round to no root: their mean does
+    for _ in range(20):
+        lam = rational(9, 6)
+        jordan = sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
+        yield "jordan", *conjugated(jordan, den=16)
 
 
 def test_block_eigenvalues_are_the_sympy_rational_eigenvalues():
