@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
 from .linalg import RationalMatrix, poly_matrix_det
 from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide
 
@@ -82,18 +80,6 @@ class MeasureSpec:
     dim: int
     factor_exponents: tuple[tuple[Polynomial, Fraction], ...] = ()
     exp_poly: Polynomial | None = None
-
-    def density_float(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.ones(points.shape[0])
-        for factor, exponent in self.factor_exponents:
-            if exponent == 0:
-                continue
-            values = factor.eval_float(points)
-            out *= np.power(np.abs(values), float(exponent))
-        if self.exp_poly is not None:
-            out *= np.exp(self.exp_poly.eval_float(points))
-        return out
 
 
 @dataclass(frozen=True)

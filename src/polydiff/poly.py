@@ -25,7 +25,7 @@ NEG_INF = float("-inf")
 
 RationalLike = int | Fraction
 
-#: rows per block in Polynomial.eval_float
+#: points per block in eval_floats
 EVAL_BLOCK = 1 << 16
 
 
@@ -296,35 +296,14 @@ class Polynomial:
         return partial[()], scale * common**degree
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, dim) float array; returns length-N array.
-
-        Powers come from repeated multiplication, shared by all terms, over
-        row blocks of EVAL_BLOCK so temporaries stay bounded for large N.
-        """
+        """Evaluate at an (N, dim) float array; returns length-N array
+        (`eval_floats` of this polynomial alone)."""
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(1, -1)
         if points.shape[1] != self.dim:
             raise ValueError("point array has wrong width")
-        terms = [(exponent, float(coeff)) for exponent, coeff in self.terms.items()]
-        top = [max((e[axis] for e, _ in terms), default=0) for axis in range(self.dim)]
-        out = np.zeros(points.shape[0])
-        for start in range(0, points.shape[0], EVAL_BLOCK):
-            block = points[start : start + EVAL_BLOCK]
-            powers = []
-            for axis in range(self.dim):
-                table = [None, block[:, axis]]
-                for _ in range(2, top[axis] + 1):
-                    table.append(table[-1] * table[1])
-                powers.append(table)
-            acc = out[start : start + EVAL_BLOCK]
-            for exponent, coeff in terms:
-                term = np.full(block.shape[0], coeff)
-                for axis, e in enumerate(exponent):
-                    if e:
-                        term *= powers[axis][e]
-                acc += term
-        return out
+        return eval_floats([self], points.T)[0]
 
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
         """Exact composition p(s_1, ..., s_d)."""
@@ -382,6 +361,53 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dim}, {format_poly(self)!r})"
+
+
+def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndarray:
+    """Every polynomial of `polys` at the points whose coordinates are the
+    rows of the (dim, N) array `coordinates`: a (len(polys), N) array.
+
+    Each axis's powers come from repeated multiplication, shared by all
+    terms of all the polynomials, over column blocks of EVAL_BLOCK so
+    temporaries stay bounded for large N.  A term is its first power times
+    its coefficient, times its other powers in axis order, added to its
+    polynomial's sum in term order; so each value is the same float whatever
+    else is evaluated beside it.
+    """
+    coordinates = np.asarray(coordinates, dtype=float)
+    dim, count = coordinates.shape
+    if any(p.dim != dim for p in polys):
+        raise ValueError("point array has wrong width")
+    # per polynomial, its terms as ([(axis, power) with power > 0], coeff)
+    terms = [
+        [
+            ([(axis, e) for axis, e in enumerate(exponent) if e], float(coeff))
+            for exponent, coeff in p.terms.items()
+        ]
+        for p in polys
+    ]
+    top = [max((e[axis] for p in polys for e in p.terms), default=0) for axis in range(dim)]
+    out = np.zeros((len(polys), count))
+    for start in range(0, count, EVAL_BLOCK):
+        block = coordinates[:, start : start + EVAL_BLOCK]
+        powers = []
+        for axis in range(dim):
+            table = [None, block[axis]]
+            for _ in range(2, top[axis] + 1):
+                table.append(table[-1] * table[1])
+            powers.append(table)
+        term = np.empty(block.shape[1])
+        for acc, poly_terms in zip(out[:, start : start + EVAL_BLOCK], terms):
+            for factors, coeff in poly_terms:
+                if not factors:
+                    acc += coeff
+                    continue
+                (axis, e), *others = factors
+                np.multiply(powers[axis][e], coeff, out=term)
+                for axis, e in others:
+                    term *= powers[axis][e]
+                acc += term
+    return out
 
 
 def tensor_grid(
@@ -506,7 +532,9 @@ class MonomialBasis:
         Each axis contributes one power table x_i^0 .. x_i^max_degree, built
         by repeated multiplication; the rows of all axes' tables are gathered
         by exponent and multiplied together.  The result is the transpose of
-        that (len(basis), N) product, so its columns are contiguous.
+        that (len(basis), N) product, so its columns are contiguous.  In one
+        variable the table is already in basis order and is returned as it
+        is.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
@@ -517,6 +545,9 @@ class MonomialBasis:
             table[0] = 1.0
             for k in range(1, self.max_degree + 1):
                 np.multiply(table[k - 1], points[:, axis], out=table[k])
+            if self.dim == 1:
+                # the exponents are 0 .. max_degree: the table is the result
+                return table.T
             rows = table[self.exponent_array[:, axis]]
             if out is None:
                 out = rows

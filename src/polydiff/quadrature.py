@@ -29,6 +29,14 @@ Everything else uses seeded Monte Carlo rejection in a bounding box.  Both
 Monte Carlo kinds propose in counter blocks: proposal j draws from fixed
 counter positions, so the accepted set depends only on (seed, sample_count,
 boundary), never on the block size.
+
+Each block passes once through the numeric layers.  Its points are held as
+one coordinate row per axis; `eval_floats` evaluates all boundary factors
+(or both cover maps) from one set of per-axis power tables; the acceptance
+test keeps the coordinates and factor values with one index; rejection
+takes the density from the kept factor values, evaluating only the density
+factors that are no boundary factor; and `_block_moments` contracts
+contiguous per-axis power tables in one matrix product.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
-from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
+from .poly import MonomialBasis, Polynomial, eval_floats, parse_poly, parse_rational
 from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit_rows
 
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
@@ -207,10 +215,7 @@ def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]], per_face
                         k += 1
             else:
                 face = np.array([[side_value]])
-            inside = np.ones(face.shape[0], dtype=bool)
-            for f in factors:
-                inside &= f.eval_float(face) > tol
-            if inside.any():
+            if (eval_floats(factors, face.T) > tol).all(axis=0).any():
                 raise SamplerConfigError(
                     f"bounding box face x{axis + 1}={side_value} meets the domain interior"
                 )
@@ -218,16 +223,29 @@ def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]], per_face
 
 def _accepted_blocks(model, count: int, propose: Callable[[int, int], np.ndarray]):
     """Proposals 0 .. count-1 in blocks of POINT_CHUNK, each block drawn by
-    `propose(start, size)` and kept where every boundary factor is > 0."""
+    `propose(start, size)` as a (dim, size) array of coordinate rows and kept
+    where every boundary factor is > 0.
+
+    Yields, per block, the kept points' coordinates (dim, kept) and the
+    boundary factors' values there (factors, kept), from one evaluation of
+    all the factors on the block.
+    """
+    factors = model.boundary.factors
     for block in point_chunks(count):
-        points = propose(block.start, block.stop - block.start)
-        mask = np.ones(points.shape[0], dtype=bool)
-        for f in model.boundary.factors:
-            mask &= f.eval_float(points) > 0.0
-        yield points[mask]
+        coordinates = propose(block.start, block.stop - block.start)
+        values = eval_floats(factors, coordinates)
+        keep = np.flatnonzero((values > 0.0).all(axis=0))
+        yield coordinates.take(keep, axis=1), values.take(keep, axis=1)
 
 
 def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
+    """Uniform proposals in the model's box, kept inside the domain, with
+    weights box volume / proposals times the density.
+
+    The density's boundary factors are read from the values the acceptance
+    test computed; only its other factors and its exp part are evaluated
+    again, on the kept points.
+    """
     box = model.box
     check_box_encloses(model, box)
     d = model.dim
@@ -236,10 +254,38 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
     n = sampler.sample_count
 
     def propose(start: int, count: int) -> np.ndarray:
-        return lo + span * uniform_block(sampler.seed, d * start, d * count).reshape(count, d)
+        # proposal j reads uniforms d j .. d j + d - 1, one per axis
+        u = uniform_block(sampler.seed, d * start, d * count)
+        coordinates = np.empty((d, count))
+        for axis in range(d):
+            np.multiply(u[axis::d], span[axis], out=coordinates[axis])
+            coordinates[axis] += lo[axis]
+        return coordinates
 
-    points = np.vstack(list(_accepted_blocks(model, n, propose)))
-    weights = float(np.prod(span)) / n * model.measure.density_float(points)
+    boundary = model.boundary.factors
+    measure = model.measure
+    powers = [(f, float(e)) for f, e in measure.factor_exponents if e != 0]
+    parts = [f for f, _ in powers] + ([measure.exp_poly] if measure.exp_poly is not None else [])
+    # the density's parts that the acceptance test did not evaluate
+    others = [f for f in parts if f not in boundary]
+    kept, densities = [], []
+    for coordinates, values in _accepted_blocks(model, n, propose):
+        known = dict(zip(boundary, values))
+        if others:
+            known.update(zip(others, eval_floats(others, coordinates)))
+        density = np.ones(coordinates.shape[1])
+        for f, exponent in powers:
+            density *= np.power(np.abs(known[f]), exponent)
+        if measure.exp_poly is not None:
+            density *= np.exp(known[measure.exp_poly])
+        kept.append(coordinates)
+        densities.append(density)
+    points = np.concatenate(kept, axis=1).T
+    if not points.shape[0]:
+        raise SamplerConfigError(
+            f"none of the {n} proposals for {model.name} landed in its domain"
+        )
+    weights = float(np.prod(span)) / n * np.concatenate(densities)
     return WeightedPoints(points, weights, proposals=n)
 
 
@@ -317,10 +363,9 @@ class CoverSampler:
 
 
 def _realize(maps: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
-    out = np.empty((points.shape[0], len(maps)))
-    for column, f in enumerate(maps):
-        out[:, column] = f.eval_float(points)
-    return out
+    """The maps at (N, ambient) cover points, as an (N, len(maps)) array
+    whose columns are contiguous: one evaluation of all the maps."""
+    return eval_floats(maps, points.T).T
 
 
 def _cover(name, params, operator, ideal, maps, factor_dims, draw, nodes) -> CoverSampler:
@@ -559,7 +604,7 @@ def _cover_blocks(model, sampler: DomainSampler):
     return _accepted_blocks(
         model,
         sampler.sample_count,
-        lambda start, count: cover.generate(sampler.seed, start, count),
+        lambda start, count: cover.generate(sampler.seed, start, count).T,
     )
 
 
@@ -591,19 +636,26 @@ def point_chunks(count: int):
         yield slice(start, min(start + POINT_CHUNK, count))
 
 
-def _block_moments(points: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
+def _block_moments(coordinates: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
     """sum_k weights_k points_k^a for every a with a_i <= max_degree, as an
-    array indexed by a: one contraction of per-axis power tables, the
-    weighted axis-0 table against the row-wise product of the other axes'."""
+    array indexed by a, where row i of `coordinates` holds the points' x_i.
+
+    One contraction of per-axis power tables: the weighted axis-0 table
+    against the row-wise product of the other axes'.  Each table is an
+    (N, max_degree + 1) view of a contiguous (max_degree + 1, N) array, so
+    the weights go into the axis-0 table in place.
+    """
     axis_basis = MonomialBasis(1, max_degree)
-    dim = points.shape[1]
-    powers = [axis_basis.eval_float(points[:, [i]]) for i in range(dim)]
+    dim = coordinates.shape[0]
+    powers = [axis_basis.eval_float(x[:, None]) for x in coordinates]
     if dim == 1:
         return weights @ powers[0]
     rest = powers[1]
     for axis_table in powers[2:]:
         rest = (rest[:, :, None] * axis_table[:, None, :]).reshape(rest.shape[0], -1)
-    return ((powers[0] * weights[:, None]).T @ rest).reshape((max_degree + 1,) * dim)
+    first = powers[0].T
+    first *= weights
+    return (first @ rest).reshape((max_degree + 1,) * dim)
 
 
 class Moments:
@@ -630,7 +682,7 @@ class Moments:
             sample = sample_domain(model, sampler, max_degree)
         self.table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
-            self.table += _block_moments(sample.points[block], sample.weights[block], max_degree)
+            self.table += _block_moments(sample.points[block].T, sample.weights[block], max_degree)
         self.values = self.monomial(self.basis.exponent_array)
         # retained so downstream code can integrate pointwise quantities
         # (products and gradients of eigenfunctions) against the same rule
@@ -692,9 +744,9 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
     n = sampler.sample_count
     table = np.zeros((degree + 1,) * model.dim)
     accepted = 0
-    for points in _cover_blocks(model, sampler):
-        table += _block_moments(points, np.full(points.shape[0], 1.0 / n), degree)
-        accepted += points.shape[0]
+    for coordinates, _ in _cover_blocks(model, sampler):
+        table += _block_moments(coordinates, np.full(coordinates.shape[1], 1.0 / n), degree)
+        accepted += coordinates.shape[1]
     basis = MonomialBasis(model.dim, degree)
     z = moment_z_scores(basis, table[tuple(basis.exponent_array.T)], exact, n)
     return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
@@ -793,6 +845,9 @@ def symmetry_defect(
         moments = Moments(model, max(2 * degree, degree + image_degree), sampler)
     m = operator_moment_matrix(model, degree, images, moments)
     b = gram_matrix(model, degree, sampler, moments=moments)
-    norms = np.sqrt(np.diag(b))
+    diagonal = np.diag(b)
+    if not (diagonal > 0).all():
+        raise ArithmeticError("a basis monomial has no positive squared norm under the rule")
+    norms = np.sqrt(diagonal)
     m = m / np.outer(norms, norms)
     return float(np.abs(m - m.T).max() / max(np.abs(m).max(), 1.0))

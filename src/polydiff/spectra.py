@@ -309,18 +309,20 @@ def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> lis
     out = []
     for n, block in enumerate(graded.basis.degree_slices[: max_degree + 1]):
         lower, top = exponents[: block.start], exponents[block]
+        # the right-hand side of x^b, <x^c, x^b> for the c of lower degree
+        rhs = [[moment(c, b) for c in lower] for b in top]
         scale, projection = 1, [[] for _ in top]
         if lower:
-            solved = RationalMatrix([[moment(c, e) for e in lower] for c in lower]).solve_unique(
-                [[moment(c, b) for c in lower] for b in top]
-            )
+            matrix = RationalMatrix([[moment(c, e) for e in lower] for c in lower])
+            solved = matrix.solve_unique(rhs)
             if solved is None:
                 raise ValueError(f"the moment matrix below degree {n} is singular")
             projection, scale = solved
+        # <x^a, P_b>, with <x^a, x^c> read from the right-hand side of x^a
         gram = [
-            [scale * (scale * moment(a, b) - sum(moment(a, c) * y for c, y in zip(lower, column)))
+            [scale * (scale * moment(a, b) - sum(m * y for m, y in zip(row, column)))
              for b, column in zip(top, projection)]
-            for a in top
+            for a, row in zip(top, rhs)
         ]
         out.append(OrthogonalDegree(scale, projection, gram, denominator))
     return out

@@ -13,6 +13,7 @@ from polydiff.poly import (
     NEG_INF,
     Polynomial,
     PolyParseError,
+    eval_floats,
     exact_divide,
     format_poly,
     parse_poly,
@@ -245,6 +246,82 @@ def test_polynomial_eval_float_matches_naive(dim, count):
     got = p.eval_float(points)
     assert got.shape == (count,)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+def _termwise(p, points):
+    """Reference float evaluation, one term at a time: each term starts from
+    its coefficient and is multiplied by its powers in axis order, each power
+    built by repeated multiplication; the terms are summed in their order."""
+    out = np.zeros(points.shape[0])
+    for exponent, coeff in p.terms.items():
+        term = np.full(points.shape[0], float(coeff))
+        for axis, e in enumerate(exponent):
+            if e:
+                power = points[:, axis]
+                for _ in range(e - 1):
+                    power = power * points[:, axis]
+                term *= power
+        out += term
+    return out
+
+
+def _catalog_polynomials():
+    """Every catalog boundary factor, density factor and exp part, and every
+    cover map, grouped by dimension."""
+    from polydiff.catalog import get_model, model_names
+    from polydiff.quadrature import COVER_SAMPLERS
+
+    groups: dict[int, list[Polynomial]] = {}
+    for name in model_names():
+        model = get_model(name)
+        polys = list(model.boundary.factors) + [f for f, _ in model.measure.factor_exponents]
+        if model.measure.exp_poly is not None:
+            polys.append(model.measure.exp_poly)
+        groups.setdefault(model.dim, []).extend(polys)
+    for cover in COVER_SAMPLERS.values():
+        groups.setdefault(cover.maps[0].dim, []).extend(cover.maps)
+    return groups
+
+
+_CATALOG_POLYNOMIALS = sorted(_catalog_polynomials().items())
+
+
+@pytest.mark.parametrize(
+    "dim,polys", _CATALOG_POLYNOMIALS, ids=[f"dim{d}" for d, _ in _CATALOG_POLYNOMIALS]
+)
+def test_shared_evaluator_is_bit_identical_to_termwise_evaluation(dim, polys):
+    polys = polys + [
+        Polynomial.zero(dim),
+        Polynomial.constant(dim, Fraction(-7, 3)),
+        Polynomial.constant(dim, 2) + Polynomial.variable(dim, dim - 1) ** 3,
+    ]
+    points = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(EVAL_BLOCK + 123, dim))
+    values = eval_floats(polys, points.T)
+    assert values.shape == (len(polys), points.shape[0])
+    # alone, beside the others, in columns or rows: the same floats
+    columns = np.ascontiguousarray(points.T)
+    for p, shared, in_columns in zip(polys, values, eval_floats(polys, columns)):
+        expected = _termwise(p, points)
+        assert np.array_equal(shared, expected)
+        assert np.array_equal(in_columns, expected)
+        assert np.array_equal(p.eval_float(points), expected)
+
+
+def test_shared_evaluator_checks_the_point_width():
+    with pytest.raises(ValueError, match="wrong width"):
+        eval_floats([X2], np.zeros((3, 5)))
+    assert eval_floats([], np.zeros((2, 5))).shape == (0, 5)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 6, 13, 26])
+def test_one_variable_basis_is_the_power_table(degree):
+    x = np.random.default_rng(degree).uniform(-1.5, 1.5, size=1000)
+    table = [np.ones_like(x)]
+    for _ in range(degree):
+        table.append(table[-1] * x)
+    got = MonomialBasis(1, degree).eval_float(x[:, None])
+    assert got.shape == (1000, degree + 1)
+    assert np.array_equal(got, np.column_stack(table))
 
 
 def _sympy_expr(sympy, p, symbols):

@@ -1,5 +1,6 @@
 """Quadrature: deterministic RNG, Gauss exactness, Monte Carlo behavior."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -30,6 +31,7 @@ from polydiff.quadrature import (
     symmetry_defect,
 )
 from polydiff.rng import normal_block, stream_uniform, stream_value, uniform_block
+from test_poly import _termwise
 
 
 def sampler_points(model, sampler: DomainSampler, degree: int = 0) -> WeightedPoints:
@@ -39,7 +41,8 @@ def sampler_points(model, sampler: DomainSampler, degree: int = 0) -> WeightedPo
     if sampler.kind != "cover-mc":
         return sample_domain(model, sampler, degree)
     n = sampler.sample_count
-    points = np.vstack(list(quadrature._cover_blocks(model, sampler)))
+    blocks = quadrature._cover_blocks(model, sampler)
+    points = np.hstack([coordinates for coordinates, _ in blocks]).T
     return WeightedPoints(points, np.full(points.shape[0], 1.0 / n), proposals=n)
 
 
@@ -355,15 +358,98 @@ def test_moments_refuse_a_degree_above_the_rule():
 
 def test_moments_of_empty_sample_are_zero():
     model = get_model("disk", {"p": "0"})
-    for seed in range(100):
-        sampler = DomainSampler("mc-rejection", sample_count=2, seed=seed)
-        if sample_domain(model, sampler, 6).accepted == 0:
-            break
-    else:
-        pytest.fail("no seed rejects both proposals")
-    moments = Moments(model, 6, sampler)
+    sampler = DomainSampler("mc-rejection", sample_count=2)
+    empty = WeightedPoints(np.empty((0, 2)), np.empty(0), proposals=2)
+    moments = Moments(model, 6, sampler, sample=empty)
     assert moments.points.shape == (0, 2)
     assert np.array_equal(moments.values, np.zeros(len(moments.basis)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_rejection_refuses_an_empty_sample(count):
+    model = get_model("cuspidal_cubic_secant", {"p1": "2", "p2": "-1/2"})
+    sampler = model.sampler(seed=5, sample_count=count)
+    assert sampler.kind == "mc-rejection"
+    message = f"none of the {count} proposals for cuspidal_cubic_secant"
+    with pytest.raises(SamplerConfigError, match=message):
+        sample_domain(model, sampler, 3)
+    with pytest.raises(SamplerConfigError, match="landed in its domain"):
+        symmetry_defect(model, 3, sampler)
+
+
+def test_symmetry_defect_refuses_a_rule_without_positive_norms():
+    # a rule whose weights are all zero gives every monomial norm zero: the
+    # defect would divide by it and come out nan
+    model = get_model("disk", {"p": "0"})
+    rule = sample_domain(model, DomainSampler("polar-gauss-disk"), 6)
+    moments = Moments(model, 6, None, sample=WeightedPoints(rule.points, 0.0 * rule.weights))
+    with pytest.raises(ArithmeticError, match="no positive squared norm"):
+        symmetry_defect(model, 3, None, moments=moments)
+
+
+def _rowwise_rejection(model, sampler):
+    """Reference rejection sample, a row per proposal: each block of
+    (count, dim) proposals is masked factor by factor, the kept rows are
+    stacked, and the density is evaluated afresh on them."""
+    lo = np.array([float(a) for a, _ in model.box])
+    span = np.array([float(b) for _, b in model.box]) - lo
+    d, n = model.dim, sampler.sample_count
+    kept = []
+    for block in quadrature.point_chunks(n):
+        count = block.stop - block.start
+        u = uniform_block(sampler.seed, d * block.start, d * count)
+        points = lo + span * u.reshape(count, d)
+        mask = np.ones(count, dtype=bool)
+        for f in model.boundary.factors:
+            mask &= _termwise(f, points) > 0.0
+        kept.append(points[mask])
+    points = np.vstack(kept)
+    density = np.ones(points.shape[0])
+    for f, exponent in model.measure.factor_exponents:
+        if exponent != 0:
+            density *= np.power(np.abs(_termwise(f, points)), float(exponent))
+    if model.measure.exp_poly is not None:
+        density *= np.exp(_termwise(model.measure.exp_poly, points))
+    return points, float(np.prod(span)) / n * density
+
+
+def _off_boundary_density_model():
+    """The unit disk with density (1 - r^2)^(-1/2) (2 + x)^(3/2) exp(-y^2):
+    one density factor is no boundary factor, and the density has an exp
+    part, so the sampler evaluates both itself."""
+    from polydiff.operator import MeasureSpec
+
+    model = copy.copy(get_model("disk", {"p": "-1/2"}))
+    (disk,) = model.boundary.factors
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    model.measure = MeasureSpec(
+        2, ((disk, Fraction(-1, 2)), (2 + x, Fraction(3, 2))), -(y * y)
+    )
+    return model
+
+
+_GENERIC = ("1/3", "1/4", "3/2")
+
+
+def _generic(name):
+    from polydiff.catalog import get_descriptor
+
+    specs = get_descriptor(name).param_specs
+    return get_model(name, {s.name: _GENERIC[i % 3] for i, s in enumerate(specs)})
+
+
+@pytest.mark.parametrize(
+    "name", sorted(COVER_SAMPLERS) + ["triangle_cover_3d", "off-boundary density"]
+)
+def test_rejection_is_bit_identical_to_the_rowwise_reference(name):
+    model = _off_boundary_density_model() if name == "off-boundary density" else _generic(name)
+    # more than two blocks, the last one partial
+    sampler = DomainSampler("mc-rejection", sample_count=2 * POINT_CHUNK + 777, seed=11)
+    sample = sample_domain(model, sampler, 3)
+    points, weights = _rowwise_rejection(model, sampler)
+    assert 0 < sample.accepted < sampler.sample_count
+    assert np.array_equal(sample.points, points)
+    assert np.array_equal(sample.weights, weights)
 
 
 def _symbolic_gamma_form(model, degree, moments):
