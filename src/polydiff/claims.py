@@ -117,7 +117,8 @@ class RunContext:
     sample is drawn only by the symmetry-defect claim's cross-check, which
     streams it block by block into a moment table, so no point cloud is
     held or cached.  The claim tolerances are those of a deterministic
-    rule, so Monte Carlo moments raise.
+    rule, so a model whose rule is mc-rejection raises before any point is
+    drawn.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
@@ -135,9 +136,10 @@ class RunContext:
         key = (model.name, tuple(sorted(model.params.items())))
         cached = self._moments.get(key)
         if cached is None or cached.basis.max_degree < degree:
-            cached = Moments(model, degree, model.sampler(seed=self.seed))
-            if cached.proposals is not None:
+            sampler = model.sampler(seed=self.seed)
+            if sampler.kind == "mc-rejection":
                 raise ValueError(f"{model.name} has no deterministic rule at these parameters")
+            cached = Moments(model, degree, sampler)
             self._moments[key] = cached
         return cached
 
@@ -305,10 +307,7 @@ def _symmetry_defect_claim(name: str):
 
 def _eigenbasis_claim(name: str):
     def run(ctx: RunContext):
-        model = ctx.model(name)
-        sampler = model.sampler(seed=ctx.seed)
-        moments = ctx.moments(model, 2 * 6 + 1)
-        eb = eigenbasis(model, 6, sampler, moments=moments)
+        eb = eigenbasis(ctx.moments(ctx.model(name), 2 * 6 + 1), 6)
         gram_dev = eb.gram_deviation()
         residual = max(eb.residuals())
         cross = float(pencil_gaps(eb).max())
@@ -759,7 +758,3 @@ def run_claims(model_filter: str = "all", seed: int = DEFAULT_SEED) -> ClaimRepo
             continue
         report.results.append(claim.execute(ctx))
     return report
-
-
-def claim_ids() -> list[str]:
-    return [c.id for c in build_claims()]

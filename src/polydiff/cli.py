@@ -140,7 +140,9 @@ def cmd_admissible(args) -> int:
     }
     if solution.dimension == 0:
         payload["message"] = "no elliptic solution"
-    elif verdicts and not any(v for v in verdicts if v is not None):
+    elif not grid:
+        payload["message"] = "no sample grid point lies in the domain"
+    elif not any(verdicts):
         payload["message"] = "no basis element elliptic on the sample grid"
     if args.format == "json":
         _emit(_json_dump(payload), args.out)
@@ -314,23 +316,26 @@ def cmd_boundary_points(args) -> int:
     model = _load_model(args)
     if model.dim != 2:
         raise CliDataError("boundary-points is available for 2D models")
-    lo_x, hi_x = (float(v) for v in model.box[0])
-    lo_y, hi_y = (float(v) for v in model.box[1])
+    box = [tuple(float(v) for v in side) for side in model.box]
     if args.count < 2:
         raise CliDataError(f"--count must be at least 2, got {args.count}")
     lines = ["x,y,factor"]
     for index, factor in enumerate(model.boundary.factors):
-        for x in np.linspace(lo_x, hi_x, args.count):
-            # roots in y of the factor along this vertical line
-            slice_poly = factor.partial_evaluate({0: _to_fraction(x)})
+        # roots in y along vertical lines; a factor of degree 0 in y has
+        # none there, so its roots in x are taken along horizontal lines
+        fixed = 0 if any(exponent[1] for exponent in factor.terms) else 1
+        lo, hi = box[1 - fixed]
+        for value in np.linspace(*box[fixed], args.count):
+            slice_poly = factor.partial_evaluate({fixed: _to_fraction(value)})
             coeffs = [0.0] * (int(slice_poly.total_degree) + 1 if not slice_poly.is_zero else 1)
-            for exponent, value in slice_poly.terms.items():
-                coeffs[exponent[0]] = float(value)
+            for exponent, coeff in slice_poly.terms.items():
+                coeffs[exponent[0]] = float(coeff)
             if len(coeffs) == 1:
                 continue
             for root in np.roots(list(reversed(coeffs))):
-                if abs(root.imag) < 1e-9 and lo_y - 1e-9 <= root.real <= hi_y + 1e-9:
-                    lines.append(f"{float(x)!r},{float(root.real)!r},{index}")
+                if abs(root.imag) < 1e-9 and lo - 1e-9 <= root.real <= hi + 1e-9:
+                    x, y = (value, root.real) if fixed == 0 else (root.real, value)
+                    lines.append(f"{float(x)!r},{float(y)!r},{index}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

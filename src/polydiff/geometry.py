@@ -24,10 +24,12 @@ import numpy as np
 
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
-from .poly import Polynomial, exact_divide, poly_divmod, tensor_grid
+from .poly import Polynomial, eval_floats, exact_divide, poly_divmod, tensor_grid
 from .quadrature import _applicable_cover
 
 INTERIOR_MARGIN = Fraction(1, 1000)
+#: nodes per axis of the first interior grid `curvature_constancy` tries
+CURVATURE_GRID = 16
 
 
 class CurvatureEvaluator:
@@ -122,14 +124,16 @@ class CurvatureReport:
         return float(self.values.max() - self.values.min())
 
 
-def curvature_constancy(model: Model, min_points: int = 100, per_axis: int = 16) -> CurvatureReport:
+def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
     """The exact constancy verdict, with curvature values over an interior grid.
 
     The verdict is `CurvatureEvaluator.constant`; the grid supplies the
-    reported values, their mean and spread.  Sample points keep every
-    boundary factor above 1e-3 of its witness value so the metric stays
-    uniformly elliptic.
+    reported values, their mean and spread.  It starts at CURVATURE_GRID
+    nodes per axis and doubles, up to 128, until `min_points` lie inside.
+    Sample points keep every boundary factor above 1e-3 of its witness
+    value so the metric stays uniformly elliptic.
     """
+    per_axis = CURVATURE_GRID
     points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
     while len(points) < min_points and per_axis < 128:
         per_axis *= 2
@@ -212,10 +216,10 @@ def verify_pullback(model: Model) -> PullbackReport:
 
     # every boundary factor stays >= 0, up to roundoff, at the mapped nodes
     points, _ = cover.rule(DOMAIN_CHECK_DEGREE)
+    factors = model.boundary.factors
     in_domain = all(
-        factor.eval_float(points).min()
-        >= -1e-12 * max(float(factor(model.boundary.witness)), 1.0)
-        for factor in model.boundary.factors
+        values.min() >= -1e-12 * max(float(factor(model.boundary.witness)), 1.0)
+        for factor, values in zip(factors, eval_floats(factors, points.T))
     )
     split = len(pairs)
     return PullbackReport(

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
 from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide
-
-Rational = int | Fraction
 
 
 class InadmissibleMeasureError(ValueError):
@@ -68,9 +66,6 @@ class CoMetric:
 
     def det(self) -> Polynomial:
         return poly_matrix_det(self.entries)
-
-    def value_at(self, point: Sequence[Rational]) -> list[list[Fraction]]:
-        return [[p(point) for p in row] for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -341,12 +336,17 @@ class GradedOperatorMatrix:
         Pura Appl. 76, 1967): one exact solve per degree, on the integer
         columns, since the common scale cancels.  A singular M_nn leaves the
         degree-n moments undetermined and raises, naming n.
+
+        The moments found so far are held as integers over one denominator,
+        so every right-hand side is an integer sum; after each degree they
+        are reduced by their gcd, and one Fraction per moment is built at
+        the end.
         """
-        values = [Fraction(1)]
+        values, denominator = [1], 1
         for n, block in enumerate(self.basis.degree_slices[1:], start=1):
             columns = self.columns[block]
             rhs = [
-                -sum((v * values[r] for r, v in column.items() if r < block.start), Fraction(0))
+                -sum(v * values[r] for r, v in column.items() if r < block.start)
                 for column in columns
             ]
             transposed = RationalMatrix(
@@ -358,9 +358,14 @@ class GradedOperatorMatrix:
                     f"the degree-{n} diagonal block is singular: L does not fix "
                     f"the moments of degree {n}"
                 )
+            # the new moments are numerators / (d * denominator)
             (numerators,), d = solution
-            values.extend(Fraction(x, d) for x in numerators)
-        return values
+            values = [v * d for v in values] + numerators
+            denominator *= d
+            g = gcd(denominator, *values)
+            values = [v // g for v in values]
+            denominator //= g
+        return [Fraction(v, denominator) for v in values]
 
     def strictly_lower_block_entries(self) -> list[tuple[int, int, Fraction]]:
         """Entries below the degree-diagonal blocks; empty iff graded."""

@@ -295,16 +295,6 @@ class Polynomial:
             partial = reduced
         return partial[()], scale * common**degree
 
-    def eval_float(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, dim) float array; returns length-N array
-        (`eval_floats` of this polynomial alone)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        if points.shape[1] != self.dim:
-            raise ValueError("point array has wrong width")
-        return eval_floats([self], points.T)[0]
-
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
         """Exact composition p(s_1, ..., s_d)."""
         if len(substitution) != self.dim:

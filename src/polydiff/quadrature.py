@@ -23,7 +23,10 @@ draw in blocks of POINT_CHUNK proposals, adding each block's moments as it
 goes, so it never holds the whole point cloud.
 
 Every rule returns weights with the measure density folded in, so each
-integral is a weighted sum over its points.
+integral is a weighted sum over its points.  `Moments` integrates one rule
+once; the forms built on it (`gram_matrix`, `operator_moment_matrix`,
+`gamma_form_matrix`) take that `Moments` and read the model from it, so a
+form always integrates its own model's measure.
 
 Everything else uses seeded Monte Carlo rejection in a bounding box.  Both
 Monte Carlo kinds propose in counter blocks: proposal j draws from fixed
@@ -55,6 +58,8 @@ from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
 #: step of a pass that accumulates sums
 POINT_CHUNK = 16384
+#: nodes per free axis of each box face `check_box_encloses` samples
+BOX_FACE_NODES = 257
 
 
 class SamplerConfigError(ValueError):
@@ -172,12 +177,10 @@ def _triangle_rule(model, degree: int) -> WeightedPoints:
     #   = u^p (1-u)^(q+r+1) du * v^q (1-v)^r dv, and X^a Y^b is of degree
     # a + b in u and b in v
     n = degree // 2 + 1
-    u, wu = _jacobi_rule_01(n, float(q + r + 1), float(p))
-    v, wv = _jacobi_rule_01(n, float(r), float(q))
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    ww = np.outer(wu, wv)
-    pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
-    return WeightedPoints(pts, ww.ravel())
+    (u, v), weights = _product(
+        _jacobi_rule_01(n, float(q + r + 1), float(p)), _jacobi_rule_01(n, float(r), float(q))
+    )
+    return WeightedPoints(np.column_stack([u, v * (1.0 - u)]), weights)
 
 
 def _box_floats(box: Sequence[tuple[Fraction, Fraction]]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,36 +189,24 @@ def _box_floats(box: Sequence[tuple[Fraction, Fraction]]) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]], per_face: int = 257) -> None:
+def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]]) -> None:
     """Reject a bounding box whose faces meet the domain interior.
 
-    Each face is sampled on a deterministic grid; a face point where every
-    boundary factor exceeds a small positive tolerance means the domain
-    leaks outside the box.
+    Each face is sampled on a deterministic grid of BOX_FACE_NODES per
+    free axis; a face point where every boundary factor exceeds a small
+    positive tolerance means the domain leaks outside the box.
     """
-    d = model.dim
-    lo, hi = _box_floats(box)
-    factors = [f for f in model.boundary.factors]
+    factors = model.boundary.factors
     if not factors:
         raise SamplerConfigError("Monte Carlo rejection needs boundary factors")
     tol = 1e-9
-    lines = [np.linspace(lo[i], hi[i], per_face) for i in range(d)]
-    for axis in range(d):
+    lo, hi = _box_floats(box)
+    lines = [np.linspace(a, b, BOX_FACE_NODES) for a, b in zip(lo, hi)]
+    for axis in range(model.dim):
         for side_value in (lo[axis], hi[axis]):
-            others = [lines[i] for i in range(d) if i != axis]
-            if others:
-                grids = np.meshgrid(*others, indexing="ij")
-                face = np.empty((grids[0].size, d))
-                k = 0
-                for i in range(d):
-                    if i == axis:
-                        face[:, i] = side_value
-                    else:
-                        face[:, i] = grids[k].ravel()
-                        k += 1
-            else:
-                face = np.array([[side_value]])
-            if (eval_floats(factors, face.T) > tol).all(axis=0).any():
+            # the face is the grid whose fixed axis is a one-node line
+            face = np.meshgrid(*lines[:axis], [side_value], *lines[axis + 1 :], indexing="ij")
+            if (eval_floats(factors, np.array([g.ravel() for g in face])) > tol).all(axis=0).any():
                 raise SamplerConfigError(
                     f"bounding box face x{axis + 1}={side_value} meets the domain interior"
                 )
@@ -688,8 +679,6 @@ class Moments:
         # (products and gradients of eigenfunctions) against the same rule
         self.points = sample.points
         self.weights = sample.weights
-        # None for a deterministic rule, whose moments are exact to roundoff
-        self.proposals = sample.proposals
 
     def monomial(self, exponents):
         """The moment of x^a for one exponent tuple a, or an array of them
@@ -752,22 +741,20 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
     return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
 
 
-def gram_matrix(model, degree: int, sampler: DomainSampler, moments: Moments | None = None) -> np.ndarray:
-    """B[k, l] ~ integral of m_k m_l against the measure, exactly symmetric."""
-    exponents = MonomialBasis(model.dim, degree).exponent_array
-    mom = moments if moments is not None else Moments(model, 2 * degree, sampler)
-    return mom.monomial(exponents[:, None, :] + exponents[None, :, :])
+def gram_matrix(moments: Moments, degree: int) -> np.ndarray:
+    """B[k, l] ~ integral of m_k m_l against the measure of `moments`,
+    exactly symmetric."""
+    exponents = MonomialBasis(moments.model.dim, degree).exponent_array
+    return moments.monomial(exponents[:, None, :] + exponents[None, :, :])
 
 
-def operator_moment_matrix(
-    model, degree: int, images: list[Polynomial], moments: Moments
-) -> np.ndarray:
-    """M[k, l] ~ integral of m_k L(m_l) against the measure.
+def operator_moment_matrix(moments: Moments, degree: int, images: list[Polynomial]) -> np.ndarray:
+    """M[k, l] ~ integral of m_k L(m_l) against the measure of `moments`.
 
     `images[l]` is L(m_l) for the l-th monomial of the degree-`degree` basis;
     column l sums its terms in their order.
     """
-    exponents = MonomialBasis(model.dim, degree).exponent_array
+    exponents = MonomialBasis(moments.model.dim, degree).exponent_array
     m = np.zeros((len(exponents), len(images)))
     for l, image in enumerate(images):
         for exponent, value in image.terms.items():
@@ -783,12 +770,14 @@ def gamma_form_matrix(
     holds f_k's coefficients over `basis`.
 
     One pass over the points of `moments`, in blocks of POINT_CHUNK,
-    evaluates each f_k and its gradient there: Gamma(f, h) = sum_ij g^ij
+    evaluates each f_k and its gradient there, and the nonzero cometric
+    entries with one `eval_floats` call per block: Gamma(f, h) = sum_ij g^ij
     d_i f d_j h and f h are summed with the rule's weights, so each diagonal
     entry of A is a positively weighted sum of grad f^t g grad f.  Both
     results are exactly symmetric.
     """
     g = moments.model.cometric
+    pairs = [(i, j) for i in range(basis.dim) for j in range(basis.dim) if not g[i, j].is_zero]
     # grads[i] holds the coefficients of d_i f_k over the same basis
     grads = [np.zeros(columns.shape) for _ in range(basis.dim)]
     for row, exponent in enumerate(basis.exponents):
@@ -811,11 +800,10 @@ def gamma_form_matrix(
         # one (points, size) block of values per axis: values[:, i] is d_i f
         values = (monomials @ stacked).reshape(-1, basis.dim, size)
         del monomials
-        for i in range(basis.dim):
-            for j in range(basis.dim):
-                if not g[i, j].is_zero:
-                    scaled = weights * g[i, j].eval_float(points)
-                    a += (values[:, i] * scaled[:, None]).T @ values[:, j]
+        entries = eval_floats([g[i, j] for i, j in pairs], points.T)
+        for (i, j), entry in zip(pairs, entries):
+            scaled = weights * entry
+            a += (values[:, i] * scaled[:, None]).T @ values[:, j]
     return (a + a.T) / 2.0, (gram + gram.T) / 2.0
 
 
@@ -843,8 +831,8 @@ def symmetry_defect(
             [degree] + [int(p.total_degree) for p in images if not p.is_zero]
         )
         moments = Moments(model, max(2 * degree, degree + image_degree), sampler)
-    m = operator_moment_matrix(model, degree, images, moments)
-    b = gram_matrix(model, degree, sampler, moments=moments)
+    m = operator_moment_matrix(moments, degree, images)
+    b = gram_matrix(moments, degree)
     diagonal = np.diag(b)
     if not (diagonal > 0).all():
         raise ArithmeticError("a basis monomial has no positive squared norm under the rule")

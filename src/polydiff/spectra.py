@@ -21,12 +21,13 @@ degree block, read once, lifts through the P_b to an exact eigenvector,
 orthogonal to every lower degree and orthogonalized within its eigenvalue
 by an exact Gram-Schmidt.  Only the final
 normalization is float, so the operator residuals are zero on any rule,
-Monte Carlo included.  The rule enters through its mass and one pass over
-its points: the returned functions' pointwise Gram B, a cross-estimator of
-the identity, and their integrated carre du champ A.  The energy pencil
-A v = lambda B v is an independent check: its eigenvalues are the negated
-graded eigenvalues when the cometric, the drift and the rule's measure
-agree.
+Monte Carlo included.  `eigenbasis` takes the `quadrature.Moments` of that
+rule, to twice its degree, and reads the model from them.  The rule enters
+through its mass and one pass over its points: the returned functions'
+pointwise Gram B, a cross-estimator of the identity, and their integrated
+carre du champ A.  The energy pencil A v = lambda B v is an independent
+check: its eigenvalues are the negated graded eigenvalues when the
+cometric, the drift and the rule's measure agree.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .catalog import Model
 from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
-from .quadrature import DomainSampler, Moments, gamma_form_matrix
+from .quadrature import Moments, gamma_form_matrix
 
 # not called here: perfbench/test_perfbench.py asserts that the tracer
 # rebinds this name along with quadrature.gram_matrix
@@ -425,10 +426,10 @@ def _verify_exact_eigenvector(graded: GradedOperatorMatrix, vector: list[int], m
         raise RuntimeError("exact eigenvector failed verification")
 
 
-def eigenbasis(
-    model: Model, max_degree: int, sampler: DomainSampler, moments: Moments | None = None
-) -> EigenBasis:
-    """Mu-orthonormal polynomial eigenbasis up to the given degree.
+def eigenbasis(moments: Moments, max_degree: int) -> EigenBasis:
+    """Mu-orthonormal polynomial eigenbasis of the model of `moments` up to
+    the given degree, normalized and checked on the rule of `moments`, which
+    must reach twice that degree.
 
     The eigenfunctions of degree n span W_n, the polynomials of degree n
     orthogonal to all of lower degree, and come from the monic orthogonal
@@ -454,9 +455,13 @@ def eigenbasis(
     energy a positively weighted one, so a significantly negative pencil
     eigenvalue raises on every rule.
     """
+    if moments.basis.max_degree < 2 * max_degree:
+        raise ValueError(
+            f"an eigenbasis to degree {max_degree} needs moments to degree "
+            f"{2 * max_degree}, not {moments.basis.max_degree}"
+        )
+    model = moments.model
     basis = MonomialBasis(model.dim, max_degree)
-    if moments is None or moments.basis.max_degree < 2 * max_degree:
-        moments = Moments(model, 2 * max_degree, sampler)
     graded = GradedOperatorMatrix(model.operator, 2 * max_degree)
     mass = float(moments.values[0])
 

@@ -161,7 +161,7 @@ def test_batch_ellipticity_first_failure_matches_pointwise_minors():
     g = model.cometric
 
     def elliptic_at(point):
-        values = g.value_at(point)
+        values = [[p(point) for p in row] for row in g.entries]
         return all(poly_matrix_det([row[:k] for row in values[:k]]) > 0 for k in range(1, 4))
 
     failures = [point for point in grid if not elliptic_at(point)]
@@ -236,7 +236,7 @@ def test_ellipticity_verdicts_match_sympy_leading_minors():
     from polydiff.poly import MonomialBasis
 
     def sympy_elliptic(g, point):
-        values = g.value_at(point)
+        values = [[p(point) for p in row] for row in g.entries]
         matrix = sympy.Matrix(
             [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in values]
         )

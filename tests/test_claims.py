@@ -7,16 +7,16 @@ from collections import Counter
 
 import pytest
 
-from polydiff import spectra
+from polydiff import quadrature, spectra
 from polydiff.catalog import get_model, model_names
-from polydiff.claims import RunContext, build_claims, claim_ids, run_claims
+from polydiff.claims import RunContext, build_claims, run_claims
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
 
 
 def test_registry_matches_checked_in_manifest():
     recorded = MANIFEST.read_text().split()
-    assert claim_ids() == recorded
+    assert [c.id for c in build_claims()] == recorded
 
 
 def test_claim_kind_tally():
@@ -39,7 +39,19 @@ def test_claim_moments_refuse_monte_carlo():
     ctx = RunContext(seed=7)
     with pytest.raises(ValueError, match="no deterministic rule"):
         ctx.moments(get_model("deltoid", {"p": "0"}), 3)
-    assert ctx.moments(get_model("deltoid"), 3).proposals is None
+    model = get_model("deltoid")
+    rule = quadrature.sample_domain(model, model.sampler(seed=7), 3)
+    assert rule.proposals is None
+    assert ctx.moments(model, 3).points.tobytes() == rule.points.tobytes()
+
+
+def test_claim_moments_refuse_monte_carlo_before_drawing(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("sample_domain was called")
+
+    monkeypatch.setattr(quadrature, "sample_domain", drawn)
+    with pytest.raises(ValueError, match="no deterministic rule"):
+        RunContext(seed=7).moments(get_model("deltoid", {"p": "0"}), 13)
 
 
 def test_every_model_contributes_a_claim():

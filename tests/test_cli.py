@@ -4,10 +4,12 @@ import csv
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polydiff import cli, spectra
 from polydiff.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, build_parser, main
+from polydiff.poly import eval_floats
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,29 @@ def test_admissible_negative_reports_no_solution(capsys):
     payload = json.loads(out)
     assert payload["dimension"] == 0
     assert payload["message"] == "no elliptic solution"
+
+
+def test_admissible_reports_a_grid_that_misses_the_domain(capsys):
+    # the disk of radius 1/10 holds none of the 8 x 8 grid nodes around the
+    # witness, so no basis element was checked for ellipticity
+    code, out, _ = run_cli(
+        capsys, "admissible", "--factor", "1/100-x^2-y^2", "--witness", "0,0",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["grid_points"] == 0
+    assert payload["dimension"] > 0
+    assert all(entry["elliptic_on_grid"] is None for entry in payload["basis"])
+    assert payload["message"] == "no sample grid point lies in the domain"
+    code, out, _ = run_cli(
+        capsys, "admissible", "--factor", "1-x^2-y^2", "--witness", "0,0", "--format", "json",
+    )
+    # the unit disk holds grid nodes, on which each basis element was checked
+    payload = json.loads(out)
+    assert payload["grid_points"] > 0
+    assert all(entry["elliptic_on_grid"] is False for entry in payload["basis"])
+    assert payload["message"] == "no basis element elliptic on the sample grid"
 
 
 def test_verify_single_fast_model(capsys):
@@ -188,21 +213,31 @@ def test_unwritten_format_is_usage_error(capsys, argv):
 
 
 def test_boundary_points_csv(tmp_path, capsys):
-    out_path = tmp_path / "pts.csv"
-    code, _, _ = run_cli(
-        capsys, "boundary-points", "--model", "deltoid", "-n", "64",
-        "--out", str(out_path),
-    )
-    assert code == EXIT_OK
-    with open(out_path) as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows
-    from polydiff.catalog import get_model
+    # every factor of every 2D model with a boundary gives rows, a factor of
+    # degree 0 in y (1 - x on the square) included, and each row lies on
+    # its factor
+    from polydiff.catalog import get_model, model_names
 
-    factor = get_model("deltoid").boundary.factors[0]
-    for row in rows[:32]:
-        value = factor.eval_float([[float(row["x"]), float(row["y"])]])[0]
-        assert abs(value) < 1e-6
+    out_path = tmp_path / "pts.csv"
+    checked = 0
+    for name in model_names():
+        model = get_model(name)
+        factors = model.boundary.factors
+        if model.dim != 2 or not factors:
+            continue
+        code, _, _ = run_cli(
+            capsys, "boundary-points", "--model", name, "-n", "64", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        with open(out_path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert {int(row["factor"]) for row in rows} == set(range(len(factors))), name
+        for row in rows:
+            point = np.array([[float(row["x"])], [float(row["y"])]])
+            value = eval_floats([factors[int(row["factor"])]], point)[0, 0]
+            assert abs(value) < 1e-6, (name, row)
+        checked += 1
+    assert checked == 18
 
 
 @pytest.mark.parametrize("count", ["1", "0", "-3"])

@@ -84,8 +84,9 @@ def test_generalized_eig_jacobi_energy_form():
     # 1D Jacobi with unit exponents: energy/Gram pencil on P_2 gives n(n+1)
     model = get_model("jacobi1d", {"a": "1", "b": "1"})
     sampler = model.sampler()
-    b = gram_matrix(model, 2, sampler)
-    a, _ = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), Moments(model, 4, sampler))
+    moments = Moments(model, 4, sampler)
+    b = gram_matrix(moments, 2)
+    a, _ = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), moments)
     result = generalized_sym_eig(a, b)
     assert np.allclose(result.eigenvalues, [0.0, 2.0, 6.0], atol=1e-10)
 

@@ -243,7 +243,7 @@ def test_polynomial_eval_float_matches_naive(dim, count):
     terms = np.array([float(c) * np.prod(points ** np.array(e), axis=1) for e, c in p.terms.items()])
     expected = terms.sum(axis=0)
     scale = np.abs(terms).sum(axis=0)
-    got = p.eval_float(points)
+    got = eval_floats([p], points.T)[0]
     assert got.shape == (count,)
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
@@ -304,7 +304,7 @@ def test_shared_evaluator_is_bit_identical_to_termwise_evaluation(dim, polys):
         expected = _termwise(p, points)
         assert np.array_equal(shared, expected)
         assert np.array_equal(in_columns, expected)
-        assert np.array_equal(p.eval_float(points), expected)
+        assert np.array_equal(eval_floats([p], points.T)[0], expected)
 
 
 def test_shared_evaluator_checks_the_point_width():

@@ -12,7 +12,7 @@ import pytest
 
 from polydiff.catalog import get_model, model_names
 from polydiff.operator import GradedOperatorMatrix, gamma
-from polydiff.poly import MonomialBasis, Polynomial, parse_poly
+from polydiff.poly import MonomialBasis, Polynomial, eval_floats, parse_poly
 from polydiff import quadrature
 from polydiff.claims import MC_Z_GATE
 from polydiff.quadrature import (
@@ -96,7 +96,7 @@ def test_all_sampler_points_inside_domain():
         sample = sampler_points(model, model.sampler(seed=3), 13)
         pts = sample.points[:20000]
         for factor in model.boundary.factors:
-            assert (factor.eval_float(pts) > 0).all()
+            assert (eval_floats([factor], pts.T) > 0).all()
 
 
 def _integral(f: Polynomial, moments: Moments) -> float:
@@ -138,15 +138,16 @@ def test_integrate_mc_within_error_bars():
 def test_mc_deterministic_for_fixed_seed():
     model = get_model("deltoid")
     sampler = model.sampler(seed=99, sample_count=50_000)
-    first = Moments(model, 2, sampler, sample=sampler_points(model, sampler))
+    sample = sampler_points(model, sampler)
+    first = Moments(model, 2, sampler, sample=sample)
     second = Moments(model, 2, sampler, sample=sampler_points(model, sampler))
-    assert first.proposals == 50_000
+    assert sample.proposals == 50_000
     assert np.array_equal(first.values, second.values)
 
 
 def test_gram_square_uniform_low_degree():
     model = get_model("square", {"a": "0", "b": "0", "c": "0", "d": "0"})
-    b = gram_matrix(model, 1, model.sampler())
+    b = gram_matrix(Moments(model, 2, model.sampler()), 1)
     expected = np.diag([4.0, 4.0 / 3.0, 4.0 / 3.0])
     assert np.abs(b - expected).max() < 1e-12
 
@@ -154,13 +155,13 @@ def test_gram_square_uniform_low_degree():
 def test_gram_odd_moments_vanish_by_symmetry():
     for name in ("square", "disk"):
         model = get_model(name, {"p": "0"} if name == "disk" else None)
-        b = gram_matrix(model, 1, model.sampler())
+        b = gram_matrix(Moments(model, 2, model.sampler()), 1)
         assert abs(b[0, 1]) < 1e-12 and abs(b[0, 2]) < 1e-12
 
 
 def test_gram_disk_mass_is_pi():
     model = get_model("disk", {"p": "0"})
-    b = gram_matrix(model, 0, model.sampler())
+    b = gram_matrix(Moments(model, 0, model.sampler()), 0)
     assert abs(b[0, 0] - math.pi) < 1e-12
 
 
@@ -273,6 +274,43 @@ def test_box_edge_detection():
     check_box_encloses(model, model.box)
 
 
+@pytest.mark.parametrize(
+    "name,cut,message",
+    [
+        ("jacobi1d", [(Fraction(-1, 2), 1)], "x1=-0.5"),
+        (
+            "triangle_cover_3d",
+            [(0, 1), (0, 1), (Fraction(-1, 20), Fraction(1, 20))],
+            "x3=-0.05",
+        ),
+    ],
+)
+def test_box_edge_detection_in_one_and_three_dimensions(name, cut, message):
+    # a face of the box is a single point in 1D and a grid of a plane in 3D
+    model = get_model(name)
+    check_box_encloses(model, model.box)
+    with pytest.raises(SamplerConfigError, match=message):
+        check_box_encloses(model, cut)
+
+
+@pytest.mark.parametrize("degree", [0, 5, 13, 26])
+def test_triangle_rule_equals_the_meshgrid_construction(degree):
+    # the Duffy rule from the tensor-product builder against its direct
+    # construction: the u and v rules crossed by meshgrid, the weights by
+    # their outer product, bit for bit
+    model = get_model("triangle")
+    rule = sample_domain(model, model.sampler(), degree)
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    p, q, r = quadrature._gauss_exponents(model, [x, y, 1 - x - y], "Duffy Gauss")
+    n = degree // 2 + 1
+    u, wu = quadrature._jacobi_rule_01(n, float(q + r + 1), float(p))
+    v, wv = quadrature._jacobi_rule_01(n, float(r), float(q))
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    points = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
+    assert np.array_equal(rule.points, points)
+    assert np.array_equal(rule.weights, np.outer(wu, wv).ravel())
+
+
 def test_deltoid_box_encloses_curve():
     model = get_model("deltoid")
     check_box_encloses(model, model.box)
@@ -349,9 +387,9 @@ def test_moments_refuse_a_degree_above_the_rule():
     model = get_model("triangle")
     moments = Moments(model, 4, model.sampler())
     assert moments.table.shape == (5, 5)
-    assert gram_matrix(model, 2, None, moments=moments).shape == (6, 6)
+    assert gram_matrix(moments, 2).shape == (6, 6)
     with pytest.raises(IndexError, match="above degree 4"):
-        gram_matrix(model, 3, None, moments=moments)
+        gram_matrix(moments, 3)
     with pytest.raises(IndexError, match="above degree 4"):
         moments.monomial((3, 2))
 
@@ -480,7 +518,7 @@ def test_rule_moments_match_the_operators_exact_moments(name, degree):
     # to E|x^a|, floored at 1 for the odd moments that vanish exactly
     model = get_model(name)
     moments = Moments(model, degree, model.sampler())
-    assert moments.proposals is None
+    assert sample_domain(model, model.sampler(), degree).proposals is None
     graded = GradedOperatorMatrix(model.operator, degree)
     exact = np.array([float(m) for m in graded.moments()])
     basis = moments.basis
@@ -510,7 +548,7 @@ def test_gamma_form_matrix_matches_symbolic_reference(name):
     # the same pass integrates the Gram: the monomial moments, to the
     # roundoff of the same sums
     diagonal = np.sqrt(np.diag(gram))
-    expected = gram_matrix(model, 6, sampler, moments=moments)
+    expected = gram_matrix(moments, 6)
     assert np.all(np.abs(gram - expected) <= 1e-12 * np.outer(diagonal, diagonal))
     assert np.array_equal(gram, gram.T)
 
@@ -634,7 +672,7 @@ def test_cover_moments_integrate_the_exact_rule(name):
     assert sampler.kind == "cover-mc"
     moments = Moments(model, 13, sampler)
     rule = Moments(model, 13, sampler, sample=WeightedPoints(*COVER_SAMPLERS[name].rule(13)))
-    assert moments.proposals is None
+    assert sample_domain(model, sampler, 13).proposals is None
     assert moments.table.tobytes() == rule.table.tobytes()
     assert moments.points.tobytes() == rule.points.tobytes()
     assert moments.weights.tobytes() == rule.weights.tobytes()

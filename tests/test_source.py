@@ -20,3 +20,38 @@ def test_package_checks_no_invariant_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _public_definitions(path):
+    """(qualified name, name) of each public module-level function and
+    class of one module, and of each public method of those classes."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_is_used_by_the_program():
+    # a public function, method or class that neither the package nor the
+    # benchmark names is surface kept alive only by tests
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    readers = modules + sorted(perfbench.rglob("*.py"))
+    assert modules and len(readers) > len(modules)
+    names = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path in modules
+        for qualified, name in _public_definitions(path)
+        if name not in names
+    ]
+    assert unused == []

@@ -13,7 +13,7 @@ from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.poly import Polynomial
-from polydiff.quadrature import COVER_SAMPLERS, Moments
+from polydiff.quadrature import COVER_SAMPLERS, Moments, sample_domain
 from polydiff.spectra import (
     compare_closed_form,
     eigenbasis,
@@ -109,7 +109,7 @@ def test_product_spectrum_is_sumset():
 
 def test_eigenbasis_degree_zero_is_inverse_sqrt_mass():
     model = get_model("square", {"a": "0", "b": "0", "c": "0", "d": "0"})
-    eb = eigenbasis(model, 2, model.sampler())
+    eb = eigenbasis(Moments(model, 4, model.sampler()), 2)
     constant = eb.per_degree[0][0]
     # mass 4 on the uniform square
     assert abs(constant.coefficients[0] - 0.5) < 1e-12
@@ -118,7 +118,7 @@ def test_eigenbasis_degree_zero_is_inverse_sqrt_mass():
 
 def test_eigenbasis_square_is_tensor_basis():
     model = get_model("square", {"a": "1", "b": "1", "c": "1", "d": "1"})
-    eb = eigenbasis(model, 4, model.sampler())
+    eb = eigenbasis(Moments(model, 8, model.sampler()), 4)
     # eigenvalues per degree are sums n1(n1+3) + n2(n2+3)
     for n, level in enumerate(eb.per_degree):
         expected = sorted(
@@ -137,7 +137,7 @@ def test_eigenbasis_square_is_tensor_basis():
 
 def test_eigenbasis_disk_degree_one():
     model = get_model("disk")
-    eb = eigenbasis(model, 1, model.sampler())
+    eb = eigenbasis(Moments(model, 2, model.sampler()), 1)
     level = eb.per_degree[1]
     assert len(level) == 2
     assert level[0].eigenvalue == level[1].eigenvalue == Fraction(-2)
@@ -152,9 +152,10 @@ def test_eigenbasis_mc_domain_quality():
     model = get_model("nodal_cubic")
     # the cover's Monte Carlo draw, not the exact rule Moments would pick
     sampler = model.sampler(seed=11, sample_count=200_000)
-    moments = Moments(model, 9, sampler, sample=sampler_points(model, sampler))
-    assert moments.proposals == 200_000
-    eb = eigenbasis(model, 4, sampler, moments=moments)
+    sample = sampler_points(model, sampler)
+    assert sample.proposals == 200_000
+    moments = Moments(model, 9, sampler, sample=sample)
+    eb = eigenbasis(moments, 4)
     assert eb.gram_deviation() < 5e-2
     assert max(eb.residuals()) < 1e-7
     assert pencil_gaps(eb).max() < 5e-2
@@ -166,9 +167,12 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
     # any rule, so an eigenvalue at -1e-4 of the scale is never noise
     model = get_model("deltoid")
     sampler = model.sampler(seed=5, sample_count=20_000)
-    sample = None if rule == "exact" else sampler_points(model, sampler)
+    if rule == "exact":
+        sample = sample_domain(model, sampler, 5)
+    else:
+        sample = sampler_points(model, sampler)
+    assert (sample.proposals is None) == (rule == "exact")
     moments = Moments(model, 5, sampler, sample=sample)
-    assert (moments.proposals is None) == (rule == "exact")
     solve = spectra.generalized_sym_eig
 
     def shifted(a, b):
@@ -179,13 +183,23 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
 
     monkeypatch.setattr(spectra, "generalized_sym_eig", shifted)
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        eigenbasis(model, 2, sampler, moments=moments)
+        eigenbasis(moments, 2)
+
+
+def test_eigenbasis_refuses_moments_below_twice_its_degree():
+    # degree 3 reads the Gram of cubics, moments to degree 6; the rule of
+    # degree-5 moments is not exact there
+    model = get_model("triangle")
+    moments = Moments(model, 5, model.sampler())
+    with pytest.raises(ValueError, match="needs moments to degree 6, not 5"):
+        eigenbasis(moments, 3)
+    assert eigenbasis(moments, 2).max_degree == 2
 
 
 def test_eigenbasis_deterministic():
     model = get_model("triangle")
-    eb1 = eigenbasis(model, 3, model.sampler())
-    eb2 = eigenbasis(model, 3, model.sampler())
+    eb1 = eigenbasis(Moments(model, 6, model.sampler()), 3)
+    eb2 = eigenbasis(Moments(model, 6, model.sampler()), 3)
     for f1, f2 in zip(eb1.all_functions(), eb2.all_functions()):
         assert np.array_equal(f1.coefficients, f2.coefficients)
 
@@ -196,7 +210,7 @@ def test_cross_validation_gauss_tight():
     for name in ("jacobi1d", "square", "disk", "triangle", *sorted(COVER_SAMPLERS)):
         model = get_model(name)
         sampler = model.sampler()
-        eb = eigenbasis(model, 6, sampler, moments=Moments(model, 13, sampler))
+        eb = eigenbasis(Moments(model, 13, sampler), 6)
         assert len(eb.pencil_eigenvalues) == len(eb.graded_values)
         assert pencil_gaps(eb).max() < 1e-6, name
 
@@ -207,12 +221,13 @@ def test_pencil_catches_a_perturbed_drift():
     model = get_model("deltoid")
     sampler = model.sampler()
     moments = Moments(model, 13, sampler)
-    assert pencil_gaps(eigenbasis(model, 6, sampler, moments=moments)).max() < 1e-6
+    assert pencil_gaps(eigenbasis(moments, 6)).max() < 1e-6
     op = model.operator
     drift = (op.drift[0] + Polynomial.monomial(2, (1, 0)) * Fraction(1, 100), op.drift[1])
     perturbed = get_model("deltoid")
     perturbed._operator = replace(op, drift=drift)
-    eb = eigenbasis(perturbed, 6, sampler, moments=moments)
+    # the perturbed model keeps the measure, so its rule is the same
+    eb = eigenbasis(Moments(perturbed, 13, sampler), 6)
     assert pencil_gaps(eb).max() > 1e-6
 
 
@@ -237,7 +252,7 @@ def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
     monkeypatch.setattr(spectra, "_lifted_eigenvectors", corrupted)
     model = get_model("square")
     with pytest.raises(RuntimeError, match="exact eigenvector failed verification"):
-        eigenbasis(model, 2, model.sampler())
+        eigenbasis(Moments(model, 4, model.sampler()), 2)
 
 
 def _reference_exact_eigenvectors(graded, degree, lam):
@@ -365,7 +380,7 @@ def test_eigenbasis_raises_when_eigenvectors_miss_the_multiplicity(monkeypatch):
     monkeypatch.setattr(spectra, "block_eigenvalues", inflated)
     model = get_model("disk")
     with pytest.raises(RuntimeError, match="expected multiplicity"):
-        eigenbasis(model, 2, model.sampler())
+        eigenbasis(Moments(model, 4, model.sampler()), 2)
 
 
 def _forced_fallback(monkeypatch):
@@ -385,7 +400,7 @@ def _forced_fallback(monkeypatch):
 def test_eigenbasis_float_fallback_residuals_match_pointwise_reference(monkeypatch):
     _forced_fallback(monkeypatch)
     model = get_model("triangle")
-    eb = eigenbasis(model, 4, model.sampler())
+    eb = eigenbasis(Moments(model, 8, model.sampler()), 4)
     funcs = eb.all_functions()
     assert all(not f.exact for f in funcs)
     moments = spectra.Moments(model, 9, model.sampler())
@@ -424,7 +439,7 @@ def test_eigenbasis_gram_matches_pointwise_reevaluation(
     moments = spectra.Moments(
         model, 2 * degree + 1, sampler, sample=sampler_points(model, sampler, 2 * degree + 1)
     )
-    eb = eigenbasis(model, degree, sampler, moments=moments)
+    eb = eigenbasis(moments, degree)
     assert all(f.exact != fallback for f in eb.all_functions())
     assert np.abs(eb.gram - _pointwise_gram(eb, moments)).max() <= 1e-12
 
@@ -479,10 +494,10 @@ def test_eigenbasis_raises_unless_scale_times_lam_is_an_integer(monkeypatch, wro
             entries[-1] = spectra.EigenvalueEntry(wrong(last.value), last.multiplicity, last.source)
         return entries
 
-    eigenbasis(model, 3, model.sampler())  # the unshifted blocks lift
+    eigenbasis(Moments(model, 6, model.sampler()), 3)  # the unshifted blocks lift
     monkeypatch.setattr(spectra, "block_eigenvalues", shifted)
     with pytest.raises(RuntimeError, match="is not an integer"):
-        eigenbasis(model, 3, model.sampler())
+        eigenbasis(Moments(model, 6, model.sampler()), 3)
 
 
 def test_orthogonal_polynomials_need_moments_to_twice_the_degree():
