@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from math import lcm
+from itertools import compress, product as iter_product
+from math import lcm, prod
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
@@ -113,17 +113,16 @@ def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, Syst
 
     One row per monomial coefficient of each residual polynomial
     sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i.  Each
-    factor is scaled to integer coefficients, which scales its rows and
-    leaves the kernel unchanged, and each row entry is a coefficient of the
-    factor or of its gradient, placed by shifting its exponent by the
-    unknown's monomial.
+    factor enters as its integer numerators, which scales its rows by its
+    denominator and leaves the kernel unchanged, and each row entry is a
+    coefficient of the factor or of its gradient, placed by shifting its
+    exponent by the unknown's monomial.
     """
     layout = _make_layout(spec)
     d = spec.dim
     rows: list[list[int]] = []
     for k, factor in enumerate(spec.factors):
-        scale = lcm(*(c.denominator for c in factor.terms.values()))
-        terms = [(e, c.numerator * (scale // c.denominator)) for e, c in factor.terms.items()]
+        terms = list(factor.numerators.items())
         grad = [
             [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
             for j in range(d)
@@ -276,28 +275,40 @@ def det_divisibility_check(g: CoMetric, spec: BoundarySpec) -> DivisibilityRepor
     return DivisibilityReport(True, int(remainder.total_degree), remainder)
 
 
+def grid_axes(box: Sequence[tuple[Rational, Rational]], per_axis: int) -> list[list[Fraction]]:
+    """The nodes of `interior_grid` on each side of the box: strictly inside
+    it, at fractions (2k+1)/(2n) of the side, so boundary-of-box artifacts
+    never enter."""
+    axes = []
+    for lo, hi in box:
+        lo, hi = Fraction(lo), Fraction(hi)
+        # lo + (hi - lo) j / (2n) over the one denominator 2n * lo.den * hi.den
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        scale = 2 * per_axis * lo.denominator * hi.denominator
+        odd = range(1, 2 * per_axis, 2)
+        axes.append([Fraction((2 * per_axis - j) * a + j * b, scale) for j in odd])
+    return axes
+
+
+def interior_mask(spec: BoundarySpec, axes: Sequence[Sequence[Rational]]) -> list[bool]:
+    """Whether each node of the tensor grid over `axes`, in
+    ``itertools.product`` order, has every factor > 0.  The test is exact:
+    each factor's values on the grid are integer numerators over one
+    positive denominator (`Polynomial.grid_values`)."""
+    inside = [True] * prod(len(axis) for axis in axes)
+    for f in spec.factors:
+        inside = [keep and v > 0 for keep, v in zip(inside, f.grid_values(axes)[0])]
+    return inside
+
+
 def interior_grid(
     spec: BoundarySpec,
     box: Sequence[tuple[Rational, Rational]],
     per_axis: int = 10,
 ) -> list[tuple[Fraction, ...]]:
-    """Rational grid over the box, clipped to {all factors > 0}.
-
-    Grid nodes sit strictly inside the box at fractions (2k+1)/(2n) of each
-    side, so boundary-of-box artifacts never enter.  The sign test is exact:
-    each factor's values on the grid are integer numerators over one
-    positive denominator (`Polynomial.grid_values`).
-    """
+    """Rational grid over the box (`grid_axes`), clipped to {all factors > 0}
+    by the exact sign test of `interior_mask`."""
     if len(box) != spec.dim:
         raise ValueError("box must give one interval per axis")
-    axes = []
-    for lo, hi in box:
-        lo, hi = Fraction(lo), Fraction(hi)
-        width = hi - lo
-        axes.append([lo + width * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
-    values = [f.grid_values(axes)[0] for f in spec.factors]
-    return [
-        node
-        for node, *signs in zip(iter_product(*axes), *values)
-        if all(s > 0 for s in signs)
-    ]
+    axes = grid_axes(box, per_axis)
+    return list(compress(iter_product(*axes), interior_mask(spec, axes)))

@@ -195,16 +195,22 @@ class Model:
         """Rational interior grid; 0 < margin < 1 keeps factors above
         margin * (their witness value), staying away from the boundary.
 
-        The margin test is the grid's own sign test, run on the shifted
-        factors f - margin * f(witness), which stay positive at the witness.
+        The margin test is the grid's own sign test, run on the factors of
+        `interior_boundary`.
         """
+        return interior_grid(self.interior_boundary(margin), self.box, per_axis)
+
+    def interior_boundary(self, margin: Fraction) -> BoundarySpec:
+        """The boundary whose interior keeps every factor above margin *
+        (its witness value), for 0 <= margin < 1: the shifted factors
+        f - margin * f(witness), which stay positive at the witness."""
         spec = self.boundary
-        if margin:
-            if not 0 < margin < 1:
-                raise ValueError(f"margin {margin} is not in [0, 1)")
-            shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
-            spec = BoundarySpec(spec.dim, shifted, spec.witness)
-        return interior_grid(spec, self.box, per_axis)
+        if not margin:
+            return spec
+        if not 0 < margin < 1:
+            raise ValueError(f"margin {margin} is not in [0, 1)")
+        shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
+        return BoundarySpec(spec.dim, shifted, spec.witness)
 
     # ------------------------------------------------------------------
     # tabulated claims

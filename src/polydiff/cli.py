@@ -323,13 +323,13 @@ def cmd_boundary_points(args) -> int:
     for index, factor in enumerate(model.boundary.factors):
         # roots in y along vertical lines; a factor of degree 0 in y has
         # none there, so its roots in x are taken along horizontal lines
-        fixed = 0 if any(exponent[1] for exponent in factor.terms) else 1
+        fixed = 0 if any(exponent[1] for exponent in factor.numerators) else 1
         lo, hi = box[1 - fixed]
         for value in np.linspace(*box[fixed], args.count):
             slice_poly = factor.partial_evaluate({fixed: _to_fraction(value)})
             coeffs = [0.0] * (int(slice_poly.total_degree) + 1 if not slice_poly.is_zero else 1)
-            for exponent, coeff in slice_poly.terms.items():
-                coeffs[exponent[0]] = float(coeff)
+            for exponent, n in slice_poly.numerators.items():
+                coeffs[exponent[0]] = n / slice_poly.denominator
             if len(coeffs) == 1:
                 continue
             for root in np.roots(list(reversed(coeffs))):

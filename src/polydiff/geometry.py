@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, product
 from typing import Sequence
 
 import numpy as np
 
+from .boundary import grid_axes, interior_mask
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
 from .poly import Polynomial, eval_floats, exact_divide, poly_divmod, tensor_grid
@@ -133,14 +135,19 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
     Sample points keep every boundary factor above 1e-3 of its witness
     value so the metric stays uniformly elliptic.
     """
+    spec = model.interior_boundary(INTERIOR_MARGIN)
     per_axis = CURVATURE_GRID
-    points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
-    while len(points) < min_points and per_axis < 128:
+    axes = grid_axes(model.box, per_axis)
+    inside = interior_mask(spec, axes)
+    # a grid with too few points inside is only counted
+    while sum(inside) < min_points and per_axis < 128:
         per_axis *= 2
-        points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
-    if len(points) < min_points:
+        axes = grid_axes(model.box, per_axis)
+        inside = interior_mask(spec, axes)
+    if sum(inside) < min_points:
         raise ValueError(f"could not place {min_points} interior points for {model.name}")
-    array = np.array([[float(c) for c in p] for p in points])
+    points = list(compress(product(*axes), inside))
+    array = np.array(list(compress(product(*[[float(v) for v in axis] for axis in axes]), inside)))
     evaluator = CurvatureEvaluator(model.cometric)
     # grid points are rational, so evaluate the collapsed quotient exactly
     values = np.array([float(v) for v in evaluator.curvature_exact(points)])
@@ -211,8 +218,8 @@ def verify_pullback(model: Model) -> PullbackReport:
     ambient = [_normal_form(p, cover.ideal) for p in ambient]
     target = [_normal_form(p, cover.ideal) for p in target]
     exponent, coeff = target[0].leading_term()
-    scale = ambient[0].terms.get(exponent, Fraction(0)) / coeff
-    residuals = [len((p - q * scale).terms) for p, q in zip(ambient, target)]
+    scale = Fraction(ambient[0].numerators.get(exponent, 0), ambient[0].denominator) / coeff
+    residuals = [len((p - q * scale).numerators) for p, q in zip(ambient, target)]
 
     # every boundary factor stays >= 0, up to roundoff, at the mapped nodes
     points, _ = cover.rule(DOMAIN_CHECK_DEGREE)

@@ -201,11 +201,10 @@ def operator_from_measure(g: CoMetric, measure: MeasureSpec) -> DiffusionOperato
 
 
 def _embed(p: Polynomial, total: int, offset: int) -> Polynomial:
-    terms = {}
-    for exponent, coeff in p.terms.items():
-        padded = (0,) * offset + exponent + (0,) * (total - offset - p.dim)
-        terms[padded] = coeff
-    return Polynomial(total, terms)
+    before, after = (0,) * offset, (0,) * (total - offset - p.dim)
+    return Polynomial._new(
+        total, {before + e + after: n for e, n in p.numerators.items()}, p.denominator
+    )
 
 
 def product_operator(op1: DiffusionOperator, op2: DiffusionOperator) -> DiffusionOperator:
@@ -277,23 +276,23 @@ class GradedOperatorMatrix:
         def code(exponent) -> int:
             return sum(w * e for w, e in zip(weights, exponent))
 
-        # (i, j or None for a drift term) -> [(c - e_i [- e_j], coefficient)]
-        groups: dict[tuple[int, int | None], list] = {}
+        # (i, j or None for a drift term, its entry of L)
+        parts = []
         for i in range(op.dim):
-            for j in range(op.dim):
-                for c, coeff in op.cometric[i, j].terms.items():
-                    groups.setdefault((i, j), []).append((_lowered(c, i, j), coeff))
-            for c, coeff in op.drift[i].terms.items():
-                groups.setdefault((i, None), []).append((_lowered(c, i), coeff))
-        self.scale = lcm(*(coeff.denominator for group in groups.values() for _, coeff in group))
-        # per group: (code of the shift, whether it raises the degree, integer coefficient)
-        coded = [
-            (i, j, [
-                (code(shift), sum(shift) > 0, coeff.numerator * (self.scale // coeff.denominator))
-                for shift, coeff in group
-            ])
-            for (i, j), group in groups.items()
-        ]
+            parts += [(i, j, op.cometric[i, j]) for j in range(op.dim)]
+            parts.append((i, None, op.drift[i]))
+        self.scale = lcm(*(p.denominator for _, _, p in parts))
+        # per nonzero entry, per term x^c: (code of the shift c - e_i [- e_j],
+        # whether it raises the degree, the coefficient times scale)
+        coded = []
+        for i, j, p in parts:
+            axes = (i,) if j is None else (i, j)
+            lift = self.scale // p.denominator
+            if p.numerators:
+                coded.append((i, j, [
+                    (code(_lowered(c, *axes)), sum(c) > len(axes), n * lift)
+                    for c, n in p.numerators.items()
+                ]))
         codes = [code(e) for e in self.basis.exponents]
         index = {c: k for k, c in enumerate(codes)}
         self.columns: list[dict[int, int]] = []

@@ -1,19 +1,34 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in ``d`` variables is stored as a dict mapping exponent tuples
-(length ``d``, non-negative ints) to nonzero ``Fraction`` coefficients.  All
-arithmetic is exact; floating point never enters this module.
+A polynomial in ``d`` variables is held as integer numerators over one
+positive denominator.  ``numerators`` maps exponent tuples (length ``d``,
+non-negative ints) to nonzero Python ints, and ``denominator`` is the least
+positive integer that clears every coefficient, so it and the numerators
+have no common factor and equal polynomials have equal representations.
+Every exact operation (sums, products, powers, derivatives, substitution,
+evaluation and division) runs in Python ints on that form.  ``terms``, the
+same coefficients as ``Fraction``s in the same order, is a read-only view
+built on first access for printing and reports; no arithmetic reads it.
+
+Two float evaluators sit beside the exact layer: `eval_floats` evaluates
+polynomials at float points, each coefficient converted once as numerator /
+denominator (Python's correctly rounded int division, the value
+``float(Fraction)`` gives), and `MonomialBasis.eval_float` tabulates the
+monomials of a basis.
 
 Variables are named ``x, y, z`` for ``d <= 3`` and ``x1 ... xd`` beyond, both
 for parsing and printing.  Term order everywhere is graded lexicographic:
 lower total degree first, ties broken by tuple comparison of the exponents.
+A polynomial's own terms keep the order in which its operation produced
+them, and float sums over its terms follow that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import index
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +42,9 @@ RationalLike = int | Fraction
 
 #: points per block in eval_floats
 EVAL_BLOCK = 1 << 16
+
+# Polynomial forbids attribute assignment; its constructors set slots with this
+_set = object.__setattr__
 
 
 def _as_fraction(value: RationalLike | str) -> Fraction:
@@ -48,9 +66,10 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial over the rationals."""
+    """Immutable sparse polynomial over the rationals, held as integer
+    numerators over one positive denominator."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "numerators", "denominator", "_terms")
 
     def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike] | Iterable[tuple[Exponent, RationalLike]] = ()):
         if dim < 0:
@@ -74,18 +93,39 @@ class Polynomial:
                 clean[exponent] = value
             else:
                 clean.pop(exponent, None)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        denominator = lcm(*(c.denominator for c in clean.values()))
+        _set(self, "dim", dim)
+        numerators = {e: c.numerator * (denominator // c.denominator) for e, c in clean.items()}
+        _set(self, "numerators", numerators)
+        _set(self, "denominator", denominator)
+        _set(self, "_terms", None)
 
     @classmethod
-    def _from_valid(cls, dim: int, terms: dict[Exponent, Fraction]) -> Polynomial:
-        """A polynomial on terms that are already valid: exponent tuples of
-        length dim and non-negative ints, mapped to nonzero Fractions.  For
-        the results of arithmetic, whose terms come from valid operands."""
+    def _new(cls, dim: int, numerators: dict[Exponent, int], denominator: int) -> Polynomial:
+        """A polynomial on numerators that are already valid and reduced:
+        exponent tuples of length dim and non-negative ints mapped to nonzero
+        ints, over a positive denominator sharing no factor with all of
+        them (1 when there are none).  For the results of arithmetic."""
         p = object.__new__(cls)
-        object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "terms", terms)
+        _set(p, "dim", dim)
+        _set(p, "numerators", numerators)
+        _set(p, "denominator", denominator)
+        _set(p, "_terms", None)
         return p
+
+    @classmethod
+    def _reduced(cls, dim: int, numerators: dict[Exponent, int], denominator: int) -> Polynomial:
+        """`_new` after dividing valid numerators and a positive denominator
+        by their common factor."""
+        if denominator != 1:
+            if not numerators:
+                denominator = 1
+            else:
+                g = gcd(denominator, *numerators.values())
+                if g != 1:
+                    numerators = {e: n // g for e, n in numerators.items()}
+                    denominator //= g
+        return cls._new(dim, numerators, denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -95,18 +135,19 @@ class Polynomial:
 
     @classmethod
     def zero(cls, dim: int) -> Polynomial:
-        return cls(dim)
+        return cls._new(dim, {}, 1)
 
     @classmethod
     def constant(cls, dim: int, value: RationalLike | str) -> Polynomial:
-        return cls(dim, {(0,) * dim: _as_fraction(value)})
+        value = _as_fraction(value)
+        return cls._new(dim, {(0,) * dim: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> Polynomial:
         if not 0 <= axis < dim:
             raise IndexError(f"axis {axis} out of range for dimension {dim}")
         exponent = tuple(1 if i == axis else 0 for i in range(dim))
-        return cls(dim, {exponent: Fraction(1)})
+        return cls._new(dim, {exponent: 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exponent: Exponent, coeff: RationalLike = 1) -> Polynomial:
@@ -116,41 +157,55 @@ class Polynomial:
     # structure
 
     @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as Fractions, in term order: a read-only view,
+        built on first access, for printing and reports."""
+        if self._terms is None:
+            d = self.denominator
+            terms = {e: Fraction(n, d) for e, n in self.numerators.items()}
+            _set(self, "_terms", MappingProxyType(terms))
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     @property
     def total_degree(self) -> int | float:
-        if not self.terms:
+        if not self.numerators:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.numerators))
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self.numerators.get((0,) * self.dim, 0), self.denominator)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Largest term in graded-lex order; raises on the zero polynomial."""
-        if not self.terms:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading term")
-        exponent = max(self.terms, key=grlex_key)
-        return exponent, self.terms[exponent]
+        exponent = max(self.numerators, key=grlex_key)
+        return exponent, Fraction(self.numerators[exponent], self.denominator)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.dim == other.dim and self.terms == other.terms
+            return (
+                self.dim == other.dim
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators
+            )
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self.dim, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.denominator, frozenset(self.numerators.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -162,58 +217,68 @@ class Polynomial:
             return other
         return Polynomial.constant(self.dim, other)
 
-    def __add__(self, other) -> Polynomial:
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exponent, coeff in other.terms.items():
+    def _add(self, other: Polynomial, sign: int) -> Polynomial:
+        """self + sign * other over the lcm of the two denominators: the
+        terms of self in their order, then the new terms of other in theirs."""
+        d1, d2 = self.denominator, other.denominator
+        if d1 == d2:
+            denominator = d1
+            terms = dict(self.numerators)
+        else:
+            denominator = lcm(d1, d2)
+            scale = denominator // d1
+            terms = {e: n * scale for e, n in self.numerators.items()}
+            sign *= denominator // d2
+        for exponent, n in other.numerators.items():
+            n *= sign
             value = terms.get(exponent)
             if value is None:
-                terms[exponent] = coeff
+                terms[exponent] = n
                 continue
-            value += coeff
+            value += n
             if value:
                 terms[exponent] = value
             else:
                 del terms[exponent]
-        return Polynomial._from_valid(self.dim, terms)
+        return Polynomial._reduced(self.dim, terms, denominator)
+
+    def __add__(self, other) -> Polynomial:
+        return self._add(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._from_valid(self.dim, {e: -c for e, c in self.terms.items()})
+        negated = {e: -n for e, n in self.numerators.items()}
+        return Polynomial._new(self.dim, negated, self.denominator)
 
     def __sub__(self, other) -> Polynomial:
-        return self + (-self._coerce(other))
+        return self._add(self._coerce(other), -1)
 
     def __rsub__(self, other) -> Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> Polynomial:
-        """Exact product.  Two polynomials are multiplied as integer
-        numerators over the product of their coefficients' lcm
-        denominators, with one Fraction per result term."""
+        """Exact product: integer numerators multiplied term by term, over
+        the product of the two denominators."""
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.dim)
-            return Polynomial._from_valid(self.dim, {e: c * other for e, c in self.terms.items()})
+            factor = other.numerator
+            return Polynomial._reduced(
+                self.dim,
+                {e: n * factor for e, n in self.numerators.items()},
+                self.denominator * other.denominator,
+            )
         other = self._coerce(other)
-        left, s1 = self._integer_terms()
-        right, s2 = other._integer_terms()
+        right = list(other.numerators.items())
         product: dict[Exponent, int] = {}
-        for e1, c1 in left:
+        for e1, c1 in self.numerators.items():
             for e2, c2 in right:
                 key = tuple(map(int.__add__, e1, e2))
                 product[key] = product.get(key, 0) + c1 * c2
-        denominator = s1 * s2
-        return Polynomial._from_valid(
-            self.dim, {e: Fraction(v, denominator) for e, v in product.items() if v}
+        return Polynomial._reduced(
+            self.dim, {e: v for e, v in product.items() if v}, self.denominator * other.denominator
         )
-
-    def _integer_terms(self) -> tuple[list[tuple[Exponent, int]], int]:
-        """The terms times the lcm s of the coefficients' denominators, as
-        (exponent, integer) pairs, and s."""
-        scale = lcm(*(c.denominator for c in self.terms.values()))
-        return [(e, c.numerator * (scale // c.denominator)) for e, c in self.terms.items()], scale
 
     __rmul__ = __mul__
 
@@ -232,13 +297,13 @@ class Polynomial:
     def derivative(self, axis: int) -> Polynomial:
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for dimension {self.dim}")
-        terms: dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
+        terms: dict[Exponent, int] = {}
+        for exponent, n in self.numerators.items():
             k = exponent[axis]
             if k == 0:
                 continue
-            terms[exponent[:axis] + (k - 1,) + exponent[axis + 1 :]] = coeff * k
-        return Polynomial._from_valid(self.dim, terms)
+            terms[exponent[:axis] + (k - 1,) + exponent[axis + 1 :]] = n * k
+        return Polynomial._reduced(self.dim, terms, self.denominator)
 
     def gradient(self) -> list[Polynomial]:
         return [self.derivative(i) for i in range(self.dim)]
@@ -257,8 +322,8 @@ class Polynomial:
 
         Returns integer numerators, one per node in ``itertools.product``
         order, over one positive denominator.  With every node coordinate
-        written as X/D over one common denominator D and the coefficients as
-        c_e/s over theirs, a polynomial of total degree n takes the value
+        written as X/D over one common denominator D, a polynomial of total
+        degree n with numerators c_e over s takes the value
         sum_e c_e X^e D^(n-|e|) / (s D^n), summed in integers.  Each axis
         node's powers are computed once, and the sum is contracted one axis
         at a time, so terms that agree on the remaining axes share their
@@ -270,17 +335,13 @@ class Polynomial:
         axes = [
             [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in axis] for axis in axes
         ]
-        if not self.terms:
+        if not self.numerators:
             return [0] * prod(len(axis) for axis in axes), 1
-        degree = max(sum(e) for e in self.terms)
-        scale = lcm(*(c.denominator for c in self.terms.values()))
+        degree = self.total_degree
         common = lcm(*(v.denominator for axis in axes for v in axis))
         # partial[rest]: over the nodes of the axes done so far, the sums of
         # the terms whose exponents on the remaining axes are `rest`
-        partial = {
-            e: [c.numerator * (scale // c.denominator) * common ** (degree - sum(e))]
-            for e, c in self.terms.items()
-        }
+        partial = {e: [n * common ** (degree - sum(e))] for e, n in self.numerators.items()}
         for axis in axes:
             nodes = [v.numerator * (common // v.denominator) for v in axis]
             powers = [[x**p for x in nodes] for p in range(max(e[0] for e in partial) + 1)]
@@ -293,25 +354,27 @@ class Polynomial:
                 else:
                     reduced[rest] = values
             partial = reduced
-        return partial[()], scale * common**degree
+        return partial[()], self.denominator * common**degree
 
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
-        """Exact composition p(s_1, ..., s_d)."""
+        """Exact composition p(s_1, ..., s_d).
+
+        The terms of p are taken in graded-lex order, each as its integer
+        numerator times its cached powers of the s_i, summed, and the sum
+        is divided by p's denominator once.
+        """
         if len(substitution) != self.dim:
             raise ValueError("substitution length must match dimension")
         if not substitution:
-            return Polynomial(0, self.terms)
+            return self
         target = substitution[0].dim
-        subs = []
-        for s in substitution:
-            if s.dim != target:
-                raise ValueError("substitution entries must share one dimension")
-            subs.append(s)
+        if any(s.dim != target for s in substitution):
+            raise ValueError("substitution entries must share one dimension")
         # cache powers of each substituted polynomial
-        powers: list[dict[int, Polynomial]] = [{0: Polynomial.constant(target, 1)} for _ in subs]
+        powers: list[dict[int, Polynomial]] = [{1: s} for s in substitution]
         result = Polynomial.zero(target)
-        for exponent, coeff in self.sorted_terms():
-            term = Polynomial.constant(target, coeff)
+        for exponent, n in sorted(self.numerators.items(), key=lambda item: grlex_key(item[0])):
+            term = None
             for axis, e in enumerate(exponent):
                 if e:
                     cache = powers[axis]
@@ -319,29 +382,41 @@ class Polynomial:
                         top = max(cache)
                         acc = cache[top]
                         for k in range(top + 1, e + 1):
-                            acc = acc * subs[axis]
+                            acc = acc * substitution[axis]
                             cache[k] = acc
-                    term = term * cache[e]
-            result = result + term
-        return result
+                    term = cache[e] if term is None else term * cache[e]
+            result = result + (Polynomial.constant(target, n) if term is None else term * n)
+        return result if self.denominator == 1 else result * Fraction(1, self.denominator)
 
     def partial_evaluate(self, assignments: Mapping[int, RationalLike]) -> Polynomial:
-        """Fix some axes to rational values; remaining axes keep their order."""
+        """Fix some axes to rational values; remaining axes keep their order.
+
+        A fixed value p/q whose axis has largest power t enters a term of
+        power e as p^e q^(t-e), over q^t, so the sum runs in integers over
+        one denominator.
+        """
         fixed = {axis: _as_fraction(v) for axis, v in assignments.items()}
+        if any(not 0 <= axis < self.dim for axis in fixed):
+            raise IndexError(f"axis out of range for dimension {self.dim}")
         keep = [i for i in range(self.dim) if i not in fixed]
-        terms: dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
-            for axis, value in fixed.items():
-                e = exponent[axis]
-                if e:
-                    coeff = coeff * value**e
-            key = tuple(exponent[i] for i in keep)
-            total = terms.get(key, Fraction(0)) + coeff
+        denominator = self.denominator
+        weights = []
+        for axis, value in fixed.items():
+            top = max([e[axis] for e in self.numerators], default=0)
+            p, q = value.numerator, value.denominator
+            weights.append((axis, [p**k * q ** (top - k) for k in range(top + 1)]))
+            denominator *= q**top
+        terms: dict[Exponent, int] = {}
+        for exponent, n in self.numerators.items():
+            for axis, weight in weights:
+                n *= weight[exponent[axis]]
+            key = tuple([exponent[i] for i in keep])
+            total = terms.get(key, 0) + n
             if total:
                 terms[key] = total
             else:
                 terms.pop(key, None)
-        return Polynomial(len(keep), terms)
+        return Polynomial._reduced(len(keep), terms, denominator)
 
     # ------------------------------------------------------------------
     # printing
@@ -371,12 +446,12 @@ def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndar
     # per polynomial, its terms as ([(axis, power) with power > 0], coeff)
     terms = [
         [
-            ([(axis, e) for axis, e in enumerate(exponent) if e], float(coeff))
-            for exponent, coeff in p.terms.items()
+            ([(axis, e) for axis, e in enumerate(exponent) if e], n / p.denominator)
+            for exponent, n in p.numerators.items()
         ]
         for p in polys
     ]
-    top = [max((e[axis] for p in polys for e in p.terms), default=0) for axis in range(dim)]
+    top = [max((e[axis] for p in polys for e in p.numerators), default=0) for axis in range(dim)]
     out = np.zeros((len(polys), count))
     for start in range(0, count, EVAL_BLOCK):
         block = coordinates[:, start : start + EVAL_BLOCK]
@@ -424,21 +499,50 @@ def tensor_grid(
     return axes, nodes
 
 
+def _primitive(p: Polynomial, divisor: Polynomial) -> tuple[int, dict[Exponent, int], Exponent]:
+    """The divisor's numerators as content * primitive part: (content > 0,
+    the primitive part's numerators, its leading exponent)."""
+    if p.dim != divisor.dim:
+        raise ValueError("dimension mismatch")
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    content = gcd(*divisor.numerators.values())
+    primitive = {e: n // content for e, n in divisor.numerators.items()}
+    return content, primitive, max(primitive, key=grlex_key)
+
+
+def _subtract(
+    work: dict[Exponent, int], delta: Exponent, factor: int, primitive: dict[Exponent, int]
+) -> None:
+    """work -= factor * x^delta * primitive, dropping the terms that cancel."""
+    for e2, c2 in primitive.items():
+        key = tuple(map(int.__add__, delta, e2))
+        value = work.get(key, 0) - factor * c2
+        if value:
+            work[key] = value
+        else:
+            work.pop(key, None)
+
+
 def poly_divmod(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Single-divisor multivariate division under graded-lex order.
 
     Returns (quotient, remainder) with p = quotient * divisor + remainder and
     no remainder term divisible by the divisor's leading monomial.  For one
     divisor this representation is unique, so remainder == 0 iff divisor | p.
+
+    The division runs in ints: p's numerators are divided by the primitive
+    part of the divisor's, and when a leading coefficient is not a multiple
+    of the divisor's, the work left, the quotient and the remainder so far
+    are scaled by the least factor that makes it one.
     """
-    if p.dim != divisor.dim:
-        raise ValueError("dimension mismatch")
-    if divisor.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    lead_exp, lead_coeff = divisor.leading_term()
-    quotient: dict[Exponent, Fraction] = {}
-    remainder: dict[Exponent, Fraction] = {}
-    work = dict(p.terms)
+    content, primitive, lead_exp = _primitive(p, divisor)
+    lead = primitive[lead_exp]
+    work = dict(p.numerators)
+    quotient: dict[Exponent, int] = {}
+    remainder: dict[Exponent, int] = {}
+    # scale * p.numerators == quotient * primitive + remainder + work
+    scale = 1
     while work:
         exponent = max(work, key=grlex_key)
         coeff = work[exponent]
@@ -447,23 +551,52 @@ def poly_divmod(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynom
             remainder[exponent] = coeff
             del work[exponent]
             continue
-        factor = coeff / lead_coeff
-        quotient[delta] = quotient.get(delta, Fraction(0)) + factor
-        # subtracting factor * divisor cancels the leading term exactly
-        for e2, c2 in divisor.terms.items():
-            key = tuple(a + b for a, b in zip(delta, e2))
-            value = work.get(key, Fraction(0)) - factor * c2
-            if value:
-                work[key] = value
-            else:
-                work.pop(key, None)
-    return Polynomial(p.dim, quotient), Polynomial(p.dim, remainder)
+        if coeff % lead:
+            m = abs(lead) // gcd(coeff, lead)
+            work = {e: v * m for e, v in work.items()}
+            quotient = {e: v * m for e, v in quotient.items()}
+            remainder = {e: v * m for e, v in remainder.items()}
+            scale *= m
+            coeff *= m
+        factor = coeff // lead
+        quotient[delta] = factor
+        _subtract(work, delta, factor, primitive)
+    # p = quotient * primitive / (scale s) + remainder / (scale s), with s
+    # p's denominator and primitive = divisor * its denominator / content
+    denominator = scale * p.denominator
+    return (
+        Polynomial._reduced(
+            p.dim, {e: v * divisor.denominator for e, v in quotient.items()}, denominator * content
+        ),
+        Polynomial._reduced(p.dim, remainder, denominator),
+    )
 
 
 def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial | None:
-    """Quotient p / divisor if the division is exact, else None."""
-    quotient, remainder = poly_divmod(p, divisor)
-    return quotient if remainder.is_zero else None
+    """Quotient p / divisor if the division is exact, else None.
+
+    By Gauss's lemma an exact quotient of p's integer numerators by the
+    primitive part of the divisor's has integer coefficients, so the
+    division runs in ints and returns None at the first leading term whose
+    monomial or coefficient the divisor's leading term does not divide.
+    """
+    content, primitive, lead_exp = _primitive(p, divisor)
+    lead = primitive[lead_exp]
+    work = dict(p.numerators)
+    quotient: dict[Exponent, int] = {}
+    while work:
+        exponent = max(work, key=grlex_key)
+        delta = tuple(a - b for a, b in zip(exponent, lead_exp))
+        if any(e < 0 for e in delta):
+            return None
+        factor, rest = divmod(work[exponent], lead)
+        if rest:
+            return None
+        quotient[delta] = factor
+        _subtract(work, delta, factor, primitive)
+    return Polynomial._reduced(
+        p.dim, {e: v * divisor.denominator for e, v in quotient.items()}, content * p.denominator
+    )
 
 
 class MonomialBasis:
@@ -509,11 +642,11 @@ class MonomialBasis:
         if p.dim != self.dim:
             raise ValueError("dimension mismatch")
         coords = [Fraction(0)] * len(self)
-        for exponent, coeff in p.terms.items():
+        for exponent, n in p.numerators.items():
             pos = self.index.get(exponent)
             if pos is None:
                 raise ValueError(f"monomial {exponent} outside basis of degree {self.max_degree}")
-            coords[pos] = coeff
+            coords[pos] = Fraction(n, p.denominator)
         return coords
 
     def eval_float(self, points: np.ndarray) -> np.ndarray:

@@ -341,7 +341,7 @@ class CoverSampler:
         return max(
             sum(exponent[lo:hi])
             for f in self.maps
-            for exponent in f.terms
+            for exponent in f.numerators
             for lo, hi in zip(bounds[:-1], bounds[1:])
         )
 
@@ -757,8 +757,8 @@ def operator_moment_matrix(moments: Moments, degree: int, images: list[Polynomia
     exponents = MonomialBasis(moments.model.dim, degree).exponent_array
     m = np.zeros((len(exponents), len(images)))
     for l, image in enumerate(images):
-        for exponent, value in image.terms.items():
-            m[:, l] += float(value) * moments.monomial(exponents + exponent)
+        for exponent, n in image.numerators.items():
+            m[:, l] += n / image.denominator * moments.monomial(exponents + exponent)
     return m
 
 
@@ -821,8 +821,13 @@ def symmetry_defect(
     `operator` defaults to the model operator but anything with an
     ``apply(Polynomial) -> Polynomial`` method is accepted, so deliberately
     broken operators can be probed by the negative controls; it is applied
-    once per basis monomial.
+    once per basis monomial.  Given `moments` of another model (another
+    name or other parameters), it raises ValueError.
     """
+    if moments is not None and (
+        (moments.model.name, moments.model.params) != (model.name, model.params)
+    ):
+        raise ValueError(f"moments of {moments.model!r} given for {model!r}")
     op = operator if operator is not None else model.operator
     basis = MonomialBasis(model.dim, degree)
     images = [op.apply(Polynomial.monomial(model.dim, e)) for e in basis.exponents]

@@ -1,5 +1,6 @@
 """Curvature values and pullback identity checks."""
 
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -117,6 +118,69 @@ def test_batch_curvature_matches_pointwise_quotient(name):
     assert len(points) >= 100
     expected = [evaluator.k_num(p) / evaluator.det(p) ** evaluator.k_pow for p in points]
     assert evaluator.curvature_exact(points) == expected
+
+
+def _fraction_point_curvature_report(model, min_points=100):
+    """curvature_constancy as it was written on lists of Fraction points:
+    each grid, discarded or kept, built node by node as lo + (hi - lo) *
+    (2k+1)/(2n) on every side and clipped point by point on the shifted
+    factors, and the reported coordinates converted by two float(Fraction)
+    per point."""
+    spec = model.boundary
+    shifted = [f - f(spec.witness) * INTERIOR_MARGIN for f in spec.factors]
+
+    def grid(per_axis):
+        axes = []
+        for lo, hi in model.box:
+            lo, hi = Fraction(lo), Fraction(hi)
+            axes.append([lo + (hi - lo) * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
+        values = [f.grid_values(axes)[0] for f in shifted]
+        return [
+            node
+            for node, *signs in zip(itertools.product(*axes), *values)
+            if all(v > 0 for v in signs)
+        ]
+
+    per_axis = 16
+    points = grid(per_axis)
+    while len(points) < min_points and per_axis < 128:
+        per_axis *= 2
+        points = grid(per_axis)
+    if len(points) < min_points:
+        raise ValueError("too few interior points")
+    array = np.array([[float(c) for c in p] for p in points])
+    evaluator = CurvatureEvaluator(model.cometric)
+    values = np.array([float(v) for v in evaluator.curvature_exact(points)])
+    return array, values, float(values.mean()), evaluator.constant
+
+
+def _defaults_and_one_generic_point():
+    from test_operator import _generic_params
+
+    rng = random.Random(25)
+    for name in PLANE_MODELS:
+        yield name, None
+        descriptor = get_descriptor(name)
+        if descriptor.param_specs:
+            yield name, _generic_params(rng, descriptor)
+
+
+@pytest.mark.parametrize("name,params", list(_defaults_and_one_generic_point()))
+def test_curvature_report_is_bit_identical_to_the_fraction_point_algorithm(name, params):
+    model = get_model(name, params)
+    try:
+        points, values, mean, value = _fraction_point_curvature_report(model)
+    except ValueError:
+        # outside the elliptic region both refuse
+        with pytest.raises(ValueError):
+            curvature_constancy(model)
+        return
+    report = curvature_constancy(model)
+    assert report.points.dtype == points.dtype and report.points.shape == points.shape
+    assert report.points.tobytes() == points.tobytes()
+    assert report.values.dtype == values.dtype and report.values.tobytes() == values.tobytes()
+    assert repr(report.mean) == repr(mean)
+    assert report.value == value
 
 
 def test_batch_curvature_rejects_one_point_outside_the_elliptic_region():

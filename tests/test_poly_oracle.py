@@ -1,0 +1,356 @@
+"""The integer representation of `Polynomial` against a Fraction-dict oracle.
+
+Each reference below keeps a polynomial as a dict {exponent: Fraction} and
+runs the operation term by term in Fractions, with the loops and insertion
+order of the Fraction-coefficient implementation it replaced.  Float sums
+over a polynomial's terms follow its term order, so every operation is
+checked for its coefficients and for the order it produces them in.
+"""
+
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polydiff.poly import Polynomial, exact_divide, grlex_key, poly_divmod
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+# ----------------------------------------------------------------------
+# the oracle
+
+
+def ref_from_pairs(dim, pairs):
+    """The constructor: repeated exponents summed, zero sums dropped."""
+    terms = {}
+    for exponent, coeff in pairs:
+        value = Fraction(coeff)
+        if exponent in terms:
+            value += terms[exponent]
+        if value:
+            terms[exponent] = value
+        else:
+            terms.pop(exponent, None)
+    return terms
+
+
+def ref_add(a, b):
+    terms = dict(a)
+    for exponent, coeff in b.items():
+        value = terms.get(exponent)
+        if value is None:
+            terms[exponent] = coeff
+            continue
+        value += coeff
+        if value:
+            terms[exponent] = value
+        else:
+            del terms[exponent]
+    return terms
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_neg(b))
+
+
+def ref_scale(a, s):
+    return {e: c * s for e, c in a.items()} if s else {}
+
+
+def ref_mul(a, b):
+    product_terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            product_terms[key] = product_terms.get(key, 0) + c1 * c2
+    return {e: Fraction(v) for e, v in product_terms.items() if v}
+
+
+def ref_pow(a, dim, power):
+    result = {(0,) * dim: Fraction(1)}
+    base = a
+    while power:
+        if power & 1:
+            result = ref_mul(result, base)
+        base = ref_mul(base, base) if power > 1 else base
+        power >>= 1
+    return result
+
+
+def ref_derivative(a, axis):
+    terms = {}
+    for exponent, coeff in a.items():
+        k = exponent[axis]
+        if k:
+            terms[exponent[:axis] + (k - 1,) + exponent[axis + 1 :]] = coeff * k
+    return terms
+
+
+def ref_partial_evaluate(a, dim, assignments):
+    keep = [i for i in range(dim) if i not in assignments]
+    terms = {}
+    for exponent, coeff in a.items():
+        for axis, value in assignments.items():
+            if exponent[axis]:
+                coeff = coeff * value ** exponent[axis]
+        key = tuple(exponent[i] for i in keep)
+        total = terms.get(key, Fraction(0)) + coeff
+        if total:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
+    return terms
+
+
+def ref_compose(a, subs, target):
+    """Terms in graded-lex order, each the constant times the cached powers
+    of the substituted polynomials in axis order, added up."""
+    one = {(0,) * target: Fraction(1)}
+    powers = [{0: one} for _ in subs]
+    result = {}
+    for exponent, coeff in sorted(a.items(), key=lambda item: grlex_key(item[0])):
+        term = {(0,) * target: coeff}
+        for axis, e in enumerate(exponent):
+            if e:
+                cache = powers[axis]
+                for k in range(max(cache) + 1, e + 1):
+                    cache[k] = ref_mul(cache[k - 1], subs[axis])
+                term = ref_mul(term, cache[e])
+        result = ref_add(result, term)
+    return result
+
+
+def ref_value(a, point):
+    total = Fraction(0)
+    for exponent, coeff in a.items():
+        term = coeff
+        for x, e in zip(point, exponent):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def ref_divmod(a, b):
+    lead_exp = max(b, key=grlex_key)
+    lead = b[lead_exp]
+    quotient, remainder, work = {}, {}, dict(a)
+    while work:
+        exponent = max(work, key=grlex_key)
+        coeff = work[exponent]
+        delta = tuple(x - y for x, y in zip(exponent, lead_exp))
+        if any(e < 0 for e in delta):
+            remainder[exponent] = coeff
+            del work[exponent]
+            continue
+        factor = coeff / lead
+        quotient[delta] = quotient.get(delta, Fraction(0)) + factor
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(delta, e2))
+            value = work.get(key, Fraction(0)) - factor * c2
+            if value:
+                work[key] = value
+            else:
+                work.pop(key, None)
+    return quotient, remainder
+
+
+# ----------------------------------------------------------------------
+# checks
+
+
+def assert_matches(p, terms, dim):
+    """p holds exactly `terms`, in their order, on a reduced integer form."""
+    assert p.dim == dim
+    assert list(p.terms.items()) == list(terms.items())
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert list(p.numerators) == list(terms)
+    assert all(type(n) is int and n for n in p.numerators.values())
+    assert type(p.denominator) is int and p.denominator > 0
+    assert gcd(p.denominator, *p.numerators.values()) == 1
+    for exponent, n in p.numerators.items():
+        assert Fraction(n, p.denominator) == terms[exponent]
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.sampled_from([Fraction(1, 6), Fraction(-5, 4), Fraction(7, 9)]),
+)
+
+
+@st.composite
+def pair_lists(draw, dim, max_exponent=3, max_terms=6):
+    exponent = st.tuples(*[st.integers(0, max_exponent)] * dim)
+    return draw(st.lists(st.tuples(exponent, coefficients), max_size=max_terms))
+
+
+@st.composite
+def poly_pairs(draw, count=1, dims=(1, 2, 3)):
+    """`count` polynomials of one dimension, with their oracle terms; some
+    share exponents so that sums cancel."""
+    dim = draw(st.sampled_from(dims))
+    out = []
+    for _ in range(count):
+        pairs = draw(pair_lists(dim))
+        if out and draw(st.booleans()):
+            # reuse the exponents of the previous polynomial
+            pairs += [(e, draw(coefficients)) for e, _ in out[-1][2]]
+        out.append((Polynomial(dim, pairs), ref_from_pairs(dim, pairs), pairs))
+    return dim, [(p, terms) for p, terms, _ in out]
+
+
+@SETTINGS
+@given(poly_pairs(1))
+def test_constructor_matches_oracle(case):
+    dim, [(p, terms)] = case
+    assert_matches(p, terms, dim)
+
+
+@SETTINGS
+@given(poly_pairs(2))
+def test_sum_difference_and_negation_match_oracle(case):
+    dim, [(p, a), (q, b)] = case
+    assert_matches(p + q, ref_add(a, b), dim)
+    assert_matches(p - q, ref_sub(a, b), dim)
+    assert_matches(-p, ref_neg(a), dim)
+    assert_matches(p - p, {}, dim)
+    c = Fraction(3, 4)
+    assert_matches(p + c, ref_add(a, {(0,) * dim: c}), dim)
+    assert_matches(c - p, ref_add(ref_neg(a), {(0,) * dim: c}), dim)
+
+
+@SETTINGS
+@given(poly_pairs(2), st.one_of(coefficients, st.just(0)))
+def test_products_and_scalar_products_match_oracle(case, scalar):
+    dim, [(p, a), (q, b)] = case
+    assert_matches(p * q, ref_mul(a, b), dim)
+    assert_matches(p * scalar, ref_scale(a, Fraction(scalar)), dim)
+    assert_matches(scalar * p, ref_scale(a, Fraction(scalar)), dim)
+
+
+@SETTINGS
+@given(poly_pairs(1), st.integers(0, 4))
+def test_power_matches_oracle(case, power):
+    dim, [(p, a)] = case
+    assert_matches(p**power, ref_pow(a, dim, power), dim)
+
+
+@SETTINGS
+@given(poly_pairs(1))
+def test_derivative_matches_oracle(case):
+    dim, [(p, a)] = case
+    for axis in range(dim):
+        assert_matches(p.derivative(axis), ref_derivative(a, axis), dim)
+
+
+@SETTINGS
+@given(poly_pairs(1, dims=(2, 3, 4)), st.data())
+def test_partial_evaluate_matches_oracle(case, data):
+    dim, [(p, a)] = case
+    axes = data.draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    assignments = {axis: data.draw(st.one_of(coefficients, st.just(0))) for axis in sorted(axes)}
+    fixed = {axis: Fraction(v) for axis, v in assignments.items()}
+    got = p.partial_evaluate(assignments)
+    assert_matches(got, ref_partial_evaluate(a, dim, fixed), dim - len(axes))
+
+
+@SETTINGS
+@given(poly_pairs(1, dims=(1, 2, 3)), st.integers(1, 3), st.data())
+def test_compose_matches_oracle(case, target, data):
+    dim, [(p, a)] = case
+    subs = []
+    for _ in range(dim):
+        pairs = data.draw(pair_lists(target, max_exponent=2, max_terms=3))
+        subs.append((Polynomial(target, pairs), ref_from_pairs(target, pairs)))
+    got = p.compose([s for s, _ in subs])
+    assert_matches(got, ref_compose(a, [t for _, t in subs], target), target)
+
+
+@SETTINGS
+@given(poly_pairs(1), st.data())
+def test_evaluation_on_points_and_grids_matches_oracle(case, data):
+    dim, [(p, a)] = case
+    axes = [data.draw(st.lists(coefficients, min_size=1, max_size=3)) for _ in range(dim)]
+    numerators, denominator = p.grid_values(axes)
+    assert type(denominator) is int and denominator > 0
+    nodes = list(product(*axes))
+    assert len(numerators) == len(nodes)
+    for numerator, node in zip(numerators, nodes):
+        assert type(numerator) is int
+        assert Fraction(numerator, denominator) == ref_value(a, node)
+        value = p(node)
+        assert type(value) is Fraction and value == ref_value(a, node)
+
+
+@SETTINGS
+@given(poly_pairs(2))
+def test_division_matches_oracle(case):
+    dim, [(p, a), (divisor, b)] = case
+    if divisor.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(p, divisor)
+        return
+    ref_q, ref_r = ref_divmod(a, b)
+    quotient, remainder = poly_divmod(p, divisor)
+    assert_matches(quotient, ref_q, dim)
+    assert_matches(remainder, ref_r, dim)
+    expected = quotient if not ref_r else None
+    assert exact_divide(p, divisor) == expected
+    # a product always divides exactly, in the oracle's order
+    ref_q, ref_r = ref_divmod(ref_mul(a, b), b)
+    assert ref_r == {}
+    assert_matches(exact_divide(p * divisor, divisor), ref_q, dim)
+
+
+def test_exact_divide_by_a_non_primitive_non_monic_divisor():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    q = x**2 * Fraction(1, 3) - x * y * 5 + Fraction(7, 2)
+    for divisor in (x * 6 + 4, (x * 6 + 4) * Fraction(5, 7), y * x * -10 + y * y * 4 - 6):
+        assert divisor.denominator != 1 or gcd(*divisor.numerators.values()) > 1
+        p = divisor * q
+        assert exact_divide(p, divisor) == q
+        quotient, remainder = poly_divmod(p, divisor)
+        assert quotient == q and remainder.is_zero
+        # the remainder of p + 1 is not zero, so the division is not exact
+        assert exact_divide(p + 1, divisor) is None
+        assert exact_divide(p + x**3, divisor) is None
+        quotient, remainder = poly_divmod(p + 1, divisor)
+        assert not remainder.is_zero and quotient * divisor + remainder == p + 1
+    # the first leading coefficient divides (3 | 3), the next does not
+    # (3 does not divide -2): 3x + 2 does not divide 3x^2 + 1
+    assert exact_divide(x**2 * 3 + 1, x * 3 + 2) is None
+
+
+@SETTINGS
+@given(poly_pairs(2))
+def test_equal_polynomials_hash_equal(case):
+    dim, [(p, a), (q, b)] = case
+    pairs = [
+        (p * q, q * p),
+        ((p + q) - q, p),
+        (p * Fraction(2, 3) * Fraction(3, 2), p),
+        (Polynomial(dim, dict(a)), p),
+    ]
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.numerators == right.numerators and left.denominator == right.denominator
+
+
+def test_constants_equal_ints_and_fractions():
+    for dim in (1, 2, 3):
+        assert Polynomial.zero(dim) == 0
+        assert Polynomial.constant(dim, 4) == 4
+        assert Polynomial.constant(dim, Fraction(-3, 8)) == Fraction(-3, 8)
+        assert Polynomial.constant(dim, "6/4") == Fraction(3, 2)
+        assert Polynomial.constant(dim, 4) != Fraction(4, 3)
+        assert Polynomial.variable(dim, 0) != 1
+        half = Polynomial.variable(dim, 0) * Fraction(1, 2)
+        assert (half - half + Fraction(5, 6)) == Fraction(5, 6)
+        assert hash(Polynomial.constant(dim, Fraction(6, 4))) == hash(Polynomial(dim, {(0,) * dim: "3/2"}))

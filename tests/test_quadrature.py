@@ -403,6 +403,21 @@ def test_moments_of_empty_sample_are_zero():
     assert np.array_equal(moments.values, np.zeros(len(moments.basis)))
 
 
+def test_symmetry_defect_refuses_moments_of_another_model():
+    square, disk = get_model("square"), get_model("disk")
+    with pytest.raises(ValueError, match="moments of Model\\(disk"):
+        symmetry_defect(square, 3, square.sampler(), moments=Moments(disk, 6, disk.sampler()))
+    # the same model at other parameters integrates another measure
+    other = get_model("disk", {"p": "0"})
+    assert other.params != disk.params
+    with pytest.raises(ValueError, match="given for Model\\(disk"):
+        symmetry_defect(disk, 3, disk.sampler(), moments=Moments(other, 6, other.sampler()))
+    moments = Moments(get_model("disk"), 6, disk.sampler())
+    assert symmetry_defect(disk, 3, disk.sampler(), moments=moments) == symmetry_defect(
+        disk, 3, disk.sampler(), moments=Moments(disk, 6, disk.sampler())
+    )
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_rejection_refuses_an_empty_sample(count):
     model = get_model("cuspidal_cubic_secant", {"p1": "2", "p2": "-1/2"})
