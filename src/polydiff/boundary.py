@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
 from .operator import CoMetric, DegenerateMetricError
-from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide, tensor_grid
+from .poly import MonomialBasis, Polynomial, exact_divide, tensor_grid
 
 Rational = int | Fraction
 
@@ -47,7 +47,7 @@ class BoundarySpec:
             if f.dim != self.dim:
                 raise ValueError("factor dimension mismatch")
             degree = f.total_degree
-            if degree in (NEG_INF, 0):
+            if degree < 1:
                 raise ValueError("boundary factors must have degree >= 1")
             total += degree
             if f(self.witness) <= 0:
@@ -183,9 +183,12 @@ class AdmissibilitySolution:
 
 
 def solve_admissibility(spec: BoundarySpec) -> AdmissibilitySolution:
-    """Exact kernel basis; deterministic via the RREF pivot convention."""
+    """Exact kernel basis; deterministic via the RREF pivot convention.
+
+    Each kernel vector is integers over the nullspace's one denominator, so
+    every polynomial is built from its integer numerators."""
     matrix, layout = build_admissibility_system(spec)
-    kernel = matrix.nullspace()
+    kernel, denominator = matrix.nullspace()
     d = spec.dim
     g_basis: list[CoMetric] = []
     s_for: list[list[list[Polynomial]]] = []
@@ -197,7 +200,7 @@ def solve_admissibility(spec: BoundarySpec) -> AdmissibilitySolution:
                 coeff = vector[layout.g_slot(entry, m_idx)]
                 if coeff:
                     terms[m_exp] = coeff
-            p = Polynomial(d, terms)
+            p = Polynomial._reduced(d, terms, denominator)
             grid[a][b] = p
             grid[b][a] = p
         g_basis.append(CoMetric(grid))
@@ -210,7 +213,7 @@ def solve_admissibility(spec: BoundarySpec) -> AdmissibilitySolution:
                     coeff = vector[layout.s_slot(k, i, m_idx)]
                     if coeff:
                         terms[m_exp] = coeff
-                per_axis.append(Polynomial(d, terms))
+                per_axis.append(Polynomial._reduced(d, terms, denominator))
             per_factor.append(per_axis)
         s_for.append(per_factor)
     return AdmissibilitySolution(spec, g_basis, s_for)

@@ -402,28 +402,3 @@ def get_descriptor(name: str) -> ModelDescriptor:
 
 def get_model(name: str, params: Mapping[str, Rational | str] | None = None) -> Model:
     return get_descriptor(name).instantiate(params)
-
-
-@dataclass(frozen=True)
-class ModelInfo:
-    name: str
-    dim: int
-    param_names: tuple[str, ...]
-    boundary_degree: int
-    compact: bool
-
-
-def list_models() -> list[ModelInfo]:
-    """Deterministic metadata table over the whole registry."""
-    out = []
-    for descriptor in _registry().values():
-        out.append(
-            ModelInfo(
-                name=descriptor.name,
-                dim=descriptor.dim,
-                param_names=tuple(descriptor.param_names),
-                boundary_degree=descriptor.boundary_degree,
-                compact=descriptor.compact,
-            )
-        )
-    return out

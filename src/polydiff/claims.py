@@ -401,8 +401,13 @@ def _catalog_metric_in_span(ctx: RunContext):
         columns = [stacked(g) for g in solution.g_basis]
         target = stacked(model.cometric)
         matrix = RationalMatrix([[col[r] for col in columns] for r in range(len(target))])
-        weights = matrix.solve(target)
-        member = weights is not None and solution.combination(weights) == model.cometric
+        # the g-parts of the kernel basis are independent, since S_k^i F_k =
+        # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
+        solved = matrix.solve_unique([target])
+        member = False
+        if solved is not None:
+            (weights,), den = solved
+            member = solution.combination([Fraction(w, den) for w in weights]) == model.cometric
         detail[name] = {"dimension": solution.dimension, "in_span": bool(member)}
         ok = ok and member
     return ok, detail
@@ -649,21 +654,21 @@ def build_claims() -> list[Claim]:
                 f"catalog:{name}/cometric", _ellipticity(name))
         add(f"{name}.drift-degree", name, "exact-polynomial-identity",
             f"catalog:{name}/measure", _drift_degree(name))
-        if model.has_claim("drift") and model.claim_applies("drift"):
+        if model.claim_applies("drift"):
             kind = "exact-polynomial-identity"
             add(f"{name}.drift-tabulated", name, kind,
                 f"catalog:{name}/drift", _drift_claim(name),
                 note=model.claim_note("drift"))
-        if model.has_claim("eigenvalue") and model.claim_applies("eigenvalue"):
+        if model.claim_applies("eigenvalue"):
             add(f"{name}.spectrum-closed-form", name, "exact-eigenvalue",
                 f"catalog:{name}/eigenvalues", _spectrum_claim(name),
                 note=model.claim_note("eigenvalue"))
         add(f"{name}.graded-triangularity", name, "exact-polynomial-identity",
             f"catalog:{name}/grading", _graded_triangularity(name))
-        if model.has_claim("curvature") and model.claim_applies("curvature"):
+        if model.claim_applies("curvature"):
             add(f"{name}.curvature", name, "exact-polynomial-identity",
                 f"catalog:{name}/curvature", _curvature_claim(name))
-        if model.has_claim("pullback") and model.claim_applies("pullback"):
+        if model.claim_applies("pullback"):
             add(f"{name}.pullback", name, "exact-polynomial-identity",
                 f"catalog:{name}/pullback", _pullback_claim(name))
         if model.has_sampler:

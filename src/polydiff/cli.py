@@ -72,15 +72,15 @@ def _load_model(args):
 
 
 def cmd_models_list(args) -> int:
-    from .catalog import list_models
+    from .catalog import get_descriptor, model_names
 
-    rows = list_models()
+    rows = [get_descriptor(name) for name in model_names()]
     if args.format == "json":
         payload = [
             {
                 "name": r.name,
                 "dim": r.dim,
-                "parameters": list(r.param_names),
+                "parameters": r.param_names,
                 "boundary_degree": r.boundary_degree,
                 "compact": r.compact,
             }

@@ -3,8 +3,9 @@
 Curvature treats the metric (g^ij)^-1 = adj(g^ij) / det as a conformal change
 of the polynomial metric adj(g^ij) and collapses it, with the operator
 layer's carre du champ and cometric rows, into one exact rational function
-evaluated at rational sample points.  In dimension 2 the scalar curvature is
-twice the Gaussian curvature, which is what gets reported.
+evaluated at rational sample points, each value an integer numerator over a
+positive integer denominator.  In dimension 2 the scalar curvature is twice
+the Gaussian curvature, which is what gets reported.
 
 Pullback checks take a model's cover from `quadrature.COVER_SAMPLERS` (its
 polynomial operator, ideal and maps) and decide the realization exactly:
@@ -94,8 +95,9 @@ class CurvatureEvaluator:
         is_constant = self.k_pow == 0 and self.k_num.total_degree <= 0
         self.constant = self.k_num.constant_term if is_constant else None
 
-    def curvature_exact(self, points: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-        """Exact scalar curvature at rational interior points, in order.
+    def curvature_exact(self, points: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
+        """Exact scalar curvature at rational interior points, in order, each
+        as (integer numerator, integer denominator > 0), not reduced.
 
         The numerator and det are each evaluated in one `grid_values` pass
         over the smallest tensor grid holding the points.
@@ -107,7 +109,7 @@ class CurvatureEvaluator:
             raise ValueError("curvature sample outside the elliptic region")
         # (n / k_den) / (d / det_den)^k with k_den, det_den > 0
         scale = det_den**self.k_pow
-        return [Fraction(k_nums[node] * scale, k_den * dets[node] ** self.k_pow) for node in nodes]
+        return [(k_nums[node] * scale, k_den * dets[node] ** self.k_pow) for node in nodes]
 
 
 @dataclass
@@ -149,8 +151,9 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
     points = list(compress(product(*axes), inside))
     array = np.array(list(compress(product(*[[float(v) for v in axis] for axis in axes]), inside)))
     evaluator = CurvatureEvaluator(model.cometric)
-    # grid points are rational, so evaluate the collapsed quotient exactly
-    values = np.array([float(v) for v in evaluator.curvature_exact(points)])
+    # grid points are rational, so evaluate the collapsed quotient exactly;
+    # int / int is correctly rounded, as float(Fraction) is
+    values = np.array([n / d for n, d in evaluator.curvature_exact(points)])
     return CurvatureReport(array, values, float(values.mean()), evaluator.constant)
 
 

@@ -4,13 +4,14 @@ The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments, orthogonal polynomials and
 eigenvectors are exact (one fraction-free Gauss-Jordan pass in Python ints
 gives the reduced row echelon form; it holds rows sparse and defers the
-rescaling of rows that a pivot step leaves unchanged), while spectral work on
-Gram and energy-form matrices is floating point via LAPACK.
+rescaling of rows that a pivot step leaves unchanged), and they hand out
+their results as they compute them: integer numerators over one common
+denominator.  Spectral work on Gram and energy-form matrices is floating
+point via LAPACK.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -20,7 +21,6 @@ import scipy.linalg
 
 Rational = int | Fraction
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 CLUSTER_TAU = 1e-7
 
 
@@ -133,26 +133,29 @@ class RationalMatrix:
         rows = [catch_up(i) for i in range(len(m))]
         return [[row.get(j, 0) for j in range(self.cols)] for row in rows], pivots, prev
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Exact kernel basis; count = cols - rank.
+    def nullspace(self) -> tuple[list[list[int]], int]:
+        """Exact kernel basis as (vectors, d): each basis vector is its
+        integer entries over the one denominator d > 0; count = cols - rank.
 
         Basis vectors follow the free-column convention: each has 1 at one
         free column and the solved pivot values elsewhere, emitted in order
-        of increasing free column index.
+        of increasing free column index.  Over the RREF's last pivot p that
+        is p at the free column and minus the free column's RREF entries at
+        the pivot columns, all negated when p < 0, so d = |p|.
         """
         reduced, pivots, d = self.rref()
+        sign = 1 if d > 0 else -1
         pivot_set = set(pivots)
         basis = []
         for f in range(self.cols):
             if f in pivot_set:
                 continue
-            vector = [_ZERO] * self.cols
-            vector[f] = _ONE
+            vector = [0] * self.cols
+            vector[f] = sign * d
             for row, c in zip(reduced, pivots):
-                if row[f]:
-                    vector[c] = Fraction(-row[f], d)
+                vector[c] = -sign * row[f]
             basis.append(vector)
-        return basis
+        return basis, sign * d
 
     def _augmented_rref(self, columns: Sequence[Sequence[Rational]]):
         """The RREF of [A | columns], the columns appended in order."""
@@ -162,28 +165,21 @@ class RationalMatrix:
             [row + [column[i] for column in columns] for i, row in enumerate(self.data)]
         ).rref()
 
-    def solve(self, rhs: Sequence[Rational]) -> list[Fraction] | None:
-        """One exact solution of A x = rhs, or None if inconsistent."""
-        reduced, pivots, d = self._augmented_rref([rhs])
-        if self.cols in pivots:
-            return None
-        solution = [_ZERO] * self.cols
-        for row, c in zip(reduced, pivots):
-            if row[self.cols]:
-                solution[c] = Fraction(row[self.cols], d)
-        return solution
-
     def solve_unique(
         self, columns: Sequence[Sequence[Rational]]
     ) -> tuple[list[list[int]], int] | None:
         """The solution x of A x = c for each right-hand side c in `columns`,
         from one elimination, as (integer numerators per column, common
-        denominator d); None unless every solution exists and is unique.
+        denominator d > 0); None unless every solution exists and is unique.
         For a square A that is None exactly when A is singular."""
         reduced, pivots, d = self._augmented_rref(columns)
         if pivots != list(range(self.cols)):
             return None
-        return [[row[self.cols + k] for row in reduced[: self.cols]] for k in range(len(columns))], d
+        sign = 1 if d > 0 else -1
+        solutions = [
+            [sign * row[self.cols + k] for row in reduced[: self.cols]] for k in range(len(columns))
+        ]
+        return solutions, sign * d
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):
@@ -210,22 +206,16 @@ def poly_matrix_det(entries: Sequence[Sequence]):
 # floating-point symmetric eigenproblems
 
 
-@dataclass
-class SymmetricEigenResult:
-    eigenvalues: np.ndarray          # ascending
-    eigenvectors: np.ndarray         # columns, B-orthonormal
-
-
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
     scale = max(np.abs(mat).max(), 1.0)
     if np.abs(mat - mat.T).max() > tol * scale:
         raise ValueError(f"{name} is not symmetric within {tol} relative")
 
 
-def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> SymmetricEigenResult:
-    """Solve A v = lambda B v for symmetric A and SPD B.
+def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The eigenvalues lambda of A v = lambda B v for symmetric A and SPD B,
+    ascending.
 
-    Eigenvalues come back ascending with B-orthonormal eigenvector columns.
     A non-positive-definite B raises GramMatrixError.
     """
     a = np.asarray(a, dtype=float)
@@ -239,8 +229,7 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> SymmetricEigenResult:
             "Gram matrix is not positive definite; quadrature too coarse "
             "or measure not integrable"
         ) from exc
-    values, vectors = scipy.linalg.eigh(a, b)
-    return SymmetricEigenResult(values, vectors)
+    return scipy.linalg.eigh(a, b)[0]
 
 
 def cluster_eigenvalues(values: Sequence[float]) -> list[list[int]]:

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
-from .poly import NEG_INF, MonomialBasis, Polynomial, exact_divide
+from .poly import MonomialBasis, Polynomial, exact_divide
 
 
 class InadmissibleMeasureError(ValueError):
@@ -48,7 +48,7 @@ class CoMetric:
                 p = grid[i][j]
                 if p.dim != dim:
                     raise ValueError("entry dimension mismatch")
-                if p.total_degree not in (NEG_INF,) and p.total_degree > 2:
+                if p.total_degree > 2:
                     raise ValueError(f"cometric entry ({i},{j}) has degree > 2")
                 if grid[i][j] != grid[j][i]:
                     raise ValueError("cometric must be exactly symmetric")
@@ -89,7 +89,7 @@ class DiffusionOperator:
         for b in self.drift:
             if b.dim != d:
                 raise ValueError("drift entry dimension mismatch")
-            if b.total_degree not in (NEG_INF,) and b.total_degree > 1:
+            if b.total_degree > 1:
                 raise ValueError("drift entries must have degree <= 1")
 
     @property
@@ -150,7 +150,7 @@ def boundary_first_order(g: CoMetric, factor: Polynomial) -> list[Polynomial] | 
         quotient = exact_divide(numerator, factor)
         if quotient is None:
             return None
-        if quotient.total_degree not in (NEG_INF,) and quotient.total_degree > 1:
+        if quotient.total_degree > 1:
             return None
         out.append(quotient)
     return out
@@ -184,14 +184,14 @@ def drift_from_measure(g: CoMetric, measure: MeasureSpec) -> tuple[Polynomial, .
             drift[i] = drift[i] + s[i] * exponent
     if measure.exp_poly is not None:
         for i, extra in enumerate(cometric_gradient(g, measure.exp_poly)):
-            if extra.total_degree not in (NEG_INF,) and extra.total_degree > 1:
+            if extra.total_degree > 1:
                 raise InadmissibleMeasureError(
                     f"exponential measure part gives drift of degree "
                     f"{extra.total_degree} on axis {i}"
                 )
             drift[i] = drift[i] + extra
     for i, b in enumerate(drift):
-        if b.total_degree not in (NEG_INF,) and b.total_degree > 1:
+        if b.total_degree > 1:
             raise InadmissibleMeasureError(f"drift degree {b.total_degree} > 1 on axis {i}")
     return tuple(drift)
 
@@ -325,9 +325,10 @@ class GradedOperatorMatrix:
         columns = self.columns[block]
         return [[column.get(r, 0) for column in columns] for r in range(block.start, block.stop)]
 
-    def moments(self) -> list[Fraction]:
+    def moments(self) -> tuple[list[int], int]:
         """Exact moments of the measure L leaves invariant, normalized to mass
-        1: entry k is the mean of the k-th basis monomial.
+        1, as (integer numerators, denominator > 0): entry k over the
+        denominator is the mean of the k-th basis monomial.
 
         The integral of L p vanishes for every polynomial p, and column a holds
         L(x^a), so sum_r M[r, a] m_r = 0.  Degree by degree that reads
@@ -338,8 +339,7 @@ class GradedOperatorMatrix:
 
         The moments found so far are held as integers over one denominator,
         so every right-hand side is an integer sum; after each degree they
-        are reduced by their gcd, and one Fraction per moment is built at
-        the end.
+        are reduced by their gcd.
         """
         values, denominator = [1], 1
         for n, block in enumerate(self.basis.degree_slices[1:], start=1):
@@ -364,16 +364,15 @@ class GradedOperatorMatrix:
             g = gcd(denominator, *values)
             values = [v // g for v in values]
             denominator //= g
-        return [Fraction(v, denominator) for v in values]
+        return values, denominator
 
-    def strictly_lower_block_entries(self) -> list[tuple[int, int, Fraction]]:
-        """Entries below the degree-diagonal blocks; empty iff graded."""
+    def strictly_lower_block_entries(self) -> list[tuple[int, int, int]]:
+        """Entries below the degree-diagonal blocks as (row, column, integer
+        entry over `scale`); empty iff graded."""
         out = []
         for block in self.basis.degree_slices:
             for c in range(block.start, block.stop):
                 out.extend(
-                    (r, c, Fraction(v, self.scale))
-                    for r, v in sorted(self.columns[c].items())
-                    if r >= block.stop
+                    (r, c, v) for r, v in sorted(self.columns[c].items()) if r >= block.stop
                 )
         return out

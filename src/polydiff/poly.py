@@ -796,7 +796,7 @@ class _Parser:
             elif token == "/":
                 self.take()
                 denom = self.factor()
-                if denom.total_degree not in (0, NEG_INF):
+                if denom.total_degree > 0:
                     raise PolyParseError("division only by a nonzero rational constant")
                 const = denom.constant_term
                 if const == 0:

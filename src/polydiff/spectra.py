@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, sqrt
+from math import gcd, sqrt
 from typing import Callable, Iterable
 
 import numpy as np
@@ -300,9 +300,8 @@ def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> lis
             f"degree {max_degree} needs moments to degree {2 * max_degree}, not {graded.max_degree}"
         )
     exponents = graded.basis.exponents
-    moments = graded.moments()
-    denominator = lcm(*(m.denominator for m in moments))
-    mean = {e: m.numerator * (denominator // m.denominator) for e, m in zip(exponents, moments)}
+    numerators, denominator = graded.moments()
+    mean = dict(zip(exponents, numerators))
 
     def moment(a, b):
         return mean[tuple(x + y for x, y in zip(a, b))]
@@ -344,18 +343,15 @@ def _lifted_eigenvectors(
 ) -> list[list[int]]:
     """Exact eigenvectors over the first `size` basis monomials, in
     integers: each kernel vector k of the integer degree block B - mu I
-    (B = S M_nn, mu = S lam), scaled to integers, lifted to sum_b k_b P_b.
+    (B = S M_nn, mu = S lam), taken as its integer numerators over the
+    kernel's one positive denominator, lifted to sum_b k_b P_b.
 
     L is symmetric under its invariant measure, so it maps the P_b of
     degree n into their own span, and L P_a = sum_b (M_nn)_ba P_b: the lift
     is an eigenvector orthogonal to every polynomial of lower degree.
     """
     shifted = [[v - mu if i == j else v for j, v in enumerate(row)] for i, row in enumerate(block)]
-    out = []
-    for kernel in RationalMatrix(shifted).nullspace():
-        q = lcm(*(v.denominator for v in kernel))
-        out.append(_lift(poly, [v.numerator * (q // v.denominator) for v in kernel], size))
-    return out
+    return [_lift(poly, kernel, size) for kernel in RationalMatrix(shifted).nullspace()[0]]
 
 
 def _form(u: list[int], gram: list[list[int]], v: list[int]) -> int:
@@ -506,7 +502,7 @@ def eigenbasis(moments: Moments, max_degree: int) -> EigenBasis:
 
     funcs = [f for level in per_degree for f in level]
     energy, gram = gamma_form_matrix(basis, np.column_stack([f.coefficients for f in funcs]), moments)
-    pencil_values = generalized_sym_eig(energy, gram).eigenvalues
+    pencil_values = generalized_sym_eig(energy, gram)
     if pencil_values.min() < -PENCIL_NEGATIVE_TOL * max(np.abs(pencil_values).max(), 1.0):
         raise ValueError(
             "energy-form pencil has a significantly negative eigenvalue; "

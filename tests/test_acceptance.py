@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydiff.catalog import get_model, list_models, model_names
+from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.claims import run_claims
 from polydiff.spectra import graded_eigenvalues
 
@@ -119,7 +119,8 @@ def test_a5_self_adjointness(battery):
 
 
 def test_a6_eigenbasis_quality(battery):
-    bounded = [r.name for r in list_models() if r.compact and r.dim <= 2]
+    descriptors = [get_descriptor(name) for name in model_names()]
+    bounded = [d.name for d in descriptors if d.compact and d.dim <= 2]
     ok = True
     worst_gram = worst_residual = worst_cross = 0.0
     for name in bounded:

@@ -394,8 +394,14 @@ def test_admissibility_matches_fraction_row_reference(name, params):
             assert row == [v * scale for v in expected]
         start += count
     assert start == len(reference) == matrix.rows
-    kernel = RationalMatrix(reference).nullspace()
-    assert matrix.nullspace() == kernel
+
+    def fractions(nullspace):
+        vectors, d = nullspace
+        assert d > 0
+        return [[Fraction(v, d) for v in vector] for vector in vectors]
+
+    kernel = fractions(RationalMatrix(reference).nullspace())
+    assert fractions(matrix.nullspace()) == kernel
     solution = solve_admissibility(spec)
     assert solution.dimension == len(kernel)
     for g, s_for, vector in zip(solution.g_basis, solution.s_for, kernel):

@@ -13,10 +13,13 @@ from polydiff.catalog import (
     ParameterError,
     get_descriptor,
     get_model,
-    list_models,
     model_names,
 )
 from polydiff.poly import parse_poly
+
+
+def _descriptors():
+    return [get_descriptor(name) for name in model_names()]
 
 
 def test_registry_contains_required_models():
@@ -33,12 +36,12 @@ def test_registry_contains_required_models():
 
 
 def test_bounded_2d_count_is_eleven():
-    rows = [r for r in list_models() if r.dim == 2 and r.compact]
+    rows = [r for r in _descriptors() if r.dim == 2 and r.compact]
     assert len(rows) == 11
 
 
 def test_bounded_2d_boundary_degree_at_most_four():
-    for row in list_models():
+    for row in _descriptors():
         if row.dim == 2 and row.compact:
             assert row.boundary_degree <= 4
 
@@ -96,7 +99,7 @@ def test_claim_requires_guard():
 
 
 def test_every_bounded_model_passes_instantiation_invariants():
-    for row in list_models():
+    for row in _descriptors():
         if not row.compact:
             continue
         model = get_model(row.name)
@@ -115,7 +118,10 @@ def test_descriptor_rationals_roundtrip():
 
 
 def test_deterministic_listing_order():
-    assert [r.name for r in list_models()] == model_names()
+    # the registry, and so `models list`, keeps the order of the catalog file
+    raw = json.loads(resources.files("polydiff").joinpath("data/models.json").read_text())
+    assert model_names() == [m["name"] for m in raw["models"]]
+    assert [d.name for d in _descriptors()] == model_names()
 
 
 def test_coaxial_box_tracks_parameter():

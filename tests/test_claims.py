@@ -10,6 +10,7 @@ import pytest
 from polydiff import quadrature, spectra
 from polydiff.catalog import get_model, model_names
 from polydiff.claims import RunContext, build_claims, run_claims
+from polydiff.operator import CoMetric
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
 
@@ -98,6 +99,25 @@ def test_corrupted_spectrum_never_matches_a_numeric_block(monkeypatch):
     result = claim.execute(RunContext(seed=3))
     assert result.status == "pass", result.detail
     assert result.detail["mismatched_degrees"] == [1, 2, 3, 4, 5, 6]
+
+
+def test_catalog_metric_outside_its_admissible_span_fails_the_span_claim():
+    # g + I is a valid cometric, but the square's admissible span holds g
+    # and not the identity, whose row d_x (1 - x) = -1 is no affine multiple
+    # of the boundary factor 1 - x, so g + I lies outside the span
+    claim = {c.id: c for c in build_claims()}["admissibility.catalog-metric-in-span"]
+    passed = claim.execute(RunContext(seed=7))
+    assert passed.status == "pass", passed.detail
+    ctx = RunContext(seed=7)
+    model = ctx.model("square")
+    g = model.cometric
+    model.cometric = CoMetric([[g[i, j] + int(i == j) for j in range(2)] for i in range(2)])
+    result = claim.execute(ctx)
+    assert result.status == "fail", result.detail
+    assert result.detail["square"] == {"dimension": 2, "in_span": False}
+    assert {k: v for k, v in result.detail.items() if k != "square"} == {
+        k: v for k, v in passed.detail.items() if k != "square"
+    }
 
 
 def test_filter_skips_other_models():

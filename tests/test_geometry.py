@@ -31,6 +31,14 @@ def _curvature_cases():
                 yield name, _generic_params(rng, descriptor)
 
 
+def _curvature(evaluator, points):
+    """CurvatureEvaluator.curvature_exact as Fractions, from its integer
+    numerators over positive integer denominators."""
+    pairs = evaluator.curvature_exact(points)
+    assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
+    return [Fraction(n, d) for n, d in pairs]
+
+
 def _interior_sample(model, count):
     """Up to `count` rational interior points spread over a curvature grid."""
     points = model.interior_points(per_axis=8, margin=INTERIOR_MARGIN)
@@ -42,7 +50,7 @@ def test_disk_catalog_metric_is_round_sphere():
     model = get_model("disk", {"a": "0", "b": "0", "c": "1", "p": "0"})
     evaluator = CurvatureEvaluator(model.cometric)
     for point in ((0, 0), (Fraction(1, 10), Fraction(1, 5)), (Fraction(-3, 5), Fraction(1, 2))):
-        assert evaluator.curvature_exact([point]) == [2]
+        assert _curvature(evaluator, [point]) == [2]
 
 
 def test_coaxial_curvature_family():
@@ -75,9 +83,9 @@ def test_non_constant_curvature_models():
 
 def test_curvature_exact_at_rational_points():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
-    assert evaluator.curvature_exact([(Fraction(1, 3), Fraction(1, 7))]) == [0]
+    assert _curvature(evaluator, [(Fraction(1, 3), Fraction(1, 7))]) == [0]
     evaluator = CurvatureEvaluator(get_model("swallowtail").cometric)
-    assert evaluator.curvature_exact([(Fraction(0), Fraction(1, 8))]) == [2]
+    assert _curvature(evaluator, [(Fraction(0), Fraction(1, 8))]) == [2]
 
 
 def test_curvature_outside_elliptic_region_rejected():
@@ -102,7 +110,7 @@ def test_exact_constancy_agrees_with_grid_values(name, params):
     # constant c exactly when every grid value is c
     model = get_model(name, params)
     evaluator = CurvatureEvaluator(model.cometric)
-    values = set(evaluator.curvature_exact(_constancy_points(model)))
+    values = set(_curvature(evaluator, _constancy_points(model)))
     if evaluator.constant is None:
         assert len(values) >= 2
     else:
@@ -117,7 +125,7 @@ def test_batch_curvature_matches_pointwise_quotient(name):
     points = _constancy_points(model)
     assert len(points) >= 100
     expected = [evaluator.k_num(p) / evaluator.det(p) ** evaluator.k_pow for p in points]
-    assert evaluator.curvature_exact(points) == expected
+    assert _curvature(evaluator, points) == expected
 
 
 def _fraction_point_curvature_report(model, min_points=100):
@@ -150,7 +158,7 @@ def _fraction_point_curvature_report(model, min_points=100):
         raise ValueError("too few interior points")
     array = np.array([[float(c) for c in p] for p in points])
     evaluator = CurvatureEvaluator(model.cometric)
-    values = np.array([float(v) for v in evaluator.curvature_exact(points)])
+    values = np.array([float(v) for v in _curvature(evaluator, points)])
     return array, values, float(values.mean()), evaluator.constant
 
 
@@ -224,7 +232,7 @@ def test_curvature_affine_invariance():
         old, new = CurvatureEvaluator(g), CurvatureEvaluator(transformed)
         for p in _interior_sample(model, 6):
             q = tuple(a[i][0] * p[0] + a[i][1] * p[1] + b[i] for i in range(2))
-            assert new.curvature_exact([q]) == old.curvature_exact([p]), (name, p)
+            assert _curvature(new, [q]) == _curvature(old, [p]), (name, p)
             checks += 1
     assert checks >= 100
 
@@ -450,4 +458,4 @@ def test_curvature_exact_matches_sympy_christoffel_curvature(name):
     oracle = _sympy_scalar_curvature(model.cometric)
     evaluator = CurvatureEvaluator(model.cometric)
     for point in _interior_sample(model, 2):
-        assert evaluator.curvature_exact([point]) == [oracle(point)], point
+        assert _curvature(evaluator, [point]) == [oracle(point)], point

@@ -21,14 +21,23 @@ from polydiff.quadrature import Moments, gamma_form_matrix, gram_matrix
 
 
 def test_nullspace_identity_is_trivial():
-    assert RationalMatrix([[int(i == j) for j in range(3)] for i in range(3)]).nullspace() == []
+    assert RationalMatrix([[int(i == j) for j in range(3)] for i in range(3)]).nullspace() == ([], 1)
 
 
 def test_nullspace_rank_one():
-    basis = RationalMatrix([[1, 1], [2, 2]]).nullspace()
-    assert len(basis) == 1
+    basis, d = RationalMatrix([[1, 1], [2, 2]]).nullspace()
+    assert len(basis) == 1 and d > 0
     v = basis[0]
     assert v[0] == -v[1] != 0
+    assert all(type(x) is int for x in v)
+
+
+def test_nullspace_denominator_is_positive_when_the_last_pivot_is_negative():
+    # Bareiss leaves the last pivot -3 here; the kernel (-2/3, 1) comes back
+    # as (-2, 3) over 3, not as (2, -3) over -3
+    m = RationalMatrix([[-3, -2]])
+    assert m.rref() == ([[-3, -2]], [0], -3)
+    assert m.nullspace() == ([[-2, 3]], 3)
 
 
 def test_nullspace_exact_kernel_random():
@@ -42,24 +51,30 @@ def test_nullspace_exact_kernel_random():
                 for _ in range(rows)
             ]
         )
-        kernel = m.nullspace()
-        assert len(kernel) == cols - len(m.rref()[1])
+        kernel, d = m.nullspace()
+        assert len(kernel) == cols - len(m.rref()[1]) and d > 0
         for v in kernel:
+            assert all(type(x) is int for x in v)
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
 
 
 def test_solve_consistent_and_inconsistent():
     m = RationalMatrix([[1, 2], [2, 4]])
-    assert m.solve([1, 2]) is not None
-    assert m.solve([1, 3]) is None
+    assert m.solve_unique([[1, 3]]) is None
+    # overdetermined: three equations, two unknowns
+    tall = RationalMatrix([[1, 0], [0, Fraction(1, 2)], [1, 1]])
+    ([first], d) = tall.solve_unique([[2, Fraction(3, 2), 5]])
+    assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
+    assert tall.solve_unique([[2, Fraction(3, 2), 4]]) is None
     m2 = RationalMatrix([[2, 0], [0, Fraction(1, 3)]])
-    assert m2.solve([4, 1]) == [Fraction(2), Fraction(3)]
+    ([first], d) = m2.solve_unique([[4, 1]])
+    assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
 
 
 def test_solve_unique_refuses_a_singular_matrix():
     m = RationalMatrix([[1, 2], [2, 4]])
-    # consistent, so solve finds a solution, but not the only one
-    assert m.solve([1, 2]) is not None
+    # consistent, (1, 0) solves it, but not the only solution
+    assert len(m.nullspace()[0]) == 1
     assert m.solve_unique([[1, 2]]) is None
     m2 = RationalMatrix([[2, 0], [0, Fraction(1, 3)]])
     (first, second), d = m2.solve_unique([[4, 1], [0, 1]])
@@ -68,16 +83,14 @@ def test_solve_unique_refuses_a_singular_matrix():
 
 
 def test_generalized_eig_diag():
-    result = generalized_sym_eig(np.diag([1.0, 2.0]), np.eye(2))
-    assert np.allclose(result.eigenvalues, [1.0, 2.0])
+    assert np.allclose(generalized_sym_eig(np.diag([1.0, 2.0]), np.eye(2)), [1.0, 2.0])
 
 
 def test_generalized_eig_equal_matrices():
     rng = np.random.default_rng(5)
     r = rng.normal(size=(4, 4))
     spd = r @ r.T + 4 * np.eye(4)
-    result = generalized_sym_eig(spd, spd)
-    assert np.allclose(result.eigenvalues, 1.0)
+    assert np.allclose(generalized_sym_eig(spd, spd), 1.0)
 
 
 def test_generalized_eig_jacobi_energy_form():
@@ -87,8 +100,7 @@ def test_generalized_eig_jacobi_energy_form():
     moments = Moments(model, 4, sampler)
     b = gram_matrix(moments, 2)
     a, _ = gamma_form_matrix(MonomialBasis(1, 2), np.eye(3), moments)
-    result = generalized_sym_eig(a, b)
-    assert np.allclose(result.eigenvalues, [0.0, 2.0, 6.0], atol=1e-10)
+    assert np.allclose(generalized_sym_eig(a, b), [0.0, 2.0, 6.0], atol=1e-10)
 
 
 def test_generalized_eig_rejects_indefinite_b():
@@ -96,19 +108,19 @@ def test_generalized_eig_rejects_indefinite_b():
         generalized_sym_eig(np.eye(2), np.diag([1.0, -1.0]))
 
 
-def test_eigenvectors_b_orthonormal_and_residual():
+def test_eigenvalues_ascending_and_match_the_cholesky_reduced_problem():
+    # with B = C C^t, A v = lambda B v is the standard symmetric problem of
+    # C^-1 A C^-t, whose eigenvalues numpy computes by another LAPACK routine
     rng = np.random.default_rng(17)
     r = rng.normal(size=(6, 6))
     a = (r + r.T) / 2
     s = rng.normal(size=(6, 6))
     b = s @ s.T + 6 * np.eye(6)
-    result = generalized_sym_eig(a, b)
-    gram = result.eigenvectors.T @ b @ result.eigenvectors
-    assert np.abs(gram - np.eye(6)).max() < 1e-10
-    # max_i ||A v_i - lambda_i B v_i|| relative to max |A|
-    v = result.eigenvectors
-    residuals = np.linalg.norm(a @ v - (b @ v) * result.eigenvalues, axis=0)
-    assert residuals.max() < 1e-10 * max(np.abs(a).max(), 1.0)
+    values = generalized_sym_eig(a, b)
+    assert values.shape == (6,) and np.all(np.diff(values) > 0)
+    c_inv = np.linalg.inv(np.linalg.cholesky(b))
+    reduced = np.linalg.eigvalsh(c_inv @ a @ c_inv.T)
+    assert np.abs(values - reduced).max() < 1e-10 * max(np.abs(a).max(), 1.0)
 
 
 def test_congruence_invariance():
@@ -118,8 +130,8 @@ def test_congruence_invariance():
     s = rng.normal(size=(5, 5))
     b = s @ s.T + 5 * np.eye(5)
     t = rng.normal(size=(5, 5)) + 3 * np.eye(5)
-    base = generalized_sym_eig(a, b).eigenvalues
-    transformed = generalized_sym_eig(t.T @ a @ t, t.T @ b @ t).eigenvalues
+    base = generalized_sym_eig(a, b)
+    transformed = generalized_sym_eig(t.T @ a @ t, t.T @ b @ t)
     assert np.abs(base - transformed).max() < 1e-9 * (1 + np.abs(base).max())
 
 
@@ -325,30 +337,31 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             from_sympy(expected_rref.row(i)) for i in range(len(rows))
         ], kind
         assert len(pivots) == expected.rank(), kind
-        assert m.nullspace() == [from_sympy(v) for v in expected.nullspace()], kind
-        solution = m.solve(rhs)
+        kernel, d = m.nullspace()
+        assert d > 0 and all(type(v) is int for vector in kernel for v in vector), kind
+        assert [[Fraction(v, d) for v in vector] for vector in kernel] == [
+            from_sympy(v) for v in expected.nullspace()
+        ], kind
         # a second right-hand side in the same elimination
         twice = [2 * v for v in rhs]
         unique = m.solve_unique([rhs, twice])
         try:
             exact, params = expected.gauss_jordan_solve(to_sympy([[v] for v in rhs]))
         except ValueError:  # sympy: the system has no solution
-            assert solution is None and unique is None, kind
+            assert unique is None, kind
             outcomes.add(("no solution", kind))
             continue
-        # solve sets every free column to zero
-        particular = exact.subs({t: 0 for t in params})
-        assert solution == from_sympy(particular), kind
         if params:
             assert unique is None, kind
-            outcomes.add(("solved", kind))
+            outcomes.add(("not unique", kind))
         else:
             (first, second), d = unique
-            assert [Fraction(v, d) for v in first] == solution, kind
-            assert [Fraction(v, d) for v in second] == [2 * v for v in solution], kind
+            assert d > 0, kind
+            assert [Fraction(v, d) for v in first] == from_sympy(exact), kind
+            assert [Fraction(v, d) for v in second] == [2 * v for v in from_sympy(exact)], kind
             outcomes.add(("unique", kind))
     assert {"wide", "tall", "rank-deficient", "zero-row", "large", "sparse", "integer"} <= kinds
     assert {
-        ("no solution", "inconsistent"), ("solved", "rank-deficient"), ("unique", "square"),
+        ("no solution", "inconsistent"), ("not unique", "rank-deficient"), ("unique", "square"),
         ("unique", "integer"),
     } <= outcomes

@@ -244,7 +244,11 @@ def test_strictly_lower_block_entries_lists_entries_below_the_blocks():
     graded.columns[1][3] = 5 * 30
     graded.columns[0][9] = -15
     graded.columns[1][2] = 7 * 30
-    assert graded.strictly_lower_block_entries() == [(9, 0, Fraction(-1, 2)), (3, 1, Fraction(5))]
+    entries = graded.strictly_lower_block_entries()
+    assert entries == [(9, 0, -15), (3, 1, 5 * 30)]
+    assert [(r, c, Fraction(v, graded.scale)) for r, c, v in entries] == [
+        (9, 0, Fraction(-1, 2)), (3, 1, Fraction(5))
+    ]
 
 
 def test_product_operator_block_structure():
@@ -314,7 +318,15 @@ def _beta_interval_moments(alpha, beta, degree):
 
 def _exact_moments(name, params, degree):
     graded = GradedOperatorMatrix(get_model(name, params).operator, degree)
-    return dict(zip(graded.basis.exponents, graded.moments()))
+    return _moment_fractions(graded)
+
+
+def _moment_fractions(graded):
+    """The exact moments as Fractions, from their integers over one positive
+    denominator."""
+    numerators, denominator = graded.moments()
+    assert denominator > 0 and all(type(n) is int for n in numerators)
+    return {e: Fraction(n, denominator) for e, n in zip(graded.basis.exponents, numerators)}
 
 
 def test_moments_of_hermite1d_are_the_standard_normal_ones():
@@ -387,7 +399,7 @@ def test_moments_equal_the_pushforward_of_the_cover_measure(name):
     cover = COVER_SAMPLERS[name]
     graded = GradedOperatorMatrix(get_model(name, dict(cover.required_params)).operator, 6)
     powers = [[f**k for k in range(7)] for f in cover.maps]
-    for (i, j), moment in zip(graded.basis.exponents, graded.moments()):
+    for (i, j), moment in _moment_fractions(graded).items():
         image = powers[0][i] * powers[1][j]
         expected = sum((c * _cover_moment(name, e) for e, c in image.terms.items()), Fraction(0))
         assert moment == expected, (i, j)

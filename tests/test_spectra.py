@@ -176,10 +176,9 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
     solve = spectra.generalized_sym_eig
 
     def shifted(a, b):
-        result = solve(a, b)
-        values = result.eigenvalues
+        values = solve(a, b)
         values[0] = -1e-4 * max(np.abs(values).max(), 1.0)
-        return result
+        return values
 
     monkeypatch.setattr(spectra, "generalized_sym_eig", shifted)
     with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -267,7 +266,9 @@ def _reference_exact_eigenvectors(graded, degree, lam):
         for i in range(width)
     ]
     out = []
-    for top in RationalMatrix(shifted).nullspace():
+    kernel, d = RationalMatrix(shifted).nullspace()
+    for numerators in kernel:
+        top = [Fraction(v, d) for v in numerators]
         full = [Fraction(0)] * len(graded.basis)
         full[block] = top
         if block.start:
@@ -279,9 +280,11 @@ def _reference_exact_eigenvectors(graded, degree, lam):
                 -sum((m[i][block.start + t] * top[t] for t in range(width)), Fraction(0))
                 for i in range(block.start)
             ]
-            solution = RationalMatrix(lower).solve(rhs)
+            # lam is no eigenvalue of a lower degree, so the solution is unique
+            solution = RationalMatrix(lower).solve_unique([rhs])
             assert solution is not None
-            full[: block.start] = solution
+            (below,), den = solution
+            full[: block.start] = [Fraction(v, den) for v in below]
         out.append(full)
     return out
 
@@ -343,7 +346,8 @@ def test_exact_eigenvectors_are_orthogonal_under_the_exact_moments(name, params)
     # moments
     op = get_model(name, params).operator
     big = GradedOperatorMatrix(op, 12)
-    mean = dict(zip(big.basis.exponents, big.moments()))
+    numerators, denominator = big.moments()
+    mean = {e: Fraction(n, denominator) for e, n in zip(big.basis.exponents, numerators)}
 
     def inner(u, v):
         return sum(

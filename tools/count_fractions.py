@@ -1,0 +1,45 @@
+"""Count the Fraction constructions of the exact-sweep requests.
+
+    python3 tools/count_fractions.py [--seed 11] [--rounds 2]
+
+Run it from the root of a source checkout.  It serves the perfbench
+exact-sweep schedule for the seed and round count in process, under
+cProfile, and prints one JSON line: the number of Fraction.__new__ calls
+made while serving (schedule drawing excluded), the request count and the
+round digests, so two checkouts can be compared on the same outputs.
+"""
+
+import argparse
+import cProfile
+import json
+import pstats
+import sys
+
+sys.path[:0] = ["src", "perfbench"]
+
+import workloads  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--rounds", type=int, default=2)
+    args = parser.parse_args()
+    requests = workloads.schedule("exact-sweep", args.seed, args.rounds)
+    profile = cProfile.Profile()
+    outputs = profile.runcall(lambda: [workloads.serve(r) for r in requests])
+    calls = sum(
+        ncalls
+        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
+        if path.endswith("fractions.py") and name == "__new__"
+    )
+    per_round: dict[int, list] = {}
+    for request, output in zip(requests, outputs):
+        per_round.setdefault(request.round, []).append([request.label(), output])
+    digests = [workloads.digest(per_round[r]) for r in sorted(per_round)]
+    summary = {"fraction_new_calls": calls, "requests": len(requests), "round_digests": digests}
+    print(json.dumps(summary))
+
+
+if __name__ == "__main__":
+    main()
