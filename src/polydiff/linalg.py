@@ -1,20 +1,23 @@
 """Exact rational dense linear algebra and the generalized symmetric eigensolver.
 
 The ratio of work here is deliberate: nullspaces and solves that feed the
-boundary admissibility system, the exact moments, orthogonal polynomials and
-eigenvectors are exact (one fraction-free Gauss-Jordan pass in Python ints
-gives the reduced row echelon form; it holds rows sparse and defers the
-rescaling of rows that a pivot step leaves unchanged), and they hand out
-their results as they compute them: integer numerators over one common
-denominator.  Spectral work on Gram and energy-form matrices is floating
-point via LAPACK.
+boundary admissibility system, the exact moments and eigenvectors, and the
+elimination of the moment matrix behind the orthogonal polynomials are
+exact.  Both eliminations are fraction-free passes in Python ints (Bareiss)
+that hold rows sparse and defer the rescaling of rows that a pivot step
+leaves unchanged: one Gauss-Jordan pass gives the reduced row echelon form,
+and one symmetric pass down the diagonal of a positive definite matrix
+gives its Schur complements block by block.  They hand out their results
+as they compute them: integer numerators over one common denominator.
+Spectral work on Gram and energy-form matrices is floating point via
+LAPACK.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +32,88 @@ def _exact_quotient(a: int, b: int) -> int:
     if rem:
         raise ArithmeticError("fraction-free step left a remainder")
     return q
+
+
+def _bareiss_step(
+    row: dict[int, int], lead: int, head: int, pivot_entries: Iterable[tuple[int, int]], prev: int
+) -> dict[int, int]:
+    """One fraction-free elimination step on a sparse row: (lead row - head
+    pivot row) / prev over the union of their nonzero columns, where lead is
+    the pivot, head the row's entry in the pivot column and prev the
+    previous pivot.  The pivot row comes as its (column, entry) pairs; every
+    division is exact and checked."""
+    combined = {j: v * lead for j, v in row.items()}
+    for j, v in pivot_entries:
+        combined[j] = combined.get(j, 0) - head * v
+    new = {}
+    for j, v in combined.items():  # _exact_quotient, inlined in the hot loop
+        if v:
+            q, rem = divmod(v, prev)
+            if rem:
+                raise ArithmeticError("fraction-free step left a remainder")
+            new[j] = q
+    return new
+
+
+def _caught_up(m: list[dict[int, int]], at: list[int], i: int, prev: int) -> dict[int, int]:
+    """Row i of the lazily scaled sparse rows m, brought from the pivot
+    at[i] its entries are current at to the pivot prev in one exact
+    division (the composed factor prev / at[i] of the steps it skipped)."""
+    row = m[i]
+    if at[i] != prev:
+        row = m[i] = {j: _exact_quotient(v * prev, at[i]) for j, v in row.items()}
+        at[i] = prev
+    return row
+
+
+def symmetric_elimination(
+    upper: list[dict[int, int]], blocks: Sequence[range]
+) -> Iterator[tuple[list[dict[int, int]], int]]:
+    """Fraction-free elimination of a positive definite symmetric integer
+    matrix A down its diagonal, block by block, each row carrying extra
+    columns along.
+
+    Row i of `upper` is sparse, column -> integer: row i of A from column i
+    on, which is all the elimination needs since every Schur complement of
+    A stays symmetric (row i's entry in pivot column k is row k's entry in
+    column i), then any columns past A's.  `blocks` are consecutive ranges
+    of rows that cover A from row 0.  Before the columns of each block are
+    eliminated, this yields the block's rows and the last pivot D, the
+    leading minor of A over the rows before the block (1 before the first);
+    the rows' entries are then D times those of the Schur complement, and
+    their extra columns D times the combination of original rows that gave
+    them.  The last block's columns are never eliminated.
+
+    The pivots are A's leading minors.  Unless each is positive (A positive
+    definite, by Sylvester's criterion) ValueError names the block of the
+    first that is not.  Rows are rescaled lazily, as in
+    `RationalMatrix.rref`, and every division is exact and checked.
+    """
+    rows = list(upper)
+    size = len(rows)
+    at = [1] * size  # the pivot each row's entries are current at
+    prev = 1
+    for n, block in enumerate(blocks):
+        yield [_caught_up(rows, at, i, prev) for i in block], prev
+        if n == len(blocks) - 1:
+            return
+        for k in block:
+            lead_row = _caught_up(rows, at, k, prev)
+            lead = lead_row.get(k, 0)
+            if lead <= 0:
+                minor = "vanishes" if lead == 0 else "is negative"
+                raise ValueError(f"not positive definite: a leading minor in block {n} {minor}")
+            # sorted, the pivot row's entries from column i on are a tail:
+            # the columns of row i's part of the upper triangle, then the extras
+            entries = sorted(lead_row.items())
+            for pos in range(1, len(entries)):
+                i, head = entries[pos]
+                if i >= size:
+                    break
+                row = _caught_up(rows, at, i, prev)
+                rows[i] = _bareiss_step(row, lead, head, entries[pos:], prev)
+                at[i] = lead
+            prev = lead
 
 
 class GramMatrixError(ValueError):
@@ -90,14 +175,6 @@ class RationalMatrix:
         at = [1] * len(m)  # the pivot each row's entries are current at
         pivots: list[int] = []
         prev = 1
-
-        def catch_up(i: int) -> dict[int, int]:
-            row = m[i]
-            if at[i] != prev:
-                row = m[i] = {j: _exact_quotient(v * prev, at[i]) for j, v in row.items()}
-                at[i] = prev
-            return row
-
         r = 0
         for c in range(self.cols):
             pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
@@ -105,24 +182,13 @@ class RationalMatrix:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
             at[r], at[pivot_row] = at[pivot_row], at[r]
-            lead_row = catch_up(r)
+            lead_row = _caught_up(m, at, r, prev)
             lead = lead_row[c]
             for i, row in enumerate(m):
                 if i == r or c not in row:
                     continue
-                row = catch_up(i)
-                head = row[c]
-                combined = {j: v * lead for j, v in row.items()}
-                for j, v in lead_row.items():
-                    combined[j] = combined.get(j, 0) - head * v
-                new = {}
-                for j, v in combined.items():  # _exact_quotient, inlined in the hot loop
-                    if v:
-                        q, rem = divmod(v, prev)
-                        if rem:
-                            raise ArithmeticError("fraction-free step left a remainder")
-                        new[j] = q
-                m[i] = new
+                row = _caught_up(m, at, i, prev)
+                m[i] = _bareiss_step(row, lead, row[c], lead_row.items(), prev)
                 at[i] = lead
             prev = lead
             at[r] = lead
@@ -130,7 +196,7 @@ class RationalMatrix:
             r += 1
             if r == len(m):
                 break
-        rows = [catch_up(i) for i in range(len(m))]
+        rows = [_caught_up(m, at, i, prev) for i in range(len(m))]
         return [[row.get(j, 0) for j in range(self.cols)] for row in rows], pivots, prev
 
     def nullspace(self) -> tuple[list[list[int]], int]:

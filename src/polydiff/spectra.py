@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .catalog import Model
-from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig
+from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig, symmetric_elimination
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
 from .quadrature import Moments, gamma_form_matrix
@@ -274,8 +274,11 @@ class OrthogonalDegree:
 
     For the k-th monomial x^b of degree n, scale * P_b = scale * x^b -
     sum_c lower[k][c] x^c over the monomials x^c of lower degree, and P_b is
-    orthogonal to every polynomial of lower degree.  Under the measure of
-    mass 1, <scale P_b, scale P_b'> = gram[k][l] / denominator.
+    orthogonal to every polynomial of lower degree.  `scale` is the leading
+    minor of the moment numerators over the monomials of lower degree (1 at
+    degree 0), the determinant of their moment matrix times its denominator
+    to their count.  Under the measure of mass 1,
+    <scale P_b, scale P_b'> = gram[k][l] / denominator.
     """
 
     scale: int
@@ -289,42 +292,43 @@ def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> lis
     under the exact moments of the measure the operator leaves invariant
     (`GradedOperatorMatrix.moments` of `graded`, to twice that degree).
 
-    P_b = x^b - proj x^b onto the polynomials of degree < n is one exact
-    solve of their moment matrix with a right-hand side per x^b; since
-    P_a - x^a has lower degree, <P_a, P_b> = <x^a, P_b>.  The moments are
-    integers over one denominator, so everything after the solve is integer
-    arithmetic.
+    One symmetric fraction-free elimination (`linalg.symmetric_elimination`,
+    Bareiss, Math. Comp. 22, 1968) of the integer moment matrix G (the
+    moment numerators) of the monomials of degree <= `max_degree`, one
+    block per degree in the basis's order, each row i carrying the
+    coefficients of its polynomial in the columns size + c (e_i at first).
+    Once the monomials of degree < n are eliminated, the last pivot D is
+    their leading minor of G, and the rows of degree n hold D P_b and its
+    moments D <P_b, x^j>, with <P_b, x^j> = <P_b, P_j> within degree n.
+    The moments of a positive measure make G positive definite; a leading
+    minor that is zero or negative raises ValueError naming its block,
+    which is its degree.
     """
     if graded.max_degree < 2 * max_degree:
         raise ValueError(
             f"degree {max_degree} needs moments to degree {2 * max_degree}, not {graded.max_degree}"
         )
-    exponents = graded.basis.exponents
     numerators, denominator = graded.moments()
-    mean = dict(zip(exponents, numerators))
-
-    def moment(a, b):
-        return mean[tuple(x + y for x, y in zip(a, b))]
-
+    blocks = [range(s.start, s.stop) for s in graded.basis.degree_slices[: max_degree + 1]]
+    size = blocks[-1].stop
+    exponents = graded.basis.exponents[:size]
+    mean = dict(zip(graded.basis.exponents, numerators))
+    upper = []
+    for i, a in enumerate(exponents):
+        row = {size + i: 1}
+        for j in range(i, size):
+            v = mean[tuple(x + y for x, y in zip(a, exponents[j]))]
+            if v:
+                row[j] = v
+        upper.append(row)
     out = []
-    for n, block in enumerate(graded.basis.degree_slices[: max_degree + 1]):
-        lower, top = exponents[: block.start], exponents[block]
-        # the right-hand side of x^b, <x^c, x^b> for the c of lower degree
-        rhs = [[moment(c, b) for c in lower] for b in top]
-        scale, projection = 1, [[] for _ in top]
-        if lower:
-            matrix = RationalMatrix([[moment(c, e) for e in lower] for c in lower])
-            solved = matrix.solve_unique(rhs)
-            if solved is None:
-                raise ValueError(f"the moment matrix below degree {n} is singular")
-            projection, scale = solved
-        # <x^a, P_b>, with <x^a, x^c> read from the right-hand side of x^a
+    for block, (top, scale) in zip(blocks, symmetric_elimination(upper, blocks)):
+        lower = [[-row.get(size + c, 0) for c in range(block.start)] for row in top]
         gram = [
-            [scale * (scale * moment(a, b) - sum(m * y for m, y in zip(row, column)))
-             for b, column in zip(top, projection)]
-            for a, row in zip(top, rhs)
+            [scale * (row.get(j, 0) if i <= j else top[j - block.start].get(i, 0)) for j in block]
+            for i, row in zip(block, top)
         ]
-        out.append(OrthogonalDegree(scale, projection, gram, denominator))
+        out.append(OrthogonalDegree(scale, lower, gram, denominator))
     return out
 
 

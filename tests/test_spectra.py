@@ -515,6 +515,105 @@ def test_orthogonal_polynomials_need_moments_to_twice_the_degree():
         spectra.orthogonal_polynomials(GradedOperatorMatrix(op, 5), 3)
 
 
+def _per_degree_orthogonal_polynomials(graded, max_degree):
+    """The per-degree route the single elimination replaced, kept as a
+    reference: at each degree n, one exact solve of the moment matrix of
+    the monomials of degree < n with a right-hand side per x^b, and the
+    Gram of the P_b from <x^a, P_b> = <P_a, P_b>.  Returns (scale,
+    lower / scale, gram / scale^2) per degree, the last two as Fractions."""
+    exponents = graded.basis.exponents
+    numerators, _ = graded.moments()
+    mean = dict(zip(exponents, numerators))
+
+    def moment(a, b):
+        return mean[tuple(x + y for x, y in zip(a, b))]
+
+    out = []
+    for block in graded.basis.degree_slices[: max_degree + 1]:
+        lower, top = exponents[: block.start], exponents[block]
+        rhs = [[moment(c, b) for c in lower] for b in top]
+        scale, projection = 1, [[] for _ in top]
+        if lower:
+            matrix = RationalMatrix([[moment(c, e) for e in lower] for c in lower])
+            projection, scale = matrix.solve_unique(rhs)
+        gram = [
+            [Fraction(scale * moment(a, b) - sum(m * y for m, y in zip(row, column)), scale)
+             for b, column in zip(top, projection)]
+            for a, row in zip(top, rhs)
+        ]
+        lower_over_scale = [[Fraction(v, scale) for v in column] for column in projection]
+        out.append((scale, lower_over_scale, gram))
+    return out
+
+
+@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
+def test_orthogonal_polynomials_match_the_per_degree_solves(name, params):
+    graded = GradedOperatorMatrix(get_model(name, params).operator, 12)
+    polys = spectra.orthogonal_polynomials(graded, 6)
+    reference = _per_degree_orthogonal_polynomials(graded, 6)
+    assert len(polys) == len(reference) == 7
+    for poly, (scale, lower, gram) in zip(polys, reference):
+        assert [[Fraction(v, poly.scale) for v in row] for row in poly.lower] == lower
+        assert [[Fraction(v, poly.scale**2) for v in row] for row in poly.gram] == gram
+        # both scales are the determinant of the lower-degree moment numerators
+        assert poly.scale == scale > 0
+
+
+@pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
+def test_orthogonal_polynomials_are_orthogonal_under_the_exact_moments(name, params):
+    # in integers, from the moment numerators alone: scale P_b has moment 0
+    # against every monomial of lower degree, and gram holds the moments of
+    # the products scale P_a scale P_b
+    graded = GradedOperatorMatrix(get_model(name, params).operator, 12)
+    numerators, denominator = graded.moments()
+    exponents = graded.basis.exponents
+    mean = dict(zip(exponents, numerators))
+
+    def inner(u, v):
+        return sum(
+            x * y * mean[tuple(p + q for p, q in zip(a, b))]
+            for a, x in u.items() for b, y in v.items()
+        )
+
+    polys = spectra.orthogonal_polynomials(graded, 6)
+    for poly, block in zip(polys, graded.basis.degree_slices):
+        assert poly.denominator == denominator and poly.scale > 0
+        scaled = [
+            {exponents[c]: -v for c, v in enumerate(row)} | {exponents[b]: poly.scale}
+            for b, row in zip(range(block.start, block.stop), poly.lower)
+        ]
+        for k, p in enumerate(scaled):
+            assert all(inner(p, {c: 1}) == 0 for c in exponents[: block.start])
+            assert [inner(p, q) for q in scaled] == poly.gram[k]
+
+
+def test_orthogonal_polynomials_refuse_the_moments_of_no_positive_measure(monkeypatch):
+    # the point mass at (1/2, 1/3): a rank-1 moment matrix, whose pivot in
+    # the first degree-1 column is m_0 m_xx - m_x^2 = 0
+    graded = GradedOperatorMatrix(get_model("square").operator, 4)
+    point = [Fraction(1, 2)**a * Fraction(1, 3)**b for a, b in graded.basis.exponents]
+    denominator = lcm(*(v.denominator for v in point))
+    moments = ([int(v * denominator) for v in point], denominator)
+    monkeypatch.setattr(graded, "moments", lambda: moments)
+    with pytest.raises(ValueError, match="leading minor in block 1 vanishes"):
+        spectra.orthogonal_polynomials(graded, 2)
+    # the top degree's columns are no pivots: to degree 1, P_b = x^b - p^b,
+    # each of norm 0
+    assert spectra.orthogonal_polynomials(graded, 1)[1].gram == [[0, 0], [0, 0]]
+    # m_0 = m_xy = 1 and every other moment 0: the degree-1 moment matrix
+    # [[1, 0, 0], [0, 0, 1], [0, 1, 0]] is nonsingular but indefinite, and
+    # its leading minor over 1, x is m_0 m_xx - m_x^2 = 0
+    indefinite = [int(e == (1, 1) or e == (0, 0)) for e in graded.basis.exponents]
+    monkeypatch.setattr(graded, "moments", lambda: (indefinite, 1))
+    with pytest.raises(ValueError, match="positive definite: a leading minor in block 1 vanishes"):
+        spectra.orthogonal_polynomials(graded, 2)
+    # m_0 = m_xx = 1 and m_x = 2: the pivot m_0 m_xx - m_x^2 = -3
+    line = GradedOperatorMatrix(get_model("jacobi1d").operator, 4)
+    monkeypatch.setattr(line, "moments", lambda: ([1, 2, 1, 0, 1], 1))
+    with pytest.raises(ValueError, match="leading minor in block 1 is negative"):
+        spectra.orthogonal_polynomials(line, 2)
+
+
 def _to_sympy(sympy, rows):
     return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
 
