@@ -3,14 +3,17 @@
 The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments and eigenvectors, and the
 elimination of the moment matrix behind the orthogonal polynomials are
-exact.  Both eliminations are fraction-free passes in Python ints (Bareiss)
-that hold rows sparse and defer the rescaling of rows that a pivot step
-leaves unchanged: one Gauss-Jordan pass gives the reduced row echelon form,
-and one symmetric pass down the diagonal of a positive definite matrix
-gives its Schur complements block by block.  They hand out their results
-as they compute them: integer numerators over one common denominator.
-Spectral work on Gram and energy-form matrices is floating point via
-LAPACK.
+exact.  All three eliminations are fraction-free passes in Python ints
+(Bareiss) that hold rows sparse, share one row step and defer the rescaling
+of rows that a pivot step leaves unchanged: the echelon engine
+(`echelon_solve`, `echelon_kernel`) eliminates only below each pivot and
+back-substitutes over one common denominator, for the exact moments, the
+exact eigenvectors and `RationalMatrix.solve_unique`; one Gauss-Jordan pass
+gives the reduced row echelon form, for the admissibility nullspace; and
+one symmetric pass down the diagonal of a positive definite matrix gives
+its Schur complements block by block.  They hand out their results as they
+compute them: integer numerators over one common denominator.  Spectral
+work on Gram and energy-form matrices is floating point via LAPACK.
 """
 
 from __future__ import annotations
@@ -114,6 +117,116 @@ def symmetric_elimination(
                 rows[i] = _bareiss_step(row, lead, head, entries[pos:], prev)
                 at[i] = lead
             prev = lead
+
+
+def _echelon(
+    rows: list[dict[int, int]], width: int
+) -> tuple[list[dict[int, int]], list[int], int]:
+    """Fraction-free forward elimination (Bareiss) of sparse integer rows
+    (column -> nonzero integer) over columns 0 .. width - 1, below each
+    pivot only.
+
+    Returns (rows, pivot columns, last pivot d).  The first len(pivots) rows
+    are an echelon form: row k has its first nonzero entry in pivot column k
+    and holds an integer multiple of the equation it stands for; the rows
+    after them are what the columns up to `width` leave, empty unless
+    `width` stops short of the rows' last column.  Pivot rows are chosen as
+    in `RationalMatrix.rref` (the first not-yet-used row with a nonzero
+    entry), so the pivot columns and d, the last pivot and an integer
+    minor (1 when there is no pivot), are the RREF's.
+
+    Rows are rescaled lazily, as in `RationalMatrix.rref`; a pivot row is
+    brought up to date only when a row below has an entry in its pivot
+    column, so a triangular matrix costs no elimination step and no
+    rescaling.  Every division is exact and checked.
+    """
+    m = list(rows)
+    at = [1] * len(m)  # the pivot each row's entries are current at
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(width):
+        below = [i for i in range(r, len(m)) if c in m[i]]
+        if not below:
+            continue
+        # the first row below r with an entry in c swaps with row r, which
+        # has none when it is not that row, so the rest of `below` stays put
+        p = below[0]
+        m[r], m[p] = m[p], m[r]
+        at[r], at[p] = at[p], at[r]
+        if len(below) == 1:
+            lead = _exact_quotient(m[r][c] * prev, at[r])
+        else:
+            lead_row = _caught_up(m, at, r, prev)
+            lead = lead_row[c]
+            for i in below[1:]:
+                row = _caught_up(m, at, i, prev)
+                m[i] = _bareiss_step(row, lead, row[c], lead_row.items(), prev)
+                at[i] = lead
+        prev = lead
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, prev
+
+
+def _back_substitute(
+    rows: list[dict[int, int]], pivots: list[int], d: int, target: int
+) -> dict[int, int]:
+    """The integers x over the pivot columns with sum_j rows[k][j] x_j =
+    d rows[k][target] for every echelon row k, target a column without a
+    pivot.  With d the last pivot, a minor of the pivot rows and columns,
+    these are Cramer numerators, so every division is exact; it is checked."""
+    x: dict[int, int] = {}
+    for k in range(len(pivots) - 1, -1, -1):
+        row, c = rows[k], pivots[k]
+        total = d * row.get(target, 0) - sum(v * x[j] for j, v in row.items() if j in x)
+        x[c] = _exact_quotient(total, row[c])
+    return x
+
+
+def echelon_solve(
+    rows: list[dict[int, int]], unknowns: int, count: int
+) -> tuple[list[list[int]], int] | None:
+    """Solve A x = c for `count` right-hand sides at once: each sparse
+    integer row holds a row of A in columns 0 .. unknowns - 1 and its
+    entries of the right-hand sides after them.  Returns the solutions as
+    (integer numerators per right-hand side, common denominator d > 0), or
+    None unless every solution exists and is unique: A must have a pivot in
+    every column, and the rows that A leaves must be zero in the right-hand
+    sides.  Forward elimination runs over A's columns only."""
+    m, pivots, d = _echelon(rows, unknowns)
+    if len(pivots) != unknowns or any(m[unknowns:]):
+        return None
+    sign = 1 if d > 0 else -1
+    solutions = []
+    for t in range(unknowns, unknowns + count):
+        x = _back_substitute(m, pivots, d, t)
+        solutions.append([sign * x[c] for c in range(unknowns)])
+    return solutions, sign * d
+
+
+def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
+    """Exact kernel basis of the matrix of sparse integer rows over `width`
+    columns, as `RationalMatrix.nullspace` returns it: (vectors, d), each
+    vector its integer entries over the one denominator d > 0, one per free
+    column in increasing order, with d at that column and 0 at every other
+    free column.  These are nullspace's vectors exactly, since the last
+    pivot is the RREF's."""
+    m, pivots, d = _echelon(rows, width)
+    sign = 1 if d > 0 else -1
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        vector = [0] * width
+        vector[f] = sign * d
+        for c, v in _back_substitute(m, pivots, d, f).items():
+            vector[c] = -sign * v
+        basis.append(vector)
+    return basis, sign * d
 
 
 class GramMatrixError(ValueError):
@@ -223,29 +336,20 @@ class RationalMatrix:
             basis.append(vector)
         return basis, sign * d
 
-    def _augmented_rref(self, columns: Sequence[Sequence[Rational]]):
-        """The RREF of [A | columns], the columns appended in order."""
-        if any(len(column) != self.rows for column in columns):
-            raise ValueError("rhs length mismatch")
-        return RationalMatrix(
-            [row + [column[i] for column in columns] for i, row in enumerate(self.data)]
-        ).rref()
-
     def solve_unique(
         self, columns: Sequence[Sequence[Rational]]
     ) -> tuple[list[list[int]], int] | None:
         """The solution x of A x = c for each right-hand side c in `columns`,
-        from one elimination, as (integer numerators per column, common
+        from one elimination (`echelon_solve` on the integer-scaled rows of
+        [A | columns]), as (integer numerators per column, common
         denominator d > 0); None unless every solution exists and is unique.
         For a square A that is None exactly when A is singular."""
-        reduced, pivots, d = self._augmented_rref(columns)
-        if pivots != list(range(self.cols)):
-            return None
-        sign = 1 if d > 0 else -1
-        solutions = [
-            [sign * row[self.cols + k] for row in reduced[: self.cols]] for k in range(len(columns))
-        ]
-        return solutions, sign * d
+        if any(len(column) != self.rows for column in columns):
+            raise ValueError("rhs length mismatch")
+        augmented = RationalMatrix(
+            [row + [column[i] for column in columns] for i, row in enumerate(self.data)]
+        )
+        return echelon_solve(augmented._integer_rows(), self.cols, len(columns))
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):

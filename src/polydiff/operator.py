@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import RationalMatrix, poly_matrix_det
+from .linalg import echelon_solve, poly_matrix_det
 from .poly import MonomialBasis, Polynomial, exact_divide
 
 
@@ -334,8 +334,13 @@ class GradedOperatorMatrix:
         L(x^a), so sum_r M[r, a] m_r = 0.  Degree by degree that reads
         M_nn^t m_n = -M_<n,n^t m_<n with m_0 = 1 (Krall and Sheffer, Ann. Mat.
         Pura Appl. 76, 1967): one exact solve per degree, on the integer
-        columns, since the common scale cancels.  A singular M_nn leaves the
-        degree-n moments undetermined and raises, naming n.
+        columns, since the common scale cancels.  Row i of M_nn^t is column
+        i of the degree-n block, so the rows go from the columns straight to
+        the echelon engine (`linalg.echelon_solve`), the right-hand side in
+        one more column; M_nn is lower triangular in most models, which
+        makes M_nn^t upper triangular and its solve a back substitution.  A
+        singular M_nn leaves the degree-n moments undetermined and raises,
+        naming n.
 
         The moments found so far are held as integers over one denominator,
         so every right-hand side is an integer sum; after each degree they
@@ -343,15 +348,16 @@ class GradedOperatorMatrix:
         """
         values, denominator = [1], 1
         for n, block in enumerate(self.basis.degree_slices[1:], start=1):
-            columns = self.columns[block]
-            rhs = [
-                -sum(v * values[r] for r, v in column.items() if r < block.start)
-                for column in columns
-            ]
-            transposed = RationalMatrix(
-                [[column.get(r, 0) for r in range(block.start, block.stop)] for column in columns]
-            )
-            solution = transposed.solve_unique([rhs])
+            width = block.stop - block.start
+            rows = []
+            for column in self.columns[block]:
+                # L keeps the degree, so no row of a column lies past the block
+                row = {r - block.start: v for r, v in column.items() if r >= block.start}
+                rhs = -sum(v * values[r] for r, v in column.items() if r < block.start)
+                if rhs:
+                    row[width] = rhs
+                rows.append(row)
+            solution = echelon_solve(rows, width, 1)
             if solution is None:
                 raise ValueError(
                     f"the degree-{n} diagonal block is singular: L does not fix "

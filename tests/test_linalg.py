@@ -13,6 +13,8 @@ from polydiff.linalg import (
     GramMatrixError,
     RationalMatrix,
     cluster_eigenvalues,
+    echelon_kernel,
+    echelon_solve,
     generalized_sym_eig,
     poly_matrix_det,
 )
@@ -158,6 +160,17 @@ def test_rref_raises_when_a_deferred_rescale_is_inexact(monkeypatch):
         RationalMatrix([[1, 0], [0, 1]]).rref()
 
 
+def test_echelon_engine_raises_when_a_division_is_inexact():
+    # every division of the engine is exact on integer rows; a non-integral
+    # entry breaks that premise and must raise even under python -O, in a
+    # forward step and in the back substitution of a triangular system,
+    # which takes no step
+    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+        echelon_kernel([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2)
+    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+        echelon_solve([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 2, 1)
+
+
 def _dense_rref(rows):
     """Reference: the dense fraction-free Gauss-Jordan loop, which updates
     every cell of every nonzero row at every pivot."""
@@ -259,8 +272,9 @@ def test_poly_matrix_det_matches_sympy_on_random_rational_matrices():
 def _random_rational_systems(rng):
     """Seeded (kind, rows, rhs) cases: wide, tall, square, rank-deficient,
     with a zero row, with an inconsistent right-hand side, with
-    denominators up to 10^15, sparse at densities 0.05 to 0.3, and with
-    int entries."""
+    denominators up to 10^15, sparse at densities 0.05 to 0.3, with int
+    entries, and singular square with a consistent and an inconsistent
+    right-hand side."""
 
     def rational(bound=9, den=9):
         return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
@@ -310,6 +324,15 @@ def _random_rational_systems(rng):
         for shape in ((r, c), (r, r)):
             rows = [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])]
             yield "integer", rows, [rng.randint(-9, 9) for _ in range(shape[0])]
+    # singular square: the last row a combination of two others, with a
+    # right-hand side that fits it and one that does not
+    for _ in range(3):
+        n = rng.randint(2, 6)
+        rows = matrix(n - 1, n)
+        rows.append([x - 2 * y for x, y in zip(rows[0], rows[-1])])
+        rhs = [rational() for _ in range(n - 1)]
+        yield "singular", rows, rhs + [rhs[0] - 2 * rhs[-1]]
+        yield "singular", rows, rhs + [rhs[0] - 2 * rhs[-1] + 1]
 
 
 def test_elimination_matches_sympy_on_random_rational_matrices():
@@ -342,6 +365,9 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         assert [[Fraction(v, d) for v in vector] for vector in kernel] == [
             from_sympy(v) for v in expected.nullspace()
         ], kind
+        # the echelon engine's kernel is nullspace's: the same free columns
+        # in the same order, the same vectors over the same denominator
+        assert echelon_kernel(m._integer_rows(), m.cols) == (kernel, d), kind
         # a second right-hand side in the same elimination
         twice = [2 * v for v in rhs]
         unique = m.solve_unique([rhs, twice])
@@ -360,8 +386,11 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             assert [Fraction(v, d) for v in first] == from_sympy(exact), kind
             assert [Fraction(v, d) for v in second] == [2 * v for v in from_sympy(exact)], kind
             outcomes.add(("unique", kind))
-    assert {"wide", "tall", "rank-deficient", "zero-row", "large", "sparse", "integer"} <= kinds
+    assert {
+        "wide", "tall", "square", "rank-deficient", "zero-row", "large", "sparse", "integer",
+        "singular",
+    } <= kinds
     assert {
         ("no solution", "inconsistent"), ("not unique", "rank-deficient"), ("unique", "square"),
-        ("unique", "integer"),
+        ("unique", "integer"), ("not unique", "singular"), ("no solution", "singular"),
     } <= outcomes

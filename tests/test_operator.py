@@ -6,8 +6,10 @@ from math import comb, prod
 
 import pytest
 
+from polydiff import linalg
 from polydiff.boundary import det_divisibility_check
 from polydiff.catalog import ParameterError, get_descriptor, get_model, model_names
+from polydiff.linalg import RationalMatrix
 from polydiff.operator import (
     CoMetric,
     DegreeViolationError,
@@ -403,6 +405,48 @@ def test_moments_equal_the_pushforward_of_the_cover_measure(name):
         image = powers[0][i] * powers[1][j]
         expected = sum((c * _cover_moment(name, e) for e, c in image.terms.items()), Fraction(0))
         assert moment == expected, (i, j)
+
+
+def _reference_moments(graded):
+    """Test-only copy of the per-degree solve that `moments()` made before
+    the echelon engine: one Gauss-Jordan RREF of [M_nn^t | rhs] per degree,
+    the moments as Fractions in basis order."""
+    moments = [Fraction(1)]
+    for n, block in enumerate(graded.basis.degree_slices[1:], start=1):
+        columns = graded.columns[block]
+        rows = [
+            [column.get(r, 0) for r in range(block.start, block.stop)]
+            + [-sum((v * moments[r] for r, v in column.items() if r < block.start), Fraction(0))]
+            for column in columns
+        ]
+        reduced, pivots, d = RationalMatrix(rows).rref()
+        if pivots != list(range(len(columns))):
+            raise ValueError(f"the degree-{n} diagonal block is singular")
+        moments += [Fraction(row[-1], d) for row in reduced[: len(columns)]]
+    return moments
+
+
+@pytest.mark.parametrize("name,params", list(_catalog_operator_cases()))
+def test_moments_match_the_per_degree_rref_solves(name, params):
+    # every model at its defaults and at one generic point, to degree 12:
+    # triangular blocks, deltoid's and the covers' non-triangular ones
+    graded = GradedOperatorMatrix(get_model(name, params).operator, 12)
+    assert list(_moment_fractions(graded).values()) == _reference_moments(graded)
+
+
+def test_moments_of_triangular_blocks_take_no_elimination_step(monkeypatch):
+    # each M_nn of this model is lower triangular, so each M_nn^t the engine
+    # solves is upper triangular: back substitution alone, no row is stepped
+    # or rescaled
+    graded = GradedOperatorMatrix(get_model("parabola_tangent_secant").operator, 12)
+    expected = graded.moments()
+
+    def forbidden(*args):
+        raise AssertionError("elimination step on a triangular block")
+
+    monkeypatch.setattr(linalg, "_bareiss_step", forbidden)
+    monkeypatch.setattr(linalg, "_caught_up", forbidden)
+    assert graded.moments() == expected
 
 
 def test_moments_raise_naming_a_singular_degree():

@@ -1,13 +1,16 @@
-"""Time `spectra.orthogonal_polynomials` on the sampled catalog models.
+"""Time `spectra.orthogonal_polynomials` on the sampled catalog models, and
+the exact moments on every catalog model.
 
     python3 tools/time_orthogonal_polynomials.py
 
 Run it from the root of a source checkout.  For each catalog model with a
 sampler, at its default parameters, it times
 orthogonal_polynomials(GradedOperatorMatrix(op, 12), 6), the call each
-eigenbasis-quality claim makes (the exact moments included, the graded
-matrix built outside the timer), and prints one JSON line: the per-model
-minimum over REPEATS runs in ms, and their sum.
+eigenbasis-quality claim makes (the exact moments included), and for every
+catalog model GradedOperatorMatrix(op, 12).moments(), each time with the
+graded matrix built outside the timer.  It prints one JSON line: the
+per-model minimum over REPEATS runs in ms and their sum, and under
+"moments" the same for the moments.
 """
 
 import json
@@ -23,21 +26,31 @@ from polydiff.spectra import orthogonal_polynomials  # noqa: E402
 REPEATS = 5
 
 
+def min_ms(model, call) -> float:
+    """The fastest of REPEATS runs of call(graded), in ms, each on a graded
+    matrix of the model to degree 12 built outside the timer."""
+    times = []
+    for _ in range(REPEATS):
+        graded = GradedOperatorMatrix(model.operator, 12)
+        start = time.perf_counter()
+        call(graded)
+        times.append(time.perf_counter() - start)
+    return round(1000 * min(times), 2)
+
+
 def main() -> None:
-    per_model = {}
+    per_model, moments = {}, {}
     for name in model_names():
         model = get_model(name)
-        if not model.has_sampler:
-            continue
-        times = []
-        for _ in range(REPEATS):
-            graded = GradedOperatorMatrix(model.operator, 12)
-            start = time.perf_counter()
-            orthogonal_polynomials(graded, 6)
-            times.append(time.perf_counter() - start)
-        per_model[name] = round(1000 * min(times), 2)
-    total = round(sum(per_model.values()), 2)
-    print(json.dumps({"min_ms": per_model, "total_ms": total, "repeats": REPEATS}))
+        if model.has_sampler:
+            per_model[name] = min_ms(model, lambda graded: orthogonal_polynomials(graded, 6))
+        moments[name] = min_ms(model, GradedOperatorMatrix.moments)
+    print(json.dumps({
+        "min_ms": per_model,
+        "total_ms": round(sum(per_model.values()), 2),
+        "repeats": REPEATS,
+        "moments": {"min_ms": moments, "total_ms": round(sum(moments.values()), 2)},
+    }))
 
 
 if __name__ == "__main__":
