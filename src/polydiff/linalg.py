@@ -3,17 +3,18 @@
 The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments and eigenvectors, and the
 elimination of the moment matrix behind the orthogonal polynomials are
-exact.  All three eliminations are fraction-free passes in Python ints
-(Bareiss) that hold rows sparse, share one row step and defer the rescaling
-of rows that a pivot step leaves unchanged: the echelon engine
-(`echelon_solve`, `echelon_kernel`) eliminates only below each pivot and
-back-substitutes over one common denominator, for the exact moments, the
-exact eigenvectors and `RationalMatrix.solve_unique`; one Gauss-Jordan pass
-gives the reduced row echelon form, for the admissibility nullspace; and
-one symmetric pass down the diagonal of a positive definite matrix gives
-its Schur complements block by block.  They hand out their results as they
-compute them: integer numerators over one common denominator.  Spectral
-work on Gram and energy-form matrices is floating point via LAPACK.
+exact.  Both eliminations are fraction-free passes in Python ints (Bareiss)
+that hold rows sparse, share one row step and defer the rescaling of rows
+that a pivot step leaves unchanged.  The echelon engine eliminates only
+below each pivot and back-substitutes over one common denominator: for the
+exact moments and `RationalMatrix.solve_unique` (`echelon_solve`), the
+exact eigenvectors (`echelon_kernel`) and the reduced row echelon form
+behind the admissibility nullspace (`RationalMatrix.rref`, its forward pass
+plus one back substitution per free column).  One symmetric pass down the
+diagonal of a positive definite matrix gives its Schur complements block
+by block.  They hand out their results as they compute them: integer
+numerators over one common denominator.  Spectral work on Gram and
+energy-form matrices is floating point via LAPACK.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def symmetric_elimination(
 
     The pivots are A's leading minors.  Unless each is positive (A positive
     definite, by Sylvester's criterion) ValueError names the block of the
-    first that is not.  Rows are rescaled lazily, as in
-    `RationalMatrix.rref`, and every division is exact and checked.
+    first that is not.  Rows are rescaled lazily, as in `_echelon`, and
+    every division is exact and checked.
     """
     rows = list(upper)
     size = len(rows)
@@ -122,22 +123,25 @@ def symmetric_elimination(
 def _echelon(
     rows: list[dict[int, int]], width: int
 ) -> tuple[list[dict[int, int]], list[int], int]:
-    """Fraction-free forward elimination (Bareiss) of sparse integer rows
-    (column -> nonzero integer) over columns 0 .. width - 1, below each
-    pivot only.
+    """Fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968) of
+    sparse integer rows (column -> nonzero integer) over columns
+    0 .. width - 1, below each pivot only.
 
     Returns (rows, pivot columns, last pivot d).  The first len(pivots) rows
     are an echelon form: row k has its first nonzero entry in pivot column k
     and holds an integer multiple of the equation it stands for; the rows
     after them are what the columns up to `width` leave, empty unless
-    `width` stops short of the rows' last column.  Pivot rows are chosen as
-    in `RationalMatrix.rref` (the first not-yet-used row with a nonzero
-    entry), so the pivot columns and d, the last pivot and an integer
-    minor (1 when there is no pivot), are the RREF's.
+    `width` stops short of the rows' last column.  Pivot columns are chosen
+    left to right; within a column the first not-yet-used row with a
+    nonzero entry wins.  d, the last pivot, is an integer minor (1 when
+    there is no pivot).
 
-    Rows are rescaled lazily, as in `RationalMatrix.rref`; a pivot row is
-    brought up to date only when a row below has an entry in its pivot
-    column, so a triangular matrix costs no elimination step and no
+    A step touches only the rows with an entry in the pivot column.  The
+    others would only be multiplied by lead / prev, so each row records
+    the pivot its entries are current at and takes the composed factor in
+    one exact division when it is next stepped (`_caught_up`).  A pivot
+    row is brought up to date only when a row below has an entry in its
+    pivot column, so a triangular matrix costs no elimination step and no
     rescaling.  Every division is exact and checked.
     """
     m = list(rows)
@@ -207,14 +211,35 @@ def echelon_solve(
     return solutions, sign * d
 
 
-def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
-    """Exact kernel basis of the matrix of sparse integer rows over `width`
-    columns, as `RationalMatrix.nullspace` returns it: (vectors, d), each
-    vector its integer entries over the one denominator d > 0, one per free
-    column in increasing order, with d at that column and 0 at every other
-    free column.  These are nullspace's vectors exactly, since the last
-    pivot is the RREF's."""
+def _reduce(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of sparse integer rows over `width` columns,
+    as (integer rows, pivot columns, d): one forward elimination
+    (`_echelon`), then one back substitution per free column.  The RREF is
+    the rows over d, the last pivot; row k holds d at pivot column k and
+    the Cramer numerators of the free columns, and rows past the rank are
+    zero."""
     m, pivots, d = _echelon(rows, width)
+    reduced = [[0] * width for _ in m]
+    for row, c in zip(reduced, pivots):
+        row[c] = d
+    pivot_set = set(pivots)
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        x = _back_substitute(m, pivots, d, f)
+        for row, c in zip(reduced, pivots):
+            row[f] = x[c]
+    return reduced, pivots, d
+
+
+def _kernel(
+    reduced: list[list[int]], pivots: list[int], d: int, width: int
+) -> tuple[list[list[int]], int]:
+    """Exact kernel basis from a reduced row echelon form (integer rows,
+    pivot columns, last pivot d) as (vectors, |d|): one vector per free
+    column in increasing order, |d| at that column, 0 at every other free
+    column and minus the free column's reduced entries at the pivot
+    columns, all negated when d < 0."""
     sign = 1 if d > 0 else -1
     pivot_set = set(pivots)
     basis = []
@@ -223,10 +248,18 @@ def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[in
             continue
         vector = [0] * width
         vector[f] = sign * d
-        for c, v in _back_substitute(m, pivots, d, f).items():
-            vector[c] = -sign * v
+        for row, c in zip(reduced, pivots):
+            vector[c] = -sign * row[f]
         basis.append(vector)
     return basis, sign * d
+
+
+def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
+    """Exact kernel basis of the matrix of sparse integer rows over `width`
+    columns, as `RationalMatrix.nullspace` returns it: (vectors, d), each
+    vector its integer entries over the one denominator d > 0 (see
+    `_kernel`)."""
+    return _kernel(*_reduce(rows, width), width)
 
 
 class GramMatrixError(ValueError):
@@ -249,9 +282,6 @@ class RationalMatrix:
         self.rows = len(data)
         self.cols = width
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.data == other.data
-
     def _integer_rows(self) -> list[dict[int, int]]:
         """Each row's nonzero entries, column -> integer, scaled by the lcm of
         their denominators."""
@@ -263,78 +293,17 @@ class RationalMatrix:
         return out
 
     def rref(self) -> tuple[list[list[int]], list[int], int]:
-        """Reduced row echelon form as (integer rows, pivot columns, d).
-
-        The RREF is the integer rows over the nonzero integer d.  Pivot
-        columns are chosen left to right; within a column the first
-        not-yet-used row with a nonzero entry wins.  One fraction-free
-        Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968; Nakos, Turner and
-        Williams, SIGSAM Bull. 31(3), 1997) runs on the integer-scaled rows:
-        each pivot step clears its column above and below and divides
-        exactly by the previous pivot, so every entry stays an integer minor
-        and every pivot entry ends equal to the last pivot, which is d (1
-        when there is no pivot).
-
-        Rows are held sparse, and a step touches only what it changes.  A
-        row with 0 in the pivot column would only be multiplied by
-        lead / prev; over several steps these factors compose to
-        p_now / p_then, so each row records the pivot its entries are
-        current at and takes the whole factor in one exact division the
-        next time it is used (as pivot row, to clear its entry in the pivot
-        column, or at the end).  Clearing combines a row with the pivot row
-        over the union of their nonzero columns only.
-        """
-        m = self._integer_rows()
-        at = [1] * len(m)  # the pivot each row's entries are current at
-        pivots: list[int] = []
-        prev = 1
-        r = 0
-        for c in range(self.cols):
-            pivot_row = next((i for i in range(r, len(m)) if c in m[i]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            at[r], at[pivot_row] = at[pivot_row], at[r]
-            lead_row = _caught_up(m, at, r, prev)
-            lead = lead_row[c]
-            for i, row in enumerate(m):
-                if i == r or c not in row:
-                    continue
-                row = _caught_up(m, at, i, prev)
-                m[i] = _bareiss_step(row, lead, row[c], lead_row.items(), prev)
-                at[i] = lead
-            prev = lead
-            at[r] = lead
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        rows = [_caught_up(m, at, i, prev) for i in range(len(m))]
-        return [[row.get(j, 0) for j in range(self.cols)] for row in rows], pivots, prev
+        """Reduced row echelon form as (integer rows, pivot columns, d), the
+        RREF being the rows over the nonzero integer d: the echelon engine's
+        forward pass and back substitution on the integer-scaled rows (see
+        `_reduce`)."""
+        return _reduce(self._integer_rows(), self.cols)
 
     def nullspace(self) -> tuple[list[list[int]], int]:
         """Exact kernel basis as (vectors, d): each basis vector is its
         integer entries over the one denominator d > 0; count = cols - rank.
-
-        Basis vectors follow the free-column convention: each has 1 at one
-        free column and the solved pivot values elsewhere, emitted in order
-        of increasing free column index.  Over the RREF's last pivot p that
-        is p at the free column and minus the free column's RREF entries at
-        the pivot columns, all negated when p < 0, so d = |p|.
-        """
-        reduced, pivots, d = self.rref()
-        sign = 1 if d > 0 else -1
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vector = [0] * self.cols
-            vector[f] = sign * d
-            for row, c in zip(reduced, pivots):
-                vector[c] = -sign * row[f]
-            basis.append(vector)
-        return basis, sign * d
+        The vectors are `_kernel`'s of this matrix's `rref`."""
+        return _kernel(*self.rref(), self.cols)
 
     def solve_unique(
         self, columns: Sequence[Sequence[Rational]]

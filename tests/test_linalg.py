@@ -7,6 +7,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from polydiff import linalg
 from polydiff.boundary import build_admissibility_system
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.linalg import (
@@ -144,17 +145,17 @@ def test_cluster_rule():
 
 
 def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
-    # the fraction-free Gauss-Jordan division by the previous pivot is exact
-    # on integer rows; a non-integral row breaks that premise and must raise
-    # even under python -O
+    # the forward step that clears the second row's entry under the first
+    # pivot divides exactly by the previous pivot on integer rows; a
+    # non-integral row breaks that premise and must raise even under python -O
     monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 1}, {0: 1, 1: Fraction(1, 2)}])
     with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
 
 
 def test_rref_raises_when_a_deferred_rescale_is_inexact(monkeypatch):
-    # the second row has 0 under the first pivot, 2, so it is rescaled by
-    # 2 / 1 only when it becomes the next pivot row, which leaves 2/3
+    # the second row has 0 under the first pivot, 2, so it is not stepped;
+    # as a single-row pivot its lead is rescaled by 2 / 1, which leaves 2/3
     monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 2}, {1: Fraction(1, 3)}])
     with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
@@ -216,6 +217,22 @@ def test_rref_matches_dense_reference_on_admissibility_systems(name):
     for params in points:
         matrix, _ = build_admissibility_system(get_model(name, params).boundary)
         assert matrix.rref() == _dense_rref(matrix.data), params
+
+
+def test_rref_of_an_upper_triangular_matrix_takes_no_elimination_step(monkeypatch):
+    # each column's pivot is the first row with an entry there and no row
+    # below has one, so the forward pass steps and rescales no row: the
+    # RREF comes from back substitution alone
+    rows = [[2, 1, 3, -1], [0, 5, 7, 0], [0, 0, 0, 4]]
+
+    def forbidden(*args):
+        raise AssertionError("elimination step on a triangular matrix")
+
+    monkeypatch.setattr(linalg, "_bareiss_step", forbidden)
+    monkeypatch.setattr(linalg, "_caught_up", forbidden)
+    matrix = RationalMatrix(rows)
+    assert matrix.rref() == _dense_rref(rows)
+    assert matrix.nullspace() == ([[-32, -56, 40, 0]], 40)
 
 
 def _sparse_rational_matrix(rng, rows, cols, density, zero_lead=0):

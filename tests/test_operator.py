@@ -9,7 +9,6 @@ import pytest
 from polydiff import linalg
 from polydiff.boundary import det_divisibility_check
 from polydiff.catalog import ParameterError, get_descriptor, get_model, model_names
-from polydiff.linalg import RationalMatrix
 from polydiff.operator import (
     CoMetric,
     DegreeViolationError,
@@ -410,7 +409,9 @@ def test_moments_equal_the_pushforward_of_the_cover_measure(name):
 def _reference_moments(graded):
     """Test-only copy of the per-degree solve that `moments()` made before
     the echelon engine: one Gauss-Jordan RREF of [M_nn^t | rhs] per degree,
-    the moments as Fractions in basis order."""
+    by the dense reference loop, the moments as Fractions in basis order."""
+    from test_linalg import _dense_rref
+
     moments = [Fraction(1)]
     for n, block in enumerate(graded.basis.degree_slices[1:], start=1):
         columns = graded.columns[block]
@@ -419,7 +420,7 @@ def _reference_moments(graded):
             + [-sum((v * moments[r] for r, v in column.items() if r < block.start), Fraction(0))]
             for column in columns
         ]
-        reduced, pivots, d = RationalMatrix(rows).rref()
+        reduced, pivots, d = _dense_rref(rows)
         if pivots != list(range(len(columns))):
             raise ValueError(f"the degree-{n} diagonal block is singular")
         moments += [Fraction(row[-1], d) for row in reduced[: len(columns)]]

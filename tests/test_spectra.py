@@ -257,7 +257,9 @@ def test_eigenbasis_raises_on_wrong_exact_eigenvector(monkeypatch):
 def _reference_exact_eigenvectors(graded, degree, lam):
     """Eigenvectors over the basis of `graded` by the two-step route: a
     kernel basis of the shifted degree block, each top extended downward by
-    its own exact solve."""
+    its own exact solve, both from the dense reference Gauss-Jordan loop."""
+    from test_linalg import _dense_rref
+
     block = graded.basis.degree_slices[degree]
     width = block.stop - block.start
     m = dense_rows(graded)
@@ -266,9 +268,15 @@ def _reference_exact_eigenvectors(graded, degree, lam):
         for i in range(width)
     ]
     out = []
-    kernel, d = RationalMatrix(shifted).nullspace()
-    for numerators in kernel:
-        top = [Fraction(v, d) for v in numerators]
+    reduced, pivots, d = _dense_rref(shifted)
+    for f in range(width):
+        if f in pivots:
+            continue
+        # 1 at the free column f, the solved pivot values at the pivot columns
+        top = [Fraction(0)] * width
+        top[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            top[c] = Fraction(-row[f], d)
         full = [Fraction(0)] * len(graded.basis)
         full[block] = top
         if block.start:
@@ -281,10 +289,9 @@ def _reference_exact_eigenvectors(graded, degree, lam):
                 for i in range(block.start)
             ]
             # lam is no eigenvalue of a lower degree, so the solution is unique
-            solution = RationalMatrix(lower).solve_unique([rhs])
-            assert solution is not None
-            (below,), den = solution
-            full[: block.start] = [Fraction(v, den) for v in below]
+            below, below_pivots, den = _dense_rref([row + [r] for row, r in zip(lower, rhs)])
+            assert below_pivots == list(range(block.start))
+            full[: block.start] = [Fraction(row[-1], den) for row in below]
         out.append(full)
     return out
 
