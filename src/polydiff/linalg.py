@@ -14,7 +14,8 @@ plus one back substitution per free column).  One symmetric pass down the
 diagonal of a positive definite matrix gives its Schur complements block
 by block.  They hand out their results as they compute them: integer
 numerators over one common denominator.  Spectral work on Gram and
-energy-form matrices is floating point via LAPACK.
+energy-form matrices is floating point via numpy's LAPACK, the energy
+pencil reduced through the Cholesky factor of its Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 Rational = int | Fraction
 
@@ -362,13 +362,14 @@ def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _check_symmetric(a, "A")
     _check_symmetric(b, "B")
     try:
-        np.linalg.cholesky(b)
+        lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise GramMatrixError(
             "Gram matrix is not positive definite; quadrature too coarse "
             "or measure not integrable"
         ) from exc
-    return scipy.linalg.eigh(a, b)[0]
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, a).T)  # L^-1 A L^-t
+    return np.linalg.eigvalsh((reduced + reduced.T) / 2.0)
 
 
 def cluster_eigenvalues(values: Sequence[float]) -> list[list[int]]:

@@ -6,7 +6,8 @@ each deterministic rule is sized by the moment degree it must integrate
 Gauss rules cover the square (tensor Gauss-Jacobi, also used for 1D
 intervals), the disk (angular equispaced x radial Gauss-Jacobi in r^2) and
 the triangle (Duffy map with both classical weights absorbed), so every
-moment up to that degree is exact to roundoff.
+moment up to that degree is exact to roundoff.  Each Gauss-Jacobi rule is
+the eigendecomposition of its weight's Jacobi matrix (Golub-Welsch).
 
 The eight exotic bounded models are, at their Laplace-type parameter points,
 images of a sphere, the Chebyshev square or a flat torus under a polynomial
@@ -46,10 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import exp, lgamma
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
 from .poly import MonomialBasis, Polynomial, eval_floats, parse_poly, parse_rational
@@ -101,12 +102,29 @@ class WeightedPoints:
         return self.points.shape[0]
 
 
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for int_{-1}^1 f(x) (1-x)^alpha (1+x)^beta dx (Golub-Welsch):
+    the eigenvalues of the weight's Jacobi matrix and mu_0 times the squared
+    first eigenvector components.  Its first diagonal and off-diagonal entries,
+    0/0 by the general formulas when alpha + beta is 0 and -1, are cancelled."""
+    s = alpha + beta
+    k = np.arange(1.0, n)
+    c = 2.0 * k + s
+    diagonal = np.append((beta - alpha) / (s + 2.0), (beta**2 - alpha**2) / (c * (c + 2.0)))
+    k, c = k[1:], c[1:]
+    off = np.append(
+        4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + s) ** 2 * (3.0 + s)),
+        4.0 * k * (k + alpha) * (k + beta) * (k + s) / (c * c * (c + 1.0) * (c - 1.0)),
+    )[: n - 1]
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(np.sqrt(off), -1), UPLO="L")
+    mu0 = 2.0 ** (s + 1.0) * exp(lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(s + 2.0))
+    return nodes, mu0 * vectors[0] ** 2
+
+
 def _jacobi_rule_01(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for int_0^1 f(u) (1-u)^alpha u^beta du."""
-    nodes, weights = roots_jacobi(n, alpha, beta)
-    u = (nodes + 1.0) / 2.0
-    w = weights * 0.5 ** (alpha + beta + 1.0)
-    return u, w
+    nodes, weights = _gauss_jacobi(n, alpha, beta)
+    return (nodes + 1.0) / 2.0, weights * 0.5 ** (alpha + beta + 1.0)
 
 
 def _gauss_exponents(model, factors: list[Polynomial], rule: str) -> list[Fraction]:
@@ -139,7 +157,7 @@ def _square_rule(model, degree: int) -> WeightedPoints:
     a = _gauss_exponents(model, [f for xi in x for f in (1 - xi, 1 + xi)], "tensor Gauss")
     # n Gauss nodes per axis are exact to degree 2n - 1 >= degree
     n = degree // 2 + 1
-    axes = [roots_jacobi(n, float(a[2 * i]), float(a[2 * i + 1])) for i in range(model.dim)]
+    axes = [_gauss_jacobi(n, float(a[2 * i]), float(a[2 * i + 1])) for i in range(model.dim)]
     nodes, weights = _product(*axes)
     return WeightedPoints(np.column_stack(nodes), weights)
 

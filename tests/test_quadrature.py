@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -119,6 +120,54 @@ def test_integrate_triangle_first_moment():
     model = get_model("triangle", {"p": "0", "q": "0", "r": "0"})
     moments = Moments(model, 1, model.sampler())
     assert abs(_integral(parse_poly("x", 2), moments) - 1.0 / 6.0) < 1e-12
+
+
+def _beta_moments(alpha: float, beta: float, count: int) -> np.ndarray:
+    """int_0^1 u^k (1-u)^alpha u^beta du = B(beta + k + 1, alpha + 1) for
+    k < count: B(beta + 1, alpha + 1) from math.lgamma, then stepped up by
+    B(x + 1, y) = B(x, y) x / (x + y), since lgamma near k = 160 is about
+    650 and its exp would carry 1e-13 of error of its own."""
+    log_beta = math.lgamma(beta + 1) + math.lgamma(alpha + 1) - math.lgamma(alpha + beta + 2)
+    values = [math.exp(log_beta)]
+    for k in range(count - 1):
+        values.append(values[-1] * (beta + 1 + k) / (alpha + beta + 2 + k))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 14, 79])
+@pytest.mark.parametrize(
+    "alpha, beta",
+    # alpha + beta = -1, where the first off-diagonal entry of the Jacobi
+    # matrix is 0/0, and alpha + beta = 0, where the first diagonal one is
+    [(-0.5, -0.5), (-0.25, -0.75), (-0.75, -0.25), (0.0, 0.0), (0.5, -0.5), (-0.5, 0.5)]
+    + [(1.5, 2.5)],
+)
+def test_gauss_jacobi_rule_matches_the_beta_moments(alpha, beta, n):
+    # an n-node Gauss rule integrates u^k exactly for k < 2n; n = 79 is the
+    # largest node count the battery asks for
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, w = quadrature._jacobi_rule_01(n, alpha, beta)
+    assert u.shape == w.shape == (n,) and np.all(np.diff(u) > 0)
+    assert np.all((u > 0) & (u < 1) & (w > 0))
+    exact = _beta_moments(alpha, beta, 2 * n)
+    gap = np.abs((u[None, :] ** np.arange(2 * n)[:, None]) @ w - exact)
+    assert np.all(gap <= 1e-13 * exact), float((gap / exact).max())
+
+
+@pytest.mark.parametrize("degree", [0, 1, 13, 26, 156])
+@pytest.mark.parametrize(
+    "name, mass",
+    # at the defaults: (1 - x^2)^0 on [-1, 1]; the arcsine weight on both
+    # axes of the square; (1 - r^2)^(-1/2) on the disk; and
+    # (x y (1 - x - y))^(-1/2) on the triangle, Gamma(1/2)^3 / Gamma(3/2)
+    [("jacobi1d", 2.0), ("square", math.pi**2), ("disk", 2 * math.pi), ("triangle", 2 * math.pi)],
+)
+def test_gauss_rule_mass_matches_its_closed_form(name, mass, degree):
+    # every verdict divides by the mass, so a wrong mu_0 would show nowhere else
+    model = get_model(name)
+    weights = sample_domain(model, model.sampler(), degree).weights
+    assert abs(weights.sum() - mass) <= 1e-13 * mass
 
 
 def test_integrate_mc_within_error_bars():

@@ -55,3 +55,25 @@ def test_every_public_definition_is_used_by_the_program():
         if name not in names
     ]
     assert unused == []
+
+
+def test_package_imports_no_scipy():
+    # numpy is the one numerical dependency: the Gauss-Jacobi rules and the
+    # energy pencil are built on numpy.linalg
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE_DIR.parent)}:{node.lineno} {name}"
+                for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+    assert found == []
