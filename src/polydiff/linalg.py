@@ -3,17 +3,18 @@
 The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments and eigenvectors, and the
 elimination of the moment matrix behind the orthogonal polynomials are
-exact.  Both eliminations are fraction-free passes in Python ints (Bareiss)
-that hold rows sparse, share one row step and defer the rescaling of rows
-that a pivot step leaves unchanged.  The echelon engine eliminates only
-below each pivot and back-substitutes over one common denominator: for the
-exact moments and `RationalMatrix.solve_unique` (`echelon_solve`), the
-exact eigenvectors (`echelon_kernel`) and the reduced row echelon form
-behind the admissibility nullspace (`RationalMatrix.rref`, its forward pass
-plus one back substitution per free column).  One symmetric pass down the
-diagonal of a positive definite matrix gives its Schur complements block
-by block.  They hand out their results as they compute them: integer
-numerators over one common denominator.  Spectral work on Gram and
+exact.  Both eliminations are fraction-free passes in Python ints that
+hold rows sparse.  The echelon engine (Bareiss) keeps every entry an
+integer minor, defers the rescaling of rows that a pivot step leaves
+unchanged, eliminates only below each pivot and back-substitutes over one
+common denominator: for the exact moments and `RationalMatrix.solve_unique`
+(`echelon_solve`), the exact eigenvectors (`echelon_kernel`) and the
+reduced row echelon form behind the admissibility nullspace
+(`RationalMatrix.rref`, its forward pass plus one back substitution per
+free column); it hands out integer numerators over one common
+denominator.  One symmetric content-free pass down the diagonal of a
+positive definite matrix gives its Schur complements block by block, each
+row it steps divided by the gcd of its entries.  Spectral work on Gram and
 energy-form matrices is floating point via numpy's LAPACK, the energy
 pencil reduced through the Cholesky factor of its Gram matrix.
 """
@@ -21,7 +22,7 @@ pencil reduced through the Cholesky factor of its Gram matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -70,54 +71,65 @@ def _caught_up(m: list[dict[int, int]], at: list[int], i: int, prev: int) -> dic
     return row
 
 
+def _content_free_step(
+    row: dict[int, int], lead: int, head: int, pivot_entries: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """One content-free elimination step on a sparse row: lead row - head
+    pivot row over the union of their nonzero columns, divided by the gcd
+    of its entries, where lead is the pivot and head the row's entry in the
+    pivot column.  The pivot row comes as its (column, entry) pairs."""
+    combined = {j: v * lead for j, v in row.items()}
+    for j, v in pivot_entries:
+        combined[j] = combined.get(j, 0) - head * v
+    content = gcd(*combined.values()) or 1  # a row of zeros stays one
+    return {j: v // content for j, v in combined.items() if v}
+
+
 def symmetric_elimination(
-    upper: list[dict[int, int]], blocks: Sequence[range]
-) -> Iterator[tuple[list[dict[int, int]], int]]:
-    """Fraction-free elimination of a positive definite symmetric integer
+    rows: list[dict[int, int]], blocks: Sequence[range]
+) -> Iterator[list[dict[int, int]]]:
+    """Content-free elimination of a positive definite symmetric integer
     matrix A down its diagonal, block by block, each row carrying extra
     columns along.
 
-    Row i of `upper` is sparse, column -> integer: row i of A from column i
-    on, which is all the elimination needs since every Schur complement of
-    A stays symmetric (row i's entry in pivot column k is row k's entry in
-    column i), then any columns past A's.  `blocks` are consecutive ranges
-    of rows that cover A from row 0.  Before the columns of each block are
-    eliminated, this yields the block's rows and the last pivot D, the
-    leading minor of A over the rows before the block (1 before the first);
-    the rows' entries are then D times those of the Schur complement, and
-    their extra columns D times the combination of original rows that gave
-    them.  The last block's columns are never eliminated.
+    Row i of `rows` is sparse, column -> integer: row i of A, then any
+    columns past A's.  `blocks` are consecutive ranges of rows that cover
+    A from row 0.  Before the columns of each block are eliminated, this
+    yields the block's rows: each is a positive multiple of the row of the
+    Schur complement of the rows before the block, its extra columns the
+    same multiple of the combination of original rows that gave it, and a
+    row that a step produced has no common factor in its entries.  The
+    last block's columns are never eliminated.
 
-    The pivots are A's leading minors.  Unless each is positive (A positive
-    definite, by Sylvester's criterion) ValueError names the block of the
-    first that is not.  Rows are rescaled lazily, as in `_echelon`, and
-    every division is exact and checked.
+    A step sets row <- lead row - head pivot row and divides the result by
+    the gcd of its entries (`_content_free_step`), so entries stay the size
+    of the row they stand for, not of a leading minor of A.  Every Schur
+    complement of A is symmetric, and each row is a positive multiple of
+    its own, so the rows with an entry in pivot column k are those the
+    pivot row has an entry for.  Each pivot is a positive multiple of the
+    Schur complement's diagonal entry, whose sign is that of the ratio of
+    two leading minors of A.  Unless each is positive (A positive definite,
+    by Sylvester's criterion) ValueError names the block of the first
+    leading minor that is not.
     """
-    rows = list(upper)
+    rows = list(rows)
     size = len(rows)
-    at = [1] * size  # the pivot each row's entries are current at
-    prev = 1
     for n, block in enumerate(blocks):
-        yield [_caught_up(rows, at, i, prev) for i in block], prev
+        yield [rows[i] for i in block]
         if n == len(blocks) - 1:
             return
         for k in block:
-            lead_row = _caught_up(rows, at, k, prev)
+            lead_row = rows[k]
             lead = lead_row.get(k, 0)
             if lead <= 0:
                 minor = "vanishes" if lead == 0 else "is negative"
                 raise ValueError(f"not positive definite: a leading minor in block {n} {minor}")
-            # sorted, the pivot row's entries from column i on are a tail:
-            # the columns of row i's part of the upper triangle, then the extras
-            entries = sorted(lead_row.items())
-            for pos in range(1, len(entries)):
-                i, head = entries[pos]
-                if i >= size:
-                    break
-                row = _caught_up(rows, at, i, prev)
-                rows[i] = _bareiss_step(row, lead, head, entries[pos:], prev)
-                at[i] = lead
-            prev = lead
+            # the pivot row's columns before k are eliminated, so its
+            # entries in A past k name the rows below it with an entry in k
+            for i in lead_row:
+                if k < i < size:
+                    row = rows[i]
+                    rows[i] = _content_free_step(row, lead, row[k], lead_row.items())
 
 
 def _echelon(

@@ -79,16 +79,22 @@ def normal_block(seed: int, start_pair: int, count: int) -> np.ndarray:
 
 def normal_points(seed: int, count: int, dim: int, start: int = 0) -> np.ndarray:
     """Standard normal points start .. start+count-1 in R^dim; axis k reads
-    its own counter stream."""
-    gauss = np.empty((count, dim))
+    its own counter stream.  Each axis fills one contiguous row of a
+    (dim, count) array, and the points are its transpose."""
+    gauss = np.empty((dim, count))
     for axis in range(dim):
-        gauss[:, axis] = normal_block(seed + 0x51A * (axis + 1), start, count)
-    return gauss
+        gauss[axis] = normal_block(seed + 0x51A * (axis + 1), start, count)
+    return gauss.T
 
 
 def unit_rows(points: np.ndarray) -> np.ndarray:
-    """Each row scaled to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(points, axis=1)
+    """Each row scaled to unit length; zero rows stay zero.  The squares
+    are summed one axis at a time, in the order np.linalg.norm(points,
+    axis=1) adds them."""
+    norms = points[:, 0] * points[:, 0]
+    for axis in range(1, points.shape[1]):
+        norms += points[:, axis] * points[:, axis]
+    np.sqrt(norms, out=norms)
     norms[norms == 0] = 1.0
     return points / norms[:, None]
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 from typing import Callable, Iterable
 
 import numpy as np
@@ -274,10 +274,12 @@ class OrthogonalDegree:
 
     For the k-th monomial x^b of degree n, scale * P_b = scale * x^b -
     sum_c lower[k][c] x^c over the monomials x^c of lower degree, and P_b is
-    orthogonal to every polynomial of lower degree.  `scale` is the leading
-    minor of the moment numerators over the monomials of lower degree (1 at
-    degree 0), the determinant of their moment matrix times its denominator
-    to their count.  Under the measure of mass 1,
+    orthogonal to every polynomial of lower degree.  `scale` is the lcm over
+    the degree's monomials of lam_b, the least positive integer for which
+    lam_b P_b has integer coefficients and lam_b <P_b, x^j> is an integer
+    multiple of 1 / denominator for every monomial x^j of degree up to the
+    `max_degree` of `orthogonal_polynomials` (1 at degree 0).  Under the
+    measure of mass 1,
     <scale P_b, scale P_b'> = gram[k][l] / denominator.
     """
 
@@ -292,17 +294,18 @@ def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> lis
     under the exact moments of the measure the operator leaves invariant
     (`GradedOperatorMatrix.moments` of `graded`, to twice that degree).
 
-    One symmetric fraction-free elimination (`linalg.symmetric_elimination`,
-    Bareiss, Math. Comp. 22, 1968) of the integer moment matrix G (the
-    moment numerators) of the monomials of degree <= `max_degree`, one
-    block per degree in the basis's order, each row i carrying the
-    coefficients of its polynomial in the columns size + c (e_i at first).
-    Once the monomials of degree < n are eliminated, the last pivot D is
-    their leading minor of G, and the rows of degree n hold D P_b and its
-    moments D <P_b, x^j>, with <P_b, x^j> = <P_b, P_j> within degree n.
-    The moments of a positive measure make G positive definite; a leading
-    minor that is zero or negative raises ValueError naming its block,
-    which is its degree.
+    One symmetric content-free elimination (`linalg.symmetric_elimination`)
+    of the integer moment matrix G (the moment numerators) of the monomials
+    of degree <= `max_degree`, one block per degree in the basis's order,
+    each row i carrying the coefficients of its polynomial in the columns
+    size + c (e_i at first).  Once the monomials of degree < n are
+    eliminated, the row of x^b holds lam_b P_b and its moments
+    lam_b <P_b, x^j>, with <P_b, x^j> = <P_b, P_j> within degree n, and
+    no common factor: lam_b, its own coefficient in column size + b, is the
+    integer `OrthogonalDegree` defines.  The degree's scale is their lcm,
+    and each row is rescaled by scale / lam_b.  The moments of a positive
+    measure make G positive definite; a leading minor that is zero or
+    negative raises ValueError naming its block, which is its degree.
     """
     if graded.max_degree < 2 * max_degree:
         raise ValueError(
@@ -313,21 +316,27 @@ def orthogonal_polynomials(graded: GradedOperatorMatrix, max_degree: int) -> lis
     size = blocks[-1].stop
     exponents = graded.basis.exponents[:size]
     mean = dict(zip(graded.basis.exponents, numerators))
-    upper = []
+    rows = []
     for i, a in enumerate(exponents):
-        row = {size + i: 1}
+        # the lower triangle mirrors the rows above
+        row = {j: above[i] for j, above in enumerate(rows) if i in above}
         for j in range(i, size):
             v = mean[tuple(x + y for x, y in zip(a, exponents[j]))]
             if v:
                 row[j] = v
-        upper.append(row)
+        row[size + i] = 1
+        rows.append(row)
     out = []
-    for block, (top, scale) in zip(blocks, symmetric_elimination(upper, blocks)):
-        lower = [[-row.get(size + c, 0) for c in range(block.start)] for row in top]
-        gram = [
-            [scale * (row.get(j, 0) if i <= j else top[j - block.start].get(i, 0)) for j in block]
-            for i, row in zip(block, top)
+    for degree, (block, top) in enumerate(zip(blocks, symmetric_elimination(rows, blocks))):
+        own = [row.get(size + b, 0) for b, row in zip(block, top)]
+        if min(own) <= 0:
+            raise ArithmeticError(f"a degree-{degree} row's own coefficient is not positive")
+        scale = lcm(*own)
+        factors = [scale // lam for lam in own]
+        lower = [
+            [-f * row.get(size + c, 0) for c in range(block.start)] for f, row in zip(factors, top)
         ]
+        gram = [[scale * f * row.get(j, 0) for j in block] for f, row in zip(factors, top)]
         out.append(OrthogonalDegree(scale, lower, gram, denominator))
     return out
 

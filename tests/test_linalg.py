@@ -18,6 +18,7 @@ from polydiff.linalg import (
     echelon_solve,
     generalized_sym_eig,
     poly_matrix_det,
+    symmetric_elimination,
 )
 from polydiff.poly import MonomialBasis
 from polydiff.quadrature import Moments, gamma_form_matrix, gram_matrix
@@ -141,6 +142,20 @@ def test_cluster_rule():
     values = [0.0, 1.0, 1.0 + 5e-8, 2.0]
     clusters = cluster_eigenvalues(values)
     assert [len(c) for c in clusters] == [1, 2, 1]
+
+
+def test_symmetric_elimination_divides_each_row_by_its_content():
+    # A = [[2, 4, 6], [4, 11, 9], [6, 9, 30]], each row carrying e_i: the
+    # pivot 2 takes row 1 to 2 (4, 11, 9 | e_1) - 4 (2, 4, 6 | e_0), whose
+    # entries share the factor 2, and row 2 likewise; what is left is the
+    # Schur complement [[3, -3], [-3, 12]] with x_1 - 2 x_0 and x_2 - 3 x_0
+    rows = [{0: 2, 1: 4, 2: 6, 3: 1}, {0: 4, 1: 11, 2: 9, 4: 1}, {0: 6, 1: 9, 2: 30, 5: 1}]
+    first, rest = symmetric_elimination(rows, [range(0, 1), range(1, 3)])
+    assert first == [rows[0]]
+    assert rest == [{1: 3, 2: -3, 3: -2, 4: 1}, {1: -3, 2: 12, 3: -3, 5: 1}]
+    # a positive semidefinite A can leave a row of zeros, which stays one
+    blocks = list(symmetric_elimination([{0: 1, 1: 1}, {0: 1, 1: 1}], [range(1), range(1, 2)]))
+    assert blocks == [[{0: 1, 1: 1}], [{}]]
 
 
 def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):

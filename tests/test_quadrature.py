@@ -31,7 +31,14 @@ from polydiff.quadrature import (
     sample_domain,
     symmetry_defect,
 )
-from polydiff.rng import normal_block, stream_uniform, stream_value, uniform_block
+from polydiff.rng import (
+    normal_block,
+    normal_points,
+    stream_uniform,
+    stream_value,
+    uniform_block,
+    unit_rows,
+)
 from test_poly import _termwise
 
 
@@ -79,6 +86,18 @@ def test_rng_blocks_match_the_scalar_stream_across_a_block_boundary():
     assert np.allclose(normals, reference, rtol=1e-15, atol=1e-15)
     assert normals.tobytes() == normal_block(seed, start, 8).tobytes()
     assert normal_block(seed, start, 1)[0] == normals[0]
+
+
+def test_unit_rows_match_the_norm_formula_bit_for_bit():
+    # the squares summed one axis at a time are the sum np.linalg.norm adds,
+    # on the transposed draw and on a C-ordered copy alike
+    for dim in (3, 4):
+        points = normal_points(11, 4096, dim, 3)
+        reference = points / np.linalg.norm(points, axis=1)[:, None]
+        for block in (points, np.ascontiguousarray(points)):
+            assert unit_rows(block).tobytes() == reference.tobytes()
+    points[7] = 0.0
+    assert unit_rows(points)[7].tobytes() == points[7].tobytes()
 
 
 def test_disk_mc_acceptance_fraction():

@@ -553,17 +553,63 @@ def _per_degree_orthogonal_polynomials(graded, max_degree):
     return out
 
 
+def _least_scale(graded, block, lower, size):
+    """The scale `OrthogonalDegree` defines, from a reference's P_b (lower
+    as Fractions): the lcm over b of the least positive integer lam_b that
+    makes lam_b P_b and its moment numerators lam_b <P_b, x^j>, j < size,
+    integers."""
+    exponents = graded.basis.exponents
+    numerators, _ = graded.moments()
+    mean = dict(zip(exponents, numerators))
+    scale = 1
+    for b, column in zip(range(block.start, block.stop), lower):
+        poly = {exponents[c]: -v for c, v in enumerate(column)} | {exponents[b]: Fraction(1)}
+        moments = [
+            sum(v * mean[tuple(p + q for p, q in zip(a, exponents[j]))] for a, v in poly.items())
+            for j in range(size)
+        ]
+        scale = lcm(scale, *(v.denominator for v in [*poly.values(), *moments]))
+    return scale
+
+
 @pytest.mark.parametrize("name,params", list(_sampled_model_cases()))
 def test_orthogonal_polynomials_match_the_per_degree_solves(name, params):
     graded = GradedOperatorMatrix(get_model(name, params).operator, 12)
     polys = spectra.orthogonal_polynomials(graded, 6)
     reference = _per_degree_orthogonal_polynomials(graded, 6)
     assert len(polys) == len(reference) == 7
-    for poly, (scale, lower, gram) in zip(polys, reference):
+    size = graded.basis.degree_slices[6].stop
+    for poly, block, (minor, lower, gram) in zip(polys, graded.basis.degree_slices, reference):
         assert [[Fraction(v, poly.scale) for v in row] for row in poly.lower] == lower
         assert [[Fraction(v, poly.scale**2) for v in row] for row in poly.gram] == gram
-        # both scales are the determinant of the lower-degree moment numerators
-        assert poly.scale == scale > 0
+        # the least common scale of the rows, which divides the reference's
+        # scale, the determinant of the lower-degree moment numerators
+        assert poly.scale == _least_scale(graded, block, lower, size)
+        assert minor % poly.scale == 0
+
+
+def test_orthogonal_polynomials_stay_the_size_of_their_answer():
+    # the degree-6 leading minor of cuspidal_cubic_tangent has 1,595 bits;
+    # the least common scale of its P_b has 141
+    graded = GradedOperatorMatrix(get_model("cuspidal_cubic_tangent").operator, 12)
+    assert spectra.orthogonal_polynomials(graded, 6)[6].scale.bit_length() <= 200
+
+
+def test_orthogonal_polynomials_refuse_a_row_without_a_positive_own_coefficient(monkeypatch):
+    # every elimination step multiplies a row's own coefficient by a positive
+    # pivot and divides it by a positive gcd; a row that breaks that premise
+    # must raise, not hand out P_b with a scale of the wrong sign
+    graded = GradedOperatorMatrix(get_model("square").operator, 4)
+    original = spectra.symmetric_elimination
+
+    def negated(rows, blocks):
+        for top in original(rows, blocks):
+            yield [{j: -v for j, v in row.items()} for row in top]
+
+    spectra.orthogonal_polynomials(graded, 2)
+    monkeypatch.setattr(spectra, "symmetric_elimination", negated)
+    with pytest.raises(ArithmeticError, match="degree-0 row's own coefficient is not positive"):
+        spectra.orthogonal_polynomials(graded, 2)
 
 
 @pytest.mark.parametrize("name,params", list(_sampled_model_cases()))

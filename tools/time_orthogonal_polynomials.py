@@ -1,16 +1,17 @@
-"""Time `spectra.orthogonal_polynomials` on the sampled catalog models, and
-the exact moments on every catalog model.
+"""Time `spectra.orthogonal_polynomials` and the exact moments on every
+catalog model.
 
     python3 tools/time_orthogonal_polynomials.py
 
-Run it from the root of a source checkout.  For each catalog model with a
-sampler, at its default parameters, it times
+Run it from the root of a source checkout.  For each of the 24 catalog
+models, at its default parameters, it times
 orthogonal_polynomials(GradedOperatorMatrix(op, 12), 6), the call each
-eigenbasis-quality claim makes (the exact moments included), and for every
-catalog model GradedOperatorMatrix(op, 12).moments(), each time with the
-graded matrix built outside the timer.  It prints one JSON line: the
-per-model minimum over REPEATS runs in ms and their sum, and under
-"moments" the same for the moments.
+eigenbasis-quality claim makes (the exact moments included), and
+GradedOperatorMatrix(op, 12).moments(), each time with the graded matrix
+built outside the timer.  It prints one JSON line: the per-model minimum
+over REPEATS runs in ms and their sum, the bit length of each model's
+degree-6 `scale` under "scale_bits", and under "moments" the same timings
+for the moments.
 """
 
 import json
@@ -39,15 +40,17 @@ def min_ms(model, call) -> float:
 
 
 def main() -> None:
-    per_model, moments = {}, {}
+    per_model, scale_bits, moments = {}, {}, {}
     for name in model_names():
         model = get_model(name)
-        if model.has_sampler:
-            per_model[name] = min_ms(model, lambda graded: orthogonal_polynomials(graded, 6))
+        per_model[name] = min_ms(model, lambda graded: orthogonal_polynomials(graded, 6))
+        top = orthogonal_polynomials(GradedOperatorMatrix(model.operator, 12), 6)[6]
+        scale_bits[name] = top.scale.bit_length()
         moments[name] = min_ms(model, GradedOperatorMatrix.moments)
     print(json.dumps({
         "min_ms": per_model,
         "total_ms": round(sum(per_model.values()), 2),
+        "scale_bits": scale_bits,
         "repeats": REPEATS,
         "moments": {"min_ms": moments, "total_ms": round(sum(moments.values()), 2)},
     }))
