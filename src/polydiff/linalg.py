@@ -4,19 +4,19 @@ The ratio of work here is deliberate: nullspaces and solves that feed the
 boundary admissibility system, the exact moments and eigenvectors, and the
 elimination of the moment matrix behind the orthogonal polynomials are
 exact.  Both eliminations are fraction-free passes in Python ints that
-hold rows sparse.  The echelon engine (Bareiss) keeps every entry an
-integer minor, defers the rescaling of rows that a pivot step leaves
-unchanged, eliminates only below each pivot and back-substitutes over one
-common denominator: for the exact moments and `RationalMatrix.solve_unique`
-(`echelon_solve`), the exact eigenvectors (`echelon_kernel`) and the
-reduced row echelon form behind the admissibility nullspace
-(`RationalMatrix.rref`, its forward pass plus one back substitution per
-free column); it hands out integer numerators over one common
-denominator.  One symmetric content-free pass down the diagonal of a
-positive definite matrix gives its Schur complements block by block, each
-row it steps divided by the gcd of its entries.  Spectral work on Gram and
-energy-form matrices is floating point via numpy's LAPACK, the energy
-pencil reduced through the Cholesky factor of its Gram matrix.
+hold rows sparse, and both take one row step (`_content_free_step`): row
+<- lead row - head pivot row, divided by the gcd of its entries.  The
+echelon engine eliminates only below each pivot and back-substitutes over
+the least common denominator: for the exact moments and
+`RationalMatrix.solve_unique` (`echelon_solve`), the exact eigenvectors
+(`echelon_kernel`) and the reduced row echelon form behind the
+admissibility nullspace (`RationalMatrix.rref`, its forward pass plus one
+back substitution per free column); it hands out integer numerators over
+that one denominator.  One symmetric pass down the diagonal of a positive
+definite matrix gives its Schur complements block by block.  Spectral
+work on Gram and energy-form matrices is floating point via numpy's
+LAPACK, the energy pencil reduced through the Cholesky factor of its Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -30,45 +30,6 @@ import numpy as np
 Rational = int | Fraction
 
 CLUSTER_TAU = 1e-7
-
-
-def _exact_quotient(a: int, b: int) -> int:
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("fraction-free step left a remainder")
-    return q
-
-
-def _bareiss_step(
-    row: dict[int, int], lead: int, head: int, pivot_entries: Iterable[tuple[int, int]], prev: int
-) -> dict[int, int]:
-    """One fraction-free elimination step on a sparse row: (lead row - head
-    pivot row) / prev over the union of their nonzero columns, where lead is
-    the pivot, head the row's entry in the pivot column and prev the
-    previous pivot.  The pivot row comes as its (column, entry) pairs; every
-    division is exact and checked."""
-    combined = {j: v * lead for j, v in row.items()}
-    for j, v in pivot_entries:
-        combined[j] = combined.get(j, 0) - head * v
-    new = {}
-    for j, v in combined.items():  # _exact_quotient, inlined in the hot loop
-        if v:
-            q, rem = divmod(v, prev)
-            if rem:
-                raise ArithmeticError("fraction-free step left a remainder")
-            new[j] = q
-    return new
-
-
-def _caught_up(m: list[dict[int, int]], at: list[int], i: int, prev: int) -> dict[int, int]:
-    """Row i of the lazily scaled sparse rows m, brought from the pivot
-    at[i] its entries are current at to the pivot prev in one exact
-    division (the composed factor prev / at[i] of the steps it skipped)."""
-    row = m[i]
-    if at[i] != prev:
-        row = m[i] = {j: _exact_quotient(v * prev, at[i]) for j, v in row.items()}
-        at[i] = prev
-    return row
 
 
 def _content_free_step(
@@ -132,34 +93,25 @@ def symmetric_elimination(
                     rows[i] = _content_free_step(row, lead, row[k], lead_row.items())
 
 
-def _echelon(
-    rows: list[dict[int, int]], width: int
-) -> tuple[list[dict[int, int]], list[int], int]:
-    """Fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968) of
-    sparse integer rows (column -> nonzero integer) over columns
-    0 .. width - 1, below each pivot only.
+def _echelon(rows: list[dict[int, int]], width: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Content-free forward elimination of sparse integer rows (column ->
+    nonzero integer) over columns 0 .. width - 1, below each pivot only.
 
-    Returns (rows, pivot columns, last pivot d).  The first len(pivots) rows
-    are an echelon form: row k has its first nonzero entry in pivot column k
-    and holds an integer multiple of the equation it stands for; the rows
+    Returns (rows, pivot columns).  The first len(pivots) rows are an
+    echelon form: row k has its first nonzero entry in pivot column k and
+    holds an integer multiple of a combination of the equations; the rows
     after them are what the columns up to `width` leave, empty unless
     `width` stops short of the rows' last column.  Pivot columns are chosen
     left to right; within a column the first not-yet-used row with a
-    nonzero entry wins.  d, the last pivot, is an integer minor (1 when
-    there is no pivot).
+    nonzero entry wins.
 
-    A step touches only the rows with an entry in the pivot column.  The
-    others would only be multiplied by lead / prev, so each row records
-    the pivot its entries are current at and takes the composed factor in
-    one exact division when it is next stepped (`_caught_up`).  A pivot
-    row is brought up to date only when a row below has an entry in its
-    pivot column, so a triangular matrix costs no elimination step and no
-    rescaling.  Every division is exact and checked.
+    A step touches only the rows with an entry in the pivot column, each
+    divided by the gcd of its entries (`_content_free_step`), so a row
+    carries no scale shared with the others and a triangular matrix takes
+    no elimination step.
     """
     m = list(rows)
-    at = [1] * len(m)  # the pivot each row's entries are current at
     pivots: list[int] = []
-    prev = 1
     r = 0
     for c in range(width):
         below = [i for i in range(r, len(m)) if c in m[i]]
@@ -169,37 +121,42 @@ def _echelon(
         # has none when it is not that row, so the rest of `below` stays put
         p = below[0]
         m[r], m[p] = m[p], m[r]
-        at[r], at[p] = at[p], at[r]
-        if len(below) == 1:
-            lead = _exact_quotient(m[r][c] * prev, at[r])
-        else:
-            lead_row = _caught_up(m, at, r, prev)
-            lead = lead_row[c]
-            for i in below[1:]:
-                row = _caught_up(m, at, i, prev)
-                m[i] = _bareiss_step(row, lead, row[c], lead_row.items(), prev)
-                at[i] = lead
-        prev = lead
+        lead_row = m[r]
+        lead = lead_row[c]
+        for i in below[1:]:
+            row = m[i]
+            m[i] = _content_free_step(row, lead, row[c], lead_row.items())
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots, prev
+    return m, pivots
 
 
 def _back_substitute(
-    rows: list[dict[int, int]], pivots: list[int], d: int, target: int
-) -> dict[int, int]:
-    """The integers x over the pivot columns with sum_j rows[k][j] x_j =
-    d rows[k][target] for every echelon row k, target a column without a
-    pivot.  With d the last pivot, a minor of the pivot rows and columns,
-    these are Cramer numerators, so every division is exact; it is checked."""
+    rows: list[dict[int, int]], pivots: list[int], target: int
+) -> tuple[dict[int, int], int]:
+    """The solution x / d over the pivot columns of sum_j rows[k][j] x_j / d
+    = rows[k][target] for every echelon row k, target a column without a
+    pivot, as (integers x, d > 0) with gcd(d, x) = 1: d is the least common
+    denominator.  Each pivot row's value total / (d lead) is cut by g =
+    gcd(total, lead), signed so that d stays positive, and the values found
+    before it are brought over the new d."""
     x: dict[int, int] = {}
+    d = 1
     for k in range(len(pivots) - 1, -1, -1):
         row, c = rows[k], pivots[k]
+        lead = row[c]
         total = d * row.get(target, 0) - sum(v * x[j] for j, v in row.items() if j in x)
-        x[c] = _exact_quotient(total, row[c])
-    return x
+        g = gcd(total, lead)
+        if lead < 0:
+            g = -g
+        scale = lead // g
+        if scale != 1:
+            x = {j: v * scale for j, v in x.items()}
+            d *= scale
+        x[c] = total // g
+    return x, d
 
 
 def echelon_solve(
@@ -208,39 +165,35 @@ def echelon_solve(
     """Solve A x = c for `count` right-hand sides at once: each sparse
     integer row holds a row of A in columns 0 .. unknowns - 1 and its
     entries of the right-hand sides after them.  Returns the solutions as
-    (integer numerators per right-hand side, common denominator d > 0), or
-    None unless every solution exists and is unique: A must have a pivot in
-    every column, and the rows that A leaves must be zero in the right-hand
-    sides.  Forward elimination runs over A's columns only."""
-    m, pivots, d = _echelon(rows, unknowns)
+    (integer numerators per right-hand side, their least common denominator
+    d > 0), or None unless every solution exists and is unique: A must have a pivot in every column, and the rows
+    that A leaves must be zero in the right-hand sides.  One forward
+    elimination runs over A's columns only, then one back substitution per
+    right-hand side."""
+    m, pivots = _echelon(rows, unknowns)
     if len(pivots) != unknowns or any(m[unknowns:]):
         return None
-    sign = 1 if d > 0 else -1
-    solutions = []
-    for t in range(unknowns, unknowns + count):
-        x = _back_substitute(m, pivots, d, t)
-        solutions.append([sign * x[c] for c in range(unknowns)])
-    return solutions, sign * d
+    solved = [_back_substitute(m, pivots, t) for t in range(unknowns, unknowns + count)]
+    d = lcm(*(den for _, den in solved))
+    return [[x[c] * (d // den) for c in range(unknowns)] for x, den in solved], d
 
 
 def _reduce(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], list[int], int]:
     """Reduced row echelon form of sparse integer rows over `width` columns,
     as (integer rows, pivot columns, d): one forward elimination
     (`_echelon`), then one back substitution per free column.  The RREF is
-    the rows over d, the last pivot; row k holds d at pivot column k and
-    the Cramer numerators of the free columns, and rows past the rank are
-    zero."""
-    m, pivots, d = _echelon(rows, width)
+    the rows over d > 0, the least common denominator of its entries; row k
+    holds d at pivot column k, and rows past the rank are zero."""
+    m, pivots = _echelon(rows, width)
+    pivot_set = set(pivots)
+    solved = {f: _back_substitute(m, pivots, f) for f in range(width) if f not in pivot_set}
+    d = lcm(*(den for _, den in solved.values()))
     reduced = [[0] * width for _ in m]
     for row, c in zip(reduced, pivots):
         row[c] = d
-    pivot_set = set(pivots)
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        x = _back_substitute(m, pivots, d, f)
+    for f, (x, den) in solved.items():
         for row, c in zip(reduced, pivots):
-            row[f] = x[c]
+            row[f] = x[c] * (d // den)
     return reduced, pivots, d
 
 
@@ -248,28 +201,26 @@ def _kernel(
     reduced: list[list[int]], pivots: list[int], d: int, width: int
 ) -> tuple[list[list[int]], int]:
     """Exact kernel basis from a reduced row echelon form (integer rows,
-    pivot columns, last pivot d) as (vectors, |d|): one vector per free
-    column in increasing order, |d| at that column, 0 at every other free
-    column and minus the free column's reduced entries at the pivot
-    columns, all negated when d < 0."""
-    sign = 1 if d > 0 else -1
+    pivot columns, d > 0) as (vectors, d): one vector per free column in
+    increasing order, d at that column, 0 at every other free column and
+    minus the free column's reduced entries at the pivot columns."""
     pivot_set = set(pivots)
     basis = []
     for f in range(width):
         if f in pivot_set:
             continue
         vector = [0] * width
-        vector[f] = sign * d
+        vector[f] = d
         for row, c in zip(reduced, pivots):
-            vector[c] = -sign * row[f]
+            vector[c] = -row[f]
         basis.append(vector)
-    return basis, sign * d
+    return basis, d
 
 
 def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
     """Exact kernel basis of the matrix of sparse integer rows over `width`
     columns, as `RationalMatrix.nullspace` returns it: (vectors, d), each
-    vector its integer entries over the one denominator d > 0 (see
+    vector its integer entries over the one least denominator d > 0 (see
     `_kernel`)."""
     return _kernel(*_reduce(rows, width), width)
 
@@ -306,15 +257,15 @@ class RationalMatrix:
 
     def rref(self) -> tuple[list[list[int]], list[int], int]:
         """Reduced row echelon form as (integer rows, pivot columns, d), the
-        RREF being the rows over the nonzero integer d: the echelon engine's
-        forward pass and back substitution on the integer-scaled rows (see
-        `_reduce`)."""
+        RREF being the rows over d > 0, the least common denominator of its
+        entries: the echelon engine's forward pass and back substitution on
+        the integer-scaled rows (see `_reduce`)."""
         return _reduce(self._integer_rows(), self.cols)
 
     def nullspace(self) -> tuple[list[list[int]], int]:
         """Exact kernel basis as (vectors, d): each basis vector is its
-        integer entries over the one denominator d > 0; count = cols - rank.
-        The vectors are `_kernel`'s of this matrix's `rref`."""
+        integer entries over the one least denominator d > 0; count = cols -
+        rank.  The vectors are `_kernel`'s of this matrix's `rref`."""
         return _kernel(*self.rref(), self.cols)
 
     def solve_unique(
@@ -322,7 +273,7 @@ class RationalMatrix:
     ) -> tuple[list[list[int]], int] | None:
         """The solution x of A x = c for each right-hand side c in `columns`,
         from one elimination (`echelon_solve` on the integer-scaled rows of
-        [A | columns]), as (integer numerators per column, common
+        [A | columns]), as (integer numerators per column, least common
         denominator d > 0); None unless every solution exists and is unique.
         For a square A that is None exactly when A is singular."""
         if any(len(column) != self.rows for column in columns):

@@ -573,30 +573,11 @@ def poly_divmod(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynom
 
 
 def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial | None:
-    """Quotient p / divisor if the division is exact, else None.
-
-    By Gauss's lemma an exact quotient of p's integer numerators by the
-    primitive part of the divisor's has integer coefficients, so the
-    division runs in ints and returns None at the first leading term whose
-    monomial or coefficient the divisor's leading term does not divide.
-    """
-    content, primitive, lead_exp = _primitive(p, divisor)
-    lead = primitive[lead_exp]
-    work = dict(p.numerators)
-    quotient: dict[Exponent, int] = {}
-    while work:
-        exponent = max(work, key=grlex_key)
-        delta = tuple(a - b for a, b in zip(exponent, lead_exp))
-        if any(e < 0 for e in delta):
-            return None
-        factor, rest = divmod(work[exponent], lead)
-        if rest:
-            return None
-        quotient[delta] = factor
-        _subtract(work, delta, factor, primitive)
-    return Polynomial._reduced(
-        p.dim, {e: v * divisor.denominator for e, v in quotient.items()}, content * p.denominator
-    )
+    """Quotient p / divisor if the division is exact, else None: the
+    quotient of `poly_divmod` when its remainder is zero, which for one
+    divisor is exactly when the divisor divides p."""
+    quotient, remainder = poly_divmod(p, divisor)
+    return None if remainder else quotient
 
 
 class MonomialBasis:

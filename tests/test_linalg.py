@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -37,10 +37,11 @@ def test_nullspace_rank_one():
 
 
 def test_nullspace_denominator_is_positive_when_the_last_pivot_is_negative():
-    # Bareiss leaves the last pivot -3 here; the kernel (-2/3, 1) comes back
+    # the pivot is -3; back substitution keeps the denominator positive, so
+    # the RREF (1, 2/3) comes back as (3, 2) over 3 and the kernel (-2/3, 1)
     # as (-2, 3) over 3, not as (2, -3) over -3
     m = RationalMatrix([[-3, -2]])
-    assert m.rref() == ([[-3, -2]], [0], -3)
+    assert m.rref() == ([[3, 2]], [0], 3)
     assert m.nullspace() == ([[-2, 3]], 3)
 
 
@@ -160,30 +161,40 @@ def test_symmetric_elimination_divides_each_row_by_its_content():
 
 def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
     # the forward step that clears the second row's entry under the first
-    # pivot divides exactly by the previous pivot on integer rows; a
-    # non-integral row breaks that premise and must raise even under python -O
+    # pivot divides by the gcd of the row's entries, which integer rows
+    # have; a non-integral row breaks that premise and must raise even
+    # under python -O
     monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 1}, {0: 1, 1: Fraction(1, 2)}])
-    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
-        RationalMatrix([[1, 0], [0, 1]]).rref()
-
-
-def test_rref_raises_when_a_deferred_rescale_is_inexact(monkeypatch):
-    # the second row has 0 under the first pivot, 2, so it is not stepped;
-    # as a single-row pivot its lead is rescaled by 2 / 1, which leaves 2/3
-    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 2}, {1: Fraction(1, 3)}])
-    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+    with pytest.raises(TypeError, match="integer"):
         RationalMatrix([[1, 0], [0, 1]]).rref()
 
 
 def test_echelon_engine_raises_when_a_division_is_inexact():
-    # every division of the engine is exact on integer rows; a non-integral
-    # entry breaks that premise and must raise even under python -O, in a
-    # forward step and in the back substitution of a triangular system,
-    # which takes no step
-    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+    # every gcd the engine takes is of integers; a non-integral entry breaks
+    # that premise and must raise even under python -O, in a forward step
+    # and in the back substitution of a triangular system, which takes no
+    # step
+    with pytest.raises(TypeError, match="integer"):
         echelon_kernel([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2)
-    with pytest.raises(ArithmeticError, match="fraction-free step left a remainder"):
+    with pytest.raises(TypeError, match="integer"):
         echelon_solve([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 2, 1)
+
+
+def test_back_substitution_keeps_the_least_positive_denominator():
+    # x / d solves every row of a random upper triangular system whose
+    # pivots have either sign, with d > 0 and gcd(d, x) = 1
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = []
+        for k in range(n):
+            row = {j: rng.randint(-9, 9) for j in range(k + 1, n + 1)}
+            row[k] = rng.choice((-1, 1)) * rng.randint(1, 9)
+            rows.append({j: v for j, v in row.items() if v})
+        x, d = linalg._back_substitute(rows, list(range(n)), n)
+        assert d > 0 and gcd(d, *x.values()) == 1, (rows, x, d)
+        for row in rows:
+            assert sum(Fraction(v * x[j], d) for j, v in row.items() if j < n) == row.get(n, 0)
 
 
 def _dense_rref(rows):
@@ -218,6 +229,22 @@ def _dense_rref(rows):
     return m, pivots, prev
 
 
+def _as_fractions(vectors, d):
+    """Integer vectors over d as Fractions, after asserting that d > 0 is
+    their least common denominator: no prime divides d and every entry."""
+    assert d > 0 and gcd(d, *(v for vector in vectors for v in vector)) == 1, d
+    return [[Fraction(v, d) for v in vector] for vector in vectors]
+
+
+def _assert_rref_matches_dense_reference(result, rows):
+    """The engine's (integer rows, pivots, d) is the dense reference's RREF
+    as rationals, with the same pivots and d its least common denominator."""
+    reduced, pivots, d = result
+    expected, expected_pivots, expected_d = _dense_rref(rows)
+    assert pivots == expected_pivots
+    assert _as_fractions(reduced, d) == [[Fraction(v, expected_d) for v in row] for row in expected]
+
+
 def _dense_kernel(rows):
     """Reference: the kernel read off `_dense_rref`, one vector per free
     column with the last pivot there and minus that column's reduced
@@ -246,23 +273,43 @@ def test_rref_matches_dense_reference_on_admissibility_systems(name):
         points.append(_generic_params(random.Random(name), descriptor))
     for params in points:
         matrix, _ = build_admissibility_system(get_model(name, params).boundary)
-        assert matrix.rref() == _dense_rref(matrix.data), params
+        _assert_rref_matches_dense_reference(matrix.rref(), matrix.data)
 
 
 def test_rref_of_an_upper_triangular_matrix_takes_no_elimination_step(monkeypatch):
     # each column's pivot is the first row with an entry there and no row
-    # below has one, so the forward pass steps and rescales no row: the
-    # RREF comes from back substitution alone
+    # below has one, so the forward pass steps no row: the RREF comes from
+    # back substitution alone
     rows = [[2, 1, 3, -1], [0, 5, 7, 0], [0, 0, 0, 4]]
 
     def forbidden(*args):
         raise AssertionError("elimination step on a triangular matrix")
 
-    monkeypatch.setattr(linalg, "_bareiss_step", forbidden)
-    monkeypatch.setattr(linalg, "_caught_up", forbidden)
+    monkeypatch.setattr(linalg, "_content_free_step", forbidden)
     matrix = RationalMatrix(rows)
-    assert matrix.rref() == _dense_rref(rows)
-    assert matrix.nullspace() == ([[-32, -56, 40, 0]], 40)
+    _assert_rref_matches_dense_reference(matrix.rref(), rows)
+    # the free column's values at the pivots are 4/5, 7/5 and 0, so the
+    # kernel is over 5
+    assert matrix.nullspace() == ([[-4, -7, 5, 0]], 5)
+
+
+def test_every_stepped_row_of_the_admissibility_systems_is_content_free(monkeypatch):
+    # each row the forward pass steps is divided by the gcd of its entries,
+    # so no row it hands on carries a common factor
+    stepped = []
+
+    def checked(*args):
+        row = step(*args)
+        assert gcd(*row.values()) in (0, 1), row
+        stepped.append(row)
+        return row
+
+    step = linalg._content_free_step
+    monkeypatch.setattr(linalg, "_content_free_step", checked)
+    for name in model_names():
+        if get_descriptor(name).factor_templates:
+            build_admissibility_system(get_model(name).boundary)[0].rref()
+    assert len(stepped) > 100
 
 
 def _sparse_rational_matrix(rng, rows, cols, density, zero_lead=0):
@@ -291,7 +338,7 @@ def test_rref_matches_dense_reference_on_sparse_random_matrices():
                 a, b = rng.sample(data[:rows], 2)
                 data.append([x + 2 * y for x, y in zip(a, b)])
             reduced, pivots, d = RationalMatrix(data).rref()
-            assert (reduced, pivots, d) == _dense_rref(data), (density, rows, cols)
+            _assert_rref_matches_dense_reference((reduced, pivots, d), data)
             if pivots and pivots[0] > 0:
                 seen.add("zero leading column")
             if pivots and data[0][pivots[0]] == 0:
@@ -402,20 +449,21 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         reduced, pivots, d = m.rref()
         expected_rref, expected_pivots = expected.rref()
         assert pivots == list(expected_pivots), kind
-        assert all(type(v) is int for row in reduced for v in row) and d != 0, kind
-        assert [[Fraction(v, d) for v in row] for row in reduced] == [
+        assert all(type(v) is int for row in reduced for v in row), kind
+        assert _as_fractions(reduced, d) == [
             from_sympy(expected_rref.row(i)) for i in range(len(rows))
         ], kind
         assert len(pivots) == expected.rank(), kind
         kernel, d = m.nullspace()
-        assert d > 0 and all(type(v) is int for vector in kernel for v in vector), kind
-        assert [[Fraction(v, d) for v in vector] for vector in kernel] == [
-            from_sympy(v) for v in expected.nullspace()
-        ], kind
+        assert all(type(v) is int for vector in kernel for v in vector), kind
+        assert _as_fractions(kernel, d) == [from_sympy(v) for v in expected.nullspace()], kind
         # the echelon engine's kernel is the one the dense Gauss-Jordan
         # reference reads: the same free columns in the same order, the same
-        # vectors over the same denominator
-        assert echelon_kernel(m._integer_rows(), m.cols) == _dense_kernel(rows), kind
+        # vectors, over their least common denominator
+        expected_kernel, expected_d = _dense_kernel(rows)
+        assert _as_fractions(*echelon_kernel(m._integer_rows(), m.cols)) == [
+            [Fraction(v, expected_d) for v in vector] for vector in expected_kernel
+        ], kind
         # a second right-hand side in the same elimination
         twice = [2 * v for v in rhs]
         unique = m.solve_unique([rhs, twice])
@@ -430,9 +478,9 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             outcomes.add(("not unique", kind))
         else:
             (first, second), d = unique
-            assert d > 0, kind
-            assert [Fraction(v, d) for v in first] == from_sympy(exact), kind
-            assert [Fraction(v, d) for v in second] == [2 * v for v in from_sympy(exact)], kind
+            assert _as_fractions([first, second], d) == [
+                from_sympy(exact), [2 * v for v in from_sympy(exact)]
+            ], kind
             outcomes.add(("unique", kind))
     assert {
         "wide", "tall", "square", "rank-deficient", "zero-row", "large", "sparse", "integer",
