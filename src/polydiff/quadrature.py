@@ -20,8 +20,16 @@ evaluating the maps.  The product rule, built for a moment degree, is exact
 to roundoff like the Gauss rules and is what `sample_domain` returns for a
 cover-mc sampler; `cover_cross_check` measures the Monte Carlo moments
 against it in units of their standard error.  The cross-check streams the
-draw in blocks of POINT_CHUNK proposals, adding each block's moments as it
-goes, so it never holds the whole point cloud.
+draw in blocks of POINT_CHUNK proposals and never holds the whole point
+cloud.  It is the one pass that uses threads: the blocks are shared out
+between the calling thread and one helper thread per further CPU the
+process may use (none with one CPU), since a block's draw, acceptance test
+and moment table are numpy calls on whole blocks, which release the GIL
+while they run.  The block tables are added in block order, so its output
+cannot change with the thread count or the order blocks finish.  Rejection
+sampling stays on one thread: its numpy calls are short, so two threads
+mostly hand the GIL back and forth, and sharing its blocks the same way
+showed no gain.
 
 Every rule returns weights with the measure density folded in, so each
 integral is a weighted sum over its points.  `Moments` integrates one rule
@@ -45,6 +53,7 @@ contiguous per-axis power tables in one matrix product.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, lgamma
@@ -230,21 +239,23 @@ def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]]) -> None:
                 )
 
 
+def _accept(factors: Sequence[Polynomial], coordinates: np.ndarray):
+    """The points of a (dim, size) block of coordinate rows where every
+    boundary factor is > 0: their coordinates (dim, kept) and the factors'
+    values there (factors, kept), from one evaluation of all the factors on
+    the block."""
+    values = eval_floats(factors, coordinates)
+    keep = np.flatnonzero((values > 0.0).all(axis=0))
+    return coordinates.take(keep, axis=1), values.take(keep, axis=1)
+
+
 def _accepted_blocks(model, count: int, propose: Callable[[int, int], np.ndarray]):
     """Proposals 0 .. count-1 in blocks of POINT_CHUNK, each block drawn by
-    `propose(start, size)` as a (dim, size) array of coordinate rows and kept
-    where every boundary factor is > 0.
-
-    Yields, per block, the kept points' coordinates (dim, kept) and the
-    boundary factors' values there (factors, kept), from one evaluation of
-    all the factors on the block.
-    """
+    `propose(start, size)` as a (dim, size) array of coordinate rows and
+    yielded as `_accept` keeps it, one block after another."""
     factors = model.boundary.factors
     for block in point_chunks(count):
-        coordinates = propose(block.start, block.stop - block.start)
-        values = eval_floats(factors, coordinates)
-        keep = np.flatnonzero((values > 0.0).all(axis=0))
-        yield coordinates.take(keep, axis=1), values.take(keep, axis=1)
+        yield _accept(factors, propose(block.start, block.stop - block.start))
 
 
 def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
@@ -603,20 +614,6 @@ def _applicable_cover(model) -> CoverSampler:
     return COVER_SAMPLERS[model.name]
 
 
-def _cover_blocks(model, sampler: DomainSampler):
-    """The cover Monte Carlo sample, one block of proposals at a time.
-
-    Cover images land in the closed domain; the roundoff-level boundary
-    grazers are dropped so every emitted point has all factors > 0.
-    """
-    cover = _applicable_cover(model)
-    return _accepted_blocks(
-        model,
-        sampler.sample_count,
-        lambda start, count: cover.generate(sampler.seed, start, count).T,
-    )
-
-
 def sample_domain(model, sampler: DomainSampler, degree: int) -> WeightedPoints:
     """Weighted point set for the model's domain under the given rule.
 
@@ -643,6 +640,52 @@ def point_chunks(count: int):
     """Row slices of at most POINT_CHUNK rows covering range(count)."""
     for start in range(0, count, POINT_CHUNK):
         yield slice(start, min(start + POINT_CHUNK, count))
+
+
+def _in_block_order(task: Callable[[slice], object], count: int) -> list:
+    """[task(block) for block in point_chunks(count)], the blocks shared out
+    between this thread and one helper thread per further CPU the process
+    may use (none with one CPU).
+
+    Each thread takes the next untaken block until none is left, and each
+    result goes to its block's slot, so the list is the same whichever
+    thread ran a block and whenever it finished.  Once a task raises, no
+    thread takes another block; the helpers are joined before the exception
+    leaves.
+    """
+    blocks = list(point_chunks(count))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    helpers = min(cpus, len(blocks)) - 1
+    if helpers < 1:
+        return [task(block) for block in blocks]
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(blocks)
+    untaken = list(reversed(range(len(blocks))))  # popped in block order
+    lock = threading.Lock()
+
+    def take_blocks() -> None:
+        try:
+            while True:
+                with lock:
+                    if not untaken:
+                        return
+                    index = untaken.pop()
+                results[index] = task(blocks[index])
+        finally:
+            with lock:
+                untaken.clear()
+
+    with ThreadPoolExecutor(helpers) as pool:
+        running = [pool.submit(take_blocks) for _ in range(helpers)]
+        take_blocks()
+        for helper in running:
+            helper.result()
+    return results
 
 
 def _block_moments(coordinates: np.ndarray, weights: np.ndarray, max_degree: int) -> np.ndarray:
@@ -741,19 +784,34 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
     of its moments up to `degree` against the exact cover rule
     (`moment_z_scores`).
 
-    Each block of POINT_CHUNK proposals is drawn, stripped of its boundary
-    grazers and added to the moment table before the next is drawn, so the
-    point cloud is never held.
+    Each block of POINT_CHUNK proposals is one task: draw it, drop the
+    roundoff-level boundary grazers (cover images land in the closed
+    domain) and take its moment table.  `_in_block_order` runs the tasks on
+    this thread and one helper thread per further CPU, so at most one block
+    per CPU is held, never the point cloud.  The tables are added in block
+    order whichever thread drew a block, and each block's points come from
+    fixed counter positions, so every float matches a one-thread pass bit
+    for bit.  The cover is looked up on each call, so a wrapped
+    `COVER_SAMPLERS` entry is the one that draws.
     """
     if sampler.kind != "cover-mc":
         raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")
     exact = Moments(model, 2 * degree, sampler)
+    cover = _applicable_cover(model)
+    factors = model.boundary.factors
     n = sampler.sample_count
+
+    def block_moments(block: slice) -> tuple[np.ndarray, int]:
+        draw = cover.generate(sampler.seed, block.start, block.stop - block.start)
+        coordinates, _ = _accept(factors, draw.T)
+        kept = coordinates.shape[1]
+        return _block_moments(coordinates, np.full(kept, 1.0 / n), degree), kept
+
     table = np.zeros((degree + 1,) * model.dim)
     accepted = 0
-    for coordinates, _ in _cover_blocks(model, sampler):
-        table += _block_moments(coordinates, np.full(coordinates.shape[1], 1.0 / n), degree)
-        accepted += coordinates.shape[1]
+    for block_table, kept in _in_block_order(block_moments, n):
+        table += block_table
+        accepted += kept
     basis = MonomialBasis(model.dim, degree)
     z = moment_z_scores(basis, table[tuple(basis.exponent_array.T)], exact, n)
     return CoverCrossCheck(n, accepted, float(np.abs(z).max()))

@@ -20,9 +20,30 @@ from polydiff.spectra import graded_eigenvalues
 SEED = 7
 
 
+# the battery fixture's first failure and its traceback, re-raised to every
+# later test
+_BATTERY_FAILURE: list[tuple[BaseException, object]] = []
+
+
 @pytest.fixture(scope="module")
 def battery():
-    report = run_claims(seed=SEED)
+    """The seed-7 report's results by claim id.
+
+    pytest keeps an Exception from a module fixture's set-up for the
+    module's later tests, but not a BaseException such as the suite's time
+    limit: each later test would run the battery again until it too ran out
+    of time.  The fixture keeps its first failure of any kind and re-raises
+    it instead.
+    """
+    if _BATTERY_FAILURE:
+        # the first traceback, so that each re-raise does not lengthen it
+        failure, traceback = _BATTERY_FAILURE[0]
+        raise failure.with_traceback(traceback)
+    try:
+        report = run_claims(seed=SEED)
+    except BaseException as failure:
+        _BATTERY_FAILURE.append((failure, failure.__traceback__))
+        raise
     return {result.id: result for result in report.results}
 
 

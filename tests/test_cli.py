@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +293,19 @@ def test_unwritable_out_path_is_data_error(tmp_path, capsys):
     )
     assert code == EXIT_DATA
     assert "FileNotFoundError" in err
+
+
+def test_models_list_starts_without_the_thread_pool():
+    # only the cover cross-check uses helper threads, and it imports
+    # concurrent.futures where it starts them; -X importtime names every
+    # module the command imports
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "polydiff.cli", "models", "list"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if "|" in line}
+    assert "polydiff" in imported
+    assert "deltoid" in run.stdout
+    assert not {m for m in imported if m == "concurrent" or m.startswith("concurrent.")}

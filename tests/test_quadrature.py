@@ -3,6 +3,10 @@
 import copy
 import itertools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -49,7 +53,10 @@ def sampler_points(model, sampler: DomainSampler, degree: int = 0) -> WeightedPo
     if sampler.kind != "cover-mc":
         return sample_domain(model, sampler, degree)
     n = sampler.sample_count
-    blocks = quadrature._cover_blocks(model, sampler)
+    cover = quadrature._applicable_cover(model)
+    blocks = quadrature._accepted_blocks(
+        model, n, lambda start, count: cover.generate(sampler.seed, start, count).T
+    )
     points = np.hstack([coordinates for coordinates, _ in blocks]).T
     return WeightedPoints(points, np.full(points.shape[0], 1.0 / n), proposals=n)
 
@@ -852,3 +859,93 @@ def test_cross_check_never_holds_the_sample(name):
         tracemalloc.stop()
     assert check.proposals == 1_000_000
     assert peak < 32e6
+
+
+def _cross_check_one_block_at_a_time(model, sampler, degree):
+    """cover_cross_check's accepted count, Monte Carlo moments and max_z from
+    its own block steps, the accept step and `_block_moments`, run on this
+    thread one block after another and added in block order."""
+    cover = COVER_SAMPLERS[model.name]
+    n = sampler.sample_count
+    table = np.zeros((degree + 1,) * model.dim)
+    accepted = 0
+    for block in quadrature.point_chunks(n):
+        draw = cover.generate(sampler.seed, block.start, block.stop - block.start)
+        coordinates, _ = quadrature._accept(model.boundary.factors, draw.T)
+        kept = coordinates.shape[1]
+        table += quadrature._block_moments(coordinates, np.full(kept, 1.0 / n), degree)
+        accepted += kept
+    basis = MonomialBasis(model.dim, degree)
+    values = table[tuple(basis.exponent_array.T)]
+    z = moment_z_scores(basis, values, Moments(model, 2 * degree, sampler), n)
+    return accepted, values, float(np.abs(z).max())
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS))
+def test_threaded_cross_check_adds_its_blocks_in_block_order(name, monkeypatch):
+    # four CPUs whatever the host has, so three helper threads share the four
+    # blocks with this one, and each block is drawn later than the next one:
+    # the blocks finish in reverse order, and a sum taken in the order they
+    # finish differs from the one in block order
+    model = get_model(name)
+    sampler = model.sampler(seed=7, sample_count=3 * POINT_CHUNK + 777)
+    accepted, values, max_z = _cross_check_one_block_at_a_time(model, sampler, 13)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cover = COVER_SAMPLERS[name]
+    threads = set()
+
+    def generate(seed, start, count):
+        threads.add(threading.get_ident())
+        time.sleep(0.1 * (3 - start // POINT_CHUNK))
+        return cover.generate(seed, start, count)
+
+    # the Monte Carlo moments the pass scores, every one bit for bit
+    scored = []
+
+    def z_scores(basis, values, exact, proposals):
+        scored.append(values)
+        return moment_z_scores(basis, values, exact, proposals)
+
+    monkeypatch.setitem(COVER_SAMPLERS, name, replace(cover, generate=generate))
+    monkeypatch.setattr(quadrature, "moment_z_scores", z_scores)
+    before = threading.active_count()
+    check = cover_cross_check(model, 13, sampler)
+    assert threading.active_count() == before
+    assert len(threads) > 1
+    assert check.accepted == accepted
+    assert scored[0].tobytes() == values.tobytes()
+    assert check.max_z.hex() == max_z.hex()
+
+    def fail_on_block_2(seed, start, count):
+        if start == 2 * POINT_CHUNK:
+            raise RuntimeError("block 2")
+        return cover.generate(seed, start, count)
+
+    monkeypatch.setitem(COVER_SAMPLERS, name, replace(cover, generate=fail_on_block_2))
+    with pytest.raises(RuntimeError, match="block 2"):
+        cover_cross_check(model, 13, sampler)
+    assert threading.active_count() == before
+
+
+def test_block_sharing_takes_each_block_once_under_fast_thread_switches(monkeypatch):
+    # eight threads on however many cores, switching every microsecond, over
+    # 3,000 one-row blocks: a block taken twice or lost shows in the calls,
+    # a result in the wrong slot in the list
+    monkeypatch.setattr(quadrature, "POINT_CHUNK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = []
+
+    def task(block):
+        calls.append(block.start)
+        return block.start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = quadrature._in_block_order(task, 3000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(3000))
+    assert sorted(calls) == list(range(3000))
