@@ -7,18 +7,27 @@ here: it is always derived from the measure density via
     b^i = sum_j d_j g^ij + sum_j g^ij d_j log(rho)
 
 which stays polynomial exactly when the measure is admissible for the
-cometric.  Everything in this module is exact.
+cometric.  With g quadratic and b affine, L sends x^a to a sum over a few
+net exponent shifts s, each with an integer quadratic polynomial q_s(a) as
+coefficient; each operator tabulates that action once
+(`DiffusionOperator.monomial_action`), and both `DiffusionOperator.apply`
+and `GradedOperatorMatrix` read L from it.  Everything in this module is
+exact, in Python integers and fractions, without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import echelon_solve, poly_matrix_det
-from .poly import MonomialBasis, Polynomial, exact_divide
+from .poly import Exponent, MonomialBasis, Polynomial, exact_divide
+
+#: one coefficient of q_s: (G_ij, i, j) for G_ij a_i a_j, (D_i, i, None) for D_i a_i
+Term = tuple[int, int, int | None]
 
 
 class InadmissibleMeasureError(ValueError):
@@ -96,18 +105,65 @@ class DiffusionOperator:
     def dim(self) -> int:
         return self.cometric.dim
 
+    @cached_property
+    def monomial_action(self) -> tuple[int, tuple[tuple[Exponent, tuple[Term, ...]], ...]]:
+        """L on monomials as one integer table (S, ((s, q_s), ...)):
+
+            L(x^a) = sum_s q_s(a) / S * x^(a + s)
+
+        S is the lcm of the denominators of the cometric and drift entries,
+        and each net shift s has the integer quadratic polynomial q_s(a) =
+        sum_{i<=j} G_ij a_i a_j + sum_i D_i a_i, held as its nonzero
+        coefficients: (G_ij, i, j) and (D_i, i, None).  A cometric term
+        g^ij_c x^c adds g^ij_c a_i (a_j - delta_ij) at s = c - e_i - e_j
+        (both orders of i != j land on one G_ij), a drift term b^i_c x^c adds
+        b^i_c a_i at s = c - e_i.  Distinct shifts reach distinct monomials,
+        so q_s(a) is the whole coefficient of x^(a + s); it vanishes when
+        a + s has a negative entry, because every term's factor does.  Shifts
+        whose polynomial cancels to zero are left out.  Built on first use
+        and kept.
+        """
+        d = self.dim
+        entries = [(i, j, self.cometric[i, j]) for i in range(d) for j in range(d)]
+        entries += [(i, None, b) for i, b in enumerate(self.drift)]
+        scale = lcm(*(p.denominator for _, _, p in entries))
+        table: dict[Exponent, dict[tuple[int, int | None], int]] = {}
+        for i, j, p in entries:
+            lift = scale // p.denominator
+            for c, n in p.numerators.items():
+                n *= lift
+                if j is None:
+                    q = table.setdefault(_lowered(c, i), {})
+                    q[i, None] = q.get((i, None), 0) + n
+                    continue
+                q = table.setdefault(_lowered(c, i, j), {})
+                key = (min(i, j), max(i, j))
+                q[key] = q.get(key, 0) + n
+                if i == j:
+                    q[i, None] = q.get((i, None), 0) - n
+        shifts = []
+        for shift, q in table.items():
+            terms = tuple((v, i, j) for (i, j), v in q.items() if v)
+            if terms:
+                shifts.append((shift, terms))
+        return scale, tuple(shifts)
+
     def apply(self, f: Polynomial) -> Polynomial:
-        """Exact L(f); preserves total degree."""
+        """Exact L(f) from `monomial_action`: f = sum_a n_a x^a / den gives
+        sum_a n_a sum_s q_s(a) x^(a + s) over S * den."""
         if f.dim != self.dim:
             raise ValueError("dimension mismatch")
-        partials = f.gradient()
-        result = Polynomial.zero(self.dim)
-        for i in range(self.dim):
-            row_second = partials[i].gradient()
-            for j in range(self.dim):
-                result = result + self.cometric[i, j] * row_second[j]
-            result = result + self.drift[i] * partials[i]
-        return result
+        scale, shifts = self.monomial_action
+        image: dict[Exponent, int] = {}
+        for a, n in f.numerators.items():
+            for shift, terms in shifts:
+                q = sum(c * a[i] * (1 if j is None else a[j]) for c, i, j in terms)
+                if q:
+                    target = tuple(map(int.__add__, a, shift))
+                    image[target] = image.get(target, 0) + n * q
+        return Polynomial._reduced(
+            self.dim, {e: v for e, v in image.items() if v}, f.denominator * scale
+        )
 
 
 def gamma(g: CoMetric, f: Polynomial, h: Polynomial) -> Polynomial:
@@ -248,71 +304,53 @@ class GradedOperatorMatrix:
     """Exact matrix M of L on a graded monomial basis, as integer columns.
 
     Column k holds the coordinates of L(m_k) times one common `scale`, the
-    lcm of the denominators of all coefficients of L: `columns[k]` maps each
-    row with a nonzero entry to that integer, so M[r, k] = columns[k][r] /
-    scale.  With g^ij = sum_c g^ij_c x^c and b^i = sum_c b^i_c x^c, each
-    column comes from exponent arithmetic:
+    operator's S (`DiffusionOperator.monomial_action`): `columns[k]` maps
+    each row with a nonzero entry to that integer, so M[r, k] = columns[k][r]
+    / scale.  Since L(x^a) = sum_s q_s(a) / S x^(a + s), the columns are
+    filled one shift s at a time: q_s is evaluated on the whole basis at
+    once over its per-axis exponent columns, and each nonzero q_s(a) is the
+    entry of column a in row a + s.  A nonzero q_s(a) on a shift that raises
+    the degree (|s| > 0) raises DegreeViolationError, so the matrix is
+    block-upper-triangular in the degree grading by construction.
 
-        L(x^a) = sum_{ij,c} g^ij_c a_i (a_j - delta_ij) x^(a + c - e_i - e_j)
-               + sum_{i,c}  b^i_c a_i x^(a + c - e_i)
-
-    A nonzero image coefficient of degree above |a| raises
-    DegreeViolationError, so the matrix is block-upper-triangular in the
-    degree grading by construction.
-
-    Exponents are coded as integers in base max_degree + 3, so a term's
-    target is code(a) + code(shift).  A term with a nonzero factor has a
-    target with entries in [0, max_degree + 2], so distinct targets have
-    distinct codes, though a shift may have entries down to -2.
+    Rows are found by integer codes in base max_degree + 3, so the row of
+    a + s has code code(a) + code(s).  A nonzero q_s(a) has a + s with
+    entries in [0, max_degree + 2], so distinct targets have distinct codes,
+    though a shift may have entries down to -2.
     """
 
     def __init__(self, op: DiffusionOperator, max_degree: int):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.operator = op
-        self.basis = MonomialBasis(op.dim, max_degree)
-        weights = [(max_degree + 3) ** k for k in range(op.dim)]
-
-        def code(exponent) -> int:
-            return sum(w * e for w, e in zip(weights, exponent))
-
-        # (i, j or None for a drift term, its entry of L)
-        parts = []
-        for i in range(op.dim):
-            parts += [(i, j, op.cometric[i, j]) for j in range(op.dim)]
-            parts.append((i, None, op.drift[i]))
-        self.scale = lcm(*(p.denominator for _, _, p in parts))
-        # per nonzero entry, per term x^c: (code of the shift c - e_i [- e_j],
-        # whether it raises the degree, the coefficient times scale)
-        coded = []
-        for i, j, p in parts:
-            axes = (i,) if j is None else (i, j)
-            lift = self.scale // p.denominator
-            if p.numerators:
-                coded.append((i, j, [
-                    (code(_lowered(c, *axes)), sum(c) > len(axes), n * lift)
-                    for c, n in p.numerators.items()
-                ]))
-        codes = [code(e) for e in self.basis.exponents]
-        index = {c: k for k, c in enumerate(codes)}
-        self.columns: list[dict[int, int]] = []
-        for a, origin in zip(self.basis.exponents, codes):
-            image: dict[int, int] = {}
-            raised = []
-            for i, j, shifts in coded:
-                factor = a[i] if j is None else a[i] * (a[j] - (i == j))
-                if factor:
-                    for shift, raises, coeff in shifts:
-                        target = origin + shift
-                        image[target] = image.get(target, 0) + factor * coeff
-                        if raises:
-                            raised.append(target)
-            if any(image[target] for target in raised):
-                raise DegreeViolationError(
-                    f"L raised the degree of monomial {a}: operator "
-                    f"was built outside the admissible framework"
-                )
-            self.columns.append({index[target]: v for target, v in image.items() if v})
+        self.basis = basis = MonomialBasis(op.dim, max_degree)
+        self.scale, shifts = op.monomial_action
+        base = max_degree + 3
+        axes = basis.exponent_columns
+        codes = [0] * len(basis)
+        for k in reversed(range(op.dim)):
+            codes = [base * code + e for code, e in zip(codes, axes[k])]
+        row_of = {code: r for r, code in enumerate(codes)}
+        self.columns: list[dict[int, int]] = [{} for _ in codes]
+        for shift, terms in shifts:
+            values = [0] * len(codes)
+            for c, i, j in terms:
+                if j is None:
+                    values = [v + c * x for v, x in zip(values, axes[i])]
+                else:
+                    values = [v + c * x * y for v, x, y in zip(values, axes[i], axes[j])]
+            if sum(shift) > 0:
+                raised = next((k for k, v in enumerate(values) if v), None)
+                if raised is not None:
+                    raise DegreeViolationError(
+                        f"L raised the degree of monomial {basis.exponents[raised]}: "
+                        f"operator was built outside the admissible framework"
+                    )
+                continue
+            offset = sum(e * base**k for k, e in enumerate(shift))
+            for column, code, v in zip(self.columns, codes, values):
+                if v:
+                    column[row_of[code + offset]] = v
 
     @property
     def max_degree(self) -> int:

@@ -581,24 +581,63 @@ def exact_divide(p: Polynomial, divisor: Polynomial) -> Polynomial | None:
 
 
 class MonomialBasis:
-    """All exponent vectors of total degree <= max_degree, graded-lex ordered."""
+    """All exponent vectors of total degree <= max_degree, graded-lex ordered.
 
-    def __init__(self, dim: int, max_degree: int):
+    There is one basis per (dim, max_degree): `MonomialBasis(dim, degree)`
+    builds it on first use and afterwards returns that same object.  A
+    shared basis is immutable: its sequences are tuples, `index` is a
+    read-only mapping, `exponent_array` is a read-only array and attributes
+    cannot be set.  A basis is published only once it is complete, so a
+    thread that builds the same basis at the same time gets the first one
+    published, never a partial one.
+
+    `exponent_columns[i]` holds the i-th entry of every exponent, in basis
+    order, and `degree_slices[n]` the positions of the degree-n exponents.
+    """
+
+    __slots__ = (
+        "dim", "max_degree", "exponents", "index", "exponent_array", "exponent_columns",
+        "degree_slices",
+    )
+
+    _shared: dict[tuple[int, int], MonomialBasis] = {}
+
+    def __new__(cls, dim: int, max_degree: int):
+        key = (dim, max_degree)
+        basis = cls._shared.get(key)
+        if basis is None:
+            # setdefault publishes the finished basis in one step; a thread
+            # that loses the race drops its own copy
+            basis = cls._shared.setdefault(key, cls._build(dim, max_degree))
+        return basis
+
+    @classmethod
+    def _build(cls, dim: int, max_degree: int) -> MonomialBasis:
         if dim < 1 or max_degree < 0:
             raise ValueError("need dim >= 1 and max_degree >= 0")
-        self.dim = dim
-        self.max_degree = max_degree
-        self.exponents: list[Exponent] = sorted(
-            self._enumerate(dim, max_degree), key=grlex_key
-        )
-        self.index = {e: i for i, e in enumerate(self.exponents)}
-        self.exponent_array = np.array(self.exponents, dtype=np.intp)
-        self.degree_slices: list[slice] = []
-        start = 0
+        basis = object.__new__(cls)
+        exponents = tuple(sorted(cls._enumerate(dim, max_degree), key=grlex_key))
+        array = np.array(exponents, dtype=np.intp)
+        array.flags.writeable = False
+        slices, start = [], 0
         for degree in range(max_degree + 1):
             count = comb(degree + dim - 1, degree)
-            self.degree_slices.append(slice(start, start + count))
+            slices.append(slice(start, start + count))
             start += count
+        _set(basis, "dim", dim)
+        _set(basis, "max_degree", max_degree)
+        _set(basis, "exponents", exponents)
+        _set(basis, "index", MappingProxyType({e: i for i, e in enumerate(exponents)}))
+        _set(basis, "exponent_array", array)
+        _set(basis, "exponent_columns", tuple(zip(*exponents)))
+        _set(basis, "degree_slices", tuple(slices))
+        return basis
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MonomialBasis is immutable")
+
+    def __reduce__(self):
+        return MonomialBasis, (self.dim, self.max_degree)
 
     @staticmethod
     def _enumerate(dim: int, max_degree: int) -> Iterable[Exponent]:

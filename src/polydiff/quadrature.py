@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
-from .poly import MonomialBasis, Polynomial, eval_floats, parse_poly, parse_rational
+from .poly import MonomialBasis, Polynomial, eval_floats, grlex_key, parse_poly, parse_rational
 from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit_rows
 
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
@@ -828,12 +828,14 @@ def operator_moment_matrix(moments: Moments, degree: int, images: list[Polynomia
     """M[k, l] ~ integral of m_k L(m_l) against the measure of `moments`.
 
     `images[l]` is L(m_l) for the l-th monomial of the degree-`degree` basis;
-    column l sums its terms in their order.
+    column l sums its terms in graded-lex order, so its floats do not depend
+    on the order in which the image's terms were built.
     """
     exponents = MonomialBasis(moments.model.dim, degree).exponent_array
     m = np.zeros((len(exponents), len(images)))
     for l, image in enumerate(images):
-        for exponent, n in image.numerators.items():
+        for exponent in sorted(image.numerators, key=grlex_key):
+            n = image.numerators[exponent]
             m[:, l] += n / image.denominator * moments.monomial(exponents + exponent)
     return m
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -19,6 +19,7 @@ from polydiff.operator import (
     drift_from_measure,
     gamma,
     product_operator,
+    sphere_operator,
 )
 from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 from polydiff.quadrature import COVER_SAMPLERS
@@ -156,10 +157,12 @@ def dense_rows(graded):
 
 
 def _reference_graded_entries(op, max_degree):
-    """Column k holds the basis coordinates of op.apply(m_k)."""
+    """Column k holds the basis coordinates of L(m_k), taken from
+    derivatives (`_derivative_apply`), since `apply` and the graded matrix
+    read one table."""
     basis = MonomialBasis(op.dim, max_degree)
     columns = [
-        basis.coordinates(op.apply(Polynomial.monomial(op.dim, exponent)))
+        basis.coordinates(_derivative_apply(op, Polynomial.monomial(op.dim, exponent)))
         for exponent in basis.exponents
     ]
     return [[column[r] for column in columns] for r in range(len(basis))]
@@ -234,6 +237,115 @@ def test_graded_matrix_raises_on_degree_violation():
     object.__setattr__(op, "drift", (x * x,))
     with pytest.raises(DegreeViolationError):
         GradedOperatorMatrix(op, 3)
+
+
+def _derivative_apply(op, f):
+    """Test-only copy of the derivative-based L(f) that `apply` replaced:
+    sum_ij g^ij d_i d_j f + sum_i b^i d_i f in polynomial arithmetic."""
+    partials = f.gradient()
+    result = Polynomial.zero(op.dim)
+    for i in range(op.dim):
+        row_second = partials[i].gradient()
+        for j in range(op.dim):
+            result = result + op.cometric[i, j] * row_second[j]
+        result = result + op.drift[i] * partials[i]
+    return result
+
+
+def _per_term_columns(op, max_degree):
+    """Test-only copy of the per-term construction that the graded matrix
+    replaced: (scale, columns), each column summing every term of every
+    cometric and drift entry for its monomial."""
+    basis = MonomialBasis(op.dim, max_degree)
+    parts = []
+    for i in range(op.dim):
+        parts += [(i, j, op.cometric[i, j]) for j in range(op.dim)]
+        parts.append((i, None, op.drift[i]))
+    scale = lcm(*(p.denominator for _, _, p in parts))
+    columns = []
+    for a in basis.exponents:
+        image = {}
+        for i, j, p in parts:
+            factor = a[i] if j is None else a[i] * (a[j] - (i == j))
+            for c, n in p.numerators.items():
+                target = list(map(sum, zip(a, c)))
+                for axis in (i,) if j is None else (i, j):
+                    target[axis] -= 1
+                target = tuple(target)
+                image[target] = image.get(target, 0) + factor * n * (scale // p.denominator)
+        if any(v and sum(t) > sum(a) for t, v in image.items()):
+            raise DegreeViolationError(a)
+        columns.append({basis.index[t]: v for t, v in image.items() if v})
+    return scale, columns
+
+
+def _random_polynomial(rng, dim, degree):
+    terms = {}
+    for _ in range(8):
+        exponent = [0] * dim
+        for _ in range(rng.randint(0, degree)):
+            exponent[rng.randrange(dim)] += 1
+        terms[tuple(exponent)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return Polynomial(dim, terms)
+
+
+def _apply_oracle_operators():
+    for name, params in _catalog_operator_cases():
+        yield f"{name}-{'generic' if params else 'default'}", get_model(name, params).operator
+    yield "sphere2", sphere_operator(2)
+    yield "sphere3", sphere_operator(3)
+    yield "jacobi1d-x-square", product_operator(
+        get_model("jacobi1d", {"a": "1/2", "b": "3"}).operator,
+        get_model("square", {"a": "1/3", "b": "2/5", "c": "1/2", "d": "0"}).operator,
+    )
+    for name in ("swallowtail", "deltoid"):
+        yield f"{name}-cover", COVER_SAMPLERS[name].operator
+
+
+@pytest.mark.parametrize("label,op", list(_apply_oracle_operators()))
+def test_apply_matches_the_derivative_reference(label, op):
+    rng = random.Random(sum(map(ord, label)))
+    for _ in range(6):
+        f = _random_polynomial(rng, op.dim, 5 if op.dim <= 2 else 4)
+        assert op.apply(f) == _derivative_apply(op, f)
+    assert op.apply(Polynomial.zero(op.dim)) == Polynomial.zero(op.dim)
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_graded_columns_match_the_per_term_reference_at_degree_12(name):
+    op = get_model(name).operator
+    graded = GradedOperatorMatrix(op, 12)
+    assert (graded.scale, graded.columns) == _per_term_columns(op, 12)
+
+
+def test_raising_coefficients_that_vanish_on_the_basis_do_not_raise():
+    x = Polynomial.variable(1, 0)
+    # a forced cometric x^3 shifts x^a to x^(a+1) with coefficient a(a - 1):
+    # its two raising terms cancel on 1 and x, and survive on x^2
+    op = DiffusionOperator(CoMetric([[Polynomial.constant(1, 1)]]), (Polynomial.zero(1),))
+    object.__setattr__(op, "cometric", _forced_cometric([[x**3]]))
+    graded = GradedOperatorMatrix(op, 1)
+    assert (graded.scale, graded.columns) == _per_term_columns(op, 1) == (1, [{}, {}])
+    with pytest.raises(DegreeViolationError):
+        GradedOperatorMatrix(op, 2)
+    # a forced drift (x y, -y^2) sends x^a y^b to degree a + b + 1 with
+    # coefficient a - b: the raising terms cancel on x y, but not on x
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    one, zero = Polynomial.constant(2, 1), Polynomial.zero(2)
+    op = DiffusionOperator(CoMetric([[one, zero], [zero, one]]), (x, y))
+    object.__setattr__(op, "drift", (x * y, -(y * y)))
+    assert op.apply(x * y) == _derivative_apply(op, x * y) == Polynomial.zero(2)
+    assert op.apply(x) == _derivative_apply(op, x) == x * y
+    with pytest.raises(DegreeViolationError):
+        GradedOperatorMatrix(op, 2)
+
+
+def _forced_cometric(entries):
+    """A CoMetric holding `entries` without the constructor's degree check."""
+    g = object.__new__(CoMetric)
+    object.__setattr__(g, "dim", len(entries))
+    object.__setattr__(g, "entries", tuple(tuple(row) for row in entries))
+    return g
 
 
 def test_strictly_lower_block_entries_lists_entries_below_the_blocks():

@@ -1,7 +1,11 @@
 """Exact polynomial arithmetic: worked examples first, then random laws."""
 
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -166,7 +170,73 @@ def test_monomial_basis_counts():
 
 def test_monomial_basis_graded_lex_order():
     basis = MonomialBasis(2, 2)
-    assert basis.exponents == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert basis.exponents == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+
+
+def _basis_fields(basis):
+    return (
+        basis.dim, basis.max_degree, basis.exponents, dict(basis.index),
+        basis.exponent_array.tolist(), basis.exponent_columns, basis.degree_slices,
+    )
+
+
+def test_monomial_basis_is_shared_and_immutable():
+    basis = MonomialBasis(3, 4)
+    assert MonomialBasis(3, 4) is basis
+    assert MonomialBasis(3, 5) is not basis and MonomialBasis(2, 4) is not basis
+    assert copy.deepcopy(basis) is basis
+    assert pickle.loads(pickle.dumps(basis)) is basis
+    assert basis.exponent_columns == tuple(zip(*basis.exponents))
+    with pytest.raises(AttributeError):
+        basis.max_degree = 5
+    with pytest.raises(AttributeError):
+        basis.exponents.append((5, 0, 0))
+    with pytest.raises(TypeError):
+        basis.exponents[0] = (1, 0, 0)
+    with pytest.raises(TypeError):
+        basis.index[(5, 0, 0)] = 0
+    with pytest.raises(TypeError):
+        basis.exponent_columns[0] = ()
+    with pytest.raises(TypeError):
+        basis.degree_slices[0] = slice(0, 0)
+    with pytest.raises(ValueError):
+        basis.exponent_array[0, 0] = 1
+    with pytest.raises(ValueError):
+        basis.exponent_array += 1
+    with pytest.raises(ValueError):
+        MonomialBasis(0, 3)
+
+
+def test_monomial_basis_built_by_eight_threads_at_once_is_complete(monkeypatch):
+    # each thread records the fields of the basis it gets as soon as it has
+    # it, so a basis published before it was complete shows
+    reference = _basis_fields(MonomialBasis(3, 9))
+    monkeypatch.setattr(MonomialBasis, "_shared", {})
+    start = threading.Barrier(8)
+    seen = [None] * 8
+
+    def build(k):
+        start.wait()
+        basis = MonomialBasis(3, 9)
+        try:
+            seen[k] = (basis, _basis_fields(basis))
+        except AttributeError as exc:
+            seen[k] = (basis, exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(fields == reference for _, fields in seen)
+    assert all(basis is seen[0][0] for basis, _ in seen)
+    assert MonomialBasis(3, 9) is seen[0][0]
 
 
 def test_exact_division_roundtrip():

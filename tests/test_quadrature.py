@@ -32,6 +32,7 @@ from polydiff.quadrature import (
     gamma_form_matrix,
     gram_matrix,
     moment_z_scores,
+    operator_moment_matrix,
     sample_domain,
     symmetry_defect,
 )
@@ -288,6 +289,26 @@ def test_symmetry_defect_applies_the_operator_once_per_monomial():
     defect = symmetry_defect(disk, 3, disk.sampler(), operator=Counting())
     assert Counting.calls == 10  # the degree-3 basis in 2D has 10 monomials
     assert defect == symmetry_defect(disk, 3, disk.sampler())
+
+
+@pytest.mark.parametrize("name", ["disk", "cuspidal_cubic_tangent", "swallowtail"])
+def test_operator_moment_matrix_does_not_depend_on_the_term_order_of_the_images(name):
+    # each image is summed in graded-lex order, so images that hold the same
+    # terms in reverse order give the same floats bit for bit
+    model = get_model(name)
+    moments = Moments(model, 2 * 6, model.sampler(seed=7))
+    images = [
+        model.operator.apply(Polynomial.monomial(model.dim, e))
+        for e in MonomialBasis(model.dim, 6).exponents
+    ]
+    reversed_images = [
+        Polynomial._new(p.dim, dict(reversed(p.numerators.items())), p.denominator)
+        for p in images
+    ]
+    assert np.array_equal(
+        operator_moment_matrix(moments, 6, images),
+        operator_moment_matrix(moments, 6, reversed_images),
+    )
 
 
 def _with_density(name, params=None, extra_factor=None, exp_poly=None):

@@ -57,23 +57,36 @@ def test_every_public_definition_is_used_by_the_program():
     assert unused == []
 
 
+def _absolute_imports(path):
+    """(line, module name) of each absolute import statement of one module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
 def test_package_imports_no_scipy():
     # numpy is the one numerical dependency: the Gauss-Jacobi rules and the
     # energy pencil are built on numpy.linalg
     modules = sorted(PACKAGE_DIR.rglob("*.py"))
     assert modules
-    found = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.relative_to(PACKAGE_DIR.parent)}:{node.lineno} {name}"
-                for name in names
-                if name == "scipy" or name.startswith("scipy.")
-            ]
+    found = [
+        f"{path.relative_to(PACKAGE_DIR.parent)}:{line} {name}"
+        for path in modules
+        for line, name in _absolute_imports(path)
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert found == []
+
+
+def test_operator_module_imports_no_numpy():
+    # the operator layer is exact: L acts on monomials through an integer
+    # table, and the exact commands are to start without numpy
+    path = PACKAGE_DIR / "operator.py"
+    found = [
+        f"operator.py:{line} {name}"
+        for line, name in _absolute_imports(path)
+        if name == "numpy" or name.startswith("numpy.")
+    ]
     assert found == []
