@@ -112,15 +112,18 @@ def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, Syst
     """Assemble the exact linear system whose kernel is the admissible set.
 
     One row per monomial coefficient of each residual polynomial
-    sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i.  Each
-    factor enters as its integer numerators, which scales its rows by its
-    denominator and leaves the kernel unchanged, and each row entry is a
-    coefficient of the factor or of its gradient, placed by shifting its
-    exponent by the unknown's monomial.
+    sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i, as a
+    sparse integer row over the unknowns.  Each factor enters as its
+    integer numerators, which scales its rows by its denominator and leaves
+    the kernel unchanged, and each row entry is a coefficient of the factor
+    or of its gradient, placed by shifting its exponent by the unknown's
+    monomial.  No two of them meet in one entry: for each axis i an entry
+    (a, b) of g meets one partial derivative of F_k, whose exponents, like
+    F_k's own, are distinct, so every entry is one nonzero coefficient.
     """
     layout = _make_layout(spec)
     d = spec.dim
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for k, factor in enumerate(spec.factors):
         terms = list(factor.numerators.items())
         grad = [
@@ -130,25 +133,25 @@ def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, Syst
         residual_basis = MonomialBasis(d, int(factor.total_degree) + 1)
         for i in range(d):
             # coefficient of each residual monomial as a linear form in unknowns
-            row_of = {e: [0] * layout.n_unknowns for e in residual_basis.exponents}
+            row_of = {e: {} for e in residual_basis.exponents}
             for entry, (a, b) in enumerate(layout.entry_index):
                 # g^{ab} contributes to axis i via d_j F with j = the other index
-                partials = []
                 if a == i:
-                    partials.append(grad[b])
-                if b == i and b != a:
-                    partials.append(grad[a])
+                    partial = grad[b]
+                elif b == i:
+                    partial = grad[a]
+                else:
+                    continue
                 for m_idx, m_exp in enumerate(layout.g_basis.exponents):
                     slot = layout.g_slot(entry, m_idx)
-                    for partial in partials:
-                        for e, c in partial:
-                            row_of[tuple(map(int.__add__, m_exp, e))][slot] += c
+                    for e, c in partial:
+                        row_of[tuple(map(int.__add__, m_exp, e))][slot] = c
             for m_idx, m_exp in enumerate(layout.s_basis.exponents):
                 slot = layout.s_slot(k, i, m_idx)
                 for e, c in terms:
-                    row_of[tuple(map(int.__add__, m_exp, e))][slot] -= c
+                    row_of[tuple(map(int.__add__, m_exp, e))][slot] = -c
             rows.extend(row_of[e] for e in residual_basis.exponents)
-    return RationalMatrix(rows), layout
+    return RationalMatrix(rows, layout.n_unknowns), layout
 
 
 @dataclass
@@ -278,10 +281,19 @@ def det_divisibility_check(g: CoMetric, spec: BoundarySpec) -> DivisibilityRepor
     return DivisibilityReport(True, int(remainder.total_degree), remainder)
 
 
-def grid_axes(box: Sequence[tuple[Rational, Rational]], per_axis: int) -> list[list[Fraction]]:
-    """The nodes of `interior_grid` on each side of the box: strictly inside
-    it, at fractions (2k+1)/(2n) of the side, so boundary-of-box artifacts
-    never enter."""
+def interior_grid(
+    spec: BoundarySpec,
+    box: Sequence[tuple[Rational, Rational]],
+    per_axis: int = 10,
+) -> list[tuple[Fraction, ...]]:
+    """Rational grid over the box, clipped to {all factors > 0}.
+
+    The nodes on each side of the box lie strictly inside it, at fractions
+    (2k+1)/(2n) of the side, so boundary-of-box artifacts never enter.  The
+    sign test is exact: each factor's values on the grid are integer
+    numerators over one positive denominator (`Polynomial.grid_values`)."""
+    if len(box) != spec.dim:
+        raise ValueError("box must give one interval per axis")
     axes = []
     for lo, hi in box:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -290,28 +302,7 @@ def grid_axes(box: Sequence[tuple[Rational, Rational]], per_axis: int) -> list[l
         scale = 2 * per_axis * lo.denominator * hi.denominator
         odd = range(1, 2 * per_axis, 2)
         axes.append([Fraction((2 * per_axis - j) * a + j * b, scale) for j in odd])
-    return axes
-
-
-def interior_mask(spec: BoundarySpec, axes: Sequence[Sequence[Rational]]) -> list[bool]:
-    """Whether each node of the tensor grid over `axes`, in
-    ``itertools.product`` order, has every factor > 0.  The test is exact:
-    each factor's values on the grid are integer numerators over one
-    positive denominator (`Polynomial.grid_values`)."""
     inside = [True] * prod(len(axis) for axis in axes)
     for f in spec.factors:
         inside = [keep and v > 0 for keep, v in zip(inside, f.grid_values(axes)[0])]
-    return inside
-
-
-def interior_grid(
-    spec: BoundarySpec,
-    box: Sequence[tuple[Rational, Rational]],
-    per_axis: int = 10,
-) -> list[tuple[Fraction, ...]]:
-    """Rational grid over the box (`grid_axes`), clipped to {all factors > 0}
-    by the exact sign test of `interior_mask`."""
-    if len(box) != spec.dim:
-        raise ValueError("box must give one interval per axis")
-    axes = grid_axes(box, per_axis)
-    return list(compress(iter_product(*axes), interior_mask(spec, axes)))
+    return list(compress(iter_product(*axes), inside))

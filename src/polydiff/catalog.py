@@ -64,29 +64,20 @@ class ParamSpec:
 
 
 class Template:
-    """Polynomial template over the model variables plus its parameters."""
+    """Polynomial template over leading variables plus parameters:
+    instantiating it fixes the parameters and leaves a polynomial in the
+    variables, a constant one when there are none."""
 
-    def __init__(self, text: str, dim: int, param_names: Sequence[str]):
-        self.dim = dim
+    def __init__(self, text: str, variables: Sequence[str], param_names: Sequence[str]):
+        self.n_variables = len(variables)
         self.param_names = list(param_names)
-        names = variable_names(dim) + self.param_names
-        self.poly = parse_poly(text, names=names)
+        self.poly = parse_poly(text, names=list(variables) + self.param_names)
 
     def instantiate(self, values: Mapping[str, Fraction]) -> Polynomial:
         assignments = {
-            self.dim + i: values[name] for i, name in enumerate(self.param_names)
+            self.n_variables + i: values[name] for i, name in enumerate(self.param_names)
         }
         return self.poly.partial_evaluate(assignments)
-
-
-def _scalar_template(text: str, param_names: Sequence[str]):
-    """Expression in the parameters only, evaluating to a Fraction."""
-    poly = parse_poly(text, names=list(param_names))
-
-    def evaluate(values: Mapping[str, Fraction]) -> Fraction:
-        return poly([values[name] for name in param_names])
-
-    return evaluate
 
 
 @dataclass
@@ -138,8 +129,8 @@ class Model:
         ]
         self.cometric = CoMetric(entries)
         factor_exponents = tuple(
-            (t.instantiate(values), exponent_eval(values))
-            for t, exponent_eval in descriptor.measure_templates
+            (t.instantiate(values), exponent.instantiate(values).constant_term)
+            for t, exponent in descriptor.measure_templates
         )
         exp_poly = (
             descriptor.exp_poly_template.instantiate(values)
@@ -248,7 +239,7 @@ class Model:
         self._require(claim, "drift")
         polys = []
         for text in claim["formulas"]:
-            template = Template(text, self.dim, self.descriptor.param_names)
+            template = Template(text, variable_names(self.dim), self.descriptor.param_names)
             polys.append(template.instantiate(self.params))
         return tuple(polys)
 
@@ -256,21 +247,16 @@ class Model:
         claim = self._claim("eigenvalue")
         self._require(claim, "eigenvalue")
         indices = list(claim["indices"])
-        names = indices + self.descriptor.param_names
-        poly = parse_poly(claim["formula"], names=names)
-        assignments = {
-            len(indices) + i: self.params[name]
-            for i, name in enumerate(self.descriptor.param_names)
-        }
-        formula = poly.partial_evaluate(assignments)
+        template = Template(claim["formula"], indices, self.descriptor.param_names)
+        formula = template.instantiate(self.params)
         return ClaimedSpectrum(claim["scheme"], indices, formula, self.dim, claim.get("note"))
 
     def claimed_curvature(self) -> tuple[str, Fraction | None]:
         claim = self._claim("curvature")
         self._require(claim, "curvature")
         if claim["kind"] == "constant":
-            value = _scalar_template(claim["value"], self.descriptor.param_names)(self.params)
-            return "constant", value
+            template = Template(claim["value"], (), self.descriptor.param_names)
+            return "constant", template.instantiate(self.params).constant_term
         return "non-constant", None
 
     def pullback_name(self) -> str:
@@ -303,29 +289,30 @@ class ModelDescriptor:
             for p in raw.get("params", [])
         ]
         self.param_names = [p.name for p in self.param_specs]
+        variables = variable_names(self.dim)
         self.factor_templates = [
-            Template(text, self.dim, self.param_names) for text in raw["factors"]
+            Template(text, variables, self.param_names) for text in raw["factors"]
         ]
         self.witness = [parse_rational(text) for text in raw["witness"]]
         self.cometric_templates = [
-            [Template(text, self.dim, self.param_names) for text in row]
+            [Template(text, variables, self.param_names) for text in row]
             for row in raw["cometric"]
         ]
         measure = raw["measure"]
         self.measure_templates = [
             (
-                Template(factor_text, self.dim, self.param_names),
-                _scalar_template(exponent_text, self.param_names),
+                Template(factor_text, variables, self.param_names),
+                Template(exponent_text, (), self.param_names),
             )
             for factor_text, exponent_text in measure["factor_exponents"]
         ]
         self.exp_poly_template = (
-            Template(measure["exp_poly"], self.dim, self.param_names)
+            Template(measure["exp_poly"], variables, self.param_names)
             if measure.get("exp_poly")
             else None
         )
         self.constraints = [
-            (_scalar_template(c["expr"], self.param_names), c)
+            (Template(c["expr"], (), self.param_names), c)
             for c in raw.get("constraints", [])
         ]
         self.box_raw = [(parse_rational(lo), parse_rational(hi)) for lo, hi in raw["box"]]
@@ -365,8 +352,8 @@ class ModelDescriptor:
                 value = spec.default
             spec.check(value)
             values[spec.name] = value
-        for evaluate, c in self.constraints:
-            result = evaluate(values)
+        for template, c in self.constraints:
+            result = template.instantiate(values).constant_term
             if "gt" in c and not result > parse_rational(c["gt"]):
                 raise ParameterError(f"constraint {c['expr']} > {c['gt']} violated ({result})")
             if "ge" in c and not result >= parse_rational(c["ge"]):

@@ -17,6 +17,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Callable
 
@@ -400,10 +401,15 @@ def _catalog_metric_in_span(ctx: RunContext):
 
         columns = [stacked(g) for g in solution.g_basis]
         target = stacked(model.cometric)
-        matrix = RationalMatrix([[col[r] for col in columns] for r in range(len(target))])
+        rows = []
+        for equation in zip(*columns, target):
+            # each equation scaled to integers, which keeps its solutions
+            nonzero = [(j, v) for j, v in enumerate(equation) if v]
+            scale = lcm(*(v.denominator for _, v in nonzero))
+            rows.append({j: v.numerator * (scale // v.denominator) for j, v in nonzero})
         # the g-parts of the kernel basis are independent, since S_k^i F_k =
         # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
-        solved = matrix.solve_unique([target])
+        solved = RationalMatrix(rows, len(columns) + 1).solve(1)
         member = False
         if solved is not None:
             (weights,), den = solved

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
 from typing import Sequence
 
 import numpy as np
 
-from .boundary import grid_axes, interior_mask
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
 from .poly import Polynomial, eval_floats, exact_divide, poly_divmod, tensor_grid
@@ -114,10 +112,16 @@ class CurvatureEvaluator:
 
 @dataclass
 class CurvatureReport:
-    points: np.ndarray
+    exact_points: list[tuple[Fraction, ...]]
     values: np.ndarray
     mean: float
     value: Fraction | None  # the exact constant curvature, None if not constant
+
+    @property
+    def points(self) -> np.ndarray:
+        """The sample points as floats, converted only when read: the
+        verdict and the values never need them."""
+        return np.array(self.exact_points, dtype=float)
 
     @property
     def constant(self) -> bool:
@@ -132,29 +136,24 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
     """The exact constancy verdict, with curvature values over an interior grid.
 
     The verdict is `CurvatureEvaluator.constant`; the grid supplies the
-    reported values, their mean and spread.  It starts at CURVATURE_GRID
-    nodes per axis and doubles, up to 128, until `min_points` lie inside.
-    Sample points keep every boundary factor above 1e-3 of its witness
-    value so the metric stays uniformly elliptic.
+    reported values, their mean and spread.  The grid is the model's
+    `interior_points` at INTERIOR_MARGIN, so sample points keep every
+    boundary factor above 1e-3 of its witness value and the metric stays
+    uniformly elliptic.  It starts at CURVATURE_GRID nodes per axis and
+    doubles, up to 128, until `min_points` lie inside.
     """
-    spec = model.interior_boundary(INTERIOR_MARGIN)
     per_axis = CURVATURE_GRID
-    axes = grid_axes(model.box, per_axis)
-    inside = interior_mask(spec, axes)
-    # a grid with too few points inside is only counted
-    while sum(inside) < min_points and per_axis < 128:
+    points = model.interior_points(per_axis, INTERIOR_MARGIN)
+    while len(points) < min_points and per_axis < 128:
         per_axis *= 2
-        axes = grid_axes(model.box, per_axis)
-        inside = interior_mask(spec, axes)
-    if sum(inside) < min_points:
+        points = model.interior_points(per_axis, INTERIOR_MARGIN)
+    if len(points) < min_points:
         raise ValueError(f"could not place {min_points} interior points for {model.name}")
-    points = list(compress(product(*axes), inside))
-    array = np.array(list(compress(product(*[[float(v) for v in axis] for axis in axes]), inside)))
     evaluator = CurvatureEvaluator(model.cometric)
     # grid points are rational, so evaluate the collapsed quotient exactly;
     # int / int is correctly rounded, as float(Fraction) is
     values = np.array([n / d for n, d in evaluator.curvature_exact(points)])
-    return CurvatureReport(array, values, float(values.mean()), evaluator.constant)
+    return CurvatureReport(points, values, float(values.mean()), evaluator.constant)
 
 
 def export_curvature_csv(path, report: CurvatureReport) -> None:
@@ -162,9 +161,9 @@ def export_curvature_csv(path, report: CurvatureReport) -> None:
 
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        dim = report.points.shape[1]
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["scalar_curvature"])
-        for row, value in zip(report.points, report.values):
+        points = report.points
+        writer.writerow([f"x{i + 1}" for i in range(points.shape[1])] + ["scalar_curvature"])
+        for row, value in zip(points, report.values):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(value))])
 
 

@@ -1,33 +1,29 @@
-"""Exact rational dense linear algebra and the generalized symmetric eigensolver.
+"""Exact integer linear algebra and the generalized symmetric eigensolver.
 
-The ratio of work here is deliberate: nullspaces and solves that feed the
-boundary admissibility system, the exact moments and eigenvectors, and the
-elimination of the moment matrix behind the orthogonal polynomials are
-exact.  Both eliminations are fraction-free passes in Python ints that
-hold rows sparse, and both take one row step (`_content_free_step`): row
-<- lead row - head pivot row, divided by the gcd of its entries.  The
-echelon engine eliminates only below each pivot and back-substitutes over
-the least common denominator: for the exact moments and
-`RationalMatrix.solve_unique` (`echelon_solve`), the exact eigenvectors
-(`echelon_kernel`) and the reduced row echelon form behind the
-admissibility nullspace (`RationalMatrix.rref`, its forward pass plus one
-back substitution per free column); it hands out integer numerators over
-that one denominator.  One symmetric pass down the diagonal of a positive
-definite matrix gives its Schur complements block by block.  Spectral
-work on Gram and energy-form matrices is floating point via numpy's
-LAPACK, the energy pencil reduced through the Cholesky factor of its Gram
-matrix.
+The ratio of work here is deliberate: the boundary admissibility kernel,
+the exact moments and eigenvectors, and the elimination of the moment
+matrix behind the orthogonal polynomials are exact.  Every unsymmetric
+exact system is one `RationalMatrix` of sparse integer rows, with three
+jobs: `rref`, `nullspace` (the admissibility kernel, the eigenvectors)
+and `solve` (the moments, a cometric's weights in the admissible span).
+Both eliminations are fraction-free passes in Python ints that hold rows
+sparse, and both take one row step (`_content_free_step`): row <- lead
+row - head pivot row, divided by the gcd of its entries.  The echelon
+engine behind `RationalMatrix` eliminates only below each pivot and
+back-substitutes over the least common denominator, so it hands out
+integer numerators over that one denominator.  One symmetric pass down
+the diagonal of a positive definite matrix gives its Schur complements
+block by block (`symmetric_elimination`).  Spectral work on Gram and
+energy-form matrices is floating point via numpy's LAPACK, the energy
+pencil reduced through the Cholesky factor of its Gram matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-Rational = int | Fraction
 
 CLUSTER_TAU = 1e-7
 
@@ -159,25 +155,6 @@ def _back_substitute(
     return x, d
 
 
-def echelon_solve(
-    rows: list[dict[int, int]], unknowns: int, count: int
-) -> tuple[list[list[int]], int] | None:
-    """Solve A x = c for `count` right-hand sides at once: each sparse
-    integer row holds a row of A in columns 0 .. unknowns - 1 and its
-    entries of the right-hand sides after them.  Returns the solutions as
-    (integer numerators per right-hand side, their least common denominator
-    d > 0), or None unless every solution exists and is unique: A must have a pivot in every column, and the rows
-    that A leaves must be zero in the right-hand sides.  One forward
-    elimination runs over A's columns only, then one back substitution per
-    right-hand side."""
-    m, pivots = _echelon(rows, unknowns)
-    if len(pivots) != unknowns or any(m[unknowns:]):
-        return None
-    solved = [_back_substitute(m, pivots, t) for t in range(unknowns, unknowns + count)]
-    d = lcm(*(den for _, den in solved))
-    return [[x[c] * (d // den) for c in range(unknowns)] for x, den in solved], d
-
-
 def _reduce(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], list[int], int]:
     """Reduced row echelon form of sparse integer rows over `width` columns,
     as (integer rows, pivot columns, d): one forward elimination
@@ -217,50 +194,28 @@ def _kernel(
     return basis, d
 
 
-def echelon_kernel(rows: list[dict[int, int]], width: int) -> tuple[list[list[int]], int]:
-    """Exact kernel basis of the matrix of sparse integer rows over `width`
-    columns, as `RationalMatrix.nullspace` returns it: (vectors, d), each
-    vector its integer entries over the one least denominator d > 0 (see
-    `_kernel`)."""
-    return _kernel(*_reduce(rows, width), width)
-
-
 class GramMatrixError(ValueError):
     """B is not positive definite: ill-formed Gram matrix (quadrature too
     coarse or measure not integrable)."""
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals, row-major: ints and Fractions are
-    held as given, anything else is converted to a Fraction."""
+    """Exact matrix as sparse integer rows, each column -> nonzero int, over
+    `cols` columns; a rational system enters with each row scaled to
+    integers, which leaves its solutions and kernel unchanged."""
 
-    def __init__(self, rows: Iterable[Iterable[Rational]]):
-        data = [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in rows]
-        if not data:
+    def __init__(self, rows: list[dict[int, int]], cols: int):
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        self.data = data
-        self.rows = len(data)
-        self.cols = width
-
-    def _integer_rows(self) -> list[dict[int, int]]:
-        """Each row's nonzero entries, column -> integer, scaled by the lcm of
-        their denominators."""
-        out = []
-        for row in self.data:
-            nonzero = [(j, v) for j, v in enumerate(row) if v]
-            scale = lcm(*(v.denominator for _, v in nonzero))
-            out.append({j: v.numerator * (scale // v.denominator) for j, v in nonzero})
-        return out
+        self.data = rows
+        self.rows = len(rows)
+        self.cols = cols
 
     def rref(self) -> tuple[list[list[int]], list[int], int]:
         """Reduced row echelon form as (integer rows, pivot columns, d), the
         RREF being the rows over d > 0, the least common denominator of its
-        entries: the echelon engine's forward pass and back substitution on
-        the integer-scaled rows (see `_reduce`)."""
-        return _reduce(self._integer_rows(), self.cols)
+        entries (see `_reduce`)."""
+        return _reduce(self.data, self.cols)
 
     def nullspace(self) -> tuple[list[list[int]], int]:
         """Exact kernel basis as (vectors, d): each basis vector is its
@@ -268,20 +223,21 @@ class RationalMatrix:
         rank.  The vectors are `_kernel`'s of this matrix's `rref`."""
         return _kernel(*self.rref(), self.cols)
 
-    def solve_unique(
-        self, columns: Sequence[Sequence[Rational]]
-    ) -> tuple[list[list[int]], int] | None:
-        """The solution x of A x = c for each right-hand side c in `columns`,
-        from one elimination (`echelon_solve` on the integer-scaled rows of
-        [A | columns]), as (integer numerators per column, least common
-        denominator d > 0); None unless every solution exists and is unique.
-        For a square A that is None exactly when A is singular."""
-        if any(len(column) != self.rows for column in columns):
-            raise ValueError("rhs length mismatch")
-        augmented = RationalMatrix(
-            [row + [column[i] for column in columns] for i, row in enumerate(self.data)]
-        )
-        return echelon_solve(augmented._integer_rows(), self.cols, len(columns))
+    def solve(self, count: int) -> tuple[list[list[int]], int] | None:
+        """Solve A x = c for the last `count` columns c at once, A the columns
+        before them.  Returns the solutions as (integer numerators per
+        right-hand side, their least common denominator d > 0), or None
+        unless every solution exists and is unique: A must have a pivot in
+        every column, and the rows that A leaves must be zero in the
+        right-hand sides.  One forward elimination runs over A's columns
+        only, then one back substitution per right-hand side."""
+        unknowns = self.cols - count
+        m, pivots = _echelon(self.data, unknowns)
+        if len(pivots) != unknowns or any(m[unknowns:]):
+            return None
+        solved = [_back_substitute(m, pivots, t) for t in range(unknowns, self.cols)]
+        d = lcm(*(den for _, den in solved))
+        return [[x[c] * (d // den) for c in range(unknowns)] for x, den in solved], d
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):

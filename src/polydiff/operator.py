@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import echelon_solve, poly_matrix_det
+from .linalg import RationalMatrix, poly_matrix_det
 from .poly import Exponent, MonomialBasis, Polynomial, exact_divide
 
 #: one coefficient of q_s: (G_ij, i, j) for G_ij a_i a_j, (D_i, i, None) for D_i a_i
@@ -373,9 +373,9 @@ class GradedOperatorMatrix:
         M_nn^t m_n = -M_<n,n^t m_<n with m_0 = 1 (Krall and Sheffer, Ann. Mat.
         Pura Appl. 76, 1967): one exact solve per degree, on the integer
         columns, since the common scale cancels.  Row i of M_nn^t is column
-        i of the degree-n block, so the rows go from the columns straight to
-        the echelon engine (`linalg.echelon_solve`), the right-hand side in
-        one more column; M_nn is lower triangular in most models, which
+        i of the degree-n block, so the rows go from the columns straight
+        into one `RationalMatrix`, the right-hand side in one more column,
+        and its `solve`; M_nn is lower triangular in most models, which
         makes M_nn^t upper triangular and its solve a back substitution.  A
         singular M_nn leaves the degree-n moments undetermined and raises,
         naming n.
@@ -395,7 +395,7 @@ class GradedOperatorMatrix:
                 if rhs:
                     row[width] = rhs
                 rows.append(row)
-            solution = echelon_solve(rows, width, 1)
+            solution = RationalMatrix(rows, width + 1).solve(1)
             if solution is None:
                 raise ValueError(
                     f"the degree-{n} diagonal block is singular: L does not fix "

@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .catalog import Model
-from .linalg import cluster_eigenvalues, echelon_kernel, generalized_sym_eig, symmetric_elimination
+from .linalg import RationalMatrix, cluster_eigenvalues, generalized_sym_eig, symmetric_elimination
 from .operator import DiffusionOperator, GradedOperatorMatrix
 from .poly import MonomialBasis
 from .quadrature import Moments, gamma_form_matrix
@@ -356,9 +356,8 @@ def _lifted_eigenvectors(
 ) -> list[list[int]]:
     """Exact eigenvectors over the first `size` basis monomials, in
     integers: each kernel vector k of the integer degree block B - mu I
-    (B = S M_nn, mu = S lam), from the echelon engine
-    (`linalg.echelon_kernel`) in the free-column convention of
-    `RationalMatrix.nullspace`, lifted to sum_b k_b P_b.
+    (B = S M_nn, mu = S lam), the `RationalMatrix.nullspace` of its sparse
+    integer rows, one vector per free column, lifted to sum_b k_b P_b.
 
     L is symmetric under its invariant measure, so it maps the P_b of
     degree n into their own span, and L P_a = sum_b (M_nn)_ba P_b: the lift
@@ -368,7 +367,8 @@ def _lifted_eigenvectors(
         {j: w for j, v in enumerate(row) if (w := v - mu if i == j else v)}
         for i, row in enumerate(block)
     ]
-    return [_lift(poly, kernel, size) for kernel in echelon_kernel(shifted, len(block))[0]]
+    kernel, _ = RationalMatrix(shifted, len(block)).nullspace()
+    return [_lift(poly, vector, size) for vector in kernel]
 
 
 def _form(u: list[int], gram: list[list[int]], v: list[int]) -> int:

@@ -376,22 +376,39 @@ def _catalog_boundaries():
             yield name, _generic_params(rng, descriptor)
 
 
+def test_admissibility_rows_hold_only_nonzero_ints():
+    # each row is sparse: column -> nonzero int, every column an unknown
+    for name, params in _catalog_boundaries():
+        matrix, layout = build_admissibility_system(get_model(name, params).boundary)
+        assert matrix.cols == layout.n_unknowns
+        for row in matrix.data:
+            assert all(type(v) is int and v for v in row.values()), name
+            assert all(0 <= j < layout.n_unknowns for j in row), name
+
+
+def test_an_empty_boundary_has_no_admissibility_system():
+    # no factor, no equation: the system is refused, not read as
+    # unconstraining every cometric
+    with pytest.raises(ValueError, match="at least one row"):
+        solve_admissibility(BoundarySpec(2, (), (Fraction(0), Fraction(0))))
+
+
 @pytest.mark.parametrize("name,params", list(_catalog_boundaries()))
 def test_admissibility_matches_fraction_row_reference(name, params):
     # the integer rows are the Fraction rows scaled by their factor's lcm
-    # denominator, so the kernel, and the solution read from it, are equal
-    from polydiff.linalg import RationalMatrix
+    # denominator, so the kernel, and the solution read from it, equal the
+    # dense Gauss-Jordan reference's kernel of the Fraction rows
+    from test_linalg import _dense_kernel
 
     spec = get_model(name, params).boundary
     reference, layout = _fraction_admissibility_rows(spec)
     matrix, _ = build_admissibility_system(spec)
-    assert all(type(v) is int for row in matrix.data for v in row)
     start = 0
     for factor in spec.factors:
         scale = lcm(*(c.denominator for c in factor.terms.values()))
         count = spec.dim * len(MonomialBasis(spec.dim, int(factor.total_degree) + 1))
         for row, expected in zip(matrix.data[start : start + count], reference[start:]):
-            assert row == [v * scale for v in expected]
+            assert row == {j: v * scale for j, v in enumerate(expected) if v}
         start += count
     assert start == len(reference) == matrix.rows
 
@@ -400,7 +417,7 @@ def test_admissibility_matches_fraction_row_reference(name, params):
         assert d > 0
         return [[Fraction(v, d) for v in vector] for vector in vectors]
 
-    kernel = fractions(RationalMatrix(reference).nullspace())
+    kernel = fractions(_dense_kernel(reference))
     assert fractions(matrix.nullspace()) == kernel
     solution = solve_admissibility(spec)
     assert solution.dimension == len(kernel)

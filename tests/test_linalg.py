@@ -14,8 +14,6 @@ from polydiff.linalg import (
     GramMatrixError,
     RationalMatrix,
     cluster_eigenvalues,
-    echelon_kernel,
-    echelon_solve,
     generalized_sym_eig,
     poly_matrix_det,
     symmetric_elimination,
@@ -24,12 +22,40 @@ from polydiff.poly import MonomialBasis
 from polydiff.quadrature import Moments, gamma_form_matrix, gram_matrix
 
 
+def _integer_matrix(rows):
+    """A `RationalMatrix` of dense rational rows, each row scaled by the lcm
+    of its denominators to sparse integers, which keeps its kernel."""
+    sparse = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        sparse.append({j: int(v * scale) for j, v in enumerate(row) if v})
+    return RationalMatrix(sparse, len(rows[0]))
+
+
+def _dense(matrix):
+    """The sparse integer rows of a `RationalMatrix` as dense rows."""
+    return [[row.get(j, 0) for j in range(matrix.cols)] for row in matrix.data]
+
+
+def _solve(rows, *columns):
+    """`RationalMatrix.solve` of A x = c for dense rational rows of A and
+    each right-hand side c in `columns`, after the columns of A."""
+    augmented = [list(row) + [column[i] for column in columns] for i, row in enumerate(rows)]
+    return _integer_matrix(augmented).solve(len(columns))
+
+
+def test_an_empty_system_is_refused():
+    with pytest.raises(ValueError, match="at least one row"):
+        RationalMatrix([], 3)
+
+
 def test_nullspace_identity_is_trivial():
-    assert RationalMatrix([[int(i == j) for j in range(3)] for i in range(3)]).nullspace() == ([], 1)
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert _integer_matrix(identity).nullspace() == ([], 1)
 
 
 def test_nullspace_rank_one():
-    basis, d = RationalMatrix([[1, 1], [2, 2]]).nullspace()
+    basis, d = _integer_matrix([[1, 1], [2, 2]]).nullspace()
     assert len(basis) == 1 and d > 0
     v = basis[0]
     assert v[0] == -v[1] != 0
@@ -40,7 +66,7 @@ def test_nullspace_denominator_is_positive_when_the_last_pivot_is_negative():
     # the pivot is -3; back substitution keeps the denominator positive, so
     # the RREF (1, 2/3) comes back as (3, 2) over 3 and the kernel (-2/3, 1)
     # as (-2, 3) over 3, not as (2, -3) over -3
-    m = RationalMatrix([[-3, -2]])
+    m = _integer_matrix([[-3, -2]])
     assert m.rref() == ([[3, 2]], [0], 3)
     assert m.nullspace() == ([[-2, 3]], 3)
 
@@ -50,39 +76,38 @@ def test_nullspace_exact_kernel_random():
     for _ in range(20):
         rows = rng.randint(2, 6)
         cols = rng.randint(2, 6)
-        m = RationalMatrix(
-            [
-                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
+        data = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        m = _integer_matrix(data)
         kernel, d = m.nullspace()
         assert len(kernel) == cols - len(m.rref()[1]) and d > 0
         for v in kernel:
             assert all(type(x) is int for x in v)
-            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.data)
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in data)
 
 
 def test_solve_consistent_and_inconsistent():
-    m = RationalMatrix([[1, 2], [2, 4]])
-    assert m.solve_unique([[1, 3]]) is None
+    m = [[1, 2], [2, 4]]
+    assert _solve(m, [1, 3]) is None
     # overdetermined: three equations, two unknowns
-    tall = RationalMatrix([[1, 0], [0, Fraction(1, 2)], [1, 1]])
-    ([first], d) = tall.solve_unique([[2, Fraction(3, 2), 5]])
+    tall = [[1, 0], [0, Fraction(1, 2)], [1, 1]]
+    ([first], d) = _solve(tall, [2, Fraction(3, 2), 5])
     assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
-    assert tall.solve_unique([[2, Fraction(3, 2), 4]]) is None
-    m2 = RationalMatrix([[2, 0], [0, Fraction(1, 3)]])
-    ([first], d) = m2.solve_unique([[4, 1]])
+    assert _solve(tall, [2, Fraction(3, 2), 4]) is None
+    m2 = [[2, 0], [0, Fraction(1, 3)]]
+    ([first], d) = _solve(m2, [4, 1])
     assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
 
 
-def test_solve_unique_refuses_a_singular_matrix():
-    m = RationalMatrix([[1, 2], [2, 4]])
+def test_solve_refuses_a_singular_matrix():
+    m = [[1, 2], [2, 4]]
     # consistent, (1, 0) solves it, but not the only solution
-    assert len(m.nullspace()[0]) == 1
-    assert m.solve_unique([[1, 2]]) is None
-    m2 = RationalMatrix([[2, 0], [0, Fraction(1, 3)]])
-    (first, second), d = m2.solve_unique([[4, 1], [0, 1]])
+    assert len(_integer_matrix(m).nullspace()[0]) == 1
+    assert _solve(m, [1, 2]) is None
+    m2 = [[2, 0], [0, Fraction(1, 3)]]
+    (first, second), d = _solve(m2, [4, 1], [0, 1])
     assert [Fraction(v, d) for v in first] == [2, 3]
     assert [Fraction(v, d) for v in second] == [0, 3]
 
@@ -159,14 +184,13 @@ def test_symmetric_elimination_divides_each_row_by_its_content():
     assert blocks == [[{0: 1, 1: 1}], [{}]]
 
 
-def test_rref_raises_when_fraction_free_step_is_inexact(monkeypatch):
+def test_rref_raises_when_fraction_free_step_is_inexact():
     # the forward step that clears the second row's entry under the first
     # pivot divides by the gcd of the row's entries, which integer rows
     # have; a non-integral row breaks that premise and must raise even
     # under python -O
-    monkeypatch.setattr(RationalMatrix, "_integer_rows", lambda self: [{0: 1}, {0: 1, 1: Fraction(1, 2)}])
     with pytest.raises(TypeError, match="integer"):
-        RationalMatrix([[1, 0], [0, 1]]).rref()
+        RationalMatrix([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2).rref()
 
 
 def test_echelon_engine_raises_when_a_division_is_inexact():
@@ -175,9 +199,9 @@ def test_echelon_engine_raises_when_a_division_is_inexact():
     # and in the back substitution of a triangular system, which takes no
     # step
     with pytest.raises(TypeError, match="integer"):
-        echelon_kernel([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2)
+        RationalMatrix([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2).nullspace()
     with pytest.raises(TypeError, match="integer"):
-        echelon_solve([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 2, 1)
+        RationalMatrix([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 3).solve(1)
 
 
 def test_back_substitution_keeps_the_least_positive_denominator():
@@ -273,7 +297,7 @@ def test_rref_matches_dense_reference_on_admissibility_systems(name):
         points.append(_generic_params(random.Random(name), descriptor))
     for params in points:
         matrix, _ = build_admissibility_system(get_model(name, params).boundary)
-        _assert_rref_matches_dense_reference(matrix.rref(), matrix.data)
+        _assert_rref_matches_dense_reference(matrix.rref(), _dense(matrix))
 
 
 def test_rref_of_an_upper_triangular_matrix_takes_no_elimination_step(monkeypatch):
@@ -286,7 +310,7 @@ def test_rref_of_an_upper_triangular_matrix_takes_no_elimination_step(monkeypatc
         raise AssertionError("elimination step on a triangular matrix")
 
     monkeypatch.setattr(linalg, "_content_free_step", forbidden)
-    matrix = RationalMatrix(rows)
+    matrix = _integer_matrix(rows)
     _assert_rref_matches_dense_reference(matrix.rref(), rows)
     # the free column's values at the pivots are 4/5, 7/5 and 0, so the
     # kernel is over 5
@@ -337,7 +361,7 @@ def test_rref_matches_dense_reference_on_sparse_random_matrices():
             for _ in range(rng.randint(0, 3)):
                 a, b = rng.sample(data[:rows], 2)
                 data.append([x + 2 * y for x, y in zip(a, b)])
-            reduced, pivots, d = RationalMatrix(data).rref()
+            reduced, pivots, d = _integer_matrix(data).rref()
             _assert_rref_matches_dense_reference((reduced, pivots, d), data)
             if pivots and pivots[0] > 0:
                 seen.add("zero leading column")
@@ -443,9 +467,8 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
     kinds, outcomes = set(), set()
     for kind, rows, rhs in _random_rational_systems(random.Random(1997)):
         kinds.add(kind)
-        m, expected = RationalMatrix(rows), to_sympy(rows)
-        # ints and Fractions are held as given
-        assert [list(map(type, row)) for row in m.data] == [list(map(type, row)) for row in rows], kind
+        m, expected = _integer_matrix(rows), to_sympy(rows)
+        assert all(type(v) is int and v for row in m.data for v in row.values()), kind
         reduced, pivots, d = m.rref()
         expected_rref, expected_pivots = expected.rref()
         assert pivots == list(expected_pivots), kind
@@ -457,16 +480,16 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         kernel, d = m.nullspace()
         assert all(type(v) is int for vector in kernel for v in vector), kind
         assert _as_fractions(kernel, d) == [from_sympy(v) for v in expected.nullspace()], kind
-        # the echelon engine's kernel is the one the dense Gauss-Jordan
-        # reference reads: the same free columns in the same order, the same
-        # vectors, over their least common denominator
+        # the kernel is the one the dense Gauss-Jordan reference reads: the
+        # same free columns in the same order, the same vectors, over their
+        # least common denominator
         expected_kernel, expected_d = _dense_kernel(rows)
-        assert _as_fractions(*echelon_kernel(m._integer_rows(), m.cols)) == [
+        assert _as_fractions(kernel, d) == [
             [Fraction(v, expected_d) for v in vector] for vector in expected_kernel
         ], kind
         # a second right-hand side in the same elimination
         twice = [2 * v for v in rhs]
-        unique = m.solve_unique([rhs, twice])
+        unique = _solve(rows, rhs, twice)
         try:
             exact, params = expected.gauss_jordan_solve(to_sympy([[v] for v in rhs]))
         except ValueError:  # sympy: the system has no solution

@@ -10,7 +10,6 @@ import pytest
 
 from polydiff import spectra
 from polydiff.catalog import get_descriptor, get_model, model_names
-from polydiff.linalg import RationalMatrix
 from polydiff.operator import GradedOperatorMatrix, product_operator
 from polydiff.poly import Polynomial
 from polydiff.quadrature import COVER_SAMPLERS, Moments, sample_domain
@@ -525,9 +524,13 @@ def test_orthogonal_polynomials_need_moments_to_twice_the_degree():
 def _per_degree_orthogonal_polynomials(graded, max_degree):
     """The per-degree route the single elimination replaced, kept as a
     reference: at each degree n, one exact solve of the moment matrix of
-    the monomials of degree < n with a right-hand side per x^b, and the
-    Gram of the P_b from <x^a, P_b> = <P_a, P_b>.  Returns (scale,
-    lower / scale, gram / scale^2) per degree, the last two as Fractions."""
+    the monomials of degree < n with a right-hand side per x^b, by the
+    dense Gauss-Jordan loop, and the Gram of the P_b from <x^a, P_b> =
+    <P_a, P_b>.  Returns (scale, lower / scale, gram / scale^2) per degree,
+    the last two as Fractions; the scale is the loop's last pivot, the
+    determinant of the moment numerators of degree < n."""
+    from test_linalg import _dense_rref
+
     exponents = graded.basis.exponents
     numerators, _ = graded.moments()
     mean = dict(zip(exponents, numerators))
@@ -541,8 +544,13 @@ def _per_degree_orthogonal_polynomials(graded, max_degree):
         rhs = [[moment(c, b) for c in lower] for b in top]
         scale, projection = 1, [[] for _ in top]
         if lower:
-            matrix = RationalMatrix([[moment(c, e) for e in lower] for c in lower])
-            projection, scale = matrix.solve_unique(rhs)
+            augmented = [
+                [moment(c, e) for e in lower] + [column[i] for column in rhs]
+                for i, c in enumerate(lower)
+            ]
+            reduced, pivots, scale = _dense_rref(augmented)
+            assert pivots == list(range(len(lower)))
+            projection = [[row[len(lower) + t] for row in reduced] for t in range(len(top))]
         gram = [
             [Fraction(scale * moment(a, b) - sum(m * y for m, y in zip(row, column)), scale)
              for b, column in zip(top, projection)]
