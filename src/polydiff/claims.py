@@ -390,26 +390,24 @@ def _catalog_metric_in_span(ctx: RunContext):
         model = ctx.model(name)
         solution = solve_admissibility(model.boundary)
         d = model.dim
-        quad = MonomialBasis(d, 2)
         entries = [(i, j) for i in range(d) for j in range(i, d)]
-
-        def stacked(g: CoMetric) -> list[Fraction]:
-            out = []
+        # one equation per cometric entry and monomial: the coefficients
+        # there of each basis cometric and of the model's, as (numerator,
+        # denominator) pairs
+        equations: dict[tuple, dict[int, tuple[int, int]]] = {}
+        for column, g in enumerate([*solution.g_basis, model.cometric]):
             for i, j in entries:
-                out.extend(quad.coordinates(g[i, j]))
-            return out
-
-        columns = [stacked(g) for g in solution.g_basis]
-        target = stacked(model.cometric)
+                p = g[i, j]
+                for exponent, n in p.numerators.items():
+                    equations.setdefault((i, j, exponent), {})[column] = (n, p.denominator)
         rows = []
-        for equation in zip(*columns, target):
+        for equation in equations.values():
             # each equation scaled to integers, which keeps its solutions
-            nonzero = [(j, v) for j, v in enumerate(equation) if v]
-            scale = lcm(*(v.denominator for _, v in nonzero))
-            rows.append({j: v.numerator * (scale // v.denominator) for j, v in nonzero})
+            scale = lcm(*(den for _, den in equation.values()))
+            rows.append({k: n * (scale // den) for k, (n, den) in equation.items()})
         # the g-parts of the kernel basis are independent, since S_k^i F_k =
         # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
-        solved = RationalMatrix(rows, len(columns) + 1).solve(1)
+        solved = RationalMatrix(rows, len(solution.g_basis) + 1).solve(1)
         member = False
         if solved is not None:
             (weights,), den = solved

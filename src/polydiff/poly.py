@@ -657,18 +657,6 @@ class MonomialBasis:
     def __iter__(self):
         return iter(self.exponents)
 
-    def coordinates(self, p: Polynomial) -> list[Fraction]:
-        """Coefficient vector of p over the basis; errors if p does not fit."""
-        if p.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        coords = [Fraction(0)] * len(self)
-        for exponent, n in p.numerators.items():
-            pos = self.index.get(exponent)
-            if pos is None:
-                raise ValueError(f"monomial {exponent} outside basis of degree {self.max_degree}")
-            coords[pos] = Fraction(n, p.denominator)
-        return coords
-
     def eval_float(self, points: np.ndarray) -> np.ndarray:
         """Vandermonde-style (N, len(basis)) float array of monomial values.
 

@@ -100,7 +100,12 @@ class DomainSampler:
 class WeightedPoints:
     """Sample points with the weights that integrate the model measure: every
     rule folds the density into its weights, so an integral is a weighted
-    sum."""
+    sum.
+
+    `points` is (accepted, dim) and may be a view of per-axis coordinate
+    rows (the mc-rejection rule is the transposed prefix of its rows), so
+    it need not be contiguous.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -249,22 +254,20 @@ def _accept(factors: Sequence[Polynomial], coordinates: np.ndarray):
     return coordinates.take(keep, axis=1), values.take(keep, axis=1)
 
 
-def _accepted_blocks(model, count: int, propose: Callable[[int, int], np.ndarray]):
-    """Proposals 0 .. count-1 in blocks of POINT_CHUNK, each block drawn by
-    `propose(start, size)` as a (dim, size) array of coordinate rows and
-    yielded as `_accept` keeps it, one block after another."""
-    factors = model.boundary.factors
-    for block in point_chunks(count):
-        yield _accept(factors, propose(block.start, block.stop - block.start))
-
-
 def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
     """Uniform proposals in the model's box, kept inside the domain, with
     weights box volume / proposals times the density.
 
-    The density's boundary factors are read from the values the acceptance
-    test computed; only its other factors and its exp part are evaluated
-    again, on the kept points.
+    The proposals come in blocks of POINT_CHUNK.  The density's boundary
+    factors are read from the values the acceptance test computed; only its
+    other factors and its exp part are evaluated again, on the kept points.
+    Each block's kept coordinates and density go straight into the front of
+    one (dim, sample_count) array of coordinate rows and one weight vector,
+    sized by the proposal count since no block can keep more than it drew.
+    The rule is their filled prefix: `points` is a transposed view of the
+    rows and the weights are scaled in place, so the rule is held once.
+    Pages past the accepted count are never written, so the system need
+    not back them with memory.
     """
     box = model.box
     check_box_encloses(model, box)
@@ -272,41 +275,43 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
     lo, hi = _box_floats(box)
     span = hi - lo
     n = sampler.sample_count
-
-    def propose(start: int, count: int) -> np.ndarray:
-        # proposal j reads uniforms d j .. d j + d - 1, one per axis
-        u = uniform_block(sampler.seed, d * start, d * count)
-        coordinates = np.empty((d, count))
-        for axis in range(d):
-            np.multiply(u[axis::d], span[axis], out=coordinates[axis])
-            coordinates[axis] += lo[axis]
-        return coordinates
-
     boundary = model.boundary.factors
     measure = model.measure
     powers = [(f, float(e)) for f, e in measure.factor_exponents if e != 0]
     parts = [f for f, _ in powers] + ([measure.exp_poly] if measure.exp_poly is not None else [])
     # the density's parts that the acceptance test did not evaluate
     others = [f for f in parts if f not in boundary]
-    kept, densities = [], []
-    for coordinates, values in _accepted_blocks(model, n, propose):
+    rows = np.empty((d, n))
+    weights = np.empty(n)
+    accepted = 0
+    for block in point_chunks(n):
+        count = block.stop - block.start
+        # proposal j reads uniforms d j .. d j + d - 1, one per axis
+        u = uniform_block(sampler.seed, d * block.start, d * count)
+        proposed = np.empty((d, count))
+        for axis in range(d):
+            np.multiply(u[axis::d], span[axis], out=proposed[axis])
+            proposed[axis] += lo[axis]
+        coordinates, values = _accept(boundary, proposed)
+        kept = slice(accepted, accepted + coordinates.shape[1])
+        accepted = kept.stop
+        rows[:, kept] = coordinates
         known = dict(zip(boundary, values))
         if others:
             known.update(zip(others, eval_floats(others, coordinates)))
-        density = np.ones(coordinates.shape[1])
+        density = weights[kept]
+        density.fill(1.0)
         for f, exponent in powers:
             density *= np.power(np.abs(known[f]), exponent)
         if measure.exp_poly is not None:
             density *= np.exp(known[measure.exp_poly])
-        kept.append(coordinates)
-        densities.append(density)
-    points = np.concatenate(kept, axis=1).T
-    if not points.shape[0]:
+    if not accepted:
         raise SamplerConfigError(
             f"none of the {n} proposals for {model.name} landed in its domain"
         )
-    weights = float(np.prod(span)) / n * np.concatenate(densities)
-    return WeightedPoints(points, weights, proposals=n)
+    weights = weights[:accepted]
+    weights *= float(np.prod(span)) / n
+    return WeightedPoints(rows[:, :accepted].T, weights, proposals=n)
 
 
 # ----------------------------------------------------------------------

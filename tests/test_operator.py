@@ -156,13 +156,24 @@ def dense_rows(graded):
     ]
 
 
+def _basis_coordinates(basis, p):
+    """Coefficient vector of p over the basis, as Fractions; raises if p has
+    a monomial outside it."""
+    coordinates = [Fraction(0)] * len(basis)
+    for exponent, n in p.numerators.items():
+        if exponent not in basis.index:
+            raise ValueError(f"monomial {exponent} outside basis of degree {basis.max_degree}")
+        coordinates[basis.index[exponent]] = Fraction(n, p.denominator)
+    return coordinates
+
+
 def _reference_graded_entries(op, max_degree):
     """Column k holds the basis coordinates of L(m_k), taken from
     derivatives (`_derivative_apply`), since `apply` and the graded matrix
     read one table."""
     basis = MonomialBasis(op.dim, max_degree)
     columns = [
-        basis.coordinates(_derivative_apply(op, Polynomial.monomial(op.dim, exponent)))
+        _basis_coordinates(basis, _derivative_apply(op, Polynomial.monomial(op.dim, exponent)))
         for exponent in basis.exponents
     ]
     return [[column[r] for column in columns] for r in range(len(basis))]

@@ -55,10 +55,14 @@ def sampler_points(model, sampler: DomainSampler, degree: int = 0) -> WeightedPo
         return sample_domain(model, sampler, degree)
     n = sampler.sample_count
     cover = quadrature._applicable_cover(model)
-    blocks = quadrature._accepted_blocks(
-        model, n, lambda start, count: cover.generate(sampler.seed, start, count).T
-    )
-    points = np.hstack([coordinates for coordinates, _ in blocks]).T
+    blocks = [
+        quadrature._accept(
+            model.boundary.factors,
+            cover.generate(sampler.seed, block.start, block.stop - block.start).T,
+        )[0]
+        for block in quadrature.point_chunks(n)
+    ]
+    points = np.hstack(blocks).T
     return WeightedPoints(points, np.full(points.shape[0], 1.0 / n), proposals=n)
 
 
@@ -599,6 +603,21 @@ def test_rejection_is_bit_identical_to_the_rowwise_reference(name):
     assert 0 < sample.accepted < sampler.sample_count
     assert np.array_equal(sample.points, points)
     assert np.array_equal(sample.weights, weights)
+    assert (sample.proposals, sample.accepted) == (sampler.sample_count, points.shape[0])
+
+
+@pytest.mark.parametrize("name", sorted(COVER_SAMPLERS) + ["off-boundary density"])
+def test_rejection_moments_do_not_depend_on_the_rule_layout(name):
+    # the rule is a transposed view of per-axis rows sized by the proposal
+    # count; the same points and weights copied to fresh contiguous arrays
+    # must give the same moments bit for bit
+    model = _off_boundary_density_model() if name == "off-boundary density" else _generic(name)
+    sampler = DomainSampler("mc-rejection", sample_count=2 * POINT_CHUNK + 777, seed=11)
+    sample = sample_domain(model, sampler, 6)
+    copied = WeightedPoints(np.ascontiguousarray(sample.points), sample.weights.copy())
+    assert not sample.points.flags.c_contiguous and copied.points.flags.c_contiguous
+    in_place = Moments(model, 6, sampler, sample=sample)
+    assert np.array_equal(in_place.table, Moments(model, 6, sampler, sample=copied).table)
 
 
 def _symbolic_gamma_form(model, degree, moments):
