@@ -22,7 +22,6 @@ from .boundary import BoundarySpec, interior_grid
 from .operator import CoMetric, DiffusionOperator, MeasureSpec, operator_from_measure
 from .poly import Polynomial, parse_poly, parse_rational, variable_names
 from .quadrature import DomainSampler
-from .rng import DEFAULT_SEED
 
 Rational = int | Fraction
 
@@ -153,7 +152,6 @@ class Model:
             raise CatalogError(f"model {self.name} has no default quadrature rule")
         kwargs = dict(spec)
         kwargs.update(overrides)
-        kwargs.setdefault("seed", DEFAULT_SEED)
         if seed is not None:
             kwargs["seed"] = seed
         if kwargs.get("kind") == "cover-mc":
@@ -273,7 +271,6 @@ class ModelDescriptor:
     """Parsed but not yet instantiated catalog entry."""
 
     def __init__(self, raw: dict):
-        self.raw = raw
         self.name: str = raw["name"]
         self.dim: int = raw["dim"]
         self.compact: bool = raw["compact"]

@@ -3,9 +3,10 @@
 The ratio of work here is deliberate: the boundary admissibility kernel,
 the exact moments and eigenvectors, and the elimination of the moment
 matrix behind the orthogonal polynomials are exact.  Every unsymmetric
-exact system is one `RationalMatrix` of sparse integer rows, with three
-jobs: `rref`, `nullspace` (the admissibility kernel, the eigenvectors)
-and `solve` (the moments, a cometric's weights in the admissible span).
+exact system is one `RationalMatrix` of sparse integer rows, eliminated
+once by its `rref`, which two readers share: `nullspace` (the
+admissibility kernel, the eigenvectors) and `solve` (the moments, a
+cometric's weights in the admissible span).
 Both eliminations are fraction-free passes in Python ints that hold rows
 sparse, and both take one row step (`_content_free_step`): row <- lead
 row - head pivot row, divided by the gcd of its entries.  The echelon
@@ -96,10 +97,8 @@ def _echelon(rows: list[dict[int, int]], width: int) -> tuple[list[dict[int, int
     Returns (rows, pivot columns).  The first len(pivots) rows are an
     echelon form: row k has its first nonzero entry in pivot column k and
     holds an integer multiple of a combination of the equations; the rows
-    after them are what the columns up to `width` leave, empty unless
-    `width` stops short of the rows' last column.  Pivot columns are chosen
-    left to right; within a column the first not-yet-used row with a
-    nonzero entry wins.
+    after them are empty.  Pivot columns are chosen left to right; within a
+    column the first not-yet-used row with a nonzero entry wins.
 
     A step touches only the rows with an entry in the pivot column, each
     divided by the gcd of its entries (`_content_free_step`), so a row
@@ -227,17 +226,14 @@ class RationalMatrix:
         """Solve A x = c for the last `count` columns c at once, A the columns
         before them.  Returns the solutions as (integer numerators per
         right-hand side, their least common denominator d > 0), or None
-        unless every solution exists and is unique: A must have a pivot in
-        every column, and the rows that A leaves must be zero in the
-        right-hand sides.  One forward elimination runs over A's columns
-        only, then one back substitution per right-hand side."""
+        unless every solution exists and is unique: the pivots of this
+        matrix's `rref` must be exactly A's columns.  The solutions are then
+        the reduced right-hand-side columns over the rref's d."""
         unknowns = self.cols - count
-        m, pivots = _echelon(self.data, unknowns)
-        if len(pivots) != unknowns or any(m[unknowns:]):
+        reduced, pivots, d = self.rref()
+        if pivots != list(range(unknowns)):
             return None
-        solved = [_back_substitute(m, pivots, t) for t in range(unknowns, self.cols)]
-        d = lcm(*(den for _, den in solved))
-        return [[x[c] * (d // den) for c in range(unknowns)] for x, den in solved], d
+        return [[reduced[k][t] for k in range(unknowns)] for t in range(unknowns, self.cols)], d
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):

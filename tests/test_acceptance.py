@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from polydiff.boundary import solve_admissibility
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.claims import run_claims
 from polydiff.spectra import graded_eigenvalues
@@ -67,7 +68,14 @@ def test_a1_admissibility_dimensions(battery):
         and extra.detail["dimension"] >= 2
     )
     dims = {name: info["dimension"] for name, info in unique.detail.items()}
-    timing = all(info["under_one_second"] for info in unique.detail.values())
+    # each of the claim's eight solves, timed here so that the report holds
+    # no wall-clock value
+    timing = True
+    for name in unique.detail:
+        boundary = get_model(name).boundary
+        start = time.perf_counter()
+        solve_admissibility(boundary)
+        timing = timing and time.perf_counter() - start < 1.0
     verdict(
         "A1",
         ok and timing,

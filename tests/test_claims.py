@@ -62,11 +62,28 @@ def test_every_model_contributes_a_claim():
         assert name in covered, f"{name} has no claim"
 
 
-def test_claim_ids_unique_and_anchored():
-    claims = build_claims()
-    ids = [c.id for c in claims]
+def test_claim_ids_unique():
+    ids = [c.id for c in build_claims()]
     assert len(ids) == len(set(ids))
-    assert all(c.anchor.startswith("catalog:") for c in claims)
+
+
+def test_each_per_model_claim_reads_its_own_model():
+    # a runner that looked its model name up when it ran, rather than when
+    # it was registered, would check the registry's last model under every
+    # model's id and still pass
+    asked: list[str] = []
+
+    class Recording(RunContext):
+        def model(self, name, params=None):
+            asked.append(name)
+            raise LookupError("only the first model asked for is needed")
+
+    claims = [c for c in build_claims() if c.model != "global"]
+    assert claims
+    for claim in claims:
+        asked.clear()
+        claim.execute(Recording())
+        assert asked[:1] == [claim.model], claim.id
 
 
 def test_negative_controls_pass_as_expected_failures():
@@ -142,7 +159,7 @@ def test_crashing_claim_reports_failure():
     def boom(_ctx):
         raise RuntimeError("intentional")
 
-    claim = Claim("x.boom", "global", "numeric-tolerance", "catalog:test", boom)
+    claim = Claim("x.boom", "global", "numeric-tolerance", boom)
     result = claim.execute(RunContext())
     assert result.status == "fail"
     assert "intentional" in result.detail["error"]
@@ -158,7 +175,7 @@ def test_crashing_claim_names_innermost_package_frame():
     def unknown_model(_ctx):
         return get_descriptor("no-such-model")
 
-    claim = Claim("x.unknown", "global", "numeric-tolerance", "catalog:test", unknown_model)
+    claim = Claim("x.unknown", "global", "numeric-tolerance", unknown_model)
     result = claim.execute(RunContext())
     assert result.status == "fail"
     assert result.detail["error"].startswith(CatalogError.__name__)
