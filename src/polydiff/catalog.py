@@ -5,7 +5,8 @@ Models are data, not code: ``data/models.json`` holds polynomial templates
 parameter ranges and the tabulated closed-form claims.  Instantiating a model
 substitutes rational parameter values, builds the boundary/cometric/measure
 triple, and derives the drift from the measure, which is itself a first
-consistency check.
+consistency check.  A model's default integration rule is data too: a
+`DomainSampler` that `quadrature` runs.  The catalog imports no numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from typing import Mapping, Sequence
 
 from .boundary import BoundarySpec, interior_grid
 from .operator import CoMetric, DiffusionOperator, MeasureSpec, operator_from_measure
-from .poly import Polynomial, parse_poly, parse_rational, variable_names
-from .quadrature import DomainSampler
+from .poly import Exponent, Polynomial, parse_poly, parse_rational, variable_names
 
 Rational = int | Fraction
+
+#: documented default seed for all randomized subcommands
+DEFAULT_SEED = 0xD0F5EEDD
 
 
 class CatalogError(KeyError):
@@ -40,6 +43,30 @@ class NonIntegrableMeasureError(ValueError):
 
 class ClaimNotApplicableError(ValueError):
     """A tabulated claim exists but not at these parameter values."""
+
+
+class SamplerConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class DomainSampler:
+    """Descriptor for one integration rule, run by `quadrature.sample_domain`.
+
+    Every kind but mc-rejection is sized by the moment degree it integrates
+    (`sample_domain`).  sample_count is the number of Monte Carlo proposals
+    (accepted points are the subset inside the domain): the mc-rejection
+    sample, and for cover-mc the draw that only cross-checks its rule
+    (`quadrature.cover_cross_check`).
+    """
+
+    kind: str
+    sample_count: int = 100_000
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if self.sample_count < 1:
+            raise SamplerConfigError("sample_count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -65,18 +92,38 @@ class ParamSpec:
 class Template:
     """Polynomial template over leading variables plus parameters:
     instantiating it fixes the parameters and leaves a polynomial in the
-    variables, a constant one when there are none."""
+    variables, a constant one when there are none.  The text is split once
+    into terms (variable exponent, parameter exponent, integer numerator)
+    over one denominator; a value p/q of a parameter whose top power is t
+    enters a term of power k as p^k q^(t-k), over q^t, summed in integers.
+    """
 
     def __init__(self, text: str, variables: Sequence[str], param_names: Sequence[str]):
-        self.n_variables = len(variables)
+        n = self.n_variables = len(variables)
         self.param_names = list(param_names)
-        self.poly = parse_poly(text, names=list(variables) + self.param_names)
+        poly = parse_poly(text, names=list(variables) + self.param_names)
+        self.denominator = poly.denominator
+        self.terms = [(e[:n], e[n:], c) for e, c in poly.numerators.items()]
+        # each parameter's top power; a template without terms needs none
+        self.tops = [max(column) for column in zip(*(powers for _, powers, _ in self.terms))]
 
-    def instantiate(self, values: Mapping[str, Fraction]) -> Polynomial:
-        assignments = {
-            self.n_variables + i: values[name] for i, name in enumerate(self.param_names)
-        }
-        return self.poly.partial_evaluate(assignments)
+    def instantiate(self, values: Mapping[str, Rational]) -> Polynomial:
+        denominator = self.denominator
+        weights = []
+        for name, top in zip(self.param_names, self.tops):
+            p, q = values[name].numerator, values[name].denominator
+            weights.append([p**k * q ** (top - k) for k in range(top + 1)])
+            denominator *= q**top
+        numerators: dict[Exponent, int] = {}
+        for exponent, powers, n in self.terms:
+            for weight, k in zip(weights, powers):
+                n *= weight[k]
+            total = numerators.get(exponent, 0) + n
+            if total:
+                numerators[exponent] = total
+            else:
+                numerators.pop(exponent, None)
+        return Polynomial._reduced(self.n_variables, numerators, denominator)
 
 
 @dataclass

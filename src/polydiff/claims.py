@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from .boundary import BoundarySpec, check_ellipticity, det_divisibility_check, solve_admissibility
-from .catalog import Model, get_model, model_names
+from .catalog import DEFAULT_SEED, Model, get_model, model_names
 from .geometry import curvature_constancy, verify_pullback
 from .linalg import RationalMatrix
 from .operator import (
@@ -40,7 +40,7 @@ from .operator import (
 )
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
 from .quadrature import Moments, cover_cross_check, symmetry_defect
-from .rng import DEFAULT_SEED, stream_uniform
+from .rng import stream_uniform
 from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
 
 DEFECT_TOL = 1e-8

@@ -25,8 +25,9 @@ def _configure_threads() -> None:
 
 _configure_threads()
 
-# numpy reads the thread variables when it is first imported
-from .rng import DEFAULT_SEED  # noqa: E402
+# numpy reads the thread variables when it is first imported, which only the
+# float commands do; the catalog and the modules it loads are exact
+from .catalog import DEFAULT_SEED  # noqa: E402
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -190,7 +191,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .claims import run_claims
     from .catalog import model_names
 
     if args.model != "all" and args.model not in model_names():
@@ -203,6 +203,8 @@ def cmd_verify(args) -> int:
             "--param applies only with --measure; the claim battery runs each "
             "model at its catalog parameters"
         )
+
+    from .claims import run_claims  # the float layer, which --measure does not need
 
     report = run_claims(model_filter=args.model, seed=args.seed)
     payload = report.to_jsonable()
@@ -313,6 +315,8 @@ def cmd_orthogonality(args) -> int:
 def cmd_boundary_points(args) -> int:
     import numpy as np
 
+    from .poly import Polynomial
+
     model = _load_model(args)
     if model.dim != 2:
         raise CliDataError("boundary-points is available for 2D models")
@@ -320,13 +324,15 @@ def cmd_boundary_points(args) -> int:
     if args.count < 2:
         raise CliDataError(f"--count must be at least 2, got {args.count}")
     lines = ["x,y,factor"]
+    free = Polynomial.variable(1, 0)
     for index, factor in enumerate(model.boundary.factors):
         # roots in y along vertical lines; a factor of degree 0 in y has
         # none there, so its roots in x are taken along horizontal lines
         fixed = 0 if any(exponent[1] for exponent in factor.numerators) else 1
         lo, hi = box[1 - fixed]
         for value in np.linspace(*box[fixed], args.count):
-            slice_poly = factor.partial_evaluate({fixed: _to_fraction(value)})
+            point = Polynomial.constant(1, _to_fraction(value))
+            slice_poly = factor.compose([point, free] if fixed == 0 else [free, point])
             coeffs = [0.0] * (int(slice_poly.total_degree) + 1 if not slice_poly.is_zero else 1)
             for exponent, n in slice_poly.numerators.items():
                 coeffs[exponent[0]] = n / slice_poly.denominator

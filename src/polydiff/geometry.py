@@ -25,8 +25,8 @@ import numpy as np
 
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
-from .poly import Polynomial, eval_floats, exact_divide, poly_divmod, tensor_grid
-from .quadrature import _applicable_cover
+from .poly import Polynomial, exact_divide, poly_divmod, tensor_grid
+from .quadrature import _applicable_cover, eval_floats
 
 INTERIOR_MARGIN = Fraction(1, 1000)
 #: nodes per axis of the first interior grid `curvature_constancy` tries

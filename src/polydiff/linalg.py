@@ -14,17 +14,15 @@ engine behind `RationalMatrix` eliminates only below each pivot and
 back-substitutes over the least common denominator, so it hands out
 integer numerators over that one denominator.  One symmetric pass down
 the diagonal of a positive definite matrix gives its Schur complements
-block by block (`symmetric_elimination`).  Spectral work on Gram and
-energy-form matrices is floating point via numpy's LAPACK, the energy
-pencil reduced through the Cholesky factor of its Gram matrix.
+block by block (`symmetric_elimination`).  None of it uses numpy.  The
+energy pencil of Gram and energy-form matrices is floating point via
+numpy's LAPACK, imported where `generalized_sym_eig` runs.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 CLUSTER_TAU = 1e-7
 
@@ -260,22 +258,21 @@ def poly_matrix_det(entries: Sequence[Sequence]):
 # floating-point symmetric eigenproblems
 
 
-def _check_symmetric(mat: np.ndarray, name: str, tol: float = 1e-12) -> None:
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.T).max() > tol * scale:
-        raise ValueError(f"{name} is not symmetric within {tol} relative")
-
-
-def generalized_sym_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def generalized_sym_eig(a, b):
     """The eigenvalues lambda of A v = lambda B v for symmetric A and SPD B,
-    ascending.
+    given as float arrays, ascending.
 
-    A non-positive-definite B raises GramMatrixError.
+    A or B not symmetric within 1e-12 relative raises ValueError, and a
+    non-positive-definite B GramMatrixError.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_symmetric(a, "A")
-    _check_symmetric(b, "B")
+    for name, mat in (("A", a), ("B", b)):
+        scale = max(np.abs(mat).max(), 1.0)
+        if np.abs(mat - mat.T).max() > 1e-12 * scale:
+            raise ValueError(f"{name} is not symmetric within 1e-12 relative")
     try:
         lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:

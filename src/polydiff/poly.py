@@ -10,17 +10,15 @@ evaluation and division) runs in Python ints on that form.  ``terms``, the
 same coefficients as ``Fraction``s in the same order, is a read-only view
 built on first access for printing and reports; no arithmetic reads it.
 
-Two float evaluators sit beside the exact layer: `eval_floats` evaluates
-polynomials at float points, each coefficient converted once as numerator /
-denominator (Python's correctly rounded int division, the value
-``float(Fraction)`` gives), and `MonomialBasis.eval_float` tabulates the
-monomials of a basis.
-
 Variables are named ``x, y, z`` for ``d <= 3`` and ``x1 ... xd`` beyond, both
 for parsing and printing.  Term order everywhere is graded lexicographic:
 lower total degree first, ties broken by tuple comparison of the exponents.
 A polynomial's own terms keep the order in which its operation produced
 them, and float sums over its terms follow that order.
+
+The module imports no numpy.  Polynomials are evaluated at float points by
+`quadrature.eval_floats`, in the float layer; `MonomialBasis.eval_float`,
+which tabulates the monomials of a basis, imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -31,17 +29,12 @@ from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 Exponent = tuple[int, ...]
 
 #: total degree reported for the zero polynomial
 NEG_INF = float("-inf")
 
 RationalLike = int | Fraction
-
-#: points per block in eval_floats
-EVAL_BLOCK = 1 << 16
 
 # Polynomial forbids attribute assignment; its constructors set slots with this
 _set = object.__setattr__
@@ -388,36 +381,6 @@ class Polynomial:
             result = result + (Polynomial.constant(target, n) if term is None else term * n)
         return result if self.denominator == 1 else result * Fraction(1, self.denominator)
 
-    def partial_evaluate(self, assignments: Mapping[int, RationalLike]) -> Polynomial:
-        """Fix some axes to rational values; remaining axes keep their order.
-
-        A fixed value p/q whose axis has largest power t enters a term of
-        power e as p^e q^(t-e), over q^t, so the sum runs in integers over
-        one denominator.
-        """
-        fixed = {axis: _as_fraction(v) for axis, v in assignments.items()}
-        if any(not 0 <= axis < self.dim for axis in fixed):
-            raise IndexError(f"axis out of range for dimension {self.dim}")
-        keep = [i for i in range(self.dim) if i not in fixed]
-        denominator = self.denominator
-        weights = []
-        for axis, value in fixed.items():
-            top = max([e[axis] for e in self.numerators], default=0)
-            p, q = value.numerator, value.denominator
-            weights.append((axis, [p**k * q ** (top - k) for k in range(top + 1)]))
-            denominator *= q**top
-        terms: dict[Exponent, int] = {}
-        for exponent, n in self.numerators.items():
-            for axis, weight in weights:
-                n *= weight[exponent[axis]]
-            key = tuple([exponent[i] for i in keep])
-            total = terms.get(key, 0) + n
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        return Polynomial._reduced(len(keep), terms, denominator)
-
     # ------------------------------------------------------------------
     # printing
 
@@ -426,53 +389,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dim}, {format_poly(self)!r})"
-
-
-def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndarray:
-    """Every polynomial of `polys` at the points whose coordinates are the
-    rows of the (dim, N) array `coordinates`: a (len(polys), N) array.
-
-    Each axis's powers come from repeated multiplication, shared by all
-    terms of all the polynomials, over column blocks of EVAL_BLOCK so
-    temporaries stay bounded for large N.  A term is its first power times
-    its coefficient, times its other powers in axis order, added to its
-    polynomial's sum in term order; so each value is the same float whatever
-    else is evaluated beside it.
-    """
-    coordinates = np.asarray(coordinates, dtype=float)
-    dim, count = coordinates.shape
-    if any(p.dim != dim for p in polys):
-        raise ValueError("point array has wrong width")
-    # per polynomial, its terms as ([(axis, power) with power > 0], coeff)
-    terms = [
-        [
-            ([(axis, e) for axis, e in enumerate(exponent) if e], n / p.denominator)
-            for exponent, n in p.numerators.items()
-        ]
-        for p in polys
-    ]
-    top = [max((e[axis] for p in polys for e in p.numerators), default=0) for axis in range(dim)]
-    out = np.zeros((len(polys), count))
-    for start in range(0, count, EVAL_BLOCK):
-        block = coordinates[:, start : start + EVAL_BLOCK]
-        powers = []
-        for axis in range(dim):
-            table = [None, block[axis]]
-            for _ in range(2, top[axis] + 1):
-                table.append(table[-1] * table[1])
-            powers.append(table)
-        term = np.empty(block.shape[1])
-        for acc, poly_terms in zip(out[:, start : start + EVAL_BLOCK], terms):
-            for factors, coeff in poly_terms:
-                if not factors:
-                    acc += coeff
-                    continue
-                (axis, e), *others = factors
-                np.multiply(powers[axis][e], coeff, out=term)
-                for axis, e in others:
-                    term *= powers[axis][e]
-                acc += term
-    return out
 
 
 def tensor_grid(
@@ -586,8 +502,7 @@ class MonomialBasis:
     There is one basis per (dim, max_degree): `MonomialBasis(dim, degree)`
     builds it on first use and afterwards returns that same object.  A
     shared basis is immutable: its sequences are tuples, `index` is a
-    read-only mapping, `exponent_array` is a read-only array and attributes
-    cannot be set.  A basis is published only once it is complete, so a
+    read-only mapping and attributes cannot be set.  A basis is published only once it is complete, so a
     thread that builds the same basis at the same time gets the first one
     published, never a partial one.
 
@@ -596,8 +511,7 @@ class MonomialBasis:
     """
 
     __slots__ = (
-        "dim", "max_degree", "exponents", "index", "exponent_array", "exponent_columns",
-        "degree_slices",
+        "dim", "max_degree", "exponents", "index", "exponent_columns", "degree_slices",
     )
 
     _shared: dict[tuple[int, int], MonomialBasis] = {}
@@ -617,8 +531,6 @@ class MonomialBasis:
             raise ValueError("need dim >= 1 and max_degree >= 0")
         basis = object.__new__(cls)
         exponents = tuple(sorted(cls._enumerate(dim, max_degree), key=grlex_key))
-        array = np.array(exponents, dtype=np.intp)
-        array.flags.writeable = False
         slices, start = [], 0
         for degree in range(max_degree + 1):
             count = comb(degree + dim - 1, degree)
@@ -628,7 +540,6 @@ class MonomialBasis:
         _set(basis, "max_degree", max_degree)
         _set(basis, "exponents", exponents)
         _set(basis, "index", MappingProxyType({e: i for i, e in enumerate(exponents)}))
-        _set(basis, "exponent_array", array)
         _set(basis, "exponent_columns", tuple(zip(*exponents)))
         _set(basis, "degree_slices", tuple(slices))
         return basis
@@ -657,16 +568,20 @@ class MonomialBasis:
     def __iter__(self):
         return iter(self.exponents)
 
-    def eval_float(self, points: np.ndarray) -> np.ndarray:
-        """Vandermonde-style (N, len(basis)) float array of monomial values.
+    def eval_float(self, points):
+        """Vandermonde-style (N, len(basis)) float array of monomial values
+        at the (N, dim) array `points`: the one float method of the exact
+        basis, which imports numpy when it runs.
 
         Each axis contributes one power table x_i^0 .. x_i^max_degree, built
         by repeated multiplication; the rows of all axes' tables are gathered
-        by exponent and multiplied together.  The result is the transpose of
+        by exponent (`exponent_columns`) and multiplied together.  The result is the transpose of
         that (len(basis), N) product, so its columns are contiguous.  In one
         variable the table is already in basis order and is returned as it
         is.
         """
+        import numpy as np
+
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(-1, self.dim)
@@ -679,7 +594,7 @@ class MonomialBasis:
             if self.dim == 1:
                 # the exponents are 0 .. max_degree: the table is the result
                 return table.T
-            rows = table[self.exponent_array[:, axis]]
+            rows = table[list(self.exponent_columns[axis])]
             if out is None:
                 out = rows
             else:

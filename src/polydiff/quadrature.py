@@ -49,6 +49,12 @@ test keeps the coordinates and factor values with one index; rejection
 takes the density from the kept factor values, evaluating only the density
 factors that are no boundary factor; and `_block_moments` contracts
 contiguous per-axis power tables in one matrix product.
+
+Two float evaluators sit beside the exact layer: `eval_floats` evaluates
+polynomials at float points, each coefficient converted once as numerator /
+denominator (Python's correctly rounded int division, the value
+``float(Fraction)`` gives), and `MonomialBasis.eval_float` tabulates the
+monomials of a basis, importing numpy where it runs.
 """
 
 from __future__ import annotations
@@ -62,38 +68,65 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
-from .poly import MonomialBasis, Polynomial, eval_floats, grlex_key, parse_poly, parse_rational
-from .rng import DEFAULT_SEED, normal_points, sphere_points, uniform_block, unit_rows
+from .catalog import DomainSampler, SamplerConfigError
+from .poly import MonomialBasis, Polynomial, grlex_key, parse_poly, parse_rational
+from .rng import normal_points, sphere_points, uniform_block, unit_rows
 
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
 #: step of a pass that accumulates sums
 POINT_CHUNK = 16384
 #: nodes per free axis of each box face `check_box_encloses` samples
 BOX_FACE_NODES = 257
+#: points per block in eval_floats
+EVAL_BLOCK = 1 << 16
 
 
-class SamplerConfigError(ValueError):
-    pass
+def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndarray:
+    """Every polynomial of `polys` at the points whose coordinates are the
+    rows of the (dim, N) array `coordinates`: a (len(polys), N) array.
 
-
-@dataclass(frozen=True)
-class DomainSampler:
-    """Descriptor for one integration rule.
-
-    Every kind but mc-rejection is sized by the moment degree it integrates
-    (`sample_domain`).  sample_count is the number of Monte Carlo proposals
-    (accepted points are the subset inside the domain): the mc-rejection
-    sample, and for cover-mc the draw that only cross-checks its rule
-    (`cover_cross_check`).
+    Each axis's powers come from repeated multiplication, shared by all
+    terms of all the polynomials, over column blocks of EVAL_BLOCK so
+    temporaries stay bounded for large N.  A term is its first power times
+    its coefficient, times its other powers in axis order, added to its
+    polynomial's sum in term order; so each value is the same float whatever
+    else is evaluated beside it.
     """
+    coordinates = np.asarray(coordinates, dtype=float)
+    dim, count = coordinates.shape
+    if any(p.dim != dim for p in polys):
+        raise ValueError("point array has wrong width")
+    # per polynomial, its terms as ([(axis, power) with power > 0], coeff)
+    terms = [
+        [
+            ([(axis, e) for axis, e in enumerate(exponent) if e], n / p.denominator)
+            for exponent, n in p.numerators.items()
+        ]
+        for p in polys
+    ]
+    top = [max((e[axis] for p in polys for e in p.numerators), default=0) for axis in range(dim)]
+    out = np.zeros((len(polys), count))
+    for start in range(0, count, EVAL_BLOCK):
+        block = coordinates[:, start : start + EVAL_BLOCK]
+        powers = []
+        for axis in range(dim):
+            table = [None, block[axis]]
+            for _ in range(2, top[axis] + 1):
+                table.append(table[-1] * table[1])
+            powers.append(table)
+        term = np.empty(block.shape[1])
+        for acc, poly_terms in zip(out[:, start : start + EVAL_BLOCK], terms):
+            for factors, coeff in poly_terms:
+                if not factors:
+                    acc += coeff
+                    continue
+                (axis, e), *others = factors
+                np.multiply(powers[axis][e], coeff, out=term)
+                for axis, e in others:
+                    term *= powers[axis][e]
+                acc += term
+    return out
 
-    kind: str
-    sample_count: int = 100_000
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.sample_count < 1:
-            raise SamplerConfigError("sample_count must be at least 1")
 
 
 @dataclass
@@ -740,7 +773,7 @@ class Moments:
         self.table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
             self.table += _block_moments(sample.points[block].T, sample.weights[block], max_degree)
-        self.values = self.monomial(self.basis.exponent_array)
+        self.values = self.monomial(self.basis.exponents)
         # retained so downstream code can integrate pointwise quantities
         # (products and gradients of eigenfunctions) against the same rule
         self.points = sample.points
@@ -775,7 +808,7 @@ def moment_z_scores(
     `exact` must hold the exact moments to twice the basis degree: sigma_a^2
     = E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
     """
-    exponents = basis.exponent_array[1:]  # the constant has no variance
+    exponents = np.array(basis.exponents[1:])  # the constant has no variance
     mean = exact.monomial(exponents)
     second = exact.monomial(2 * exponents)
     variance = second - mean * mean
@@ -818,14 +851,14 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
         table += block_table
         accepted += kept
     basis = MonomialBasis(model.dim, degree)
-    z = moment_z_scores(basis, table[tuple(basis.exponent_array.T)], exact, n)
+    z = moment_z_scores(basis, table[basis.exponent_columns], exact, n)
     return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
 
 
 def gram_matrix(moments: Moments, degree: int) -> np.ndarray:
     """B[k, l] ~ integral of m_k m_l against the measure of `moments`,
     exactly symmetric."""
-    exponents = MonomialBasis(moments.model.dim, degree).exponent_array
+    exponents = np.array(MonomialBasis(moments.model.dim, degree).exponents)
     return moments.monomial(exponents[:, None, :] + exponents[None, :, :])
 
 
@@ -836,7 +869,7 @@ def operator_moment_matrix(moments: Moments, degree: int, images: list[Polynomia
     column l sums its terms in graded-lex order, so its floats do not depend
     on the order in which the image's terms were built.
     """
-    exponents = MonomialBasis(moments.model.dim, degree).exponent_array
+    exponents = np.array(MonomialBasis(moments.model.dim, degree).exponents)
     m = np.zeros((len(exponents), len(images)))
     for l, image in enumerate(images):
         for exponent in sorted(image.numerators, key=grlex_key):

@@ -4,7 +4,7 @@ Stream value i for seed s is mix64(s + (i+1)*GOLDEN) where mix64 is the
 standard splitmix64 finalizer.  Values are a pure function of (seed, index),
 so any chunked or parallel evaluation order reproduces the same stream.
 A scalar reference implementation and a vectorized numpy one are both kept;
-tests pin them against each other.
+tests pin them against each other.  The default seed is `catalog.DEFAULT_SEED`.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
-
-#: documented default seed for all randomized subcommands
-DEFAULT_SEED = 0xD0F5EEDD
 
 
 def mix64(z: int) -> int:

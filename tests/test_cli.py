@@ -13,7 +13,7 @@ import pytest
 
 from polydiff import cli, spectra
 from polydiff.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, build_parser, main
-from polydiff.poly import eval_floats
+from polydiff.quadrature import eval_floats
 
 
 def run_cli(capsys, *argv):
@@ -295,17 +295,31 @@ def test_unwritable_out_path_is_data_error(tmp_path, capsys):
     assert "FileNotFoundError" in err
 
 
-def test_models_list_starts_without_the_thread_pool():
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["models", "list"], EXIT_OK, "deltoid"),
+        (["admissible", "--factor", "1-x^2-y^2", "--witness", "0,0"], EXIT_OK, "solution dimension"),
+        # the nodal cubic's det^-1/2 fails the boundary equation of its extra factor
+        (["verify", "--model", "nodal_cubic", "--measure", "det^-1/2"], EXIT_VERIFY, '"admissible": false'),
+        (["--help"], EXIT_OK, "boundary-points"),
+    ],
+    ids=["models-list", "admissible", "verify-measure", "help"],
+)
+def test_models_list_starts_without_the_thread_pool(argv, code, shown):
     # only the cover cross-check uses helper threads, and it imports
-    # concurrent.futures where it starts them; -X importtime names every
-    # module the command imports
+    # concurrent.futures where it starts them; the exact commands compute
+    # nothing in float, so they load no numpy either.  -X importtime names
+    # every module the command imports
     source = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "polydiff.cli", "models", "list"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-X", "importtime", "-m", "polydiff.cli", *argv],
+        env=env, capture_output=True, text=True,
     )
+    assert run.returncode == code
     imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines() if "|" in line}
     assert "polydiff" in imported
-    assert "deltoid" in run.stdout
+    assert shown in run.stdout
     assert not {m for m in imported if m == "concurrent" or m.startswith("concurrent.")}
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}

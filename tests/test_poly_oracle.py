@@ -14,7 +14,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydiff.poly import Polynomial, exact_divide, grlex_key, poly_divmod
+from polydiff.catalog import Template
+from polydiff.poly import (
+    Polynomial,
+    exact_divide,
+    format_poly,
+    grlex_key,
+    poly_divmod,
+    variable_names,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -252,12 +260,20 @@ def test_derivative_matches_oracle(case):
 @SETTINGS
 @given(poly_pairs(1, dims=(2, 3, 4)), st.data())
 def test_partial_evaluate_matches_oracle(case, data):
+    # a catalog template fixes its trailing parameters: p's text, read with
+    # the fixed axes as parameters, instantiated at their values
     dim, [(p, a)] = case
     axes = data.draw(st.sets(st.integers(0, dim - 1), min_size=1))
     assignments = {axis: data.draw(st.one_of(coefficients, st.just(0))) for axis in sorted(axes)}
     fixed = {axis: Fraction(v) for axis, v in assignments.items()}
-    got = p.partial_evaluate(assignments)
-    assert_matches(got, ref_partial_evaluate(a, dim, fixed), dim - len(axes))
+    names = variable_names(dim)
+    template = Template(
+        format_poly(p), [n for i, n in enumerate(names) if i not in fixed], [names[i] for i in fixed]
+    )
+    got = template.instantiate({names[i]: v for i, v in assignments.items()})
+    # the text lists p's terms in graded-lex order, and so does the result
+    in_text_order = dict(sorted(a.items(), key=lambda item: grlex_key(item[0])))
+    assert_matches(got, ref_partial_evaluate(in_text_order, dim, fixed), dim - len(axes))
 
 
 @SETTINGS

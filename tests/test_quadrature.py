@@ -17,7 +17,7 @@ import pytest
 
 from polydiff.catalog import get_model, model_names
 from polydiff.operator import GradedOperatorMatrix, gamma
-from polydiff.poly import MonomialBasis, Polynomial, eval_floats, parse_poly
+from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 from polydiff import quadrature
 from polydiff.claims import MC_Z_GATE
 from polydiff.quadrature import (
@@ -29,6 +29,7 @@ from polydiff.quadrature import (
     WeightedPoints,
     check_box_encloses,
     cover_cross_check,
+    eval_floats,
     gamma_form_matrix,
     gram_matrix,
     moment_z_scores,
@@ -916,7 +917,7 @@ def _cross_check_one_block_at_a_time(model, sampler, degree):
         table += quadrature._block_moments(coordinates, np.full(kept, 1.0 / n), degree)
         accepted += kept
     basis = MonomialBasis(model.dim, degree)
-    values = table[tuple(basis.exponent_array.T)]
+    values = table[basis.exponent_columns]
     z = moment_z_scores(basis, values, Moments(model, 2 * degree, sampler), n)
     return accepted, values, float(np.abs(z).max())
 

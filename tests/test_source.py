@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import polydiff
 
 PACKAGE_DIR = Path(polydiff.__file__).resolve().parent
@@ -80,13 +82,14 @@ def test_package_imports_no_scipy():
     assert found == []
 
 
-def test_operator_module_imports_no_numpy():
-    # the operator layer is exact: L acts on monomials through an integer
-    # table, and the exact commands are to start without numpy
-    path = PACKAGE_DIR / "operator.py"
+@pytest.mark.parametrize("module", ["operator.py", "boundary.py", "catalog.py"])
+def test_operator_module_imports_no_numpy(module):
+    # the operator, boundary and catalog layers are exact (L acts on
+    # monomials through an integer table), and the exact commands are to
+    # start without numpy
     found = [
-        f"operator.py:{line} {name}"
-        for line, name in _absolute_imports(path)
+        f"{module}:{line} {name}"
+        for line, name in _absolute_imports(PACKAGE_DIR / module)
         if name == "numpy" or name.startswith("numpy.")
     ]
     assert found == []

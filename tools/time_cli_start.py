@@ -1,4 +1,4 @@
-"""Time the CLI's cold start and count the scipy modules the package loads.
+"""Time the CLI's cold start and count the numpy and scipy modules it loads.
 
     python3 tools/time_cli_start.py [CHECKOUT ...]
 
@@ -7,9 +7,12 @@ and alternating between the checkouts in that round, it runs
 `python -m polydiff.cli models list` in a fresh interpreter with the
 checkout's `src` first on PYTHONPATH, and records its wall time and peak RSS.
 After ROUNDS rounds it prints one JSON object keyed by checkout directory
-name: the median and the quartiles of both over the rounds, every run, and
-whether (and how many) `scipy` modules are in `sys.modules` after
-`import polydiff.claims, polydiff.cli`.
+name: the median and the quartiles of both over the rounds, every run,
+whether (and how many) `numpy` modules are in `sys.modules` after an
+in-process `models list`, and the same for `scipy` after
+`import polydiff.claims, polydiff.cli` (claims loads the float layer, so
+numpy, but no scipy).  With PYTHONDONTWRITEBYTECODE set, every run compiles
+the sources it imports, which the report records.
 """
 
 import json
@@ -22,10 +25,12 @@ from pathlib import Path
 
 ROUNDS = 21
 COMMAND = [sys.executable, "-m", "polydiff.cli", "models", "list"]
-SCIPY_PROBE = (
-    "import json, sys, polydiff.claims, polydiff.cli; print(json.dumps(sorted("
-    "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
-)
+# each probe prints the modules of one package loaded after its statement
+PROBES = {
+    "numpy": "import os, polydiff.cli; polydiff.cli.main(['models', 'list', '--out', os.devnull])",
+    "scipy": "import polydiff.claims, polydiff.cli",
+}
+LOADED = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {!r})))"
 
 
 def environment(checkout: Path) -> dict:
@@ -63,18 +68,23 @@ def main() -> None:
             runs[checkout].append(cold_start(checkout))
     report = {}
     for checkout, timings in runs.items():
-        probe = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE], env=environment(checkout),
-            capture_output=True, text=True, check=True,
-        )
-        scipy_modules = json.loads(probe.stdout)
-        report[checkout.name] = {
+        entry = report[checkout.name] = {
             "models_list_s": summary([t for t, _ in timings]),
             "peak_rss_mb": summary([m for _, m in timings]),
-            "scipy_loaded": bool(scipy_modules),
-            "scipy_modules": len(scipy_modules),
         }
-    print(json.dumps({"rounds": ROUNDS, "command": COMMAND[1:], "checkouts": report}, indent=2))
+        for package, statement in PROBES.items():
+            probe = subprocess.run(
+                [sys.executable, "-c", f"{statement}; {LOADED.format(package)}"],
+                env=environment(checkout), capture_output=True, text=True, check=True,
+            )
+            modules = json.loads(probe.stdout)
+            entry[f"{package}_loaded"] = bool(modules)
+            entry[f"{package}_modules"] = len(modules)
+    compiles = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    print(json.dumps(
+        {"rounds": ROUNDS, "command": COMMAND[1:], "compiles_every_run": compiles, "checkouts": report},
+        indent=2,
+    ))
 
 
 if __name__ == "__main__":
