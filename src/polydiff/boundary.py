@@ -8,19 +8,23 @@ For each irreducible boundary factor F the condition is
 Unknowns are the coefficients of the d(d+1)/2 quadratic cometric entries plus
 the coefficients of every S^i; each residual coefficient contributes one
 linear equation.  Everything here is exact.
+
+Interior grids are built as integer node numerators per axis over one
+denominator (`interior_nodes`, a `poly.TensorGrid`), and the factors' sign
+test reads them as they are; `interior_grid` gives the same points as
+tuples of Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product as iter_product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
 from .operator import CoMetric, DegenerateMetricError
-from .poly import MonomialBasis, Polynomial, exact_divide, tensor_grid
+from .poly import MonomialBasis, Polynomial, TensorGrid, exact_divide, tensor_grid
 
 Rational = int | Fraction
 
@@ -233,8 +237,9 @@ def check_ellipticity(g: CoMetric, samples: Sequence[Sequence[Rational]]) -> Ell
     """Exact leading-principal-minor test at every sample point.
 
     Each entry of g is evaluated over a block of samples at once, in one
-    `grid_values` pass on the smallest tensor grid holding the block, and
-    brought to one positive denominator, so the minors, taken point by point
+    `grid_values` pass on the smallest tensor grid holding the block
+    (`poly.tensor_grid`, integer axes over one denominator), and brought to
+    one positive denominator, so the minors, taken point by point
     in sample order, are integer determinants with the signs of the rational
     ones.  The first sample is its own block, since a cometric that is not
     elliptic, such as most admissible-kernel basis elements, mostly fails
@@ -245,8 +250,10 @@ def check_ellipticity(g: CoMetric, samples: Sequence[Sequence[Rational]]) -> Ell
         raise ValueError("need at least one sample point")
     d = g.dim
     for block in (samples[:1], samples[1:]):
-        axes, nodes = tensor_grid(block, d)
-        values = {(i, j): g[i, j].grid_values(axes) for i in range(d) for j in range(i, d)}
+        axes, denominator, nodes = tensor_grid(block, d)
+        values = {
+            (i, j): g[i, j].grid_values(axes, denominator) for i in range(d) for j in range(i, d)
+        }
         common = lcm(*(den for _, den in values.values()))
         scaled = {
             key: [v * (common // den) for v in numerators]
@@ -281,28 +288,48 @@ def det_divisibility_check(g: CoMetric, spec: BoundarySpec) -> DivisibilityRepor
     return DivisibilityReport(True, int(remainder.total_degree), remainder)
 
 
+def interior_nodes(
+    spec: BoundarySpec,
+    box: Sequence[tuple[Rational, Rational]],
+    per_axis: int = 10,
+) -> TensorGrid:
+    """Rational grid over the box, clipped to {all factors > 0}, as integer
+    axes over one denominator and the inside nodes in product order.
+
+    The nodes on each side of the box lie strictly inside it, at fractions
+    (2k+1)/(2n) of the side, so boundary-of-box artifacts never enter.  On
+    the side [lo, hi] the node k is ((2n - j) a + j b) / (2n lo.den hi.den)
+    with j = 2k + 1, a = lo.num hi.den and b = hi.num lo.den; every side
+    is brought to one common denominator, reduced by the content of all
+    the node numerators.  The sign test is exact: each factor's values on
+    the whole grid are integer numerators over one positive denominator
+    (`Polynomial.grid_values`).
+    """
+    if len(box) != spec.dim:
+        raise ValueError("box must give one interval per axis")
+    sides = []
+    for lo, hi in box:
+        lo, hi = Fraction(lo), Fraction(hi)
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        nodes = [(2 * per_axis - j) * a + j * b for j in range(1, 2 * per_axis, 2)]
+        sides.append((nodes, 2 * per_axis * lo.denominator * hi.denominator))
+    denominator = lcm(*(scale for _, scale in sides))
+    axes = [[x * (denominator // scale) for x in nodes] for nodes, scale in sides]
+    content = gcd(denominator, *(x for axis in axes for x in axis))
+    axes = [[x // content for x in axis] for axis in axes]
+    denominator //= content
+    inside = range(prod(len(axis) for axis in axes))
+    for f in spec.factors:
+        values = f.grid_values(axes, denominator)[0]
+        inside = [node for node in inside if values[node] > 0]
+    return TensorGrid(axes, denominator, list(inside))
+
+
 def interior_grid(
     spec: BoundarySpec,
     box: Sequence[tuple[Rational, Rational]],
     per_axis: int = 10,
 ) -> list[tuple[Fraction, ...]]:
-    """Rational grid over the box, clipped to {all factors > 0}.
-
-    The nodes on each side of the box lie strictly inside it, at fractions
-    (2k+1)/(2n) of the side, so boundary-of-box artifacts never enter.  The
-    sign test is exact: each factor's values on the grid are integer
-    numerators over one positive denominator (`Polynomial.grid_values`)."""
-    if len(box) != spec.dim:
-        raise ValueError("box must give one interval per axis")
-    axes = []
-    for lo, hi in box:
-        lo, hi = Fraction(lo), Fraction(hi)
-        # lo + (hi - lo) j / (2n) over the one denominator 2n * lo.den * hi.den
-        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-        scale = 2 * per_axis * lo.denominator * hi.denominator
-        odd = range(1, 2 * per_axis, 2)
-        axes.append([Fraction((2 * per_axis - j) * a + j * b, scale) for j in odd])
-    inside = [True] * prod(len(axis) for axis in axes)
-    for f in spec.factors:
-        inside = [keep and v > 0 for keep, v in zip(inside, f.grid_values(axes)[0])]
-    return list(compress(iter_product(*axes), inside))
+    """The points of `interior_nodes` as tuples of Fractions, in the grid's
+    product order."""
+    return interior_nodes(spec, box, per_axis).points()

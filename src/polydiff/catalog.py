@@ -17,11 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .boundary import BoundarySpec, interior_grid
-from .operator import CoMetric, DiffusionOperator, MeasureSpec, operator_from_measure
 from .poly import Exponent, Polynomial, parse_poly, parse_rational, variable_names
+
+if TYPE_CHECKING:
+    from .boundary import BoundarySpec
+    from .operator import DiffusionOperator
 
 Rational = int | Fraction
 
@@ -161,6 +163,11 @@ class Model:
     """One instantiated catalog entry."""
 
     def __init__(self, descriptor: ModelDescriptor, params: dict[str, Fraction]):
+        # imported here, not at module level: descriptors and templates need
+        # only `poly`, so `models list` and `--help` never load these
+        from .boundary import BoundarySpec
+        from .operator import CoMetric, MeasureSpec
+
         self.descriptor = descriptor
         self.name = descriptor.name
         self.dim = descriptor.dim
@@ -190,6 +197,8 @@ class Model:
     @property
     def operator(self) -> DiffusionOperator:
         if self._operator is None:
+            from .operator import operator_from_measure
+
             self._operator = operator_from_measure(self.cometric, self.measure)
         return self._operator
 
@@ -234,6 +243,8 @@ class Model:
         The margin test is the grid's own sign test, run on the factors of
         `interior_boundary`.
         """
+        from .boundary import interior_grid
+
         return interior_grid(self.interior_boundary(margin), self.box, per_axis)
 
     def interior_boundary(self, margin: Fraction) -> BoundarySpec:
@@ -245,6 +256,8 @@ class Model:
             return spec
         if not 0 < margin < 1:
             raise ValueError(f"margin {margin} is not in [0, 1)")
+        from .boundary import BoundarySpec
+
         shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
         return BoundarySpec(spec.dim, shifted, spec.witness)
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 
 def _configure_threads() -> None:
@@ -447,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except Exception:
         # anything else is an internal fault, which keeps its traceback
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

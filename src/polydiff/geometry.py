@@ -2,10 +2,14 @@
 
 Curvature treats the metric (g^ij)^-1 = adj(g^ij) / det as a conformal change
 of the polynomial metric adj(g^ij) and collapses it, with the operator
-layer's carre du champ and cometric rows, into one exact rational function
-evaluated at rational sample points, each value an integer numerator over a
-positive integer denominator.  In dimension 2 the scalar curvature is twice
-the Gaussian curvature, which is what gets reported.
+layer's cometric rows, into one exact rational function evaluated at
+rational sample points, each value an integer numerator over a positive
+integer denominator.  The sample points are one interior grid, held as
+integer axes over one denominator (`poly.TensorGrid`): the grid's sign test,
+the curvature numerator and the determinant all read those axes, and the
+points become Fraction or float tuples only when a report's points are
+read.  In dimension 2 the scalar curvature is twice the Gaussian curvature,
+which is what gets reported.
 
 Pullback checks take a model's cover from `quadrature.COVER_SAMPLERS` (its
 polynomial operator, ideal and maps) and decide the realization exactly:
@@ -23,9 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .boundary import interior_nodes
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
-from .poly import Polynomial, exact_divide, poly_divmod, tensor_grid
+from .poly import Polynomial, TensorGrid, exact_divide, poly_divmod
 from .quadrature import _applicable_cover, eval_floats
 
 INTERIOR_MARGIN = Fraction(1, 1000)
@@ -77,10 +82,10 @@ class CurvatureEvaluator:
         det2 = (e_v * f * g_u * 2 - e_v * e_v * g - e * g_u * g_u) * Fraction(1, 4)
         rows = cometric_gradient(cometric, delta)
         divergence = rows[0].derivative(0) + rows[1].derivative(1)
-        numerator = (
-            delta * (det1 - det2 + divergence * half)
-            - gamma(cometric, delta, delta) * Fraction(3, 4)
-        )
+        # Gamma_h(delta, delta) = sum_i rows_i d_i delta, from the rows above
+        d_u, d_v = delta.gradient()
+        carre = rows[0] * d_u + rows[1] * d_v
+        numerator = delta * (det1 - det2 + divergence * half) - carre * Fraction(3, 4)
         k = 2
         while k > 0:
             reduced = exact_divide(numerator, delta)
@@ -93,16 +98,17 @@ class CurvatureEvaluator:
         is_constant = self.k_pow == 0 and self.k_num.total_degree <= 0
         self.constant = self.k_num.constant_term if is_constant else None
 
-    def curvature_exact(self, points: Sequence[Sequence[Fraction]]) -> list[tuple[int, int]]:
-        """Exact scalar curvature at rational interior points, in order, each
-        as (integer numerator, integer denominator > 0), not reduced.
+    def curvature_exact(self, grid: TensorGrid) -> list[tuple[int, int]]:
+        """Exact scalar curvature at the rational interior points of a
+        tensor grid, in order, each as (integer numerator, integer
+        denominator > 0), not reduced.
 
         The numerator and det are each evaluated in one `grid_values` pass
-        over the smallest tensor grid holding the points.
+        over the grid's integer axes.
         """
-        axes, nodes = tensor_grid(points, 2)
-        k_nums, k_den = self.k_num.grid_values(axes)
-        dets, det_den = self.det.grid_values(axes)
+        axes, denominator, nodes = grid
+        k_nums, k_den = self.k_num.grid_values(axes, denominator)
+        dets, det_den = self.det.grid_values(axes, denominator)
         if any(dets[node] <= 0 for node in nodes):
             raise ValueError("curvature sample outside the elliptic region")
         # (n / k_den) / (d / det_den)^k with k_den, det_den > 0
@@ -112,15 +118,20 @@ class CurvatureEvaluator:
 
 @dataclass
 class CurvatureReport:
-    exact_points: list[tuple[Fraction, ...]]
+    grid: TensorGrid  # the interior points sampled
     values: np.ndarray
     mean: float
     value: Fraction | None  # the exact constant curvature, None if not constant
 
     @property
+    def exact_points(self) -> list[tuple[Fraction, ...]]:
+        """The sample points as tuples of Fractions, built only when read:
+        the verdict and the values never need them."""
+        return self.grid.points()
+
+    @property
     def points(self) -> np.ndarray:
-        """The sample points as floats, converted only when read: the
-        verdict and the values never need them."""
+        """The sample points as floats."""
         return np.array(self.exact_points, dtype=float)
 
     @property
@@ -137,23 +148,29 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
 
     The verdict is `CurvatureEvaluator.constant`; the grid supplies the
     reported values, their mean and spread.  The grid is the model's
-    `interior_points` at INTERIOR_MARGIN, so sample points keep every
-    boundary factor above 1e-3 of its witness value and the metric stays
-    uniformly elliptic.  It starts at CURVATURE_GRID nodes per axis and
-    doubles, up to 128, until `min_points` lie inside.
+    interior grid at INTERIOR_MARGIN (`boundary.interior_nodes` on
+    `Model.interior_boundary`), so sample points keep every boundary factor
+    above 1e-3 of its witness value and the metric stays uniformly
+    elliptic.  It starts at CURVATURE_GRID nodes per axis and doubles, up to
+    128, until `min_points` lie inside.  The chosen grid, cut to the rows
+    and columns that hold an inside node, feeds `curvature_exact` as
+    integer axes, and point tuples are built only when the report's points
+    are read.
     """
+    spec = model.interior_boundary(INTERIOR_MARGIN)
     per_axis = CURVATURE_GRID
-    points = model.interior_points(per_axis, INTERIOR_MARGIN)
-    while len(points) < min_points and per_axis < 128:
+    grid = interior_nodes(spec, model.box, per_axis)
+    while len(grid.nodes) < min_points and per_axis < 128:
         per_axis *= 2
-        points = model.interior_points(per_axis, INTERIOR_MARGIN)
-    if len(points) < min_points:
+        grid = interior_nodes(spec, model.box, per_axis)
+    if len(grid.nodes) < min_points:
         raise ValueError(f"could not place {min_points} interior points for {model.name}")
+    grid = grid.trimmed()
     evaluator = CurvatureEvaluator(model.cometric)
     # grid points are rational, so evaluate the collapsed quotient exactly;
     # int / int is correctly rounded, as float(Fraction) is
-    values = np.array([n / d for n, d in evaluator.curvature_exact(points)])
-    return CurvatureReport(points, values, float(values.mean()), evaluator.constant)
+    values = np.array([n / d for n, d in evaluator.curvature_exact(grid)])
+    return CurvatureReport(grid, values, float(values.mean()), evaluator.constant)
 
 
 def export_curvature_csv(path, report: CurvatureReport) -> None:

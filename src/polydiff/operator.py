@@ -412,11 +412,15 @@ class GradedOperatorMatrix:
 
     def strictly_lower_block_entries(self) -> list[tuple[int, int, int]]:
         """Entries below the degree-diagonal blocks as (row, column, integer
-        entry over `scale`); empty iff graded."""
+        entry over `scale`), by column and then row; empty iff graded.
+
+        For a constructed matrix it is always empty: the constructor raises
+        DegreeViolationError on any nonzero value of a shift that raises the
+        degree, and every other shift puts a column's entries at or below
+        its own degree, inside or above its diagonal block.
+        """
         out = []
         for block in self.basis.degree_slices:
             for c in range(block.start, block.stop):
-                out.extend(
-                    (r, c, v) for r, v in sorted(self.columns[c].items()) if r >= block.stop
-                )
+                out.extend(sorted((r, c, v) for r, v in self.columns[c].items() if r >= block.stop))
         return out

@@ -24,10 +24,11 @@ which tabulates the monomials of a basis, imports numpy when it runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iter_product
 from math import comb, gcd, lcm, prod
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -307,36 +308,36 @@ class Polynomial:
     def __call__(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dimension {self.dim}")
-        numerators, denominator = self.grid_values([[v] for v in point])
-        return Fraction(numerators[0], denominator)
+        # ints and Fractions carry numerator and denominator already
+        point = [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in point]
+        denominator = lcm(*(v.denominator for v in point))
+        axes = [[v.numerator * (denominator // v.denominator)] for v in point]
+        numerators, scale = self.grid_values(axes, denominator)
+        return Fraction(numerators[0], scale)
 
-    def grid_values(self, axes: Sequence[Sequence[RationalLike]]) -> tuple[list[int], int]:
-        """Exact values on the tensor grid axes[0] x ... x axes[dim-1].
+    def grid_values(self, axes: Sequence[Sequence[int]], denominator: int) -> tuple[list[int], int]:
+        """Exact values on the tensor grid whose axis a holds the nodes
+        axes[a][i] / denominator.
 
-        Returns integer numerators, one per node in ``itertools.product``
-        order, over one positive denominator.  With every node coordinate
-        written as X/D over one common denominator D, a polynomial of total
-        degree n with numerators c_e over s takes the value
-        sum_e c_e X^e D^(n-|e|) / (s D^n), summed in integers.  Each axis
-        node's powers are computed once, and the sum is contracted one axis
-        at a time, so terms that agree on the remaining axes share their
-        partial sums.
+        The axes are integer node numerators over one positive common
+        denominator D, as `tensor_grid` and `boundary.interior_nodes` give
+        them.  Returns integer numerators, one per node in
+        ``itertools.product`` order, over one positive denominator.  A
+        polynomial of total degree n with numerators c_e over s takes the
+        value sum_e c_e X^e D^(n-|e|) / (s D^n) at the node X / D, summed in
+        integers.  Each axis node's powers are computed once, and the sum is
+        contracted one axis at a time, so terms that agree on the remaining
+        axes share their partial sums.
         """
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} grid axes != dimension {self.dim}")
-        # ints carry numerator and denominator already; other input is checked
-        axes = [
-            [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in axis] for axis in axes
-        ]
         if not self.numerators:
             return [0] * prod(len(axis) for axis in axes), 1
         degree = self.total_degree
-        common = lcm(*(v.denominator for axis in axes for v in axis))
         # partial[rest]: over the nodes of the axes done so far, the sums of
         # the terms whose exponents on the remaining axes are `rest`
-        partial = {e: [n * common ** (degree - sum(e))] for e, n in self.numerators.items()}
-        for axis in axes:
-            nodes = [v.numerator * (common // v.denominator) for v in axis]
+        partial = {e: [n * denominator ** (degree - sum(e))] for e, n in self.numerators.items()}
+        for nodes in axes:
             powers = [[x**p for x in nodes] for p in range(max(e[0] for e in partial) + 1)]
             reduced: dict[Exponent, list[int]] = {}
             for e, sums in partial.items():
@@ -347,7 +348,7 @@ class Polynomial:
                 else:
                     reduced[rest] = values
             partial = reduced
-        return partial[()], self.denominator * common**degree
+        return partial[()], self.denominator * denominator**degree
 
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
         """Exact composition p(s_1, ..., s_d).
@@ -391,28 +392,73 @@ class Polynomial:
         return f"Polynomial({self.dim}, {format_poly(self)!r})"
 
 
-def tensor_grid(
-    points: Sequence[Sequence[int | Fraction]], dim: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """The smallest tensor grid holding the points, as axes for
-    `Polynomial.grid_values`, and each point's node index in its order.
+class TensorGrid(NamedTuple):
+    """Rational points on a tensor grid.
+
+    Axis a holds the nodes axes[a][i] / denominator, integer numerators over
+    one positive denominator, as `Polynomial.grid_values` reads them, and
+    nodes[k] is the k-th point's index in the ``itertools.product`` order
+    of the axes, which is the order of `grid_values`' values.
+    """
+
+    axes: list[list[int]]
+    denominator: int
+    nodes: list[int]
+
+    def points(self) -> list[tuple[Fraction, ...]]:
+        """The points as tuples of Fractions, in order."""
+        axes = [[Fraction(x, self.denominator) for x in axis] for axis in self.axes]
+        cells = list(iter_product(*axes))
+        return [cells[node] for node in self.nodes]
+
+    def trimmed(self) -> TensorGrid:
+        """The same points on the smallest grid holding them: each axis cut
+        to the nodes that hold a point, or the grid itself if none is
+        empty."""
+        sizes = [len(axis) for axis in self.axes]
+        # a point's position on axis a is node // strides[a] % sizes[a]
+        strides = [prod(sizes[a + 1 :]) for a in range(len(sizes))]
+        used = [
+            sorted({node // stride % size for node in self.nodes})
+            for stride, size in zip(strides, sizes)
+        ]
+        if [len(kept) for kept in used] == sizes:
+            return self
+        nodes = [0] * len(self.nodes)
+        for stride, size, kept in zip(strides, sizes, used):
+            where = {position: i for i, position in enumerate(kept)}
+            count = len(kept)
+            nodes = [
+                node * count + where[old // stride % size] for node, old in zip(nodes, self.nodes)
+            ]
+        axes = [[axis[i] for i in kept] for axis, kept in zip(self.axes, used)]
+        return TensorGrid(axes, self.denominator, nodes)
+
+
+def tensor_grid(points: Sequence[Sequence[int | Fraction]], dim: int) -> TensorGrid:
+    """The smallest tensor grid holding the rational points, and each
+    point's node on it.
 
     Each axis holds the distinct coordinates on it, in order of first
-    appearance.  Points on a tensor grid (interior grids, clipped or not)
-    make a grid no larger than theirs; scattered points make the whole
-    product grid.  Coordinates are keyed by (numerator, denominator), since
-    hashing a Fraction costs a modular inverse.
+    appearance, over the least common denominator of all coordinates.
+    Points on a tensor grid make a grid no larger than theirs; scattered
+    points make the whole product grid.  Coordinates are keyed by
+    (numerator, denominator), since hashing a Fraction costs a modular
+    inverse.
     """
     if any(len(p) != dim for p in points):
         raise ValueError(f"point length != dimension {dim}")
-    axes: list[list[Fraction]] = []
+    keys: list[list[tuple[int, int]]] = []
     nodes = [0] * len(points)
     for a in range(dim):
         column = [(p[a].numerator, p[a].denominator) for p in points]
         where = {key: i for i, key in enumerate(dict.fromkeys(column))}
-        axes.append([Fraction(*key) for key in where])
-        nodes = [node * len(where) + where[key] for node, key in zip(nodes, column)]
-    return axes, nodes
+        keys.append(list(where))
+        size = len(where)
+        nodes = [node * size + where[key] for node, key in zip(nodes, column)]
+    denominator = lcm(*(d for axis in keys for _, d in axis))
+    axes = [[n * (denominator // d) for n, d in axis] for axis in keys]
+    return TensorGrid(axes, denominator, nodes)
 
 
 def _primitive(p: Polynomial, divisor: Polynomial) -> tuple[int, dict[Exponent, int], Exponent]:

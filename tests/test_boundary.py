@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from polydiff.boundary import (
@@ -15,6 +16,7 @@ from polydiff.boundary import (
     solve_admissibility,
 )
 from polydiff.catalog import get_model, model_names
+from polydiff.geometry import INTERIOR_MARGIN
 from polydiff.operator import DegenerateMetricError
 from polydiff.poly import MonomialBasis, Polynomial, parse_poly
 
@@ -315,6 +317,48 @@ def test_interior_grid_matches_fraction_reference(per_axis):
         assert all(type(v) is Fraction for node in grid for v in node)
         checked += 1
     assert checked == 22  # every catalog model but the two on the whole space
+
+
+def _screened_fraction_grid(spec, box, per_axis):
+    """`_fraction_grid` for grids too large to evaluate node by node in
+    Fractions: a factor's sign at a node is read from its float value where
+    that exceeds 1e-9 times the float sum of its terms' absolute values,
+    far above the rounding error of either sum, and in Fractions elsewhere."""
+    axes = []
+    for lo, hi in box:
+        lo, hi = Fraction(lo), Fraction(hi)
+        axes.append([lo + (hi - lo) * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
+    nodes = list(itertools.product(*axes))
+    floats = np.array(list(itertools.product(*[[float(v) for v in axis] for axis in axes])))
+    keep = np.ones(len(nodes), dtype=bool)
+    for f in spec.factors:
+        value, size = np.zeros(len(nodes)), np.zeros(len(nodes))
+        for exponent, coeff in f.terms.items():
+            term = float(coeff) * np.prod(floats ** np.array(exponent), axis=1)
+            value += term
+            size += np.abs(term)
+        sure = np.abs(value) > 1e-9 * size
+        positive = sure & (value > 0)
+        for i in np.flatnonzero(~sure & keep):
+            positive[i] = _fraction_value(f, nodes[i]) > 0
+        keep &= positive
+    return [nodes[i] for i in np.flatnonzero(keep)]
+
+
+@pytest.mark.parametrize("per_axis", [16, 32, 64])
+def test_interior_grid_at_the_curvature_margin_matches_fraction_reference(per_axis):
+    # the grids curvature_constancy chooses from, at every size it reaches
+    checked = 0
+    for name in model_names():
+        model = get_model(name)
+        if not model.boundary.factors:
+            continue
+        spec = model.interior_boundary(INTERIOR_MARGIN)
+        reference = _fraction_grid if per_axis**model.dim <= 4096 else _screened_fraction_grid
+        expected = reference(spec, model.box, per_axis)
+        assert model.interior_points(per_axis, INTERIOR_MARGIN) == expected, name
+        checked += 1
+    assert checked == 22
 
 
 def test_interior_grid_sign_test_sees_nodes_on_the_boundary():

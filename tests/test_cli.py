@@ -295,21 +295,28 @@ def test_unwritable_out_path_is_data_error(tmp_path, capsys):
     assert "FileNotFoundError" in err
 
 
+# modules that reading the catalog's descriptors never needs: a Model and
+# its interior points need boundary and operator (and through them linalg),
+# and only an internal fault needs traceback
+MODEL_MODULES = {"polydiff.boundary", "polydiff.operator", "polydiff.linalg", "traceback"}
+
+
 @pytest.mark.parametrize(
-    "argv, code, shown",
+    "argv, code, shown, unused",
     [
-        (["models", "list"], EXIT_OK, "deltoid"),
-        (["admissible", "--factor", "1-x^2-y^2", "--witness", "0,0"], EXIT_OK, "solution dimension"),
+        (["models", "list"], EXIT_OK, "deltoid", MODEL_MODULES),
+        (["admissible", "--factor", "1-x^2-y^2", "--witness", "0,0"], EXIT_OK, "solution dimension", set()),
         # the nodal cubic's det^-1/2 fails the boundary equation of its extra factor
-        (["verify", "--model", "nodal_cubic", "--measure", "det^-1/2"], EXIT_VERIFY, '"admissible": false'),
-        (["--help"], EXIT_OK, "boundary-points"),
+        (["verify", "--model", "nodal_cubic", "--measure", "det^-1/2"], EXIT_VERIFY, '"admissible": false', set()),
+        (["--help"], EXIT_OK, "boundary-points", MODEL_MODULES),
     ],
     ids=["models-list", "admissible", "verify-measure", "help"],
 )
-def test_models_list_starts_without_the_thread_pool(argv, code, shown):
+def test_models_list_starts_without_the_thread_pool(argv, code, shown, unused):
     # only the cover cross-check uses helper threads, and it imports
     # concurrent.futures where it starts them; the exact commands compute
-    # nothing in float, so they load no numpy either.  -X importtime names
+    # nothing in float, so they load no numpy either, and the commands that
+    # only read descriptors load no module of `unused`.  -X importtime names
     # every module the command imports
     source = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
@@ -323,3 +330,4 @@ def test_models_list_starts_without_the_thread_pool(argv, code, shown):
     assert shown in run.stdout
     assert not {m for m in imported if m == "concurrent" or m.startswith("concurrent.")}
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    assert not imported & unused

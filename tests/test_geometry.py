@@ -10,10 +10,11 @@ import pytest
 
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.geometry import INTERIOR_MARGIN, CurvatureEvaluator, curvature_constancy, verify_pullback
-from polydiff.operator import CoMetric, gamma, sphere_operator
-from polydiff.poly import Polynomial, exact_divide
+from polydiff.operator import CoMetric, cometric_gradient, gamma, sphere_operator
+from polydiff.poly import Polynomial, exact_divide, tensor_grid
 from polydiff.quadrature import COVER_SAMPLERS
 from polydiff.rng import sphere_points
+from test_poly import integer_axes
 
 PLANE_MODELS = [name for name in model_names() if get_model(name).dim == 2]
 
@@ -34,7 +35,7 @@ def _curvature_cases():
 def _curvature(evaluator, points):
     """CurvatureEvaluator.curvature_exact as Fractions, from its integer
     numerators over positive integer denominators."""
-    pairs = evaluator.curvature_exact(points)
+    pairs = evaluator.curvature_exact(tensor_grid(points, 2))
     assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
     return [Fraction(n, d) for n, d in pairs]
 
@@ -91,7 +92,7 @@ def test_curvature_exact_at_rational_points():
 def test_curvature_outside_elliptic_region_rejected():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
     with pytest.raises(ValueError):
-        evaluator.curvature_exact([(Fraction(10), Fraction(0))])
+        evaluator.curvature_exact(tensor_grid([(Fraction(10), Fraction(0))], 2))
 
 
 def _constancy_points(model):
@@ -142,7 +143,7 @@ def _fraction_point_curvature_report(model, min_points=100):
         for lo, hi in model.box:
             lo, hi = Fraction(lo), Fraction(hi)
             axes.append([lo + (hi - lo) * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
-        values = [f.grid_values(axes)[0] for f in shifted]
+        values = [f.grid_values(*integer_axes(axes))[0] for f in shifted]
         return [
             node
             for node, *signs in zip(itertools.product(*axes), *values)
@@ -191,14 +192,68 @@ def test_curvature_report_is_bit_identical_to_the_fraction_point_algorithm(name,
     assert report.value == value
 
 
+def test_curvature_constancy_builds_no_tensor_grid(monkeypatch):
+    # the interior grid's own integer axes feed the curvature values; no
+    # module may rebuild them from the points
+    import sys
+
+    from polydiff import poly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("curvature_constancy rebuilt its grid with tensor_grid")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "polydiff" and getattr(module, "tensor_grid", None) is poly.tensor_grid:
+            monkeypatch.setattr(module, "tensor_grid", refuse)
+    for name in ("deltoid", "cuspidal_cubic_tangent"):
+        report = curvature_constancy(get_model(name))
+        assert len(report.values) == len(report.exact_points) >= 100
+
+
+def _gamma_collapse(cometric):
+    """CurvatureEvaluator's (k_num, k_pow), with Gamma_h(delta, delta) taken
+    from `operator.gamma` as its own product of gradients."""
+    delta = cometric.det()
+    half = Fraction(1, 2)
+    e, f, g = cometric[1, 1], -cometric[0, 1], cometric[0, 0]
+    e_u, e_v = e.gradient()
+    f_u, f_v = f.gradient()
+    g_u, g_v = g.gradient()
+    corner = f_u.derivative(1) - (e_v.derivative(1) + g_u.derivative(0)) * half
+    det1 = (
+        corner * delta
+        - e_u * (f_v * g - (g_u * g + f * g_v) * half) * half
+        + (f_u - e_v * half) * (f_v * f - (g_u * f + e * g_v) * half)
+    )
+    det2 = (e_v * f * g_u * 2 - e_v * e_v * g - e * g_u * g_u) * Fraction(1, 4)
+    rows = cometric_gradient(cometric, delta)
+    divergence = rows[0].derivative(0) + rows[1].derivative(1)
+    numerator = delta * (det1 - det2 + divergence * half) - gamma(cometric, delta, delta) * Fraction(3, 4)
+    k = 2
+    while k > 0:
+        reduced = exact_divide(numerator, delta)
+        if reduced is None:
+            break
+        numerator = reduced
+        k -= 1
+    return numerator * 2, k
+
+
+@pytest.mark.parametrize("name,params", list(_curvature_cases()))
+def test_carre_du_champ_from_the_gradient_rows_matches_gamma(name, params):
+    cometric = get_model(name, params).cometric
+    evaluator = CurvatureEvaluator(cometric)
+    assert (evaluator.k_num, evaluator.k_pow) == _gamma_collapse(cometric)
+
+
 def test_batch_curvature_rejects_one_point_outside_the_elliptic_region():
     model = get_model("deltoid")
     evaluator = CurvatureEvaluator(model.cometric)
     points = _constancy_points(model)
-    evaluator.curvature_exact(points)
+    evaluator.curvature_exact(tensor_grid(points, 2))
     points.insert(len(points) // 2, (Fraction(10), Fraction(0)))
     with pytest.raises(ValueError, match="outside the elliptic region"):
-        evaluator.curvature_exact(points)
+        evaluator.curvature_exact(tensor_grid(points, 2))
 
 
 def test_curvature_affine_invariance():

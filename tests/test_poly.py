@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from polydiff.poly import (
     NEG_INF,
     Polynomial,
     PolyParseError,
+    TensorGrid,
     exact_divide,
     format_poly,
     parse_poly,
@@ -28,6 +30,15 @@ X2 = Polynomial.variable(2, 0)
 Y2 = Polynomial.variable(2, 1)
 
 DELTOID_PRINTED = parse_poly("(x^2+y^2)^2 + 18*(x^2+y^2) - 8*x^3 + 24*x*y^2 - 27", 2)
+
+
+def integer_axes(axes):
+    """Rational grid axes, converted once to the integer node numerators
+    over their least common denominator that `Polynomial.grid_values`
+    reads."""
+    axes = [[Fraction(v) for v in axis] for axis in axes]
+    denominator = lcm(*(v.denominator for axis in axes for v in axis))
+    return [[v.numerator * (denominator // v.denominator) for v in axis] for axis in axes], denominator
 
 
 def test_mul_difference_of_squares():
@@ -410,6 +421,67 @@ def _random_coordinate(rng):
     return Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 7, 10**6 + 3)))
 
 
+def _fraction_value(p, node):
+    """p at a rational node, summed term by term in Fractions."""
+    total = Fraction(0)
+    for exponent, coeff in p.terms.items():
+        for v, e in zip(node, exponent):
+            coeff *= Fraction(v) ** e
+        total += coeff
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_values_on_integer_axes_equal_fraction_evaluation(dim):
+    # boxes of mixed sign and mixed denominators, some axes of one node,
+    # the zero polynomial, and a common denominator that is not the least
+    rng = random.Random(4000 + dim)
+    for trial in range(40):
+        p = Polynomial.zero(dim) if trial % 10 == 0 else _random_poly(rng, dim, rng.randint(0, 5))
+        axes = [
+            [
+                Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 12)))
+                for _ in range(1 if (trial + a) % 4 == 0 else rng.randint(2, 5))
+            ]
+            for a in range(dim)
+        ]
+        integer, denominator = integer_axes(axes)
+        widen = rng.choice((1, 1, 6))
+        integer = [[x * widen for x in axis] for axis in integer]
+        numerators, scale = p.grid_values(integer, denominator * widen)
+        assert type(scale) is int and scale > 0
+        assert all(type(n) is int for n in numerators)
+        expected = [_fraction_value(p, node) for node in itertools.product(*axes)]
+        assert [Fraction(n, scale) for n in numerators] == expected, (p, axes)
+        grid = tensor_grid(list(itertools.product(*axes)), dim)
+        numerators, scale = p.grid_values(grid.axes, grid.denominator)
+        assert [Fraction(numerators[node], scale) for node in grid.nodes] == expected
+
+
+def test_tensor_grid_points_and_trimmed_keep_the_points():
+    rng = random.Random(41)
+    points = [
+        tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(3))
+        for _ in range(30)
+    ]
+    grid = tensor_grid(points, 3)
+    assert grid.points() == points
+    assert all(type(v) is Fraction for point in grid.points() for v in point)
+    assert grid.trimmed() == grid  # already the smallest grid
+    # a 6 x 5 grid holding points in two of its rows and three columns
+    axes = [[-5, -3, -1, 1, 3, 5], [0, 2, 4, 6, 8]]
+    nodes = [1 * 5 + 2, 1 * 5 + 4, 4 * 5 + 0, 4 * 5 + 2]
+    sparse = TensorGrid(axes, 6, nodes)
+    cut = sparse.trimmed()
+    assert [len(axis) for axis in cut.axes] == [2, 3]
+    assert cut.points() == sparse.points() == [
+        (Fraction(-3, 6), Fraction(4, 6)),
+        (Fraction(-3, 6), Fraction(8, 6)),
+        (Fraction(3, 6), Fraction(0)),
+        (Fraction(3, 6), Fraction(4, 6)),
+    ]
+
+
 def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1858)
@@ -435,7 +507,7 @@ def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
         assert type(value) is Fraction
         assert value == expected(point), (p, point)
         axes = [[_random_coordinate(rng) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
-        numerators, denominator = p.grid_values(axes)
+        numerators, denominator = p.grid_values(*integer_axes(axes))
         nodes = list(itertools.product(*axes))
         assert type(denominator) is int and denominator > 0
         assert len(numerators) == len(nodes)
@@ -444,12 +516,12 @@ def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
             assert Fraction(n, denominator) == expected(node), (p, node)
         # the grid nodes in reverse, one repeated, then a point off the grid
         points = nodes[::-1] + [nodes[-1], point]
-        grid, indices = tensor_grid(points, dim)
+        grid, common, indices = tensor_grid(points, dim)
         # each axis holds every distinct coordinate on it once
-        assert [sorted(axis) for axis in grid] == [
+        assert [sorted(Fraction(x, common) for x in axis) for axis in grid] == [
             sorted({q[a] for q in points}) for a in range(dim)
         ]
-        numerators, denominator = p.grid_values(grid)
+        numerators, denominator = p.grid_values(grid, common)
         for index, node in zip(indices, points):
             assert Fraction(numerators[index], denominator) == expected(node), (p, node)
     assert kinds == {"zero", "constant", "random"}

@@ -3,10 +3,11 @@
     python3 tools/count_fractions.py [--seed 11] [--rounds 2]
 
 Run it from the root of a source checkout.  It serves the perfbench
-exact-sweep schedule for the seed and round count in process, under
-cProfile, and prints one JSON line: the number of Fraction.__new__ calls
-made while serving (schedule drawing excluded), the request count and the
-round digests, so two checkouts can be compared on the same outputs.
+exact-sweep schedule for the seed and round count in process, each request
+under its kind's cProfile profile, and prints one JSON line: the number of
+Fraction.__new__ calls made while serving (schedule drawing excluded), the
+same number per request kind, the request count and the round digests, so
+two checkouts can be compared on the same outputs.
 """
 
 import argparse
@@ -26,18 +27,27 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=2)
     args = parser.parse_args()
     requests = workloads.schedule("exact-sweep", args.seed, args.rounds)
-    profile = cProfile.Profile()
-    outputs = profile.runcall(lambda: [workloads.serve(r) for r in requests])
-    calls = sum(
-        ncalls
-        for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
-        if path.endswith("fractions.py") and name == "__new__"
-    )
+    profiles = {request.kind: cProfile.Profile() for request in requests}
+    outputs = [profiles[r.kind].runcall(workloads.serve, r) for r in requests]
+    per_kind = {
+        kind: sum(
+            ncalls
+            for (path, _, name), (_, ncalls, *_) in pstats.Stats(profile).stats.items()
+            if path.endswith("fractions.py") and name == "__new__"
+        )
+        for kind, profile in sorted(profiles.items())
+    }
+    calls = sum(per_kind.values())
     per_round: dict[int, list] = {}
     for request, output in zip(requests, outputs):
         per_round.setdefault(request.round, []).append([request.label(), output])
     digests = [workloads.digest(per_round[r]) for r in sorted(per_round)]
-    summary = {"fraction_new_calls": calls, "requests": len(requests), "round_digests": digests}
+    summary = {
+        "fraction_new_calls": calls,
+        "fraction_new_calls_per_kind": per_kind,
+        "requests": len(requests),
+        "round_digests": digests,
+    }
     print(json.dumps(summary))
 
 
