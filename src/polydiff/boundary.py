@@ -9,10 +9,9 @@ Unknowns are the coefficients of the d(d+1)/2 quadratic cometric entries plus
 the coefficients of every S^i; each residual coefficient contributes one
 linear equation.  Everything here is exact.
 
-Interior grids are built as integer node numerators per axis over one
-denominator (`interior_nodes`, a `poly.TensorGrid`), and the factors' sign
-test reads them as they are; `interior_grid` gives the same points as
-tuples of Fractions.
+An interior grid is one `poly.TensorGrid` (`interior_grid`): integer node
+numerators per axis over one denominator, which the factors' sign test and
+the ellipticity test read as they are.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
 from .operator import CoMetric, DegenerateMetricError
-from .poly import MonomialBasis, Polynomial, TensorGrid, exact_divide, tensor_grid
+from .poly import MonomialBasis, Polynomial, TensorGrid, exact_divide
 
 Rational = int | Fraction
 
@@ -233,38 +232,38 @@ class EllipticityReport:
     checked: int
 
 
-def check_ellipticity(g: CoMetric, samples: Sequence[Sequence[Rational]]) -> EllipticityReport:
-    """Exact leading-principal-minor test at every sample point.
+def check_ellipticity(g: CoMetric, grid: TensorGrid) -> EllipticityReport:
+    """Exact leading-principal-minor test at every point of a grid.
 
-    Each entry of g is evaluated over a block of samples at once, in one
-    `grid_values` pass on the smallest tensor grid holding the block
-    (`poly.tensor_grid`, integer axes over one denominator), and brought to
-    one positive denominator, so the minors, taken point by point
-    in sample order, are integer determinants with the signs of the rational
-    ones.  The first sample is its own block, since a cometric that is not
-    elliptic, such as most admissible-kernel basis elements, mostly fails
-    there already; the rest is one block.
+    The minors are taken by size, each at the points before the first
+    failure found so far, and the entries of a minor's last column are
+    evaluated when it is reached, each in one `grid_values` pass over the
+    grid's integer axes.  At each point the entries are brought to one
+    positive denominator, so the minors are integer determinants with the
+    signs of the rational ones.  A cometric that is not elliptic, such as
+    most admissible-kernel basis elements, mostly fails at the first point
+    of a small minor, and its other entries are never evaluated.
     """
-    samples = list(samples)
-    if not samples:
+    if not grid:
         raise ValueError("need at least one sample point")
-    d = g.dim
-    for block in (samples[:1], samples[1:]):
-        axes, denominator, nodes = tensor_grid(block, d)
-        values = {
-            (i, j): g[i, j].grid_values(axes, denominator) for i in range(d) for j in range(i, d)
-        }
+    values = {}
+    failure = len(grid)  # the index of the first point found to fail
+    for size in range(1, g.dim + 1):
+        if not failure:
+            break
+        last = size - 1
+        for i in range(size):
+            values[i, last] = values[last, i] = g[i, last].grid_values(grid.axes, grid.denominator)
         common = lcm(*(den for _, den in values.values()))
-        scaled = {
-            key: [v * (common // den) for v in numerators]
-            for key, (numerators, den) in values.items()
-        }
-        for node, point in zip(nodes, block):
-            matrix = [[scaled[min(i, j), max(i, j)][node] for j in range(d)] for i in range(d)]
-            for k in range(1, d + 1):
-                if poly_matrix_det([row[:k] for row in matrix[:k]]) <= 0:
-                    return EllipticityReport(False, tuple(Fraction(v) for v in point), len(samples))
-    return EllipticityReport(True, None, len(samples))
+        entries = [[values[i, j] for j in range(size)] for i in range(size)]
+        for k, node in enumerate(grid.nodes[:failure]):
+            minor = [[numerators[node] * (common // den) for numerators, den in row] for row in entries]
+            if poly_matrix_det(minor) <= 0:
+                failure = k
+                break
+    if failure < len(grid):
+        return EllipticityReport(False, list(grid)[failure], len(grid))
+    return EllipticityReport(True, None, len(grid))
 
 
 @dataclass
@@ -288,13 +287,13 @@ def det_divisibility_check(g: CoMetric, spec: BoundarySpec) -> DivisibilityRepor
     return DivisibilityReport(True, int(remainder.total_degree), remainder)
 
 
-def interior_nodes(
+def interior_grid(
     spec: BoundarySpec,
     box: Sequence[tuple[Rational, Rational]],
     per_axis: int = 10,
 ) -> TensorGrid:
-    """Rational grid over the box, clipped to {all factors > 0}, as integer
-    axes over one denominator and the inside nodes in product order.
+    """Rational grid over the box, clipped to {all factors > 0} and trimmed
+    to the rows and columns that hold a point (`TensorGrid.trimmed`).
 
     The nodes on each side of the box lie strictly inside it, at fractions
     (2k+1)/(2n) of the side, so boundary-of-box artifacts never enter.  On
@@ -322,14 +321,4 @@ def interior_nodes(
     for f in spec.factors:
         values = f.grid_values(axes, denominator)[0]
         inside = [node for node in inside if values[node] > 0]
-    return TensorGrid(axes, denominator, list(inside))
-
-
-def interior_grid(
-    spec: BoundarySpec,
-    box: Sequence[tuple[Rational, Rational]],
-    per_axis: int = 10,
-) -> list[tuple[Fraction, ...]]:
-    """The points of `interior_nodes` as tuples of Fractions, in the grid's
-    product order."""
-    return interior_nodes(spec, box, per_axis).points()
+    return TensorGrid(axes, denominator, list(inside)).trimmed()

@@ -19,7 +19,7 @@ from importlib import resources
 from math import comb
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .poly import Exponent, Polynomial, parse_poly, parse_rational, variable_names
+from .poly import Exponent, Polynomial, TensorGrid, parse_poly, parse_rational, variable_names
 
 if TYPE_CHECKING:
     from .boundary import BoundarySpec
@@ -234,11 +234,10 @@ class Model:
                 "non-compact domain with purely polynomial density has infinite mass"
             )
 
-    def interior_points(
-        self, per_axis: int = 10, margin: Fraction = Fraction(0)
-    ) -> list[tuple[Fraction, ...]]:
-        """Rational interior grid; 0 < margin < 1 keeps factors above
-        margin * (their witness value), staying away from the boundary.
+    def interior_points(self, per_axis: int = 10, margin: Fraction = Fraction(0)) -> TensorGrid:
+        """Rational interior grid (`boundary.interior_grid`); 0 < margin < 1
+        keeps factors above margin * (their witness value), staying away
+        from the boundary.
 
         The margin test is the grid's own sign test, run on the factors of
         `interior_boundary`.

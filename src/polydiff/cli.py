@@ -264,6 +264,8 @@ def cmd_curvature(args) -> int:
     from .geometry import curvature_constancy, export_curvature_csv
 
     model = _load_model(args)
+    if args.points < 1:
+        raise CliDataError(f"--points must be at least 1, got {args.points}")
     report = curvature_constancy(model, min_points=args.points)
     if args.format == "csv":
         if not args.out:

@@ -4,12 +4,12 @@ Curvature treats the metric (g^ij)^-1 = adj(g^ij) / det as a conformal change
 of the polynomial metric adj(g^ij) and collapses it, with the operator
 layer's cometric rows, into one exact rational function evaluated at
 rational sample points, each value an integer numerator over a positive
-integer denominator.  The sample points are one interior grid, held as
-integer axes over one denominator (`poly.TensorGrid`): the grid's sign test,
-the curvature numerator and the determinant all read those axes, and the
-points become Fraction or float tuples only when a report's points are
-read.  In dimension 2 the scalar curvature is twice the Gaussian curvature,
-which is what gets reported.
+integer denominator.  The sample points are one interior grid
+(`boundary.interior_grid`, a `poly.TensorGrid` of integer axes over one
+denominator): the grid's sign test, the curvature numerator and the
+determinant all read those axes, and the points become float tuples only
+when a report's points are read.  In dimension 2 the scalar curvature is
+twice the Gaussian curvature, which is what gets reported.
 
 Pullback checks take a model's cover from `quadrature.COVER_SAMPLERS` (its
 polynomial operator, ideal and maps) and decide the realization exactly:
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import interior_nodes
+from .boundary import interior_grid
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
 from .poly import Polynomial, TensorGrid, exact_divide, poly_divmod
@@ -106,14 +106,13 @@ class CurvatureEvaluator:
         The numerator and det are each evaluated in one `grid_values` pass
         over the grid's integer axes.
         """
-        axes, denominator, nodes = grid
-        k_nums, k_den = self.k_num.grid_values(axes, denominator)
-        dets, det_den = self.det.grid_values(axes, denominator)
-        if any(dets[node] <= 0 for node in nodes):
+        k_nums, k_den = self.k_num.grid_values(grid.axes, grid.denominator)
+        dets, det_den = self.det.grid_values(grid.axes, grid.denominator)
+        if any(dets[node] <= 0 for node in grid.nodes):
             raise ValueError("curvature sample outside the elliptic region")
         # (n / k_den) / (d / det_den)^k with k_den, det_den > 0
         scale = det_den**self.k_pow
-        return [(k_nums[node] * scale, k_den * dets[node] ** self.k_pow) for node in nodes]
+        return [(k_nums[node] * scale, k_den * dets[node] ** self.k_pow) for node in grid.nodes]
 
 
 @dataclass
@@ -124,15 +123,10 @@ class CurvatureReport:
     value: Fraction | None  # the exact constant curvature, None if not constant
 
     @property
-    def exact_points(self) -> list[tuple[Fraction, ...]]:
-        """The sample points as tuples of Fractions, built only when read:
-        the verdict and the values never need them."""
-        return self.grid.points()
-
-    @property
     def points(self) -> np.ndarray:
-        """The sample points as floats."""
-        return np.array(self.exact_points, dtype=float)
+        """The sample points as floats, built only when read: the verdict
+        and the values never need them."""
+        return np.array(list(self.grid), dtype=float)
 
     @property
     def constant(self) -> bool:
@@ -148,24 +142,21 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
 
     The verdict is `CurvatureEvaluator.constant`; the grid supplies the
     reported values, their mean and spread.  The grid is the model's
-    interior grid at INTERIOR_MARGIN (`boundary.interior_nodes` on
+    interior grid at INTERIOR_MARGIN (`boundary.interior_grid` on
     `Model.interior_boundary`), so sample points keep every boundary factor
     above 1e-3 of its witness value and the metric stays uniformly
     elliptic.  It starts at CURVATURE_GRID nodes per axis and doubles, up to
-    128, until `min_points` lie inside.  The chosen grid, cut to the rows
-    and columns that hold an inside node, feeds `curvature_exact` as
-    integer axes, and point tuples are built only when the report's points
-    are read.
+    128, until `min_points` lie inside.  The chosen grid feeds
+    `curvature_exact` as it was built.
     """
     spec = model.interior_boundary(INTERIOR_MARGIN)
     per_axis = CURVATURE_GRID
-    grid = interior_nodes(spec, model.box, per_axis)
-    while len(grid.nodes) < min_points and per_axis < 128:
+    grid = interior_grid(spec, model.box, per_axis)
+    while len(grid) < min_points and per_axis < 128:
         per_axis *= 2
-        grid = interior_nodes(spec, model.box, per_axis)
-    if len(grid.nodes) < min_points:
+        grid = interior_grid(spec, model.box, per_axis)
+    if len(grid) < min_points:
         raise ValueError(f"could not place {min_points} interior points for {model.name}")
-    grid = grid.trimmed()
     evaluator = CurvatureEvaluator(model.cometric)
     # grid points are rational, so evaluate the collapsed quotient exactly;
     # int / int is correctly rounded, as float(Fraction) is

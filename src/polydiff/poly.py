@@ -23,12 +23,13 @@ which tabulates the monomials of a basis, imports numpy when it runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, gcd, lcm, prod
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -320,14 +321,14 @@ class Polynomial:
         axes[a][i] / denominator.
 
         The axes are integer node numerators over one positive common
-        denominator D, as `tensor_grid` and `boundary.interior_nodes` give
-        them.  Returns integer numerators, one per node in
-        ``itertools.product`` order, over one positive denominator.  A
-        polynomial of total degree n with numerators c_e over s takes the
-        value sum_e c_e X^e D^(n-|e|) / (s D^n) at the node X / D, summed in
-        integers.  Each axis node's powers are computed once, and the sum is
-        contracted one axis at a time, so terms that agree on the remaining
-        axes share their partial sums.
+        denominator D, as a `TensorGrid` holds them.  Returns integer
+        numerators, one per node in ``itertools.product`` order, over one
+        positive denominator.  A polynomial of total degree n with
+        numerators c_e over s takes the value sum_e c_e X^e D^(n-|e|) /
+        (s D^n) at the node X / D, summed in integers.  Each axis node's
+        powers are computed once, and the sum is contracted one axis at a
+        time, so terms that agree on the remaining axes share their partial
+        sums.
         """
         if len(axes) != self.dim:
             raise ValueError(f"{len(axes)} grid axes != dimension {self.dim}")
@@ -392,24 +393,29 @@ class Polynomial:
         return f"Polynomial({self.dim}, {format_poly(self)!r})"
 
 
-class TensorGrid(NamedTuple):
-    """Rational points on a tensor grid.
+@dataclass(frozen=True)
+class TensorGrid:
+    """Rational points on a tensor grid, the one form of many exact points.
 
     Axis a holds the nodes axes[a][i] / denominator, integer numerators over
     one positive denominator, as `Polynomial.grid_values` reads them, and
     nodes[k] is the k-th point's index in the ``itertools.product`` order
-    of the axes, which is the order of `grid_values`' values.
+    of the axes, which is the order of `grid_values`' values.  As a
+    sequence the grid is its points: ``len`` counts them, and iterating
+    yields them in order as tuples of Fractions, built only then.
     """
 
     axes: list[list[int]]
     denominator: int
     nodes: list[int]
 
-    def points(self) -> list[tuple[Fraction, ...]]:
-        """The points as tuples of Fractions, in order."""
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
         axes = [[Fraction(x, self.denominator) for x in axis] for axis in self.axes]
         cells = list(iter_product(*axes))
-        return [cells[node] for node in self.nodes]
+        return (cells[node] for node in self.nodes)
 
     def trimmed(self) -> TensorGrid:
         """The same points on the smallest grid holding them: each axis cut
@@ -433,32 +439,6 @@ class TensorGrid(NamedTuple):
             ]
         axes = [[axis[i] for i in kept] for axis, kept in zip(self.axes, used)]
         return TensorGrid(axes, self.denominator, nodes)
-
-
-def tensor_grid(points: Sequence[Sequence[int | Fraction]], dim: int) -> TensorGrid:
-    """The smallest tensor grid holding the rational points, and each
-    point's node on it.
-
-    Each axis holds the distinct coordinates on it, in order of first
-    appearance, over the least common denominator of all coordinates.
-    Points on a tensor grid make a grid no larger than theirs; scattered
-    points make the whole product grid.  Coordinates are keyed by
-    (numerator, denominator), since hashing a Fraction costs a modular
-    inverse.
-    """
-    if any(len(p) != dim for p in points):
-        raise ValueError(f"point length != dimension {dim}")
-    keys: list[list[tuple[int, int]]] = []
-    nodes = [0] * len(points)
-    for a in range(dim):
-        column = [(p[a].numerator, p[a].denominator) for p in points]
-        where = {key: i for i, key in enumerate(dict.fromkeys(column))}
-        keys.append(list(where))
-        size = len(where)
-        nodes = [node * size + where[key] for node, key in zip(nodes, column)]
-    denominator = lcm(*(d for axis in keys for _, d in axis))
-    axes = [[n * (denominator // d) for n, d in axis] for axis in keys]
-    return TensorGrid(axes, denominator, nodes)
 
 
 def _primitive(p: Polynomial, divisor: Polynomial) -> tuple[int, dict[Exponent, int], Exponent]:

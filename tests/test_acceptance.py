@@ -6,6 +6,7 @@ end to end.  Run with `pytest tests/test_acceptance.py -s` to see the lines.
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from polydiff.claims import run_claims
 from polydiff.spectra import graded_eigenvalues
 
 SEED = 7
+PINNED = pathlib.Path(__file__).parent / "data" / "battery_seed7_exact.json"
 
 
 # the battery fixture's first failure and its traceback, re-raised to every
@@ -261,4 +263,66 @@ def test_a12_determinism_and_runtime():
         ok and payload["summary"]["failed"] == 0,
         f"two runs byte-identical ({len(first.stdout)} bytes), "
         f"{payload['summary']['passed']} claims green in {elapsed_first:.0f}s < 300s",
+    )
+
+
+def exact_part(results) -> list[dict]:
+    """The exact part of a battery report, as `tests/data` pins it: each
+    claim's id, kind and status, and every detail leaf that is not a float
+    as a [path, value] pair, the path the keys and list indices leading to
+    it."""
+
+    def leaves(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(item, path + [key])
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from leaves(item, path + [index])
+        elif not isinstance(value, float):
+            yield [path, value]
+
+    return [
+        {
+            "id": result.id,
+            "kind": result.kind,
+            "status": result.status,
+            # through JSON, as `verify --format json` writes the detail
+            "detail": list(leaves(json.loads(json.dumps(result.detail)), [])),
+        }
+        for result in results
+    ]
+
+
+def test_battery_exact_output_is_pinned(battery):
+    # Floats are left out: their last digits follow the array layout of the
+    # float sums that make them, not the claim.  Everything else must equal
+    # the checked-in file, which `python3 tools/pin_battery_output.py`
+    # rewrites after a change that moves a value on purpose.
+    pinned = {claim["id"]: claim for claim in json.loads(PINNED.read_text())}
+    actual = {claim["id"]: claim for claim in exact_part(battery.values())}
+    moved = [f"{i}: not in this run" for i in pinned if i not in actual]
+    moved += [f"{i}: not pinned" for i in actual if i not in pinned]
+    for claim_id in (i for i in pinned if i in actual):
+        was, now = pinned[claim_id], actual[claim_id]
+        for key in ("kind", "status"):
+            if was[key] != now[key]:
+                moved.append(f"{claim_id}: {key} {was[key]!r} -> {now[key]!r}")
+        # as JSON text, so that true and 1 differ
+        was_leaves, now_leaves = (
+            {json.dumps(path): json.dumps(value) for path, value in claim["detail"]}
+            for claim in (was, now)
+        )
+        for path in sorted(was_leaves.keys() | now_leaves.keys()):
+            before, after = was_leaves.get(path, "absent"), now_leaves.get(path, "absent")
+            if before != after:
+                moved.append(f"{claim_id}: detail {path} {before} -> {after}")
+    if not moved and list(pinned) != list(actual):
+        moved.append("the claims are in another order")
+    verdict(
+        "pinned output",
+        not moved,
+        f"{len(actual)} claims' ids, kinds, statuses and exact detail equal the pinned file"
+        if not moved
+        else "moved:\n" + "\n".join(moved),
     )

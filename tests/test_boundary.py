@@ -17,8 +17,9 @@ from polydiff.boundary import (
 )
 from polydiff.catalog import get_model, model_names
 from polydiff.geometry import INTERIOR_MARGIN
-from polydiff.operator import DegenerateMetricError
-from polydiff.poly import MonomialBasis, Polynomial, parse_poly
+from polydiff.operator import CoMetric, DegenerateMetricError
+from polydiff.poly import MonomialBasis, Polynomial, TensorGrid, parse_poly
+from test_poly import integer_axes, point_grid
 
 
 def spec2(*factor_texts, witness=("0", "0")):
@@ -168,10 +169,18 @@ def test_batch_ellipticity_first_failure_matches_pointwise_minors():
 
     failures = [point for point in grid if not elliptic_at(point)]
     # several samples fail, none of them first, so sample order decides
-    assert len(failures) > 1 and failures[0] != grid[0]
+    assert len(failures) > 1 and failures[0] != list(grid)[0]
     report = check_ellipticity(g, grid)
     assert not report.elliptic and report.checked == len(grid)
     assert report.first_failure == failures[0]
+    # on the line y = 0 the 1 x 1 minor fails first at x = -1, where the
+    # 2 x 2 minor is positive, and the 2 x 2 minor first at x = 1: a larger
+    # minor failing later must not move the first failure
+    zero = Polynomial.zero(2)
+    a, b = parse_poly("-x-3/2", 2), parse_poly("x^2+x-3/4", 2)
+    line = TensorGrid(*integer_axes([[-2, -1, 1, 2], [0]]), [0, 1, 2, 3])
+    report = check_ellipticity(CoMetric([[a, zero], [zero, b]]), line)
+    assert report.first_failure == (-1, 0) == list(line)[1]
 
 
 def test_zero_cometric_fails_everywhere():
@@ -179,8 +188,10 @@ def test_zero_cometric_fails_everywhere():
 
     zero = Polynomial.zero(2)
     g = CoMetric([[zero, zero], [zero, zero]])
-    report = check_ellipticity(g, [(Fraction(0), Fraction(0))])
+    report = check_ellipticity(g, point_grid((0, 0)))
     assert not report.elliptic
+    with pytest.raises(ValueError, match="at least one sample point"):
+        check_ellipticity(g, TensorGrid([[0], [0]], 1, []))
 
 
 def test_det_divisibility_square():
@@ -272,11 +283,11 @@ def test_ellipticity_verdicts_match_sympy_leading_minors():
         for g in cometrics:
             expected = [sympy_elliptic(g, point) for point in grid]
             for point, verdict in zip(grid, expected):
-                assert check_ellipticity(g, [point]).elliptic == verdict
+                assert check_ellipticity(g, point_grid(point)).elliptic == verdict
             report = check_ellipticity(g, grid)
             assert report.elliptic == all(expected)
             if not report.elliptic:
-                assert report.first_failure == tuple(grid[expected.index(False)])
+                assert report.first_failure == list(grid)[expected.index(False)]
             verdicts.update(expected)
     # the perturbed cometrics make both verdicts occur
     assert verdicts == {True, False}
@@ -313,7 +324,7 @@ def test_interior_grid_matches_fraction_reference(per_axis):
         if not model.boundary.factors:
             continue
         grid = interior_grid(model.boundary, model.box, per_axis)
-        assert grid == _fraction_grid(model.boundary, model.box, per_axis), name
+        assert list(grid) == _fraction_grid(model.boundary, model.box, per_axis), name
         assert all(type(v) is Fraction for node in grid for v in node)
         checked += 1
     assert checked == 22  # every catalog model but the two on the whole space
@@ -356,7 +367,7 @@ def test_interior_grid_at_the_curvature_margin_matches_fraction_reference(per_ax
         spec = model.interior_boundary(INTERIOR_MARGIN)
         reference = _fraction_grid if per_axis**model.dim <= 4096 else _screened_fraction_grid
         expected = reference(spec, model.box, per_axis)
-        assert model.interior_points(per_axis, INTERIOR_MARGIN) == expected, name
+        assert list(model.interior_points(per_axis, INTERIOR_MARGIN)) == expected, name
         checked += 1
     assert checked == 22
 
@@ -369,7 +380,7 @@ def test_interior_grid_sign_test_sees_nodes_on_the_boundary():
     box = [(-2, 2), (-3, 3)]
     grid = interior_grid(spec, box, per_axis=10)
     assert len(grid) == 45
-    assert grid == _fraction_grid(spec, box, 10)
+    assert list(grid) == _fraction_grid(spec, box, 10)
 
 
 def _fraction_admissibility_rows(spec):

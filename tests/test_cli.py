@@ -167,6 +167,14 @@ def test_curvature_json(capsys):
     assert "max_deviation" not in payload
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_curvature_rejects_fewer_than_one_point(capsys, points):
+    code, out, err = run_cli(capsys, "curvature", "--model", "disk", "--points", points)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "--points must be at least 1" in err
+
+
 def test_orthogonality_command(capsys):
     code, out, _ = run_cli(
         capsys, "orthogonality", "--model", "square", "--degree", "4",

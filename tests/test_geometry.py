@@ -11,10 +11,10 @@ import pytest
 from polydiff.catalog import get_descriptor, get_model, model_names
 from polydiff.geometry import INTERIOR_MARGIN, CurvatureEvaluator, curvature_constancy, verify_pullback
 from polydiff.operator import CoMetric, cometric_gradient, gamma, sphere_operator
-from polydiff.poly import Polynomial, exact_divide, tensor_grid
+from polydiff.poly import Polynomial, TensorGrid, exact_divide
 from polydiff.quadrature import COVER_SAMPLERS
 from polydiff.rng import sphere_points
-from test_poly import integer_axes
+from test_poly import integer_axes, point_grid
 
 PLANE_MODELS = [name for name in model_names() if get_model(name).dim == 2]
 
@@ -32,17 +32,17 @@ def _curvature_cases():
                 yield name, _generic_params(rng, descriptor)
 
 
-def _curvature(evaluator, points):
-    """CurvatureEvaluator.curvature_exact as Fractions, from its integer
-    numerators over positive integer denominators."""
-    pairs = evaluator.curvature_exact(tensor_grid(points, 2))
+def _curvature(evaluator, grid):
+    """CurvatureEvaluator.curvature_exact on a grid as Fractions, from its
+    integer numerators over positive integer denominators."""
+    pairs = evaluator.curvature_exact(grid)
     assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
     return [Fraction(n, d) for n, d in pairs]
 
 
 def _interior_sample(model, count):
     """Up to `count` rational interior points spread over a curvature grid."""
-    points = model.interior_points(per_axis=8, margin=INTERIOR_MARGIN)
+    points = list(model.interior_points(per_axis=8, margin=INTERIOR_MARGIN))
     step = max(1, len(points) // count)
     return points[::step][:count]
 
@@ -51,7 +51,7 @@ def test_disk_catalog_metric_is_round_sphere():
     model = get_model("disk", {"a": "0", "b": "0", "c": "1", "p": "0"})
     evaluator = CurvatureEvaluator(model.cometric)
     for point in ((0, 0), (Fraction(1, 10), Fraction(1, 5)), (Fraction(-3, 5), Fraction(1, 2))):
-        assert _curvature(evaluator, [point]) == [2]
+        assert _curvature(evaluator, point_grid(point)) == [2]
 
 
 def test_coaxial_curvature_family():
@@ -84,25 +84,15 @@ def test_non_constant_curvature_models():
 
 def test_curvature_exact_at_rational_points():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
-    assert _curvature(evaluator, [(Fraction(1, 3), Fraction(1, 7))]) == [0]
+    assert _curvature(evaluator, point_grid((Fraction(1, 3), Fraction(1, 7)))) == [0]
     evaluator = CurvatureEvaluator(get_model("swallowtail").cometric)
-    assert _curvature(evaluator, [(Fraction(0), Fraction(1, 8))]) == [2]
+    assert _curvature(evaluator, point_grid((Fraction(0), Fraction(1, 8)))) == [2]
 
 
 def test_curvature_outside_elliptic_region_rejected():
     evaluator = CurvatureEvaluator(get_model("deltoid").cometric)
     with pytest.raises(ValueError):
-        evaluator.curvature_exact(tensor_grid([(Fraction(10), Fraction(0))], 2))
-
-
-def _constancy_points(model):
-    """The interior grid curvature_constancy samples, as rational points."""
-    per_axis = 16
-    points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
-    while len(points) < 100 and per_axis < 128:
-        per_axis *= 2
-        points = model.interior_points(per_axis=per_axis, margin=INTERIOR_MARGIN)
-    return points
+        evaluator.curvature_exact(point_grid((Fraction(10), Fraction(0))))
 
 
 @pytest.mark.parametrize("name,params", list(_curvature_cases()))
@@ -111,7 +101,7 @@ def test_exact_constancy_agrees_with_grid_values(name, params):
     # constant c exactly when every grid value is c
     model = get_model(name, params)
     evaluator = CurvatureEvaluator(model.cometric)
-    values = set(_curvature(evaluator, _constancy_points(model)))
+    values = set(_curvature(evaluator, curvature_constancy(model).grid))
     if evaluator.constant is None:
         assert len(values) >= 2
     else:
@@ -123,10 +113,10 @@ def test_exact_constancy_agrees_with_grid_values(name, params):
 def test_batch_curvature_matches_pointwise_quotient(name):
     model = get_model(name)
     evaluator = CurvatureEvaluator(model.cometric)
-    points = _constancy_points(model)
-    assert len(points) >= 100
-    expected = [evaluator.k_num(p) / evaluator.det(p) ** evaluator.k_pow for p in points]
-    assert _curvature(evaluator, points) == expected
+    grid = curvature_constancy(model).grid
+    assert len(grid) >= 100
+    expected = [evaluator.k_num(p) / evaluator.det(p) ** evaluator.k_pow for p in grid]
+    assert _curvature(evaluator, grid) == expected
 
 
 def _fraction_point_curvature_report(model, min_points=100):
@@ -144,22 +134,21 @@ def _fraction_point_curvature_report(model, min_points=100):
             lo, hi = Fraction(lo), Fraction(hi)
             axes.append([lo + (hi - lo) * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)])
         values = [f.grid_values(*integer_axes(axes))[0] for f in shifted]
-        return [
-            node
-            for node, *signs in zip(itertools.product(*axes), *values)
-            if all(v > 0 for v in signs)
-        ]
+        inside = [k for k in range(per_axis**2) if all(v[k] > 0 for v in values)]
+        return axes, inside
 
     per_axis = 16
-    points = grid(per_axis)
-    while len(points) < min_points and per_axis < 128:
+    axes, inside = grid(per_axis)
+    while len(inside) < min_points and per_axis < 128:
         per_axis *= 2
-        points = grid(per_axis)
-    if len(points) < min_points:
+        axes, inside = grid(per_axis)
+    if len(inside) < min_points:
         raise ValueError("too few interior points")
-    array = np.array([[float(c) for c in p] for p in points])
+    cells = list(itertools.product(*axes))
+    array = np.array([[float(c) for c in cells[k]] for k in inside])
     evaluator = CurvatureEvaluator(model.cometric)
-    values = np.array([float(v) for v in _curvature(evaluator, points)])
+    grid = TensorGrid(*integer_axes(axes), inside)
+    values = np.array([float(v) for v in _curvature(evaluator, grid)])
     return array, values, float(values.mean()), evaluator.constant
 
 
@@ -192,22 +181,55 @@ def test_curvature_report_is_bit_identical_to_the_fraction_point_algorithm(name,
     assert report.value == value
 
 
-def test_curvature_constancy_builds_no_tensor_grid(monkeypatch):
-    # the interior grid's own integer axes feed the curvature values; no
-    # module may rebuild them from the points
+def test_every_grid_is_read_as_interior_grid_built_it(monkeypatch):
+    # curvature_constancy and Model.interior_points take each grid from
+    # boundary.interior_grid, one call per doubling, and check_ellipticity
+    # evaluates each cometric entry at most once, on that grid's own
+    # integer axes
     import sys
 
-    from polydiff import poly
+    from polydiff import boundary
+    from polydiff.boundary import check_ellipticity
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("curvature_constancy rebuilt its grid with tensor_grid")
+    original = boundary.interior_grid
+    calls = []  # (per_axis, the grid built)
+
+    def counted(spec, box, per_axis):
+        calls.append((per_axis, original(spec, box, per_axis)))
+        return calls[-1][1]
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "polydiff" and getattr(module, "tensor_grid", None) is poly.tensor_grid:
-            monkeypatch.setattr(module, "tensor_grid", refuse)
-    for name in ("deltoid", "cuspidal_cubic_tangent"):
+        if module_name.split(".")[0] == "polydiff" and getattr(module, "interior_grid", None) is original:
+            monkeypatch.setattr(module, "interior_grid", counted)
+    doublings = {"disk": [16], "deltoid": [16, 32], "cuspidal_cubic_tangent": [16, 32, 64]}
+    for name, per_axis in doublings.items():
+        calls.clear()
         report = curvature_constancy(get_model(name))
-        assert len(report.values) == len(report.exact_points) >= 100
+        assert [size for size, _ in calls] == per_axis, name
+        assert report.grid is calls[-1][1] and len(report.values) == len(report.grid) >= 100
+    model = get_model("nodal_cubic_cover_3d")
+    calls.clear()
+    grid = model.interior_points(per_axis=5)
+    assert len(calls) == 1 and calls[0][0] == 5 and calls[0][1] is grid
+
+    grid_values = Polynomial.grid_values
+    evaluated = []
+
+    def recorded(self, axes, denominator):
+        evaluated.append((self, axes, denominator))
+        return grid_values(self, axes, denominator)
+
+    monkeypatch.setattr(Polynomial, "grid_values", recorded)
+    g = model.cometric
+    assert check_ellipticity(g, grid).elliptic
+    # each minor's last column, in order of size
+    assert [p for p, _, _ in evaluated] == [g[i, j] for j in range(3) for i in range(j + 1)]
+    assert all(axes is grid.axes and den == grid.denominator for _, axes, den in evaluated)
+    # failing at the first point on its first entry, -g reads no other entry
+    evaluated.clear()
+    negated = CoMetric([[-p for p in row] for row in g.entries])
+    assert check_ellipticity(negated, grid).first_failure == next(iter(grid))
+    assert [p for p, _, _ in evaluated] == [-g[0, 0]]
 
 
 def _gamma_collapse(cometric):
@@ -249,11 +271,17 @@ def test_carre_du_champ_from_the_gradient_rows_matches_gamma(name, params):
 def test_batch_curvature_rejects_one_point_outside_the_elliptic_region():
     model = get_model("deltoid")
     evaluator = CurvatureEvaluator(model.cometric)
-    points = _constancy_points(model)
-    evaluator.curvature_exact(tensor_grid(points, 2))
-    points.insert(len(points) // 2, (Fraction(10), Fraction(0)))
+    grid = curvature_constancy(model).grid
+    evaluator.curvature_exact(grid)
+    # a node at x = 10 appended to the first axis, which keeps every node
+    # index, and its point (10, y0) put among the others
+    (first, second), denominator = grid.axes, grid.denominator
+    nodes = list(grid.nodes)
+    nodes.insert(len(nodes) // 2, len(first) * len(second))
+    wider = TensorGrid([first + [10 * denominator], second], denominator, nodes)
+    assert list(wider)[len(nodes) // 2] == (10, Fraction(second[0], denominator))
     with pytest.raises(ValueError, match="outside the elliptic region"):
-        evaluator.curvature_exact(tensor_grid(points, 2))
+        evaluator.curvature_exact(wider)
 
 
 def test_curvature_affine_invariance():
@@ -287,7 +315,7 @@ def test_curvature_affine_invariance():
         old, new = CurvatureEvaluator(g), CurvatureEvaluator(transformed)
         for p in _interior_sample(model, 6):
             q = tuple(a[i][0] * p[0] + a[i][1] * p[1] + b[i] for i in range(2))
-            assert _curvature(new, [q]) == _curvature(old, [p]), (name, p)
+            assert _curvature(new, point_grid(q)) == _curvature(old, point_grid(p)), (name, p)
             checks += 1
     assert checks >= 100
 
@@ -513,4 +541,4 @@ def test_curvature_exact_matches_sympy_christoffel_curvature(name):
     oracle = _sympy_scalar_curvature(model.cometric)
     evaluator = CurvatureEvaluator(model.cometric)
     for point in _interior_sample(model, 2):
-        assert _curvature(evaluator, [point]) == [oracle(point)], point
+        assert _curvature(evaluator, point_grid(point)) == [oracle(point)], point

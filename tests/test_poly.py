@@ -22,7 +22,6 @@ from polydiff.poly import (
     format_poly,
     parse_poly,
     poly_divmod,
-    tensor_grid,
 )
 from polydiff.quadrature import EVAL_BLOCK, eval_floats
 
@@ -39,6 +38,12 @@ def integer_axes(axes):
     axes = [[Fraction(v) for v in axis] for axis in axes]
     denominator = lcm(*(v.denominator for axis in axes for v in axis))
     return [[v.numerator * (denominator // v.denominator) for v in axis] for axis in axes], denominator
+
+
+def point_grid(point):
+    """The one-point `TensorGrid` holding a rational point."""
+    axes, denominator = integer_axes([[v] for v in point])
+    return TensorGrid(axes, denominator, [0])
 
 
 def test_mul_difference_of_squares():
@@ -453,28 +458,31 @@ def test_grid_values_on_integer_axes_equal_fraction_evaluation(dim):
         assert all(type(n) is int for n in numerators)
         expected = [_fraction_value(p, node) for node in itertools.product(*axes)]
         assert [Fraction(n, scale) for n in numerators] == expected, (p, axes)
-        grid = tensor_grid(list(itertools.product(*axes)), dim)
-        numerators, scale = p.grid_values(grid.axes, grid.denominator)
-        assert [Fraction(numerators[node], scale) for node in grid.nodes] == expected
 
 
 def test_tensor_grid_points_and_trimmed_keep_the_points():
+    # a grid is the sequence of its points, at its nodes in their order
     rng = random.Random(41)
-    points = [
-        tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(3))
-        for _ in range(30)
+    fractions = [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(n)] for n in (3, 1, 4)
     ]
-    grid = tensor_grid(points, 3)
-    assert grid.points() == points
-    assert all(type(v) is Fraction for point in grid.points() for v in point)
-    assert grid.trimmed() == grid  # already the smallest grid
+    axes, denominator = integer_axes(fractions)
+    cells = list(itertools.product(*fractions))
+    nodes = [rng.randrange(len(cells)) for _ in range(30)]
+    grid = TensorGrid(axes, denominator, nodes)
+    assert len(grid) == 30 and bool(grid)
+    assert list(grid) == [cells[node] for node in nodes]
+    assert all(type(v) is Fraction for point in grid for v in point)
+    assert not TensorGrid(axes, denominator, []) and list(TensorGrid(axes, denominator, [])) == []
+    full = TensorGrid(axes, denominator, list(range(len(cells))))
+    assert full.trimmed() is full  # already the smallest grid
     # a 6 x 5 grid holding points in two of its rows and three columns
     axes = [[-5, -3, -1, 1, 3, 5], [0, 2, 4, 6, 8]]
     nodes = [1 * 5 + 2, 1 * 5 + 4, 4 * 5 + 0, 4 * 5 + 2]
     sparse = TensorGrid(axes, 6, nodes)
     cut = sparse.trimmed()
     assert [len(axis) for axis in cut.axes] == [2, 3]
-    assert cut.points() == sparse.points() == [
+    assert list(cut) == list(sparse) == [
         (Fraction(-3, 6), Fraction(4, 6)),
         (Fraction(-3, 6), Fraction(8, 6)),
         (Fraction(3, 6), Fraction(0)),
@@ -514,16 +522,6 @@ def test_exact_evaluation_matches_sympy_at_points_and_on_grids():
         assert all(type(n) is int for n in numerators)
         for n, node in zip(numerators, nodes):
             assert Fraction(n, denominator) == expected(node), (p, node)
-        # the grid nodes in reverse, one repeated, then a point off the grid
-        points = nodes[::-1] + [nodes[-1], point]
-        grid, common, indices = tensor_grid(points, dim)
-        # each axis holds every distinct coordinate on it once
-        assert [sorted(Fraction(x, common) for x in axis) for axis in grid] == [
-            sorted({q[a] for q in points}) for a in range(dim)
-        ]
-        numerators, denominator = p.grid_values(grid, common)
-        for index, node in zip(indices, points):
-            assert Fraction(numerators[index], denominator) == expected(node), (p, node)
     assert kinds == {"zero", "constant", "random"}
 
 
