@@ -5,9 +5,11 @@ For each irreducible boundary factor F the condition is
 
     sum_j g^ij d_j F  =  S^i F          (S^i affine, one per axis)
 
-Unknowns are the coefficients of the d(d+1)/2 quadratic cometric entries plus
-the coefficients of every S^i; each residual coefficient contributes one
-linear equation.  Everything here is exact.
+Unknowns are the coefficients of the d(d+1)/2 quadratic cometric entries,
+then those of every factor's S^i (column order: `_unknowns`); each residual
+coefficient contributes one linear equation.  The admissible cometrics are
+read off the kernel's cometric coordinates alone: S is fixed by g, as the
+exact quotient `operator.boundary_first_order`.  Everything here is exact.
 
 An interior grid is one `poly.TensorGrid` (`interior_grid`): integer node
 numerators per axis over one denominator, which the factors' sign test and
@@ -22,8 +24,8 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .linalg import RationalMatrix, poly_matrix_det
-from .operator import CoMetric, DegenerateMetricError
-from .poly import MonomialBasis, Polynomial, TensorGrid, exact_divide
+from .operator import CoMetric, DegenerateMetricError, MeasureSpec
+from .poly import Exponent, MonomialBasis, Polynomial, TensorGrid, exact_divide
 
 Rational = int | Fraction
 
@@ -69,62 +71,36 @@ class BoundarySpec:
         return result
 
 
-@dataclass
-class SystemLayout:
-    """Unknown ordering of the admissibility system.
+def _unknowns(spec: BoundarySpec) -> list[tuple[str, int, int, Exponent]]:
+    """The admissibility system's unknowns in column order.
 
-    Cometric coefficients come first: entries (i, j) with i <= j in row-major
-    order, each expanded over the quadratic monomial basis in graded-lex
-    order.  Then, for each factor and axis, the affine S coefficients.
+    First ("g", a, b, m): each cometric entry (a, b) with a <= b, in
+    row-major order, times each quadratic monomial m in graded-lex order.
+    Then ("S", k, i, m): each factor k and axis i times each affine
+    monomial m.
     """
-
-    dim: int
-    g_basis: MonomialBasis
-    s_basis: MonomialBasis
-    entry_index: list[tuple[int, int]]
-    n_g: int
-    n_factors: int
-
-    def g_slot(self, entry: int, monomial: int) -> int:
-        return entry * len(self.g_basis) + monomial
-
-    def s_slot(self, factor: int, axis: int, monomial: int) -> int:
-        return self.n_g + (factor * self.dim + axis) * len(self.s_basis) + monomial
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.n_g + self.n_factors * self.dim * len(self.s_basis)
-
-
-def _make_layout(spec: BoundarySpec) -> SystemLayout:
     d = spec.dim
-    entry_index = [(i, j) for i in range(d) for j in range(i, d)]
-    g_basis = MonomialBasis(d, 2)
-    s_basis = MonomialBasis(d, 1)
-    return SystemLayout(
-        dim=d,
-        g_basis=g_basis,
-        s_basis=s_basis,
-        entry_index=entry_index,
-        n_g=len(entry_index) * len(g_basis),
-        n_factors=len(spec.factors),
-    )
+    quadratic, affine = MonomialBasis(d, 2).exponents, MonomialBasis(d, 1).exponents
+    return [("g", a, b, m) for a in range(d) for b in range(a, d) for m in quadratic] + [
+        ("S", k, i, m) for k in range(len(spec.factors)) for i in range(d) for m in affine
+    ]
 
 
-def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, SystemLayout]:
+def build_admissibility_system(spec: BoundarySpec) -> RationalMatrix:
     """Assemble the exact linear system whose kernel is the admissible set.
 
     One row per monomial coefficient of each residual polynomial
     sum_j g^ij d_j F_k - S_k^i F_k, for every factor k and axis i, as a
-    sparse integer row over the unknowns.  Each factor enters as its
-    integer numerators, which scales its rows by its denominator and leaves
-    the kernel unchanged, and each row entry is a coefficient of the factor
-    or of its gradient, placed by shifting its exponent by the unknown's
-    monomial.  No two of them meet in one entry: for each axis i an entry
-    (a, b) of g meets one partial derivative of F_k, whose exponents, like
-    F_k's own, are distinct, so every entry is one nonzero coefficient.
+    sparse integer row over the unknowns (`_unknowns`).  Each factor enters
+    as its integer numerators, which scales its rows by its denominator and
+    leaves the kernel unchanged, and each row entry is a coefficient of the
+    factor or of its gradient, placed by shifting its exponent by the
+    unknown's monomial.  No two of them meet in one entry: for each axis i
+    an entry (a, b) of g meets one partial derivative of F_k, whose
+    exponents, like F_k's own, are distinct, so every entry is one nonzero
+    coefficient.
     """
-    layout = _make_layout(spec)
+    unknowns = _unknowns(spec)
     d = spec.dim
     rows: list[dict[int, int]] = []
     for k, factor in enumerate(spec.factors):
@@ -133,41 +109,29 @@ def build_admissibility_system(spec: BoundarySpec) -> tuple[RationalMatrix, Syst
             [(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in terms if e[j]]
             for j in range(d)
         ]
+        minus_factor = [(e, -c) for e, c in terms]
         residual_basis = MonomialBasis(d, int(factor.total_degree) + 1)
         for i in range(d):
             # coefficient of each residual monomial as a linear form in unknowns
             row_of = {e: {} for e in residual_basis.exponents}
-            for entry, (a, b) in enumerate(layout.entry_index):
-                # g^{ab} contributes to axis i via d_j F with j = the other index
-                if a == i:
-                    partial = grad[b]
-                elif b == i:
-                    partial = grad[a]
+            for slot, (kind, a, b, m) in enumerate(unknowns):
+                if kind == "S":
+                    partial = minus_factor if (a, b) == (k, i) else ()
                 else:
-                    continue
-                for m_idx, m_exp in enumerate(layout.g_basis.exponents):
-                    slot = layout.g_slot(entry, m_idx)
-                    for e, c in partial:
-                        row_of[tuple(map(int.__add__, m_exp, e))][slot] = c
-            for m_idx, m_exp in enumerate(layout.s_basis.exponents):
-                slot = layout.s_slot(k, i, m_idx)
-                for e, c in terms:
-                    row_of[tuple(map(int.__add__, m_exp, e))][slot] = -c
+                    # g^{ab} meets axis i through d_j F, j the entry's other index
+                    partial = grad[b] if a == i else grad[a] if b == i else ()
+                for e, c in partial:
+                    row_of[tuple(map(int.__add__, m, e))][slot] = c
             rows.extend(row_of[e] for e in residual_basis.exponents)
-    return RationalMatrix(rows, layout.n_unknowns), layout
+    return RationalMatrix(rows, len(unknowns))
 
 
 @dataclass
 class AdmissibilitySolution:
-    """Kernel of the admissibility system, projected onto the cometric part.
-
-    g_basis[b] carries its exact boundary first-order data in s_for[b][k][i];
-    the pair satisfies sum_j g^ij d_j F_k - S_k^i F_k = 0 identically.
-    """
+    """Kernel of the admissibility system, projected onto the cometric part."""
 
     spec: BoundarySpec
     g_basis: list[CoMetric]
-    s_for: list[list[list[Polynomial]]]
 
     @property
     def dimension(self) -> int:
@@ -191,45 +155,29 @@ class AdmissibilitySolution:
 def solve_admissibility(spec: BoundarySpec) -> AdmissibilitySolution:
     """Exact kernel basis; deterministic via the RREF pivot convention.
 
-    Each kernel vector is integers over the nullspace's one denominator, so
-    every polynomial is built from its integer numerators."""
-    matrix, layout = build_admissibility_system(spec)
-    kernel, denominator = matrix.nullspace()
+    Only the cometric coordinates of each kernel vector are read: they are
+    integers over the nullspace's one denominator, so every entry is built
+    from its integer numerators."""
+    kernel, denominator = build_admissibility_system(spec).nullspace()
     d = spec.dim
+    g_part = [u for u in _unknowns(spec) if u[0] == "g"]
     g_basis: list[CoMetric] = []
-    s_for: list[list[list[Polynomial]]] = []
     for vector in kernel:
-        grid = [[None] * d for _ in range(d)]
-        for entry, (a, b) in enumerate(layout.entry_index):
-            terms = {}
-            for m_idx, m_exp in enumerate(layout.g_basis.exponents):
-                coeff = vector[layout.g_slot(entry, m_idx)]
-                if coeff:
-                    terms[m_exp] = coeff
-            p = Polynomial._reduced(d, terms, denominator)
-            grid[a][b] = p
-            grid[b][a] = p
-        g_basis.append(CoMetric(grid))
-        per_factor: list[list[Polynomial]] = []
-        for k in range(len(spec.factors)):
-            per_axis = []
-            for i in range(d):
-                terms = {}
-                for m_idx, m_exp in enumerate(layout.s_basis.exponents):
-                    coeff = vector[layout.s_slot(k, i, m_idx)]
-                    if coeff:
-                        terms[m_exp] = coeff
-                per_axis.append(Polynomial._reduced(d, terms, denominator))
-            per_factor.append(per_axis)
-        s_for.append(per_factor)
-    return AdmissibilitySolution(spec, g_basis, s_for)
+        terms = {(a, b): {} for _, a, b, _ in g_part}
+        for (_, a, b, m), coeff in zip(g_part, vector):
+            if coeff:
+                terms[a, b][m] = coeff
+        entries = [[None] * d for _ in range(d)]
+        for (a, b), numerators in terms.items():
+            entries[a][b] = entries[b][a] = Polynomial._reduced(d, numerators, denominator)
+        g_basis.append(CoMetric(entries))
+    return AdmissibilitySolution(spec, g_basis)
 
 
 @dataclass
 class EllipticityReport:
     elliptic: bool
     first_failure: tuple[Fraction, ...] | None
-    checked: int
 
 
 def check_ellipticity(g: CoMetric, grid: TensorGrid) -> EllipticityReport:
@@ -262,8 +210,8 @@ def check_ellipticity(g: CoMetric, grid: TensorGrid) -> EllipticityReport:
                 failure = k
                 break
     if failure < len(grid):
-        return EllipticityReport(False, list(grid)[failure], len(grid))
-    return EllipticityReport(True, None, len(grid))
+        return EllipticityReport(False, list(grid)[failure])
+    return EllipticityReport(True, None)
 
 
 @dataclass
@@ -285,6 +233,17 @@ def det_divisibility_check(g: CoMetric, spec: BoundarySpec) -> DivisibilityRepor
             return DivisibilityReport(False, None, None)
         remainder = quotient
     return DivisibilityReport(True, int(remainder.total_degree), remainder)
+
+
+def det_power_measure(g: CoMetric, spec: BoundarySpec, exponent: Rational) -> MeasureSpec:
+    """The measure det(g)^exponent as boundary factors to that power, with
+    the quotient Q = det(g) / (product of the factors) as one more factor
+    when the factors divide det(g) and Q is not constant."""
+    quotient = det_divisibility_check(g, spec).quotient
+    factors = spec.factors
+    if quotient is not None and quotient.total_degree > 0:
+        factors += (quotient,)
+    return MeasureSpec(spec.dim, tuple((f, Fraction(exponent)) for f in factors), None)
 
 
 def interior_grid(

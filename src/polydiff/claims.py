@@ -22,7 +22,13 @@ from math import lcm
 from pathlib import Path
 from typing import Callable
 
-from .boundary import BoundarySpec, check_ellipticity, det_divisibility_check, solve_admissibility
+from .boundary import (
+    BoundarySpec,
+    check_ellipticity,
+    det_divisibility_check,
+    det_power_measure,
+    solve_admissibility,
+)
 from .catalog import DEFAULT_SEED, Model, get_model, model_names
 from .geometry import curvature_constancy, verify_pullback
 from .linalg import RationalMatrix
@@ -31,7 +37,6 @@ from .operator import (
     DiffusionOperator,
     GradedOperatorMatrix,
     InadmissibleMeasureError,
-    MeasureSpec,
     boundary_first_order,
     cometric_gradient,
     drift_from_measure,
@@ -178,10 +183,9 @@ def _ellipticity(ctx: RunContext, name: str):
     if not points:
         return False, {"error": "no interior grid points"}
     report = check_ellipticity(model.cometric, points)
-    detail = {"checked": report.checked, "elliptic": report.elliptic}
-    if report.first_failure is not None:
-        detail["first_failure"] = [str(v) for v in report.first_failure]
-    return report.elliptic, detail
+    if report.elliptic:
+        return True, {"checked": len(points), "elliptic": True}
+    return False, {"elliptic": False, "first_failure": [str(v) for v in report.first_failure]}
 
 
 def _drift_degree(ctx: RunContext, name: str):
@@ -408,11 +412,7 @@ def _quartic_boundary_negative(ctx: RunContext):
 
 def _nodal_inverse_sqrt_det(ctx: RunContext):
     model = ctx.model("nodal_cubic")
-    report = det_divisibility_check(model.cometric, model.boundary)
-    factors = list(model.boundary.factors) + [report.quotient]
-    measure = MeasureSpec(
-        2, tuple((f, Fraction(-1, 2)) for f in factors), None
-    )
+    measure = det_power_measure(model.cometric, model.boundary, Fraction(-1, 2))
     try:
         drift_from_measure(model.cometric, measure)
     except InadmissibleMeasureError as exc:

@@ -107,9 +107,8 @@ def cmd_models_list(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    from fractions import Fraction
-
     from .boundary import BoundarySpec, check_ellipticity, interior_grid, solve_admissibility
+    from .operator import boundary_first_order
     from .poly import format_poly, parse_poly, parse_rational
 
     witness = tuple(parse_rational(w) for w in args.witness.split(","))
@@ -129,10 +128,6 @@ def cmd_admissible(args) -> int:
             {
                 "cometric": [[format_poly(g[i, j]) for j in range(dim)] for i in range(dim)],
                 "elliptic_on_grid": verdicts[k],
-                "first_order": [
-                    [format_poly(p) for p in per_axis]
-                    for per_axis in solution.s_for[k]
-                ],
             }
             for k, g in enumerate(solution.g_basis)
         ],
@@ -145,6 +140,12 @@ def cmd_admissible(args) -> int:
     elif not any(verdicts):
         payload["message"] = "no basis element elliptic on the sample grid"
     if args.format == "json":
+        # pretty output lists only the cometrics, so only json pays for the
+        # exact quotients S_k
+        for entry, g in zip(payload["basis"], solution.g_basis):
+            entry["first_order"] = [
+                [format_poly(p) for p in boundary_first_order(g, factor)] for factor in factors
+            ]
         _emit(_json_dump(payload), args.out)
     else:
         lines = [f"solution dimension: {solution.dimension}"]
@@ -223,10 +224,8 @@ def cmd_verify(args) -> int:
 
 
 def _verify_measure(args) -> int:
-    from fractions import Fraction
-
-    from .boundary import det_divisibility_check
-    from .operator import InadmissibleMeasureError, MeasureSpec, drift_from_measure
+    from .boundary import det_power_measure
+    from .operator import InadmissibleMeasureError, drift_from_measure
     from .poly import parse_rational
 
     text = args.measure.strip()
@@ -234,11 +233,7 @@ def _verify_measure(args) -> int:
         raise CliDataError("only measures of the form det^<rational> are supported here")
     exponent = parse_rational(text[len("det^"):])
     model = _load_model(args)
-    report = det_divisibility_check(model.cometric, model.boundary)
-    factors = list(model.boundary.factors)
-    if report.quotient is not None and report.quotient.total_degree not in (0,):
-        factors.append(report.quotient)
-    measure = MeasureSpec(model.dim, tuple((f, Fraction(exponent)) for f in factors), None)
+    measure = det_power_measure(model.cometric, model.boundary, exponent)
     try:
         drift = drift_from_measure(model.cometric, measure)
     except InadmissibleMeasureError as exc:

@@ -9,6 +9,7 @@ import pytest
 
 from polydiff.boundary import (
     BoundarySpec,
+    _unknowns,
     build_admissibility_system,
     check_ellipticity,
     det_divisibility_check,
@@ -17,7 +18,7 @@ from polydiff.boundary import (
 )
 from polydiff.catalog import get_model, model_names
 from polydiff.geometry import INTERIOR_MARGIN
-from polydiff.operator import CoMetric, DegenerateMetricError
+from polydiff.operator import CoMetric, DegenerateMetricError, boundary_first_order
 from polydiff.poly import MonomialBasis, Polynomial, TensorGrid, parse_poly
 from test_poly import integer_axes, point_grid
 
@@ -32,10 +33,16 @@ def spec2(*factor_texts, witness=("0", "0")):
 
 def test_unknown_count_single_quadratic_factor():
     # three quadratic cometric entries (6 coefficients each) plus two affine
-    # multipliers (3 coefficients each)
-    matrix, layout = build_admissibility_system(spec2("1-x^2-y^2"))
-    assert layout.n_unknowns == 3 * 6 + 2 * 3 == 24
-    assert matrix.cols == 24
+    # multipliers (3 coefficients each), the entries in row-major order
+    spec = spec2("1-x^2-y^2")
+    quadratic = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    affine = [(0, 0), (0, 1), (1, 0)]
+    assert _unknowns(spec) == [
+        *(("g", a, b, m) for a, b in [(0, 0), (0, 1), (1, 1)] for m in quadratic),
+        *(("S", 0, i, m) for i in range(2) for m in affine),
+    ]
+    assert len(_unknowns(spec)) == 3 * 6 + 2 * 3 == 24
+    assert build_admissibility_system(spec).cols == 24
 
 
 def test_jacobi_boundary_recovers_interval_metric():
@@ -85,14 +92,14 @@ def test_quartic_boundary_has_no_solution():
 def test_solution_satisfies_first_order_identity_exactly():
     model = get_model("parabola_two_tangents")
     solution = solve_admissibility(model.boundary)
-    for idx, g in enumerate(solution.g_basis):
-        for k, factor in enumerate(model.boundary.factors):
+    for g in solution.g_basis:
+        for factor in model.boundary.factors:
             grad = factor.gradient()
             for i in range(2):
                 lhs = Polynomial.zero(2)
                 for j in range(2):
                     lhs = lhs + g[i, j] * grad[j]
-                assert lhs == solution.s_for[idx][k][i] * factor
+                assert lhs == boundary_first_order(g, factor)[i] * factor
 
 
 def test_affine_covariance_of_solution_dimension():
@@ -117,9 +124,9 @@ def test_summed_identity_matches_product():
     product = model.boundary.product()
     grad = product.gradient()
     total = [Polynomial.zero(2), Polynomial.zero(2)]
-    for k in range(len(model.boundary.factors)):
+    for factor in model.boundary.factors:
         for i in range(2):
-            total[i] = total[i] + solution.s_for[0][k][i]
+            total[i] = total[i] + boundary_first_order(g, factor)[i]
     for i in range(2):
         lhs = Polynomial.zero(2)
         for j in range(2):
@@ -171,7 +178,7 @@ def test_batch_ellipticity_first_failure_matches_pointwise_minors():
     # several samples fail, none of them first, so sample order decides
     assert len(failures) > 1 and failures[0] != list(grid)[0]
     report = check_ellipticity(g, grid)
-    assert not report.elliptic and report.checked == len(grid)
+    assert not report.elliptic
     assert report.first_failure == failures[0]
     # on the line y = 0 the 1 x 1 minor fails first at x = -1, where the
     # 2 x 2 minor is positive, and the 2 x 2 minor first at x = 1: a larger
@@ -383,36 +390,44 @@ def test_interior_grid_sign_test_sees_nodes_on_the_boundary():
     assert list(grid) == _fraction_grid(spec, box, 10)
 
 
+def _fraction_unknowns(spec):
+    """Reference column order: each cometric entry (a, b), a <= b, row by
+    row, times each quadratic monomial, then each factor k and axis i times
+    each affine monomial."""
+    d = spec.dim
+    entries = [(a, b) for a in range(d) for b in range(a, d)]
+    g = [("g", a, b, m) for a, b in entries for m in MonomialBasis(d, 2).exponents]
+    pairs = [(k, i) for k in range(len(spec.factors)) for i in range(d)]
+    return g + [("S", k, i, m) for k, i in pairs for m in MonomialBasis(d, 1).exponents]
+
+
 def _fraction_admissibility_rows(spec):
     """Reference: the admissibility rows in Fractions, each residual
     coefficient read off a Polynomial product per unknown."""
-    from polydiff.boundary import _make_layout
-
-    layout = _make_layout(spec)
+    unknowns = _fraction_unknowns(spec)
     d = spec.dim
     rows = []
     for k, factor in enumerate(spec.factors):
         grad = factor.gradient()
         residual_basis = MonomialBasis(d, int(factor.total_degree) + 1)
         for i in range(d):
-            row_of = {e: [Fraction(0)] * layout.n_unknowns for e in residual_basis.exponents}
-            for entry, (a, b) in enumerate(layout.entry_index):
-                for m_idx, m_exp in enumerate(layout.g_basis.exponents):
-                    slot = layout.g_slot(entry, m_idx)
-                    contributions = []
+            row_of = {e: [Fraction(0)] * len(unknowns) for e in residual_basis.exponents}
+            for slot, (kind, a, b, m_exp) in enumerate(unknowns):
+                monomial = Polynomial.monomial(d, m_exp)
+                contributions = []
+                if kind == "S":
+                    if (a, b) == (k, i):
+                        contributions.append(-(monomial * factor))
+                else:
                     if a == i:
-                        contributions.append(Polynomial.monomial(d, m_exp) * grad[b])
+                        contributions.append(monomial * grad[b])
                     if b == i and b != a:
-                        contributions.append(Polynomial.monomial(d, m_exp) * grad[a])
-                    for contrib in contributions:
-                        for e, c in contrib.terms.items():
-                            row_of[e][slot] += c
-            for m_idx, m_exp in enumerate(layout.s_basis.exponents):
-                slot = layout.s_slot(k, i, m_idx)
-                for e, c in (Polynomial.monomial(d, m_exp) * factor).terms.items():
-                    row_of[e][slot] -= c
+                        contributions.append(monomial * grad[a])
+                for contrib in contributions:
+                    for e, c in contrib.terms.items():
+                        row_of[e][slot] += c
             rows.extend(row_of[e] for e in residual_basis.exponents)
-    return rows, layout
+    return rows, unknowns
 
 
 def _catalog_boundaries():
@@ -434,11 +449,12 @@ def _catalog_boundaries():
 def test_admissibility_rows_hold_only_nonzero_ints():
     # each row is sparse: column -> nonzero int, every column an unknown
     for name, params in _catalog_boundaries():
-        matrix, layout = build_admissibility_system(get_model(name, params).boundary)
-        assert matrix.cols == layout.n_unknowns
+        spec = get_model(name, params).boundary
+        matrix = build_admissibility_system(spec)
+        assert matrix.cols == len(_unknowns(spec))
         for row in matrix.data:
             assert all(type(v) is int and v for v in row.values()), name
-            assert all(0 <= j < layout.n_unknowns for j in row), name
+            assert all(0 <= j < matrix.cols for j in row), name
 
 
 def test_an_empty_boundary_has_no_admissibility_system():
@@ -451,13 +467,15 @@ def test_an_empty_boundary_has_no_admissibility_system():
 @pytest.mark.parametrize("name,params", list(_catalog_boundaries()))
 def test_admissibility_matches_fraction_row_reference(name, params):
     # the integer rows are the Fraction rows scaled by their factor's lcm
-    # denominator, so the kernel, and the solution read from it, equal the
-    # dense Gauss-Jordan reference's kernel of the Fraction rows
+    # denominator, so the kernel, and the cometrics read from it, equal the
+    # dense Gauss-Jordan reference's kernel of the Fraction rows; the S
+    # coordinates of each kernel vector equal the exact quotients S_k
     from test_linalg import _dense_kernel
 
     spec = get_model(name, params).boundary
-    reference, layout = _fraction_admissibility_rows(spec)
-    matrix, _ = build_admissibility_system(spec)
+    reference, unknowns = _fraction_admissibility_rows(spec)
+    assert _unknowns(spec) == unknowns
+    matrix = build_admissibility_system(spec)
     start = 0
     for factor in spec.factors:
         scale = lcm(*(c.denominator for c in factor.terms.values()))
@@ -476,11 +494,8 @@ def test_admissibility_matches_fraction_row_reference(name, params):
     assert fractions(matrix.nullspace()) == kernel
     solution = solve_admissibility(spec)
     assert solution.dimension == len(kernel)
-    for g, s_for, vector in zip(solution.g_basis, solution.s_for, kernel):
-        for entry, (a, b) in enumerate(layout.entry_index):
-            for m_idx, m_exp in enumerate(layout.g_basis.exponents):
-                assert g[a, b].terms.get(m_exp, 0) == vector[layout.g_slot(entry, m_idx)]
-        for k in range(len(spec.factors)):
-            for i in range(spec.dim):
-                for m_idx, m_exp in enumerate(layout.s_basis.exponents):
-                    assert s_for[k][i].terms.get(m_exp, 0) == vector[layout.s_slot(k, i, m_idx)]
+    for g, vector in zip(solution.g_basis, kernel):
+        s_for = [boundary_first_order(g, factor) for factor in spec.factors]
+        for (kind, a, b, m_exp), value in zip(unknowns, vector):
+            polynomial = g[a, b] if kind == "g" else s_for[a][b]
+            assert polynomial.terms.get(m_exp, 0) == value

@@ -119,6 +119,28 @@ def test_admissible_reports_a_grid_that_misses_the_domain(capsys):
     assert payload["message"] == "no basis element elliptic on the sample grid"
 
 
+def test_admissible_first_order_pairs_each_factor_with_its_quotient(capsys):
+    # on the triangle each basis element's first_order[k] is S_k of the k-th
+    # --factor: sum_j g^ij d_j F_k = S_k^i F_k, read back from the json
+    from polydiff.poly import Polynomial, parse_poly
+
+    texts = ["x", "y", "1-x-y"]
+    argv = ["admissible", "--witness", "1/4,1/4", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(a for t in texts for a in ("--factor", t)))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["dimension"] > 0
+    factors = [parse_poly(t, 2) for t in texts]
+    for entry in payload["basis"]:
+        g = [[parse_poly(t, 2) for t in row] for row in entry["cometric"]]
+        assert len(entry["first_order"]) == len(factors)
+        for factor, per_axis in zip(factors, entry["first_order"]):
+            grad = factor.gradient()
+            for i, text in enumerate(per_axis):
+                lhs = sum((g[i][j] * grad[j] for j in range(2)), Polynomial.zero(2))
+                assert lhs == parse_poly(text, 2) * factor
+
+
 def test_verify_single_fast_model(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--model", "gaussian_plane", "--format", "json",

@@ -296,7 +296,7 @@ def test_rref_matches_dense_reference_on_admissibility_systems(name):
     if descriptor.param_specs:
         points.append(_generic_params(random.Random(name), descriptor))
     for params in points:
-        matrix, _ = build_admissibility_system(get_model(name, params).boundary)
+        matrix = build_admissibility_system(get_model(name, params).boundary)
         _assert_rref_matches_dense_reference(matrix.rref(), _dense(matrix))
 
 
@@ -332,7 +332,7 @@ def test_every_stepped_row_of_the_admissibility_systems_is_content_free(monkeypa
     monkeypatch.setattr(linalg, "_content_free_step", checked)
     for name in model_names():
         if get_descriptor(name).factor_templates:
-            build_admissibility_system(get_model(name).boundary)[0].rref()
+            build_admissibility_system(get_model(name).boundary).rref()
     assert len(stepped) > 100
 
 
