@@ -4,12 +4,16 @@ The exact graded matrix of L is held as sparse integer columns over one
 scale S (`GradedOperatorMatrix`): exact eigenvectors are verified against
 those columns in integers, and each diagonal degree block is read from them
 as the integer matrix B = S M_nn.  Eigenvalues come from these blocks:
-triangular blocks read off exactly, otherwise the characteristic polynomial
-of B, monic with integer coefficients and computed without division by
-Berkowitz's recurrence in Python ints, is split by its integer roots mu
+triangular blocks read off exactly.  Any other block is split into the
+strongly connected components of its nonzero pattern, under which it is
+block upper triangular, and the characteristic polynomial of each larger
+component, monic with integer coefficients and computed without division
+by Berkowitz's recurrence in Python ints, is split by its integer roots mu
 when possible, with a numeric fallback flagged in the result.  By the
 rational root theorem those are all of its rational roots, and each gives
-the eigenvalue mu / S of M_nn.
+the eigenvalue mu / S of M_nn.  A polynomial that splits over Z has its
+full degree of roots modulo every prime, so a screen modulo a few small
+primes rejects most blocks that do not split before any float work.
 
 Orthonormal eigenbases follow the decomposition V_n = V_{n-1} + W_n of
 L^2(mu) into orthogonal polynomials, on which L is block diagonal.  One
@@ -32,10 +36,12 @@ cometric, the drift and the rule's measure agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, sqrt
-from typing import Callable, Iterable
+from operator import mul
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -109,11 +115,59 @@ class SpectrumResult:
 
 
 def _is_triangular(block: list[list[int]]) -> bool:
-    n = len(block)
-    upper = all(block[i][j] == 0 for i in range(n) for j in range(i))
-    if upper:
-        return True
-    return all(block[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    return all(not any(row[:i]) for i, row in enumerate(block)) or all(
+        not any(row[i + 1 :]) for i, row in enumerate(block)
+    )
+
+
+def _components(block: list[list[int]]) -> list[list[int]]:
+    """The strongly connected components of the nonzero pattern of `block`
+    (an edge i -> j for each off-diagonal B_ij != 0), each as its sorted
+    rows, in an order under which the block, its rows and columns permuted
+    to list the components one after another, is block upper triangular.
+
+    Tarjan's algorithm (R. Tarjan, SIAM J. Comput. 1(2), 1972) with an
+    explicit stack of (row, iterator over its successors) in place of
+    recursion.  It completes the components sinks first, so they are
+    returned reversed.
+    """
+    successors = [[j for j, v in enumerate(row) if v and j != i] for i, row in enumerate(block)]
+    index: dict[int, int] = {}  # the order of first visits
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    work: list[tuple[int, Iterator[int]]] = []
+    out: list[list[int]] = []
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(successors[v])))
+
+    for root in range(len(block)):
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            v, todo = work[-1]
+            w = next(todo, None)
+            if w is None:
+                work.pop()
+                if work:  # the low-link of v's parent
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    out.append(sorted(component))
+            elif w not in index:
+                visit(w)
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+    return out[::-1]
 
 
 def _char_poly(block: list[list[int]]) -> list[int]:
@@ -124,25 +178,26 @@ def _char_poly(block: list[list[int]]) -> list[int]:
     Python ints: bordering the leading k x k submatrix M by a column C, a row
     R and a corner a multiplies the coefficient vector (high-to-low) by the
     lower triangular Toeplitz matrix with first column 1, -a, -RC, -RMC,
-    -RM^2C, ...  M is never copied: C is held with zeros below row k, so the
-    products run over the nonzero entries of whole rows of B, which are few
-    in a graded block.
+    -RM^2C, ...  It runs on the strongly connected components of a degree
+    block (`block_eigenvalues`), which are small and dense, so the rows of M
+    are plain slices and every product a `map` over them.  A leading
+    coefficient other than 1 raises: the screen modulo small primes is sound
+    only for a monic polynomial.
     """
-    n = len(block)
-    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in block]
     coeffs = [1]  # high-to-low, of the leading k x k submatrix
-    for k in range(n):
-        column = [block[i][k] for i in range(k)] + [0] * (n - k)
+    for k in range(len(block)):
+        rows = [row[:k] for row in block[:k]]
+        row = block[k][:k]
+        column = [line[k] for line in block[:k]]
         toeplitz = [1, -block[k][k]]
         for step in range(k):
-            toeplitz.append(-sum(v * column[j] for j, v in nonzero[k]))
+            toeplitz.append(-sum(map(mul, row, column)))
             if step < k - 1:
-                column = [sum(v * column[j] for j, v in line) for line in nonzero[:k]]
-                column += [0] * (n - k)
-        coeffs = [
-            sum(toeplitz[r - j] * coeffs[j] for j in range(min(r, k) + 1))
-            for r in range(k + 2)
-        ]
+                column = [sum(map(mul, line, column)) for line in rows]
+        # entry r of the product: the sum over j of toeplitz[r - j] coeffs[j]
+        coeffs = [sum(map(mul, toeplitz[r::-1], coeffs)) for r in range(k + 2)]
+    if coeffs[0] != 1:
+        raise ArithmeticError(f"characteristic polynomial with leading coefficient {coeffs[0]}")
     return coeffs[::-1]
 
 
@@ -157,9 +212,99 @@ def _divide_root(coeffs: list[int], root: int) -> list[int] | None:
     return quotient if coeffs[0] + acc * root == 0 else None
 
 
+SCREEN_PRIMES = (3, 5, 7, 11)
+
+
+def _splits_modulo(coeffs: list[int], p: int) -> bool:
+    """Whether the monic polynomial (low-to-high) has its full degree of
+    roots in F_p, counted with multiplicity: each residue is divided out as
+    often as it is a root, and nothing of positive degree may be left."""
+    remaining = [c % p for c in reversed(coeffs)]  # high-to-low
+    for root in range(p):
+        while len(remaining) > 1:
+            value = 0
+            for c in remaining:
+                value = value * root + c
+            if value % p != 0:
+                break
+            quotient = remaining[:1]
+            for c in remaining[1:-1]:
+                quotient.append((quotient[-1] * root + c) % p)
+            remaining = quotient
+    return len(remaining) == 1
+
+
+def _rounded(value: float, scale: int) -> int:
+    """round(Fraction(value) * scale) in ints: the nearest integer to the
+    float taken exactly times scale, ties to even."""
+    numerator, denominator = value.as_integer_ratio()
+    quotient, remainder = divmod(numerator * scale, denominator)
+    if 2 * remainder > denominator or (2 * remainder == denominator and quotient % 2):
+        quotient += 1
+    return quotient
+
+
 def _float_block(block: list[list[int]], scale: int) -> np.ndarray:
     """The float matrix block / scale, each entry correctly rounded."""
     return np.array([[v / scale for v in row] for row in block])
+
+
+def _integer_roots(block: list[list[int]], coeffs: list[int], scale: int) -> Counter | None:
+    """{mu: multiplicity} of the integer roots of `coeffs`, the
+    characteristic polynomial of `block`, when they are all of its roots,
+    else None.
+
+    The candidates are the float eigenvalues of block / scale times scale,
+    rounded; each is tested exactly by synthetic division.  A defective
+    eigenvalue of multiplicity k spreads into k float values off by about
+    (eps |M|)^(1/k), but their mean is accurate to roundoff: the means of
+    windows of neighbouring sorted values that matched no root are
+    candidates too.
+    """
+    real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
+    found: Counter = Counter()
+
+    def candidates():
+        rounded = [_rounded(v, scale) for v in real]
+        yield from sorted(set(rounded))
+        # reached once every single value is tried, so `found` is final
+        unmatched = [v for v, mu in zip(real, rounded) if mu not in found]
+        for width in range(2, len(unmatched) + 1):
+            for start in range(len(unmatched) - width + 1):
+                yield _rounded(float(np.mean(unmatched[start : start + width])), scale)
+
+    for mu in candidates():
+        while len(coeffs) > 1:
+            quotient = _divide_root(coeffs, mu)
+            if quotient is None:
+                break
+            found[mu] += 1
+            coeffs = quotient
+        if len(coeffs) == 1:
+            return found
+    return None
+
+
+def _split_by_components(block: list[list[int]], scale: int) -> Counter | None:
+    """{mu: multiplicity} of the integer eigenvalues of `block` when they
+    are all of its eigenvalues, else None, one strongly connected component
+    (`_components`) at a time; see `block_eigenvalues`."""
+    found: Counter = Counter()
+    pieces = []  # (sub-block, characteristic polynomial) of each larger component
+    for component in _components(block):
+        if len(component) == 1:
+            found[block[component[0]][component[0]]] += 1
+        else:
+            sub = [[block[i][j] for j in component] for i in component]
+            pieces.append((sub, _char_poly(sub)))
+    if not all(_splits_modulo(coeffs, p) for _, coeffs in pieces for p in SCREEN_PRIMES):
+        return None
+    for sub, coeffs in pieces:
+        roots = _integer_roots(sub, coeffs, scale)
+        if roots is None:
+            return None
+        found.update(roots)
+    return found
 
 
 def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntry]:
@@ -167,42 +312,35 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
 
     `block` is the integer matrix B = scale * M_nn.  det(tI - B) is monic
     with integer coefficients, so by the rational root theorem every
-    rational eigenvalue of B is an integer mu, and lam = mu / scale.  The
-    candidates are the float eigenvalues of M_nn times scale, rounded; each
-    is tested exactly by synthetic division.  A defective eigenvalue of
-    multiplicity k spreads into k float values off by about (eps |M|)^(1/k),
-    but their mean is accurate to roundoff: the means of windows of
-    neighbouring sorted values that matched no root are candidates too.
+    rational eigenvalue of B is an integer mu, and lam = mu / scale.  A
+    triangular block reads them off its diagonal.  Otherwise the block is
+    taken apart into the strongly connected components of its nonzero
+    pattern (`_components`): permuted to list them in turn it is block
+    upper triangular, so its characteristic polynomial is the product of
+    theirs.  A single-row component gives its diagonal entry; each larger
+    one gets its own Berkowitz polynomial (`_char_poly`), and the whole
+    block's is never formed.
+
+    Before any float work, each component's polynomial is screened modulo
+    each of SCREEN_PRIMES: a monic integer polynomial that is a product of
+    linear factors over Z stays one over every F_p, so it has its full
+    degree of roots there, counted with multiplicity (`_splits_modulo`).
+    A shortfall at any prime proves the block does not split.  Otherwise
+    each component's integer roots are sought among candidates from its
+    own float eigenvalues and windows over its own unmatched values
+    (`_integer_roots`).  A block that does not split, by the screen or
+    because some component's candidates miss a root, falls back to the
+    float eigenvalues of the whole block, clustered, as "numeric-block".
     """
-    n = len(block)
-    if n == 0:
-        return []
-    found: dict[int, int] = {}
-    if _is_triangular(block):
-        for i in range(n):
-            found[block[i][i]] = found.get(block[i][i], 0) + 1
+    if _is_triangular(block):  # an empty block too
+        found = {}
+        for i, row in enumerate(block):
+            found[row[i]] = found.get(row[i], 0) + 1
     else:
-        real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
-        remaining = _char_poly(block)
-
-        def candidates():  # each float taken exactly, times scale, rounded
-            rounded = [round(Fraction(float(v)) * scale) for v in real]
-            yield from sorted(set(rounded))
-            # reached once every single value is tried, so `found` is final
-            unmatched = [v for v, mu in zip(real, rounded) if mu not in found]
-            for width in range(2, len(unmatched) + 1):
-                for start in range(len(unmatched) - width + 1):
-                    yield round(Fraction(float(np.mean(unmatched[start : start + width]))) * scale)
-
-        for mu in candidates():
-            while len(remaining) > 1:
-                quotient = _divide_root(remaining, mu)
-                if quotient is None:
-                    break
-                found[mu] = found.get(mu, 0) + 1
-                remaining = quotient
-        if sum(found.values()) != n:
+        found = _split_by_components(block, scale)
+        if found is None:
             # numeric fallback on the exact block
+            real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
             return [
                 EigenvalueEntry(float(np.mean(real[cluster])), len(cluster), "numeric-block")
                 for cluster in cluster_eigenvalues(real)

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 
 import numpy as np
 import pytest
@@ -750,7 +750,18 @@ def _conjugated_cases(sympy, rng):
     spectra (distinct, repeated, with 0) under a rational similarity, a
     3 x 3 Jordan block alone and beside other eigenvalues under a unimodular
     one and alone under a rational one, and spectra with the irrational pair
-    +-sqrt(2) beside rational eigenvalues."""
+    +-sqrt(2) beside rational eigenvalues.
+
+    Then blocks that fall apart into strongly connected components: such
+    conjugated blocks on the diagonal of a block upper triangular matrix,
+    joined by random integer entries above them, under a random permutation
+    similarity (`_joined`).  "near-jordan" puts an eigenvalue 5 / scale from
+    a Jordan block's into another component, inside the spread of the Jordan
+    block's float eigenvalues, so a window over the whole block's values
+    would take it in.  Last, spectra the screen modulo SCREEN_PRIMES must
+    pass: integer eigenvalues that coincide modulo every screening prime
+    ("coincident", 0, 1155 = 3 * 5 * 7 * 11 and 2310), and the irreducible
+    t^2 - 1155 ("irreducible"), which only the candidates can reject."""
 
     def rational(bound, den):
         return sympy.Rational(rng.randint(-bound, bound), rng.randint(1, den))
@@ -774,39 +785,83 @@ def _conjugated_cases(sympy, rng):
         rows = [[Fraction(int(v.p), int(v.q)) for v in m.row(i)] for i in range(m.rows)]
         return _integer_block(rows)
 
+    def jordan(lam):
+        return sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
+
+    pair = sympy.Matrix([[0, 2], [1, 0]])
     for n in range(1, 7):
         distinct = [sympy.Rational(k, 6) for k in rng.sample(range(-30, 31), n)]
         yield "distinct", *conjugated(sympy.diag(*distinct))
         yield "repeated", *conjugated(sympy.diag(*[rng.choice(distinct[:2]) for _ in range(n)]))
         yield "singular", *conjugated(sympy.diag(0, *[rational(9, 6) for _ in range(n - 1)]))
-        pair = sympy.Matrix([[0, 2], [1, 0]])
         yield "irrational", *conjugated(sympy.diag(pair, *[rational(9, 6) for _ in range(n - 1)]))
     for others in range(3):
-        lam = rational(9, 6)
-        jordan = sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
-        core = sympy.diag(jordan, *[rational(9, 6) for _ in range(others)])
+        core = sympy.diag(jordan(rational(9, 6)), *[rational(9, 6) for _ in range(others)])
         yield "jordan", *conjugated(core, unimodular=True)
     # denominators up to 16 in the similarity give block scales of 2^8 to
     # 2^27, at which the float eigenvalues of a Jordan block, off by about
     # (eps |M|)^(1/3), often round to no root: their mean does
     for _ in range(20):
+        yield "jordan", *conjugated(jordan(rational(9, 6)), den=16)
+
+    def distinct(n):
+        return sympy.diag(*[sympy.Rational(k, 6) for k in rng.sample(range(-30, 31), n)])
+
+    for _ in range(6):
+        parts = [conjugated(jordan(rational(9, 6)), den=16), conjugated(distinct(2)),
+                 conjugated(distinct(1)), conjugated(distinct(3))]
+        yield "components", *_joined(rng, parts)
+        yield "components-irrational", *_joined(rng, parts[:3] + [conjugated(pair)])
+    for _ in range(6):
         lam = rational(9, 6)
-        jordan = sympy.Matrix([[lam, 1, 0], [0, lam, 1], [0, 0, lam]])
-        yield "jordan", *conjugated(jordan, den=16)
+        rows, scale = conjugated(jordan(lam), den=16)
+        # multiplied up until its float eigenvalues spread over thousands of
+        # integers around mu = lam * scale
+        factor = -(-10**10 // max(abs(v) for row in rows for v in row))
+        rows, scale = [[factor * v for v in row] for row in rows], factor * scale
+        near = ([[int(lam * scale) + 5]], scale)
+        yield "near-jordan", *_joined(rng, [(rows, scale), near, conjugated(distinct(2))])
+    for _ in range(3):
+        yield "coincident", *conjugated(sympy.diag(0, 1155), unimodular=True)
+        yield "coincident", *conjugated(sympy.diag(1155, 0, 2310, 1), unimodular=True)
+        yield "coincident", *conjugated(sympy.diag(jordan(1), 1156), unimodular=True)
+        yield "irreducible", *conjugated(sympy.Matrix([[0, 1155], [1, 0]]), unimodular=True)
+
+
+def _joined(rng, parts):
+    """The integer blocks of `parts`, (rows, scale) each, over their common
+    scale, on the diagonal of a block upper triangular matrix with random
+    integer entries above them, under a random permutation similarity."""
+    scale = lcm(*(s for _, s in parts))
+    n = sum(len(rows) for rows, _ in parts)
+    matrix = [[0] * n for _ in range(n)]
+    start = 0
+    for rows, s in parts:
+        for i, row in enumerate(rows):
+            matrix[start + i][start : start + len(row)] = [v * (scale // s) for v in row]
+            for j in range(start + len(row), n):
+                matrix[start + i][j] = rng.randint(-2, 2)
+        start += len(rows)
+    order = rng.sample(range(n), n)
+    return [[matrix[i][j] for j in order] for i in order], scale
+
+
+NOT_SPLITTING = {"irrational", "components-irrational", "irreducible"}
 
 
 def test_block_eigenvalues_are_the_sympy_rational_eigenvalues():
     # an integer block B = scale * M whose characteristic polynomial sympy
     # factors into linear factors gives exactly those roots with their
     # multiplicities, in increasing order; a block with an irrational pair
-    # is a numeric fallback throughout, though the rest of it is rational
+    # or t^2 - 1155 is a numeric fallback throughout, though the rest of it
+    # is rational
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2021)
     seen = set()
     for kind, block, scale in _conjugated_cases(sympy, rng):
         entries = spectra.block_eigenvalues(block, scale)
         rational, splits = _sympy_rational_eigenvalues(sympy, block, scale)
-        assert splits == (kind != "irrational"), kind
+        assert splits == (kind not in NOT_SPLITTING), kind
         assert sum(e.multiplicity for e in entries) == len(block)
         if splits:
             assert all(e.is_exact for e in entries), (kind, block, scale)
@@ -818,7 +873,10 @@ def test_block_eigenvalues_are_the_sympy_rational_eigenvalues():
             shifted = sympy.Matrix(block) - int(mu) * sympy.eye(len(block))
             assert len(block) - shifted.rank() == 1
         seen.add(kind)
-    assert seen == {"distinct", "repeated", "singular", "irrational", "jordan"}
+    assert seen == {
+        "distinct", "repeated", "singular", "irrational", "jordan", "components",
+        "components-irrational", "near-jordan", "coincident", "irreducible",
+    }
 
 
 SWEEP_DEGREE = {1: 12, 2: 8, 3: 6}
@@ -865,3 +923,127 @@ def test_catalog_block_spectra_are_integers_over_the_scale(name, params):
         else:
             factors = matrix.charpoly(sympy.Symbol("t")).factor_list()[1]
             assert any(factor.degree() > 1 for factor, _ in factors), n
+
+
+def _reachable(block):
+    """reach[i][j]: a path i -> ... -> j of nonzero off-diagonal entries,
+    or i == j, by Warshall's transitive closure."""
+    n = len(block)
+    reach = [[i == j or block[i][j] != 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return reach
+
+
+def _component_blocks():
+    sympy = pytest.importorskip("sympy")
+    yield from (block for _, block, _ in _conjugated_cases(sympy, random.Random(2021)))
+    rng = random.Random(1972)
+    for n in range(1, 16):
+        for density in (0.1, 0.2, 0.35):
+            yield [[rng.randint(1, 9) if rng.random() < density else 0 for _ in range(n)]
+                   for _ in range(n)]
+
+
+def test_components_are_the_strongly_connected_classes_in_block_triangular_order():
+    # the components partition the rows; two rows share one exactly when
+    # each reaches the other; and with the rows and columns permuted to list
+    # the components in the returned order, nothing lies below the diagonal
+    # blocks
+    for block in _component_blocks():
+        components = spectra._components(block)
+        rows = [i for component in components for i in component]
+        assert sorted(rows) == list(range(len(block)))
+        assert all(component == sorted(component) for component in components)
+        reach = _reachable(block)
+        place = {i: k for k, component in enumerate(components) for i in component}
+        for i in range(len(block)):
+            for j in range(len(block)):
+                assert (place[i] == place[j]) == (reach[i][j] and reach[j][i]), (block, i, j)
+                if block[i][j]:
+                    assert place[i] <= place[j], (block, i, j)
+
+
+def test_screen_never_rejects_a_block_that_splits():
+    # every component of a block with rational spectrum has its full degree
+    # of roots modulo each screening prime, counted with multiplicity, also
+    # where distinct eigenvalues coincide modulo all of them; t^2 - 1155
+    # passes the screen too, so the candidates must reject it
+    sympy = pytest.importorskip("sympy")
+    for kind, block, scale in _conjugated_cases(sympy, random.Random(2021)):
+        screened = [
+            spectra._splits_modulo(spectra._char_poly([[block[i][j] for j in c] for i in c]), p)
+            for c in spectra._components(block)
+            for p in spectra.SCREEN_PRIMES
+        ]
+        if kind not in NOT_SPLITTING or kind == "irreducible":
+            assert all(screened), (kind, block, scale)
+        if kind == "irreducible":
+            assert spectra._char_poly(block) == [-1155, 0, 1]
+            entries = spectra.block_eigenvalues(block, scale)
+            assert all(e.source == "numeric-block" for e in entries)
+
+
+def _shortfall_at(p):
+    """The least c, a multiple of every other screening prime, that is no
+    square modulo p: t^2 - c splits modulo every screening prime but p."""
+    others = [q for q in spectra.SCREEN_PRIMES if q != p]
+    step = others[0] * others[1] * others[2]
+    return next(c for c in range(step, p * step, step) if all((x * x - c) % p for x in range(p)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_screen_rejects_a_shortfall_at_each_prime_before_any_candidate(p, monkeypatch):
+    c = _shortfall_at(p)
+    coeffs = [-c, 0, 1]
+    assert [spectra._splits_modulo(coeffs, q) for q in spectra.SCREEN_PRIMES] == [
+        q != p for q in spectra.SCREEN_PRIMES
+    ]
+
+    def unreachable(*args):
+        raise AssertionError("the candidate search ran on a block the screen rejects")
+
+    monkeypatch.setattr(spectra, "_integer_roots", unreachable)
+    # the companion matrix of t^2 - c beside a rational 2 x 2 component
+    block = [[0, c, 1, 0], [1, 0, 0, 2], [0, 0, 3, 1], [0, 0, 2, 4]]
+    entries = spectra.block_eigenvalues(block, 2)
+    assert all(e.source == "numeric-block" for e in entries)
+    assert sorted(e.value for e in entries) == pytest.approx(
+        sorted([-sqrt(c) / 2, sqrt(c) / 2, 1.0, 2.5])
+    )
+
+
+def test_rounded_is_the_fraction_rounding():
+    # round(Fraction(v) * scale), ties to even: on random floats of every
+    # size and sign, random scales, and exact half-way values of both
+    # parities, positive and negative
+    rng = random.Random(1954)
+    cases = []
+    for _ in range(3000):
+        v = rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12)
+        cases.append((v, rng.randint(1, 2**rng.randint(1, 80))))
+    for k in range(1, 60):
+        for n in range(-6, 7):
+            cases.append(((2 * n + 1) / 2 ** (k + 1), 2**k))  # n + 1/2
+            cases.append((3 * (2 * n + 1) / 2 ** (k + 1), 2**k))  # 3n + 3/2
+            cases.append(((2 * n + 1) / 2 ** (k + 1), 3 * 2**k))  # 3n + 3/2
+    ties = 0
+    for v, scale in cases:
+        exact = Fraction(v) * scale
+        ties += exact.denominator == 2
+        assert spectra._rounded(v, scale) == round(exact), (v, scale)
+    assert ties == 3 * 59 * 13
+
+
+def test_char_poly_raises_unless_monic(monkeypatch):
+    # the screen is sound only for a monic polynomial: a Berkowitz step
+    # whose sums came out doubled leaves the leading coefficient 2^n
+    import builtins
+
+    block = [[1, 2], [3, 4]]
+    assert spectra._char_poly(block) == [-2, -5, 1]
+    monkeypatch.setattr(spectra, "sum", lambda items: 2 * builtins.sum(items), raising=False)
+    with pytest.raises(ArithmeticError, match="leading coefficient 4"):
+        spectra._char_poly(block)
