@@ -13,7 +13,7 @@ exact quotient `operator.boundary_first_order`.  Everything here is exact.
 
 An interior grid is one `poly.TensorGrid` (`interior_grid`): integer node
 numerators per axis over one denominator, which the factors' sign test and
-the ellipticity test read as they are.
+the ellipticity test read as they were built.
 """
 
 from __future__ import annotations
@@ -251,17 +251,18 @@ def interior_grid(
     box: Sequence[tuple[Rational, Rational]],
     per_axis: int = 10,
 ) -> TensorGrid:
-    """Rational grid over the box, clipped to {all factors > 0} and trimmed
-    to the rows and columns that hold a point (`TensorGrid.trimmed`).
+    """Rational grid over the box, clipped to {all factors > 0}: the
+    `TensorGrid` as built, holding every node on every axis and, as its
+    points, the nodes inside in ``itertools.product`` order.
 
-    The nodes on each side of the box lie strictly inside it, at fractions
-    (2k+1)/(2n) of the side, so boundary-of-box artifacts never enter.  On
-    the side [lo, hi] the node k is ((2n - j) a + j b) / (2n lo.den hi.den)
-    with j = 2k + 1, a = lo.num hi.den and b = hi.num lo.den; every side
-    is brought to one common denominator, reduced by the content of all
-    the node numerators.  The sign test is exact: each factor's values on
-    the whole grid are integer numerators over one positive denominator
-    (`Polynomial.grid_values`).
+    Each side of the box holds `per_axis` nodes strictly inside it, at
+    fractions (2k+1)/(2n) of the side, so boundary-of-box artifacts never
+    enter.  On the side [lo, hi] the node k is ((2n - j) a + j b) /
+    (2n lo.den hi.den) with j = 2k + 1, a = lo.num hi.den and b = hi.num
+    lo.den; every side is brought to one common denominator, reduced by
+    the content of all the node numerators.  The sign test is exact: each
+    factor's values on the whole grid are integer numerators over one
+    positive denominator (`Polynomial.grid_values`).
     """
     if len(box) != spec.dim:
         raise ValueError("box must give one interval per axis")
@@ -280,4 +281,4 @@ def interior_grid(
     for f in spec.factors:
         values = f.grid_values(axes, denominator)[0]
         inside = [node for node in inside if values[node] > 0]
-    return TensorGrid(axes, denominator, list(inside)).trimmed()
+    return TensorGrid(axes, denominator, list(inside))

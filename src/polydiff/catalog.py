@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .poly import Exponent, Polynomial, TensorGrid, parse_poly, parse_rational, variable_names
 
 if TYPE_CHECKING:
-    from .boundary import BoundarySpec
     from .operator import DiffusionOperator
 
 Rational = int | Fraction
@@ -235,30 +234,20 @@ class Model:
             )
 
     def interior_points(self, per_axis: int = 10, margin: Fraction = Fraction(0)) -> TensorGrid:
-        """Rational interior grid (`boundary.interior_grid`); 0 < margin < 1
-        keeps factors above margin * (their witness value), staying away
-        from the boundary.
+        """Rational interior grid (`boundary.interior_grid`), returned as
+        built.  For 0 < margin < 1 its sign test runs on the shifted
+        factors f - margin * f(witness), which keeps every factor above
+        margin * (its witness value), away from the boundary; margin 0
+        clips to the boundary itself."""
+        from .boundary import BoundarySpec, interior_grid
 
-        The margin test is the grid's own sign test, run on the factors of
-        `interior_boundary`.
-        """
-        from .boundary import interior_grid
-
-        return interior_grid(self.interior_boundary(margin), self.box, per_axis)
-
-    def interior_boundary(self, margin: Fraction) -> BoundarySpec:
-        """The boundary whose interior keeps every factor above margin *
-        (its witness value), for 0 <= margin < 1: the shifted factors
-        f - margin * f(witness), which stay positive at the witness."""
         spec = self.boundary
-        if not margin:
-            return spec
-        if not 0 < margin < 1:
-            raise ValueError(f"margin {margin} is not in [0, 1)")
-        from .boundary import BoundarySpec
-
-        shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
-        return BoundarySpec(spec.dim, shifted, spec.witness)
+        if margin:
+            if not 0 < margin < 1:
+                raise ValueError(f"margin {margin} is not in [0, 1)")
+            shifted = tuple(f - f(spec.witness) * margin for f in spec.factors)
+            spec = BoundarySpec(spec.dim, shifted, spec.witness)
+        return interior_grid(spec, self.box, per_axis)
 
     # ------------------------------------------------------------------
     # tabulated claims

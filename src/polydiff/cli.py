@@ -57,7 +57,10 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise CliDataError(f"--param expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
-        out[name.strip()] = value.strip()
+        name = name.strip()
+        if name in out:
+            raise CliDataError(f"--param {name} is given more than once")
+        out[name] = value.strip()
     return out
 
 
@@ -196,6 +199,8 @@ def cmd_verify(args) -> int:
     if args.model != "all" and args.model not in model_names():
         raise CliDataError(f"unknown model {args.model!r}")
 
+    # a repeated or malformed --param is named even where none is allowed
+    _parse_params(args.param)
     if args.measure is not None:
         return _verify_measure(args)
     if args.param:

@@ -5,7 +5,7 @@ of the polynomial metric adj(g^ij) and collapses it, with the operator
 layer's cometric rows, into one exact rational function evaluated at
 rational sample points, each value an integer numerator over a positive
 integer denominator.  The sample points are one interior grid
-(`boundary.interior_grid`, a `poly.TensorGrid` of integer axes over one
+(`Model.interior_points`, a `poly.TensorGrid` of integer axes over one
 denominator): the grid's sign test, the curvature numerator and the
 determinant all read those axes, and the points become float tuples only
 when a report's points are read.  In dimension 2 the scalar curvature is
@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import interior_grid
 from .catalog import Model
 from .operator import CoMetric, cometric_gradient, gamma
 from .poly import Polynomial, TensorGrid, exact_divide, poly_divmod
@@ -141,20 +140,18 @@ def curvature_constancy(model: Model, min_points: int = 100) -> CurvatureReport:
     """The exact constancy verdict, with curvature values over an interior grid.
 
     The verdict is `CurvatureEvaluator.constant`; the grid supplies the
-    reported values, their mean and spread.  The grid is the model's
-    interior grid at INTERIOR_MARGIN (`boundary.interior_grid` on
-    `Model.interior_boundary`), so sample points keep every boundary factor
-    above 1e-3 of its witness value and the metric stays uniformly
-    elliptic.  It starts at CURVATURE_GRID nodes per axis and doubles, up to
-    128, until `min_points` lie inside.  The chosen grid feeds
-    `curvature_exact` as it was built.
+    reported values, their mean and spread.  Each grid tried is
+    `Model.interior_points(per_axis, INTERIOR_MARGIN)`, so sample points
+    keep every boundary factor above 1e-3 of its witness value and the
+    metric stays uniformly elliptic.  It starts at CURVATURE_GRID nodes per
+    axis and doubles, up to 128, until `min_points` lie inside.  The chosen
+    grid feeds `curvature_exact` as it was built.
     """
-    spec = model.interior_boundary(INTERIOR_MARGIN)
     per_axis = CURVATURE_GRID
-    grid = interior_grid(spec, model.box, per_axis)
+    grid = model.interior_points(per_axis, INTERIOR_MARGIN)
     while len(grid) < min_points and per_axis < 128:
         per_axis *= 2
-        grid = interior_grid(spec, model.box, per_axis)
+        grid = model.interior_points(per_axis, INTERIOR_MARGIN)
     if len(grid) < min_points:
         raise ValueError(f"could not place {min_points} interior points for {model.name}")
     evaluator = CurvatureEvaluator(model.cometric)

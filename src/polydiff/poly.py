@@ -6,9 +6,9 @@ non-negative ints) to nonzero Python ints, and ``denominator`` is the least
 positive integer that clears every coefficient, so it and the numerators
 have no common factor and equal polynomials have equal representations.
 Every exact operation (sums, products, powers, derivatives, substitution,
-evaluation and division) runs in Python ints on that form.  ``terms``, the
-same coefficients as ``Fraction``s in the same order, is a read-only view
-built on first access for printing and reports; no arithmetic reads it.
+evaluation and division) runs in Python ints on that form, each by one
+path: a scalar is a constant polynomial to every operation, and printing
+reads the numerators too.
 
 Variables are named ``x, y, z`` for ``d <= 3`` and ``x1 ... xd`` beyond, both
 for parsing and printing.  Term order everywhere is graded lexicographic:
@@ -42,10 +42,12 @@ RationalLike = int | Fraction
 _set = object.__setattr__
 
 
-def _as_fraction(value: RationalLike | str) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value: RationalLike | str) -> RationalLike:
+    """An int or Fraction as it is (both carry numerator and denominator),
+    a string parsed to a Fraction."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -64,15 +66,15 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals, held as integer
     numerators over one positive denominator."""
 
-    __slots__ = ("dim", "numerators", "denominator", "_terms")
+    __slots__ = ("dim", "numerators", "denominator")
 
-    def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike] | Iterable[tuple[Exponent, RationalLike]] = ()):
+    def __init__(self, dim: int, terms: Mapping[Exponent, RationalLike | str]):
+        """The polynomial sum of coeff * x^exponent over the mapping; zero
+        coefficients are dropped."""
         if dim < 0:
             raise ValueError("dimension must be non-negative")
-        # a Mapping's keys cannot repeat; only other iterables need summing
-        unique = isinstance(terms, Mapping)
-        clean: dict[Exponent, Fraction] = {}
-        for exponent, coeff in terms.items() if unique else terms:
+        clean: dict[Exponent, RationalLike] = {}
+        for exponent, coeff in terms.items():
             try:
                 # index() takes Python and numpy integers and refuses 1.5,
                 # which int() would truncate
@@ -81,19 +83,14 @@ class Polynomial:
                 raise ValueError(f"non-integer exponent {exponent}") from None
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dimension {dim}")
-            value = _as_fraction(coeff)
-            if not unique and exponent in clean:
-                value += clean[exponent]
+            value = _rational(coeff)
             if value:
                 clean[exponent] = value
-            else:
-                clean.pop(exponent, None)
         denominator = lcm(*(c.denominator for c in clean.values()))
         _set(self, "dim", dim)
         numerators = {e: c.numerator * (denominator // c.denominator) for e, c in clean.items()}
         _set(self, "numerators", numerators)
         _set(self, "denominator", denominator)
-        _set(self, "_terms", None)
 
     @classmethod
     def _new(cls, dim: int, numerators: dict[Exponent, int], denominator: int) -> Polynomial:
@@ -105,7 +102,6 @@ class Polynomial:
         _set(p, "dim", dim)
         _set(p, "numerators", numerators)
         _set(p, "denominator", denominator)
-        _set(p, "_terms", None)
         return p
 
     @classmethod
@@ -134,7 +130,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value: RationalLike | str) -> Polynomial:
-        value = _as_fraction(value)
+        value = _rational(value)
         return cls._new(dim, {(0,) * dim: value.numerator} if value else {}, value.denominator)
 
     @classmethod
@@ -146,20 +142,10 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, dim: int, exponent: Exponent, coeff: RationalLike = 1) -> Polynomial:
-        return cls(dim, {tuple(exponent): _as_fraction(coeff)})
+        return cls(dim, {tuple(exponent): coeff})
 
     # ------------------------------------------------------------------
     # structure
-
-    @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """The coefficients as Fractions, in term order: a read-only view,
-        built on first access, for printing and reports."""
-        if self._terms is None:
-            d = self.denominator
-            terms = {e: Fraction(n, d) for e, n in self.numerators.items()}
-            _set(self, "_terms", MappingProxyType(terms))
-        return self._terms
 
     @property
     def is_zero(self) -> bool:
@@ -181,9 +167,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         exponent = max(self.numerators, key=grlex_key)
         return exponent, Fraction(self.numerators[exponent], self.denominator)
-
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -254,16 +237,8 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         """Exact product: integer numerators multiplied term by term, over
-        the product of the two denominators."""
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero(self.dim)
-            factor = other.numerator
-            return Polynomial._reduced(
-                self.dim,
-                {e: n * factor for e, n in self.numerators.items()},
-                self.denominator * other.denominator,
-            )
+        the product of the two denominators.  A scalar is the constant
+        polynomial, whose one term keeps self's terms in their order."""
         other = self._coerce(other)
         right = list(other.numerators.items())
         product: dict[Exponent, int] = {}
@@ -309,8 +284,7 @@ class Polynomial:
     def __call__(self, point: Sequence[RationalLike]) -> Fraction:
         if len(point) != self.dim:
             raise ValueError(f"point length {len(point)} != dimension {self.dim}")
-        # ints and Fractions carry numerator and denominator already
-        point = [v if isinstance(v, (int, Fraction)) else _as_fraction(v) for v in point]
+        point = [_rational(v) for v in point]
         denominator = lcm(*(v.denominator for v in point))
         axes = [[v.numerator * (denominator // v.denominator)] for v in point]
         numerators, scale = self.grid_values(axes, denominator)
@@ -354,9 +328,9 @@ class Polynomial:
     def compose(self, substitution: Sequence[Polynomial]) -> Polynomial:
         """Exact composition p(s_1, ..., s_d).
 
-        The terms of p are taken in graded-lex order, each as its integer
-        numerator times its cached powers of the s_i, summed, and the sum
-        is divided by p's denominator once.
+        The terms of p are taken in graded-lex order, each built as its
+        integer numerator n times the powers s_i ** e_i in axis order,
+        summed, and the sum is divided by p's denominator once.
         """
         if len(substitution) != self.dim:
             raise ValueError("substitution length must match dimension")
@@ -365,23 +339,14 @@ class Polynomial:
         target = substitution[0].dim
         if any(s.dim != target for s in substitution):
             raise ValueError("substitution entries must share one dimension")
-        # cache powers of each substituted polynomial
-        powers: list[dict[int, Polynomial]] = [{1: s} for s in substitution]
         result = Polynomial.zero(target)
         for exponent, n in sorted(self.numerators.items(), key=lambda item: grlex_key(item[0])):
-            term = None
-            for axis, e in enumerate(exponent):
+            term = Polynomial.constant(target, n)
+            for s, e in zip(substitution, exponent):
                 if e:
-                    cache = powers[axis]
-                    if e not in cache:
-                        top = max(cache)
-                        acc = cache[top]
-                        for k in range(top + 1, e + 1):
-                            acc = acc * substitution[axis]
-                            cache[k] = acc
-                    term = cache[e] if term is None else term * cache[e]
-            result = result + (Polynomial.constant(target, n) if term is None else term * n)
-        return result if self.denominator == 1 else result * Fraction(1, self.denominator)
+                    term = term * s**e
+            result = result + term
+        return result * Fraction(1, self.denominator)
 
     # ------------------------------------------------------------------
     # printing
@@ -400,9 +365,11 @@ class TensorGrid:
     Axis a holds the nodes axes[a][i] / denominator, integer numerators over
     one positive denominator, as `Polynomial.grid_values` reads them, and
     nodes[k] is the k-th point's index in the ``itertools.product`` order
-    of the axes, which is the order of `grid_values`' values.  As a
-    sequence the grid is its points: ``len`` counts them, and iterating
-    yields them in order as tuples of Fractions, built only then.
+    of the axes, which is the order of `grid_values`' values.  The axes
+    are kept whole even where no point uses a node, so a grid's points are
+    always read on the axes it was built on.  As a sequence the grid is its
+    points: ``len`` counts them, and iterating yields them in order as
+    tuples of Fractions, built only then.
     """
 
     axes: list[list[int]]
@@ -416,29 +383,6 @@ class TensorGrid:
         axes = [[Fraction(x, self.denominator) for x in axis] for axis in self.axes]
         cells = list(iter_product(*axes))
         return (cells[node] for node in self.nodes)
-
-    def trimmed(self) -> TensorGrid:
-        """The same points on the smallest grid holding them: each axis cut
-        to the nodes that hold a point, or the grid itself if none is
-        empty."""
-        sizes = [len(axis) for axis in self.axes]
-        # a point's position on axis a is node // strides[a] % sizes[a]
-        strides = [prod(sizes[a + 1 :]) for a in range(len(sizes))]
-        used = [
-            sorted({node // stride % size for node in self.nodes})
-            for stride, size in zip(strides, sizes)
-        ]
-        if [len(kept) for kept in used] == sizes:
-            return self
-        nodes = [0] * len(self.nodes)
-        for stride, size, kept in zip(strides, sizes, used):
-            where = {position: i for i, position in enumerate(kept)}
-            count = len(kept)
-            nodes = [
-                node * count + where[old // stride % size] for node, old in zip(nodes, self.nodes)
-            ]
-        axes = [[axis[i] for i in kept] for axis, kept in zip(self.axes, used)]
-        return TensorGrid(axes, self.denominator, nodes)
 
 
 def _primitive(p: Polynomial, divisor: Polynomial) -> tuple[int, dict[Exponent, int], Exponent]:
@@ -640,14 +584,15 @@ def format_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:
         return "0"
     names = list(names) if names is not None else variable_names(p.dim)
     pieces: list[str] = []
-    for exponent, coeff in p.sorted_terms():
+    for exponent in sorted(p.numerators, key=grlex_key):
+        n = p.numerators[exponent]
         factors = []
         for name, e in zip(names, exponent):
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        magnitude = abs(coeff)
+        magnitude = Fraction(abs(n), p.denominator)
         if not factors:
             body = str(magnitude)
         elif magnitude == 1:
@@ -655,9 +600,9 @@ def format_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             body = "*".join([str(magnitude)] + factors)
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if n > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(pieces)
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from polydiff.catalog import get_model, model_names
 from polydiff.geometry import INTERIOR_MARGIN
 from polydiff.operator import CoMetric, DegenerateMetricError, boundary_first_order
 from polydiff.poly import MonomialBasis, Polynomial, TensorGrid, parse_poly
-from test_poly import integer_axes, point_grid
+from test_poly import fraction_terms, integer_axes, point_grid
 
 
 def spec2(*factor_texts, witness=("0", "0")):
@@ -74,7 +73,7 @@ def test_deltoid_unique_and_proportional_to_catalog():
         for j in range(2):
             if not catalog[i, j].is_zero:
                 exponent, coeff = catalog[i, j].leading_term()
-                ratio = g[i, j].terms.get(exponent, 0) / coeff
+                ratio = fraction_terms(g[i, j]).get(exponent, 0) / coeff
                 break
         if ratio is not None:
             break
@@ -303,7 +302,7 @@ def test_ellipticity_verdicts_match_sympy_leading_minors():
 def _fraction_value(f, node):
     """Reference value of f at a node, summed term by term in Fractions."""
     total = Fraction(0)
-    for exponent, coeff in f.terms.items():
+    for exponent, coeff in fraction_terms(f).items():
         for v, e in zip(node, exponent):
             coeff *= v**e
         total += coeff
@@ -351,7 +350,7 @@ def _screened_fraction_grid(spec, box, per_axis):
     keep = np.ones(len(nodes), dtype=bool)
     for f in spec.factors:
         value, size = np.zeros(len(nodes)), np.zeros(len(nodes))
-        for exponent, coeff in f.terms.items():
+        for exponent, coeff in fraction_terms(f).items():
             term = float(coeff) * np.prod(floats ** np.array(exponent), axis=1)
             value += term
             size += np.abs(term)
@@ -371,12 +370,32 @@ def test_interior_grid_at_the_curvature_margin_matches_fraction_reference(per_ax
         model = get_model(name)
         if not model.boundary.factors:
             continue
-        spec = model.interior_boundary(INTERIOR_MARGIN)
+        # the factors less INTERIOR_MARGIN times their witness values
+        witness = model.boundary.witness
+        shifted = tuple(f - f(witness) * INTERIOR_MARGIN for f in model.boundary.factors)
+        spec = BoundarySpec(model.dim, shifted, witness)
         reference = _fraction_grid if per_axis**model.dim <= 4096 else _screened_fraction_grid
         expected = reference(spec, model.box, per_axis)
         assert list(model.interior_points(per_axis, INTERIOR_MARGIN)) == expected, name
         checked += 1
     assert checked == 22
+
+
+@pytest.mark.parametrize("per_axis", [4, 7, 10])
+def test_interior_grid_keeps_every_node_of_a_box_the_domain_fills_in_part(per_axis):
+    # the triangle x, y, 1 - x - y > 0 fills one corner of [-1, 1]^2; the
+    # grid is returned as built, with per_axis nodes on each side at
+    # (2k+1)/(2n) of it, the nodes no inside point uses among them, and its
+    # points are the inside nodes in product order
+    spec = spec2("x", "y", "1-x-y", witness=("1/4", "1/4"))
+    box = [(-1, 1), (-1, 1)]
+    grid = interior_grid(spec, box, per_axis)
+    side = [-1 + 2 * Fraction(2 * k + 1, 2 * per_axis) for k in range(per_axis)]
+    assert [[Fraction(x, grid.denominator) for x in axis] for axis in grid.axes] == [side, side]
+    expected = _fraction_grid(spec, box, per_axis)
+    assert expected and list(grid) == expected
+    cells = list(itertools.product(side, side))
+    assert [cells[node] for node in grid.nodes] == expected
 
 
 def test_interior_grid_sign_test_sees_nodes_on_the_boundary():
@@ -424,7 +443,7 @@ def _fraction_admissibility_rows(spec):
                     if b == i and b != a:
                         contributions.append(monomial * grad[a])
                 for contrib in contributions:
-                    for e, c in contrib.terms.items():
+                    for e, c in fraction_terms(contrib).items():
                         row_of[e][slot] += c
             rows.extend(row_of[e] for e in residual_basis.exponents)
     return rows, unknowns
@@ -478,7 +497,7 @@ def test_admissibility_matches_fraction_row_reference(name, params):
     matrix = build_admissibility_system(spec)
     start = 0
     for factor in spec.factors:
-        scale = lcm(*(c.denominator for c in factor.terms.values()))
+        scale = factor.denominator
         count = spec.dim * len(MonomialBasis(spec.dim, int(factor.total_degree) + 1))
         for row, expected in zip(matrix.data[start : start + count], reference[start:]):
             assert row == {j: v * scale for j, v in enumerate(expected) if v}
@@ -498,4 +517,4 @@ def test_admissibility_matches_fraction_row_reference(name, params):
         s_for = [boundary_first_order(g, factor) for factor in spec.factors]
         for (kind, a, b, m_exp), value in zip(unknowns, vector):
             polynomial = g[a, b] if kind == "g" else s_for[a][b]
-            assert polynomial.terms.get(m_exp, 0) == value
+            assert fraction_terms(polynomial).get(m_exp, 0) == value

@@ -80,6 +80,25 @@ def test_bad_parameter_is_data_error(capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "disk", "--degree", "2"],
+        ["curvature", "--model", "disk", "--format", "json"],
+        ["orthogonality", "--model", "disk", "--degree", "1", "--format", "json"],
+        ["boundary-points", "--model", "disk", "-n", "4"],
+        ["verify", "--model", "disk", "--measure", "det^-1/2"],
+        ["verify", "--model", "disk"],
+    ],
+)
+def test_repeated_parameter_is_data_error(capsys, argv):
+    # the later value would otherwise overwrite the earlier one silently
+    code, out, err = run_cli(capsys, *argv, "--param", "a=1/2", "--param", "b=1", "--param", "a=3")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "--param a is given more than once" in err
+
+
 def test_malformed_polynomial_is_data_error(capsys):
     code, _, err = run_cli(capsys, "admissible", "--factor", "x?+1", "--witness", "0,0")
     assert code == EXIT_DATA

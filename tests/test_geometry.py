@@ -14,7 +14,7 @@ from polydiff.operator import CoMetric, cometric_gradient, gamma, sphere_operato
 from polydiff.poly import Polynomial, TensorGrid, exact_divide
 from polydiff.quadrature import COVER_SAMPLERS
 from polydiff.rng import sphere_points
-from test_poly import integer_axes, point_grid
+from test_poly import fraction_terms, integer_axes, point_grid
 
 PLANE_MODELS = [name for name in model_names() if get_model(name).dim == 2]
 
@@ -493,7 +493,7 @@ def _sympy_scalar_curvature(cometric):
         return sympy.Add(
             *(
                 sympy.Rational(c.numerator, c.denominator) * coords[0] ** e[0] * coords[1] ** e[1]
-                for e, c in p.terms.items()
+                for e, c in fraction_terms(p).items()
             )
         )
 

@@ -31,6 +31,11 @@ Y2 = Polynomial.variable(2, 1)
 DELTOID_PRINTED = parse_poly("(x^2+y^2)^2 + 18*(x^2+y^2) - 8*x^3 + 24*x*y^2 - 27", 2)
 
 
+def fraction_terms(p):
+    """p's coefficients as Fractions, in its term order."""
+    return {e: Fraction(n, p.denominator) for e, n in p.numerators.items()}
+
+
 def integer_axes(axes):
     """Rational grid axes, converted once to the integer node numerators
     over their least common denominator that `Polynomial.grid_values`
@@ -50,10 +55,9 @@ def test_mul_difference_of_squares():
     assert (X2 + Y2) * (X2 - Y2) == X2**2 - Y2**2
 
 
-def test_constructor_sums_repeated_pairs_and_drops_zeros():
-    pairs = [((1, 0), 1), ((0, 1), 2), ((1, 0), -1), ((0, 1), Fraction(1, 2))]
-    assert Polynomial(2, pairs).terms == {(0, 1): Fraction(5, 2)}
-    assert Polynomial(2, {(1, 0): 0, (0, 1): "1/3"}).terms == {(0, 1): Fraction(1, 3)}
+def test_constructor_drops_zeros():
+    p = Polynomial(2, {(1, 0): 0, (0, 1): "1/3", (1, 1): Fraction(0)})
+    assert (p.numerators, p.denominator) == ({(0, 1): 1}, 3)
     with pytest.raises(ValueError):
         Polynomial(2, {(1,): 1})
 
@@ -62,16 +66,13 @@ def test_constructor_sums_repeated_pairs_and_drops_zeros():
 def test_constructor_rejects_non_integer_exponents(exponent):
     with pytest.raises(ValueError, match="non-integer exponent"):
         Polynomial(1, {exponent: 1})
-    with pytest.raises(ValueError, match="non-integer exponent"):
-        Polynomial(1, [(exponent, 1)])
 
 
 def test_constructor_takes_python_and_numpy_integer_exponents():
     for exponent in [(2,), (np.int64(2),), (np.intp(2),), (np.int32(2),)]:
         p = Polynomial(1, {exponent: 3})
-        assert p.terms == {(2,): Fraction(3)}
-        assert type(next(iter(p.terms))[0]) is int
-        assert Polynomial(1, [(exponent, 3)]) == p
+        assert (p.numerators, p.denominator) == ({(2,): 3}, 1)
+        assert type(next(iter(p.numerators))[0]) is int
 
 
 def test_add_zero_is_identity():
@@ -321,7 +322,7 @@ def test_monomial_basis_eval_float_matches_naive(dim, degree):
 def test_polynomial_eval_float_matches_naive(dim, count):
     p = _random_poly(random.Random(dim), dim, 7)
     points = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(count, dim))
-    terms = np.array([float(c) * np.prod(points ** np.array(e), axis=1) for e, c in p.terms.items()])
+    terms = np.array([float(c) * np.prod(points ** np.array(e), axis=1) for e, c in fraction_terms(p).items()])
     expected = terms.sum(axis=0)
     scale = np.abs(terms).sum(axis=0)
     got = eval_floats([p], points.T)[0]
@@ -334,7 +335,7 @@ def _termwise(p, points):
     its coefficient and is multiplied by its powers in axis order, each power
     built by repeated multiplication; the terms are summed in their order."""
     out = np.zeros(points.shape[0])
-    for exponent, coeff in p.terms.items():
+    for exponent, coeff in fraction_terms(p).items():
         term = np.full(points.shape[0], float(coeff))
         for axis, e in enumerate(exponent):
             if e:
@@ -410,7 +411,7 @@ def _sympy_expr(sympy, p, symbols):
         *(
             sympy.Rational(c.numerator, c.denominator)
             * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
-            for e, c in p.terms.items()
+            for e, c in fraction_terms(p).items()
         )
     )
 
@@ -429,7 +430,7 @@ def _random_coordinate(rng):
 def _fraction_value(p, node):
     """p at a rational node, summed term by term in Fractions."""
     total = Fraction(0)
-    for exponent, coeff in p.terms.items():
+    for exponent, coeff in fraction_terms(p).items():
         for v, e in zip(node, exponent):
             coeff *= Fraction(v) ** e
         total += coeff
@@ -460,7 +461,7 @@ def test_grid_values_on_integer_axes_equal_fraction_evaluation(dim):
         assert [Fraction(n, scale) for n in numerators] == expected, (p, axes)
 
 
-def test_tensor_grid_points_and_trimmed_keep_the_points():
+def test_tensor_grid_is_the_sequence_of_its_points():
     # a grid is the sequence of its points, at its nodes in their order
     rng = random.Random(41)
     fractions = [
@@ -474,15 +475,9 @@ def test_tensor_grid_points_and_trimmed_keep_the_points():
     assert list(grid) == [cells[node] for node in nodes]
     assert all(type(v) is Fraction for point in grid for v in point)
     assert not TensorGrid(axes, denominator, []) and list(TensorGrid(axes, denominator, [])) == []
-    full = TensorGrid(axes, denominator, list(range(len(cells))))
-    assert full.trimmed() is full  # already the smallest grid
     # a 6 x 5 grid holding points in two of its rows and three columns
-    axes = [[-5, -3, -1, 1, 3, 5], [0, 2, 4, 6, 8]]
-    nodes = [1 * 5 + 2, 1 * 5 + 4, 4 * 5 + 0, 4 * 5 + 2]
-    sparse = TensorGrid(axes, 6, nodes)
-    cut = sparse.trimmed()
-    assert [len(axis) for axis in cut.axes] == [2, 3]
-    assert list(cut) == list(sparse) == [
+    sparse = TensorGrid([[-5, -3, -1, 1, 3, 5], [0, 2, 4, 6, 8]], 6, [7, 9, 20, 22])
+    assert list(sparse) == [
         (Fraction(-3, 6), Fraction(4, 6)),
         (Fraction(-3, 6), Fraction(8, 6)),
         (Fraction(3, 6), Fraction(0)),
@@ -586,8 +581,8 @@ def test_arithmetic_matches_sympy_expansion():
         ] + [(p.derivative(axis), sympy.diff(sp, s)) for axis, s in enumerate(symbols)]
         for got, expected in cases:
             assert got.dim == dim
-            assert got.terms == _sympy_terms(sympy, expected, symbols), (p, q, c)
-            assert all(type(v) is Fraction and v for v in got.terms.values())
-            assert all(type(e) is tuple and all(type(k) is int for k in e) for e in got.terms)
-        cancelled += len((p + q).terms) < len(set(p.terms) | set(q.terms))
+            assert fraction_terms(got) == _sympy_terms(sympy, expected, symbols), (p, q, c)
+            assert all(type(n) is int and n for n in got.numerators.values())
+            assert all(type(e) is tuple and all(type(k) is int for k in e) for e in got.numerators)
+        cancelled += len((p + q).numerators) < len(set(p.numerators) | set(q.numerators))
     assert cancelled

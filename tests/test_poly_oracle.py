@@ -7,6 +7,7 @@ over a polynomial's terms follow its term order, so every operation is
 checked for its coefficients and for the order it produces them in.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -21,6 +22,7 @@ from polydiff.poly import (
     exact_divide,
     format_poly,
     grlex_key,
+    parse_poly,
     poly_divmod,
     variable_names,
 )
@@ -31,18 +33,9 @@ SETTINGS = settings(max_examples=100, deadline=None)
 # the oracle
 
 
-def ref_from_pairs(dim, pairs):
-    """The constructor: repeated exponents summed, zero sums dropped."""
-    terms = {}
-    for exponent, coeff in pairs:
-        value = Fraction(coeff)
-        if exponent in terms:
-            value += terms[exponent]
-        if value:
-            terms[exponent] = value
-        else:
-            terms.pop(exponent, None)
-    return terms
+def ref_from_terms(terms):
+    """The constructor: the coefficients as Fractions, zeros dropped."""
+    return {e: Fraction(c) for e, c in terms.items() if Fraction(c)}
 
 
 def ref_add(a, b):
@@ -118,19 +111,15 @@ def ref_partial_evaluate(a, dim, assignments):
 
 
 def ref_compose(a, subs, target):
-    """Terms in graded-lex order, each the constant times the cached powers
-    of the substituted polynomials in axis order, added up."""
-    one = {(0,) * target: Fraction(1)}
-    powers = [{0: one} for _ in subs]
+    """Terms in graded-lex order, each the constant times the powers of the
+    substituted polynomials in axis order, each power by `ref_pow`, added
+    up."""
     result = {}
     for exponent, coeff in sorted(a.items(), key=lambda item: grlex_key(item[0])):
         term = {(0,) * target: coeff}
-        for axis, e in enumerate(exponent):
+        for sub, e in zip(subs, exponent):
             if e:
-                cache = powers[axis]
-                for k in range(max(cache) + 1, e + 1):
-                    cache[k] = ref_mul(cache[k - 1], subs[axis])
-                term = ref_mul(term, cache[e])
+                term = ref_mul(term, ref_pow(sub, target, e))
         result = ref_add(result, term)
     return result
 
@@ -169,6 +158,24 @@ def ref_divmod(a, b):
     return quotient, remainder
 
 
+def ref_format(a, dim, names=None):
+    """The text of a polynomial held as Fractions: its terms in graded-lex
+    order, each as sign, magnitude and factors, the first sign unspaced."""
+    if not a:
+        return "0"
+    names = names or variable_names(dim)
+    pieces = []
+    for exponent, coeff in sorted(a.items(), key=lambda item: grlex_key(item[0])):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e]
+        magnitude = abs(coeff)
+        body = "*".join(factors if factors and magnitude == 1 else [str(magnitude)] + factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
 # ----------------------------------------------------------------------
 # checks
 
@@ -176,8 +183,6 @@ def ref_divmod(a, b):
 def assert_matches(p, terms, dim):
     """p holds exactly `terms`, in their order, on a reduced integer form."""
     assert p.dim == dim
-    assert list(p.terms.items()) == list(terms.items())
-    assert all(type(c) is Fraction for c in p.terms.values())
     assert list(p.numerators) == list(terms)
     assert all(type(n) is int and n for n in p.numerators.values())
     assert type(p.denominator) is int and p.denominator > 0
@@ -194,24 +199,25 @@ coefficients = st.one_of(
 
 
 @st.composite
-def pair_lists(draw, dim, max_exponent=3, max_terms=6):
+def term_maps(draw, dim, max_exponent=3, max_terms=6):
+    """{exponent: coefficient}, zero coefficients included."""
     exponent = st.tuples(*[st.integers(0, max_exponent)] * dim)
-    return draw(st.lists(st.tuples(exponent, coefficients), max_size=max_terms))
+    return draw(st.dictionaries(exponent, st.one_of(coefficients, st.just(0)), max_size=max_terms))
 
 
 @st.composite
-def poly_pairs(draw, count=1, dims=(1, 2, 3)):
+def poly_pairs(draw, count=1, dims=(1, 2, 3), max_exponent=3, max_terms=6):
     """`count` polynomials of one dimension, with their oracle terms; some
     share exponents so that sums cancel."""
     dim = draw(st.sampled_from(dims))
     out = []
     for _ in range(count):
-        pairs = draw(pair_lists(dim))
+        terms = draw(term_maps(dim, max_exponent, max_terms))
         if out and draw(st.booleans()):
             # reuse the exponents of the previous polynomial
-            pairs += [(e, draw(coefficients)) for e, _ in out[-1][2]]
-        out.append((Polynomial(dim, pairs), ref_from_pairs(dim, pairs), pairs))
-    return dim, [(p, terms) for p, terms, _ in out]
+            terms.update((e, draw(coefficients)) for e in out[-1][1])
+        out.append((Polynomial(dim, terms), ref_from_terms(terms)))
+    return dim, out
 
 
 @SETTINGS
@@ -239,8 +245,11 @@ def test_sum_difference_and_negation_match_oracle(case):
 def test_products_and_scalar_products_match_oracle(case, scalar):
     dim, [(p, a), (q, b)] = case
     assert_matches(p * q, ref_mul(a, b), dim)
-    assert_matches(p * scalar, ref_scale(a, Fraction(scalar)), dim)
-    assert_matches(scalar * p, ref_scale(a, Fraction(scalar)), dim)
+    # a scalar is the constant polynomial, on either side of *
+    for s in (scalar, 0, 1, -1, Fraction(-1, 2), Fraction(-9, 4)):
+        assert_matches(p * s, ref_scale(a, Fraction(s)), dim)
+        assert_matches(s * p, ref_scale(a, Fraction(s)), dim)
+        assert_matches(p * Polynomial.constant(dim, s), ref_scale(a, Fraction(s)), dim)
 
 
 @SETTINGS
@@ -278,15 +287,42 @@ def test_partial_evaluate_matches_oracle(case, data):
 
 
 @SETTINGS
-@given(poly_pairs(1, dims=(1, 2, 3)), st.integers(1, 3), st.data())
+@given(poly_pairs(1, max_exponent=6, max_terms=4), st.integers(1, 3), st.data())
 def test_compose_matches_oracle(case, target, data):
     dim, [(p, a)] = case
     subs = []
     for _ in range(dim):
-        pairs = data.draw(pair_lists(target, max_exponent=2, max_terms=3))
-        subs.append((Polynomial(target, pairs), ref_from_pairs(target, pairs)))
-    got = p.compose([s for s, _ in subs])
-    assert_matches(got, ref_compose(a, [t for _, t in subs], target), target)
+        # exponent 0 draws a constant substitution
+        terms = data.draw(term_maps(target, max_exponent=data.draw(st.integers(0, 2)), max_terms=3))
+        subs.append((Polynomial(target, terms), ref_from_terms(terms)))
+    # p over 6 as well, so the final division by p's denominator shows
+    for q, b in ((p, a), (p * Fraction(5, 6), ref_scale(a, Fraction(5, 6)))):
+        got = q.compose([s for s, _ in subs])
+        assert_matches(got, ref_compose(b, [t for _, t in subs], target), target)
+
+
+def test_format_matches_fraction_reference():
+    # seeded polynomials in dims 1-4 with zero, negative and fractional
+    # coefficients, among them the zero polynomial, leading negative terms
+    # and coefficients of magnitude 1 on constant and non-constant terms
+    rng = random.Random(45)
+    values = [0, 1, -1, 2, -7, Fraction(1, 3), Fraction(-5, 4), Fraction(-1, 6), Fraction(12, 7)]
+    signs = set()
+    for trial in range(300):
+        dim = 1 + trial % 4
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(dim)): rng.choice(values)
+            for _ in range(rng.randint(0, 6))
+        }
+        p, a = Polynomial(dim, terms), ref_from_terms(terms)
+        text = format_poly(p)
+        assert text == ref_format(a, dim), terms
+        assert parse_poly(text, dim) == p
+        names = [f"t{i}" for i in range(dim)]
+        assert format_poly(p, names) == ref_format(a, dim, names)
+        if a:
+            signs.add(text.startswith("-"))
+    assert signs == {True, False}
 
 
 @SETTINGS

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,29 @@ def test_operator_module_imports_no_numpy(module):
         if name == "numpy" or name.startswith("numpy.")
     ]
     assert found == []
+
+
+def _tool_imports():
+    """(tool, module, name) of each ``from polydiff... import name`` in
+    tools/*.py, read from the source without running any tool."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    paths = sorted(tools.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                if node.module == "polydiff" or node.module.startswith("polydiff."):
+                    yield from ((path.name, node.module, alias.name) for alias in node.names)
+
+
+def test_every_name_a_tool_imports_is_defined():
+    # a name deleted from the package while a tool still imports it would
+    # otherwise only show when someone runs that tool
+    missing = []
+    for tool, module_name, name in _tool_imports():
+        module = importlib.import_module(module_name)
+        if hasattr(module, name):
+            continue
+        if importlib.util.find_spec(f"{module_name}.{name}") is None:
+            missing.append(f"{tool}: from {module_name} import {name}")
+    assert missing == []

@@ -1,10 +1,11 @@
 """Time `spectra.orthogonal_polynomials` and the exact moments on every
 catalog model.
 
-    python3 tools/time_orthogonal_polynomials.py
+    python3 tools/time_orthogonal_polynomials.py [CHECKOUT]
 
-Run it from the root of a source checkout.  For each of the 24 catalog
-models, at its default parameters, it times
+CHECKOUT is the root of a source tree (default: this one).  Its `src` goes
+first on sys.path, so the script times whichever checkout it is given.  For
+each of the 24 catalog models, at its default parameters, it times
 orthogonal_polynomials(GradedOperatorMatrix(op, 12), 6), the call each
 eigenbasis-quality claim makes (the exact moments included), and
 GradedOperatorMatrix(op, 12).moments(), each time with the graded matrix
@@ -17,8 +18,10 @@ for the moments.
 import json
 import sys
 import time
+from pathlib import Path
 
-sys.path[:0] = ["src"]
+CHECKOUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(CHECKOUT.resolve() / "src")]
 
 from polydiff.catalog import get_model, model_names  # noqa: E402
 from polydiff.operator import GradedOperatorMatrix  # noqa: E402
