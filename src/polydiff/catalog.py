@@ -57,8 +57,8 @@ class DomainSampler:
     Every kind but mc-rejection is sized by the moment degree it integrates
     (`sample_domain`).  sample_count is the number of Monte Carlo proposals
     (accepted points are the subset inside the domain): the mc-rejection
-    sample, and for cover-mc the draw that only cross-checks its rule
-    (`quadrature.cover_cross_check`).
+    sample, and for cover-mc the draw that is only cross-checked against
+    the exact moments of the measure (`quadrature.cover_cross_check`).
     """
 
     kind: str

@@ -44,7 +44,7 @@ from .operator import (
     product_operator,
 )
 from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
-from .quadrature import Moments, cover_cross_check, symmetry_defect
+from .quadrature import Moments, cover_cross_check, rule_moment_gap, symmetry_defect
 from .rng import stream_uniform
 from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
 
@@ -53,6 +53,10 @@ DEFECT_TOL = 1e-8
 # errors (3.4 at most over 17 seeds); a 1% bias in the Monte Carlo weights
 # reads 9 to 22 at 1M proposals
 MC_Z_GATE = 5.0
+# gate on a cover rule's largest relative moment error against the exact
+# moments (at most 8.5e-12, on deltoid); dropping its boundary nodes reads
+# 1e-3 or more
+RULE_GAP_TOL = 1e-10
 GRAM_TOL = 1e-6
 # relative gap between the energy pencil and the graded spectrum, on every
 # sampled model
@@ -122,9 +126,9 @@ class RunContext:
     model is its exact cover rule (`quadrature.Moments`); its Monte Carlo
     sample is drawn only by the symmetry-defect claim's cross-check, which
     streams it block by block into a moment table, so no point cloud is
-    held or cached.  The claim tolerances are those of a deterministic
-    rule, so a model whose rule is mc-rejection raises before any point is
-    drawn.
+    held or cached, and holds it against the exact moments of the measure.
+    The claim tolerances are those of a deterministic rule, so a model
+    whose rule is mc-rejection raises before any point is drawn.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
@@ -268,14 +272,18 @@ def _symmetry_defect_claim(ctx: RunContext, name: str):
     ok = defect < DEFECT_TOL
     detail = {"degree": 6, "defect": defect, "tolerance": DEFECT_TOL}
     if sampler.kind == "cover-mc":
-        # the Monte Carlo run stays as a cross-estimator of the exact rule
+        # the Monte Carlo run and the rule are both held against the exact
+        # moments of the measure, the rule through their degree-13 prefix
         check = cover_cross_check(model, moments.basis.max_degree, sampler)
-        ok = ok and check.max_z < MC_Z_GATE
+        gap = rule_moment_gap(moments, check.exact)
+        ok = ok and check.max_z < MC_Z_GATE and gap < RULE_GAP_TOL
         detail.update(
             mc_proposals=check.proposals,
             mc_accepted=check.accepted,
             mc_max_z=check.max_z,
             mc_z_gate=MC_Z_GATE,
+            rule_moment_gap=gap,
+            rule_gap_tolerance=RULE_GAP_TOL,
         )
     return ok, detail
 

@@ -18,8 +18,11 @@ realization exactly.  Each cover has a seeded Monte Carlo draw (sampler kind
 cover-mc) and a deterministic product rule, both pushed to the plane by
 evaluating the maps.  The product rule, built for a moment degree, is exact
 to roundoff like the Gauss rules and is what `sample_domain` returns for a
-cover-mc sampler; `cover_cross_check` measures the Monte Carlo moments
-against it in units of their standard error.  The cross-check streams the
+cover-mc sampler.  `cover_cross_check` measures the Monte Carlo moments in
+units of their standard error against the exact moments of the measure,
+which L fixes (`GradedOperatorMatrix.moments`), and hands those moments
+back so that `rule_moment_gap` can hold the rule against them too; no rule
+is integrated for the reference.  The cross-check streams the
 draw in blocks of POINT_CHUNK proposals and never holds the whole point
 cloud.  It is the one pass that uses threads: the blocks are shared out
 between the calling thread and one helper thread per further CPU the
@@ -67,7 +70,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operator import CoMetric, DiffusionOperator, _lowered, product_operator, sphere_operator
+from .operator import (
+    CoMetric,
+    DiffusionOperator,
+    GradedOperatorMatrix,
+    _lowered,
+    product_operator,
+    sphere_operator,
+)
 from .catalog import DomainSampler, SamplerConfigError
 from .poly import MonomialBasis, Polynomial, grlex_key, parse_poly, parse_rational
 from .rng import normal_points, sphere_points, uniform_block, unit_rows
@@ -389,7 +399,9 @@ class CoverSampler:
     degree <= e in each factor's coordinates, and `generate(seed, start,
     count)` draws Monte Carlo points start .. start+count-1 on the cover and
     maps them to the plane.  The draws are counter-based, so any split of a
-    range into blocks yields the same points bit for bit.
+    range into blocks yields the same points bit for bit.  Both are checked
+    against the exact moments of the model measure: the draw by
+    `cover_cross_check`, the rule by `rule_moment_gap`.
     """
 
     model: str
@@ -791,36 +803,73 @@ class Moments:
 
 @dataclass(frozen=True)
 class CoverCrossCheck:
-    """Cover Monte Carlo moments against the exact cover rule."""
+    """Cover Monte Carlo moments against the exact moments of the measure.
+
+    `exact` holds those moments as `GradedOperatorMatrix.moments` returns
+    them, (integer numerators, denominator), over the basis of twice the
+    checked degree, so `rule_moment_gap` can gate a rule on their prefix.
+    """
 
     proposals: int
     accepted: int
     max_z: float
+    exact: tuple[list[int], int]
 
 
 def moment_z_scores(
-    basis: MonomialBasis, values: np.ndarray, exact: Moments, proposals: int
+    basis: MonomialBasis, values: np.ndarray, exact: tuple[list[int], int], proposals: int
 ) -> np.ndarray:
     """z_a = (mc_a - E[x^a]) / (sigma_a / sqrt(N)) for the nonconstant
     monomials of `basis`, in basis order, where `values` holds the Monte
     Carlo moments mc_a of `basis` and N = `proposals`.
 
-    `exact` must hold the exact moments to twice the basis degree: sigma_a^2
-    = E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term.
+    `exact` holds the exact moments of the probability measure over
+    `MonomialBasis(basis.dim, 2 * basis.max_degree)` as integer numerators
+    over one denominator (`GradedOperatorMatrix.moments`): sigma_a^2 =
+    E[x^2a] - E[x^a]^2 is the variance of one Monte Carlo term, formed
+    exactly and converted to float once.
     """
-    exponents = np.array(basis.exponents[1:])  # the constant has no variance
-    mean = exact.monomial(exponents)
-    second = exact.monomial(2 * exponents)
-    variance = second - mean * mean
-    if not (variance > 0).all():
-        raise ArithmeticError("a nonconstant monomial has no positive variance under the rule")
-    return (values[1:] - mean) / np.sqrt(variance / proposals)
+    numerators, denominator = exact
+    index = MonomialBasis(basis.dim, 2 * basis.max_degree).index
+    means, variances = [], []
+    for a in basis.exponents[1:]:  # the constant has no variance
+        mean = numerators[index[a]]
+        # denominator^2 times the variance
+        variance = numerators[index[tuple(2 * e for e in a)]] * denominator - mean * mean
+        if variance <= 0:
+            raise ArithmeticError(f"the monomial {a} has no positive variance under the measure")
+        means.append(mean / denominator)
+        variances.append(variance / denominator**2)
+    return (values[1:] - np.array(means)) / np.sqrt(np.array(variances) / proposals)
+
+
+def rule_moment_gap(rule: Moments, exact: tuple[list[int], int]) -> float:
+    """max over the monomials x^a of `rule.basis` of |rule_a - E[x^a]| /
+    max(|E[x^a]|, 1): how far a rule's moments lie from the exact ones.
+
+    `exact` holds the exact moments of the probability measure over a
+    basis of at least the rule's degree, as `GradedOperatorMatrix.moments`
+    returns them; the graded basis of the rule is their prefix.  The rule's
+    moments are not divided by its mass, so a rule of the wrong mass shows
+    in the constant monomial.
+    """
+    numerators, denominator = exact
+    if len(numerators) < len(rule.basis):
+        raise ValueError("the exact moments stop below the rule's degree")
+    mean = np.array([n / denominator for n in numerators[: len(rule.basis)]])
+    return float((np.abs(rule.values - mean) / np.maximum(np.abs(mean), 1.0)).max())
 
 
 def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossCheck:
     """One streaming pass of the cover Monte Carlo sampler: the largest |z|
-    of its moments up to `degree` against the exact cover rule
-    (`moment_z_scores`).
+    of its moments up to `degree` against the exact moments of the model
+    measure (`moment_z_scores`).
+
+    The exact moments to twice the degree come from one
+    `GradedOperatorMatrix(model.operator, 2 * degree).moments()`: L is
+    symmetric in L^2 of the measure, so the integral of L p vanishes for
+    every polynomial p, which fixes every moment; no rule is integrated for
+    them.  They are returned with the result.
 
     Each block of POINT_CHUNK proposals is one task: draw it, drop the
     roundoff-level boundary grazers (cover images land in the closed
@@ -834,8 +883,8 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
     """
     if sampler.kind != "cover-mc":
         raise SamplerConfigError(f"cross-check needs a cover-mc sampler, not {sampler.kind}")
-    exact = Moments(model, 2 * degree, sampler)
     cover = _applicable_cover(model)
+    exact = GradedOperatorMatrix(model.operator, 2 * degree).moments()
     factors = model.boundary.factors
     n = sampler.sample_count
 
@@ -852,7 +901,7 @@ def cover_cross_check(model, degree: int, sampler: DomainSampler) -> CoverCrossC
         accepted += kept
     basis = MonomialBasis(model.dim, degree)
     z = moment_z_scores(basis, table[basis.exponent_columns], exact, n)
-    return CoverCrossCheck(n, accepted, float(np.abs(z).max()))
+    return CoverCrossCheck(n, accepted, float(np.abs(z).max()), exact)
 
 
 def gram_matrix(moments: Moments, degree: int) -> np.ndarray:

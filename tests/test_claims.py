@@ -4,7 +4,9 @@ import json
 import pathlib
 import re
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polydiff import quadrature, spectra
@@ -194,14 +196,99 @@ def test_cover_symmetry_defect_gates_on_the_monte_carlo_cross_check(monkeypatch)
     assert detail["mc_proposals"] == 1_000_000
     assert 0 < detail["mc_accepted"] <= detail["mc_proposals"]
     assert detail["mc_max_z"] < detail["mc_z_gate"] == claims.MC_Z_GATE
+    assert detail["rule_moment_gap"] < detail["rule_gap_tolerance"] == claims.RULE_GAP_TOL
     # the claim itself rests on the exact rule, and the Monte Carlo sample
     # is not kept for the rest of the run
     cached = ctx.moments(ctx.model("deltoid"), 13)
     assert cached.points.shape[0] < 10_000
+    # the claim builds its cover's rule at degree 13 and no other: the
+    # cross-check's reference is the exact moments, not a rule at twice it
+    degrees = []
+    sample_domain = quadrature.sample_domain
+
+    def recording(model, sampler, degree):
+        degrees.append(degree)
+        return sample_domain(model, sampler, degree)
+
+    monkeypatch.setattr(quadrature, "sample_domain", recording)
+    assert claim.execute(RunContext(seed=7)).detail == detail
+    assert degrees == [13]
     monkeypatch.setattr(claims, "MC_Z_GATE", 0.0)
     failed = claim.execute(RunContext(seed=7))
     assert failed.status == "fail"
     assert failed.detail["defect"] == detail["defect"]
+
+
+def _cover_claim_with_nodes(monkeypatch, name, nodes):
+    """`name`'s symmetry-defect claim, run with its cover's product rule
+    replaced by `nodes(cover, exactness)`."""
+    cover = quadrature.COVER_SAMPLERS[name]
+    monkeypatch.setitem(
+        quadrature.COVER_SAMPLERS, name, replace(cover, nodes=lambda e: nodes(cover, e))
+    )
+    claim = {c.id: c for c in build_claims()}[f"{name}.symmetry-defect"]
+    return claim.execute(RunContext(seed=7))
+
+
+def test_rule_gate_fails_a_cover_rule_one_percent_heavy(monkeypatch):
+    # the symmetry defect is scale-free and the Monte Carlo draw is held
+    # against the exact moments, so neither sees the rule's mass; the rule
+    # gate reads it at the constant monomial
+    from polydiff import claims
+
+    def heavier(cover, exactness):
+        points, weights = cover.nodes(exactness)
+        return points, 1.01 * weights
+
+    result = _cover_claim_with_nodes(monkeypatch, "coaxial_parabolas", heavier)
+    detail = result.detail
+    assert result.status == "fail"
+    assert detail["defect"] < claims.DEFECT_TOL
+    assert detail["mc_max_z"] < claims.MC_Z_GATE
+    assert detail["rule_moment_gap"] == pytest.approx(0.01, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["deltoid", "swallowtail", "cuspidal_cubic_tangent"])
+def test_rule_gate_fails_a_cover_rule_without_its_boundary_nodes(name, monkeypatch):
+    from polydiff import claims
+
+    model = get_model(name)
+
+    def inside(cover, exactness):
+        points, weights = cover.nodes(exactness)
+        plane = quadrature._realize(cover.maps, points).T
+        keep = (quadrature.eval_floats(model.boundary.factors, plane) > 0).all(axis=0)
+        assert not keep.all()
+        return points[keep], weights[keep]
+
+    result = _cover_claim_with_nodes(monkeypatch, name, inside)
+    assert result.status == "fail"
+    assert result.detail["mc_max_z"] < claims.MC_Z_GATE
+    assert result.detail["rule_moment_gap"] > 1e-4
+
+
+def test_rule_gate_fails_a_sphere_rule_one_angle_short(monkeypatch):
+    # e equispaced angles average trigonometric polynomials of degree < e
+    # only: the degree-13 moments on parabola_tangent_secant (map degree 4)
+    # lose exactness in their top terms, by 5e-9, which neither the defect
+    # nor the Monte Carlo draw resolves
+    from polydiff import claims
+
+    def one_angle_short(cover, exactness):
+        (z, phi), weights = quadrature._product(
+            quadrature._jacobi_rule_01(exactness // 2 + 1, 0.0, 0.0),
+            quadrature._equispaced(exactness),
+        )
+        z = 2.0 * z - 1.0
+        r = np.sqrt(1.0 - z * z)
+        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z]), weights
+
+    result = _cover_claim_with_nodes(monkeypatch, "parabola_tangent_secant", one_angle_short)
+    detail = result.detail
+    assert result.status == "fail"
+    assert detail["defect"] < claims.DEFECT_TOL
+    assert detail["mc_max_z"] < claims.MC_Z_GATE
+    assert detail["rule_moment_gap"] > 1e-9
 
 
 def test_gauss_symmetry_defect_has_no_cross_check():
