@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -210,7 +211,7 @@ def check_ellipticity(g: CoMetric, grid: TensorGrid) -> EllipticityReport:
                 failure = k
                 break
     if failure < len(grid):
-        return EllipticityReport(False, list(grid)[failure])
+        return EllipticityReport(False, next(islice(grid, failure, None)))
     return EllipticityReport(True, None)
 
 

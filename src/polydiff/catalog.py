@@ -135,7 +135,6 @@ class ClaimedSpectrum:
     indices: list[str]
     formula: Polynomial  # over index variables, parameters already substituted
     dim: int
-    note: str | None = None
 
     def eigenvalue(self, *index: int) -> Fraction:
         if len(index) != len(self.indices):
@@ -201,14 +200,16 @@ class Model:
             self._operator = operator_from_measure(self.cometric, self.measure)
         return self._operator
 
-    def sampler(self, seed: int | None = None, **overrides) -> DomainSampler:
+    def sampler(self, seed: int | None = None, sample_count: int | None = None) -> DomainSampler:
+        """The catalog rule, with `seed` and `sample_count` where given."""
         spec = self.descriptor.sampler_spec
         if spec is None:
             raise CatalogError(f"model {self.name} has no default quadrature rule")
         kwargs = dict(spec)
-        kwargs.update(overrides)
         if seed is not None:
             kwargs["seed"] = seed
+        if sample_count is not None:
+            kwargs["sample_count"] = sample_count
         if kwargs.get("kind") == "cover-mc":
             from .quadrature import cover_applies
 
@@ -295,7 +296,7 @@ class Model:
         indices = list(claim["indices"])
         template = Template(claim["formula"], indices, self.descriptor.param_names)
         formula = template.instantiate(self.params)
-        return ClaimedSpectrum(claim["scheme"], indices, formula, self.dim, claim.get("note"))
+        return ClaimedSpectrum(claim["scheme"], indices, formula, self.dim)
 
     def claimed_curvature(self) -> tuple[str, Fraction | None]:
         claim = self._claim("curvature")
@@ -399,10 +400,8 @@ class ModelDescriptor:
             values[spec.name] = value
         for template, c in self.constraints:
             result = template.instantiate(values).constant_term
-            if "gt" in c and not result > parse_rational(c["gt"]):
+            if not result > parse_rational(c["gt"]):
                 raise ParameterError(f"constraint {c['expr']} > {c['gt']} violated ({result})")
-            if "ge" in c and not result >= parse_rational(c["ge"]):
-                raise ParameterError(f"constraint {c['expr']} >= {c['ge']} violated ({result})")
         return values
 
     def instantiate(self, overrides: Mapping[str, Rational | str] | None = None) -> Model:

@@ -379,10 +379,10 @@ def _catalog_metric_in_span(ctx: RunContext):
             rows.append({k: n * (scale // den) for k, (n, den) in equation.items()})
         # the g-parts of the kernel basis are independent, since S_k^i F_k =
         # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
-        solved = RationalMatrix(rows, len(solution.g_basis) + 1).solve(1)
+        solved = RationalMatrix(rows, len(solution.g_basis) + 1).solve()
         member = False
         if solved is not None:
-            (weights,), den = solved
+            weights, den = solved
             member = solution.combination([Fraction(w, den) for w in weights]) == model.cometric
         detail[name] = {"dimension": solution.dimension, "in_span": bool(member)}
         ok = ok and member
@@ -452,6 +452,25 @@ def _corrupted_spectrum_negative(ctx: RunContext):
         lambda n: sorted(v + 1 for v in claimed.eigenvalues_at_degree(n)), range(1, 7)
     )
     return mismatched == list(range(1, 7)), {"mismatched_degrees": mismatched}
+
+
+def _ellipticity_partway_negative(ctx: RunContext):
+    # 2 g0 - 2 g1 + g2 in the disk's kernel basis: admissible (S = (-2x, y)),
+    # elliptic at the first 12 points of the disk's grid, not at the 13th
+    model = ctx.model("disk")
+    rows = [["1 - x^2 + y^2/2", "-3*x*y/2"], ["-3*x*y/2", "2*x^2 + y^2/2 - 1/2"]]
+    g = CoMetric([[parse_poly(text, 2) for text in row] for row in rows])
+    admissible = all(boundary_first_order(g, f) is not None for f in model.boundary.factors)
+    points = model.interior_points(per_axis=10)
+    failure = check_ellipticity(g, points).first_failure
+    index = None if failure is None else list(points).index(failure)
+    detail = {
+        "admissible": admissible,
+        "checked": len(points),
+        "first_failure": None if failure is None else [str(v) for v in failure],
+        "index": index,
+    }
+    return admissible and index is not None and index > 0, detail
 
 
 def _gaussian_decomposition(ctx: RunContext):
@@ -663,6 +682,8 @@ def build_claims() -> list[Claim]:
     add("negative.perturbed-drift", "square", "negative-control", _perturbed_drift_negative)
     add("negative.corrupted-spectrum", "deltoid", "negative-control",
         _corrupted_spectrum_negative)
+    add("negative.ellipticity-partway", "disk", "negative-control",
+        _ellipticity_partway_negative)
     return claims
 
 

@@ -181,7 +181,6 @@ DOMAIN_CHECK_DEGREE = 13
 
 @dataclass
 class PullbackReport:
-    name: str
     scale: Fraction
     gamma_residual_terms: int
     l_residual_terms: int
@@ -236,6 +235,4 @@ def verify_pullback(model: Model) -> PullbackReport:
         for factor, values in zip(factors, eval_floats(factors, points.T))
     )
     split = len(pairs)
-    return PullbackReport(
-        model.name, scale, sum(residuals[:split]), sum(residuals[split:]), in_domain
-    )
+    return PullbackReport(scale, sum(residuals[:split]), sum(residuals[split:]), in_domain)

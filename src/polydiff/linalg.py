@@ -220,18 +220,18 @@ class RationalMatrix:
         rank.  The vectors are `_kernel`'s of this matrix's `rref`."""
         return _kernel(*self.rref(), self.cols)
 
-    def solve(self, count: int) -> tuple[list[list[int]], int] | None:
-        """Solve A x = c for the last `count` columns c at once, A the columns
-        before them.  Returns the solutions as (integer numerators per
-        right-hand side, their least common denominator d > 0), or None
-        unless every solution exists and is unique: the pivots of this
-        matrix's `rref` must be exactly A's columns.  The solutions are then
-        the reduced right-hand-side columns over the rref's d."""
-        unknowns = self.cols - count
+    def solve(self) -> tuple[list[int], int] | None:
+        """Solve A x = c for the last column c, A the columns before it.
+        Returns the solution as (integer numerators, their least common
+        denominator d > 0), or None unless the solution exists and is
+        unique: the pivots of this matrix's `rref` must be exactly A's
+        columns.  The solution is then the reduced last column over the
+        rref's d."""
+        unknowns = self.cols - 1
         reduced, pivots, d = self.rref()
         if pivots != list(range(unknowns)):
             return None
-        return [[reduced[k][t] for k in range(unknowns)] for t in range(unknowns, self.cols)], d
+        return [row[unknowns] for row in reduced[:unknowns]], d
 
 
 def poly_matrix_det(entries: Sequence[Sequence]):

@@ -167,15 +167,12 @@ class DiffusionOperator:
 
 
 def gamma(g: CoMetric, f: Polynomial, h: Polynomial) -> Polynomial:
-    """Carre du champ: sum_ij g^ij d_i f d_j h, exact and symmetric in (f, h)."""
+    """Carre du champ sum_i d_i f * cometric_gradient(g, h)[i], exact and symmetric."""
     if f.dim != g.dim or h.dim != g.dim:
         raise ValueError("dimension mismatch")
-    df = f.gradient()
-    dh = h.gradient()
     result = Polynomial.zero(g.dim)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            result = result + g[i, j] * df[i] * dh[j]
+    for df, row in zip(f.gradient(), cometric_gradient(g, h)):
+        result = result + df * row
     return result
 
 
@@ -395,14 +392,14 @@ class GradedOperatorMatrix:
                 if rhs:
                     row[width] = rhs
                 rows.append(row)
-            solution = RationalMatrix(rows, width + 1).solve(1)
+            solution = RationalMatrix(rows, width + 1).solve()
             if solution is None:
                 raise ValueError(
                     f"the degree-{n} diagonal block is singular: L does not fix "
                     f"the moments of degree {n}"
                 )
             # the new moments are numerators / (d * denominator)
-            (numerators,), d = solution
+            numerators, d = solution
             values = [v * d for v in values] + numerators
             denominator *= d
             g = gcd(denominator, *values)

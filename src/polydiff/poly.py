@@ -11,10 +11,12 @@ path: a scalar is a constant polynomial to every operation, and printing
 reads the numerators too.
 
 Variables are named ``x, y, z`` for ``d <= 3`` and ``x1 ... xd`` beyond, both
-for parsing and printing.  Term order everywhere is graded lexicographic:
-lower total degree first, ties broken by tuple comparison of the exponents.
-A polynomial's own terms keep the order in which its operation produced
-them, and float sums over its terms follow that order.
+for parsing and printing; parsing also takes names the caller gives, and
+splits text into ASCII tokens by one regular expression.  Term order
+everywhere is graded lexicographic: lower total degree first, ties broken by
+tuple comparison of the exponents.  A polynomial's own terms keep the order
+in which its operation produced them, and float sums over its terms follow
+that order.
 
 The module imports no numpy.  Polynomials are evaluated at float points by
 `quadrature.eval_floats`, in the float layer; `MonomialBasis.eval_float`,
@@ -23,13 +25,14 @@ which tabulates the monomials of a basis, imports numpy when it runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import comb, gcd, lcm, prod
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -141,8 +144,8 @@ class Polynomial:
         return cls._new(dim, {exponent: 1}, 1)
 
     @classmethod
-    def monomial(cls, dim: int, exponent: Exponent, coeff: RationalLike = 1) -> Polynomial:
-        return cls(dim, {tuple(exponent): coeff})
+    def monomial(cls, dim: int, exponent: Exponent) -> Polynomial:
+        return cls(dim, {tuple(exponent): 1})
 
     # ------------------------------------------------------------------
     # structure
@@ -369,7 +372,7 @@ class TensorGrid:
     are kept whole even where no point uses a node, so a grid's points are
     always read on the axes it was built on.  As a sequence the grid is its
     points: ``len`` counts them, and iterating yields them in order as
-    tuples of Fractions, built only then.
+    tuples of Fractions, each built from its node index when it is reached.
     """
 
     axes: list[list[int]]
@@ -380,9 +383,14 @@ class TensorGrid:
         return len(self.nodes)
 
     def __iter__(self) -> Iterator[tuple[Fraction, ...]]:
-        axes = [[Fraction(x, self.denominator) for x in axis] for axis in self.axes]
-        cells = list(iter_product(*axes))
-        return (cells[node] for node in self.nodes)
+        # product order varies the last axis fastest
+        backwards = self.axes[::-1]
+        for node in self.nodes:
+            point = []
+            for axis in backwards:
+                node, i = divmod(node, len(axis))
+                point.append(Fraction(axis[i], self.denominator))
+            yield tuple(point[::-1])
 
 
 def _primitive(p: Polynomial, divisor: Polynomial) -> tuple[int, dict[Exponent, int], Exponent]:
@@ -472,9 +480,9 @@ class MonomialBasis:
     There is one basis per (dim, max_degree): `MonomialBasis(dim, degree)`
     builds it on first use and afterwards returns that same object.  A
     shared basis is immutable: its sequences are tuples, `index` is a
-    read-only mapping and attributes cannot be set.  A basis is published only once it is complete, so a
-    thread that builds the same basis at the same time gets the first one
-    published, never a partial one.
+    read-only mapping and attributes cannot be set.  A basis is published
+    only once it is complete, so a thread that builds the same basis at the
+    same time gets the first one published, never a partial one.
 
     `exponent_columns[i]` holds the i-th entry of every exponent, in basis
     order, and `degree_slices[n]` the positions of the degree-n exponents.
@@ -500,7 +508,8 @@ class MonomialBasis:
         if dim < 1 or max_degree < 0:
             raise ValueError("need dim >= 1 and max_degree >= 0")
         basis = object.__new__(cls)
-        exponents = tuple(sorted(cls._enumerate(dim, max_degree), key=grlex_key))
+        cube = iter_product(range(max_degree + 1), repeat=dim)
+        exponents = tuple(sorted((e for e in cube if sum(e) <= max_degree), key=grlex_key))
         slices, start = [], 0
         for degree in range(max_degree + 1):
             count = comb(degree + dim - 1, degree)
@@ -517,26 +526,8 @@ class MonomialBasis:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialBasis is immutable")
 
-    def __reduce__(self):
-        return MonomialBasis, (self.dim, self.max_degree)
-
-    @staticmethod
-    def _enumerate(dim: int, max_degree: int) -> Iterable[Exponent]:
-        def rec(prefix: tuple[int, ...], remaining: int, budget: int):
-            if remaining == 1:
-                for e in range(budget + 1):
-                    yield prefix + (e,)
-                return
-            for e in range(budget + 1):
-                yield from rec(prefix + (e,), remaining - 1, budget - e)
-
-        yield from rec((), dim, max_degree)
-
     def __len__(self) -> int:
         return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
 
     def eval_float(self, points):
         """Vandermonde-style (N, len(basis)) float array of monomial values
@@ -553,8 +544,6 @@ class MonomialBasis:
         import numpy as np
 
         points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(-1, self.dim)
         out = None
         for axis in range(self.dim):
             table = np.empty((self.max_degree + 1, points.shape[0]))
@@ -579,10 +568,11 @@ class MonomialBasis:
 # parameters and closed-form index variables).
 
 
-def format_poly(p: Polynomial, names: Sequence[str] | None = None) -> str:
+def format_poly(p: Polynomial) -> str:
+    """The text of p over the standard variable names, terms in grlex order."""
     if p.is_zero:
         return "0"
-    names = list(names) if names is not None else variable_names(p.dim)
+    names = variable_names(p.dim)
     pieces: list[str] = []
     for exponent in sorted(p.numerators, key=grlex_key):
         n = p.numerators[exponent]
@@ -610,36 +600,17 @@ class PolyParseError(ValueError):
     pass
 
 
-_TOKEN_END = {"+", "-", "*", "/", "^", "(", ")"}
+# after any whitespace, an ASCII integer, name, operator or parenthesis, or
+# else one stray character; compiled on first use, not at import
+_TOKEN_PATTERN = r"\s*(?:([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()])|(\S))"
 
 
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_END:
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} in polynomial text")
+    for token, stray in re.findall(_TOKEN_PATTERN, text):
+        if stray:
+            raise PolyParseError(f"unexpected character {stray!r} in polynomial text")
+        tokens.append(token)
     return tokens
 
 
@@ -670,14 +641,16 @@ class _Parser:
         return value
 
     def expression(self) -> Polynomial:
-        sign = 1
+        negate = False
         while self.peek() in {"+", "-"}:
             if self.take() == "-":
-                sign = -sign
-        value = self.term() * sign
+                negate = not negate
+        value = -self.term() if negate else self.term()
         while self.peek() in {"+", "-"}:
-            op = self.take()
-            value = value + self.term() * (1 if op == "+" else -1)
+            if self.take() == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
         return value
 
     def term(self) -> Polynomial:

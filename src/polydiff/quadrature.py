@@ -35,10 +35,11 @@ mostly hand the GIL back and forth, and sharing its blocks the same way
 showed no gain.
 
 Every rule returns weights with the measure density folded in, so each
-integral is a weighted sum over its points.  `Moments` integrates one rule
-once; the forms built on it (`gram_matrix`, `operator_moment_matrix`,
-`gamma_form_matrix`) take that `Moments` and read the model from it, so a
-form always integrates its own model's measure.
+integral is a weighted sum over its points.  `Moments` integrates only its
+model's rule, the one `sample_domain` returns, once; the forms built on it
+(`gram_matrix`, `operator_moment_matrix`, `gamma_form_matrix`) take that
+`Moments` and read the model from it, so a form always integrates its own
+model's measure.
 
 Everything else uses seeded Monte Carlo rejection in a bounding box.  Both
 Monte Carlo kinds propose in counter blocks: proposal j draws from fixed
@@ -54,7 +55,8 @@ factors that are no boundary factor; and `_block_moments` contracts
 contiguous per-axis power tables in one matrix product.
 
 Two float evaluators sit beside the exact layer: `eval_floats` evaluates
-polynomials at float points, each coefficient converted once as numerator /
+polynomials at float points, in the row blocks of `point_chunks` like every
+other float pass, each coefficient converted once as numerator /
 denominator (Python's correctly rounded int division, the value
 ``float(Fraction)`` gives), and `MonomialBasis.eval_float` tabulates the
 monomials of a basis, importing numpy where it runs.
@@ -87,8 +89,6 @@ from .rng import normal_points, sphere_points, uniform_block, unit_rows
 POINT_CHUNK = 16384
 #: nodes per free axis of each box face `check_box_encloses` samples
 BOX_FACE_NODES = 257
-#: points per block in eval_floats
-EVAL_BLOCK = 1 << 16
 
 
 def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndarray:
@@ -96,8 +96,8 @@ def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndar
     rows of the (dim, N) array `coordinates`: a (len(polys), N) array.
 
     Each axis's powers come from repeated multiplication, shared by all
-    terms of all the polynomials, over column blocks of EVAL_BLOCK so
-    temporaries stay bounded for large N.  A term is its first power times
+    terms of all the polynomials, over the column blocks of `point_chunks`
+    so temporaries stay bounded for large N.  A term is its first power times
     its coefficient, times its other powers in axis order, added to its
     polynomial's sum in term order; so each value is the same float whatever
     else is evaluated beside it.
@@ -116,8 +116,8 @@ def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndar
     ]
     top = [max((e[axis] for p in polys for e in p.numerators), default=0) for axis in range(dim)]
     out = np.zeros((len(polys), count))
-    for start in range(0, count, EVAL_BLOCK):
-        block = coordinates[:, start : start + EVAL_BLOCK]
+    for columns in point_chunks(count):
+        block = coordinates[:, columns]
         powers = []
         for axis in range(dim):
             table = [None, block[axis]]
@@ -125,7 +125,7 @@ def eval_floats(polys: Sequence[Polynomial], coordinates: np.ndarray) -> np.ndar
                 table.append(table[-1] * table[1])
             powers.append(table)
         term = np.empty(block.shape[1])
-        for acc, poly_terms in zip(out[:, start : start + EVAL_BLOCK], terms):
+        for acc, poly_terms in zip(out[:, columns], terms):
             for factors, coeff in poly_terms:
                 if not factors:
                     acc += coeff
@@ -264,8 +264,8 @@ def _box_floats(box: Sequence[tuple[Fraction, Fraction]]) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]]) -> None:
-    """Reject a bounding box whose faces meet the domain interior.
+def check_box_encloses(model) -> None:
+    """Reject a model whose `box` has a face that meets the domain interior.
 
     Each face is sampled on a deterministic grid of BOX_FACE_NODES per
     free axis; a face point where every boundary factor exceeds a small
@@ -275,7 +275,7 @@ def check_box_encloses(model, box: Sequence[tuple[Fraction, Fraction]]) -> None:
     if not factors:
         raise SamplerConfigError("Monte Carlo rejection needs boundary factors")
     tol = 1e-9
-    lo, hi = _box_floats(box)
+    lo, hi = _box_floats(model.box)
     lines = [np.linspace(a, b, BOX_FACE_NODES) for a, b in zip(lo, hi)]
     for axis in range(model.dim):
         for side_value in (lo[axis], hi[axis]):
@@ -312,10 +312,9 @@ def _mc_rejection(model, sampler: DomainSampler) -> WeightedPoints:
     Pages past the accepted count are never written, so the system need
     not back them with memory.
     """
-    box = model.box
-    check_box_encloses(model, box)
+    check_box_encloses(model)
     d = model.dim
-    lo, hi = _box_floats(box)
+    lo, hi = _box_floats(model.box)
     span = hi - lo
     n = sampler.sample_count
     boundary = model.boundary.factors
@@ -771,17 +770,13 @@ class Moments:
     symmetric where they should be).
     """
 
-    def __init__(
-        self, model, max_degree: int, sampler: DomainSampler, sample: WeightedPoints | None = None
-    ):
-        """Without `sample`, the moments integrate `sample_domain(model,
-        sampler, max_degree)`.  `sample`, when given, is integrated instead:
-        a fixed point set, such as a cover's Monte Carlo draw."""
+    def __init__(self, model, max_degree: int, sampler: DomainSampler):
+        """The moments integrate the model's rule `sample_domain(model,
+        sampler, max_degree)`."""
         model.require_finite_mass()
         self.model = model
         self.basis = MonomialBasis(model.dim, max_degree)
-        if sample is None:
-            sample = sample_domain(model, sampler, max_degree)
+        sample = sample_domain(model, sampler, max_degree)
         self.table = np.zeros((max_degree + 1,) * model.dim)
         for block in point_chunks(sample.accepted):
             self.table += _block_moments(sample.points[block].T, sample.weights[block], max_degree)

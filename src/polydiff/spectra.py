@@ -388,7 +388,6 @@ class EigenFunction:
 
 @dataclass
 class EigenBasis:
-    model_name: str
     max_degree: int
     basis: MonomialBasis
     per_degree: list[list[EigenFunction]]
@@ -665,7 +664,6 @@ def eigenbasis(moments: Moments, max_degree: int) -> EigenBasis:
         )
 
     return EigenBasis(
-        model_name=model.name,
         max_degree=max_degree,
         basis=basis,
         per_degree=per_degree,

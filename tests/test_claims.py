@@ -30,7 +30,7 @@ def test_claim_kind_tally():
         "exact-polynomial-identity": 152,
         "exact-eigenvalue": 9,
         "numeric-tolerance": 24,
-        "negative-control": 4,
+        "negative-control": 5,
     }
     numeric = [c.id for c in claims if c.kind == "numeric-tolerance"]
     assert all(i.endswith((".symmetry-defect", ".eigenbasis-quality")) for i in numeric), numeric

@@ -349,7 +349,7 @@ def test_mutated_cover_map_breaks_the_identity(name, monkeypatch):
     cover = COVER_SAMPLERS[name]
     first, second = cover.maps
     exponent, coeff = second.leading_term()
-    bumped = second + Polynomial.monomial(second.dim, exponent, coeff / 2)
+    bumped = second + Polynomial.monomial(second.dim, exponent) * (coeff / 2)
     monkeypatch.setitem(COVER_SAMPLERS, name, replace(cover, maps=(first, bumped)))
     report = verify_pullback(get_model(name))
     assert not report.exact

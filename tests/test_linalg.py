@@ -37,11 +37,10 @@ def _dense(matrix):
     return [[row.get(j, 0) for j in range(matrix.cols)] for row in matrix.data]
 
 
-def _solve(rows, *columns):
+def _solve(rows, column):
     """`RationalMatrix.solve` of A x = c for dense rational rows of A and
-    each right-hand side c in `columns`, after the columns of A."""
-    augmented = [list(row) + [column[i] for column in columns] for i, row in enumerate(rows)]
-    return _integer_matrix(augmented).solve(len(columns))
+    the right-hand side c, after the columns of A."""
+    return _integer_matrix([list(row) + [c] for row, c in zip(rows, column)]).solve()
 
 
 def test_an_empty_system_is_refused():
@@ -93,11 +92,11 @@ def test_solve_consistent_and_inconsistent():
     assert _solve(m, [1, 3]) is None
     # overdetermined: three equations, two unknowns
     tall = [[1, 0], [0, Fraction(1, 2)], [1, 1]]
-    ([first], d) = _solve(tall, [2, Fraction(3, 2), 5])
+    first, d = _solve(tall, [2, Fraction(3, 2), 5])
     assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
     assert _solve(tall, [2, Fraction(3, 2), 4]) is None
     m2 = [[2, 0], [0, Fraction(1, 3)]]
-    ([first], d) = _solve(m2, [4, 1])
+    first, d = _solve(m2, [4, 1])
     assert d > 0 and [Fraction(v, d) for v in first] == [2, 3]
 
 
@@ -106,10 +105,6 @@ def test_solve_refuses_a_singular_matrix():
     # consistent, (1, 0) solves it, but not the only solution
     assert len(_integer_matrix(m).nullspace()[0]) == 1
     assert _solve(m, [1, 2]) is None
-    m2 = [[2, 0], [0, Fraction(1, 3)]]
-    (first, second), d = _solve(m2, [4, 1], [0, 1])
-    assert [Fraction(v, d) for v in first] == [2, 3]
-    assert [Fraction(v, d) for v in second] == [0, 3]
 
 
 def test_generalized_eig_diag():
@@ -201,7 +196,7 @@ def test_echelon_engine_raises_when_a_division_is_inexact():
     with pytest.raises(TypeError, match="integer"):
         RationalMatrix([{0: 1}, {0: 1, 1: Fraction(1, 2)}], 2).nullspace()
     with pytest.raises(TypeError, match="integer"):
-        RationalMatrix([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 3).solve(1)
+        RationalMatrix([{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: 1}], 3).solve()
 
 
 def test_back_substitution_keeps_the_least_positive_denominator():
@@ -487,9 +482,7 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
         assert _as_fractions(kernel, d) == [
             [Fraction(v, expected_d) for v in vector] for vector in expected_kernel
         ], kind
-        # a second right-hand side in the same elimination
-        twice = [2 * v for v in rhs]
-        unique = _solve(rows, rhs, twice)
+        unique = _solve(rows, rhs)
         try:
             exact, params = expected.gauss_jordan_solve(to_sympy([[v] for v in rhs]))
         except ValueError:  # sympy: the system has no solution
@@ -500,10 +493,8 @@ def test_elimination_matches_sympy_on_random_rational_matrices():
             assert unique is None, kind
             outcomes.add(("not unique", kind))
         else:
-            (first, second), d = unique
-            assert _as_fractions([first, second], d) == [
-                from_sympy(exact), [2 * v for v in from_sympy(exact)]
-            ], kind
+            first, d = unique
+            assert _as_fractions([first], d) == [from_sympy(exact)], kind
             outcomes.add(("unique", kind))
     assert {
         "wide", "tall", "square", "rank-deficient", "zero-row", "large", "sparse", "integer",

@@ -1,8 +1,6 @@
 """Exact polynomial arithmetic: worked examples first, then random laws."""
 
-import copy
 import itertools
-import pickle
 import random
 import sys
 import threading
@@ -23,7 +21,7 @@ from polydiff.poly import (
     parse_poly,
     poly_divmod,
 )
-from polydiff.quadrature import EVAL_BLOCK, eval_floats
+from polydiff.quadrature import POINT_CHUNK, eval_floats
 
 X2 = Polynomial.variable(2, 0)
 Y2 = Polynomial.variable(2, 1)
@@ -200,8 +198,6 @@ def test_monomial_basis_is_shared_and_immutable():
     basis = MonomialBasis(3, 4)
     assert MonomialBasis(3, 4) is basis
     assert MonomialBasis(3, 5) is not basis and MonomialBasis(2, 4) is not basis
-    assert copy.deepcopy(basis) is basis
-    assert pickle.loads(pickle.dumps(basis)) is basis
     assert basis.exponent_columns == tuple(zip(*basis.exponents))
     with pytest.raises(AttributeError):
         basis.max_degree = 5
@@ -317,7 +313,7 @@ def test_monomial_basis_eval_float_matches_naive(dim, degree):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("count", [0, 1, EVAL_BLOCK + 123])
+@pytest.mark.parametrize("count", [0, 1, POINT_CHUNK + 123])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_polynomial_eval_float_matches_naive(dim, count):
     p = _random_poly(random.Random(dim), dim, 7)
@@ -377,7 +373,7 @@ def test_shared_evaluator_is_bit_identical_to_termwise_evaluation(dim, polys):
         Polynomial.constant(dim, Fraction(-7, 3)),
         Polynomial.constant(dim, 2) + Polynomial.variable(dim, dim - 1) ** 3,
     ]
-    points = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(EVAL_BLOCK + 123, dim))
+    points = np.random.default_rng(dim).uniform(-1.5, 1.5, size=(POINT_CHUNK + 123, dim))
     values = eval_floats(polys, points.T)
     assert values.shape == (len(polys), points.shape[0])
     # alone, beside the others, in columns or rows: the same floats

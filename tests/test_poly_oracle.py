@@ -7,18 +7,26 @@ over a polynomial's terms follow its term order, so every operation is
 checked for its coefficients and for the order it produces them in.
 """
 
+import json
 import random
+import shlex
+import string
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from test_poly import integer_axes
 
 from polydiff.catalog import Template
 from polydiff.poly import (
+    MonomialBasis,
     Polynomial,
+    PolyParseError,
+    _tokenize,
     exact_divide,
     format_poly,
     grlex_key,
@@ -158,12 +166,12 @@ def ref_divmod(a, b):
     return quotient, remainder
 
 
-def ref_format(a, dim, names=None):
+def ref_format(a, dim):
     """The text of a polynomial held as Fractions: its terms in graded-lex
     order, each as sign, magnitude and factors, the first sign unspaced."""
     if not a:
         return "0"
-    names = names or variable_names(dim)
+    names = variable_names(dim)
     pieces = []
     for exponent, coeff in sorted(a.items(), key=lambda item: grlex_key(item[0])):
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponent) if e]
@@ -318,8 +326,6 @@ def test_format_matches_fraction_reference():
         text = format_poly(p)
         assert text == ref_format(a, dim), terms
         assert parse_poly(text, dim) == p
-        names = [f"t{i}" for i in range(dim)]
-        assert format_poly(p, names) == ref_format(a, dim, names)
         if a:
             signs.add(text.startswith("-"))
     assert signs == {True, False}
@@ -407,3 +413,107 @@ def test_constants_equal_ints_and_fractions():
         half = Polynomial.variable(dim, 0) * Fraction(1, 2)
         assert (half - half + Fraction(5, 6)) == Fraction(5, 6)
         assert hash(Polynomial.constant(dim, Fraction(6, 4))) == hash(Polynomial(dim, {(0,) * dim: "3/2"}))
+
+
+# ----------------------------------------------------------------------
+# the character scanner and the recursive exponent enumerator that the
+# regular-expression tokenizer and the product enumeration replaced
+
+_REF_TOKEN_END = {"+", "-", "*", "/", "^", "(", ")"}
+
+
+def ref_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REF_TOKEN_END:
+            tokens.append(ch)
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        raise PolyParseError(f"unexpected character {ch!r} in polynomial text")
+    return tokens
+
+
+def ref_enumerate(dim, max_degree):
+    def rec(prefix, remaining, budget):
+        if remaining == 1:
+            for e in range(budget + 1):
+                yield prefix + (e,)
+            return
+        for e in range(budget + 1):
+            yield from rec(prefix + (e,), remaining - 1, budget - e)
+
+    yield from rec((), dim, max_degree)
+
+
+def _scanned(tokenize, text):
+    """The tokens of text, or the message of the PolyParseError it raises."""
+    try:
+        return tokenize(text)
+    except PolyParseError as exc:
+        return f"PolyParseError: {exc}"
+
+
+def _catalog_texts():
+    def walk(value):
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from walk(item)
+
+    raw = json.loads(resources.files("polydiff").joinpath("data/models.json").read_text())
+    return list(walk(raw))
+
+
+def _readme_cli_arguments():
+    """Every argument of every `polydiff` command line in the README."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("polydiff ")]
+    return [word for line in lines for word in shlex.split(line, comments=True)]
+
+
+def test_tokenizer_matches_the_scanner_on_catalog_and_readme_texts():
+    texts = _catalog_texts() + _readme_cli_arguments()
+    assert len(texts) > 600 and "1-x^2-y^2" in texts and "det^-1/2" in texts
+    for text in texts:
+        assert _scanned(_tokenize, text) == _scanned(ref_tokenize, text), text
+
+
+# characters of ASCII tokens, whitespace, and stray ASCII characters
+_ASCII_SAMPLE = string.digits + "xyzpt_AZ+-*/^() \t\n" + ".,=#$!?;:[]{}<>'`|&%~@\\\"\x00\x1f\x7f"
+
+
+@seed(48)
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(_ASCII_SAMPLE)))
+def test_tokenizer_matches_the_scanner_on_ascii_text(text):
+    assert _scanned(_tokenize, text) == _scanned(ref_tokenize, text)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_monomial_basis_matches_the_recursive_enumeration(dim):
+    for degree in range(13):
+        expected = tuple(sorted(ref_enumerate(dim, degree), key=grlex_key))
+        assert MonomialBasis(dim, degree).exponents == expected

@@ -61,6 +61,71 @@ def test_every_public_definition_is_used_by_the_program():
     assert unused == []
 
 
+def _optional_parameters(path):
+    """(qualified name, called name, parameter, positional index) of each
+    parameter with a default of each def in one module.  The index counts
+    the arguments a call passes, so it skips a method's self or cls, and is
+    None for a keyword-only parameter; a call to ``__init__`` is a call to
+    its class."""
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+                qualified = f"{cls}.{child.name}" if cls else child.name
+                called = cls if cls and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield qualified, called, arg.arg, i - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualified, called, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def _sets(call, parameter, index):
+    """Does the call pass the parameter: by keyword, by position, or
+    through ``*`` or ``**``?"""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, parameter) for keyword in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_optional_parameter_is_set_by_the_program():
+    # a default that no call in the package or the benchmark overrides is
+    # a knob only tests turn; dataclass fields are not defs and are not read
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    modules = sorted(PACKAGE_DIR.rglob("*.py"))
+    readers = modules + sorted(perfbench.rglob("*.py"))
+    assert modules and len(readers) > len(modules)
+    calls = {}
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    unset = [
+        f"{path.stem}.{qualified}: {parameter}"
+        for path in modules
+        for qualified, called, parameter, index in _optional_parameters(path)
+        if not any(_sets(call, parameter, index) for call in calls.get(called, []))
+    ]
+    assert unset == []
+
+
 def _absolute_imports(path):
     """(line, module name) of each absolute import statement of one module."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -20,7 +20,7 @@ from polydiff.spectra import (
     pencil_gaps,
 )
 from test_operator import dense_rows
-from test_quadrature import sampler_points
+from test_quadrature import moments_of, sampler_points
 
 
 def test_degree_zero_block_is_zero():
@@ -153,7 +153,7 @@ def test_eigenbasis_mc_domain_quality():
     sampler = model.sampler(seed=11, sample_count=200_000)
     sample = sampler_points(model, sampler)
     assert sample.proposals == 200_000
-    moments = Moments(model, 9, sampler, sample=sample)
+    moments = moments_of(model, 9, sample)
     eb = eigenbasis(moments, 4)
     assert eb.gram_deviation() < 5e-2
     assert max(eb.residuals()) < 1e-7
@@ -171,7 +171,7 @@ def test_negative_pencil_eigenvalue_raises_on_every_rule(monkeypatch, rule):
     else:
         sample = sampler_points(model, sampler)
     assert (sample.proposals is None) == (rule == "exact")
-    moments = Moments(model, 5, sampler, sample=sample)
+    moments = moments_of(model, 5, sample)
     solve = spectra.generalized_sym_eig
 
     def shifted(a, b):
@@ -443,11 +443,10 @@ def test_eigenbasis_gram_matches_pointwise_reevaluation(
     if fallback:
         _forced_fallback(monkeypatch)
     model = get_model(name)
-    overrides = {"sample_count": sample_count} if sample_count else {}
-    sampler = model.sampler(seed=5, **overrides)
+    sampler = model.sampler(seed=5, sample_count=sample_count)
     # the sampler's own points: the Monte Carlo draw on deltoid
-    moments = spectra.Moments(
-        model, 2 * degree + 1, sampler, sample=sampler_points(model, sampler, 2 * degree + 1)
+    moments = moments_of(
+        model, 2 * degree + 1, sampler_points(model, sampler, 2 * degree + 1)
     )
     eb = eigenbasis(moments, degree)
     assert all(f.exact != fallback for f in eb.all_functions())
