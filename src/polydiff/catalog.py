@@ -276,19 +276,25 @@ class Model:
         return self.has_claim(key) and self._requires_ok(self._claim(key))
 
     def claim_note(self, key: str) -> str | None:
-        return self._claim(key).get("note")
+        claim = self._claim(key)
+        return claim.get("erratum", claim).get("note")
 
-    def claim_is_reconciliation(self, key: str) -> bool:
-        return bool(self._claim(key).get("reconciliation", False))
+    def _drift(self, formulas: list[str]) -> tuple[Polynomial, ...]:
+        self._require(self._claim("drift"), "drift")
+        variables = variable_names(self.dim)
+        return tuple(
+            Template(text, variables, self.descriptor.param_names).instantiate(self.params)
+            for text in formulas
+        )
 
     def claimed_drift(self) -> tuple[Polynomial, ...]:
-        claim = self._claim("drift")
-        self._require(claim, "drift")
-        polys = []
-        for text in claim["formulas"]:
-            template = Template(text, variable_names(self.dim), self.descriptor.param_names)
-            polys.append(template.instantiate(self.params))
-        return tuple(polys)
+        """The tabulated drift, corrected where the catalog records an erratum."""
+        return self._drift(self._claim("drift")["formulas"])
+
+    def drift_erratum(self) -> tuple[Polynomial, ...] | None:
+        """The paper's text of a drift the catalog corrects, or None."""
+        erratum = self._claim("drift").get("erratum")
+        return None if erratum is None else self._drift(erratum["formulas"])
 
     def claimed_spectrum(self) -> ClaimedSpectrum:
         claim = self._claim("eigenvalue")

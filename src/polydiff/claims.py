@@ -6,9 +6,9 @@ control that must fail) to a runner.  The registry is the package's coverage
 ledger: every catalog model contributes at least one claim, and the claim id
 list is pinned by a checked-in manifest.
 
-Claims flagged as reconciliations compare a tabulated formula that is known
-to be garbled in the source tables; for those the derived quantity gates the
-claim and the comparison outcome is informational.
+Where the source tables print a garbled drift, the catalog keeps that text
+as an erratum beside the corrected formulas: the claim gates on the
+corrected ones and reports the paper's text as `tabulated`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from .boundary import (
+    AdmissibilitySolution,
     BoundarySpec,
     check_ellipticity,
     det_divisibility_check,
@@ -43,7 +44,7 @@ from .operator import (
     gamma,
     product_operator,
 )
-from .poly import MonomialBasis, Polynomial, parse_poly, parse_rational
+from .poly import MonomialBasis, Polynomial, format_poly, parse_poly, parse_rational
 from .quadrature import Moments, cover_cross_check, rule_moment_gap, symmetry_defect
 from .rng import stream_uniform
 from .spectra import compare_closed_form, eigenbasis, graded_eigenvalues, pencil_gaps
@@ -206,17 +207,17 @@ def _drift_claim(ctx: RunContext, name: str):
     model = ctx.model(name)
     derived = model.operator.drift
     claimed = model.claimed_drift()
+    erratum = model.drift_erratum()
+    detail = {"derived": [str(b) for b in derived]}
+    if erratum is None:
+        detail["tabulated"] = [str(c) for c in claimed]
+    else:
+        # the paper's text, kept beside the corrected formulas the claim gates on
+        detail["tabulated"] = [str(c) for c in erratum]
+        detail["erratum"] = True
+        detail["corrected"] = [str(c) for c in claimed]
     matches = [c == d for c, d in zip(claimed, derived)]
-    detail = {
-        "derived": [str(b) for b in derived],
-        "tabulated": [str(c) for c in claimed],
-        "matches": matches,
-    }
-    if model.claim_is_reconciliation("drift"):
-        # gated on the derived drift being well-formed; the comparison is
-        # informational for garbled tabulations
-        detail["reconciliation"] = True
-        return True, detail
+    detail["matches"] = matches
     return all(matches), detail
 
 
@@ -349,6 +350,32 @@ def _coaxial_extra_family(ctx: RunContext):
     return solution.dimension >= 2, {"dimension": solution.dimension}
 
 
+def _in_span(solution: AdmissibilitySolution, g: CoMetric) -> bool:
+    """Is the cometric g a combination of the admissible kernel basis?"""
+    d = g.dim
+    entries = [(i, j) for i in range(d) for j in range(i, d)]
+    # one equation per cometric entry and monomial: the coefficients there of
+    # each basis cometric and of g, as (numerator, denominator) pairs
+    equations: dict[tuple, dict[int, tuple[int, int]]] = {}
+    for column, h in enumerate([*solution.g_basis, g]):
+        for i, j in entries:
+            p = h[i, j]
+            for exponent, n in p.numerators.items():
+                equations.setdefault((i, j, exponent), {})[column] = (n, p.denominator)
+    rows = []
+    for equation in equations.values():
+        # each equation scaled to integers, which keeps its solutions
+        scale = lcm(*(den for _, den in equation.values()))
+        rows.append({k: n * (scale // den) for k, (n, den) in equation.items()})
+    # the g-parts of the kernel basis are independent, since S_k^i F_k =
+    # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
+    solved = RationalMatrix(rows, len(solution.g_basis) + 1).solve()
+    if solved is None:
+        return False
+    weights, den = solved
+    return solution.combination([Fraction(w, den) for w in weights]) == g
+
+
 def _catalog_metric_in_span(ctx: RunContext):
     names = [
         "jacobi1d", "square", "disk", "triangle", "coaxial_parabolas",
@@ -361,30 +388,8 @@ def _catalog_metric_in_span(ctx: RunContext):
     for name in names:
         model = ctx.model(name)
         solution = solve_admissibility(model.boundary)
-        d = model.dim
-        entries = [(i, j) for i in range(d) for j in range(i, d)]
-        # one equation per cometric entry and monomial: the coefficients
-        # there of each basis cometric and of the model's, as (numerator,
-        # denominator) pairs
-        equations: dict[tuple, dict[int, tuple[int, int]]] = {}
-        for column, g in enumerate([*solution.g_basis, model.cometric]):
-            for i, j in entries:
-                p = g[i, j]
-                for exponent, n in p.numerators.items():
-                    equations.setdefault((i, j, exponent), {})[column] = (n, p.denominator)
-        rows = []
-        for equation in equations.values():
-            # each equation scaled to integers, which keeps its solutions
-            scale = lcm(*(den for _, den in equation.values()))
-            rows.append({k: n * (scale // den) for k, (n, den) in equation.items()})
-        # the g-parts of the kernel basis are independent, since S_k^i F_k =
-        # sum_j g^ij d_j F_k fixes S from g, so a weight vector is unique
-        solved = RationalMatrix(rows, len(solution.g_basis) + 1).solve()
-        member = False
-        if solved is not None:
-            weights, den = solved
-            member = solution.combination([Fraction(w, den) for w in weights]) == model.cometric
-        detail[name] = {"dimension": solution.dimension, "in_span": bool(member)}
+        member = _in_span(solution, model.cometric)
+        detail[name] = {"dimension": solution.dimension, "in_span": member}
         ok = ok and member
     return ok, detail
 
@@ -471,6 +476,20 @@ def _ellipticity_partway_negative(ctx: RunContext):
         "index": index,
     }
     return admissible and index is not None and index > 0, detail
+
+
+def _cometric_outside_span_negative(ctx: RunContext):
+    # the square's catalog cometric diag(1 - x^2, 1 - y^2) maps grad(1 - x^2
+    # - y^2) to (-2x (1 - x^2), -2y (1 - y^2)), no multiple of the disk's
+    # boundary factor, so it is no combination of the disk's kernel basis
+    solution = solve_admissibility(ctx.model("disk").boundary)
+    g = ctx.model("square").cometric
+    in_span = _in_span(solution, g)
+    kernel = [
+        [[format_poly(h[i, j]) for j in range(h.dim)] for i in range(h.dim)]
+        for h in solution.g_basis
+    ]
+    return not in_span, {"kernel": kernel, "in_span": in_span}
 
 
 def _gaussian_decomposition(ctx: RunContext):
@@ -684,6 +703,8 @@ def build_claims() -> list[Claim]:
         _corrupted_spectrum_negative)
     add("negative.ellipticity-partway", "disk", "negative-control",
         _ellipticity_partway_negative)
+    add("negative.cometric-outside-span", "disk", "negative-control",
+        _cometric_outside_span_negative)
     return claims
 
 

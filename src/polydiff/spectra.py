@@ -3,17 +3,18 @@
 The exact graded matrix of L is held as sparse integer columns over one
 scale S (`GradedOperatorMatrix`): exact eigenvectors are verified against
 those columns in integers, and each diagonal degree block is read from them
-as the integer matrix B = S M_nn.  Eigenvalues come from these blocks:
-triangular blocks read off exactly.  Any other block is split into the
-strongly connected components of its nonzero pattern, under which it is
-block upper triangular, and the characteristic polynomial of each larger
-component, monic with integer coefficients and computed without division
-by Berkowitz's recurrence in Python ints, is split by its integer roots mu
-when possible, with a numeric fallback flagged in the result.  By the
-rational root theorem those are all of its rational roots, and each gives
-the eigenvalue mu / S of M_nn.  A polynomial that splits over Z has its
-full degree of roots modulo every prime, so a screen modulo a few small
-primes rejects most blocks that do not split before any float work.
+as the integer matrix B = S M_nn.  Eigenvalues come from these blocks in
+one pass over the strongly connected components of each block's nonzero
+pattern, a partition read off one transitive closure (one row each for a
+triangular block): a single row gives its diagonal entry, and the
+characteristic polynomial of a larger component, monic with integer
+coefficients and computed without division by Berkowitz's recurrence in
+Python ints, is split by its integer roots mu when possible, with a numeric
+fallback flagged in the result.  By the rational root theorem those are all
+of its rational roots, and each gives the eigenvalue mu / S of M_nn.  A
+polynomial that splits over Z has its full degree of roots modulo every
+prime, so a screen modulo a few small primes rejects most blocks that do
+not split before any float work.
 
 Orthonormal eigenbases follow the decomposition V_n = V_{n-1} + W_n of
 L^2(mu) into orthogonal polynomials, on which L is block diagonal.  One
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -123,51 +124,23 @@ def _is_triangular(block: list[list[int]]) -> bool:
 def _components(block: list[list[int]]) -> list[list[int]]:
     """The strongly connected components of the nonzero pattern of `block`
     (an edge i -> j for each off-diagonal B_ij != 0), each as its sorted
-    rows, in an order under which the block, its rows and columns permuted
-    to list the components one after another, is block upper triangular.
+    rows, in no particular order.
 
-    Tarjan's algorithm (R. Tarjan, SIAM J. Comput. 1(2), 1972) with an
-    explicit stack of (row, iterator over its successors) in place of
-    recursion.  It completes the components sinks first, so they are
-    returned reversed.
+    Warshall's transitive closure (S. Warshall, J. ACM 9(1), 1962) over one
+    bit mask per row, reach[i] holding the rows that row i reaches, itself
+    included.  Row i's component is the rows it reaches that reach it back,
+    which are the rows that reach the same rows: the classes of equal masks.
     """
-    successors = [[j for j, v in enumerate(row) if v and j != i] for i, row in enumerate(block)]
-    index: dict[int, int] = {}  # the order of first visits
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    work: list[tuple[int, Iterator[int]]] = []
-    out: list[list[int]] = []
-
-    def visit(v: int) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter(successors[v])))
-
-    for root in range(len(block)):
-        if root in index:
-            continue
-        visit(root)
-        while work:
-            v, todo = work[-1]
-            w = next(todo, None)
-            if w is None:
-                work.pop()
-                if work:  # the low-link of v's parent
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        on_stack.discard(component[-1])
-                    out.append(sorted(component))
-            elif w not in index:
-                visit(w)
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-    return out[::-1]
+    reach = [sum(1 << j for j, v in enumerate(row) if v) | 1 << i for i, row in enumerate(block)]
+    for k in range(len(reach)):
+        bit, through = 1 << k, reach[k]
+        for i, mask in enumerate(reach):
+            if mask & bit:
+                reach[i] = mask | through
+    components: dict[int, list[int]] = {}
+    for i, mask in enumerate(reach):
+        components.setdefault(mask, []).append(i)
+    return list(components.values())
 
 
 def _char_poly(block: list[list[int]]) -> list[int]:
@@ -285,41 +258,20 @@ def _integer_roots(block: list[list[int]], coeffs: list[int], scale: int) -> Cou
     return None
 
 
-def _split_by_components(block: list[list[int]], scale: int) -> Counter | None:
-    """{mu: multiplicity} of the integer eigenvalues of `block` when they
-    are all of its eigenvalues, else None, one strongly connected component
-    (`_components`) at a time; see `block_eigenvalues`."""
-    found: Counter = Counter()
-    pieces = []  # (sub-block, characteristic polynomial) of each larger component
-    for component in _components(block):
-        if len(component) == 1:
-            found[block[component[0]][component[0]]] += 1
-        else:
-            sub = [[block[i][j] for j in component] for i in component]
-            pieces.append((sub, _char_poly(sub)))
-    if not all(_splits_modulo(coeffs, p) for _, coeffs in pieces for p in SCREEN_PRIMES):
-        return None
-    for sub, coeffs in pieces:
-        roots = _integer_roots(sub, coeffs, scale)
-        if roots is None:
-            return None
-        found.update(roots)
-    return found
-
-
 def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntry]:
-    """Exact spectrum of one degree block when it splits rationally.
+    """Exact spectrum of one degree block when it splits rationally, in one
+    pass over the components of its nonzero pattern.
 
     `block` is the integer matrix B = scale * M_nn.  det(tI - B) is monic
     with integer coefficients, so by the rational root theorem every
-    rational eigenvalue of B is an integer mu, and lam = mu / scale.  A
-    triangular block reads them off its diagonal.  Otherwise the block is
-    taken apart into the strongly connected components of its nonzero
-    pattern (`_components`): permuted to list them in turn it is block
-    upper triangular, so its characteristic polynomial is the product of
-    theirs.  A single-row component gives its diagonal entry; each larger
-    one gets its own Berkowitz polynomial (`_char_poly`), and the whole
-    block's is never formed.
+    rational eigenvalue of B is an integer mu, and lam = mu / scale.  The
+    block is taken apart into the strongly connected components of its
+    nonzero pattern (`_components`), one row each when it is triangular:
+    permuted to list them in some order it is block upper triangular, so its
+    characteristic polynomial is the product of theirs, whatever the order.
+    A single-row component gives its diagonal entry; each larger one gets
+    its own Berkowitz polynomial (`_char_poly`), and the whole block's is
+    never formed.
 
     Before any float work, each component's polynomial is screened modulo
     each of SCREEN_PRIMES: a monic integer polynomial that is a product of
@@ -332,22 +284,32 @@ def block_eigenvalues(block: list[list[int]], scale: int) -> list[EigenvalueEntr
     because some component's candidates miss a root, falls back to the
     float eigenvalues of the whole block, clustered, as "numeric-block".
     """
-    if _is_triangular(block):  # an empty block too
-        found = {}
-        for i, row in enumerate(block):
-            found[row[i]] = found.get(row[i], 0) + 1
-    else:
-        found = _split_by_components(block, scale)
-        if found is None:
-            # numeric fallback on the exact block
-            real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
+    found: Counter = Counter()
+    pieces = []  # (sub-block, characteristic polynomial) of each larger component
+    # a triangular block, an empty one too, has a single-row component per row
+    components = [[i] for i in range(len(block))] if _is_triangular(block) else _components(block)
+    for component in components:
+        if len(component) == 1:
+            found[block[component[0]][component[0]]] += 1
+        else:
+            sub = [[block[i][j] for j in component] for i in component]
+            pieces.append((sub, _char_poly(sub)))
+    if all(_splits_modulo(coeffs, p) for _, coeffs in pieces for p in SCREEN_PRIMES):
+        for sub, coeffs in pieces:
+            roots = _integer_roots(sub, coeffs, scale)
+            if roots is None:
+                break
+            found.update(roots)
+        else:
             return [
-                EigenvalueEntry(float(np.mean(real[cluster])), len(cluster), "numeric-block")
-                for cluster in cluster_eigenvalues(real)
+                EigenvalueEntry(Fraction(mu, scale), multiplicity, "exact-graded")
+                for mu, multiplicity in sorted(found.items())
             ]
+    # numeric fallback on the exact block
+    real = np.sort(np.linalg.eigvals(_float_block(block, scale)).real)
     return [
-        EigenvalueEntry(Fraction(mu, scale), multiplicity, "exact-graded")
-        for mu, multiplicity in sorted(found.items())
+        EigenvalueEntry(float(np.mean(real[cluster])), len(cluster), "numeric-block")
+        for cluster in cluster_eigenvalues(real)
     ]
 
 

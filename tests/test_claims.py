@@ -12,7 +12,7 @@ import pytest
 from polydiff import quadrature, spectra
 from polydiff.catalog import get_model, model_names
 from polydiff.claims import RunContext, build_claims, run_claims
-from polydiff.operator import CoMetric
+from polydiff.operator import CoMetric, MeasureSpec
 
 MANIFEST = pathlib.Path(__file__).parent / "data" / "claims_manifest.txt"
 
@@ -30,7 +30,7 @@ def test_claim_kind_tally():
         "exact-polynomial-identity": 152,
         "exact-eigenvalue": 9,
         "numeric-tolerance": 24,
-        "negative-control": 5,
+        "negative-control": 6,
     }
     numeric = [c.id for c in claims if c.kind == "numeric-tolerance"]
     assert all(i.endswith((".symmetry-defect", ".eigenbasis-quality")) for i in numeric), numeric
@@ -137,6 +137,27 @@ def test_catalog_metric_outside_its_admissible_span_fails_the_span_claim():
     assert {k: v for k, v in result.detail.items() if k != "square"} == {
         k: v for k, v in passed.detail.items() if k != "square"
     }
+
+
+def test_drift_moved_off_the_measure_fails_the_corrected_drift_claim():
+    # nodal_cubic's measure exponent raised by one moves the derived drift,
+    # while the catalog formulas are read at the model's own p; a claim gated
+    # on the corrected formulas fails, where one that only reported the
+    # paper's garbled text beside the derived drift passed
+    claim = {c.id: c for c in build_claims()}["nodal_cubic.drift-tabulated"]
+    passed = claim.execute(RunContext(seed=7))
+    assert passed.status == "pass", passed.detail
+    assert passed.detail["erratum"] is True
+    assert passed.detail["tabulated"] == ["-4*x", "-15*y"]
+    ctx = RunContext(seed=7)
+    model = ctx.model("nodal_cubic")
+    (factor, exponent), = model.measure.factor_exponents
+    model.measure = MeasureSpec(model.dim, ((factor, exponent + 1),))
+    result = claim.execute(ctx)
+    assert result.status == "fail", result.detail
+    assert result.detail["derived"] == ["12 - 20*x", "-33*y"]
+    assert result.detail["corrected"] == passed.detail["corrected"]
+    assert result.detail["matches"] == [False, False]
 
 
 def test_filter_skips_other_models():

@@ -924,18 +924,6 @@ def test_catalog_block_spectra_are_integers_over_the_scale(name, params):
             assert any(factor.degree() > 1 for factor, _ in factors), n
 
 
-def _reachable(block):
-    """reach[i][j]: a path i -> ... -> j of nonzero off-diagonal entries,
-    or i == j, by Warshall's transitive closure."""
-    n = len(block)
-    reach = [[i == j or block[i][j] != 0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
-    return reach
-
-
 def _component_blocks():
     sympy = pytest.importorskip("sympy")
     yield from (block for _, block, _ in _conjugated_cases(sympy, random.Random(2021)))
@@ -946,23 +934,39 @@ def _component_blocks():
                    for _ in range(n)]
 
 
-def test_components_are_the_strongly_connected_classes_in_block_triangular_order():
-    # the components partition the rows; two rows share one exactly when
-    # each reaches the other; and with the rows and columns permuted to list
-    # the components in the returned order, nothing lies below the diagonal
-    # blocks
+def test_components_are_the_strongly_connected_classes():
+    # the components partition the rows into the strongly connected classes
+    # of the off-diagonal nonzero pattern, each listed in sorted order, as
+    # an independent Tarjan finds them; nothing reads their order
+    sympy = pytest.importorskip("sympy")
+    from sympy.utilities.iterables import strongly_connected_components
+
     for block in _component_blocks():
+        n = len(block)
+        edges = [(i, j) for i in range(n) for j in range(n) if i != j and block[i][j]]
+        expected = strongly_connected_components((list(range(n)), edges))
         components = spectra._components(block)
-        rows = [i for component in components for i in component]
-        assert sorted(rows) == list(range(len(block)))
         assert all(component == sorted(component) for component in components)
-        reach = _reachable(block)
-        place = {i: k for k, component in enumerate(components) for i in component}
-        for i in range(len(block)):
-            for j in range(len(block)):
-                assert (place[i] == place[j]) == (reach[i][j] and reach[j][i]), (block, i, j)
-                if block[i][j]:
-                    assert place[i] <= place[j], (block, i, j)
+        assert sorted(components) == sorted(sorted(c) for c in expected), block
+
+
+def _times(a, b):
+    """The product of two polynomials, coefficients low-to-high."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_components_split_the_characteristic_polynomial():
+    # block_eigenvalues relies on it: the characteristic polynomials of the
+    # components, each of its own rows and columns, multiply to the block's
+    for block in _component_blocks():
+        product = [1]
+        for c in spectra._components(block):
+            product = _times(product, spectra._char_poly([[block[i][j] for j in c] for i in c]))
+        assert product == spectra._char_poly(block), block
 
 
 def test_screen_never_rejects_a_block_that_splits():
