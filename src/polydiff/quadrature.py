@@ -82,7 +82,7 @@ from .operator import (
 )
 from .catalog import DomainSampler, SamplerConfigError
 from .poly import MonomialBasis, Polynomial, grlex_key, parse_poly, parse_rational
-from .rng import normal_points, sphere_points, uniform_block, unit_rows
+from .rng import sphere_points, uniform_block
 
 #: rows per block: Monte Carlo proposals drawn at once, and sample points per
 #: step of a pass that accumulates sums
@@ -530,11 +530,11 @@ def _build_covers() -> dict[str, CoverSampler]:
     # scaling u = sqrt(2) v has cometric 2 delta - u u^t and drift -2 u
     u = [Polynomial.variable(3, i) for i in range(3)]
     y = [sum(u[j] * Fraction(c, 2) for j, c in enumerate(row)) for row in _SUM_ZERO_FRAME]
-    frame = 0.5 * np.array(_SUM_ZERO_FRAME, dtype=float)
 
     def swallowtail_draw(seed: int, start: int, count: int) -> np.ndarray:
-        # 4 normals projected onto the hyperplane are 3 normals in the frame
-        return np.sqrt(2.0) * unit_rows(normal_points(seed, count, 4, start) @ frame)
+        # the frame is orthonormal, so a uniform point on the hyperplane's
+        # sphere is a uniform point of the sphere |u|^2 = 2 in frame coordinates
+        return np.sqrt(2.0) * sphere_points(seed, count, 3, start)
 
     def swallowtail_nodes(exactness: int) -> tuple[np.ndarray, np.ndarray]:
         points, weights = _sphere2_nodes(exactness)

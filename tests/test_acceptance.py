@@ -6,6 +6,7 @@ end to end.  Run with `pytest tests/test_acceptance.py -s` to see the lines.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -247,10 +248,14 @@ def test_a12_determinism_and_runtime():
         sys.executable, "-m", "polydiff.cli", "verify", "--model", "all",
         "--seed", "7", "--format", "json",
     ]
+    # the child imports polydiff from this checkout's src, whatever the
+    # caller's PYTHONPATH holds
+    source = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    first = subprocess.run(command, capture_output=True, text=True)
+    first = subprocess.run(command, env=env, capture_output=True, text=True)
     elapsed_first = time.perf_counter() - start
-    second = subprocess.run(command, capture_output=True, text=True)
+    second = subprocess.run(command, env=env, capture_output=True, text=True)
     ok = (
         first.returncode == 0
         and second.returncode == 0
